@@ -16,7 +16,7 @@ use crate::stats::KernelStats;
 #[derive(Debug, Clone, Copy)]
 enum Ev {
     Global { addr: u64, bytes: u32, write: bool },
-    Shared { word: u32, words: u32, write: bool },
+    Shared { word: u32, words: u32 },
 }
 
 /// Handle to a shared-memory array allocated by [`BlockCtx::alloc_shared`].
@@ -53,6 +53,8 @@ struct SharedArray {
 ///
 /// Kernels allocate shared arrays up front, then run a sequence of
 /// [`BlockCtx::step`] rounds (the code between `__syncthreads()`).
+/// `Device::launch` reuses one context for every block of a launch, so
+/// the event log and replay scratch are allocated once per launch.
 pub struct BlockCtx {
     /// This block's index within the grid.
     pub block_idx: usize,
@@ -62,13 +64,29 @@ pub struct BlockCtx {
     spec: DeviceSpec,
     shared: Vec<SharedArray>,
     shared_words_used: u32,
-    events: Vec<Vec<Ev>>,
+    /// The step's events, lane after lane: lane `t` logged
+    /// `events[lane_starts[t]..lane_starts[t + 1]]`.
+    events: Vec<Ev>,
+    lane_starts: Vec<usize>,
     stats: KernelStats,
     /// Per-launch sanitizer, attached by `Device::launch` when enabled.
     san: Option<Rc<RefCell<LaunchSanitizer>>>,
-    // replay scratch
-    scratch_words: Vec<u32>,
-    scratch_addrs: Vec<u64>,
+    scratch: ReplayScratch,
+}
+
+/// Scratch of the warp-lockstep replay, reused across steps and blocks.
+/// Between (warp, slot) groups every bit of `seen` and every entry of
+/// `bank_counts` is zero.
+#[derive(Default)]
+struct ReplayScratch {
+    /// One bit per shared word: already counted in the current group.
+    seen: Vec<u64>,
+    /// The current group's distinct shared words (to clear `seen`).
+    words: Vec<u32>,
+    /// Distinct words per bank in the current group.
+    bank_counts: Vec<u32>,
+    /// The current group's global sectors, write flag in bit 0.
+    sectors: Vec<u64>,
 }
 
 impl BlockCtx {
@@ -85,12 +103,23 @@ impl BlockCtx {
             spec,
             shared: Vec::new(),
             shared_words_used: 0,
-            events: (0..block_dim).map(|_| Vec::new()).collect(),
+            events: Vec::new(),
+            lane_starts: Vec::with_capacity(block_dim + 1),
             stats: KernelStats::default(),
             san: None,
-            scratch_words: Vec::new(),
-            scratch_addrs: Vec::new(),
+            scratch: ReplayScratch {
+                bank_counts: vec![0; spec.shared_banks],
+                ..ReplayScratch::default()
+            },
         }
+    }
+
+    /// Readies the context for block `block_idx` of the same launch: frees
+    /// the previous block's shared arrays and keeps the replay buffers.
+    pub(crate) fn begin_block(&mut self, block_idx: usize) {
+        self.block_idx = block_idx;
+        self.shared.clear();
+        self.shared_words_used = 0;
     }
 
     /// Attaches the launch's sanitizer (see [`crate::sanitize`]).
@@ -153,15 +182,15 @@ impl BlockCtx {
     /// the block; tracked accesses are then replayed in warp lockstep to
     /// account coalescing and bank conflicts.
     pub fn step<F: FnMut(&mut Lane<'_>)>(&mut self, mut f: F) {
-        for evs in &mut self.events {
-            evs.clear();
-        }
+        self.events.clear();
+        self.lane_starts.clear();
         let step_idx = self.stats.steps as usize;
         if let Some(san) = &self.san {
             san.borrow_mut().begin_step(step_idx);
         }
         let mut ops_acc: u64 = 0;
         for tid in 0..self.block_dim {
+            self.lane_starts.push(self.events.len());
             let mut lane = Lane {
                 tid,
                 block_idx: self.block_idx,
@@ -169,12 +198,14 @@ impl BlockCtx {
                 grid_dim: self.grid_dim,
                 step: step_idx,
                 shared: &mut self.shared,
-                events: &mut self.events[tid],
+                first_event: self.events.len(),
+                events: &mut self.events,
                 ops_acc: &mut ops_acc,
                 san: self.san.as_ref(),
             };
             f(&mut lane);
         }
+        self.lane_starts.push(self.events.len());
         if let Some(san) = &self.san {
             san.borrow_mut().end_step(&self.spec);
         }
@@ -192,41 +223,49 @@ impl BlockCtx {
     fn replay(&mut self) {
         let ws = self.spec.warp_size;
         let banks = self.spec.shared_banks;
-        let num_warps = self.block_dim.div_ceil(ws);
-        for w in 0..num_warps {
-            let lo = w * ws;
-            let hi = ((w + 1) * ws).min(self.block_dim);
-            let max_slots = (lo..hi).map(|t| self.events[t].len()).max().unwrap_or(0);
+        let r = &mut self.scratch;
+        let words = (self.shared_words_used as usize).div_ceil(64);
+        if r.seen.len() < words {
+            r.seen.resize(words, 0);
+        }
+        let starts = &self.lane_starts;
+        let stats = &mut self.stats;
+        for lo in (0..self.block_dim).step_by(ws) {
+            let hi = (lo + ws).min(self.block_dim);
+            let max_slots = (lo..hi)
+                .map(|t| starts[t + 1] - starts[t])
+                .max()
+                .unwrap_or(0);
             for slot in 0..max_slots {
-                self.scratch_words.clear();
-                self.scratch_addrs.clear();
-                let mut shared_reads = 0u64;
-                let mut shared_writes = 0u64;
-                let mut global_read_ev = 0u64;
-                let mut global_write_ev = 0u64;
+                let mut shared_ev = 0u64;
+                let mut global_ev = 0u64;
+                let mut degree = 0u32;
+                let mut in_order = true;
+                r.sectors.clear();
                 for t in lo..hi {
-                    if let Some(&ev) = self.events[t].get(slot) {
-                        match ev {
-                            Ev::Global { addr, bytes, write } => {
-                                let first = addr / 32;
-                                let last = (addr + bytes as u64 - 1) / 32;
-                                for s in first..=last {
-                                    self.scratch_addrs.push((s << 1) | write as u64);
-                                }
-                                if write {
-                                    global_write_ev += 1;
-                                } else {
-                                    global_read_ev += 1;
-                                }
+                    let i = starts[t] + slot;
+                    if i >= starts[t + 1] {
+                        continue;
+                    }
+                    match self.events[i] {
+                        Ev::Global { addr, bytes, write } => {
+                            global_ev += 1;
+                            for s in addr / 32..=(addr + bytes as u64 - 1) / 32 {
+                                let tagged = (s << 1) | write as u64;
+                                in_order &= r.sectors.last().is_none_or(|&p| p <= tagged);
+                                r.sectors.push(tagged);
                             }
-                            Ev::Shared { word, words, write } => {
-                                for dw in 0..words {
-                                    self.scratch_words.push(word + dw);
-                                }
-                                if write {
-                                    shared_writes += 1;
-                                } else {
-                                    shared_reads += 1;
+                        }
+                        Ev::Shared { word, words } => {
+                            shared_ev += 1;
+                            for w in word..word + words {
+                                let (q, bit) = (w as usize / 64, 1u64 << (w % 64));
+                                if r.seen[q] & bit == 0 {
+                                    r.seen[q] |= bit;
+                                    r.words.push(w);
+                                    let c = &mut r.bank_counts[w as usize % banks];
+                                    *c += 1;
+                                    degree = degree.max(*c);
                                 }
                             }
                         }
@@ -234,35 +273,35 @@ impl BlockCtx {
                 }
                 // --- global coalescing: distinct sectors, reads and writes
                 // tracked separately (the write flag rides in bit 0)
-                if !self.scratch_addrs.is_empty() {
-                    self.scratch_addrs.sort_unstable();
-                    self.scratch_addrs.dedup();
-                    for &tagged in self.scratch_addrs.iter() {
-                        let write = tagged & 1 == 1;
-                        if write {
-                            self.stats.global_write_bytes += 32;
-                        } else {
-                            self.stats.global_read_bytes += 32;
-                        }
-                        self.stats.global_sectors += 1;
+                if !r.sectors.is_empty() {
+                    if !in_order {
+                        r.sectors.sort_unstable();
                     }
-                    self.stats.global_accesses += global_read_ev + global_write_ev;
+                    r.sectors.dedup();
+                    for &tagged in &r.sectors {
+                        if tagged & 1 == 1 {
+                            stats.global_write_bytes += 32;
+                        } else {
+                            stats.global_read_bytes += 32;
+                        }
+                        stats.global_sectors += 1;
+                    }
+                    stats.global_accesses += global_ev;
                 }
                 // --- shared bank conflicts over distinct words
-                if !self.scratch_words.is_empty() {
-                    self.scratch_words.sort_unstable();
-                    self.scratch_words.dedup();
-                    let mut bank_counts = [0u32; 64];
-                    for &word in self.scratch_words.iter() {
-                        bank_counts[(word as usize) % banks] += 1;
+                if shared_ev > 0 {
+                    for &w in &r.words {
+                        r.seen[w as usize / 64] = 0;
+                        r.bank_counts[w as usize % banks] = 0;
                     }
-                    let degree = *bank_counts[..banks].iter().max().unwrap() as u64;
+                    r.words.clear();
+                    let degree = degree as u64;
                     debug_assert!(degree >= 1);
-                    self.stats.shared_accesses += shared_reads + shared_writes;
-                    self.stats.shared_eff_bytes += degree * (ws as u64) * 4;
+                    stats.shared_accesses += shared_ev;
+                    stats.shared_eff_bytes += degree * (ws as u64) * 4;
                     if degree > 1 {
-                        self.stats.shared_conflict_groups += 1;
-                        self.stats.shared_conflict_cycles += degree - 1;
+                        stats.shared_conflict_groups += 1;
+                        stats.shared_conflict_cycles += degree - 1;
                     }
                 }
             }
@@ -340,7 +379,10 @@ pub struct Lane<'a> {
     grid_dim: usize,
     step: usize,
     shared: &'a mut Vec<SharedArray>,
+    /// The step's flat event log; this lane's events start at
+    /// `first_event`, so an event's slot is its offset from there.
     events: &'a mut Vec<Ev>,
+    first_event: usize,
     ops_acc: &'a mut u64,
     san: Option<&'a Rc<RefCell<LaunchSanitizer>>>,
 }
@@ -354,6 +396,11 @@ impl<'a> Lane<'a> {
     /// Global thread index across the grid.
     pub fn gtid(&self) -> usize {
         self.block_idx * self.block_dim + self.tid
+    }
+
+    /// Slot of this lane's next tracked event.
+    fn slot(&self) -> u32 {
+        (self.events.len() - self.first_event) as u32
     }
 
     /// Lane index within the warp.
@@ -431,14 +478,10 @@ impl<'a> Lane<'a> {
         }
         let addr = buf.inner.base_addr + (idx as u64) * bytes as u64;
         if let Some(san) = self.san {
-            san.borrow_mut().global_access(
-                self.tid,
-                addr,
-                bytes,
-                false,
-                self.events.len() as u32,
-                &|| buf.describe(),
-            );
+            san.borrow_mut()
+                .global_access(self.tid, addr, bytes, false, self.slot(), &|| {
+                    buf.describe()
+                });
         }
         self.events.push(Ev::Global {
             addr,
@@ -457,14 +500,8 @@ impl<'a> Lane<'a> {
         }
         let addr = buf.inner.base_addr + (idx as u64) * bytes as u64;
         if let Some(san) = self.san {
-            san.borrow_mut().global_access(
-                self.tid,
-                addr,
-                bytes,
-                true,
-                self.events.len() as u32,
-                &|| buf.describe(),
-            );
+            san.borrow_mut()
+                .global_access(self.tid, addr, bytes, true, self.slot(), &|| buf.describe());
         }
         self.events.push(Ev::Global {
             addr,
@@ -484,20 +521,10 @@ impl<'a> Lane<'a> {
         }
         let word = h.base_word + idx as u32 * wpe;
         if let Some(san) = self.san {
-            san.borrow_mut().shared_access(
-                self.tid,
-                word,
-                wpe,
-                false,
-                self.events.len() as u32,
-                true,
-            );
+            san.borrow_mut()
+                .shared_access(self.tid, word, wpe, false, self.slot(), true);
         }
-        self.events.push(Ev::Shared {
-            word,
-            words: wpe,
-            write: false,
-        });
+        self.events.push(Ev::Shared { word, words: wpe });
         self.shared[h.id]
             .data
             .downcast_ref::<Vec<T>>()
@@ -513,20 +540,10 @@ impl<'a> Lane<'a> {
         }
         let word = h.base_word + idx as u32 * wpe;
         if let Some(san) = self.san {
-            san.borrow_mut().shared_access(
-                self.tid,
-                word,
-                wpe,
-                true,
-                self.events.len() as u32,
-                true,
-            );
+            san.borrow_mut()
+                .shared_access(self.tid, word, wpe, true, self.slot(), true);
         }
-        self.events.push(Ev::Shared {
-            word,
-            words: wpe,
-            write: true,
-        });
+        self.events.push(Ev::Shared { word, words: wpe });
         self.shared[h.id]
             .data
             .downcast_mut::<Vec<T>>()

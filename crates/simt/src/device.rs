@@ -258,6 +258,10 @@ pub(crate) struct DeviceInner {
     mem_highwater: Cell<usize>,
     next_base: Cell<u64>,
     log: RefCell<Vec<LaunchReport>>,
+    /// Sum of `log`'s times, kept as launches are pushed so
+    /// [`Device::total_time`] (read on every launch under a fault plan)
+    /// costs O(1). Starts at -0.0, the empty `f64` sum.
+    total_time: Cell<SimTime>,
     /// Stream subsequent launches are stamped with (set via
     /// [`Device::stream_scope`]).
     pub(crate) cur_stream: Cell<usize>,
@@ -485,6 +489,7 @@ impl Device {
                 mem_highwater: Cell::new(0),
                 next_base: Cell::new(0x1000),
                 log: RefCell::new(Vec::new()),
+                total_time: Cell::new(SimTime(-0.0)),
                 cur_stream: Cell::new(0),
                 next_stream: Cell::new(1),
                 waits: RefCell::new(Vec::new()),
@@ -675,15 +680,20 @@ impl Device {
             .map(|cfg| Rc::new(RefCell::new(LaunchSanitizer::new(cfg, kernel.name()))));
 
         let mut stats = KernelStats::default();
+        let mut ctx = BlockCtx::new(spec, 0, grid_dim, block_dim);
+        if let Some(s) = &san {
+            ctx.set_sanitizer(Rc::clone(s));
+        }
         for b in 0..grid_dim {
-            let mut ctx = BlockCtx::new(spec, b, grid_dim, block_dim);
             if let Some(s) = &san {
                 s.borrow_mut().begin_block(b);
-                ctx.set_sanitizer(Rc::clone(s));
             }
+            ctx.begin_block(b);
             kernel.run_block(&mut ctx);
             stats.merge(&ctx.take_stats());
         }
+        // releases the context's sanitizer handle for the unwrap below
+        drop(ctx);
 
         let occupancy = Occupancy::compute(&spec, block_dim, shared, kernel.regs_per_thread());
         if let Some(s) = san {
@@ -704,6 +714,9 @@ impl Device {
             report.time += delay;
         }
         self.inner.inject_corruption(kernel.name(), block_dim);
+        self.inner
+            .total_time
+            .set(self.inner.total_time.get() + report.time);
         self.inner.log.borrow_mut().push(report.clone());
         Ok(report)
     }
@@ -1016,7 +1029,7 @@ impl Device {
 
     /// Total modeled time of all launches since the last reset.
     pub fn total_time(&self) -> SimTime {
-        self.inner.log.borrow().iter().map(|r| r.time).sum()
+        self.inner.total_time.get()
     }
 
     /// Snapshot of the launch log.
@@ -1047,6 +1060,7 @@ impl Device {
     /// positions.
     pub fn reset_log(&self) {
         self.inner.log.borrow_mut().clear();
+        self.inner.total_time.set(SimTime(-0.0));
         self.inner.waits.borrow_mut().clear();
     }
 
@@ -1323,6 +1337,39 @@ mod tests {
         }
         let r = dev.launch(&Computey).unwrap();
         assert_eq!(r.bound_by(), "compute");
+    }
+
+    #[test]
+    fn total_time_is_the_log_sum() {
+        let log_sum = |dev: &Device| -> SimTime { dev.launch_log().iter().map(|r| r.time).sum() };
+        let dev = Device::titan_x();
+        assert_eq!(dev.total_time().0.to_bits(), log_sum(&dev).0.to_bits());
+        let data = dev.upload(&(0..3000).map(|i| i as f32).collect::<Vec<_>>());
+        let k = |grid| DoubleKernel {
+            data: data.clone(),
+            grid,
+            block: 128,
+        };
+        for grid in [1, 3, 7] {
+            dev.launch(&k(grid)).unwrap();
+        }
+        assert_eq!(dev.total_time().0.to_bits(), log_sum(&dev).0.to_bits());
+
+        dev.set_fault_plan(FaultPlan {
+            stall_rate: 1.0,
+            stall_delay: SimTime(1.25e-4),
+            ..FaultPlan::with_seed(3)
+        });
+        let stalled = dev.launch(&k(2)).unwrap();
+        assert_eq!(dev.fault_events()[0].kind, FaultKind::StreamStall);
+        assert_eq!(dev.launch_log().last().unwrap().time, stalled.time);
+        assert_eq!(dev.total_time().0.to_bits(), log_sum(&dev).0.to_bits());
+
+        dev.reset_log();
+        assert_eq!(dev.total_time().0.to_bits(), log_sum(&dev).0.to_bits());
+        dev.clear_fault_plan();
+        dev.launch(&k(5)).unwrap();
+        assert_eq!(dev.total_time().0.to_bits(), log_sum(&dev).0.to_bits());
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //! access patterns, the simulator's coalescing and bank-conflict counters
 //! must equal an independently computed brute-force reference.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
-use simt::{BlockCtx, Device, DeviceSpec, GpuBuffer, Kernel, KernelStats, Occupancy};
+use simt::{BlockCtx, Device, DeviceCopy, DeviceSpec, GpuBuffer, Kernel, KernelStats, Occupancy};
 
 /// A kernel where each lane performs a scripted list of shared-memory
 /// word accesses (one per slot).
@@ -64,6 +66,134 @@ fn reference_shared(pattern: &[Vec<u32>], warp: usize, banks: usize) -> KernelSt
     stats
 }
 
+/// One lane's accesses across a launch: `script[block][step][lane]`
+/// lists the lane's accesses in slot order, each encoded as
+/// `3 * index + kind` with kind 0 a shared read, 1 a global read and 2 a
+/// global write of element `index`.
+type Script = Vec<Vec<Vec<Vec<u32>>>>;
+
+/// Runs a [`Script`] over shared and global arrays of `T`.
+struct ScriptedMixed<T: DeviceCopy> {
+    script: Script,
+    block_dim: usize,
+    buf: GpuBuffer<T>,
+    shared_len: usize,
+}
+
+impl<T: DeviceCopy> Kernel for ScriptedMixed<T> {
+    fn name(&self) -> &'static str {
+        "scripted_mixed"
+    }
+    fn block_dim(&self) -> usize {
+        self.block_dim
+    }
+    fn grid_dim(&self) -> usize {
+        self.script.len()
+    }
+    fn shared_bytes_per_block(&self) -> usize {
+        self.shared_len * std::mem::size_of::<T>()
+    }
+    fn run_block(&self, blk: &mut BlockCtx) {
+        let h = blk.alloc_shared::<T>(self.shared_len);
+        for step in &self.script[blk.block_idx] {
+            blk.step(|lane| {
+                for &code in step.get(lane.tid()).into_iter().flatten() {
+                    let i = (code / 3) as usize;
+                    match code % 3 {
+                        0 => _ = lane.sread(h, i),
+                        1 => _ = lane.gread(&self.buf, i),
+                        _ => lane.gwrite(&self.buf, i, T::default()),
+                    }
+                }
+            });
+        }
+    }
+}
+
+/// Brute-force reference for a [`Script`] over `T` elements: group by
+/// (block, step, warp, slot); global accesses pay each distinct
+/// (sector, direction) once, shared accesses pay the largest count of
+/// distinct words in one bank.
+fn reference_mixed<T>(script: &Script, warp: usize, base: u64, banks: usize) -> KernelStats {
+    let size = std::mem::size_of::<T>() as u64;
+    let wpe = size.div_ceil(4) as u32;
+    let mut stats = KernelStats::default();
+    for step in script.iter().flatten() {
+        stats.steps += 1;
+        for lanes in step.chunks(warp) {
+            let max_slots = lanes.iter().map(|l| l.len()).max().unwrap_or(0);
+            for slot in 0..max_slots {
+                let mut sectors = BTreeSet::new();
+                let mut words = BTreeSet::new();
+                let (mut global, mut shared) = (0u64, 0u64);
+                for &code in lanes.iter().filter_map(|l| l.get(slot)) {
+                    let i = code / 3;
+                    if code % 3 == 0 {
+                        shared += 1;
+                        words.extend(i * wpe..(i + 1) * wpe);
+                    } else {
+                        global += 1;
+                        let addr = base + i as u64 * size;
+                        for sector in addr / 32..=(addr + size - 1) / 32 {
+                            sectors.insert((sector, code % 3 == 2));
+                        }
+                    }
+                }
+                if !sectors.is_empty() {
+                    stats.global_accesses += global;
+                    for &(_, write) in &sectors {
+                        if write {
+                            stats.global_write_bytes += 32;
+                        } else {
+                            stats.global_read_bytes += 32;
+                        }
+                        stats.global_sectors += 1;
+                    }
+                }
+                if !words.is_empty() {
+                    stats.shared_accesses += shared;
+                    let mut per_bank = vec![0u64; banks];
+                    for w in words {
+                        per_bank[w as usize % banks] += 1;
+                    }
+                    let degree = *per_bank.iter().max().unwrap();
+                    stats.shared_eff_bytes += degree * warp as u64 * 4;
+                    if degree > 1 {
+                        stats.shared_conflict_groups += 1;
+                        stats.shared_conflict_cycles += degree - 1;
+                    }
+                }
+            }
+        }
+    }
+    stats
+}
+
+/// Launches `script` over `T` elements on a Titan X with `banks` shared
+/// banks and returns (measured, reference) counters.
+fn run_mixed<T: DeviceCopy>(script: Script, banks: usize) -> (KernelStats, KernelStats) {
+    let spec = DeviceSpec {
+        shared_banks: banks,
+        ..DeviceSpec::titan_x_maxwell()
+    };
+    let dev = Device::new(spec);
+    let buf = dev.alloc::<T>(MIXED_ELEMS);
+    let base = buf.base_addr();
+    let block_dim = script.iter().flatten().map(Vec::len).max().unwrap_or(1);
+    let expect = reference_mixed::<T>(&script, spec.warp_size, base, banks);
+    let k = ScriptedMixed {
+        script,
+        block_dim,
+        buf,
+        shared_len: MIXED_ELEMS,
+    };
+    (dev.launch(&k).unwrap().stats, expect)
+}
+
+/// Elements of the mixed scripts' shared and global arrays: few enough
+/// that one slot often reads and writes the same sector.
+const MIXED_ELEMS: usize = 96;
+
 /// Scripted global reads: one address list per lane.
 struct ScriptedGlobal {
     pattern: Vec<Vec<u32>>,
@@ -116,12 +246,14 @@ proptest! {
         pattern in prop::collection::vec(
             prop::collection::vec(0u32..512, 0..6),
             1..96,
-        )
+        ),
+        banks in prop::sample::select(vec![32usize, 48, 128]),
     ) {
-        let dev = Device::new(DeviceSpec::titan_x_maxwell());
+        let spec = DeviceSpec { shared_banks: banks, ..DeviceSpec::titan_x_maxwell() };
+        let dev = Device::new(spec);
         let k = ScriptedShared { pattern: pattern.clone(), words: 512 };
         let r = dev.launch(&k).unwrap();
-        let expect = reference_shared(&pattern, 32, 32);
+        let expect = reference_shared(&pattern, 32, banks);
         prop_assert_eq!(r.stats.shared_accesses, expect.shared_accesses);
         prop_assert_eq!(r.stats.shared_eff_bytes, expect.shared_eff_bytes);
         prop_assert_eq!(r.stats.shared_conflict_cycles, expect.shared_conflict_cycles);
@@ -144,6 +276,32 @@ proptest! {
             r.stats.global_read_bytes,
             reference_global_bytes(&pattern, 32, base)
         );
+    }
+
+    /// Several blocks of several steps, shared and global accesses in
+    /// the same slot, reads and writes of one sector in one slot, and
+    /// 1-, 2- and 3-word elements (12-byte ones straddle sectors).
+    #[test]
+    fn mixed_replay_matches_bruteforce(
+        script in prop::collection::vec(
+            prop::collection::vec(
+                prop::collection::vec(
+                    prop::collection::vec(0u32..3 * MIXED_ELEMS as u32, 0..5),
+                    1..72,
+                ),
+                1..4,
+            ),
+            1..4,
+        ),
+        width in prop::sample::select(vec![4usize, 8, 12]),
+        banks in prop::sample::select(vec![32usize, 48, 128]),
+    ) {
+        let (got, expect) = match width {
+            4 => run_mixed::<f32>(script, banks),
+            8 => run_mixed::<f64>(script, banks),
+            _ => run_mixed::<[f32; 3]>(script, banks),
+        };
+        prop_assert_eq!(got, expect);
     }
 
     #[test]

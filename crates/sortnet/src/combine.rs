@@ -50,32 +50,26 @@ impl CombinedStep {
     /// remaining positions from least significant upward.
     pub fn element(&self, set_id: usize, m: usize) -> usize {
         debug_assert!(m < self.elems_per_set());
-        let mut idx = 0usize;
-        let mut set_bits = set_id;
-        let mut bit_pos = 0u32;
-        let mut free_iter = 0usize;
-        let mut m_rest = m;
-        // walk bit positions low to high, consuming free bits for `m` and
-        // other positions for `set_id`
-        while set_bits != 0 || m_rest != 0 || free_iter < self.free_bits.len() {
-            if free_iter < self.free_bits.len() && self.free_bits[free_iter] == bit_pos {
-                if m_rest & 1 != 0 {
-                    idx |= 1 << bit_pos;
-                }
-                m_rest >>= 1;
-                free_iter += 1;
-            } else {
-                if set_bits & 1 != 0 {
-                    idx |= 1 << bit_pos;
-                }
-                set_bits >>= 1;
-            }
-            bit_pos += 1;
-            if bit_pos >= usize::BITS {
-                break;
-            }
-        }
-        idx
+        self.set_base(set_id) | self.m_offset(m)
+    }
+
+    /// The index bits closed set `set_id` contributes to every one of its
+    /// elements: `set_id` with a zero bit inserted at each free position
+    /// (ascending, so each insertion leaves the lower ones in place).
+    pub fn set_base(&self, set_id: usize) -> usize {
+        self.free_bits.iter().fold(set_id, |idx, &b| {
+            let low = (1usize << b) - 1;
+            ((idx & !low) << 1) | (idx & low)
+        })
+    }
+
+    /// The index bits local counter `m` contributes: bit `i` of `m` moves
+    /// to position `free_bits[i]`.
+    pub fn m_offset(&self, m: usize) -> usize {
+        self.free_bits
+            .iter()
+            .enumerate()
+            .fold(0, |idx, (i, &b)| idx | ((m >> i) & 1) << b)
     }
 
     /// For a step at distance `j` (which must be one of the group's

@@ -131,6 +131,44 @@ proptest! {
         }
         prop_assert!(seen.iter().all(|&s| s));
     }
+
+    /// `CombinedStep::element` (set base | m offset) places every bit
+    /// exactly where the bit-by-bit walk it replaced did, including set
+    /// bits pushed past the top of the index.
+    #[test]
+    fn element_matches_bit_walk(
+        bits in prop::collection::btree_set(0u32..64, 1..7),
+        set_id in any::<usize>(),
+        shift in 0u32..64,
+    ) {
+        let free: Vec<u32> = bits.into_iter().collect();
+        let set_id = set_id >> shift;
+        let g = CombinedStep { steps: vec![], free_bits: free.clone() };
+        for m in 0..g.elems_per_set() {
+            prop_assert_eq!(g.element(set_id, m), element_bit_walk(&free, set_id, m));
+        }
+    }
+}
+
+/// The reference for [`CombinedStep::element`]: walk index bit positions
+/// low to high, giving free positions the next bit of `m` and all other
+/// positions the next bit of `set_id`.
+fn element_bit_walk(free_bits: &[u32], set_id: usize, m: usize) -> usize {
+    let mut idx = 0usize;
+    let mut set_bits = set_id;
+    let mut m_rest = m;
+    let mut free_iter = 0usize;
+    for bit_pos in 0..usize::BITS {
+        if free_iter < free_bits.len() && free_bits[free_iter] == bit_pos {
+            idx |= (m_rest & 1) << bit_pos;
+            m_rest >>= 1;
+            free_iter += 1;
+        } else {
+            idx |= (set_bits & 1) << bit_pos;
+            set_bits >>= 1;
+        }
+    }
+    idx
 }
 
 /// Kernel-style execution of a plan: gather each closed set, apply the

@@ -66,17 +66,18 @@ fn launch_reducer<T: TopKItem>(
 ) -> Result<usize, TopKError> {
     let nt_pref = cfg.block_dim.unwrap_or(256);
     let block_dim = (seg / cfg.elems()).clamp(32, nt_pref).min(seg);
-    let kernel = ReducerKernel {
-        input: input.clone(),
-        output: output.clone(),
+    let kernel = ReducerKernel::new(
+        dev,
+        input,
+        output,
         seg,
-        k: k_eff,
-        ops,
+        k_eff,
+        &ops,
         cfg,
         block_dim,
-        grid_dim: cur / seg,
-        kernel_name: name,
-    };
+        cur / seg,
+        name,
+    );
     let out = kernel.out_seg() * kernel.grid_dim;
     dev.launch(&kernel)?;
     Ok(out)
@@ -131,18 +132,17 @@ pub fn bitonic_topk<T: TopKItem>(
             ops.push(ReduceOp::Merge);
             ops.push(ReduceOp::Rebuild);
         }
-        let nt = (seg_m / b).clamp(32, nt_pref).min(seg_m);
-        dev.launch(&ReducerKernel {
-            input: padded_copy(dev, input, seg_m),
-            output: out.clone(),
-            seg: seg_m,
-            k: k_eff,
+        launch_reducer(
+            dev,
+            &padded_copy(dev, input, seg_m),
+            &out,
+            seg_m,
+            seg_m,
+            k_eff,
             ops,
             cfg,
-            block_dim: nt,
-            grid_dim: 1,
-            kernel_name: "bitonic_monolithic",
-        })?;
+            "bitonic_monolithic",
+        )?;
         let mut items = out.to_vec();
         items.reverse();
         items.truncate(k_req);
@@ -201,17 +201,18 @@ fn reduce_bitonic_runs<T: TopKItem>(
         if cur == k_eff {
             // just rebuild the single remaining bitonic run
             let nt = (k_eff / 2).clamp(32, nt_pref).min(k_eff);
-            dev.launch(&ReducerKernel {
-                input: work[src].clone(),
-                output: work[1 - src].clone(),
-                seg: k_eff,
-                k: k_eff,
-                ops: vec![ReduceOp::Rebuild],
+            dev.launch(&ReducerKernel::new(
+                dev,
+                &work[src],
+                &work[1 - src],
+                k_eff,
+                k_eff,
+                &[ReduceOp::Rebuild],
                 cfg,
-                block_dim: nt,
-                grid_dim: 1,
-                kernel_name: "bitonic_final_rebuild",
-            })?;
+                nt,
+                1,
+                "bitonic_final_rebuild",
+            ))?;
             src = 1 - src;
             break;
         }

@@ -5,10 +5,12 @@
 
 use datagen::TopKItem;
 use simt::{
-    AccessSpec, BlockCtx, BufferDecl, GlobalStream, GpuBuffer, Kernel, PhaseSpec, SharedEv,
+    AccessSpec, BlockCtx, BufferDecl, Device, GlobalStream, GpuBuffer, Kernel, PhaseSpec, SharedEv,
     SharedHandle, SharedStep,
 };
-use sortnet::{chunk_rotation, local_sort_steps, rebuild_steps, PadMap, StepGroupPlan};
+use sortnet::{
+    chunk_rotation, local_sort_steps, rebuild_steps, CombinedStep, PadMap, Step, StepGroupPlan,
+};
 
 use super::config::BitonicConfig;
 
@@ -23,26 +25,146 @@ pub(crate) enum ReduceOp {
     Merge,
 }
 
+/// One operator of a launch with everything that depends only on the
+/// launch geometry worked out once: every block and the static access
+/// declaration read the same schedule.
+enum OpSched {
+    /// Local sort or rebuild: one barrier interval per step group.
+    Network {
+        label: &'static str,
+        groups: Vec<GroupSched>,
+    },
+    /// Pairwise max from `len` to `len / 2` live elements.
+    Merge { len: usize, workers: usize },
+}
+
+/// One step group of a network operator.
+struct GroupSched {
+    group: CombinedStep,
+    /// Threads that own closed sets; the rest idle.
+    workers: usize,
+    /// Closed sets per worker: blocked assignment, as in the paper's
+    /// Figure 6 — each thread owns a contiguous range of sets.
+    per: usize,
+    /// Chunk permutation: lanes rotate their visit order.
+    rotate: bool,
+    /// `group.m_offset(m)` for every local counter `m`.
+    offsets: Vec<usize>,
+    /// The group's steps, each with its partner's local-counter mask.
+    steps: Vec<(Step, usize)>,
+}
+
 /// A fused reducer: loads a segment to shared memory, applies a sequence
 /// of operators, writes the reduced segment back.
 pub(crate) struct ReducerKernel<T: TopKItem> {
-    pub input: GpuBuffer<T>,
-    pub output: GpuBuffer<T>,
+    input: GpuBuffer<T>,
+    output: GpuBuffer<T>,
     /// Segment (elements) each block loads.
-    pub seg: usize,
+    seg: usize,
     /// Run length (the internally rounded-up k).
-    pub k: usize,
-    pub ops: Vec<ReduceOp>,
-    pub cfg: BitonicConfig,
-    pub block_dim: usize,
+    k: usize,
+    cfg: BitonicConfig,
+    block_dim: usize,
     pub grid_dim: usize,
-    pub kernel_name: &'static str,
+    kernel_name: &'static str,
+    /// Warp size of the launching device (lane rotation).
+    ws: usize,
+    sched: Vec<OpSched>,
 }
 
 impl<T: TopKItem> ReducerKernel<T> {
+    /// A reducer that applies `ops` to each `seg`-element segment,
+    /// scheduled for `dev`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn new(
+        dev: &Device,
+        input: &GpuBuffer<T>,
+        output: &GpuBuffer<T>,
+        seg: usize,
+        k: usize,
+        ops: &[ReduceOp],
+        cfg: BitonicConfig,
+        block_dim: usize,
+        grid_dim: usize,
+        kernel_name: &'static str,
+    ) -> Self {
+        let mut kernel = Self {
+            input: input.clone(),
+            output: output.clone(),
+            seg,
+            k,
+            cfg,
+            block_dim,
+            grid_dim,
+            kernel_name,
+            ws: dev.spec().warp_size,
+            sched: Vec::with_capacity(ops.len()),
+        };
+        let mut cur_len = seg;
+        for &op in ops {
+            // element budget per thread at the current live length
+            let active = if cfg.reassign() {
+                (cur_len / cfg.elems()).clamp(1, block_dim)
+            } else {
+                block_dim.min(cur_len)
+            };
+            let (label, steps) = match op {
+                ReduceOp::LocalSort => ("local-sort", local_sort_steps(k)),
+                ReduceOp::Rebuild => ("rebuild", rebuild_steps(k)),
+                ReduceOp::Merge => {
+                    kernel.sched.push(OpSched::Merge {
+                        len: cur_len,
+                        workers: active.min(cur_len / 2),
+                    });
+                    cur_len /= 2;
+                    continue;
+                }
+            };
+            let budget = cfg.group_budget().min((cur_len / active).max(2));
+            let groups = StepGroupPlan::plan(&steps, budget)
+                .groups
+                .into_iter()
+                .map(|group| kernel.group_sched(group, cur_len, active))
+                .collect();
+            kernel.sched.push(OpSched::Network { label, groups });
+        }
+        kernel
+    }
+
+    fn group_sched(&self, group: CombinedStep, cur_len: usize, active: usize) -> GroupSched {
+        let m_count = group.elems_per_set();
+        let sets_total = cur_len / m_count;
+        let workers = active.min(sets_total);
+        let offsets: Vec<usize> = (0..m_count).map(|m| group.m_offset(m)).collect();
+        let per = sets_total / workers.max(1);
+        // chunk permutation: rotate the per-lane visit order when the
+        // aligned order would conflict and the rotated one is better
+        let rotate = self.cfg.chunk_permute()
+            && m_count > 1
+            && self.predict_conflicts(&group, &offsets, workers, per, true)
+                < self.predict_conflicts(&group, &offsets, workers, per, false);
+        let steps = group
+            .steps
+            .iter()
+            .map(|&step| (step, 1 << group.local_bit_for(step.j)))
+            .collect();
+        GroupSched {
+            group,
+            workers,
+            per,
+            rotate,
+            offsets,
+            steps,
+        }
+    }
+
     /// Output elements each block produces.
     pub fn out_seg(&self) -> usize {
-        let merges = self.ops.iter().filter(|o| **o == ReduceOp::Merge).count();
+        let merges = self
+            .sched
+            .iter()
+            .filter(|o| matches!(o, OpSched::Merge { .. }))
+            .count();
         self.seg >> merges
     }
 
@@ -64,31 +186,31 @@ impl<T: TopKItem> ReducerKernel<T> {
     /// exactly this pattern (Figure 10); we generalize by evaluating the
     /// candidate orders.
     fn predict_conflicts(
-        group: &sortnet::CombinedStep,
-        pad: PadMap,
+        &self,
+        group: &CombinedStep,
+        offsets: &[usize],
         workers: usize,
-        ws: usize,
-        sets_total: usize,
+        per: usize,
         rotate: bool,
     ) -> u64 {
-        let m_count = group.elems_per_set();
-        let wpe = T::SIZE_BYTES.div_ceil(4);
-        let lanes = ws.min(workers);
-        let per = sets_total / workers.max(1);
+        let pad = self.pad_map();
+        let m_count = offsets.len();
+        let lanes = self.ws.min(workers);
         let mut cycles = 0u64;
         for slot in 0..m_count {
             let mut banks = [0u32; 32];
-            let mut words: Vec<u32> = Vec::with_capacity(lanes);
-            for l in 0..lanes {
-                let rot = if rotate {
-                    chunk_rotation(l, m_count)
-                } else {
-                    0
-                };
-                let m = (slot + rot) % m_count;
-                let word = (pad.index(group.element(l * per.max(1), m)) * wpe) as u32;
-                words.push(word);
-            }
+            let mut words: Vec<u32> = (0..lanes)
+                .map(|l| {
+                    let rot = if rotate {
+                        chunk_rotation(l, m_count)
+                    } else {
+                        0
+                    };
+                    let m = (slot + rot) % m_count;
+                    let idx = group.set_base(l * per.max(1)) | offsets[m];
+                    self.shared_ev(pad, idx, false).word
+                })
+                .collect();
             words.sort_unstable();
             words.dedup();
             for w in words {
@@ -100,104 +222,81 @@ impl<T: TopKItem> ReducerKernel<T> {
         cycles
     }
 
-    /// Executes one step-group plan over the live prefix of the segment.
-    fn run_plan(
-        &self,
-        blk: &mut BlockCtx,
-        sh: SharedHandle<T>,
-        pad: PadMap,
-        plan: &StepGroupPlan,
-        cur_len: usize,
-        active: usize,
-    ) {
-        let ws = blk.spec().warp_size;
-        let permute = self.cfg.chunk_permute();
-        for group in &plan.groups {
-            let m_count = group.elems_per_set();
-            let sets_total = cur_len / m_count;
-            let workers = active.min(sets_total);
-            // chunk permutation: rotate the per-lane visit order when the
-            // aligned order would conflict and the rotated one is better
-            let use_rot = permute
-                && m_count > 1
-                && Self::predict_conflicts(group, pad, workers, ws, sets_total, true)
-                    < Self::predict_conflicts(group, pad, workers, ws, sets_total, false);
-            blk.step(|lane| {
-                let t = lane.tid();
-                if t >= workers {
-                    return;
+    /// The order lane `t` visits a closed set's elements in group `g`:
+    /// local counters from its chunk rotation upward, wrapping around.
+    fn visit_order(&self, g: &GroupSched, t: usize) -> impl Iterator<Item = usize> + Clone {
+        let m_count = g.offsets.len();
+        let rot = if g.rotate {
+            chunk_rotation(t % self.ws, m_count)
+        } else {
+            0
+        };
+        (rot..m_count).chain(0..rot)
+    }
+
+    /// Executes one step group over the live prefix of the segment:
+    /// per closed set, gather into registers, run the group's steps
+    /// locally, scatter back.
+    fn run_group(&self, blk: &mut BlockCtx, sh: SharedHandle<T>, pad: PadMap, g: &GroupSched) {
+        let m_count = g.offsets.len();
+        let mut local: Vec<T> = vec![T::min_sentinel(); m_count];
+        blk.step(|lane| {
+            let t = lane.tid();
+            if t >= g.workers {
+                return;
+            }
+            let order = self.visit_order(g, t);
+            for set in t * g.per..(t + 1) * g.per {
+                let base = g.group.set_base(set);
+                for m in order.clone() {
+                    local[m] = lane.sread(sh, pad.index(base | g.offsets[m]));
                 }
-                let rot = if use_rot {
-                    chunk_rotation(lane.lane_in_warp(ws), m_count)
-                } else {
-                    0
-                };
-                let mut local: Vec<T> = vec![T::min_sentinel(); m_count];
-                // blocked set assignment, as in the paper's Figure 6: each
-                // thread owns a contiguous range of closed sets
-                let per = sets_total / workers;
-                for i in 0..per {
-                    let set = t * per + i;
-                    for i in 0..m_count {
-                        let m = (i + rot) % m_count;
-                        local[m] = lane.sread(sh, pad.index(group.element(set, m)));
-                    }
-                    for &step in &group.steps {
-                        let lb = group.local_bit_for(step.j);
-                        for m in 0..m_count {
-                            let pm = m ^ (1 << lb);
-                            if pm > m {
-                                let gi = group.element(set, m);
-                                let asc = step.ascending(gi);
-                                if asc == local[pm].item_lt(&local[m]) {
-                                    local.swap(m, pm);
-                                }
-                            }
+                for &(step, partner) in &g.steps {
+                    for m in 0..m_count {
+                        let pm = m ^ partner;
+                        if pm > m
+                            && step.ascending(base | g.offsets[m]) == local[pm].item_lt(&local[m])
+                        {
+                            local.swap(m, pm);
                         }
-                        // ~4 scalar ops per compare-exchange: load-compare,
-                        // select, two conditional moves
-                        lane.ops(4 * m_count as u64 / 2);
                     }
-                    for i in 0..m_count {
-                        let m = (i + rot) % m_count;
-                        lane.swrite(sh, pad.index(group.element(set, m)), local[m]);
-                    }
+                    // ~4 scalar ops per compare-exchange: load-compare,
+                    // select, two conditional moves
+                    lane.ops(4 * m_count as u64 / 2);
                 }
-            });
-        }
+                for m in order.clone() {
+                    lane.swrite(sh, pad.index(base | g.offsets[m]), local[m]);
+                }
+            }
+        });
     }
 
     /// Executes a merge: pairwise max over aligned 2k windows, compacting
-    /// the live prefix from `cur_len` to `cur_len/2`. Two warp-synchronous
-    /// steps (read into registers, barrier, write) as on real hardware.
+    /// the live prefix from `len` to `len/2`. Two warp-synchronous steps
+    /// (read into registers, barrier, write) as on real hardware; lane
+    /// `t` produces output positions `t, t + workers, …`.
     fn run_merge(
         &self,
         blk: &mut BlockCtx,
         sh: SharedHandle<T>,
         pad: PadMap,
-        cur_len: usize,
-        active: usize,
+        len: usize,
+        workers: usize,
     ) {
         let k = self.k;
-        let half = cur_len / 2;
-        let workers = active.min(half);
-        let per_thread = half / workers.max(1);
-        let mut staged: Vec<Vec<T>> = vec![Vec::with_capacity(per_thread); workers];
-
+        let half = len / 2;
+        let mut staged: Vec<T> = vec![T::min_sentinel(); half];
         blk.step(|lane| {
             let t = lane.tid();
             if t >= workers {
                 return;
             }
-            let mut p = t;
-            while p < half {
-                let w = p / k;
-                let j = p % k;
+            for p in (t..half).step_by(workers) {
+                let (w, j) = (p / k, p % k);
                 let a = lane.sread(sh, pad.index(2 * k * w + j));
                 let b = lane.sread(sh, pad.index(2 * k * w + j + k));
-                staged[t].push(if a.item_lt(&b) { b } else { a });
+                staged[p] = if a.item_lt(&b) { b } else { a };
                 lane.ops(4);
-                p += workers;
             }
         });
         blk.step(|lane| {
@@ -205,112 +304,57 @@ impl<T: TopKItem> ReducerKernel<T> {
             if t >= workers {
                 return;
             }
-            for (i, v) in staged[t].iter().enumerate() {
-                let p = t + i * workers;
-                lane.swrite(sh, pad.index(p), *v);
+            for p in (t..half).step_by(workers) {
+                lane.swrite(sh, pad.index(p), staged[p]);
             }
         });
     }
 
-    /// Shared word of element `idx` under the kernel's pad map. The
-    /// reducer's one shared allocation starts at word 0.
-    fn word_of(&self, pad: PadMap, idx: usize) -> u32 {
-        (pad.index(idx) * T::SIZE_BYTES.div_ceil(4)) as u32
+    /// The declared shared access of element `idx` under the kernel's
+    /// pad map. The reducer's one shared allocation starts at word 0.
+    fn shared_ev(&self, pad: PadMap, idx: usize, write: bool) -> SharedEv {
+        let wpe = T::SIZE_BYTES.div_ceil(4);
+        SharedEv {
+            word: (pad.index(idx) * wpe) as u32,
+            words: wpe as u32,
+            write,
+        }
     }
 
-    /// Declares one [`Self::run_plan`] invocation: one barrier interval
-    /// per step group, with the same worker/rotation arithmetic.
-    fn plan_phase(
-        &self,
-        name: String,
-        plan: &StepGroupPlan,
-        pad: PadMap,
-        cur_len: usize,
-        active: usize,
-        ws: usize,
-    ) -> PhaseSpec {
-        let wpe = T::SIZE_BYTES.div_ceil(4) as u32;
-        let permute = self.cfg.chunk_permute();
-        let mut shared_steps = Vec::new();
-        for group in &plan.groups {
-            let m_count = group.elems_per_set();
-            let sets_total = cur_len / m_count;
-            let workers = active.min(sets_total);
-            let mut lanes: Vec<Vec<SharedEv>> = vec![Vec::new(); self.block_dim];
-            if workers > 0 {
-                let use_rot = permute
-                    && m_count > 1
-                    && Self::predict_conflicts(group, pad, workers, ws, sets_total, true)
-                        < Self::predict_conflicts(group, pad, workers, ws, sets_total, false);
-                let per = sets_total / workers;
-                for (t, lane) in lanes.iter_mut().enumerate().take(workers) {
-                    let rot = if use_rot {
-                        chunk_rotation(t % ws, m_count)
-                    } else {
-                        0
-                    };
-                    for i in 0..per {
-                        let set = t * per + i;
-                        for write in [false, true] {
-                            for j in 0..m_count {
-                                let m = (j + rot) % m_count;
-                                lane.push(SharedEv {
-                                    word: self.word_of(pad, group.element(set, m)),
-                                    words: wpe,
-                                    write,
-                                });
-                            }
-                        }
+    /// Declares one [`Self::run_group`] barrier interval.
+    fn group_step(&self, pad: PadMap, g: &GroupSched) -> SharedStep {
+        let mut lanes: Vec<Vec<SharedEv>> = vec![Vec::new(); self.block_dim];
+        for (t, lane) in lanes.iter_mut().enumerate().take(g.workers) {
+            let order = self.visit_order(g, t);
+            for set in t * g.per..(t + 1) * g.per {
+                let base = g.group.set_base(set);
+                for write in [false, true] {
+                    for m in order.clone() {
+                        lane.push(self.shared_ev(pad, base | g.offsets[m], write));
                     }
                 }
             }
-            shared_steps.push(SharedStep { lanes });
         }
-        PhaseSpec {
-            name,
-            shared_steps,
-            ..PhaseSpec::default()
-        }
+        SharedStep { lanes }
     }
 
     /// Declares one [`Self::run_merge`] invocation: the read step and
     /// the write-back step, with the same per-lane strided loops.
-    fn merge_phase(&self, name: String, pad: PadMap, cur_len: usize, active: usize) -> PhaseSpec {
-        let wpe = T::SIZE_BYTES.div_ceil(4) as u32;
+    fn merge_steps(&self, pad: PadMap, len: usize, workers: usize) -> Vec<SharedStep> {
         let k = self.k;
-        let half = cur_len / 2;
-        let workers = active.min(half);
+        let half = len / 2;
+        let ev = |idx, write| self.shared_ev(pad, idx, write);
         let mut reads: Vec<Vec<SharedEv>> = vec![Vec::new(); self.block_dim];
         let mut writes: Vec<Vec<SharedEv>> = vec![Vec::new(); self.block_dim];
         for t in 0..workers {
-            let mut staged = 0usize;
-            let mut p = t;
-            while p < half {
-                let w = p / k;
-                let j = p % k;
-                for idx in [2 * k * w + j, 2 * k * w + j + k] {
-                    reads[t].push(SharedEv {
-                        word: self.word_of(pad, idx),
-                        words: wpe,
-                        write: false,
-                    });
-                }
-                staged += 1;
-                p += workers;
-            }
-            for i in 0..staged {
-                writes[t].push(SharedEv {
-                    word: self.word_of(pad, t + i * workers),
-                    words: wpe,
-                    write: true,
-                });
+            for p in (t..half).step_by(workers) {
+                let (w, j) = (p / k, p % k);
+                reads[t].push(ev(2 * k * w + j, false));
+                reads[t].push(ev(2 * k * w + j + k, false));
+                writes[t].push(ev(p, true));
             }
         }
-        PhaseSpec {
-            name,
-            shared_steps: vec![SharedStep { lanes: reads }, SharedStep { lanes: writes }],
-            ..PhaseSpec::default()
-        }
+        vec![SharedStep { lanes: reads }, SharedStep { lanes: writes }]
     }
 }
 
@@ -333,34 +377,28 @@ impl<T: TopKItem> Kernel for ReducerKernel<T> {
         32 + self.cfg.group_budget() * T::SIZE_BYTES.div_ceil(4)
     }
 
-    /// The contract mirrors `run_block` phase by phase with the same
-    /// integer arithmetic — load, each operator's barrier intervals,
-    /// store — so the static prediction reproduces the replay's
-    /// counters exactly. The sorting network is data-independent, which
-    /// is what makes a complete static declaration possible. Lane
-    /// rotation assumes the 32-lane warps every shipped device uses.
+    /// The contract walks the schedule `run_block` executes — load, each
+    /// operator's barrier intervals, store — so the static prediction
+    /// reproduces the replay's counters exactly. The sorting network is
+    /// data-independent, which is what makes a complete static
+    /// declaration possible.
     fn access_spec(&self) -> Option<AccessSpec> {
         let nt = self.block_dim;
         if nt == 0 || self.grid_dim == 0 || self.seg == 0 {
             return Some(AccessSpec::default());
         }
-        let ws = 32usize;
         let pad = self.pad_map();
-        let wpe = T::SIZE_BYTES.div_ceil(4) as u32;
         let mut phases = Vec::new();
 
         // ---- load
         let b_elems = self.seg / nt;
-        let mut lanes: Vec<Vec<SharedEv>> = vec![Vec::with_capacity(b_elems); nt];
-        for (t, lane) in lanes.iter_mut().enumerate() {
-            for j in 0..b_elems {
-                lane.push(SharedEv {
-                    word: self.word_of(pad, t + j * nt),
-                    words: wpe,
-                    write: true,
-                });
-            }
-        }
+        let lanes = (0..nt)
+            .map(|t| {
+                (0..b_elems)
+                    .map(|j| self.shared_ev(pad, t + j * nt, true))
+                    .collect()
+            })
+            .collect();
         phases.push(PhaseSpec {
             name: "load".to_string(),
             globals: vec![GlobalStream {
@@ -379,58 +417,33 @@ impl<T: TopKItem> Kernel for ReducerKernel<T> {
         });
 
         // ---- operator pipeline
-        let mut cur_len = self.seg;
-        for (oi, &op) in self.ops.iter().enumerate() {
-            let active = if self.cfg.reassign() {
-                (cur_len / self.cfg.elems()).clamp(1, nt)
-            } else {
-                nt.min(cur_len)
+        for (oi, op) in self.sched.iter().enumerate() {
+            let (name, shared_steps) = match op {
+                OpSched::Network { label, groups } => (
+                    format!("op{oi}:{label}"),
+                    groups.iter().map(|g| self.group_step(pad, g)).collect(),
+                ),
+                &OpSched::Merge { len, workers } => {
+                    (format!("op{oi}:merge"), self.merge_steps(pad, len, workers))
+                }
             };
-            let avail = (cur_len / active).max(2);
-            let budget = self.cfg.group_budget().min(avail);
-            match op {
-                ReduceOp::LocalSort => {
-                    let plan = StepGroupPlan::plan(&local_sort_steps(self.k), budget);
-                    phases.push(self.plan_phase(
-                        format!("op{oi}:local-sort"),
-                        &plan,
-                        pad,
-                        cur_len,
-                        active,
-                        ws,
-                    ));
-                }
-                ReduceOp::Rebuild => {
-                    let plan = StepGroupPlan::plan(&rebuild_steps(self.k), budget);
-                    phases.push(self.plan_phase(
-                        format!("op{oi}:rebuild"),
-                        &plan,
-                        pad,
-                        cur_len,
-                        active,
-                        ws,
-                    ));
-                }
-                ReduceOp::Merge => {
-                    phases.push(self.merge_phase(format!("op{oi}:merge"), pad, cur_len, active));
-                    cur_len /= 2;
-                }
-            }
+            phases.push(PhaseSpec {
+                name,
+                shared_steps,
+                ..PhaseSpec::default()
+            });
         }
 
         // ---- store
-        let mut lanes: Vec<Vec<SharedEv>> = vec![Vec::new(); nt];
-        for (t, lane) in lanes.iter_mut().enumerate() {
-            let mut p = t;
-            while p < cur_len {
-                lane.push(SharedEv {
-                    word: self.word_of(pad, p),
-                    words: wpe,
-                    write: false,
-                });
-                p += nt;
-            }
-        }
+        let out_len = self.out_seg();
+        let lanes = (0..nt)
+            .map(|t| {
+                (t..out_len)
+                    .step_by(nt)
+                    .map(|p| self.shared_ev(pad, p, false))
+                    .collect()
+            })
+            .collect();
         phases.push(PhaseSpec {
             name: "store".to_string(),
             globals: vec![GlobalStream {
@@ -439,10 +452,10 @@ impl<T: TopKItem> Kernel for ReducerKernel<T> {
                 base: 0,
                 lane_stride: 1,
                 slot_stride: nt,
-                slots: cur_len.div_ceil(nt),
-                block_stride: cur_len,
+                slots: out_len.div_ceil(nt),
+                block_stride: out_len,
                 active: nt,
-                bound: Some(cur_len),
+                bound: Some(out_len),
             }],
             shared_steps: vec![SharedStep { lanes }],
             ..PhaseSpec::default()
@@ -468,41 +481,24 @@ impl<T: TopKItem> Kernel for ReducerKernel<T> {
         });
 
         // ---- operator pipeline
-        let mut cur_len = self.seg;
-        for &op in &self.ops {
-            // element budget per thread at the current live length
-            let active = if self.cfg.reassign() {
-                (cur_len / self.cfg.elems()).clamp(1, nt)
-            } else {
-                nt.min(cur_len)
-            };
-            let avail = (cur_len / active).max(2);
-            let budget = self.cfg.group_budget().min(avail);
+        for op in &self.sched {
             match op {
-                ReduceOp::LocalSort => {
-                    let plan = StepGroupPlan::plan(&local_sort_steps(self.k), budget);
-                    self.run_plan(blk, sh, pad, &plan, cur_len, active);
+                OpSched::Network { groups, .. } => {
+                    for g in groups {
+                        self.run_group(blk, sh, pad, g);
+                    }
                 }
-                ReduceOp::Rebuild => {
-                    let plan = StepGroupPlan::plan(&rebuild_steps(self.k), budget);
-                    self.run_plan(blk, sh, pad, &plan, cur_len, active);
-                }
-                ReduceOp::Merge => {
-                    self.run_merge(blk, sh, pad, cur_len, active);
-                    cur_len /= 2;
-                }
+                &OpSched::Merge { len, workers } => self.run_merge(blk, sh, pad, len, workers),
             }
         }
 
         // ---- store: coalesced global writes of the reduced segment
-        let out_base = blk.block_idx * cur_len;
+        let out_len = self.out_seg();
+        let out_base = blk.block_idx * out_len;
         blk.step(|lane| {
-            let t = lane.tid();
-            let mut p = t;
-            while p < cur_len {
+            for p in (lane.tid()..out_len).step_by(nt) {
                 let v = lane.sread(sh, pad.index(p));
                 lane.gwrite(&self.output, out_base + p, v);
-                p += nt;
             }
         });
     }
