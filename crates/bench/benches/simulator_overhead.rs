@@ -1,13 +1,21 @@
 //! Criterion benchmarks of the simulator itself: how fast the
-//! warp-lockstep replay processes tracked accesses, and what the bulk
-//! path costs by comparison. (Host wall-clock of the simulation, not
-//! simulated time.)
+//! warp-lockstep replay processes tracked accesses, on both of its paths,
+//! and what the bulk path costs by comparison. (Host wall-clock of the
+//! simulation, not simulated time.)
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use simt::{BlockCtx, Device, DeviceSpec, GpuBuffer, Kernel};
 
+/// Streams the data through shared memory with 16 tracked reads and 16
+/// tracked writes per lane. Unpermuted, every warp's accesses are warp
+/// 0's moved by whole sectors, so the replay reuses the first warp's
+/// counters for the other seven. Permuted, lane `t` of warp `w` takes
+/// element `t ^ w` of its warp's slice, a permutation of the warp's own,
+/// so the replay works out every warp in full. Both cost the same
+/// sectors and bank conflicts.
 struct TrackedStream {
     data: GpuBuffer<f32>,
+    permuted: bool,
 }
 
 impl Kernel for TrackedStream {
@@ -24,7 +32,11 @@ impl Kernel for TrackedStream {
         let base = blk.block_idx * 16 * 256;
         let sh = blk.alloc_shared::<f32>(16 * 256);
         blk.step(|l| {
-            let t = l.tid();
+            let t = if self.permuted {
+                l.tid() ^ (l.tid() / 32)
+            } else {
+                l.tid()
+            };
             for j in 0..16 {
                 let v = l.gread(&self.data, base + t + j * 256);
                 l.swrite(sh, t + j * 256, v);
@@ -61,9 +73,14 @@ fn bench_simulator(c: &mut Criterion) {
     let mut g = c.benchmark_group("simulator");
     g.sample_size(20);
     g.throughput(criterion::Throughput::Elements(2 * n as u64));
-    g.bench_function("tracked_accesses", |b| {
-        b.iter(|| dev.launch(&TrackedStream { data: data.clone() }).unwrap())
-    });
+    for (id, permuted) in [("tracked_reused", false), ("tracked_replayed", true)] {
+        g.bench_function(id, |b| {
+            b.iter(|| {
+                let data = data.clone();
+                dev.launch(&TrackedStream { data, permuted }).unwrap()
+            })
+        });
+    }
     g.bench_function("bulk_accounting", |b| {
         b.iter(|| dev.launch(&BulkStream { data: data.clone() }).unwrap())
     });

@@ -56,6 +56,7 @@ impl Criterion {
         BenchmarkGroup {
             sample_size: self.sample_size,
             time_budget: self.time_budget,
+            elements: None,
             _parent: self,
         }
     }
@@ -78,6 +79,8 @@ impl BenchmarkId {
 pub struct BenchmarkGroup<'a> {
     sample_size: usize,
     time_budget: Duration,
+    /// Elements per iteration, when the group declares them.
+    elements: Option<u64>,
     _parent: &'a mut Criterion,
 }
 
@@ -89,7 +92,10 @@ impl BenchmarkGroup<'_> {
 
     pub fn throughput(&mut self, t: Throughput) -> &mut Self {
         match t {
-            Throughput::Elements(n) => println!("  throughput: {n} elements/iter"),
+            Throughput::Elements(n) => {
+                println!("  throughput: {n} elements/iter");
+                self.elements = Some(n);
+            }
             Throughput::Bytes(n) => println!("  throughput: {n} bytes/iter"),
         }
         self
@@ -144,8 +150,12 @@ impl BenchmarkGroup<'_> {
         let mean = samples.iter().sum::<f64>() / samples.len() as f64;
         let min = samples.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = samples.iter().cloned().fold(0.0f64, f64::max);
+        let per_element = match self.elements {
+            Some(n) if n > 0 => format!(", {} per element", fmt_time(mean / n as f64)),
+            _ => String::new(),
+        };
         println!(
-            "  {id}: mean {} (min {}, max {}, {} samples)",
+            "  {id}: mean {} (min {}, max {}, {} samples{per_element})",
             fmt_time(mean),
             fmt_time(min),
             fmt_time(max),

@@ -89,6 +89,136 @@ struct ReplayScratch {
     sectors: Vec<u64>,
 }
 
+impl ReplayScratch {
+    /// Replays one warp: lane `i` logged `events[lanes[i]..lanes[i + 1]]`.
+    ///
+    /// For each event slot, the lanes' events at that slot form one group:
+    /// global accesses coalesce into distinct 32-byte sectors; shared
+    /// accesses pay the maximum per-bank multiplicity over distinct words
+    /// (same-word broadcast is free).
+    fn warp(&mut self, spec: &DeviceSpec, events: &[Ev], lanes: &[usize]) -> KernelStats {
+        let banks = spec.shared_banks;
+        let mut stats = KernelStats::default();
+        let max_slots = lanes.windows(2).map(|l| l[1] - l[0]).max().unwrap_or(0);
+        for slot in 0..max_slots {
+            let mut shared_ev = 0u64;
+            let mut global_ev = 0u64;
+            let mut degree = 0u32;
+            let mut in_order = true;
+            self.sectors.clear();
+            for l in lanes.windows(2) {
+                let i = l[0] + slot;
+                if i >= l[1] {
+                    continue;
+                }
+                match events[i] {
+                    Ev::Global { addr, bytes, write } => {
+                        global_ev += 1;
+                        for s in addr / 32..=(addr + bytes as u64 - 1) / 32 {
+                            let tagged = (s << 1) | write as u64;
+                            in_order &= self.sectors.last().is_none_or(|&p| p <= tagged);
+                            self.sectors.push(tagged);
+                        }
+                    }
+                    Ev::Shared { word, words } => {
+                        shared_ev += 1;
+                        for w in word..word + words {
+                            let (q, bit) = (w as usize / 64, 1u64 << (w % 64));
+                            if self.seen[q] & bit == 0 {
+                                self.seen[q] |= bit;
+                                self.words.push(w);
+                                let c = &mut self.bank_counts[w as usize % banks];
+                                *c += 1;
+                                degree = degree.max(*c);
+                            }
+                        }
+                    }
+                }
+            }
+            // --- global coalescing: distinct sectors, reads and writes
+            // tracked separately (the write flag rides in bit 0)
+            if !self.sectors.is_empty() {
+                if !in_order {
+                    self.sectors.sort_unstable();
+                }
+                self.sectors.dedup();
+                for &tagged in &self.sectors {
+                    if tagged & 1 == 1 {
+                        stats.global_write_bytes += 32;
+                    } else {
+                        stats.global_read_bytes += 32;
+                    }
+                    stats.global_sectors += 1;
+                }
+                stats.global_accesses += global_ev;
+            }
+            // --- shared bank conflicts over distinct words
+            if shared_ev > 0 {
+                for &w in &self.words {
+                    self.seen[w as usize / 64] = 0;
+                    self.bank_counts[w as usize % banks] = 0;
+                }
+                self.words.clear();
+                let degree = degree as u64;
+                debug_assert!(degree >= 1);
+                stats.shared_accesses += shared_ev;
+                stats.shared_eff_bytes += degree * (spec.warp_size as u64) * 4;
+                if degree > 1 {
+                    stats.shared_conflict_groups += 1;
+                    stats.shared_conflict_cycles += degree - 1;
+                }
+            }
+        }
+        stats
+    }
+}
+
+/// True when warp `b`'s events are warp `a`'s moved by one constant
+/// shared-word offset and one constant global offset of whole 32-byte
+/// sectors: each lane logged as many events as its partner, and event for
+/// event the kind, width and direction agree. `a` and `b` hold the two
+/// warps' lane start offsets into `events`, as [`ReplayScratch::warp`]
+/// takes them.
+///
+/// Such warps replay to the same counters. A constant word offset
+/// rotates the bank index and keeps distinct words distinct, so every
+/// (warp, slot) group keeps its per-bank counts, permuted, and with them
+/// its degree. A whole-sector offset maps distinct (sector, direction)
+/// pairs one to one.
+fn translates(events: &[Ev], a: &[usize], b: &[usize]) -> bool {
+    let (a0, b0) = (a[0], b[0]);
+    if a.len() != b.len() || a.iter().zip(b).any(|(&x, &y)| x - a0 != y - b0) {
+        return false;
+    }
+    let n = a[a.len() - 1] - a0;
+    let (mut word_delta, mut addr_delta) = (None, None);
+    events[a0..a0 + n]
+        .iter()
+        .zip(&events[b0..b0 + n])
+        .all(|(p, q)| match (*p, *q) {
+            (Ev::Shared { word: x, words: wx }, Ev::Shared { word: y, words: wy }) => {
+                let d = y.wrapping_sub(x);
+                wx == wy && *word_delta.get_or_insert(d) == d
+            }
+            (
+                Ev::Global {
+                    addr: x,
+                    bytes: bx,
+                    write: rx,
+                },
+                Ev::Global {
+                    addr: y,
+                    bytes: by,
+                    write: ry,
+                },
+            ) => {
+                let d = y.wrapping_sub(x);
+                bx == by && rx == ry && d % 32 == 0 && *addr_delta.get_or_insert(d) == d
+            }
+            _ => false,
+        })
+}
+
 impl BlockCtx {
     pub(crate) fn new(
         spec: DeviceSpec,
@@ -214,97 +344,43 @@ impl BlockCtx {
         self.replay();
     }
 
-    /// Warp-lockstep replay of the step's events.
+    /// Warp-lockstep replay of the step's events, warp by warp.
     ///
-    /// For each warp and each intra-thread event slot, the (up to 32)
-    /// simultaneous accesses are grouped: global accesses coalesce into
-    /// distinct 32-byte sectors; shared accesses pay the maximum per-bank
-    /// multiplicity over distinct words (same-word broadcast is free).
+    /// A warp whose events are a translation (see [`translates`]) of the
+    /// step's reference warp, the last full warp replayed in full, reuses
+    /// the reference's counters; a partial warp never is one, as it has
+    /// fewer lanes. Every other warp is replayed by
+    /// [`ReplayScratch::warp`], and a full one becomes the reference.
     fn replay(&mut self) {
         let ws = self.spec.warp_size;
-        let banks = self.spec.shared_banks;
-        let r = &mut self.scratch;
         let words = (self.shared_words_used as usize).div_ceil(64);
-        if r.seen.len() < words {
-            r.seen.resize(words, 0);
+        if self.scratch.seen.len() < words {
+            self.scratch.seen.resize(words, 0);
         }
         let starts = &self.lane_starts;
-        let stats = &mut self.stats;
+        let mut reference: Option<(usize, KernelStats)> = None;
         for lo in (0..self.block_dim).step_by(ws) {
-            let hi = (lo + ws).min(self.block_dim);
-            let max_slots = (lo..hi)
-                .map(|t| starts[t + 1] - starts[t])
-                .max()
-                .unwrap_or(0);
-            for slot in 0..max_slots {
-                let mut shared_ev = 0u64;
-                let mut global_ev = 0u64;
-                let mut degree = 0u32;
-                let mut in_order = true;
-                r.sectors.clear();
-                for t in lo..hi {
-                    let i = starts[t] + slot;
-                    if i >= starts[t + 1] {
-                        continue;
-                    }
-                    match self.events[i] {
-                        Ev::Global { addr, bytes, write } => {
-                            global_ev += 1;
-                            for s in addr / 32..=(addr + bytes as u64 - 1) / 32 {
-                                let tagged = (s << 1) | write as u64;
-                                in_order &= r.sectors.last().is_none_or(|&p| p <= tagged);
-                                r.sectors.push(tagged);
-                            }
-                        }
-                        Ev::Shared { word, words } => {
-                            shared_ev += 1;
-                            for w in word..word + words {
-                                let (q, bit) = (w as usize / 64, 1u64 << (w % 64));
-                                if r.seen[q] & bit == 0 {
-                                    r.seen[q] |= bit;
-                                    r.words.push(w);
-                                    let c = &mut r.bank_counts[w as usize % banks];
-                                    *c += 1;
-                                    degree = degree.max(*c);
-                                }
-                            }
-                        }
-                    }
+            let lanes = &starts[lo..=(lo + ws).min(self.block_dim)];
+            let reused =
+                reference.filter(|&(r, _)| translates(&self.events, &starts[r..=r + ws], lanes));
+            let counters = match reused {
+                Some((_, counters)) => {
+                    debug_assert_eq!(
+                        self.scratch.warp(&self.spec, &self.events, lanes),
+                        counters,
+                        "warp at lane {lo} translates the reference but replays differently"
+                    );
+                    counters
                 }
-                // --- global coalescing: distinct sectors, reads and writes
-                // tracked separately (the write flag rides in bit 0)
-                if !r.sectors.is_empty() {
-                    if !in_order {
-                        r.sectors.sort_unstable();
+                None => {
+                    let counters = self.scratch.warp(&self.spec, &self.events, lanes);
+                    if lanes.len() == ws + 1 {
+                        reference = Some((lo, counters));
                     }
-                    r.sectors.dedup();
-                    for &tagged in &r.sectors {
-                        if tagged & 1 == 1 {
-                            stats.global_write_bytes += 32;
-                        } else {
-                            stats.global_read_bytes += 32;
-                        }
-                        stats.global_sectors += 1;
-                    }
-                    stats.global_accesses += global_ev;
+                    counters
                 }
-                // --- shared bank conflicts over distinct words
-                if shared_ev > 0 {
-                    for &w in &r.words {
-                        r.seen[w as usize / 64] = 0;
-                        r.bank_counts[w as usize % banks] = 0;
-                    }
-                    r.words.clear();
-                    let degree = degree as u64;
-                    debug_assert!(degree >= 1);
-                    stats.shared_accesses += shared_ev;
-                    stats.shared_eff_bytes += degree * (ws as u64) * 4;
-                    if degree > 1 {
-                        stats.shared_conflict_groups += 1;
-                        stats.shared_conflict_cycles += degree - 1;
-                    }
-                }
-            }
+            };
+            self.stats.merge(&counters);
         }
     }
 
@@ -855,5 +931,132 @@ mod tests {
         let s = b.take_stats();
         assert_eq!(s.shared_accesses, 40);
         assert_eq!(s.shared_eff_bytes, 2 * 128); // two warp groups
+    }
+
+    fn sh(word: u32) -> Ev {
+        Ev::Shared { word, words: 1 }
+    }
+
+    fn gl(addr: u64, write: bool) -> Ev {
+        Ev::Global {
+            addr,
+            bytes: 4,
+            write,
+        }
+    }
+
+    /// Logs two 32-lane warps, lane `t` of each logging `a(t)` and `b(t)`,
+    /// and asks whether the second translates the first.
+    fn translated(a: impl Fn(usize) -> Vec<Ev>, b: impl Fn(usize) -> Vec<Ev>) -> bool {
+        let (mut events, mut starts) = (Vec::new(), Vec::new());
+        for t in 0..64 {
+            starts.push(events.len());
+            events.extend(if t < 32 { a(t) } else { b(t - 32) });
+        }
+        starts.push(events.len());
+        translates(&events, &starts[..=32], &starts[32..])
+    }
+
+    /// Lane `t` reads shared word `word + 2t`, then global `addr + 4t`.
+    fn warp(word: u32, addr: u64) -> impl Fn(usize) -> Vec<Ev> + Copy {
+        move |t| vec![sh(word + 2 * t as u32), gl(addr + 4 * t as u64, false)]
+    }
+
+    #[test]
+    fn translation_check_accepts_constant_offsets() {
+        let base = warp(100, 4096);
+        assert!(translated(base, base));
+        // any shared-word offset, global offsets of whole sectors, both signs
+        assert!(translated(base, warp(137, 4096 + 3 * 32)));
+        assert!(translated(base, warp(1, 4096 - 5 * 32)));
+        // lanes may log different event counts when partners agree
+        let ragged = |word: u32, addr: u64| {
+            move |t: usize| match t % 3 {
+                0 => vec![],
+                1 => vec![gl(addr + 8 * t as u64, true)],
+                _ => vec![sh(word + t as u32), sh(word), gl(addr, false)],
+            }
+        };
+        assert!(translated(ragged(0, 512), ragged(9, 1024)));
+        assert!(translated(|_| vec![], |_| vec![]));
+    }
+
+    #[test]
+    fn translation_check_rejects_everything_else() {
+        let base = warp(100, 4096);
+        let edit = |lane: usize, f: fn(&mut Vec<Ev>)| {
+            move |t| {
+                let mut e = base(t);
+                if t == lane {
+                    f(&mut e);
+                }
+                e
+            }
+        };
+        // global offsets that are not whole sectors
+        assert!(!translated(base, warp(100, 4096 + 4)));
+        assert!(!translated(base, warp(100, 4096 - 48)));
+        // two offsets in one warp
+        assert!(!translated(base, |t| warp(
+            100 + 64 * (t / 16) as u32,
+            4096
+        )(t)));
+        assert!(!translated(base, |t| warp(
+            100,
+            4096 + 32 * (t / 16) as u64
+        )(t)));
+        // a lane gains or drops an access
+        assert!(!translated(base, edit(5, |e| e.push(sh(0)))));
+        assert!(!translated(base, edit(5, |e| _ = e.pop())));
+        // the same log, split differently between the lanes
+        let one = |t: usize| vec![sh(t as u32)];
+        assert!(!translated(one, |t| match t {
+            0 => vec![sh(0), sh(1)],
+            1 => vec![],
+            _ => one(t),
+        }));
+        // a read becomes a write, a shared access a global one
+        assert!(!translated(base, edit(7, |e| e[1] = gl(4096 + 28, true))));
+        assert!(!translated(base, edit(7, |e| e[0] = gl(0, false))));
+        assert!(!translated(base, edit(7, |e| e.swap(0, 1))));
+        // a different width
+        assert!(!translated(
+            base,
+            edit(3, |e| e[0] = Ev::Shared {
+                word: 106,
+                words: 2
+            })
+        ));
+        assert!(!translated(
+            base,
+            edit(3, |e| e[1] = Ev::Global {
+                addr: 4108,
+                bytes: 8,
+                write: false
+            })
+        ));
+    }
+
+    #[test]
+    fn translated_warps_keep_exact_counters() {
+        // Warp 1 reads 33 elements past warp 0: 132 B, not whole sectors,
+        // so it is replayed (5 sectors) and becomes the reference. Warp 2
+        // reads 64 elements (8 sectors) past warp 1 and reuses its
+        // counters. Each warp writes shared words at stride 2 from its own
+        // base: degree 2 in every warp, whatever the base.
+        let dev = crate::Device::new(DeviceSpec::titan_x_maxwell());
+        let buf = dev.alloc::<f32>(256);
+        let mut b = ctx(96);
+        let h = b.alloc_shared::<f32>(256);
+        b.step(|l| {
+            let (w, t) = (l.tid() / 32, l.tid() % 32);
+            let _ = l.gread(&buf, [0, 33, 97][w] + t);
+            l.swrite(h, [0, 65, 3][w] + 2 * t, 0.0);
+        });
+        let s = b.take_stats();
+        assert_eq!(s.global_sectors, 4 + 5 + 5);
+        assert_eq!(s.global_accesses, 96);
+        assert_eq!(s.shared_conflict_groups, 3);
+        assert_eq!(s.shared_eff_bytes, 3 * 2 * 128);
     }
 }

@@ -170,14 +170,17 @@ fn reference_mixed<T>(script: &Script, warp: usize, base: u64, banks: usize) -> 
 }
 
 /// Launches `script` over `T` elements on a Titan X with `banks` shared
-/// banks and returns (measured, reference) counters.
+/// banks and returns (measured, reference) counters. The shared and
+/// global arrays hold every element the script indexes.
 fn run_mixed<T: DeviceCopy>(script: Script, banks: usize) -> (KernelStats, KernelStats) {
     let spec = DeviceSpec {
         shared_banks: banks,
         ..DeviceSpec::titan_x_maxwell()
     };
     let dev = Device::new(spec);
-    let buf = dev.alloc::<T>(MIXED_ELEMS);
+    let codes = script.iter().flatten().flatten().flatten();
+    let elems = codes.map(|&c| c as usize / 3 + 1).max().unwrap_or(1);
+    let buf = dev.alloc::<T>(elems);
     let base = buf.base_addr();
     let block_dim = script.iter().flatten().map(Vec::len).max().unwrap_or(1);
     let expect = reference_mixed::<T>(&script, spec.warp_size, base, banks);
@@ -185,14 +188,81 @@ fn run_mixed<T: DeviceCopy>(script: Script, banks: usize) -> (KernelStats, Kerne
         script,
         block_dim,
         buf,
-        shared_len: MIXED_ELEMS,
+        shared_len: elems,
     };
     (dev.launch(&k).unwrap().stats, expect)
 }
 
-/// Elements of the mixed scripts' shared and global arrays: few enough
-/// that one slot often reads and writes the same sector.
+/// Elements the mixed scripts index: few enough that one slot often
+/// reads and writes the same sector.
 const MIXED_ELEMS: usize = 96;
+
+/// Elements one warp of a translated step indexes before its offset.
+const SPAN: u32 = 48;
+
+/// Bounds a translated warp's element offset, either way.
+const REACH: u32 = 8 * 8 + 3 * 7;
+
+/// One step of a [`Script`] in which every full warp repeats `warp0`
+/// moved by its own element offset: warp `w` by `offsets[w - 1]`, then
+/// edited by `edits[w - 1]` (see [`edit_warp`]). `tail` more lanes, a
+/// partial warp, repeat warp 0's first lanes. Indices are biased by
+/// [`REACH`] so that every offset stays in bounds.
+fn translated_step(
+    warp0: &[Vec<u32>],
+    offsets: &[i64],
+    edits: &[u32],
+    tail: usize,
+) -> Vec<Vec<u32>> {
+    let shift = |lane: &Vec<u32>, by: i64| -> Vec<u32> {
+        let by = 3 * (by + REACH as i64);
+        lane.iter().map(|&c| (c as i64 + by) as u32).collect()
+    };
+    let mut step: Vec<Vec<u32>> = warp0.iter().map(|l| shift(l, 0)).collect();
+    for (&by, &e) in offsets.iter().zip(edits) {
+        let mut warp: Vec<Vec<u32>> = warp0.iter().map(|l| shift(l, by)).collect();
+        edit_warp(&mut warp, e);
+        step.extend(warp);
+    }
+    step.extend(warp0[..tail].iter().map(|l| shift(l, 0)));
+    step
+}
+
+/// Breaks a warp's translation according to `e`: `e / 16` picks the
+/// first lane to try and `e % 16` the edit. 0 appends a global read to
+/// that lane; 1 drops the last access of the first lane from there that
+/// has one; 2 hands that access to the next lane instead, which leaves
+/// the warp's log as it was; 3 turns the first shared read from there
+/// into a global read, and 4 the first global read into a write (a code
+/// is `3 * index + kind`, so both add 1). 5 to 15 leave the warp alone.
+fn edit_warp(warp: &mut [Vec<u32>], e: u32) {
+    let first = e as usize / 16 % warp.len();
+    let mut lanes = (first..warp.len()).chain(0..first);
+    match e % 16 {
+        0 => warp[first].push(3 * REACH + 1),
+        1 => {
+            if let Some(t) = lanes.find(|&t| !warp[t].is_empty()) {
+                warp[t].pop();
+            }
+        }
+        2 => {
+            if let Some(t) = lanes.find(|&t| !warp[t].is_empty() && t + 1 < warp.len()) {
+                let code = warp[t].pop().unwrap();
+                warp[t + 1].insert(0, code);
+            }
+        }
+        kind @ (3 | 4) => {
+            let hit = lanes.find_map(|t| {
+                let slot = warp[t].iter().position(|&c| c % 3 == kind - 3)?;
+                Some((t, slot))
+            });
+            if let Some((t, slot)) = hit {
+                warp[t][slot] += 1;
+            }
+        }
+        _ => {}
+    }
+}
 
 /// Scripted global reads: one address list per lane.
 struct ScriptedGlobal {
@@ -296,6 +366,50 @@ proptest! {
         width in prop::sample::select(vec![4usize, 8, 12]),
         banks in prop::sample::select(vec![32usize, 48, 128]),
     ) {
+        let (got, expect) = match width {
+            4 => run_mixed::<f32>(script, banks),
+            8 => run_mixed::<f64>(script, banks),
+            _ => run_mixed::<[f32; 3]>(script, banks),
+        };
+        prop_assert_eq!(got, expect);
+    }
+
+    /// Steps of 2–8 full warps in which each warp repeats warp 0's
+    /// accesses moved by its own element offset: a multiple of 8 (whole
+    /// sectors for 4-, 8- and 12-byte elements) or not, negative or not.
+    /// Some warps are edited so that they are no translation (a lane
+    /// gains or drops an access, or hands one to the next lane; a read
+    /// becomes a write, a shared access a global one); some steps end in
+    /// a partial warp.
+    #[test]
+    fn translated_warps_match_bruteforce(
+        warp0s in prop::collection::vec(
+            prop::collection::vec(prop::collection::vec(0u32..3 * SPAN, 0..5), 32..33),
+            1..3,
+        ),
+        sectors in prop::collection::vec(-8i64..8, 1..8),
+        nudges in prop::collection::vec(prop::sample::select(vec![0i64, 0, 0, 0, 0, 1, 2, 3]), 7..8),
+        edits in prop::collection::vec(0u32..16 * 32, 7..8),
+        tail in prop::sample::select(vec![0usize, 0, 0, 5, 31]),
+        width in prop::sample::select(vec![4usize, 8, 12]),
+        banks in prop::sample::select(vec![32usize, 48, 128]),
+    ) {
+        // A warp sits whole sectors from the one before unless its nudge
+        // is not 0: the nudges add up.
+        let mut nudge = 0;
+        let offsets: Vec<i64> = sectors
+            .iter()
+            .zip(&nudges)
+            .map(|(s, n)| {
+                nudge += n;
+                8 * s + nudge
+            })
+            .collect();
+        let steps = warp0s
+            .iter()
+            .map(|w| translated_step(w, &offsets, &edits, tail))
+            .collect();
+        let script = vec![steps];
         let (got, expect) = match width {
             4 => run_mixed::<f32>(script, banks),
             8 => run_mixed::<f64>(script, banks),
