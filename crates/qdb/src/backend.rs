@@ -12,7 +12,7 @@
 use std::time::{Duration, Instant};
 
 use simt::SimTime;
-use topk::{Backend, BackendKind, ExecBackend, TopKError};
+use topk::{BackendKind, ExecBackend};
 
 use crate::cpu_engine::execute_cpu;
 use crate::error::QdbError;
@@ -39,19 +39,6 @@ pub struct BackendQueryResult {
     pub stages: Vec<(String, f64)>,
 }
 
-/// Rejects a table resident on the other backend.
-fn expect_table(be: &ExecBackend<'_>, table: &BackendTable) -> Result<(), QdbError> {
-    if be.kind() == table.kind() {
-        Ok(())
-    } else {
-        Err(TopKError::BackendMismatch {
-            backend: be.kind().name(),
-            buffer: table.kind().name(),
-        }
-        .into())
-    }
-}
-
 /// Executes a parsed query on the given backend against a resident table.
 ///
 /// The two engines return the same winners (key-signature identical, ties
@@ -62,11 +49,9 @@ pub fn execute_on(
     q: &Query,
     strategy: Strategy,
 ) -> Result<BackendQueryResult, QdbError> {
-    expect_table(be, table)?;
     let start = Instant::now();
-    match be {
-        ExecBackend::Simt(b) => {
-            let t = table.as_simt().expect("kind checked above");
+    match (be, table) {
+        (ExecBackend::Simt(b), BackendTable::Simt(t)) => {
             let r = execute(b.device(), t, q, strategy)?;
             Ok(BackendQueryResult {
                 ids: r.ids,
@@ -80,9 +65,8 @@ pub fn execute_on(
                     .collect(),
             })
         }
-        ExecBackend::Cpu(b) => {
-            let t = table.as_cpu().expect("kind checked above");
-            let out = execute_cpu(&t.rows(), q, strategy, b.threads())?;
+        (ExecBackend::Cpu(b), BackendTable::Cpu { rows, .. }) => {
+            let out = execute_cpu(&rows.borrow(), q, strategy, b.threads())?;
             Ok(BackendQueryResult {
                 ids: out.ids,
                 backend: BackendKind::Cpu,
@@ -91,6 +75,7 @@ pub fn execute_on(
                 stages: out.stages,
             })
         }
+        _ => Err(table.mismatch(be)),
     }
 }
 
@@ -104,18 +89,15 @@ pub fn explain_sanitize_on(
     q: &Query,
     strategy: Strategy,
 ) -> Result<SanitizedQuery, QdbError> {
-    expect_table(be, table)?;
-    match be {
-        ExecBackend::Simt(b) => explain_sanitize(
-            b.device(),
-            table.as_simt().expect("kind checked above"),
-            q,
-            strategy,
-        ),
-        ExecBackend::Cpu(_) => Err(QdbError::UnsupportedOnBackend {
+    match (be, table) {
+        (ExecBackend::Simt(b), BackendTable::Simt(t)) => {
+            explain_sanitize(b.device(), t, q, strategy)
+        }
+        (ExecBackend::Cpu(_), BackendTable::Cpu { .. }) => Err(QdbError::UnsupportedOnBackend {
             backend: "cpu",
             feature: "EXPLAIN SANITIZE (the device sanitizer)",
         }),
+        _ => Err(table.mismatch(be)),
     }
 }
 
@@ -129,18 +111,13 @@ pub fn explain_lint_on(
     q: &Query,
     strategy: Strategy,
 ) -> Result<LintedQuery, QdbError> {
-    expect_table(be, table)?;
-    match be {
-        ExecBackend::Simt(b) => explain_lint(
-            b.device(),
-            table.as_simt().expect("kind checked above"),
-            q,
-            strategy,
-        ),
-        ExecBackend::Cpu(_) => Err(QdbError::UnsupportedOnBackend {
+    match (be, table) {
+        (ExecBackend::Simt(b), BackendTable::Simt(t)) => explain_lint(b.device(), t, q, strategy),
+        (ExecBackend::Cpu(_), BackendTable::Cpu { .. }) => Err(QdbError::UnsupportedOnBackend {
             backend: "cpu",
             feature: "EXPLAIN LINT (static launch-plan analysis)",
         }),
+        _ => Err(table.mismatch(be)),
     }
 }
 

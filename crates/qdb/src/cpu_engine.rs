@@ -119,12 +119,7 @@ pub(crate) fn execute_cpu(
             })
         }
         (OrderBy::Rank { likes_weight }, false) => {
-            if (likes_weight - 0.5).abs() > 1e-9 {
-                return Err(SqlError::Unsupported("ranking weight other than 0.5").into());
-            }
-            if q.filter.is_some() {
-                return Err(SqlError::Unsupported("WHERE combined with a ranking function").into());
-            }
+            q.check_rank_shape()?;
             let w = *likes_weight;
             let scan = Instant::now();
             let partials = par_chunks(n, threads, |r| {

@@ -56,4 +56,4 @@ pub use sql::{
     LintedQuery, Query, SanitizedQuery, SqlError, Statement,
 };
 pub use stream::{TopKView, ViewConfig, ViewMode, ViewRefresh, ViewStats};
-pub use table::{AppendReceipt, BackendTable, CpuTweetTable, GpuTweetTable, ROW_BYTES};
+pub use table::{AppendReceipt, BackendTable, GpuTweetTable, ROW_BYTES};

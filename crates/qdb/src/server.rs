@@ -68,7 +68,7 @@ use topk::batched::{batched_bitonic_topk, max_single_launch_row};
 use crate::engine::{FilterKernel, FilterOp, TopKStrategy};
 use crate::error::QdbError;
 use crate::queries::{QueryResult, Strategy};
-use crate::sql::{execute, parse, OrderBy, Query, SqlError};
+use crate::sql::{execute, parse, OrderBy, Query};
 use crate::table::GpuTweetTable;
 
 /// Serving-layer knobs.
@@ -469,6 +469,70 @@ impl Executed {
     }
 }
 
+/// The epoch-tagged result cache both serving front-ends share ([`Server`]
+/// and [`crate::ShardedServer`], which caches whole merged queries above
+/// its scatter): SQL text → (table epoch at insertion, result ids). An
+/// entry is valid exactly while the table is still at its epoch, so one
+/// append invalidates every entry at once. Each lookup is classified at
+/// submission as a hit, a refresh (stale entry) or a miss; a cache that
+/// is off ([`ServerConfig::result_cache`]) classifies and stores nothing.
+#[derive(Default)]
+pub(crate) struct ResultCache {
+    on: bool,
+    entries: HashMap<String, (u64, Vec<u32>)>,
+    hits: usize,
+    misses: usize,
+    refreshes: usize,
+}
+
+impl ResultCache {
+    pub(crate) fn new(on: bool) -> Self {
+        ResultCache {
+            on,
+            ..ResultCache::default()
+        }
+    }
+
+    /// The stored ids for `sql` when they were computed at `epoch`.
+    pub(crate) fn lookup(&mut self, sql: &str, epoch: u64) -> Option<Vec<u32>> {
+        if !self.on {
+            return None;
+        }
+        match self.entries.get(sql) {
+            Some((at, ids)) if *at == epoch => {
+                self.hits += 1;
+                Some(ids.clone())
+            }
+            Some(_) => {
+                self.refreshes += 1;
+                None
+            }
+            None => {
+                self.misses += 1;
+                None
+            }
+        }
+    }
+
+    /// Stores a freshly computed result, valid at `epoch`.
+    pub(crate) fn store(&mut self, sql: &str, epoch: u64, ids: &[u32]) {
+        if self.on {
+            self.entries.insert(sql.to_string(), (epoch, ids.to_vec()));
+        }
+    }
+
+    /// A ledger carrying the lookup counts since the last drain (every
+    /// other field zero); the counts restart.
+    pub(crate) fn take_counts(&mut self) -> ResilienceStats {
+        ResilienceStats {
+            cache_hits: std::mem::take(&mut self.hits),
+            cache_misses: std::mem::take(&mut self.misses),
+            cache_refreshes: std::mem::take(&mut self.refreshes),
+            ..ResilienceStats::default()
+        }
+    }
+}
+
 /// A serving front-end over one device and one resident table.
 ///
 /// ```
@@ -493,12 +557,7 @@ pub struct Server<'a> {
     pending: Vec<Pending>,
     next_ticket: usize,
     shed: usize,
-    /// SQL text → (table epoch at insertion, result ids). Entries whose
-    /// epoch no longer matches the table's are stale by definition.
-    cache: HashMap<String, (u64, Vec<u32>)>,
-    cache_hits: usize,
-    cache_misses: usize,
-    cache_refreshes: usize,
+    cache: ResultCache,
 }
 
 impl<'a> Server<'a> {
@@ -510,15 +569,12 @@ impl<'a> Server<'a> {
         Server {
             dev,
             table,
+            cache: ResultCache::new(cfg.result_cache),
             cfg,
             streams,
             pending: Vec::new(),
             next_ticket: 0,
             shed: 0,
-            cache: HashMap::new(),
-            cache_hits: 0,
-            cache_misses: 0,
-            cache_refreshes: 0,
         }
     }
 
@@ -554,7 +610,7 @@ impl<'a> Server<'a> {
             });
         }
         let query = parse(sql)?;
-        validate_executable(&query)?;
+        query.check_rank_shape()?;
         let n = self.table.len();
         if n == 0 {
             return Err(QdbError::EmptyTable);
@@ -567,24 +623,7 @@ impl<'a> Server<'a> {
                 return Err(QdbError::DeadlineExpired { deadline: d });
             }
         }
-        let cached = if self.cfg.result_cache {
-            match self.cache.get(sql) {
-                Some((epoch, ids)) if *epoch == self.table.epoch() => {
-                    self.cache_hits += 1;
-                    Some(ids.clone())
-                }
-                Some(_) => {
-                    self.cache_refreshes += 1;
-                    None
-                }
-                None => {
-                    self.cache_misses += 1;
-                    None
-                }
-            }
-        } else {
-            None
-        };
+        let cached = self.cache.lookup(sql, self.table.epoch());
         let ticket = QueryTicket(self.next_ticket);
         self.next_ticket += 1;
         self.pending.push(Pending {
@@ -1117,14 +1156,9 @@ impl<'a> Server<'a> {
 
         // every freshly computed result is valid exactly at the current
         // epoch; the next append invalidates all of them at once
-        if self.cfg.result_cache {
-            let epoch = self.table.epoch();
-            for q in &queries {
-                if q.completed() && !q.cached {
-                    self.cache
-                        .insert(q.sql.clone(), (epoch, q.result.ids.clone()));
-                }
-            }
+        let epoch = self.table.epoch();
+        for q in queries.iter().filter(|q| q.completed() && !q.cached) {
+            self.cache.store(&q.sql, epoch, &q.result.ids);
         }
 
         let mut totals: Vec<f64> = queries
@@ -1167,9 +1201,7 @@ impl<'a> Server<'a> {
             failovers: 0,
             rebuilds: 0,
             breaker_trips: 0,
-            cache_hits: std::mem::take(&mut self.cache_hits),
-            cache_misses: std::mem::take(&mut self.cache_misses),
-            cache_refreshes: std::mem::take(&mut self.cache_refreshes),
+            ..self.cache.take_counts()
         };
 
         let makespan = schedule.makespan;
@@ -1195,21 +1227,9 @@ impl<'a> Server<'a> {
     }
 }
 
-/// Mirrors the `execute`-time `Unsupported` checks so [`Server::submit`]
-/// rejects shapes eagerly instead of failing mid-drain.
-fn validate_executable(q: &Query) -> Result<(), SqlError> {
-    if let OrderBy::Rank { likes_weight } = q.order_by {
-        if (likes_weight - 0.5).abs() > 1e-9 {
-            return Err(SqlError::Unsupported("ranking weight other than 0.5"));
-        }
-        if q.filter.is_some() {
-            return Err(SqlError::Unsupported(
-                "WHERE combined with a ranking function",
-            ));
-        }
-    }
-    Ok(())
-}
+// the tests below name the parser's error type
+#[cfg(test)]
+use crate::sql::SqlError;
 
 #[cfg(test)]
 mod tests {

@@ -14,11 +14,24 @@
 //!
 //! Three layers:
 //!
-//! * [`sharded_topk`] — the raw primitive over pre-partitioned items;
+//! * [`sharded_topk`] and [`sharded_delegate_topk`] — the raw primitive
+//!   over pre-partitioned items, one body parameterized by the local
+//!   kernel;
 //! * [`execute_sharded`] — SQL queries against a [`ShardedTable`];
-//! * [`ShardedServer`] — serving: one [`Server`] per
-//!   device (each with its own admission queue and the full PR 4
-//!   degradation ladder), with drain-time gather and merge.
+//! * [`ShardedServer`] — serving: one [`Server`] per (shard, replica),
+//!   each with its own admission queue and degradation ladder, with
+//!   drain-time gather and merge.
+//!
+//! Underneath, one scan and one gather. Every SQL shard read —
+//! [`execute_sharded`], a view's sharded delta
+//! ([`crate::TopKView::refresh_sharded`]) and the server's direct and
+//! failover executions — runs through one shard scan: a healthy copy,
+//! optionally over a delta slice, bounded transient retries, the device
+//! stamped into a final fault. Every answer assembled from id runs ends
+//! in one typed merge, the only place that maps `ORDER BY` to an item
+//! type; it reduces on one device, over the cluster gather, or with the
+//! CPU engine's top-k. The gather waits for every shard, including a
+//! remote one whose list is empty.
 //!
 //! Failures are never silently truncated: a shard whose local pass or
 //! delegate transfer is defeated (after bounded retries) fails the whole
@@ -39,19 +52,22 @@ use std::collections::HashMap;
 use datagen::twitter::TweetTable;
 use datagen::{Kv, Rev, TopKItem};
 use simt::topology::Cluster;
-use simt::SimTime;
+use simt::{Device, GpuBuffer, SimTime};
 use sortnet::next_pow2;
 use topk::bitonic::{bitonic_topk, bitonic_topk_from_runs, BitonicConfig};
 use topk::delegate::{delegate_select_topk, DelegateConfig};
+use topk::{TopKError, TopKResult};
 
+use crate::cpu_engine::strategy_topk;
 use crate::engine::FilterOp;
 use crate::error::QdbError;
 use crate::queries::Strategy;
 use crate::server::{
-    DegradeLevel, LoadReport, QueryTicket, ResilienceStats, Server, ServerConfig, SubmitOptions,
+    DegradeLevel, LoadReport, QueryTicket, ResilienceStats, ResultCache, Server, ServerConfig,
+    SubmitOptions,
 };
 use crate::sql::{execute, parse, OrderBy, Query, SqlError};
-use crate::table::{GpuTweetTable, ROW_BYTES};
+use crate::table::{host_rows, GpuTweetTable, ROW_BYTES};
 
 /// How rows are distributed across devices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -268,14 +284,7 @@ impl ShardedTable {
         let parts = partition_indices(host.len(), d, policy);
         let mut shards = Vec::with_capacity(d);
         for (i, rows) in parts.iter().enumerate() {
-            let sub = TweetTable {
-                id: rows.iter().map(|&r| host.id[r]).collect(),
-                tweet_time: rows.iter().map(|&r| host.tweet_time[r]).collect(),
-                retweet_count: rows.iter().map(|&r| host.retweet_count[r]).collect(),
-                likes_count: rows.iter().map(|&r| host.likes_count[r]).collect(),
-                lang: rows.iter().map(|&r| host.lang[r]).collect(),
-                uid: rows.iter().map(|&r| host.uid[r]).collect(),
-            };
+            let sub = host_rows(host, rows.iter().copied());
             let cap_rows = sub.len() + headroom;
             let bytes = rows.len() * ROW_BYTES;
             let dev = cluster.device(i);
@@ -371,14 +380,7 @@ impl ShardedTable {
             if rows.is_empty() {
                 continue;
             }
-            let sub = TweetTable {
-                id: rows.iter().map(|&r| batch.id[r]).collect(),
-                tweet_time: rows.iter().map(|&r| batch.tweet_time[r]).collect(),
-                retweet_count: rows.iter().map(|&r| batch.retweet_count[r]).collect(),
-                likes_count: rows.iter().map(|&r| batch.likes_count[r]).collect(),
-                lang: rows.iter().map(|&r| batch.lang[r]).collect(),
-                uid: rows.iter().map(|&r| batch.uid[r]).collect(),
-            };
+            let sub = host_rows(batch, rows.iter().copied());
             let bytes = sub.len() * ROW_BYTES;
             let shard = &self.shards[i];
             shard.host.borrow_mut().extend_from(&sub);
@@ -543,7 +545,7 @@ pub(crate) fn all_devices_down(device: usize) -> QdbError {
 
 /// Stamps `device` into an unattributed device fault so sharded ledger
 /// entries name the hardware that failed, not just the kernel.
-pub(crate) fn attribute_device(e: QdbError, device: usize) -> QdbError {
+fn attribute_device(e: QdbError, device: usize) -> QdbError {
     match e {
         QdbError::DeviceFault {
             what,
@@ -569,15 +571,71 @@ pub(crate) struct Merged<T> {
     pub(crate) transfer_retries: usize,
 }
 
+impl<T> Merged<T> {
+    /// A reduction that moved nothing over the interconnect.
+    fn in_place(items: Vec<T>, merge_time: SimTime) -> Self {
+        Merged {
+            items,
+            transfer_done: SimTime::ZERO,
+            merge_time,
+            candidate_bytes: 0,
+            transfer_retries: 0,
+        }
+    }
+}
+
+/// The reduce every merge ends in: pads each run (descending, at most
+/// `k_eff` long) into a whole `k_eff` run — a descending run with a
+/// MIN-sentinel tail is a valid bitonic run — and reduces the runs on
+/// `dev` with the bitonic run reducer, retrying transient faults up to
+/// `max_retries` times. Returns the top `min(k, total)` items, the
+/// reduce's kernel time and the retries spent.
+fn reduce_runs<T: TopKItem>(
+    dev: &Device,
+    runs: Vec<Vec<T>>,
+    k: usize,
+    cfg: BitonicConfig,
+    max_retries: usize,
+) -> Result<(Vec<T>, SimTime, usize), QdbError> {
+    let total: usize = runs.iter().map(Vec::len).sum();
+    if total == 0 {
+        return Ok((Vec::new(), SimTime::ZERO, 0));
+    }
+    let k_req = k.min(total);
+    let k_eff = next_pow2(k_req);
+    let mut flat: Vec<T> = Vec::with_capacity(runs.len() * k_eff);
+    for mut run in runs {
+        debug_assert!(run.len() <= k_eff, "candidate run exceeds k_eff");
+        run.resize(k_eff, T::min_sentinel());
+        flat.extend(run);
+    }
+    let mut attempt = 0usize;
+    loop {
+        let buf = dev.try_upload(&flat)?;
+        let log0 = dev.log_len();
+        match bitonic_topk_from_runs(dev, &buf, flat.len(), k_req, cfg) {
+            Ok(r) => return Ok((r.items, dev.window_since(log0).time, attempt)),
+            Err(e) => {
+                let e: QdbError = e.into();
+                if !e.is_transient() || attempt >= max_retries {
+                    return Err(e);
+                }
+                attempt += 1;
+            }
+        }
+    }
+}
+
 /// Ships each shard's delegates (descending-sorted, ≤ k items) from its
 /// serving device to `merge_dev` and merges them with the bitonic run
 /// reducer. `local[i]` is shard `i`'s local completion time — the
 /// earliest its delegates can hit the wire; `serving[i]` is the device
 /// that produced them (with replication, whichever healthy replica
-/// served). Delegates already resident on the merge device skip the
-/// wire.
+/// served). The merge waits for every shard: a list that does not cross
+/// the wire — resident on the merge device, or empty — is ready at its
+/// shard's local completion, a shipped list at its transfer's end.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn ship_and_merge<T: TopKItem>(
+fn ship_and_merge<T: TopKItem>(
     cluster: &Cluster,
     delegates: Vec<Vec<T>>,
     local: &[SimTime],
@@ -587,95 +645,338 @@ pub(crate) fn ship_and_merge<T: TopKItem>(
     cfg: BitonicConfig,
     max_retries: usize,
 ) -> Result<Merged<T>, QdbError> {
-    let mdev = cluster.device(merge_dev);
-    let total: usize = delegates.iter().map(|d| d.len()).sum();
-    // merge-resident shards never cross the wire: start the clock at
-    // their local completion
-    let mut transfer_done = SimTime::ZERO;
-    for (i, &l) in local.iter().enumerate() {
-        if serving[i] == merge_dev && l.0 > transfer_done.0 {
-            transfer_done = l;
-        }
-    }
-    if total == 0 {
-        for &l in local {
-            if l.0 > transfer_done.0 {
-                transfer_done = l;
-            }
-        }
-        return Ok(Merged {
-            items: Vec::new(),
-            transfer_done,
-            merge_time: SimTime::ZERO,
-            candidate_bytes: 0,
-            transfer_retries: 0,
-        });
-    }
-    let k_req = k.min(total);
-    let k_eff = next_pow2(k_req);
-
     // scatter-gather: every non-resident shard ships its delegates to
     // the merge device; transfers sharing a channel serialize there
+    let mut transfer_done = SimTime::ZERO;
     let mut candidate_bytes = 0usize;
     let mut transfer_retries = 0usize;
     for (i, d) in delegates.iter().enumerate() {
-        if serving[i] == merge_dev || d.is_empty() {
-            continue;
-        }
-        let bytes = d.len() * T::SIZE_BYTES;
-        candidate_bytes += bytes;
-        let label = format!("delegates:shard{i}");
-        let t = retry_transfer_at(
-            cluster,
-            serving[i],
-            merge_dev,
-            bytes,
-            &label,
-            local[i],
-            max_retries,
-            &mut transfer_retries,
-        )?;
-        if t.end.0 > transfer_done.0 {
-            transfer_done = t.end;
+        let ready = if serving[i] == merge_dev || d.is_empty() {
+            local[i]
+        } else {
+            let bytes = d.len() * T::SIZE_BYTES;
+            candidate_bytes += bytes;
+            let label = format!("delegates:shard{i}");
+            let t = retry_transfer_at(
+                cluster,
+                serving[i],
+                merge_dev,
+                bytes,
+                &label,
+                local[i],
+                max_retries,
+                &mut transfer_retries,
+            )?;
+            t.end
+        };
+        if ready.0 > transfer_done.0 {
+            transfer_done = ready;
         }
     }
-
-    // pad each delegate list into a whole k_eff run (a descending run
-    // with MIN-sentinel tail is a valid bitonic run) and reduce on the
-    // merge device
-    let mut runs: Vec<T> = Vec::with_capacity(delegates.len() * k_eff);
-    for mut d in delegates {
-        debug_assert!(d.len() <= k_eff, "delegate list exceeds its run");
-        d.resize(k_eff, T::min_sentinel());
-        runs.extend(d);
-    }
-    let valid = runs.len();
-    let mut attempt = 0usize;
-    let (items, merge_time) = loop {
-        let buf = mdev
-            .try_upload(&runs)
-            .map_err(|e| attribute_device(e.into(), merge_dev))?;
-        let log0 = mdev.log_len();
-        match bitonic_topk_from_runs(mdev, &buf, valid, k_req, cfg) {
-            Ok(r) => break (r.items, mdev.window_since(log0).time),
-            Err(e) => {
-                let e: QdbError = e.into();
-                if e.is_transient() && attempt < max_retries {
-                    attempt += 1;
-                    transfer_retries += 1;
-                } else {
-                    return Err(attribute_device(e, merge_dev));
-                }
-            }
-        }
-    };
+    let (items, merge_time, spent) =
+        reduce_runs(cluster.device(merge_dev), delegates, k, cfg, max_retries)
+            .map_err(|e| attribute_device(e, merge_dev))?;
     Ok(Merged {
         items,
         transfer_done,
         merge_time,
         candidate_bytes,
-        transfer_retries,
+        transfer_retries: transfer_retries + spent,
     })
+}
+
+/// Where [`merge_id_runs`] reduces its runs.
+pub(crate) enum MergeTarget<'a> {
+    /// One device that already holds every run: no wire, and no retries
+    /// (a fault fails the caller).
+    Device(&'a Device),
+    /// The cluster gather ([`ship_and_merge`]): run `i` ships from
+    /// `serving[i]` once `local[i]` has passed and merges on `merge_dev`.
+    Gather {
+        cluster: &'a Cluster,
+        local: &'a [SimTime],
+        serving: &'a [usize],
+        merge_dev: usize,
+        max_retries: usize,
+    },
+    /// The CPU engine: the strategy's host top-k over the runs' union.
+    Cpu { strategy: Strategy, threads: usize },
+}
+
+/// The one typed merge every answer assembled from parts ends in — a
+/// sharded gather, a view's delta folded into its standing run. Turns
+/// ranked id runs into the query's item type (`Kv<u32>` for
+/// `retweet_count DESC`, `Rev<Kv<u32>>` for `ASC`, `Kv<f32>` for the
+/// rank) and reduces them to the query's top-k on `target`.
+/// `cols(run, id)` returns the id's `(retweet_count, likes_count)`. Every
+/// item carries the full item order (key ties broken by id), so the
+/// result is the top-k of the runs' union wherever it reduces. Returns
+/// the ranked ids with the reduction's cost.
+pub(crate) fn merge_id_runs(
+    q: &Query,
+    runs: &[Vec<u32>],
+    cols: impl Fn(usize, u32) -> Result<(u32, u32), QdbError>,
+    target: MergeTarget<'_>,
+) -> Result<Merged<u32>, QdbError> {
+    fn typed<T: TopKItem>(
+        runs: &[Vec<u32>],
+        cols: impl Fn(usize, u32) -> Result<(u32, u32), QdbError>,
+        item: impl Fn(u32, u32, u32) -> T,
+        id: impl Fn(&T) -> u32,
+        k: usize,
+        target: MergeTarget<'_>,
+    ) -> Result<Merged<u32>, QdbError> {
+        let mut typed_runs: Vec<Vec<T>> = Vec::with_capacity(runs.len());
+        for (i, run) in runs.iter().enumerate() {
+            let mut t = Vec::with_capacity(run.len());
+            for &v in run {
+                let (retweets, likes) = cols(i, v)?;
+                t.push(item(retweets, likes, v));
+            }
+            typed_runs.push(t);
+        }
+        let cfg = BitonicConfig::default();
+        let m = match target {
+            MergeTarget::Device(dev) => {
+                let (items, merge_time, _) = reduce_runs(dev, typed_runs, k, cfg, 0)?;
+                Merged::in_place(items, merge_time)
+            }
+            MergeTarget::Gather {
+                cluster,
+                local,
+                serving,
+                merge_dev,
+                max_retries,
+            } => ship_and_merge(
+                cluster,
+                typed_runs,
+                local,
+                serving,
+                merge_dev,
+                k,
+                cfg,
+                max_retries,
+            )?,
+            MergeTarget::Cpu { strategy, threads } => Merged::in_place(
+                strategy_topk(strategy, &typed_runs.concat(), k, threads),
+                SimTime::ZERO,
+            ),
+        };
+        Ok(Merged {
+            items: m.items.iter().map(id).collect(),
+            transfer_done: m.transfer_done,
+            merge_time: m.merge_time,
+            candidate_bytes: m.candidate_bytes,
+            transfer_retries: m.transfer_retries,
+        })
+    }
+    let k = q.limit;
+    match (&q.order_by, q.ascending) {
+        (OrderBy::RetweetCount, false) => typed(
+            runs,
+            cols,
+            |retweets, _, v| Kv::new(retweets, v),
+            |kv: &Kv<u32>| kv.value,
+            k,
+            target,
+        ),
+        (OrderBy::RetweetCount, true) => typed(
+            runs,
+            cols,
+            |retweets, _, v| Rev(Kv::new(retweets, v)),
+            |kv: &Rev<Kv<u32>>| kv.0.value,
+            k,
+            target,
+        ),
+        (OrderBy::Rank { .. }, _) => typed(
+            runs,
+            cols,
+            |retweets, likes, v| Kv::new(retweets as f32 + 0.5 * likes as f32, v),
+            |kv: &Kv<f32>| kv.value,
+            k,
+            target,
+        ),
+        (OrderBy::Count, _) => Err(SqlError::Unsupported(
+            "GROUP BY in a merged top-k (group counts do not merge)",
+        )
+        .into()),
+    }
+}
+
+/// The `(retweet_count, likes_count)` of global id `id`, found by binary
+/// search in shard `run`'s strictly increasing id column — or, for a run
+/// past the shards (a view's standing run), in every shard. A miss is a
+/// bug in the gather path, reported as a typed [`QdbError::Internal`] —
+/// never a panic, so the no-panics contract holds on the gather too.
+fn shard_cols(table: &ShardedTable, run: usize, id: u32) -> Result<(u32, u32), QdbError> {
+    let d = table.num_shards();
+    let probe = if run < d { run..run + 1 } else { 0..d };
+    for i in probe {
+        let h = table.shard(i).host();
+        if let Ok(row) = h.id.binary_search(&id) {
+            return Ok((h.retweet_count[row], h.likes_count[row]));
+        }
+    }
+    Err(QdbError::Internal {
+        what: format!("id {id} is not resident in its shard"),
+    })
+}
+
+/// One shard's local answer for every shard of a sharded read, in shard
+/// order, ready for [`Scatter::gather`].
+#[derive(Default)]
+pub(crate) struct Scatter {
+    runs: Vec<Vec<u32>>,
+    local: Vec<SimTime>,
+    serving: Vec<usize>,
+    retries: usize,
+}
+
+impl Scatter {
+    pub(crate) fn push(&mut self, ids: Vec<u32>, time: SimTime, device: usize) {
+        self.runs.push(ids);
+        self.local.push(time);
+        self.serving.push(device);
+    }
+
+    /// Ships every run to `merge_dev` and merges them with the typed
+    /// merge ([`merge_id_runs`]).
+    pub(crate) fn gather(
+        &self,
+        cluster: &Cluster,
+        table: &ShardedTable,
+        q: &Query,
+        merge_dev: usize,
+        max_retries: usize,
+    ) -> Result<Merged<u32>, QdbError> {
+        merge_id_runs(
+            q,
+            &self.runs,
+            |run, id| shard_cols(table, run, id),
+            MergeTarget::Gather {
+                cluster,
+                local: &self.local,
+                serving: &self.serving,
+                merge_dev,
+                max_retries,
+            },
+        )
+    }
+}
+
+/// One shard's local answer: its ranked ids, when they were ready, the
+/// device that produced them, the retries spent, and whether a replica
+/// other than the routed one served (failover on the serving path).
+struct ShardAnswer {
+    ids: Vec<u32>,
+    time: SimTime,
+    device: usize,
+    retries: usize,
+    failed_over: bool,
+}
+
+/// The one shard scan every sharded read goes through: runs `q` on shard
+/// `i`'s copy `gpu` held by `device` — the whole copy, or with
+/// `delta_from` only its rows from there to the shard's `rows` (a
+/// view's delta) — with up to `max_retries` transient retries, and
+/// stamps the device into a final fault.
+#[allow(clippy::too_many_arguments)]
+fn scan_copy(
+    cluster: &Cluster,
+    i: usize,
+    device: usize,
+    gpu: &GpuTweetTable,
+    rows: usize,
+    delta_from: Option<usize>,
+    q: &Query,
+    strategy: Strategy,
+    max_retries: usize,
+) -> Result<ShardAnswer, QdbError> {
+    let dev = cluster.device(device);
+    if dev.is_down() {
+        return Err(QdbError::DeviceFault {
+            what: format!("shard {i}: dev{device} is permanently down"),
+            transient: false,
+            attempts: 1,
+            device: Some(device),
+        });
+    }
+    let q = Query {
+        limit: q.limit.min(rows - delta_from.unwrap_or(0)),
+        ..q.clone()
+    };
+    let mut attempt = 0usize;
+    loop {
+        let r = match delta_from {
+            None => execute(dev, gpu, &q, strategy),
+            Some(lo) => execute(dev, &gpu.device_slice(dev, lo, rows), &q, strategy),
+        };
+        match r {
+            Ok(r) => {
+                return Ok(ShardAnswer {
+                    ids: r.ids,
+                    time: r.kernel_time,
+                    device,
+                    retries: attempt,
+                    failed_over: false,
+                })
+            }
+            Err(e) if e.is_transient() && attempt < max_retries => attempt += 1,
+            Err(e) => return Err(attribute_device(e, device)),
+        }
+    }
+}
+
+/// Scans every shard on its first healthy replica, primary first (which
+/// copy serves cannot change the answer, only where its delegates
+/// start): the whole shard, or with `delta_from` only the rows past each
+/// shard's watermark. A shard with nothing to scan contributes an empty
+/// run resident on `merge_dev`.
+pub(crate) fn scatter(
+    cluster: &Cluster,
+    table: &ShardedTable,
+    q: &Query,
+    strategy: Strategy,
+    delta_from: Option<&[usize]>,
+    merge_dev: usize,
+    max_retries: usize,
+) -> Result<Scatter, QdbError> {
+    let mut s = Scatter::default();
+    for i in 0..table.num_shards() {
+        let shard = table.shard(i);
+        let rows = shard.host().len();
+        let from = delta_from.map(|done| done[i]);
+        if rows <= from.unwrap_or(0) {
+            s.push(Vec::new(), SimTime::ZERO, merge_dev);
+            continue;
+        }
+        let Some(rep) = shard
+            .replicas()
+            .iter()
+            .find(|rep| !cluster.device(rep.device).is_down())
+        else {
+            return Err(QdbError::DeviceFault {
+                what: format!("shard {i}: every replica device is permanently down"),
+                transient: false,
+                attempts: 1,
+                device: Some(shard.primary_device()),
+            });
+        };
+        let a = scan_copy(
+            cluster,
+            i,
+            rep.device,
+            &rep.gpu,
+            rows,
+            from,
+            q,
+            strategy,
+            max_retries,
+        )?;
+        s.retries += a.retries;
+        s.push(a.ids, a.time, a.device);
+    }
+    Ok(s)
 }
 
 /// Outcome of one raw sharded top-k.
@@ -686,7 +987,8 @@ pub struct ShardedTopK<T> {
     pub items: Vec<T>,
     /// Per-shard local kernel time (shards run concurrently).
     pub local: Vec<SimTime>,
-    /// When the last delegate run landed on device 0.
+    /// When every shard's delegates were on the merge device: the last
+    /// transfer's end, or a shard whose list did not ship finishing later.
     pub transfer_done: SimTime,
     /// Kernel time of the delegate merge on device 0.
     pub merge_time: SimTime,
@@ -701,6 +1003,7 @@ pub struct ShardedTopK<T> {
 /// Raw sharded top-k over pre-partitioned items: each `parts[i]` runs the
 /// bitonic top-k locally on device `i`, delegates ship to device 0, and
 /// the runs merge there. Returns the largest `k` items, descending.
+/// `parts` must hold one part per cluster device.
 pub fn sharded_topk<T: TopKItem>(
     cluster: &Cluster,
     parts: &[Vec<T>],
@@ -708,69 +1011,8 @@ pub fn sharded_topk<T: TopKItem>(
     cfg: BitonicConfig,
     max_retries: usize,
 ) -> Result<ShardedTopK<T>, QdbError> {
-    assert_eq!(
-        parts.len(),
-        cluster.num_devices(),
-        "one part per cluster device"
-    );
-    let Some(merge_dev) = first_healthy_from(cluster, 0) else {
-        return Err(all_devices_down(0));
-    };
-    let mut delegates: Vec<Vec<T>> = Vec::with_capacity(parts.len());
-    let mut local = Vec::with_capacity(parts.len());
-    let mut serving = Vec::with_capacity(parts.len());
-    let mut retries = 0usize;
-    for (i, part) in parts.iter().enumerate() {
-        if part.is_empty() {
-            delegates.push(Vec::new());
-            local.push(SimTime::ZERO);
-            serving.push(merge_dev);
-            continue;
-        }
-        // a part whose home device is down runs on the next healthy one
-        let home = first_healthy_from(cluster, i).unwrap_or(merge_dev);
-        let dev = cluster.device(home);
-        serving.push(home);
-        let mut attempt = 0usize;
-        let (items, time) = loop {
-            let log0 = dev.log_len();
-            let buf = dev
-                .try_upload(part)
-                .map_err(|e| attribute_device(e.into(), home))?;
-            match bitonic_topk(dev, &buf, k.min(part.len()), cfg) {
-                Ok(r) => break (r.items, dev.window_since(log0).time),
-                Err(e) => {
-                    let e: QdbError = e.into();
-                    if e.is_transient() && attempt < max_retries {
-                        attempt += 1;
-                        retries += 1;
-                    } else {
-                        return Err(attribute_device(e, home));
-                    }
-                }
-            }
-        };
-        delegates.push(items);
-        local.push(time);
-    }
-    let merged = ship_and_merge(
-        cluster,
-        delegates,
-        &local,
-        &serving,
-        merge_dev,
-        k,
-        cfg,
-        max_retries,
-    )?;
-    Ok(ShardedTopK {
-        items: merged.items,
-        sim_time: merged.transfer_done + merged.merge_time,
-        local,
-        transfer_done: merged.transfer_done,
-        merge_time: merged.merge_time,
-        candidate_bytes: merged.candidate_bytes,
-        retries: retries + merged.transfer_retries,
+    sharded_local_topk(cluster, parts, k, cfg, max_retries, |dev, buf, k| {
+        bitonic_topk(dev, buf, k, cfg)
     })
 }
 
@@ -790,11 +1032,32 @@ pub fn sharded_delegate_topk<T: TopKItem>(
     cfg: DelegateConfig,
     max_retries: usize,
 ) -> Result<ShardedTopK<T>, QdbError> {
-    assert_eq!(
-        parts.len(),
-        cluster.num_devices(),
-        "one part per cluster device"
-    );
+    sharded_local_topk(
+        cluster,
+        parts,
+        k,
+        cfg.bitonic,
+        max_retries,
+        |dev, buf, k| delegate_select_topk(dev, buf, k, cfg),
+    )
+}
+
+/// The body both raw primitives share: part `i` runs `local_topk` on
+/// device `i` (or, when that device is down, the next healthy one) with
+/// bounded transient retries, and the local winners gather and merge
+/// under `merge_cfg`. A part count other than the cluster's device count
+/// is a typed [`SqlError::Unsupported`].
+fn sharded_local_topk<T: TopKItem>(
+    cluster: &Cluster,
+    parts: &[Vec<T>],
+    k: usize,
+    merge_cfg: BitonicConfig,
+    max_retries: usize,
+    local_topk: impl Fn(&Device, &GpuBuffer<T>, usize) -> Result<TopKResult<T>, TopKError>,
+) -> Result<ShardedTopK<T>, QdbError> {
+    if parts.len() != cluster.num_devices() {
+        return Err(SqlError::Unsupported("a part count other than one per cluster device").into());
+    }
     let Some(merge_dev) = first_healthy_from(cluster, 0) else {
         return Err(all_devices_down(0));
     };
@@ -819,7 +1082,7 @@ pub fn sharded_delegate_topk<T: TopKItem>(
             let buf = dev
                 .try_upload(part)
                 .map_err(|e| attribute_device(e.into(), home))?;
-            match delegate_select_topk(dev, &buf, k.min(part.len()), cfg) {
+            match local_topk(dev, &buf, k.min(part.len())) {
                 Ok(r) => break (r.items, dev.window_since(log0).time),
                 Err(e) => {
                     let e: QdbError = e.into();
@@ -842,7 +1105,7 @@ pub fn sharded_delegate_topk<T: TopKItem>(
         &serving,
         merge_dev,
         k,
-        cfg.bitonic,
+        merge_cfg,
         max_retries,
     )?;
     Ok(ShardedTopK {
@@ -866,7 +1129,8 @@ pub struct ShardedQueryResult {
     pub sim_time: SimTime,
     /// Per-shard local kernel time.
     pub local: Vec<SimTime>,
-    /// When the last delegate run landed on device 0.
+    /// When every shard's delegates were on the merge device: the last
+    /// transfer's end, or a shard whose list did not ship finishing later.
     pub transfer_done: SimTime,
     /// Kernel time of the delegate merge on device 0.
     pub merge_time: SimTime,
@@ -874,31 +1138,6 @@ pub struct ShardedQueryResult {
     pub candidate_bytes: usize,
     /// Local-pass, transfer and merge retries consumed.
     pub retries: usize,
-}
-
-/// Finds the shard-local row of a global id (shard id columns are
-/// strictly increasing by construction). A miss is a bug in the gather
-/// path, reported as a typed [`QdbError::Internal`] — never a panic, so
-/// the no-panics contract holds on the delegate gather path too.
-pub(crate) fn shard_row(shard: &TweetTable, id: u32) -> Result<usize, QdbError> {
-    shard.host_row(id).ok_or_else(|| QdbError::Internal {
-        what: format!("delegate id {id} does not belong to its shard"),
-    })
-}
-
-trait HostRow {
-    fn host_row(&self, id: u32) -> Option<usize>;
-}
-
-impl HostRow for TweetTable {
-    fn host_row(&self, id: u32) -> Option<usize> {
-        self.id.binary_search(&id).ok()
-    }
-}
-
-/// The f32 rank the engine's ranking kernels compute for a row.
-pub(crate) fn rank_key(t: &TweetTable, row: usize) -> f32 {
-    t.retweet_count[row] as f32 + 0.5 * t.likes_count[row] as f32
 }
 
 /// Executes a parsed query against a sharded table: the per-shard
@@ -933,197 +1172,20 @@ pub fn execute_sharded(
             n: table.len(),
         });
     }
-
     let Some(merge_dev) = first_healthy_from(cluster, 0) else {
         return Err(all_devices_down(0));
     };
-    let mut per_shard: Vec<Vec<u32>> = Vec::with_capacity(table.num_shards());
-    let mut local = Vec::with_capacity(table.num_shards());
-    let mut serving = Vec::with_capacity(table.num_shards());
-    let mut retries = 0usize;
-    for i in 0..table.num_shards() {
-        let shard = table.shard(i);
-        if shard.host().is_empty() {
-            per_shard.push(Vec::new());
-            local.push(SimTime::ZERO);
-            serving.push(merge_dev);
-            continue;
-        }
-        // read any healthy replica, primary first — which copy serves
-        // cannot change the answer, only where the delegates start
-        let Some(rep) = shard
-            .replicas()
-            .iter()
-            .find(|rep| !cluster.device(rep.device).is_down())
-        else {
-            return Err(QdbError::DeviceFault {
-                what: format!("shard {i}: every replica device is permanently down"),
-                transient: false,
-                attempts: 1,
-                device: Some(shard.primary_device()),
-            });
-        };
-        let dev = cluster.device(rep.device);
-        serving.push(rep.device);
-        let shard_q = Query {
-            limit: q.limit.min(shard.host().len()),
-            ..q.clone()
-        };
-        let mut attempt = 0usize;
-        let r = loop {
-            match execute(dev, &rep.gpu, &shard_q, strategy) {
-                Ok(r) => break r,
-                Err(e) if e.is_transient() && attempt < max_retries => {
-                    attempt += 1;
-                    retries += 1;
-                }
-                Err(e) => return Err(attribute_device(e, rep.device)),
-            }
-        };
-        local.push(r.kernel_time);
-        per_shard.push(r.ids);
-    }
-
-    let merged = merge_shard_ids(
-        cluster,
-        table,
-        q,
-        per_shard,
-        &local,
-        &serving,
-        merge_dev,
-        max_retries,
-    )?;
+    let s = scatter(cluster, table, q, strategy, None, merge_dev, max_retries)?;
+    let m = s.gather(cluster, table, q, merge_dev, max_retries)?;
     Ok(ShardedQueryResult {
-        ids: merged.0,
-        sim_time: merged.1.transfer_done + merged.1.merge_time,
-        local,
-        transfer_done: merged.1.transfer_done,
-        merge_time: merged.1.merge_time,
-        candidate_bytes: merged.1.candidate_bytes,
-        retries: retries + merged.1.transfer_retries,
+        ids: m.items,
+        sim_time: m.transfer_done + m.merge_time,
+        local: s.local,
+        transfer_done: m.transfer_done,
+        merge_time: m.merge_time,
+        candidate_bytes: m.candidate_bytes,
+        retries: s.retries + m.transfer_retries,
     })
-}
-
-/// Merge plumbing shared by [`execute_sharded`] and the server: rebuilds
-/// each shard's delegate (key, id) pairs from its host columns, ships
-/// and merges them, and returns the ranked global ids.
-struct MergedIds {
-    transfer_done: SimTime,
-    merge_time: SimTime,
-    candidate_bytes: usize,
-    transfer_retries: usize,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn merge_shard_ids(
-    cluster: &Cluster,
-    table: &ShardedTable,
-    q: &Query,
-    per_shard: Vec<Vec<u32>>,
-    local: &[SimTime],
-    serving: &[usize],
-    merge_dev: usize,
-    max_retries: usize,
-) -> Result<(Vec<u32>, MergedIds), QdbError> {
-    let cfg = BitonicConfig::default();
-    let k = q.limit;
-    // rebuild each shard's delegate (key, id) pairs from its host
-    // columns, fallibly: a missing id is a typed internal error
-    fn delegates_of<T, F>(
-        table: &ShardedTable,
-        per_shard: &[Vec<u32>],
-        mut make: F,
-    ) -> Result<Vec<Vec<T>>, QdbError>
-    where
-        F: FnMut(&TweetTable, usize, u32) -> T,
-    {
-        let mut delegates = Vec::with_capacity(per_shard.len());
-        for (i, ids) in per_shard.iter().enumerate() {
-            let h = table.shard(i).host();
-            let mut d = Vec::with_capacity(ids.len());
-            for &id in ids {
-                d.push(make(&h, shard_row(&h, id)?, id));
-            }
-            delegates.push(d);
-        }
-        Ok(delegates)
-    }
-    match (&q.order_by, q.ascending) {
-        (OrderBy::RetweetCount, false) => {
-            let delegates = delegates_of(table, &per_shard, |h, row, id| {
-                Kv::new(h.retweet_count[row], id)
-            })?;
-            let m = ship_and_merge(
-                cluster,
-                delegates,
-                local,
-                serving,
-                merge_dev,
-                k,
-                cfg,
-                max_retries,
-            )?;
-            Ok((
-                m.items.iter().map(|kv| kv.value).collect(),
-                MergedIds {
-                    transfer_done: m.transfer_done,
-                    merge_time: m.merge_time,
-                    candidate_bytes: m.candidate_bytes,
-                    transfer_retries: m.transfer_retries,
-                },
-            ))
-        }
-        (OrderBy::RetweetCount, true) => {
-            let delegates = delegates_of(table, &per_shard, |h, row, id| {
-                Rev(Kv::new(h.retweet_count[row], id))
-            })?;
-            let m = ship_and_merge(
-                cluster,
-                delegates,
-                local,
-                serving,
-                merge_dev,
-                k,
-                cfg,
-                max_retries,
-            )?;
-            Ok((
-                m.items.iter().map(|kv| kv.0.value).collect(),
-                MergedIds {
-                    transfer_done: m.transfer_done,
-                    merge_time: m.merge_time,
-                    candidate_bytes: m.candidate_bytes,
-                    transfer_retries: m.transfer_retries,
-                },
-            ))
-        }
-        (OrderBy::Rank { .. }, _) => {
-            let delegates = delegates_of(table, &per_shard, |h, row, id| {
-                Kv::new(rank_key(h, row), id)
-            })?;
-            let m = ship_and_merge(
-                cluster,
-                delegates,
-                local,
-                serving,
-                merge_dev,
-                k,
-                cfg,
-                max_retries,
-            )?;
-            Ok((
-                m.items.iter().map(|kv| kv.value).collect(),
-                MergedIds {
-                    transfer_done: m.transfer_done,
-                    merge_time: m.merge_time,
-                    candidate_bytes: m.candidate_bytes,
-                    transfer_retries: m.transfer_retries,
-                },
-            ))
-        }
-        (OrderBy::Count, _) => Err(SqlError::Unsupported("GROUP BY on a sharded table").into()),
-    }
 }
 
 /// Renders a validated [`Query`] back to canonical SQL with a replaced
@@ -1331,14 +1393,10 @@ pub struct ShardedServer<'a> {
     pending: Vec<PendingQuery>,
     next_ticket: usize,
     shed: usize,
-    /// Whole-query result cache ([`ServerConfig::result_cache`]): SQL
-    /// text → (table epoch at insertion, merged ids). Caching happens
-    /// here, above the scatter, so a hit skips every shard.
-    result_cache: bool,
-    cache: HashMap<String, (u64, Vec<u32>)>,
-    cache_hits: usize,
-    cache_misses: usize,
-    cache_refreshes: usize,
+    /// Whole-query result cache ([`ServerConfig::result_cache`]) over
+    /// merged ids. Caching happens here, above the scatter, so a hit
+    /// skips every shard.
+    cache: ResultCache,
 }
 
 impl<'a> ShardedServer<'a> {
@@ -1347,7 +1405,7 @@ impl<'a> ShardedServer<'a> {
         assert_eq!(cluster.num_devices(), table.num_shards());
         let max_retries = cfg.max_retries;
         let strategy = cfg.default_strategy;
-        let result_cache = cfg.result_cache;
+        let cache = ResultCache::new(cfg.result_cache);
         // caching lives at the sharded layer (whole merged queries);
         // per-shard servers always re-execute their sub-queries
         let cfg = ServerConfig {
@@ -1385,11 +1443,7 @@ impl<'a> ShardedServer<'a> {
             pending: Vec::new(),
             next_ticket: 0,
             shed: 0,
-            result_cache,
-            cache: HashMap::new(),
-            cache_hits: 0,
-            cache_misses: 0,
-            cache_refreshes: 0,
+            cache,
         }
     }
 
@@ -1472,14 +1526,7 @@ impl<'a> ShardedServer<'a> {
         if q.group_by_uid {
             return Err(SqlError::Unsupported("GROUP BY on a sharded table").into());
         }
-        if let OrderBy::Rank { likes_weight } = q.order_by {
-            if (likes_weight - 0.5).abs() > 1e-9 {
-                return Err(SqlError::Unsupported("ranking weight other than 0.5").into());
-            }
-            if q.filter.is_some() {
-                return Err(SqlError::Unsupported("WHERE combined with a ranking function").into());
-            }
-        }
+        q.check_rank_shape()?;
         let n = self.table.len();
         if n == 0 {
             return Err(QdbError::EmptyTable);
@@ -1487,35 +1534,19 @@ impl<'a> ShardedServer<'a> {
         if q.limit > n {
             return Err(QdbError::InvalidK { k: q.limit, n });
         }
-        if self.result_cache {
-            let hit = match self.cache.get(sql) {
-                Some((epoch, ids)) if *epoch == self.table.epoch() => {
-                    self.cache_hits += 1;
-                    Some(ids.clone())
-                }
-                Some(_) => {
-                    self.cache_refreshes += 1;
-                    None
-                }
-                None => {
-                    self.cache_misses += 1;
-                    None
-                }
-            };
-            if let Some(ids) = hit {
-                // a hit skips the scatter entirely: no sub-queries, no
-                // breaker traffic, nothing to drain from the shards
-                let ticket = ShardedTicket(self.next_ticket);
-                self.next_ticket += 1;
-                self.pending.push(PendingQuery {
-                    ticket,
-                    sql: sql.to_string(),
-                    q,
-                    routes: Vec::new(),
-                    cached: Some(ids),
-                });
-                return Ok(ticket);
-            }
+        if let Some(ids) = self.cache.lookup(sql, self.table.epoch()) {
+            // a hit skips the scatter entirely: no sub-queries, no
+            // breaker traffic, nothing to drain from the shards
+            let ticket = ShardedTicket(self.next_ticket);
+            self.next_ticket += 1;
+            self.pending.push(PendingQuery {
+                ticket,
+                sql: sql.to_string(),
+                q,
+                routes: Vec::new(),
+                cached: Some(ids),
+            });
+            return Ok(ticket);
         }
         let mut routes = Vec::with_capacity(self.table.num_shards());
         for i in 0..self.table.num_shards() {
@@ -1573,22 +1604,9 @@ impl<'a> ShardedServer<'a> {
     }
 
     /// Runs shard `i`'s sub-query directly on `device` (a rebuilt copy,
-    /// or a replica outside its server queue during failover), with
-    /// bounded transient retries. Returns (ids, kernel time, retries).
-    fn direct_execute(
-        &self,
-        i: usize,
-        device: usize,
-        q: &Query,
-    ) -> Result<(Vec<u32>, SimTime, usize), QdbError> {
-        if self.cluster.device(device).is_down() {
-            return Err(QdbError::DeviceFault {
-                what: format!("shard {i}: dev{device} is permanently down"),
-                transient: false,
-                attempts: 1,
-                device: Some(device),
-            });
-        }
+    /// or a replica outside its server queue during failover) through
+    /// the one shard scan, with bounded transient retries.
+    fn direct_execute(&self, i: usize, device: usize, q: &Query) -> Result<ShardAnswer, QdbError> {
         let shard = self.table.shard(i);
         let gpu = shard
             .replicas()
@@ -1604,29 +1622,28 @@ impl<'a> ShardedServer<'a> {
             .ok_or_else(|| QdbError::Internal {
                 what: format!("shard {i} has no copy on dev{device}"),
             })?;
-        let shard_q = Query {
-            limit: q.limit.min(shard.host().len()),
-            ..q.clone()
-        };
-        let dev = self.cluster.device(device);
-        let mut attempt = 0usize;
-        loop {
-            match execute(dev, gpu, &shard_q, self.strategy) {
-                Ok(r) => return Ok((r.ids, r.kernel_time, attempt)),
-                Err(e) if e.is_transient() && attempt < self.max_retries => attempt += 1,
-                Err(e) => return Err(attribute_device(e, device)),
-            }
-        }
+        let rows = shard.host().len();
+        scan_copy(
+            self.cluster,
+            i,
+            device,
+            gpu,
+            rows,
+            None,
+            q,
+            self.strategy,
+            self.max_retries,
+        )
     }
 
     /// Serves shard `i` from any healthy copy whose device is not in
-    /// `exclude`. Returns (ids, time, serving device, retries).
+    /// `exclude`.
     fn failover(
         &mut self,
         i: usize,
         q: &Query,
         exclude: &[usize],
-    ) -> Result<(Vec<u32>, SimTime, usize, usize), QdbError> {
+    ) -> Result<ShardAnswer, QdbError> {
         let candidates: Vec<usize> = self
             .table
             .shard(i)
@@ -1643,9 +1660,12 @@ impl<'a> ShardedServer<'a> {
                 continue;
             }
             match self.direct_execute(i, device, q) {
-                Ok((ids, time, spent)) => {
+                Ok(answer) => {
                     self.note_success(device);
-                    return Ok((ids, time, device, spent));
+                    return Ok(ShardAnswer {
+                        failed_over: true,
+                        ..answer
+                    });
                 }
                 Err(e) => {
                     self.note_failure(device);
@@ -1659,6 +1679,21 @@ impl<'a> ShardedServer<'a> {
             attempts: 1,
             device: Some(self.table.shard(i).primary_device()),
         }))
+    }
+
+    /// Re-serves shard `i` after `device` failed it: notes the failure
+    /// and fails over to any other healthy copy. A failed rescue reports
+    /// `cause` when there is one, else the failover's own error.
+    fn rescue(
+        &mut self,
+        i: usize,
+        q: &Query,
+        device: usize,
+        cause: Option<QdbError>,
+    ) -> Result<ShardAnswer, QdbError> {
+        self.note_failure(device);
+        self.failover(i, q, &[device])
+            .map_err(|e| cause.unwrap_or(e))
     }
 
     /// Restores each shard's replication after device loss: a shard with
@@ -1752,7 +1787,6 @@ impl<'a> ShardedServer<'a> {
         let trips_before: usize = self.health.iter().map(|h| h.trips).sum();
         let merge_dev = first_healthy_from(self.cluster, 0);
         let fallback_dev = merge_dev.unwrap_or(0);
-        let mut failovers_total = 0usize;
         let pending = std::mem::take(&mut self.pending);
         let mut queries = Vec::with_capacity(pending.len());
         for PendingQuery {
@@ -1780,54 +1814,31 @@ impl<'a> ShardedServer<'a> {
                 });
                 continue;
             }
-            let mut per_shard: Vec<Vec<u32>> = Vec::with_capacity(routes.len());
-            let mut local = Vec::with_capacity(routes.len());
-            let mut serving = Vec::with_capacity(routes.len());
+            let mut shards = Scatter::default();
             let mut error: Option<QdbError> = None;
             let mut degrade = DegradeLevel::None;
             let mut retries = 0usize;
-            let mut transfer_retries = 0usize;
             let mut failovers = 0usize;
-            // resolve each shard; a helper closure shape keeps the three
-            // failure paths (queued error, stranded result, direct miss)
-            // funneling through the same failover
+            // resolve each shard; every failure path (queued error,
+            // stranded result, direct miss) funnels through one rescue
             for (i, route) in routes.iter().enumerate() {
-                let mut push_shard = |ids: Vec<u32>, time: SimTime, dev: usize| {
-                    per_shard.push(ids);
-                    local.push(time);
-                    serving.push(dev);
-                };
-                match route {
-                    ShardRoute::Empty => push_shard(Vec::new(), SimTime::ZERO, fallback_dev),
-                    ShardRoute::Dead { device } => {
-                        error.get_or_insert_with(|| QdbError::DeviceFault {
-                            what: format!("shard {i}: no healthy replica to serve from"),
-                            transient: false,
-                            attempts: 1,
-                            device: Some(*device),
-                        });
-                        push_shard(Vec::new(), SimTime::ZERO, fallback_dev);
+                let answer = match route {
+                    ShardRoute::Empty => {
+                        shards.push(Vec::new(), SimTime::ZERO, fallback_dev);
+                        continue;
                     }
+                    ShardRoute::Dead { device } => Err(QdbError::DeviceFault {
+                        what: format!("shard {i}: no healthy replica to serve from"),
+                        transient: false,
+                        attempts: 1,
+                        device: Some(*device),
+                    }),
                     ShardRoute::Direct { device } => match self.direct_execute(i, *device, &q) {
-                        Ok((ids, time, spent)) => {
-                            retries += spent;
-                            push_shard(ids, time, *device);
+                        Ok(answer) => {
                             self.note_success(*device);
+                            Ok(answer)
                         }
-                        Err(e) => {
-                            self.note_failure(*device);
-                            match self.failover(i, &q, &[*device]) {
-                                Ok((ids, time, dev, spent)) => {
-                                    failovers += 1;
-                                    retries += spent;
-                                    push_shard(ids, time, dev);
-                                }
-                                Err(_) => {
-                                    error.get_or_insert(e);
-                                    push_shard(Vec::new(), SimTime::ZERO, fallback_dev);
-                                }
-                            }
-                        }
+                        Err(e) => self.rescue(i, &q, *device, Some(e)),
                     },
                     ShardRoute::Queued { replica, ticket: t } => {
                         let device = self.table.shard(i).replicas()[*replica].device;
@@ -1835,84 +1846,74 @@ impl<'a> ShardedServer<'a> {
                             &replica_reports[i][*replica].queries[by_ticket[i][*replica][&t.0]];
                         retries += served.retries;
                         degrade = degrade.max(served.degrade);
-                        let stranded =
-                            served.error.is_none() && self.cluster.device(device).is_down();
-                        if let Some(e) = &served.error {
-                            let e = attribute_device(e.clone(), device);
-                            self.note_failure(device);
-                            // a deadline miss is final — re-running it
-                            // elsewhere would answer after the deadline
-                            let worth = matches!(e, QdbError::DeviceFault { .. });
-                            let rescued = worth
-                                .then(|| self.failover(i, &q, &[device]).ok())
-                                .flatten();
-                            match rescued {
-                                Some((ids, time, dev, spent)) => {
-                                    failovers += 1;
-                                    retries += spent;
-                                    push_shard(ids, time, dev);
+                        match &served.error {
+                            Some(e) => match attribute_device(e.clone(), device) {
+                                e @ QdbError::DeviceFault { .. } => {
+                                    self.rescue(i, &q, device, Some(e))
                                 }
-                                None => {
-                                    // a failed shard with no healthy copy
-                                    // fails the whole query: no silent
-                                    // truncation to the surviving shards
-                                    error.get_or_insert(e);
-                                    push_shard(Vec::new(), SimTime::ZERO, fallback_dev);
+                                // a deadline miss is final — re-running it
+                                // elsewhere would answer after the deadline
+                                e => {
+                                    self.note_failure(device);
+                                    Err(e)
                                 }
-                            }
-                        } else if stranded {
+                            },
                             // the device answered but died before its
                             // delegates could ship: the result is lost
                             // with it — re-serve from a healthy replica
-                            self.note_failure(device);
-                            match self.failover(i, &q, &[device]) {
-                                Ok((ids, time, dev, spent)) => {
-                                    failovers += 1;
-                                    retries += spent;
-                                    push_shard(ids, time, dev);
-                                }
-                                Err(e) => {
-                                    error.get_or_insert(e);
-                                    push_shard(Vec::new(), SimTime::ZERO, fallback_dev);
-                                }
+                            None if self.cluster.device(device).is_down() => {
+                                self.rescue(i, &q, device, None)
                             }
-                        } else {
-                            push_shard(served.result.ids.clone(), served.timing.total, device);
-                            self.note_success(device);
+                            None => {
+                                self.note_success(device);
+                                Ok(ShardAnswer {
+                                    ids: served.result.ids.clone(),
+                                    time: served.timing.total,
+                                    device,
+                                    retries: 0,
+                                    failed_over: false,
+                                })
+                            }
                         }
+                    }
+                };
+                match answer {
+                    Ok(a) => {
+                        retries += a.retries;
+                        failovers += usize::from(a.failed_over);
+                        shards.push(a.ids, a.time, a.device);
+                    }
+                    Err(e) => {
+                        // a failed shard with no healthy copy fails the
+                        // whole query: no silent truncation to the
+                        // surviving shards
+                        error.get_or_insert(e);
+                        shards.push(Vec::new(), SimTime::ZERO, fallback_dev);
                     }
                 }
             }
-            failovers_total += failovers;
-            let (ids, latency, err) = if let Some(e) = error {
-                (Vec::new(), SimTime::ZERO, Some(e))
-            } else {
-                match merge_dev {
-                    None => (Vec::new(), SimTime::ZERO, Some(all_devices_down(0))),
-                    Some(md) => match merge_shard_ids(
-                        self.cluster,
-                        self.table,
-                        &q,
-                        per_shard,
-                        &local,
-                        &serving,
-                        md,
-                        self.max_retries,
-                    ) {
-                        Ok((ids, m)) => {
-                            transfer_retries += m.transfer_retries;
-                            (ids, m.transfer_done + m.merge_time, None)
-                        }
-                        Err(e) => (Vec::new(), SimTime::ZERO, Some(e)),
-                    },
+            let merged = match (error, merge_dev) {
+                (Some(e), _) => Err(e),
+                (None, None) => Err(all_devices_down(0)),
+                (None, Some(md)) => {
+                    shards.gather(self.cluster, self.table, &q, md, self.max_retries)
                 }
+            };
+            let (ids, latency, transfer_retries, error) = match merged {
+                Ok(m) => (
+                    m.items,
+                    m.transfer_done + m.merge_time,
+                    m.transfer_retries,
+                    None,
+                ),
+                Err(e) => (Vec::new(), SimTime::ZERO, 0, Some(e)),
             };
             queries.push(ShardedServed {
                 ticket,
                 sql,
                 ids,
                 latency,
-                error: err,
+                error,
                 degrade,
                 retries: retries + transfer_retries,
                 transfer_retries,
@@ -1923,25 +1924,18 @@ impl<'a> ShardedServer<'a> {
 
         // every freshly merged result is valid exactly at the current
         // epoch; the next append invalidates all of them at once
-        if self.result_cache {
-            let epoch = self.table.epoch();
-            for sq in &queries {
-                if sq.completed() && !sq.cached {
-                    self.cache.insert(sq.sql.clone(), (epoch, sq.ids.clone()));
-                }
-            }
+        let epoch = self.table.epoch();
+        for sq in queries.iter().filter(|sq| sq.completed() && !sq.cached) {
+            self.cache.store(&sq.sql, epoch, &sq.ids);
         }
 
-        let mut resilience = ResilienceStats::default();
+        let mut resilience = self.cache.take_counts();
         for r in replica_reports.iter().flatten() {
             resilience.retries += r.resilience.retries;
             resilience.faults_injected += r.resilience.faults_injected;
         }
         resilience.shed = std::mem::take(&mut self.shed);
-        resilience.failovers = failovers_total;
-        resilience.cache_hits = std::mem::take(&mut self.cache_hits);
-        resilience.cache_misses = std::mem::take(&mut self.cache_misses);
-        resilience.cache_refreshes = std::mem::take(&mut self.cache_refreshes);
+        resilience.failovers = queries.iter().map(|sq| sq.failovers).sum();
         for sq in &queries {
             if sq.completed() {
                 resilience.completed += 1;
@@ -2631,6 +2625,53 @@ mod tests {
             assert_eq!(q, q2, "{sql} -> {rendered}");
             let clamped = parse(&render_sql(&q, 2)).unwrap();
             assert_eq!(clamped.limit, 2);
+        }
+    }
+
+    /// The gather waits for every shard, including a remote one whose
+    /// list is empty: shard 1 matches nothing but its stalled local pass
+    /// still bounds the query's completion.
+    #[test]
+    fn gather_waits_for_a_remote_shard_that_matched_nothing() {
+        let mut host = TweetTable::generate(4_000, 31);
+        host.tweet_time = (0..host.len() as u32).collect();
+        let cluster = Cluster::new(ClusterSpec::pcie_node(2));
+        let table = ShardedTable::partition(&cluster, &host, PartitionPolicy::Range).unwrap();
+        cluster.device(1).set_fault_plan(FaultPlan {
+            stall_rate: 1.0,
+            stall_delay: SimTime(1e-3),
+            max_faults: usize::MAX,
+            ..FaultPlan::with_seed(5)
+        });
+        let q = parse(
+            "SELECT id FROM tweets WHERE tweet_time < 64 ORDER BY retweet_count DESC LIMIT 8",
+        )
+        .unwrap();
+        let r = execute_sharded(&cluster, &table, &q, Strategy::StageBitonic, 0).unwrap();
+        cluster.device(1).clear_fault_plan();
+        assert_eq!(r.ids.len(), 8);
+        let slowest = r.local.iter().fold(0.0f64, |a, t| a.max(t.0));
+        assert!(slowest >= 1e-3, "shard 1's stalled pass: {:?}", r.local);
+        assert!(
+            r.sim_time.0 >= slowest,
+            "the query finished at {} before its slowest shard ({slowest} s)",
+            r.sim_time
+        );
+    }
+
+    /// A part count that does not match the cluster is a typed error on
+    /// both raw primitives, never a panic.
+    #[test]
+    fn raw_primitives_reject_a_mismatched_part_count() {
+        let cluster = Cluster::new(ClusterSpec::pcie_node(4));
+        let parts = partition_items(&keyed(&Uniform, 1 << 10, 3), 3, PartitionPolicy::Range);
+        let bitonic = sharded_topk(&cluster, &parts, 16, BitonicConfig::default(), 0);
+        let delegate = sharded_delegate_topk(&cluster, &parts, 16, DelegateConfig::default(), 0);
+        for err in [bitonic.unwrap_err(), delegate.unwrap_err()] {
+            assert!(
+                matches!(err, QdbError::Parse(SqlError::Unsupported(_))),
+                "expected a typed rejection, got {err:?}"
+            );
         }
     }
 }

@@ -86,6 +86,26 @@ pub struct Query {
     pub limit: usize,
 }
 
+impl Query {
+    /// Rejects the ranking shapes the engine does not compile: a likes
+    /// weight other than the built-in `0.5`, and WHERE combined with a
+    /// ranking function. Every entry point (execution, serving, views)
+    /// applies this one rule.
+    pub(crate) fn check_rank_shape(&self) -> Result<(), SqlError> {
+        if let OrderBy::Rank { likes_weight } = self.order_by {
+            if (likes_weight - 0.5).abs() > 1e-9 {
+                return Err(SqlError::Unsupported("ranking weight other than 0.5"));
+            }
+            if self.filter.is_some() {
+                return Err(SqlError::Unsupported(
+                    "WHERE combined with a ranking function",
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Language code names accepted in `lang = '<code>'`.
 fn lang_code(name: &str) -> Option<u8> {
     match name {
@@ -421,13 +441,8 @@ pub fn execute(
                 filtered_topk(dev, table, &op, q.limit, strategy)
             }
         }
-        (OrderBy::Rank { likes_weight }, false) => {
-            if (likes_weight - 0.5).abs() > 1e-9 {
-                return Err(SqlError::Unsupported("ranking weight other than 0.5").into());
-            }
-            if q.filter.is_some() {
-                return Err(SqlError::Unsupported("WHERE combined with a ranking function").into());
-            }
+        (OrderBy::Rank { .. }, false) => {
+            q.check_rank_shape()?;
             ranked_topk(dev, table, q.limit, strategy)
         }
         _ => Err(SqlError::Unsupported("this SELECT/GROUP BY combination").into()),

@@ -17,30 +17,39 @@
 //! When the accumulated delta grows past the view's refresh fraction the
 //! incremental path stops winning (the merge is cheap, but delta scans
 //! approach a full scan) and the view falls back to a rescan — the
-//! crossover DESIGN.md §4.6 derives. Views are backend-generic
-//! ([`TopKView::refresh_on`] serves the CPU engine too) and sharded
-//! ([`TopKView::refresh_sharded`]): per-shard delta scans run on any
-//! healthy replica, so a standing view survives permanent device loss
-//! whenever the table was partitioned with `ReplicationFactor ≥ 2`.
+//! crossover DESIGN.md §4.6 derives.
+//!
+//! One maintenance skeleton serves three placements. It owns the mode
+//! decision ([`TopKView::plan_mode`]), the [`ViewStats`] ledger and the
+//! commit; a placement supplies only its rescan step and its delta step,
+//! and every delta step ends in the one typed merge the sharded gather
+//! uses:
+//!
+//! * [`TopKView::refresh`] — one device: the delta scans a device slice
+//!   and merges on the device;
+//! * [`TopKView::refresh_on`] — either engine; on the CPU the delta scans
+//!   the appended host rows and merges with the engine's top-k operator;
+//! * [`TopKView::refresh_sharded`] — a cluster: per-shard delta scans run
+//!   on any healthy replica and the standing run rides the gather as one
+//!   more run, so a standing view survives permanent device loss
+//!   whenever the table was partitioned with `ReplicationFactor ≥ 2`.
 
 use std::cell::{Cell, RefCell};
 
 use datagen::twitter::TweetTable;
-use datagen::{rev_slice, Kv, Rev, TopKItem};
 use simt::topology::Cluster;
 use simt::{Device, SimTime};
-use topk::bitonic::{bitonic_topk_from_runs, BitonicConfig};
 use topk::ExecBackend;
-use topk::{Backend as _, TopKError};
 
-use crate::cpu_engine::{execute_cpu, strategy_topk};
+use crate::cpu_engine::execute_cpu;
 use crate::error::QdbError;
 use crate::queries::Strategy;
 use crate::shard::{
-    all_devices_down, execute_sharded, first_healthy_from, rank_key, ship_and_merge, ShardedTable,
+    all_devices_down, execute_sharded, first_healthy_from, merge_id_runs, scatter, MergeTarget,
+    ShardedTable,
 };
-use crate::sql::{execute, parse, OrderBy, Query, SqlError};
-use crate::table::{BackendTable, CpuTweetTable, GpuTweetTable};
+use crate::sql::{execute, parse, Query, SqlError};
+use crate::table::{host_rows, BackendTable, GpuTweetTable};
 
 /// How a view refresh will (or did) bring the standing result current.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,14 +158,7 @@ impl TopKView {
             )
             .into());
         }
-        if let OrderBy::Rank { likes_weight } = query.order_by {
-            if (likes_weight - 0.5).abs() > 1e-9 {
-                return Err(SqlError::Unsupported("ranking weight other than 0.5").into());
-            }
-            if query.filter.is_some() {
-                return Err(SqlError::Unsupported("WHERE combined with a ranking function").into());
-            }
-        }
+        query.check_rank_shape()?;
         Ok(TopKView {
             sql: sql.to_string(),
             query,
@@ -238,512 +240,210 @@ impl TopKView {
         }
     }
 
-    fn commit(&self, ids: Vec<u32>, rows: usize, epoch: u64) -> Vec<u32> {
-        *self.standing.borrow_mut() = ids.clone();
-        self.rows_done.set(rows);
-        self.epoch_done.set(epoch);
-        ids
-    }
-
-    /// Brings the standing result current against a device-resident
-    /// table and returns it. `Current` launches nothing; `DeltaMerge`
-    /// scans only `[rows_done, len)` and run-merges; `Rescan`
-    /// re-executes the registered query.
-    pub fn refresh(&self, dev: &Device, table: &GpuTweetTable) -> Result<ViewRefresh, QdbError> {
-        let rows = table.len();
-        let epoch = table.epoch();
-        match self.plan_mode(rows, epoch) {
+    /// The maintenance skeleton every placement shares: decides the
+    /// mode ([`TopKView::plan_mode`]; `can_merge == false` forces a
+    /// rescan), runs the placement's `rescan` or `delta` step, keeps the
+    /// [`ViewStats`] ledger and commits the new standing result. `delta`
+    /// receives the standing ids and the rows already folded in. Each
+    /// step returns the new standing ids and its modeled time. A failed
+    /// step changes nothing.
+    fn maintain(
+        &self,
+        rows: usize,
+        epoch: u64,
+        can_merge: bool,
+        rescan: impl FnOnce() -> Result<(Vec<u32>, SimTime), QdbError>,
+        delta: impl FnOnce(Vec<u32>, usize) -> Result<(Vec<u32>, SimTime), QdbError>,
+    ) -> Result<ViewRefresh, QdbError> {
+        let done = self.rows_done.get();
+        let mode = match self.plan_mode(rows, epoch) {
+            ViewMode::DeltaMerge if !can_merge => ViewMode::Rescan,
+            mode => mode,
+        };
+        let (ids, kernel_time) = match mode {
             ViewMode::Current => {
                 self.current_hits.set(self.current_hits.get() + 1);
-                Ok(ViewRefresh {
-                    mode: ViewMode::Current,
+                return Ok(ViewRefresh {
+                    mode,
                     epoch,
                     delta_rows: 0,
                     kernel_time: SimTime::ZERO,
                     ids: self.ids(),
-                })
+                });
             }
             ViewMode::Rescan => {
-                let log0 = dev.log_len();
-                let r = execute(dev, table, &self.query, self.strategy)?;
+                let r = rescan()?;
                 self.rescans.set(self.rescans.get() + 1);
-                Ok(ViewRefresh {
-                    mode: ViewMode::Rescan,
-                    epoch,
-                    delta_rows: rows - self.rows_done.get().min(rows),
-                    kernel_time: dev.window_since(log0).time,
-                    ids: self.commit(r.ids, rows, epoch),
-                })
+                r
             }
             ViewMode::DeltaMerge => {
-                let done = self.rows_done.get();
-                let delta_rows = rows - done;
-                let log0 = dev.log_len();
-                let delta_tab = table.device_slice(dev, done, rows);
-                let dq = Query {
-                    limit: self.query.limit.min(delta_rows),
-                    ..self.query.clone()
-                };
-                let delta = execute(dev, &delta_tab, &dq, self.strategy)?;
-                let standing = self.standing.borrow().clone();
-                let merged = self.merge_on_device(dev, table, &standing, &delta.ids)?;
+                let r = delta(self.ids(), done)?;
                 self.delta_merges.set(self.delta_merges.get() + 1);
                 self.delta_rows_folded
-                    .set(self.delta_rows_folded.get() + delta_rows);
-                Ok(ViewRefresh {
-                    mode: ViewMode::DeltaMerge,
-                    epoch,
-                    delta_rows,
-                    kernel_time: dev.window_since(log0).time,
-                    ids: self.commit(merged, rows, epoch),
-                })
+                    .set(self.delta_rows_folded.get() + rows - done);
+                r
             }
+        };
+        *self.standing.borrow_mut() = ids.clone();
+        self.rows_done.set(rows);
+        self.epoch_done.set(epoch);
+        Ok(ViewRefresh {
+            mode,
+            epoch,
+            delta_rows: rows - done.min(rows),
+            kernel_time,
+            ids,
+        })
+    }
+
+    /// The registered query with its LIMIT clamped to a delta of `rows`
+    /// rows.
+    fn delta_query(&self, rows: usize) -> Query {
+        Query {
+            limit: self.query.limit.min(rows),
+            ..self.query.clone()
         }
     }
 
-    /// Run-merges the standing result with a delta top-k on the device:
-    /// both lists become descending sentinel-padded `k_eff` runs and the
-    /// bitonic run reducer selects the union's top-k — the same merge
-    /// the sharded gather uses, so ties resolve by the full item order.
-    fn merge_on_device(
-        &self,
-        dev: &Device,
-        table: &GpuTweetTable,
-        standing: &[u32],
-        delta: &[u32],
-    ) -> Result<Vec<u32>, QdbError> {
-        let id_col = table.id.read_range(0..table.len());
-        let row_of = |id: u32| -> Result<usize, QdbError> {
-            id_col.binary_search(&id).map_err(|_| QdbError::Internal {
-                what: format!("view id {id} is not in the table's id column"),
-            })
-        };
-        let k = self.query.limit;
-        match (&self.query.order_by, self.query.ascending) {
-            (OrderBy::RetweetCount, false) => {
-                let make = |id: &u32| -> Result<Kv<u32>, QdbError> {
-                    Ok(Kv::new(table.retweet_count.get(row_of(*id)?), *id))
-                };
-                let s: Vec<_> = standing.iter().map(make).collect::<Result<_, _>>()?;
-                let d: Vec<_> = delta.iter().map(make).collect::<Result<_, _>>()?;
-                let top = merge_runs(dev, s, d, k)?;
-                Ok(top.iter().map(|kv| kv.value).collect())
-            }
-            (OrderBy::RetweetCount, true) => {
-                let make = |id: &u32| -> Result<Rev<Kv<u32>>, QdbError> {
-                    Ok(Rev(Kv::new(table.retweet_count.get(row_of(*id)?), *id)))
-                };
-                let s: Vec<_> = standing.iter().map(make).collect::<Result<_, _>>()?;
-                let d: Vec<_> = delta.iter().map(make).collect::<Result<_, _>>()?;
-                let top = merge_runs(dev, s, d, k)?;
-                Ok(top.iter().map(|kv| kv.0.value).collect())
-            }
-            (OrderBy::Rank { .. }, _) => {
-                let make = |id: &u32| -> Result<Kv<f32>, QdbError> {
-                    let row = row_of(*id)?;
-                    let rank = table.retweet_count.get(row) as f32
-                        + 0.5 * table.likes_count.get(row) as f32;
-                    Ok(Kv::new(rank, *id))
-                };
-                let s: Vec<_> = standing.iter().map(make).collect::<Result<_, _>>()?;
-                let d: Vec<_> = delta.iter().map(make).collect::<Result<_, _>>()?;
-                let top = merge_runs(dev, s, d, k)?;
-                Ok(top.iter().map(|kv| kv.value).collect())
-            }
-            (OrderBy::Count, _) => {
-                unreachable!("group queries are rejected at registration")
-            }
-        }
+    /// Brings the standing result current against a device-resident
+    /// table and returns it. `Current` launches nothing; `DeltaMerge`
+    /// scans only `[rows_done, len)` and run-merges its top-k into the
+    /// standing run on the device; `Rescan` re-executes the registered
+    /// query.
+    pub fn refresh(&self, dev: &Device, table: &GpuTweetTable) -> Result<ViewRefresh, QdbError> {
+        let rows = table.len();
+        self.maintain(
+            rows,
+            table.epoch(),
+            true,
+            || {
+                let log0 = dev.log_len();
+                let r = execute(dev, table, &self.query, self.strategy)?;
+                Ok((r.ids, dev.window_since(log0).time))
+            },
+            |standing, done| {
+                let log0 = dev.log_len();
+                let delta_tab = table.device_slice(dev, done, rows);
+                let delta = execute(
+                    dev,
+                    &delta_tab,
+                    &self.delta_query(rows - done),
+                    self.strategy,
+                )?;
+                let m = merge_id_runs(
+                    &self.query,
+                    &[standing, delta.ids],
+                    |_, id| {
+                        let row = table.find_row(id).ok_or_else(|| not_resident(id))?;
+                        Ok((table.retweet_count.get(row), table.likes_count.get(row)))
+                    },
+                    MergeTarget::Device(dev),
+                )?;
+                Ok((m.items, dev.window_since(log0).time))
+            },
+        )
     }
 
     /// Backend-generic refresh: the simulator path through
-    /// [`TopKView::refresh`], the CPU engine's twin otherwise. Both
-    /// return the same winners — the conformance contract of
+    /// [`TopKView::refresh`], the CPU engine otherwise — same modes, same
+    /// winners, wall-clock instead of modeled time (reported as
+    /// `SimTime::ZERO`). The conformance contract of
     /// [`crate::backend::execute_on`] extends to view maintenance.
     pub fn refresh_on(
         &self,
         be: &ExecBackend<'_>,
         table: &BackendTable,
     ) -> Result<ViewRefresh, QdbError> {
-        if be.kind() != table.kind() {
-            return Err(TopKError::BackendMismatch {
-                backend: be.kind().name(),
-                buffer: table.kind().name(),
-            }
-            .into());
-        }
-        match be {
-            ExecBackend::Simt(b) => {
-                self.refresh(b.device(), table.as_simt().expect("kind checked above"))
-            }
-            ExecBackend::Cpu(b) => {
-                self.refresh_cpu(table.as_cpu().expect("kind checked above"), b.threads())
-            }
-        }
-    }
-
-    /// The CPU engine's refresh: same modes, same winners, wall-clock
-    /// instead of modeled time (reported as `SimTime::ZERO`).
-    fn refresh_cpu(&self, table: &CpuTweetTable, threads: usize) -> Result<ViewRefresh, QdbError> {
-        let rows = table.len();
-        let epoch = table.epoch();
-        match self.plan_mode(rows, epoch) {
-            ViewMode::Current => {
-                self.current_hits.set(self.current_hits.get() + 1);
-                Ok(ViewRefresh {
-                    mode: ViewMode::Current,
-                    epoch,
-                    delta_rows: 0,
-                    kernel_time: SimTime::ZERO,
-                    ids: self.ids(),
-                })
-            }
-            ViewMode::Rescan => {
-                let out = execute_cpu(&table.rows(), &self.query, self.strategy, threads)?;
-                self.rescans.set(self.rescans.get() + 1);
-                Ok(ViewRefresh {
-                    mode: ViewMode::Rescan,
-                    epoch,
-                    delta_rows: rows - self.rows_done.get().min(rows),
-                    kernel_time: SimTime::ZERO,
-                    ids: self.commit(out.ids, rows, epoch),
-                })
-            }
-            ViewMode::DeltaMerge => {
-                let done = self.rows_done.get();
-                let delta_rows = rows - done;
-                let standing = self.standing.borrow().clone();
-                let merged = self.merge_on_host(&table.rows(), &standing, done, rows, threads)?;
-                self.delta_merges.set(self.delta_merges.get() + 1);
-                self.delta_rows_folded
-                    .set(self.delta_rows_folded.get() + delta_rows);
-                Ok(ViewRefresh {
-                    mode: ViewMode::DeltaMerge,
-                    epoch,
-                    delta_rows,
-                    kernel_time: SimTime::ZERO,
-                    ids: self.commit(merged, rows, epoch),
-                })
-            }
-        }
-    }
-
-    /// Host-side delta merge: the standing pairs plus every matching
-    /// delta row feed the strategy's CPU top-k operator in one pass —
-    /// the host-memory shape of the same `top-k(old) ∪ delta` identity.
-    fn merge_on_host(
-        &self,
-        t: &TweetTable,
-        standing: &[u32],
-        done: usize,
-        rows: usize,
-        threads: usize,
-    ) -> Result<Vec<u32>, QdbError> {
-        let row_of = |id: u32| -> Result<usize, QdbError> {
-            t.id.binary_search(&id).map_err(|_| QdbError::Internal {
-                what: format!("view id {id} is not in the table's id column"),
-            })
+        let (b, rows, epoch) = match (be, table) {
+            (ExecBackend::Simt(b), BackendTable::Simt(t)) => return self.refresh(b.device(), t),
+            (ExecBackend::Cpu(b), BackendTable::Cpu { rows, epoch }) => (b, rows, epoch),
+            _ => return Err(table.mismatch(be)),
         };
-        let k = self.query.limit;
-        match &self.query.order_by {
-            OrderBy::RetweetCount => {
-                let op = self
-                    .query
-                    .filter
-                    .clone()
-                    .unwrap_or(crate::engine::FilterOp::TimeLess(u32::MAX));
-                let mut cand: Vec<Kv<u32>> = Vec::with_capacity(standing.len());
-                for &id in standing {
-                    cand.push(Kv::new(t.retweet_count[row_of(id)?], id));
-                }
-                for row in done..rows {
-                    if op.matches_row(t.tweet_time[row], t.lang[row]) {
-                        cand.push(Kv::new(t.retweet_count[row], t.id[row]));
-                    }
-                }
-                if self.query.ascending {
-                    Ok(strategy_topk(self.strategy, &rev_slice(&cand), k, threads)
-                        .iter()
-                        .map(|kv| kv.0.value)
-                        .collect())
-                } else {
-                    Ok(strategy_topk(self.strategy, &cand, k, threads)
-                        .iter()
-                        .map(|kv| kv.value)
-                        .collect())
-                }
-            }
-            OrderBy::Rank { .. } => {
-                let mut cand: Vec<Kv<f32>> = Vec::with_capacity(standing.len());
-                let rank =
-                    |row: usize| t.retweet_count[row] as f32 + 0.5 * t.likes_count[row] as f32;
-                for &id in standing {
-                    let row = row_of(id)?;
-                    cand.push(Kv::new(rank(row), id));
-                }
-                for row in done..rows {
-                    cand.push(Kv::new(rank(row), t.id[row]));
-                }
-                Ok(strategy_topk(self.strategy, &cand, k, threads)
-                    .iter()
-                    .map(|kv| kv.value)
-                    .collect())
-            }
-            OrderBy::Count => unreachable!("group queries are rejected at registration"),
-        }
+        let t = rows.borrow();
+        let n = t.len();
+        self.maintain(
+            n,
+            epoch.get(),
+            true,
+            || {
+                let out = execute_cpu(&t, &self.query, self.strategy, b.threads())?;
+                Ok((out.ids, SimTime::ZERO))
+            },
+            |standing, done| {
+                let delta_rows: TweetTable = host_rows(&t, done..n);
+                let dq = self.delta_query(n - done);
+                let delta = execute_cpu(&delta_rows, &dq, self.strategy, b.threads())?;
+                let m = merge_id_runs(
+                    &self.query,
+                    &[standing, delta.ids],
+                    |_, id| {
+                        let row = t.id.binary_search(&id).map_err(|_| not_resident(id))?;
+                        Ok((t.retweet_count[row], t.likes_count[row]))
+                    },
+                    MergeTarget::Cpu {
+                        strategy: self.strategy,
+                        threads: b.threads(),
+                    },
+                )?;
+                Ok((m.items, SimTime::ZERO))
+            },
+        )
     }
 
     /// Sharded refresh: per-shard delta scans run on any healthy replica
     /// (the table's replication is what lets a standing view survive
     /// permanent device loss), then the per-shard delta top-ks and the
-    /// standing result merge on the first healthy device with the same
-    /// scatter-gather the sharded query path uses.
+    /// standing run — one more run, resident on the merge device — merge
+    /// on the first healthy device through the same gather the sharded
+    /// query path uses.
     pub fn refresh_sharded(
         &self,
         cluster: &Cluster,
         table: &ShardedTable,
         max_retries: usize,
     ) -> Result<ViewRefresh, QdbError> {
-        let rows = table.len();
-        let epoch = table.epoch();
-        let mut mode = self.plan_mode(rows, epoch);
-        if mode == ViewMode::DeltaMerge && self.shard_done.borrow().len() != table.num_shards() {
-            // the standing result was not built against this sharding
-            mode = ViewMode::Rescan;
-        }
-        match mode {
-            ViewMode::Current => {
-                self.current_hits.set(self.current_hits.get() + 1);
-                Ok(ViewRefresh {
-                    mode: ViewMode::Current,
-                    epoch,
-                    delta_rows: 0,
-                    kernel_time: SimTime::ZERO,
-                    ids: self.ids(),
-                })
-            }
-            ViewMode::Rescan => {
+        // the standing result must have been built against this sharding
+        let can_merge = self.shard_done.borrow().len() == table.num_shards();
+        let r = self.maintain(
+            table.len(),
+            table.epoch(),
+            can_merge,
+            || {
                 let r = execute_sharded(cluster, table, &self.query, self.strategy, max_retries)?;
-                self.rescans.set(self.rescans.get() + 1);
-                *self.shard_done.borrow_mut() = table.shard_rows();
-                Ok(ViewRefresh {
-                    mode: ViewMode::Rescan,
-                    epoch,
-                    delta_rows: rows - self.rows_done.get().min(rows),
-                    kernel_time: r.sim_time,
-                    ids: self.commit(r.ids, rows, epoch),
-                })
-            }
-            ViewMode::DeltaMerge => {
-                let delta_rows = rows - self.rows_done.get();
-                let (ids, time) = self.sharded_delta_merge(cluster, table, max_retries)?;
-                self.delta_merges.set(self.delta_merges.get() + 1);
-                self.delta_rows_folded
-                    .set(self.delta_rows_folded.get() + delta_rows);
-                *self.shard_done.borrow_mut() = table.shard_rows();
-                Ok(ViewRefresh {
-                    mode: ViewMode::DeltaMerge,
-                    epoch,
-                    delta_rows,
-                    kernel_time: time,
-                    ids: self.commit(ids, rows, epoch),
-                })
-            }
+                Ok((r.ids, r.sim_time))
+            },
+            |standing, _| {
+                let Some(merge_dev) = first_healthy_from(cluster, 0) else {
+                    return Err(all_devices_down(0));
+                };
+                let done = self.shard_done.borrow().clone();
+                let mut s = scatter(
+                    cluster,
+                    table,
+                    &self.query,
+                    self.strategy,
+                    Some(&done),
+                    merge_dev,
+                    max_retries,
+                )?;
+                s.push(standing, SimTime::ZERO, merge_dev);
+                let m = s.gather(cluster, table, &self.query, merge_dev, max_retries)?;
+                Ok((m.items, m.transfer_done + m.merge_time))
+            },
+        )?;
+        if r.mode != ViewMode::Current {
+            *self.shard_done.borrow_mut() = table.shard_rows();
         }
-    }
-
-    /// Per-shard delta scans + the standing run, shipped and merged.
-    fn sharded_delta_merge(
-        &self,
-        cluster: &Cluster,
-        table: &ShardedTable,
-        max_retries: usize,
-    ) -> Result<(Vec<u32>, SimTime), QdbError> {
-        let Some(merge_dev) = first_healthy_from(cluster, 0) else {
-            return Err(all_devices_down(0));
-        };
-        let done = self.shard_done.borrow().clone();
-        let mut per_shard: Vec<Vec<u32>> = Vec::with_capacity(table.num_shards());
-        let mut local = Vec::with_capacity(table.num_shards() + 1);
-        let mut serving = Vec::with_capacity(table.num_shards() + 1);
-        for (i, &done_i) in done.iter().enumerate() {
-            let shard = table.shard(i);
-            let len_i = shard.host().len();
-            let delta_i = len_i - done_i;
-            if delta_i == 0 {
-                per_shard.push(Vec::new());
-                local.push(SimTime::ZERO);
-                serving.push(merge_dev);
-                continue;
-            }
-            // read any healthy replica, primary first — same failover
-            // rule as the sharded query path
-            let Some(rep) = shard
-                .replicas()
-                .iter()
-                .find(|rep| !cluster.device(rep.device).is_down())
-            else {
-                return Err(QdbError::DeviceFault {
-                    what: format!("shard {i}: every replica device is permanently down"),
-                    transient: false,
-                    attempts: 1,
-                    device: Some(shard.primary_device()),
-                });
-            };
-            let dev = cluster.device(rep.device);
-            serving.push(rep.device);
-            let dq = Query {
-                limit: self.query.limit.min(delta_i),
-                ..self.query.clone()
-            };
-            let mut attempt = 0usize;
-            let r = loop {
-                let log0 = dev.log_len();
-                let delta_tab = rep.gpu.device_slice(dev, done_i, len_i);
-                match execute(dev, &delta_tab, &dq, self.strategy) {
-                    Ok(r) => break (r.ids, dev.window_since(log0).time),
-                    Err(e) if e.is_transient() && attempt < max_retries => attempt += 1,
-                    Err(e) => return Err(crate::shard::attribute_device(e, rep.device)),
-                }
-            };
-            per_shard.push(r.0);
-            local.push(r.1);
-        }
-        let standing = self.standing.borrow().clone();
-        let k = self.query.limit;
-        match (&self.query.order_by, self.query.ascending) {
-            (OrderBy::RetweetCount, false) => merge_sharded(
-                cluster,
-                table,
-                &standing,
-                per_shard,
-                local,
-                serving,
-                merge_dev,
-                k,
-                max_retries,
-                |h, row, id| Kv::new(h.retweet_count[row], id),
-                |kv: &Kv<u32>| kv.value,
-            ),
-            (OrderBy::RetweetCount, true) => merge_sharded(
-                cluster,
-                table,
-                &standing,
-                per_shard,
-                local,
-                serving,
-                merge_dev,
-                k,
-                max_retries,
-                |h, row, id| Rev(Kv::new(h.retweet_count[row], id)),
-                |kv: &Rev<Kv<u32>>| kv.0.value,
-            ),
-            (OrderBy::Rank { .. }, _) => merge_sharded(
-                cluster,
-                table,
-                &standing,
-                per_shard,
-                local,
-                serving,
-                merge_dev,
-                k,
-                max_retries,
-                |h, row, id| Kv::new(rank_key(h, row), id),
-                |kv: &Kv<f32>| kv.value,
-            ),
-            (OrderBy::Count, _) => unreachable!("group queries are rejected at registration"),
-        }
+        Ok(r)
     }
 }
 
-/// Pads `standing` and `delta` (both descending, each at most
-/// `min(k, |standing| + |delta|)` long) into two sentinel-backed
-/// `k_eff` runs and reduces them on the device.
-fn merge_runs<T: TopKItem>(
-    dev: &Device,
-    standing: Vec<T>,
-    delta: Vec<T>,
-    k: usize,
-) -> Result<Vec<T>, QdbError> {
-    let total = standing.len() + delta.len();
-    if total == 0 {
-        return Ok(Vec::new());
+/// The typed error for a standing id missing from the table it was
+/// computed over — a bug, never a panic.
+fn not_resident(id: u32) -> QdbError {
+    QdbError::Internal {
+        what: format!("view id {id} is not in the table's id column"),
     }
-    let k_req = k.min(total);
-    let k_eff = k_req.next_power_of_two();
-    let mut runs: Vec<T> = Vec::with_capacity(2 * k_eff);
-    for mut run in [standing, delta] {
-        debug_assert!(run.len() <= k_eff, "candidate list exceeds its run");
-        run.resize(k_eff, T::min_sentinel());
-        runs.extend(run);
-    }
-    let buf = dev.try_upload(&runs)?;
-    let r = bitonic_topk_from_runs(dev, &buf, runs.len(), k_req, BitonicConfig::default())?;
-    Ok(r.items)
-}
-
-/// Locates a standing id's shard and host row (shard id columns are
-/// strictly increasing, so each probe is one binary search).
-fn locate(table: &ShardedTable, id: u32) -> Result<(usize, usize), QdbError> {
-    for i in 0..table.num_shards() {
-        if let Ok(row) = table.shard(i).host().id.binary_search(&id) {
-            return Ok((i, row));
-        }
-    }
-    Err(QdbError::Internal {
-        what: format!("view id {id} is not resident in any shard"),
-    })
-}
-
-/// Builds the typed delegate lists (per-shard delta top-ks + the
-/// standing run, resident on the merge device) and ships/merges them.
-#[allow(clippy::too_many_arguments)]
-fn merge_sharded<T: TopKItem>(
-    cluster: &Cluster,
-    table: &ShardedTable,
-    standing: &[u32],
-    per_shard: Vec<Vec<u32>>,
-    mut local: Vec<SimTime>,
-    mut serving: Vec<usize>,
-    merge_dev: usize,
-    k: usize,
-    max_retries: usize,
-    mut make: impl FnMut(&TweetTable, usize, u32) -> T,
-    value: impl Fn(&T) -> u32,
-) -> Result<(Vec<u32>, SimTime), QdbError> {
-    let mut delegates: Vec<Vec<T>> = Vec::with_capacity(per_shard.len() + 1);
-    for (i, ids) in per_shard.iter().enumerate() {
-        let h = table.shard(i).host();
-        let mut d = Vec::with_capacity(ids.len());
-        for &id in ids {
-            d.push(make(&h, crate::shard::shard_row(&h, id)?, id));
-        }
-        delegates.push(d);
-    }
-    // the standing result rides along as one more run, already resident
-    // on the merge device (it is host state, not device state)
-    let mut s = Vec::with_capacity(standing.len());
-    for &id in standing {
-        let (shard, row) = locate(table, id)?;
-        s.push(make(&table.shard(shard).host(), row, id));
-    }
-    delegates.push(s);
-    local.push(SimTime::ZERO);
-    serving.push(merge_dev);
-    let m = ship_and_merge(
-        cluster,
-        delegates,
-        &local,
-        &serving,
-        merge_dev,
-        k,
-        BitonicConfig::default(),
-        max_retries,
-    )?;
-    Ok((
-        m.items.iter().map(&value).collect(),
-        m.transfer_done + m.merge_time,
-    ))
 }
 
 #[cfg(test)]
@@ -980,5 +680,100 @@ mod tests {
         assert_eq!(view.stats().delta_merges, 2);
         let hit = view.refresh_sharded(&cluster, &table, 2).unwrap();
         assert_eq!(hit.mode, ViewMode::Current);
+    }
+
+    /// One view, every placement: the same random append sequence is
+    /// refreshed on a device, on the CPU engine and on 4-device clusters
+    /// (r = 1 and r = 2, range and hash partitioning — range leaves most
+    /// shards with empty deltas). Every placement returns the rescan
+    /// oracle's ids and walks the same modes with the same ledger: one
+    /// maintenance skeleton decides for all of them.
+    #[test]
+    fn one_view_every_placement() {
+        use crate::shard::PartitionPolicy::{Hash, Range};
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+
+        let mut rng = SmallRng::seed_from_u64(23);
+        let n0 = 3_000;
+        let batches: Vec<usize> = (0..6).map(|_| rng.gen_range(1..=n0)).collect();
+        let cap = n0 + batches.iter().sum::<usize>();
+        let host = TweetTable::generate(n0, 47);
+        let dev = Device::titan_x();
+        let gpu = GpuTweetTable::upload_with_capacity(&dev, &host, cap);
+        let cpu_be = ExecBackend::cpu(2);
+        let cpu = BackendTable::load(&cpu_be, &host);
+        let clusters: Vec<(Cluster, ShardedTable)> = [(1, Range), (1, Hash), (2, Range), (2, Hash)]
+            .into_iter()
+            .map(|(r, policy)| {
+                let cluster = Cluster::new(ClusterSpec::pcie_node(4));
+                let table = ShardedTable::partition_replicated_with_capacity(
+                    &cluster,
+                    &host,
+                    policy,
+                    ReplicationFactor(r),
+                    cap,
+                )
+                .unwrap();
+                (cluster, table)
+            })
+            .collect();
+        // views[shape][placement]: device, CPU, then one per cluster
+        let views: Vec<Vec<TopKView>> = SHAPES
+            .iter()
+            .map(|sql| {
+                (0..2 + clusters.len())
+                    .map(|_| {
+                        TopKView::register(sql, Strategy::StageBitonic, ViewConfig::default())
+                            .unwrap()
+                    })
+                    .collect()
+            })
+            .collect();
+
+        let mut rows = n0;
+        for step in 0..=batches.len() + 1 {
+            // step 0 builds, the last step appends nothing
+            if let Some(&b) = step.checked_sub(1).and_then(|i| batches.get(i)) {
+                let batch = TweetTable::generate_at(b, 500 + step as u64, rows as u32);
+                gpu.append_batch(&dev, &batch).unwrap();
+                cpu.append_batch(&cpu_be, &batch).unwrap();
+                for (cluster, table) in &clusters {
+                    table.append_batch(cluster, &batch).unwrap();
+                }
+                rows += b;
+            }
+            for (sql, vs) in SHAPES.iter().zip(&views) {
+                let oracle = execute(&dev, &gpu, vs[0].query(), Strategy::StageBitonic)
+                    .unwrap()
+                    .ids;
+                let mut refreshed = vec![
+                    vs[0].refresh(&dev, &gpu).unwrap(),
+                    vs[1].refresh_on(&cpu_be, &cpu).unwrap(),
+                ];
+                for ((cluster, table), v) in clusters.iter().zip(&vs[2..]) {
+                    refreshed.push(v.refresh_sharded(cluster, table, 1).unwrap());
+                }
+                for (p, r) in refreshed.iter().enumerate() {
+                    assert_eq!(r.ids, oracle, "{sql}: placement {p} at step {step}");
+                    assert_eq!(
+                        r.mode, refreshed[0].mode,
+                        "{sql}: placement {p} at step {step}"
+                    );
+                    assert_eq!(r.delta_rows, refreshed[0].delta_rows);
+                    assert_eq!(r.epoch, refreshed[0].epoch);
+                }
+            }
+        }
+        for (sql, vs) in SHAPES.iter().zip(&views) {
+            let s = vs[0].stats();
+            assert!(
+                s.delta_merges > 0 && s.rescans > 1,
+                "{sql}: {s:?} walks both paths"
+            );
+            assert_eq!(s.current_hits, 1, "{sql}");
+            for v in vs {
+                assert_eq!(v.stats(), s, "{sql}");
+            }
+        }
     }
 }

@@ -9,7 +9,7 @@
 //! keys its validity on that epoch (or on the buffers' contents
 //! version, which every append also bumps).
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 
 use datagen::twitter::TweetTable;
 use simt::{Device, GpuBuffer, SimTime};
@@ -207,64 +207,34 @@ impl GpuTweetTable {
     pub fn epoch(&self) -> u64 {
         self.epoch.get()
     }
-}
 
-struct CpuTableInner {
-    rows: std::cell::RefCell<TweetTable>,
-    epoch: Cell<u64>,
-}
-
-/// The host-resident tweet table the CPU backend executes against —
-/// reference-counted so handles are as cheap to clone as [`GpuBuffer`]s.
-#[derive(Clone)]
-pub struct CpuTweetTable {
-    inner: std::rc::Rc<CpuTableInner>,
-}
-
-impl CpuTweetTable {
-    /// Pins a host table for CPU execution (one copy; clones share it).
-    pub fn load(t: &TweetTable) -> Self {
-        Self {
-            inner: std::rc::Rc::new(CpuTableInner {
-                rows: std::cell::RefCell::new(t.clone()),
-                epoch: Cell::new(0),
-            }),
+    /// The row holding tweet `id`, found by a binary search over the
+    /// resident id column in place (ids are strictly increasing), with
+    /// no host copy of the column.
+    pub(crate) fn find_row(&self, id: u32) -> Option<usize> {
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.id.get(mid).cmp(&id) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return Some(mid),
+            }
         }
+        None
     }
+}
 
-    /// The underlying columns.
-    pub fn rows(&self) -> std::cell::Ref<'_, TweetTable> {
-        self.inner.rows.borrow()
-    }
-
-    /// Appends an arrival batch. The CPU backend's twin of
-    /// [`GpuTweetTable::append_batch`]: same epoch semantics, but host
-    /// memory has no modeled wire so the transfer time is zero.
-    pub fn append_batch(&self, batch: &TweetTable) -> AppendReceipt {
-        self.inner.rows.borrow_mut().extend_from(batch);
-        let epoch = self.inner.epoch.get() + 1;
-        self.inner.epoch.set(epoch);
-        AppendReceipt {
-            rows: batch.len(),
-            bytes: batch.len() * ROW_BYTES,
-            transfer_time: SimTime::ZERO,
-            epoch,
-        }
-    }
-
-    /// Monotonic data epoch (see [`GpuTweetTable::epoch`]).
-    pub fn epoch(&self) -> u64 {
-        self.inner.epoch.get()
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.inner.rows.borrow().len()
-    }
-
-    /// True when the table has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+/// Rows `rows` of `t`, in that order, as a standalone host table — how
+/// partitions, routed append batches and host-side delta scans are cut.
+pub(crate) fn host_rows(t: &TweetTable, rows: impl Iterator<Item = usize> + Clone) -> TweetTable {
+    TweetTable {
+        id: rows.clone().map(|r| t.id[r]).collect(),
+        tweet_time: rows.clone().map(|r| t.tweet_time[r]).collect(),
+        retweet_count: rows.clone().map(|r| t.retweet_count[r]).collect(),
+        likes_count: rows.clone().map(|r| t.likes_count[r]).collect(),
+        lang: rows.clone().map(|r| t.lang[r]).collect(),
+        uid: rows.map(|r| t.uid[r]).collect(),
     }
 }
 
@@ -273,8 +243,13 @@ impl CpuTweetTable {
 pub enum BackendTable {
     /// Columns in simulated device memory.
     Simt(GpuTweetTable),
-    /// Columns in host memory.
-    Cpu(CpuTweetTable),
+    /// Columns in host memory, executed on by the CPU engine.
+    Cpu {
+        /// The host columns (appends extend them in place).
+        rows: RefCell<TweetTable>,
+        /// Monotonic data epoch (see [`GpuTweetTable::epoch`]).
+        epoch: Cell<u64>,
+    },
 }
 
 impl BackendTable {
@@ -295,12 +270,17 @@ impl BackendTable {
             topk::ExecBackend::Simt(b) => {
                 BackendTable::Simt(GpuTweetTable::upload_with_capacity(b.device(), t, cap_rows))
             }
-            topk::ExecBackend::Cpu(_) => BackendTable::Cpu(CpuTweetTable::load(t)),
+            topk::ExecBackend::Cpu(_) => BackendTable::Cpu {
+                rows: RefCell::new(t.clone()),
+                epoch: Cell::new(0),
+            },
         }
     }
 
     /// Appends an arrival batch on whichever backend holds the columns.
-    /// The backend must match the one the table was loaded on.
+    /// The backend must match the one the table was loaded on. Host
+    /// memory has no modeled wire, so a CPU append's transfer time is
+    /// zero; its epoch semantics are the device table's.
     pub fn append_batch(
         &self,
         backend: &topk::ExecBackend<'_>,
@@ -310,20 +290,34 @@ impl BackendTable {
             (BackendTable::Simt(t), topk::ExecBackend::Simt(b)) => {
                 t.append_batch(b.device(), batch)
             }
-            (BackendTable::Cpu(t), topk::ExecBackend::Cpu(_)) => Ok(t.append_batch(batch)),
-            (t, _) => Err(topk::TopKError::BackendMismatch {
-                backend: backend.kind().name(),
-                buffer: t.kind().name(),
+            (BackendTable::Cpu { rows, epoch }, topk::ExecBackend::Cpu(_)) => {
+                rows.borrow_mut().extend_from(batch);
+                epoch.set(epoch.get() + 1);
+                Ok(AppendReceipt {
+                    rows: batch.len(),
+                    bytes: batch.len() * ROW_BYTES,
+                    transfer_time: SimTime::ZERO,
+                    epoch: epoch.get(),
+                })
             }
-            .into()),
+            _ => Err(self.mismatch(backend)),
         }
+    }
+
+    /// The typed error for a table handed to the other backend.
+    pub(crate) fn mismatch(&self, backend: &topk::ExecBackend<'_>) -> QdbError {
+        topk::TopKError::BackendMismatch {
+            backend: backend.kind().name(),
+            buffer: self.kind().name(),
+        }
+        .into()
     }
 
     /// Monotonic data epoch (see [`GpuTweetTable::epoch`]).
     pub fn epoch(&self) -> u64 {
         match self {
             BackendTable::Simt(t) => t.epoch(),
-            BackendTable::Cpu(t) => t.epoch(),
+            BackendTable::Cpu { epoch, .. } => epoch.get(),
         }
     }
 
@@ -331,23 +325,7 @@ impl BackendTable {
     pub fn kind(&self) -> topk::BackendKind {
         match self {
             BackendTable::Simt(_) => topk::BackendKind::Simt,
-            BackendTable::Cpu(_) => topk::BackendKind::Cpu,
-        }
-    }
-
-    /// The device-resident table, when on the simulator.
-    pub fn as_simt(&self) -> Option<&GpuTweetTable> {
-        match self {
-            BackendTable::Simt(t) => Some(t),
-            BackendTable::Cpu(_) => None,
-        }
-    }
-
-    /// The host-resident table, when on the CPU.
-    pub fn as_cpu(&self) -> Option<&CpuTweetTable> {
-        match self {
-            BackendTable::Cpu(t) => Some(t),
-            BackendTable::Simt(_) => None,
+            BackendTable::Cpu { .. } => topk::BackendKind::Cpu,
         }
     }
 
@@ -355,7 +333,7 @@ impl BackendTable {
     pub fn len(&self) -> usize {
         match self {
             BackendTable::Simt(t) => t.len(),
-            BackendTable::Cpu(t) => t.len(),
+            BackendTable::Cpu { rows, .. } => rows.borrow().len(),
         }
     }
 
@@ -377,9 +355,8 @@ mod tests {
         let cpu = BackendTable::load(&topk::ExecBackend::cpu(2), &host);
         assert_eq!(sim.len(), 500);
         assert_eq!(cpu.len(), 500);
-        assert!(sim.as_simt().is_some() && sim.as_cpu().is_none());
-        assert!(cpu.as_cpu().is_some() && cpu.as_simt().is_none());
-        assert_eq!(cpu.as_cpu().unwrap().rows().uid, host.uid);
+        assert!(matches!(&sim, BackendTable::Simt(t) if t.uid.to_vec() == host.uid));
+        assert!(matches!(&cpu, BackendTable::Cpu { rows, .. } if rows.borrow().uid == host.uid));
         assert_eq!(sim.kind(), topk::BackendKind::Simt);
         assert!(!cpu.is_empty());
     }
@@ -447,7 +424,7 @@ mod tests {
         assert_eq!((sim.epoch(), cpu.epoch()), (1, 1));
         assert_eq!(sim.len(), 500);
         assert_eq!(cpu.len(), 500);
-        assert_eq!(cpu.as_cpu().unwrap().rows().id[499], 499);
+        assert!(matches!(&cpu, BackendTable::Cpu { rows, .. } if rows.borrow().id[499] == 499));
         // a backend mismatch is typed, not a panic
         assert!(sim.append_batch(&cpu_be, &batch).is_err());
     }
