@@ -1,10 +1,14 @@
 //! Criterion benchmarks of the simulator itself: how fast the
 //! warp-lockstep replay processes tracked accesses, on both of its paths,
-//! and what the bulk path costs by comparison. (Host wall-clock of the
-//! simulation, not simulated time.)
+//! and what the bulk path costs by comparison; then one bitonic read on
+//! the metered path and on the lane path it replaces outside sanitizer
+//! and lint runs. (Host wall-clock of the simulation, not simulated
+//! time; each line reports host time per element.)
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use datagen::{Distribution, Uniform};
 use simt::{BlockCtx, Device, DeviceSpec, GpuBuffer, Kernel};
+use topk::TopKRequest;
 
 /// Streams the data through shared memory with 16 tracked reads and 16
 /// tracked writes per lane. Unpermuted, every warp's accesses are warp
@@ -72,7 +76,7 @@ fn bench_simulator(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("simulator");
     g.sample_size(20);
-    g.throughput(criterion::Throughput::Elements(2 * n as u64));
+    g.throughput(Throughput::Elements(2 * n as u64));
     for (id, permuted) in [("tracked_reused", false), ("tracked_replayed", true)] {
         g.bench_function(id, |b| {
             b.iter(|| {
@@ -87,5 +91,32 @@ fn bench_simulator(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_simulator);
+/// A k = 64 bitonic read of 2^16 uniform f32 keys, once on a plain
+/// device, which meters the reducers (charged from their contract, run
+/// on host slices), and once under lint capture, which replays every
+/// lane.
+fn bench_bitonic_read(c: &mut Criterion) {
+    let n = 1 << 16;
+    let data: Vec<f32> = Uniform.generate(n, 11);
+    let mut g = c.benchmark_group("bitonic_read");
+    g.sample_size(20);
+    g.throughput(Throughput::Elements(n as u64));
+    for (id, lint) in [("metered", false), ("lane_replay", true)] {
+        let dev = Device::titan_x();
+        if lint {
+            dev.enable_lint();
+        }
+        let input = dev.upload(&data);
+        g.bench_function(id, |b| {
+            b.iter(|| {
+                // lint reports accumulate per launch; keep them bounded
+                dev.take_lint_reports();
+                TopKRequest::largest(64).run(&dev, &input).unwrap()
+            })
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_simulator, bench_bitonic_read);
 criterion_main!(benches);

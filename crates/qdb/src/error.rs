@@ -227,6 +227,10 @@ impl From<TopKError> for QdbError {
                 attempts: 1,
                 device: None,
             },
+            // qdb builds its algorithm configs itself
+            e @ TopKError::InvalidConfig { .. } => QdbError::Internal {
+                what: e.to_string(),
+            },
         }
     }
 }

@@ -96,6 +96,20 @@ impl<T: DeviceCopy> GpuBuffer<T> {
         self.inner.data.borrow()[range].to_vec()
     }
 
+    /// Copies a range into `out`, replacing its contents: a reused host
+    /// scratch instead of a fresh `Vec` per read.
+    pub fn read_range_into(&self, range: std::ops::Range<usize>, out: &mut Vec<T>) {
+        out.clear();
+        out.extend_from_slice(&self.inner.data.borrow()[range]);
+    }
+
+    /// Overwrites the elements from `start` on with `src` (no traffic
+    /// accounting): one mutation, so one [`Self::contents_version`] bump.
+    pub fn write_range(&self, start: usize, src: &[T]) {
+        self.inner.data.borrow_mut()[start..start + src.len()].copy_from_slice(src);
+        self.inner.bump_version();
+    }
+
     /// Host-side element read (no traffic accounting; use [`crate::Lane`]
     /// inside kernels).
     pub fn get(&self, idx: usize) -> T {
@@ -364,7 +378,13 @@ mod tests {
         let _ = buf.to_vec();
         let _ = buf.get(0);
         let _ = buf.read_range(0..2);
+        let mut scratch = vec![7u32; 5];
+        buf.read_range_into(1..3, &mut scratch);
+        assert_eq!(scratch, vec![5, 3]);
         assert_eq!(buf.contents_version(), v3);
+        buf.write_range(1, &[8, 9]);
+        assert_eq!(buf.to_vec(), vec![4, 8, 9]);
+        assert_eq!(buf.contents_version(), v3 + 1, "a range write bumps once");
     }
 
     #[test]

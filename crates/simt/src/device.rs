@@ -2,12 +2,13 @@
 //! bandwidth-based timing model.
 
 use std::cell::{Cell, RefCell};
+use std::collections::HashMap;
 use std::rc::Rc;
 
 use crate::block::BlockCtx;
 use crate::buffer::{DeviceCopy, GpuBuffer};
 use crate::fault::{attribute, EccTarget, FaultEvent, FaultKind, FaultPlan, FaultState};
-use crate::lint::{self, AccessSpec, LintConfig, LintReport, StaticPrediction};
+use crate::lint::{self, AccessSpec, LaunchGeometry, LintConfig, LintReport, PhaseSpec};
 use crate::occupancy::Occupancy;
 use crate::sanitize::{LaunchSanitizer, SanitizeConfig, SanitizerReport};
 use crate::spec::DeviceSpec;
@@ -58,8 +59,81 @@ pub trait Kernel {
         None
     }
 
+    /// The kernel's metered form, when its contract is exact (see
+    /// [`Metered`]). `None`, the default, always replays lanes.
+    fn metered(&self) -> Option<&dyn Metered> {
+        None
+    }
+
     /// Executes one block.
     fn run_block(&self, blk: &mut BlockCtx);
+}
+
+/// A kernel whose declared contract is exact: its accesses do not depend
+/// on the data, and its streamed contract predicts every counter the lane
+/// replay measures (each barrier interval declares its compute ops).
+///
+/// [`Device::launch`] charges such a launch from that prediction, memoized
+/// per launch shape, and runs it on host memory instead of through
+/// per-lane closures. The lane path stays the reference: a device with a
+/// sanitizer or lint capture attached replays lanes, and debug builds run
+/// both paths on every metered launch and assert they agree.
+pub trait Metered {
+    /// Everything the prediction depends on besides the kernel name, the
+    /// grid and block dims and the device: the schedule, the element sizes
+    /// and the buffers' base addresses modulo 32. Launches with equal keys
+    /// must predict equal counters.
+    fn meter_key(&self) -> Vec<u64>;
+
+    /// Streams the contract to `sink`, one barrier interval per piece, in
+    /// launch order. [`AccessSpec::collect`] over it is the kernel's
+    /// [`Kernel::access_spec`].
+    fn contract(&self, sink: &mut dyn FnMut(PhaseSpec));
+
+    /// Runs every block, in grid order, on host memory: writes exactly the
+    /// elements the lane path writes, and charges nothing.
+    fn run_host(&self);
+
+    /// Runs the launch on both paths from the same starting contents:
+    /// [`Metered::run_host`], then the lane path through `lanes`, which
+    /// runs every block and returns the replayed counters. Panics unless
+    /// both wrote the same elements; leaves the lane path's writes in
+    /// place and returns its counters. Debug builds call this instead of
+    /// `run_host`.
+    fn run_both(&self, lanes: &mut dyn FnMut() -> KernelStats) -> KernelStats;
+}
+
+/// Launch shapes a device's meter memoizes; a full memo is cleared before
+/// the next insert, so it stays bounded however long the device runs.
+const METER_MEMO_CAP: usize = 256;
+
+/// The shape of a metered launch: with the device's fixed spec, every
+/// input of its prediction. Compared by equality, never by hash alone.
+#[derive(PartialEq, Eq, Hash)]
+struct MeterKey {
+    kernel: &'static str,
+    grid_dim: usize,
+    block_dim: usize,
+    words: Vec<u64>,
+}
+
+/// The meter's memo and its counters.
+#[derive(Default)]
+struct Meter {
+    memo: HashMap<MeterKey, KernelStats>,
+    launches: u64,
+    hits: u64,
+}
+
+/// What a device's meter has done so far (see [`Device::meter_stats`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct MeterStats {
+    /// Launches charged from their contract instead of replayed.
+    pub launches: u64,
+    /// Of those, launches whose prediction was memoized.
+    pub hits: u64,
+    /// Launch shapes memoized now (at most 256).
+    pub entries: usize,
 }
 
 /// Device memory exhaustion.
@@ -185,7 +259,7 @@ pub struct LaunchReport {
     /// Static counter prediction from the kernel's [`AccessSpec`],
     /// populated only when the device's lint capture is enabled (see
     /// [`Device::enable_lint`]) and the kernel declares a spec.
-    pub static_pred: Option<StaticPrediction>,
+    pub static_pred: Option<KernelStats>,
 }
 
 impl LaunchReport {
@@ -219,7 +293,7 @@ pub struct LaunchWindow {
     /// Static predictions summed across the window — `Some` only when
     /// every launch in the window carries one (lint capture was on and
     /// every kernel declared an [`AccessSpec`]).
-    pub static_pred: Option<StaticPrediction>,
+    pub static_pred: Option<KernelStats>,
 }
 
 impl LaunchWindow {
@@ -231,7 +305,7 @@ impl LaunchWindow {
             ..LaunchWindow::default()
         };
         let mut occ_time = 0.0;
-        let mut preds = StaticPrediction::default();
+        let mut preds = KernelStats::default();
         let mut all_pred = !reports.is_empty();
         for r in reports {
             w.time += r.time;
@@ -291,6 +365,8 @@ pub(crate) struct DeviceInner {
     /// Host→device ingest transfers charged via [`Device::ingest_transfer`]
     /// (streaming appends), in charge order.
     ingests: RefCell<Vec<IngestRecord>>,
+    /// Predicted counters of metered launches, by launch shape.
+    meter: RefCell<Meter>,
 }
 
 /// One host→device ingest transfer charged against this device by a
@@ -502,6 +578,7 @@ impl Device {
                 ecc_targets: RefCell::new(Vec::new()),
                 down: Cell::new(false),
                 ingests: RefCell::new(Vec::new()),
+                meter: RefCell::new(Meter::default()),
             }),
         }
     }
@@ -626,6 +703,11 @@ impl Device {
     }
 
     /// Launches a kernel, executing every block and deriving modeled time.
+    ///
+    /// A [`Metered`] kernel runs on host memory and is charged from its
+    /// contract, unless a sanitizer or lint capture is attached; every
+    /// other launch replays its lanes. Both yield the same counters and
+    /// the same memory contents.
     pub fn launch<K: Kernel>(&self, kernel: &K) -> Result<LaunchReport, LaunchError> {
         if self.is_down() {
             return Err(LaunchError::DeviceDown {
@@ -679,21 +761,15 @@ impl Device {
             .clone()
             .map(|cfg| Rc::new(RefCell::new(LaunchSanitizer::new(cfg, kernel.name()))));
 
-        let mut stats = KernelStats::default();
-        let mut ctx = BlockCtx::new(spec, 0, grid_dim, block_dim);
-        if let Some(s) = &san {
-            ctx.set_sanitizer(Rc::clone(s));
-        }
-        for b in 0..grid_dim {
-            if let Some(s) = &san {
-                s.borrow_mut().begin_block(b);
-            }
-            ctx.begin_block(b);
-            kernel.run_block(&mut ctx);
-            stats.merge(&ctx.take_stats());
-        }
-        // releases the context's sanitizer handle for the unwrap below
-        drop(ctx);
+        // sanitizer and lint runs check the lane path itself, so only a
+        // plain device meters
+        let metered = kernel
+            .metered()
+            .filter(|_| san.is_none() && !self.lint_enabled());
+        let stats = match metered {
+            Some(m) => self.run_metered(kernel, m),
+            None => self.run_lanes(kernel, san.as_ref()),
+        };
 
         let occupancy = Occupancy::compute(&spec, block_dim, shared, kernel.regs_per_thread());
         if let Some(s) = san {
@@ -719,6 +795,84 @@ impl Device {
             .set(self.inner.total_time.get() + report.time);
         self.inner.log.borrow_mut().push(report.clone());
         Ok(report)
+    }
+
+    /// Runs every block of `kernel` through the lane path, under `san`
+    /// when given, and returns the replayed counters. The block context,
+    /// and with it its handle on the sanitizer, is dropped on return.
+    fn run_lanes<K: Kernel>(
+        &self,
+        kernel: &K,
+        san: Option<&Rc<RefCell<LaunchSanitizer>>>,
+    ) -> KernelStats {
+        let grid_dim = kernel.grid_dim();
+        let mut stats = KernelStats::default();
+        let mut ctx = BlockCtx::new(self.inner.spec, 0, grid_dim, kernel.block_dim());
+        if let Some(s) = san {
+            ctx.set_sanitizer(Rc::clone(s));
+        }
+        for b in 0..grid_dim {
+            if let Some(s) = san {
+                s.borrow_mut().begin_block(b);
+            }
+            ctx.begin_block(b);
+            kernel.run_block(&mut ctx);
+            stats.merge(&ctx.take_stats());
+        }
+        stats
+    }
+
+    /// Charges a metered launch from its prediction, memoized per launch
+    /// shape, and runs it on host memory. Debug builds also replay its
+    /// lanes and assert both paths agree on counters and written elements.
+    fn run_metered<K: Kernel>(&self, kernel: &K, m: &dyn Metered) -> KernelStats {
+        let key = MeterKey {
+            kernel: kernel.name(),
+            grid_dim: kernel.grid_dim(),
+            block_dim: kernel.block_dim(),
+            words: m.meter_key(),
+        };
+        let memoized = {
+            let mut meter = self.inner.meter.borrow_mut();
+            meter.launches += 1;
+            let hit = meter.memo.get(&key).copied();
+            meter.hits += u64::from(hit.is_some());
+            hit
+        };
+        let stats = memoized.unwrap_or_else(|| {
+            let geom = LaunchGeometry::of(kernel);
+            let pred = lint::predict_streamed(&self.inner.spec, &geom, |sink| m.contract(sink));
+            let mut meter = self.inner.meter.borrow_mut();
+            if meter.memo.len() >= METER_MEMO_CAP {
+                meter.memo.clear();
+            }
+            meter.memo.insert(key, pred);
+            pred
+        });
+        if cfg!(debug_assertions) {
+            let replayed = m.run_both(&mut || self.run_lanes(kernel, None));
+            debug_assert_eq!(
+                stats,
+                replayed,
+                "metered launch of `{}` charged other counters than its lane replay",
+                kernel.name()
+            );
+        } else {
+            m.run_host();
+        }
+        stats
+    }
+
+    /// How many launches were metered (see [`Metered`]), how many of
+    /// those found their prediction memoized, and how many launch shapes
+    /// the memo holds.
+    pub fn meter_stats(&self) -> MeterStats {
+        let meter = self.inner.meter.borrow();
+        MeterStats {
+            launches: meter.launches,
+            hits: meter.hits,
+            entries: meter.memo.len(),
+        }
     }
 
     /// Installs a fault plan: subsequent launches and fallible
@@ -1124,6 +1278,7 @@ impl Default for Device {
 mod tests {
     use super::*;
     use crate::block::SharedHandle;
+    use crate::lint::{BufferDecl, GlobalStream};
 
     /// Doubles every element, grid-strided.
     struct DoubleKernel {
@@ -1399,6 +1554,164 @@ mod tests {
         let e = dev.window_since(dev.log_len());
         assert_eq!(e.launches, 0);
         assert_eq!(e.time_weighted_occupancy, 0.0);
+    }
+
+    /// Adds one to every element of `input` into `output`, one element
+    /// per tracked lane. Metered; `tag` tells otherwise equal launch
+    /// shapes apart.
+    struct MeteredIncrement {
+        input: GpuBuffer<u32>,
+        output: GpuBuffer<u32>,
+        grid: usize,
+        tag: u64,
+    }
+
+    impl MeteredIncrement {
+        fn new(dev: &Device, grid: usize, tag: u64) -> Self {
+            let n = grid as u32 * 32;
+            MeteredIncrement {
+                input: dev.upload(&(0..n).map(|i| i * 7 % 13).collect::<Vec<_>>()),
+                output: dev.alloc(grid * 32),
+                grid,
+                tag,
+            }
+        }
+
+        fn stream(&self, label: &'static str, buf: &GpuBuffer<u32>, write: bool) -> GlobalStream {
+            GlobalStream {
+                buf: BufferDecl::of(label, buf),
+                write,
+                base: 0,
+                lane_stride: 1,
+                slot_stride: 0,
+                slots: 1,
+                block_stride: 32,
+                active: 32,
+                bound: None,
+            }
+        }
+    }
+
+    impl Kernel for MeteredIncrement {
+        fn name(&self) -> &'static str {
+            "metered_increment"
+        }
+        fn block_dim(&self) -> usize {
+            32
+        }
+        fn grid_dim(&self) -> usize {
+            self.grid
+        }
+        fn access_spec(&self) -> Option<AccessSpec> {
+            Some(AccessSpec::collect(|sink| self.contract(sink)))
+        }
+        fn metered(&self) -> Option<&dyn Metered> {
+            Some(self)
+        }
+        fn run_block(&self, blk: &mut BlockCtx) {
+            blk.step(|l| {
+                let i = l.gtid();
+                let v = l.gread(&self.input, i);
+                l.gwrite(&self.output, i, v + 1);
+                l.ops(2);
+            });
+        }
+    }
+
+    impl Metered for MeteredIncrement {
+        fn meter_key(&self) -> Vec<u64> {
+            vec![
+                self.tag,
+                self.input.base_addr() % 32,
+                self.output.base_addr() % 32,
+            ]
+        }
+        fn contract(&self, sink: &mut dyn FnMut(PhaseSpec)) {
+            sink(PhaseSpec {
+                name: "increment".into(),
+                globals: vec![
+                    self.stream("input", &self.input, false),
+                    self.stream("output", &self.output, true),
+                ],
+                shared_steps: vec![crate::SharedStep {
+                    lanes: Vec::new(),
+                    ops: 2 * 32,
+                }],
+                ..PhaseSpec::default()
+            });
+        }
+        fn run_host(&self) {
+            let mut v = Vec::new();
+            self.input.read_range_into(0..self.grid * 32, &mut v);
+            v.iter_mut().for_each(|x| *x += 1);
+            self.output.write_range(0, &v);
+        }
+        fn run_both(&self, lanes: &mut dyn FnMut() -> KernelStats) -> KernelStats {
+            let before = self.output.to_vec();
+            self.run_host();
+            let host = self.output.to_vec();
+            self.output.upload(&before);
+            let stats = lanes();
+            assert_eq!(self.output.to_vec(), host, "paths wrote different elements");
+            stats
+        }
+    }
+
+    #[test]
+    fn metered_launch_charges_what_the_lanes_replay() {
+        let metered = Device::titan_x();
+        let replayed = Device::titan_x();
+        replayed.enable_lint();
+        let (a, b) = (
+            MeteredIncrement::new(&metered, 5, 0),
+            MeteredIncrement::new(&replayed, 5, 0),
+        );
+        let ra = metered.launch(&a).unwrap();
+        let rb = replayed.launch(&b).unwrap();
+        assert_eq!(ra.stats, rb.stats);
+        assert_eq!(ra.time.0.to_bits(), rb.time.0.to_bits());
+        assert_eq!(rb.static_pred, Some(rb.stats), "the contract is exact");
+        assert_eq!(ra.stats.steps, 5);
+        assert_eq!(ra.stats.compute_ops, 5 * 64);
+        assert_eq!(a.output.to_vec(), b.output.to_vec());
+        assert_eq!(a.output.get(33), b.input.get(33) + 1);
+        // the lint-capture device replayed; the plain one metered
+        assert_eq!(replayed.meter_stats().launches, 0);
+        assert_eq!(metered.meter_stats().launches, 1);
+        // a second launch of the same shape is charged from the memo
+        metered.launch(&a).unwrap();
+        assert_eq!(
+            metered.meter_stats(),
+            MeterStats {
+                launches: 2,
+                hits: 1,
+                entries: 1
+            }
+        );
+        // a sanitizer needs the lane path too
+        let (_, srep) = metered.launch_sanitized(&a).unwrap();
+        assert!(srep.is_clean(), "{}", srep.render());
+        assert_eq!(metered.meter_stats().launches, 2);
+    }
+
+    #[test]
+    fn meter_memo_stays_bounded() {
+        let dev = Device::titan_x();
+        let k = MeteredIncrement::new(&dev, 1, 0);
+        for tag in 0..10 * METER_MEMO_CAP as u64 {
+            dev.launch(&MeteredIncrement {
+                input: k.input.clone(),
+                output: k.output.clone(),
+                grid: 1,
+                tag,
+            })
+            .unwrap();
+            assert!(dev.meter_stats().entries <= METER_MEMO_CAP);
+        }
+        let st = dev.meter_stats();
+        assert_eq!(st.launches, 10 * METER_MEMO_CAP as u64);
+        assert_eq!(st.hits, 0, "every shape was new");
+        assert_eq!(st.entries, METER_MEMO_CAP);
     }
 
     #[test]

@@ -36,6 +36,12 @@
 //! histograms, scatter passes) can skip per-access tracking and charge
 //! aggregate traffic through the `bulk_*` methods, which feed the same
 //! counters.
+//!
+//! A kernel whose accesses do not depend on the data can declare its
+//! contract exact by implementing [`Metered`]. A plain device then
+//! charges its launches from the contract's prediction, memoized per
+//! launch shape, and runs them on host memory; the lane path above
+//! stays the reference whenever a sanitizer or lint capture is attached.
 
 pub mod block;
 pub mod buffer;
@@ -53,12 +59,13 @@ pub mod trace;
 pub use block::{BlockCtx, Lane, SharedHandle};
 pub use buffer::{DeviceCopy, GpuBuffer, MappedBuffer, TransparentWrapper};
 pub use device::{
-    Device, IngestRecord, Kernel, LaunchError, LaunchReport, LaunchWindow, OutOfMemory,
+    Device, IngestRecord, Kernel, LaunchError, LaunchReport, LaunchWindow, MeterStats, Metered,
+    OutOfMemory,
 };
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use lint::{
     AccessSpec, BufferDecl, BulkAccess, GlobalStream, LaunchGeometry, LintConfig, LintFinding,
-    LintKind, LintReport, PhaseSpec, SharedEv, SharedStep, StaticPrediction,
+    LintKind, LintReport, PhaseSpec, SharedEv, SharedStep,
 };
 pub use occupancy::Occupancy;
 pub use sanitize::{Finding, FindingKind, SanitizeConfig, SanitizerReport, Severity};

@@ -12,10 +12,12 @@
 //!   shared memory per block, register file),
 //! * computes a **static occupancy bound** (and flags configurations
 //!   below the threshold unless the kernel carries a waiver),
-//! * predicts **sectors-per-access** and **bank-conflict degree** from
-//!   the declared strides, with the exact integer arithmetic the
+//! * predicts **every [`KernelStats`] counter** from the declared strides
+//!   and per-interval compute, with the exact integer arithmetic the
 //!   simulator's replay uses — so predictions can be cross-checked
-//!   bit-for-bit against measured [`KernelStats`],
+//!   bit-for-bit against measured counters, and a kernel whose contract
+//!   is exact can be charged from it instead of replayed (see
+//!   [`crate::Metered`]),
 //! * **proves in-bounds access** for static index expressions (including
 //!   k-padding sentinel slots), and
 //! * flags **barrier-in-divergent-branch** hazards declared by the
@@ -189,84 +191,20 @@ impl std::fmt::Display for LintFinding {
     }
 }
 
-/// Statically predicted machine counters for one launch — the subset of
-/// [`KernelStats`] that is derivable from an [`AccessSpec`] alone.
-///
-/// The derived metrics use the *same* formulas (including special
-/// cases) as [`KernelStats::sectors_per_access`] and
-/// [`KernelStats::avg_conflict_degree`], so a correct spec reproduces
-/// the dynamic measurements bit-for-bit.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct StaticPrediction {
-    /// Predicted coalesced 32-byte sectors (tracked accesses only).
-    pub global_sectors: u64,
-    /// Predicted raw lane-level global accesses.
-    pub global_accesses: u64,
-    /// Predicted coalesced global read bytes (tracked accesses only).
-    pub global_read_bytes: u64,
-    /// Predicted coalesced global write bytes (tracked accesses only).
-    pub global_write_bytes: u64,
-    /// Predicted conflict-degree-weighted shared bytes.
-    pub shared_eff_bytes: u64,
-    /// Predicted raw lane-level shared accesses.
-    pub shared_accesses: u64,
-    /// Predicted warp/slot groups with a bank conflict.
-    pub shared_conflict_groups: u64,
-    /// Predicted extra cycles lost to conflicts (degree − 1 per group).
-    pub shared_conflict_cycles: u64,
-}
-
-impl StaticPrediction {
-    /// Merges another prediction into this one (launch-window
-    /// aggregation).
-    pub fn merge(&mut self, other: &StaticPrediction) {
-        self.global_sectors += other.global_sectors;
-        self.global_accesses += other.global_accesses;
-        self.global_read_bytes += other.global_read_bytes;
-        self.global_write_bytes += other.global_write_bytes;
-        self.shared_eff_bytes += other.shared_eff_bytes;
-        self.shared_accesses += other.shared_accesses;
-        self.shared_conflict_groups += other.shared_conflict_groups;
-        self.shared_conflict_cycles += other.shared_conflict_cycles;
-    }
-
-    /// Predicted sectors per raw global access — identical formula to
-    /// [`KernelStats::sectors_per_access`] (0 when no tracked accesses).
-    pub fn sectors_per_access(&self) -> f64 {
-        if self.global_accesses == 0 {
-            0.0
-        } else {
-            self.global_sectors as f64 / self.global_accesses as f64
-        }
-    }
-
-    /// Predicted average bank-conflict degree — identical formula to
-    /// [`KernelStats::avg_conflict_degree`] (1.0 when conflict-free).
-    pub fn avg_conflict_degree(&self) -> f64 {
-        let groups = self.shared_eff_bytes / 128;
-        if groups == 0 {
-            return 1.0;
-        }
-        let base_groups = groups - self.shared_conflict_cycles;
-        if base_groups == 0 {
-            1.0
-        } else {
-            groups as f64 / base_groups as f64
-        }
-    }
-
-    /// True when the derived metrics bit-match the dynamic measurement —
-    /// the cross-check contract with [`crate::sanitize`]'s measured
-    /// counters. Bulk (`bulk_*`) traffic is mirrored statically with the
-    /// replay's own arithmetic (perfectly coalesced sectors, no lane
-    /// accesses, no conflict cycles), so the derived metrics agree
-    /// exactly — both per launch and when launch windows aggregate bulk
-    /// and tracked kernels together — as long as each declared
-    /// [`BulkAccess`] charges exactly the bytes it declares.
-    pub fn matches(&self, stats: &KernelStats) -> bool {
-        self.sectors_per_access().to_bits() == stats.sectors_per_access().to_bits()
-            && self.avg_conflict_degree().to_bits() == stats.avg_conflict_degree().to_bits()
-    }
+/// True when a static prediction's derived metrics bit-match a measured
+/// launch — the cross-check contract with the replay's counters. A
+/// prediction is a whole [`KernelStats`]; for tracked kernels whose
+/// barrier intervals declare their compute ops every counter matches,
+/// so this check is implied. Bulk (`bulk_*`) traffic is mirrored
+/// statically with the replay's own arithmetic (perfectly coalesced
+/// sectors, no lane accesses, no conflict cycles) but its compute is
+/// not declared, so for streaming kernels only the derived metrics
+/// agree — both per launch and when launch windows aggregate bulk and
+/// tracked kernels together — as long as each declared [`BulkAccess`]
+/// charges exactly the bytes it declares.
+pub fn matches(pred: &KernelStats, stats: &KernelStats) -> bool {
+    pred.sectors_per_access().to_bits() == stats.sectors_per_access().to_bits()
+        && pred.avg_conflict_degree().to_bits() == stats.avg_conflict_degree().to_bits()
 }
 
 /// A global buffer as the contract sees it: enough to resolve element
@@ -337,15 +275,18 @@ pub struct SharedEv {
     pub write: bool,
 }
 
-/// The per-lane ordered shared accesses of one barrier interval
-/// (one `step()` call). Entry `t` is lane `t`'s stream; lanes past the
-/// end of the vector (or with empty streams) touch nothing. The i-th
-/// event of each lane forms one warp-replay group, exactly as the
-/// simulator banks shared traffic.
+/// One barrier interval (one `step()` call): the per-lane ordered shared
+/// accesses and the block's compute. Entry `t` of `lanes` is lane `t`'s
+/// stream; lanes past the end of the vector (or with empty streams)
+/// touch nothing. The i-th event of each lane forms one warp-replay
+/// group, exactly as the simulator banks shared traffic.
 #[derive(Debug, Clone, Default)]
 pub struct SharedStep {
     /// Per-lane event streams, indexed by thread id within the block.
     pub lanes: Vec<Vec<SharedEv>>,
+    /// Scalar-op equivalents all lanes of one block charge in this
+    /// interval (the sum of their `Lane::ops` calls).
+    pub ops: u64,
 }
 
 /// Aggregate traffic declared without per-lane addresses: streaming
@@ -367,6 +308,10 @@ pub struct BulkAccess {
 
 /// One phase of the declared contract — a named group of barrier
 /// intervals with uniform access structure.
+///
+/// A phase may also be one *piece* of a streamed contract (see
+/// [`AccessSpec::collect`]): a kernel that emits its contract interval
+/// by interval sends consecutive pieces of one phase under one name.
 #[derive(Debug, Clone, Default)]
 pub struct PhaseSpec {
     /// Phase name for attribution (e.g. `"load"`, `"merge"`).
@@ -401,6 +346,16 @@ impl PhaseSpec {
             ..PhaseSpec::default()
         }
     }
+
+    /// Appends a later piece of the same phase.
+    fn absorb(&mut self, piece: PhaseSpec) {
+        if self.divergent_barrier.is_none() {
+            self.divergent_barrier = piece.divergent_barrier;
+        }
+        self.globals.extend(piece.globals);
+        self.shared_steps.extend(piece.shared_steps);
+        self.bulk.extend(piece.bulk);
+    }
 }
 
 /// A kernel's declared access contract (see module docs). The contract
@@ -421,6 +376,18 @@ impl AccessSpec {
         AccessSpec {
             phases: vec![PhaseSpec::bulk_only(name, bulk)],
         }
+    }
+
+    /// Collects a contract that `emit` streams piece by piece (see
+    /// [`crate::Metered::contract`]): consecutive pieces that share a
+    /// phase name become one phase.
+    pub fn collect(emit: impl FnOnce(&mut dyn FnMut(PhaseSpec))) -> Self {
+        let mut phases: Vec<PhaseSpec> = Vec::new();
+        emit(&mut |piece: PhaseSpec| match phases.last_mut() {
+            Some(last) if last.name == piece.name => last.absorb(piece),
+            _ => phases.push(piece),
+        });
+        AccessSpec { phases }
     }
 }
 
@@ -463,7 +430,7 @@ pub struct PhaseReport {
     /// Phase name.
     pub name: String,
     /// Predicted counters contributed by this phase (whole grid).
-    pub pred: StaticPrediction,
+    pub pred: KernelStats,
     /// Worst predicted coalescing group: (sectors, accesses).
     pub worst_global_group: Option<(u64, u64)>,
     /// Worst predicted bank-conflict degree over the phase's groups
@@ -487,7 +454,7 @@ pub struct LintReport {
     /// The static occupancy bound.
     pub occupancy: Occupancy,
     /// Predicted counters (None when the kernel declares no spec).
-    pub prediction: Option<StaticPrediction>,
+    pub prediction: Option<KernelStats>,
     /// Per-phase evaluation summaries (empty without a spec).
     pub phases: Vec<PhaseReport>,
 }
@@ -773,79 +740,91 @@ fn analyze_spec(
     report: &mut LintReport,
 ) {
     let shared_words_avail = (geom.shared_bytes_per_block / 4) as u32;
-    let mut total = StaticPrediction::default();
+    let mut total = KernelStats::default();
     for phase in &access.phases {
         let mut pr = PhaseReport {
             name: phase.name.clone(),
-            pred: StaticPrediction::default(),
+            pred: KernelStats::default(),
             worst_global_group: None,
             max_bank_degree: 1,
         };
+        let finding = |kind: LintKind, detail: String| LintFinding {
+            kind,
+            kernel: geom.name.clone(),
+            phase: phase.name.clone(),
+            detail,
+        };
         if let Some(div) = &phase.divergent_barrier {
-            report.findings.push(LintFinding {
-                kind: LintKind::BarrierInDivergence,
-                kernel: geom.name.clone(),
-                phase: phase.name.clone(),
-                detail: format!("barrier placed inside divergent branch: {div}"),
-            });
+            report.findings.push(finding(
+                LintKind::BarrierInDivergence,
+                format!("barrier placed inside divergent branch: {div}"),
+            ));
         }
         for gs in &phase.globals {
-            eval_global_stream(spec, geom, phase, gs, cfg, &mut pr, report);
+            let ev = eval_global_stream(spec, geom, gs);
+            pr.pred.merge(&ev.pred);
+            if let Some(group) = ev.worst_group {
+                keep_worse(&mut pr.worst_global_group, group);
+            }
+            if let Some(m) = ev.max_elem.filter(|&m| m >= gs.buf.len) {
+                report.findings.push(finding(
+                    LintKind::GlobalOutOfBounds,
+                    format!(
+                        "static index expression reaches element {} of `{}` (len {})",
+                        m, gs.buf.label, gs.buf.len
+                    ),
+                ));
+            }
         }
         for step in &phase.shared_steps {
-            eval_shared_step(spec, geom, phase, step, shared_words_avail, &mut pr, report);
+            let ev = eval_shared_step(spec, geom, step);
+            pr.pred.merge(&ev.pred);
+            pr.max_bank_degree = pr.max_bank_degree.max(ev.max_degree);
+            if ev.max_end > shared_words_avail {
+                report.findings.push(finding(
+                    LintKind::SharedOutOfBounds,
+                    format!(
+                        "declared shared access reaches word {} but the kernel declares only {} words ({} B)",
+                        ev.max_end, shared_words_avail, geom.shared_bytes_per_block
+                    ),
+                ));
+            }
         }
         for bulk in &phase.bulk {
             if bulk.elems > bulk.buf.len {
-                report.findings.push(LintFinding {
-                    kind: LintKind::GlobalOutOfBounds,
-                    kernel: geom.name.clone(),
-                    phase: phase.name.clone(),
-                    detail: format!(
+                report.findings.push(finding(
+                    LintKind::GlobalOutOfBounds,
+                    format!(
                         "bulk {} of {} elements overruns `{}` (len {})",
                         if bulk.write { "write" } else { "read" },
                         bulk.elems,
                         bulk.buf.label,
                         bulk.buf.len
                     ),
-                });
+                ));
             }
-            // mirror the replay's bulk arithmetic (`bulk_global_read` /
-            // `bulk_global_write`): bytes / 32 sectors per call, no lane
-            // accesses — so windows aggregating bulk and tracked
-            // launches still bit-match the measurement
-            let bytes = (bulk.elems * bulk.buf.elem_bytes) as u64;
-            pr.pred.global_sectors += bytes / 32;
-            if bulk.write {
-                pr.pred.global_write_bytes += bytes;
-            } else {
-                pr.pred.global_read_bytes += bytes;
-            }
+            pr.pred.merge(&eval_bulk(bulk));
         }
         if let Some((sectors, accesses)) = pr.worst_global_group {
             let spa = sectors as f64 / accesses as f64;
             if spa > cfg.max_sectors_per_access && accesses >= cfg.min_accesses_for_coalescing {
-                report.findings.push(LintFinding {
-                    kind: LintKind::UncoalescedGlobal,
-                    kernel: geom.name.clone(),
-                    phase: phase.name.clone(),
-                    detail: format!(
+                report.findings.push(finding(
+                    LintKind::UncoalescedGlobal,
+                    format!(
                         "declared strides predict {sectors} sectors over {accesses} accesses in one warp group ({spa:.3} sectors/access > {:.3})",
                         cfg.max_sectors_per_access
                     ),
-                });
+                ));
             }
         }
         if pr.max_bank_degree >= cfg.min_bank_conflict_degree {
-            report.findings.push(LintFinding {
-                kind: LintKind::BankConflict,
-                kernel: geom.name.clone(),
-                phase: phase.name.clone(),
-                detail: format!(
+            report.findings.push(finding(
+                LintKind::BankConflict,
+                format!(
                     "declared shared strides predict a {}-way bank conflict (threshold {})",
                     pr.max_bank_degree, cfg.min_bank_conflict_degree
                 ),
-            });
+            ));
         }
         total.merge(&pr.pred);
         report.phases.push(pr);
@@ -853,37 +832,91 @@ fn analyze_spec(
     report.prediction = Some(total);
 }
 
+/// Predicts a launch's counters from a contract that `emit` streams
+/// piece by piece (see [`crate::Metered::contract`]). Each piece is
+/// evaluated with the same arithmetic as [`lint_kernel`] and dropped, so
+/// the whole [`AccessSpec`] is never held at once. No findings are
+/// derived: this is the charge of a metered launch, not an analysis.
+pub(crate) fn predict_streamed(
+    spec: &DeviceSpec,
+    geom: &LaunchGeometry,
+    emit: impl FnOnce(&mut dyn FnMut(PhaseSpec)),
+) -> KernelStats {
+    let mut total = KernelStats::default();
+    emit(&mut |piece: PhaseSpec| {
+        for gs in &piece.globals {
+            total.merge(&eval_global_stream(spec, geom, gs).pred);
+        }
+        for step in &piece.shared_steps {
+            total.merge(&eval_shared_step(spec, geom, step).pred);
+        }
+        for bulk in &piece.bulk {
+            total.merge(&eval_bulk(bulk));
+        }
+    });
+    total
+}
+
+/// Mirrors the replay's bulk arithmetic (`bulk_global_read` /
+/// `bulk_global_write`): bytes / 32 sectors per call, no lane accesses —
+/// so windows aggregating bulk and tracked launches still bit-match the
+/// measurement.
+fn eval_bulk(bulk: &BulkAccess) -> KernelStats {
+    let bytes = (bulk.elems * bulk.buf.elem_bytes) as u64;
+    let mut pred = KernelStats {
+        global_sectors: bytes / 32,
+        ..KernelStats::default()
+    };
+    if bulk.write {
+        pred.global_write_bytes = bytes;
+    } else {
+        pred.global_read_bytes = bytes;
+    }
+    pred
+}
+
+/// Replaces `worst` with `group`, a (sectors, accesses) pair, when
+/// `group` coalesces worse.
+fn keep_worse(worst: &mut Option<(u64, u64)>, group: (u64, u64)) {
+    let spa = |(sectors, accesses): (u64, u64)| sectors as f64 / accesses as f64;
+    if worst.is_none_or(|w| spa(group) > spa(w)) {
+        *worst = Some(group);
+    }
+}
+
+/// What evaluating one [`GlobalStream`] yields.
+struct GlobalEval {
+    /// Predicted counters (whole grid).
+    pred: KernelStats,
+    /// Worst coalescing group: (sectors, accesses).
+    worst_group: Option<(u64, u64)>,
+    /// Largest element index any block touches (the bounds proof).
+    max_elem: Option<usize>,
+}
+
 /// Evaluates one global stream with the replay's coalescing arithmetic:
 /// per (warp, slot) group, distinct `(sector, write)` tags each cost one
 /// 32-byte sector; accesses count raw lane events.
-fn eval_global_stream(
-    spec: &DeviceSpec,
-    geom: &LaunchGeometry,
-    phase: &PhaseSpec,
-    gs: &GlobalStream,
-    _cfg: &LintConfig,
-    pr: &mut PhaseReport,
-    report: &mut LintReport,
-) {
+fn eval_global_stream(spec: &DeviceSpec, geom: &LaunchGeometry, gs: &GlobalStream) -> GlobalEval {
+    let mut out = GlobalEval {
+        pred: KernelStats::default(),
+        worst_group: None,
+        max_elem: None,
+    };
     let ws = spec.warp_size;
     let eb = gs.buf.elem_bytes as u64;
     if geom.block_dim == 0 || geom.grid_dim == 0 || gs.slots == 0 || gs.active == 0 {
-        return;
+        return out;
     }
     // A block shift that is sector-aligned preserves the group/sector
     // structure exactly, so block 0 × grid_dim is bit-identical to
     // walking every block.
     let uniform = geom.grid_dim == 1 || (gs.block_stride as u64 * eb).is_multiple_of(32);
-    let blocks: Vec<usize> = if uniform {
-        vec![0]
-    } else {
-        (0..geom.grid_dim).collect()
-    };
+    let blocks = if uniform { 1 } else { geom.grid_dim };
     let scale = if uniform { geom.grid_dim as u64 } else { 1 };
-    let mut max_elem: Option<usize> = None;
     let warps = geom.block_dim.div_ceil(ws);
     let mut tags: Vec<u64> = Vec::new();
-    for &b in &blocks {
+    for b in 0..blocks {
         let block_base = gs.base + b * gs.block_stride;
         for w in 0..warps {
             let lo = w * ws;
@@ -910,7 +943,7 @@ fn eval_global_stream(
                     } else {
                         elem
                     };
-                    max_elem = Some(max_elem.map_or(worst, |m| m.max(worst)));
+                    out.max_elem = Some(out.max_elem.map_or(worst, |m| m.max(worst)));
                     let addr = gs.buf.base_addr + elem as u64 * eb;
                     let first = addr / 32;
                     let last = (addr + eb - 1) / 32;
@@ -925,57 +958,52 @@ fn eval_global_stream(
                 tags.sort_unstable();
                 tags.dedup();
                 let sectors = tags.len() as u64;
-                pr.pred.global_sectors += sectors * scale;
-                pr.pred.global_accesses += events * scale;
+                out.pred.global_sectors += sectors * scale;
+                out.pred.global_accesses += events * scale;
                 if gs.write {
-                    pr.pred.global_write_bytes += 32 * sectors * scale;
+                    out.pred.global_write_bytes += 32 * sectors * scale;
                 } else {
-                    pr.pred.global_read_bytes += 32 * sectors * scale;
+                    out.pred.global_read_bytes += 32 * sectors * scale;
                 }
-                let worse = match pr.worst_global_group {
-                    None => true,
-                    Some((ps, pa)) => sectors as f64 / events as f64 > ps as f64 / pa as f64,
-                };
-                if worse {
-                    pr.worst_global_group = Some((sectors, events));
-                }
+                keep_worse(&mut out.worst_group, (sectors, events));
             }
         }
     }
-    if let Some(m) = max_elem {
-        if m >= gs.buf.len {
-            report.findings.push(LintFinding {
-                kind: LintKind::GlobalOutOfBounds,
-                kernel: geom.name.clone(),
-                phase: phase.name.clone(),
-                detail: format!(
-                    "static index expression reaches element {} of `{}` (len {})",
-                    m, gs.buf.label, gs.buf.len
-                ),
-            });
-        }
-    }
+    out
+}
+
+/// What evaluating one [`SharedStep`] yields.
+struct SharedEval {
+    /// Predicted counters (whole grid), the interval's step and compute
+    /// included.
+    pred: KernelStats,
+    /// Worst bank-conflict degree over the interval's groups (1 when
+    /// conflict-free or without shared traffic).
+    max_degree: u64,
+    /// One past the highest shared word any lane touches.
+    max_end: u32,
 }
 
 /// Evaluates one shared barrier interval with the replay's banking
 /// arithmetic: per (warp, event-position) group, deduped words are
-/// binned into banks; the max bin is the conflict degree.
-fn eval_shared_step(
-    spec: &DeviceSpec,
-    geom: &LaunchGeometry,
-    phase: &PhaseSpec,
-    step: &SharedStep,
-    shared_words_avail: u32,
-    pr: &mut PhaseReport,
-    report: &mut LintReport,
-) {
+/// binned into banks; the max bin is the conflict degree. The interval
+/// is one `step()` of every block, charging its declared ops.
+fn eval_shared_step(spec: &DeviceSpec, geom: &LaunchGeometry, step: &SharedStep) -> SharedEval {
     let ws = spec.warp_size;
     let banks = spec.shared_banks;
     let grid = geom.grid_dim as u64;
+    let mut out = SharedEval {
+        pred: KernelStats {
+            compute_ops: step.ops * grid,
+            steps: grid,
+            ..KernelStats::default()
+        },
+        max_degree: 1,
+        max_end: 0,
+    };
     let warps = geom.block_dim.div_ceil(ws);
     let mut words: Vec<u32> = Vec::new();
     let mut bank_counts = vec![0u32; banks];
-    let mut max_end: u32 = 0;
     let empty: Vec<SharedEv> = Vec::new();
     for w in 0..warps {
         let lo = w * ws;
@@ -986,57 +1014,36 @@ fn eval_shared_step(
             .unwrap_or(0);
         for s in 0..max_slots {
             words.clear();
-            let mut reads = 0u64;
-            let mut writes = 0u64;
+            let mut events = 0u64;
             for t in lo..hi {
                 let lane = step.lanes.get(t).unwrap_or(&empty);
                 let Some(ev) = lane.get(s) else { continue };
-                for wd in ev.word..ev.word + ev.words {
-                    words.push(wd);
-                }
-                max_end = max_end.max(ev.word + ev.words);
-                if ev.write {
-                    writes += 1;
-                } else {
-                    reads += 1;
-                }
+                words.extend(ev.word..ev.word + ev.words);
+                out.max_end = out.max_end.max(ev.word + ev.words);
+                events += 1;
             }
-            if reads + writes == 0 {
+            if events == 0 {
                 continue;
             }
             words.sort_unstable();
             words.dedup();
-            for c in bank_counts.iter_mut() {
-                *c = 0;
-            }
+            bank_counts.fill(0);
             let mut degree = 1u32;
             for &wd in &words {
                 let bank = wd as usize % banks;
                 bank_counts[bank] += 1;
                 degree = degree.max(bank_counts[bank]);
             }
-            pr.pred.shared_accesses += (reads + writes) * grid;
-            pr.pred.shared_eff_bytes += degree as u64 * (ws as u64 * 4) * grid;
+            out.pred.shared_accesses += events * grid;
+            out.pred.shared_eff_bytes += degree as u64 * (ws as u64 * 4) * grid;
             if degree > 1 {
-                pr.pred.shared_conflict_groups += grid;
-                pr.pred.shared_conflict_cycles += (degree as u64 - 1) * grid;
+                out.pred.shared_conflict_groups += grid;
+                out.pred.shared_conflict_cycles += (degree as u64 - 1) * grid;
             }
-            pr.max_bank_degree = pr.max_bank_degree.max(degree as u64);
+            out.max_degree = out.max_degree.max(degree as u64);
         }
     }
-    if max_end > shared_words_avail {
-        report.findings.push(LintFinding {
-            kind: LintKind::SharedOutOfBounds,
-            kernel: geom.name.clone(),
-            phase: phase.name.clone(),
-            detail: format!(
-                "declared shared access reaches word {} but the kernel declares only {} words ({} B)",
-                max_end,
-                shared_words_avail,
-                geom.shared_bytes_per_block
-            ),
-        });
-    }
+    out
 }
 
 /// Compares a launch's static prediction against its measured dynamic
@@ -1044,7 +1051,7 @@ fn eval_shared_step(
 /// the gate that keeps static analysis honest.
 pub fn cross_check(report: &LintReport, stats: &KernelStats) -> Option<LintFinding> {
     let pred = report.prediction.as_ref()?;
-    if pred.matches(stats) {
+    if matches(pred, stats) {
         return None;
     }
     Some(LintFinding {
@@ -1176,7 +1183,7 @@ mod tests {
         let access = AccessSpec {
             phases: vec![PhaseSpec {
                 name: "exchange".into(),
-                shared_steps: vec![SharedStep { lanes }],
+                shared_steps: vec![SharedStep { lanes, ops: 0 }],
                 ..PhaseSpec::default()
             }],
         };
@@ -1204,7 +1211,7 @@ mod tests {
         let access = AccessSpec {
             phases: vec![PhaseSpec {
                 name: "transpose".into(),
-                shared_steps: vec![SharedStep { lanes }],
+                shared_steps: vec![SharedStep { lanes, ops: 0 }],
                 ..PhaseSpec::default()
             }],
         };
@@ -1233,7 +1240,7 @@ mod tests {
         let access = AccessSpec {
             phases: vec![PhaseSpec {
                 name: "tail".into(),
-                shared_steps: vec![SharedStep { lanes }],
+                shared_steps: vec![SharedStep { lanes, ops: 0 }],
                 ..PhaseSpec::default()
             }],
         };
@@ -1270,6 +1277,7 @@ mod tests {
                         words: 1,
                         write: false,
                     }]],
+                    ops: 0,
                 }],
                 ..PhaseSpec::default()
             }],
@@ -1398,10 +1406,10 @@ mod tests {
     #[test]
     fn cross_check_flags_drift() {
         let mut report = lint_geometry(&titan(), &geom(32, 1), &LintConfig::default());
-        report.prediction = Some(StaticPrediction {
+        report.prediction = Some(KernelStats {
             global_sectors: 4,
             global_accesses: 32,
-            ..StaticPrediction::default()
+            ..KernelStats::default()
         });
         let mut stats = KernelStats {
             global_sectors: 4,
@@ -1415,30 +1423,92 @@ mod tests {
         assert_eq!(f.severity(), Severity::Error);
     }
 
+    /// Lane `t` writes word `t`, then reads word `2t`: one conflict-free
+    /// group and one 2-way group per warp.
+    fn two_group_step(block: usize, ops: u64) -> SharedStep {
+        SharedStep {
+            lanes: (0..block as u32)
+                .map(|t| {
+                    vec![
+                        SharedEv {
+                            word: t,
+                            words: 1,
+                            write: true,
+                        },
+                        SharedEv {
+                            word: 2 * t,
+                            words: 1,
+                            write: false,
+                        },
+                    ]
+                })
+                .collect(),
+            ops,
+        }
+    }
+
     #[test]
-    fn prediction_formulas_mirror_kernel_stats() {
-        let p = StaticPrediction {
-            shared_eff_bytes: 2 * 128,
-            shared_conflict_cycles: 1,
-            ..StaticPrediction::default()
+    fn intervals_charge_their_ops_and_one_step_per_block() {
+        let access = AccessSpec {
+            phases: vec![PhaseSpec {
+                name: "network".into(),
+                shared_steps: vec![two_group_step(64, 7), two_group_step(64, 5)],
+                ..PhaseSpec::default()
+            }],
         };
-        let s = KernelStats {
-            shared_eff_bytes: 2 * 128,
-            shared_conflict_cycles: 1,
-            ..KernelStats::default()
+        let p = eval(access, geom(64, 3)).prediction.unwrap();
+        assert_eq!(p.compute_ops, (7 + 5) * 3);
+        assert_eq!(p.steps, 2 * 3);
+        assert_eq!(p.atomic_ops, 0);
+        // 2 intervals × 2 warps × 2 groups per block, one of them 2-way
+        assert_eq!(p.shared_accesses, 2 * 64 * 2 * 3);
+        assert_eq!(p.shared_conflict_groups, 2 * 2 * 3);
+    }
+
+    #[test]
+    fn streamed_contract_collects_to_phases_and_predicts_the_same() {
+        let load = GlobalStream {
+            buf: BufferDecl {
+                label: "in",
+                base_addr: 0x1000,
+                len: 4 * 256,
+                elem_bytes: 4,
+            },
+            write: false,
+            base: 0,
+            lane_stride: 1,
+            slot_stride: 64,
+            slots: 4,
+            block_stride: 256,
+            active: 64,
+            bound: None,
         };
-        assert_eq!(
-            p.avg_conflict_degree().to_bits(),
-            s.avg_conflict_degree().to_bits()
-        );
-        assert_eq!(
-            StaticPrediction::default().avg_conflict_degree().to_bits(),
-            KernelStats::default().avg_conflict_degree().to_bits()
-        );
-        assert_eq!(
-            StaticPrediction::default().sectors_per_access().to_bits(),
-            KernelStats::default().sectors_per_access().to_bits()
-        );
+        let emit = |sink: &mut dyn FnMut(PhaseSpec)| {
+            sink(PhaseSpec {
+                name: "load".into(),
+                globals: vec![load.clone()],
+                shared_steps: vec![two_group_step(64, 0)],
+                ..PhaseSpec::default()
+            });
+            for ops in [3, 4, 5] {
+                sink(PhaseSpec {
+                    name: "op0:sort".into(),
+                    shared_steps: vec![two_group_step(64, ops)],
+                    ..PhaseSpec::default()
+                });
+            }
+            sink(PhaseSpec::named("op1:empty"));
+        };
+        let access = AccessSpec::collect(emit);
+        let names: Vec<&str> = access.phases.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names, ["load", "op0:sort", "op1:empty"]);
+        assert_eq!(access.phases[1].shared_steps.len(), 3);
+        let g = geom(64, 4);
+        let whole = eval(access, g.clone()).prediction.unwrap();
+        assert_eq!(predict_streamed(&titan(), &g, emit), whole);
+        assert_eq!(whole.steps, 4 * 4);
+        assert_eq!(whole.compute_ops, (3 + 4 + 5) * 4);
+        assert_eq!(whole.global_accesses, 4 * 64 * 4);
     }
 
     #[test]

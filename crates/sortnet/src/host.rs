@@ -12,17 +12,32 @@ use datagen::TopKItem;
 /// Applies one network step to the whole slice.
 ///
 /// Element `i` (with `i < i ^ j`) compare-exchanges with its partner; the
-/// pair ends up ordered according to the phase's direction rule.
+/// pair ends up ordered according to the phase's direction rule. A pair
+/// whose upper element lies past the end of the slice is left alone.
+///
+/// The step pairs the two halves of every aligned `2j` block, and the
+/// phase's run length is at least `2j`, so one direction serves the
+/// whole block.
 pub fn apply_step<T: TopKItem>(data: &mut [T], step: Step) {
-    let n = data.len();
-    for i in 0..n {
-        let p = step.partner(i);
-        if p > i && p < n {
-            let asc = step.ascending(i);
-            // ascending: smaller element to the lower index
-            if asc == data[p].item_lt(&data[i]) {
-                data.swap(i, p);
-            }
+    debug_assert!(
+        step.run > step.j,
+        "run {} must exceed j {}",
+        step.run,
+        step.j
+    );
+    for (b, block) in data.chunks_mut(2 * step.j).enumerate() {
+        if block.len() <= step.j {
+            break;
+        }
+        let asc = step.ascending(b * 2 * step.j);
+        let (lo, hi) = block.split_at_mut(step.j);
+        for (a, p) in lo.iter_mut().zip(hi) {
+            // ascending: smaller element to the lower index; a select
+            // rather than a branch, since the outcome is data-dependent
+            let swap = asc == p.item_lt(a);
+            let (x, y) = if swap { (*p, *a) } else { (*a, *p) };
+            *a = x;
+            *p = y;
         }
     }
 }
@@ -59,6 +74,27 @@ pub fn merge_halve<T: TopKItem>(data: &[T], k: usize, out: &mut [T]) {
             let a = data[2 * k * w + j];
             let b = data[2 * k * w + j + k];
             out[k * w + j] = if a.item_lt(&b) { b } else { a };
+        }
+    }
+}
+
+/// [`merge_halve`] in place: afterwards `data[..data.len() / 2]` holds the
+/// pairwise maxima, with the same tie rule (an output keeps the lower
+/// half's element unless it is less than its partner). Output `p` of
+/// window `w` lands at `k·w + j ≤ 2k·w + j`, below every input still to
+/// be read, so a forward pass needs no second buffer.
+pub fn merge_in_place<T: TopKItem>(data: &mut [T], k: usize) {
+    let n = data.len();
+    assert!(
+        n.is_multiple_of(2 * k),
+        "length {n} must be a multiple of 2k={}",
+        2 * k
+    );
+    for w in 0..n / (2 * k) {
+        for j in 0..k {
+            let a = data[2 * k * w + j];
+            let b = data[2 * k * w + j + k];
+            data[k * w + j] = if a.item_lt(&b) { b } else { a };
         }
     }
 }
@@ -210,6 +246,49 @@ mod tests {
             got.sort_unstable_by(|a, b| b.cmp(a));
             assert_eq!(got, expect, "window {w}");
             assert!(is_bitonic(merged), "window {w} not bitonic: {merged:?}");
+        }
+    }
+
+    /// The per-index form of [`apply_step`]: every `i` with an in-range
+    /// partner above it.
+    fn apply_step_per_index<T: TopKItem>(data: &mut [T], step: Step) {
+        let n = data.len();
+        for i in 0..n {
+            let p = step.partner(i);
+            if p > i && p < n && step.ascending(i) == data[p].item_lt(&data[i]) {
+                data.swap(i, p);
+            }
+        }
+    }
+
+    #[test]
+    fn apply_step_matches_per_index_form_with_tails() {
+        let base: Vec<Kv<u32>> = Uniform
+            .generate(200, 31)
+            .into_iter()
+            .enumerate()
+            .map(|(i, k): (usize, u32)| Kv::new(k % 17, i as u32))
+            .collect();
+        for n in [1usize, 2, 3, 7, 8, 13, 64, 100, 129, 200] {
+            for step in crate::network::full_sort_steps(256) {
+                let mut got = base[..n].to_vec();
+                let mut expect = got.clone();
+                apply_step(&mut got, step);
+                apply_step_per_index(&mut expect, step);
+                assert_eq!(got, expect, "n={n} {step:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn merge_in_place_matches_merge_halve() {
+        let data: Vec<Kv<u32>> = (0..64u32).map(|i| Kv::new(i * 11 % 7, i)).collect();
+        for k in [1usize, 2, 8, 32] {
+            let mut out = vec![Kv::default(); 32];
+            merge_halve(&data, k, &mut out);
+            let mut in_place = data.clone();
+            merge_in_place(&mut in_place, k);
+            assert_eq!(&in_place[..32], &out[..], "k={k}");
         }
     }
 

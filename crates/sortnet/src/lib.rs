@@ -33,7 +33,7 @@ pub mod network;
 pub use combine::{chunk_rotation, CombinedStep, PadMap, StepGroupPlan};
 pub use diagram::render as render_network;
 pub use host::{
-    bitonic_sort, bitonic_topk_host, is_bitonic, local_sort, merge_halve, rebuild,
+    bitonic_sort, bitonic_topk_host, is_bitonic, local_sort, merge_halve, merge_in_place, rebuild,
     runs_sorted_alternating,
 };
 pub use network::{ascending_at, local_sort_steps, partner, rebuild_steps, Step};

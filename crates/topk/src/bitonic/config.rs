@@ -1,5 +1,7 @@
 //! Configuration of the bitonic top-k optimization ladder (Section 4.3).
 
+use crate::TopKError;
+
 /// The cumulative optimization levels of Section 4.3, in the order the
 /// paper introduces them. Each level includes all previous ones; the
 /// ablation experiment sweeps this enum.
@@ -98,6 +100,34 @@ impl BitonicConfig {
             elems_per_thread: Some(b),
             ..Self::default()
         }
+    }
+
+    /// Checks the fields a caller may have set directly: B must be a
+    /// power of two ≥ 2 and the preferred block size a power of two ≥ 32
+    /// (the smallest block the kernels launch). Every launch geometry
+    /// derived from a valid config is a power of two, which the reducers'
+    /// schedules and their host execution rely on.
+    pub fn validate(&self) -> Result<(), TopKError> {
+        let check = |field, value: Option<usize>, min: usize, requirement| match value {
+            Some(v) if !v.is_power_of_two() || v < min => Err(TopKError::InvalidConfig {
+                field,
+                value: v,
+                requirement,
+            }),
+            _ => Ok(()),
+        };
+        check(
+            "BitonicConfig::elems_per_thread",
+            self.elems_per_thread,
+            2,
+            "a power of two ≥ 2",
+        )?;
+        check(
+            "BitonicConfig::block_dim",
+            self.block_dim,
+            32,
+            "a power of two ≥ 32",
+        )
     }
 
     /// Effective B for this level.

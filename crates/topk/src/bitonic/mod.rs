@@ -90,6 +90,7 @@ pub fn bitonic_topk<T: TopKItem>(
     k: usize,
     cfg: BitonicConfig,
 ) -> Result<TopKResult<T>, TopKError> {
+    cfg.validate()?;
     let k_req = validate(input, k)?;
     let cap = LogCapture::begin(dev);
     let n = input.len();
@@ -264,6 +265,7 @@ pub fn bitonic_topk_from_runs<T: TopKItem>(
     k: usize,
     cfg: BitonicConfig,
 ) -> Result<TopKResult<T>, TopKError> {
+    cfg.validate()?;
     let k_req = validate(runs, k.min(valid.max(1)))?;
     let cap = LogCapture::begin(dev);
     let k_eff = next_pow2(k_req);
@@ -603,6 +605,42 @@ mod tests {
             bitonic_topk(&dev, &input, 8192, BitonicConfig::default()),
             Err(TopKError::Launch(LaunchError::SharedMemoryExceeded { .. }))
         ));
+    }
+
+    #[test]
+    fn configs_set_through_public_fields_fail_typed() {
+        let dev = Device::titan_x();
+        let data: Vec<f32> = Uniform.generate(1 << 14, 74);
+        let input = dev.upload(&data);
+        let runs = dev.upload(&data[..1024]);
+        let (block, elems) = (
+            "BitonicConfig::block_dim",
+            "BitonicConfig::elems_per_thread",
+        );
+        for (elems_per_thread, block_dim, field) in [
+            (None, Some(96), block),
+            (None, Some(100), block),
+            (None, Some(48), block),
+            (None, Some(16), block),
+            (None, Some(0), block),
+            (Some(12), None, elems),
+            (Some(1), None, elems),
+        ] {
+            let cfg = BitonicConfig {
+                elems_per_thread,
+                block_dim,
+                ..BitonicConfig::default()
+            };
+            for r in [
+                bitonic_topk(&dev, &input, 32, cfg),
+                bitonic_topk_from_runs(&dev, &runs, 1024, 32, cfg),
+            ] {
+                match r {
+                    Err(TopKError::InvalidConfig { field: f, .. }) => assert_eq!(f, field),
+                    other => panic!("{cfg:?}: {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

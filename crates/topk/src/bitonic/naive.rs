@@ -49,9 +49,9 @@ impl<T: TopKItem> Kernel for GlobalStepKernel<T> {
         blk.bulk_global_read(bytes);
         blk.bulk_global_write(bytes);
         blk.bulk_ops(self.n as u64 / 2);
-        let mut v = self.data.to_vec();
-        host::apply_step(&mut v[..self.n], self.step);
-        self.data.upload(&v);
+        let mut v = self.data.read_range(0..self.n);
+        host::apply_step(&mut v, self.step);
+        self.data.write_range(0, &v);
     }
 }
 
@@ -95,12 +95,9 @@ impl<T: TopKItem> Kernel for GlobalMergeKernel<T> {
         blk.bulk_global_read(bytes);
         blk.bulk_global_write(bytes / 2);
         blk.bulk_ops(self.n as u64 / 2);
-        let v = self.data.to_vec();
-        let mut out = vec![T::min_sentinel(); self.n / 2];
-        host::merge_halve(&v[..self.n], self.k, &mut out);
-        let mut buf = v;
-        buf[..self.n / 2].copy_from_slice(&out);
-        self.data.upload(&buf);
+        let mut v = self.data.read_range(0..self.n);
+        host::merge_in_place(&mut v, self.k);
+        self.data.write_range(0, &v[..self.n / 2]);
     }
 }
 

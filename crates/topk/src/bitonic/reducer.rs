@@ -2,12 +2,19 @@
 //! monolithic final reducer), with the Section 4.3 shared-memory
 //! optimizations realized as actual access-pattern changes the simulator
 //! measures.
+//!
+//! The reducer's network is data-oblivious and its contract exact, so
+//! the kernel is [`Metered`]: a plain device charges it from the contract
+//! and runs the network as compare-exchanges on each block's host slice.
+//! The lane path (`run_block`) stays the reference under a sanitizer or
+//! lint capture.
 
 use datagen::TopKItem;
 use simt::{
-    AccessSpec, BlockCtx, BufferDecl, Device, GlobalStream, GpuBuffer, Kernel, PhaseSpec, SharedEv,
-    SharedHandle, SharedStep,
+    AccessSpec, BlockCtx, BufferDecl, Device, GlobalStream, GpuBuffer, Kernel, KernelStats,
+    Metered, PhaseSpec, SharedEv, SharedHandle, SharedStep,
 };
+use sortnet::host::{apply_step, merge_in_place};
 use sortnet::{
     chunk_rotation, local_sort_steps, rebuild_steps, CombinedStep, PadMap, Step, StepGroupPlan,
 };
@@ -69,6 +76,8 @@ pub(crate) struct ReducerKernel<T: TopKItem> {
     kernel_name: &'static str,
     /// Warp size of the launching device (lane rotation).
     ws: usize,
+    /// The operators, in order (part of the meter key).
+    ops: Vec<ReduceOp>,
     sched: Vec<OpSched>,
 }
 
@@ -98,8 +107,15 @@ impl<T: TopKItem> ReducerKernel<T> {
             grid_dim,
             kernel_name,
             ws: dev.spec().warp_size,
+            ops: ops.to_vec(),
             sched: Vec::with_capacity(ops.len()),
         };
+        // the host executor relies on every block loading its whole
+        // segment; `BitonicConfig::validate` guarantees the geometry
+        debug_assert!(
+            seg.is_multiple_of(block_dim),
+            "seg {seg} over {block_dim} threads"
+        );
         let mut cur_len = seg;
         for &op in ops {
             // element budget per thread at the current live length
@@ -137,6 +153,7 @@ impl<T: TopKItem> ReducerKernel<T> {
         let workers = active.min(sets_total);
         let offsets: Vec<usize> = (0..m_count).map(|m| group.m_offset(m)).collect();
         let per = sets_total / workers.max(1);
+        debug_assert_eq!(workers * per, sets_total, "every closed set has a worker");
         // chunk permutation: rotate the per-lane visit order when the
         // aligned order would conflict and the rotated one is better
         let rotate = self.cfg.chunk_permute()
@@ -323,9 +340,12 @@ impl<T: TopKItem> ReducerKernel<T> {
 
     /// Declares one [`Self::run_group`] barrier interval.
     fn group_step(&self, pad: PadMap, g: &GroupSched) -> SharedStep {
+        let m_count = g.offsets.len() as u64;
+        let sets = (g.workers * g.per) as u64;
         let mut lanes: Vec<Vec<SharedEv>> = vec![Vec::new(); self.block_dim];
         for (t, lane) in lanes.iter_mut().enumerate().take(g.workers) {
             let order = self.visit_order(g, t);
+            lane.reserve_exact(2 * g.per * g.offsets.len());
             for set in t * g.per..(t + 1) * g.per {
                 let base = g.group.set_base(set);
                 for write in [false, true] {
@@ -335,7 +355,10 @@ impl<T: TopKItem> ReducerKernel<T> {
                 }
             }
         }
-        SharedStep { lanes }
+        SharedStep {
+            lanes,
+            ops: sets * g.steps.len() as u64 * (4 * m_count / 2),
+        }
     }
 
     /// Declares one [`Self::run_merge`] invocation: the read step and
@@ -346,16 +369,95 @@ impl<T: TopKItem> ReducerKernel<T> {
         let ev = |idx, write| self.shared_ev(pad, idx, write);
         let mut reads: Vec<Vec<SharedEv>> = vec![Vec::new(); self.block_dim];
         let mut writes: Vec<Vec<SharedEv>> = vec![Vec::new(); self.block_dim];
+        let mut outputs = 0u64;
         for t in 0..workers {
-            for p in (t..half).step_by(workers) {
+            let outs = (t..half).step_by(workers);
+            reads[t].reserve_exact(2 * outs.len());
+            writes[t].reserve_exact(outs.len());
+            for p in outs {
                 let (w, j) = (p / k, p % k);
                 reads[t].push(ev(2 * k * w + j, false));
                 reads[t].push(ev(2 * k * w + j + k, false));
                 writes[t].push(ev(p, true));
+                outputs += 1;
             }
         }
-        vec![SharedStep { lanes: reads }, SharedStep { lanes: writes }]
+        vec![
+            SharedStep {
+                lanes: reads,
+                ops: 4 * outputs,
+            },
+            SharedStep {
+                lanes: writes,
+                ops: 0,
+            },
+        ]
     }
+
+    /// The load phase's global read stream and per-lane shared writes.
+    fn load_piece(&self, pad: PadMap) -> PhaseSpec {
+        let nt = self.block_dim;
+        let b_elems = self.seg / nt;
+        let lanes = (0..nt)
+            .map(|t| {
+                (0..b_elems)
+                    .map(|j| self.shared_ev(pad, t + j * nt, true))
+                    .collect()
+            })
+            .collect();
+        PhaseSpec {
+            name: "load".to_string(),
+            globals: vec![GlobalStream {
+                buf: BufferDecl::of("input", &self.input),
+                write: false,
+                base: 0,
+                lane_stride: 1,
+                slot_stride: nt,
+                slots: b_elems,
+                block_stride: self.seg,
+                active: nt,
+                bound: None,
+            }],
+            shared_steps: vec![SharedStep { lanes, ops: 0 }],
+            ..PhaseSpec::default()
+        }
+    }
+
+    /// The store phase's per-lane shared reads and global write stream.
+    fn store_piece(&self, pad: PadMap) -> PhaseSpec {
+        let nt = self.block_dim;
+        let out_len = self.out_seg();
+        let lanes = (0..nt)
+            .map(|t| {
+                (t..out_len)
+                    .step_by(nt)
+                    .map(|p| self.shared_ev(pad, p, false))
+                    .collect()
+            })
+            .collect();
+        PhaseSpec {
+            name: "store".to_string(),
+            globals: vec![GlobalStream {
+                buf: BufferDecl::of("output", &self.output),
+                write: true,
+                base: 0,
+                lane_stride: 1,
+                slot_stride: nt,
+                slots: out_len.div_ceil(nt),
+                block_stride: out_len,
+                active: nt,
+                bound: Some(out_len),
+            }],
+            shared_steps: vec![SharedStep { lanes, ops: 0 }],
+            ..PhaseSpec::default()
+        }
+    }
+}
+
+/// Items equal bit for bit: keys by their sort bits (which tell ±0 and
+/// NaNs apart), payloads by value.
+fn same_item<T: TopKItem>(a: &T, b: &T) -> bool {
+    a.key_bits() == b.key_bits() && (a == b || format!("{a:?}") == format!("{b:?}"))
 }
 
 impl<T: TopKItem> Kernel for ReducerKernel<T> {
@@ -383,84 +485,11 @@ impl<T: TopKItem> Kernel for ReducerKernel<T> {
     /// data-independent, which is what makes a complete static
     /// declaration possible.
     fn access_spec(&self) -> Option<AccessSpec> {
-        let nt = self.block_dim;
-        if nt == 0 || self.grid_dim == 0 || self.seg == 0 {
-            return Some(AccessSpec::default());
-        }
-        let pad = self.pad_map();
-        let mut phases = Vec::new();
+        Some(AccessSpec::collect(|sink| self.contract(sink)))
+    }
 
-        // ---- load
-        let b_elems = self.seg / nt;
-        let lanes = (0..nt)
-            .map(|t| {
-                (0..b_elems)
-                    .map(|j| self.shared_ev(pad, t + j * nt, true))
-                    .collect()
-            })
-            .collect();
-        phases.push(PhaseSpec {
-            name: "load".to_string(),
-            globals: vec![GlobalStream {
-                buf: BufferDecl::of("input", &self.input),
-                write: false,
-                base: 0,
-                lane_stride: 1,
-                slot_stride: nt,
-                slots: b_elems,
-                block_stride: self.seg,
-                active: nt,
-                bound: None,
-            }],
-            shared_steps: vec![SharedStep { lanes }],
-            ..PhaseSpec::default()
-        });
-
-        // ---- operator pipeline
-        for (oi, op) in self.sched.iter().enumerate() {
-            let (name, shared_steps) = match op {
-                OpSched::Network { label, groups } => (
-                    format!("op{oi}:{label}"),
-                    groups.iter().map(|g| self.group_step(pad, g)).collect(),
-                ),
-                &OpSched::Merge { len, workers } => {
-                    (format!("op{oi}:merge"), self.merge_steps(pad, len, workers))
-                }
-            };
-            phases.push(PhaseSpec {
-                name,
-                shared_steps,
-                ..PhaseSpec::default()
-            });
-        }
-
-        // ---- store
-        let out_len = self.out_seg();
-        let lanes = (0..nt)
-            .map(|t| {
-                (t..out_len)
-                    .step_by(nt)
-                    .map(|p| self.shared_ev(pad, p, false))
-                    .collect()
-            })
-            .collect();
-        phases.push(PhaseSpec {
-            name: "store".to_string(),
-            globals: vec![GlobalStream {
-                buf: BufferDecl::of("output", &self.output),
-                write: true,
-                base: 0,
-                lane_stride: 1,
-                slot_stride: nt,
-                slots: out_len.div_ceil(nt),
-                block_stride: out_len,
-                active: nt,
-                bound: Some(out_len),
-            }],
-            shared_steps: vec![SharedStep { lanes }],
-            ..PhaseSpec::default()
-        });
-        Some(AccessSpec { phases })
+    fn metered(&self) -> Option<&dyn Metered> {
+        Some(self)
     }
 
     fn run_block(&self, blk: &mut BlockCtx) {
@@ -501,6 +530,112 @@ impl<T: TopKItem> Kernel for ReducerKernel<T> {
                 lane.gwrite(&self.output, out_base + p, v);
             }
         });
+    }
+}
+
+impl<T: TopKItem> Metered for ReducerKernel<T> {
+    fn meter_key(&self) -> Vec<u64> {
+        let cfg = self.cfg;
+        let mut key = vec![
+            self.seg as u64,
+            self.k as u64,
+            cfg.opt as u64,
+            cfg.elems_per_thread.map_or(0, |b| b as u64),
+            cfg.block_dim.map_or(0, |nt| nt as u64),
+            self.ws as u64,
+            T::SIZE_BYTES as u64,
+            std::mem::size_of::<T>() as u64,
+            self.input.base_addr() % 32,
+            self.output.base_addr() % 32,
+        ];
+        key.extend(self.ops.iter().map(|&op| op as u64));
+        key
+    }
+
+    /// One piece per barrier interval, in launch order: load, each
+    /// operator's step groups or merge steps, store. An operator without
+    /// intervals (a rebuild of runs of 1) still names its phase.
+    fn contract(&self, sink: &mut dyn FnMut(PhaseSpec)) {
+        if self.block_dim == 0 || self.grid_dim == 0 || self.seg == 0 {
+            return;
+        }
+        let pad = self.pad_map();
+        sink(self.load_piece(pad));
+        let interval = |name: &String, step: SharedStep| PhaseSpec {
+            name: name.clone(),
+            shared_steps: vec![step],
+            ..PhaseSpec::default()
+        };
+        for (oi, op) in self.sched.iter().enumerate() {
+            match op {
+                OpSched::Network { label, groups } => {
+                    let name = format!("op{oi}:{label}");
+                    if groups.is_empty() {
+                        sink(PhaseSpec::named(name.clone()));
+                    }
+                    for g in groups {
+                        sink(interval(&name, self.group_step(pad, g)));
+                    }
+                }
+                &OpSched::Merge { len, workers } => {
+                    let name = format!("op{oi}:merge");
+                    for step in self.merge_steps(pad, len, workers) {
+                        sink(interval(&name, step));
+                    }
+                }
+            }
+        }
+        sink(self.store_piece(pad));
+    }
+
+    /// Per block, in grid order: copy the segment into one reused
+    /// scratch, apply every network step to the live prefix and every
+    /// merge in place, and write the reduced segment back in one range
+    /// write. The comparator, tie rule and element order are the lane
+    /// path's; reading a block's segment before writing its output keeps
+    /// an aliased input and output (an in-place rebuild) exact.
+    fn run_host(&self) {
+        let out_len = self.out_seg();
+        let mut seg: Vec<T> = Vec::with_capacity(self.seg);
+        for b in 0..self.grid_dim {
+            self.input
+                .read_range_into(b * self.seg..(b + 1) * self.seg, &mut seg);
+            let mut live = self.seg;
+            for op in &self.sched {
+                match op {
+                    OpSched::Network { groups, .. } => {
+                        for (step, _) in groups.iter().flat_map(|g| &g.steps) {
+                            apply_step(&mut seg[..live], *step);
+                        }
+                    }
+                    &OpSched::Merge { len, .. } => {
+                        merge_in_place(&mut seg[..len], self.k);
+                        live = len / 2;
+                    }
+                }
+            }
+            self.output.write_range(b * out_len, &seg[..out_len]);
+        }
+    }
+
+    fn run_both(&self, lanes: &mut dyn FnMut() -> KernelStats) -> KernelStats {
+        let before = self.output.to_vec();
+        self.run_host();
+        let host = self.output.to_vec();
+        // restoring the output also restores an aliased input
+        self.output.write_range(0, &before);
+        let stats = lanes();
+        let replayed = self.output.to_vec();
+        let diff = host
+            .iter()
+            .zip(&replayed)
+            .position(|(a, b)| !same_item(a, b));
+        assert!(
+            diff.is_none(),
+            "`{}`: host slices and lanes wrote different elements at {diff:?}",
+            self.kernel_name
+        );
+        stats
     }
 }
 

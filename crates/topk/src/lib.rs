@@ -91,6 +91,17 @@ pub enum TopKError {
         /// The backend the buffer belongs to.
         buffer: &'static str,
     },
+    /// A configuration field set through its public fields is outside
+    /// what the algorithm supports — e.g. a [`bitonic::BitonicConfig`]
+    /// block size that is not a power of two.
+    InvalidConfig {
+        /// The offending field.
+        field: &'static str,
+        /// Its value.
+        value: usize,
+        /// What the field must be.
+        requirement: &'static str,
+    },
 }
 
 impl From<LaunchError> for TopKError {
@@ -111,6 +122,14 @@ impl std::fmt::Display for TopKError {
             TopKError::BackendMismatch { backend, buffer } => {
                 write!(f, "the {backend} backend was handed a {buffer} buffer")
             }
+            TopKError::InvalidConfig {
+                field,
+                value,
+                requirement,
+            } => write!(
+                f,
+                "invalid config: {field} = {value}, must be {requirement}"
+            ),
         }
     }
 }

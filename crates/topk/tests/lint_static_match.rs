@@ -1,13 +1,15 @@
 //! Static-vs-dynamic cross-check: with lint capture enabled, every
 //! launch of every shipped algorithm must carry a static prediction
 //! that **bit-matches** the replay's measured counters — tracked
-//! kernels (the bitonic reducer family) on the raw counters, streaming
-//! kernels on the derived `sectors_per_access` / conflict-degree
-//! metrics. This is the contract that keeps `simt::lint` from silently
-//! drifting away from the simulator it models.
+//! kernels (the bitonic reducer family) on all eleven counters,
+//! streaming kernels on the derived `sectors_per_access` /
+//! conflict-degree metrics. This is the contract that keeps
+//! `simt::lint` from silently drifting away from the simulator it
+//! models, and the one that lets a plain device charge the reducers
+//! from their contract instead of replaying them.
 
 use datagen::{BucketKiller, Distribution, Increasing, Uniform};
-use simt::Device;
+use simt::{lint, Device, DeviceSpec};
 use topk::bitonic::{bitonic_topk, BitonicConfig, OptLevel};
 use topk::{TopKAlgorithm, TopKRequest};
 
@@ -26,40 +28,17 @@ fn assert_static_matches(dev: &Device, context: &str, require_clean: bool) {
             .unwrap_or_else(|| panic!("{context}: {} has no static prediction", r.name));
         // only per-lane tracked events produce `global_accesses`; bulk
         // traffic feeds bytes and sectors without it, so this cleanly
-        // identifies the reducer family that predicts raw counters
+        // identifies the reducer family, whose contract is exact
         let tracked = r.stats.global_accesses > 0;
         if tracked {
             assert_eq!(
-                (pred.global_sectors, pred.global_accesses),
-                (r.stats.global_sectors, r.stats.global_accesses),
-                "{context}: {} global counter mismatch",
-                r.name
-            );
-            assert_eq!(
-                (pred.global_read_bytes, pred.global_write_bytes),
-                (r.stats.global_read_bytes, r.stats.global_write_bytes),
-                "{context}: {} global byte mismatch",
-                r.name
-            );
-            assert_eq!(
-                (
-                    pred.shared_eff_bytes,
-                    pred.shared_accesses,
-                    pred.shared_conflict_groups,
-                    pred.shared_conflict_cycles
-                ),
-                (
-                    r.stats.shared_eff_bytes,
-                    r.stats.shared_accesses,
-                    r.stats.shared_conflict_groups,
-                    r.stats.shared_conflict_cycles
-                ),
-                "{context}: {} shared counter mismatch",
+                pred, &r.stats,
+                "{context}: {} static prediction differs from the replay",
                 r.name
             );
         }
         assert!(
-            pred.matches(&r.stats),
+            lint::matches(pred, &r.stats),
             "{context}: {} derived metrics drifted (static {:.4}/{:.4} vs measured {:.4}/{:.4})",
             r.name,
             pred.sectors_per_access(),
@@ -90,15 +69,26 @@ fn assert_static_matches(dev: &Device, context: &str, require_clean: bool) {
 
 #[test]
 fn static_matches_dynamic_across_bitonic_ladder() {
-    for opt in OptLevel::ladder() {
-        for &k in &[8usize, 32, 256] {
-            let data: Vec<f32> = Uniform.generate(1 << 13, 11);
-            let dev = Device::titan_x();
-            dev.enable_lint();
-            let input = dev.upload(&data);
-            let cfg = BitonicConfig::at_level(opt);
-            bitonic_topk(&dev, &input, k, cfg).unwrap_or_else(|e| panic!("{opt:?} k={k}: {e}"));
-            assert_static_matches(&dev, &format!("{opt:?} k={k}"), false);
+    // the Titan X, then 32-, 48- and 128-bank variants of it: bank counts
+    // above 64 once exposed a replay panic no 32-bank run could reach
+    let specs = [DeviceSpec::titan_x_maxwell()]
+        .into_iter()
+        .chain([32, 48, 128].map(|banks| DeviceSpec {
+            shared_banks: banks,
+            ..DeviceSpec::titan_x_maxwell()
+        }));
+    for spec in specs {
+        for opt in OptLevel::ladder() {
+            for &k in &[8usize, 32, 256] {
+                let data: Vec<f32> = Uniform.generate(1 << 13, 11);
+                let dev = Device::new(spec);
+                dev.enable_lint();
+                let input = dev.upload(&data);
+                let cfg = BitonicConfig::at_level(opt);
+                let context = format!("{opt:?} k={k} banks={}", spec.shared_banks);
+                bitonic_topk(&dev, &input, k, cfg).unwrap_or_else(|e| panic!("{context}: {e}"));
+                assert_static_matches(&dev, &context, false);
+            }
         }
     }
 }
