@@ -2,12 +2,17 @@
 //! warp-lockstep replay processes tracked accesses, on both of its paths,
 //! and what the bulk path costs by comparison; then one bitonic read on
 //! the metered path and on the lane path it replaces outside sanitizer
-//! and lint runs. (Host wall-clock of the simulation, not simulated
-//! time; each line reports host time per element.)
+//! and lint runs, for f32 keys and `Kv<f32>` pairs; then one host network
+//! step per distance on `u32` and `u64` ranks, the element widths the
+//! metered path runs those two item types on. (Host wall-clock of the
+//! simulation, not simulated time; each line reports host time per
+//! element.)
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use datagen::{Distribution, Uniform};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use datagen::{Distribution, Kv, TopKItem, Uniform};
 use simt::{BlockCtx, Device, DeviceSpec, GpuBuffer, Kernel};
+use sortnet::host::{apply_step, apply_steps};
+use sortnet::Step;
 use topk::TopKRequest;
 
 /// Streams the data through shared memory with 16 tracked reads and 16
@@ -91,23 +96,32 @@ fn bench_simulator(c: &mut Criterion) {
     g.finish();
 }
 
-/// A k = 64 bitonic read of 2^16 uniform f32 keys, once on a plain
-/// device, which meters the reducers (charged from their contract, run
-/// on host slices), and once under lint capture, which replays every
-/// lane.
+/// A k = 64 bitonic read of 2^16 uniform keys, as f32 (`u32` ranks) and
+/// as `Kv<f32>` pairs (`u64` ranks), once on a plain device, which
+/// meters the reducers (charged from their contract, run on host
+/// slices), and once under lint capture, which replays every lane.
 fn bench_bitonic_read(c: &mut Criterion) {
     let n = 1 << 16;
-    let data: Vec<f32> = Uniform.generate(n, 11);
+    let keys: Vec<f32> = Uniform.generate(n, 11);
+    let pairs: Vec<Kv<f32>> = (0..n as u32)
+        .map(|i| Kv::new(keys[i as usize], i))
+        .collect();
     let mut g = c.benchmark_group("bitonic_read");
     g.sample_size(20);
     g.throughput(Throughput::Elements(n as u64));
-    for (id, lint) in [("metered", false), ("lane_replay", true)] {
+    read_both_paths(&mut g, "f32", &keys);
+    read_both_paths(&mut g, "kv_f32", &pairs);
+    g.finish();
+}
+
+fn read_both_paths<T: TopKItem>(g: &mut criterion::BenchmarkGroup<'_>, ty: &str, data: &[T]) {
+    for (path, lint) in [("metered", false), ("lane_replay", true)] {
         let dev = Device::titan_x();
         if lint {
             dev.enable_lint();
         }
-        let input = dev.upload(&data);
-        g.bench_function(id, |b| {
+        let input = dev.upload(data);
+        g.bench_function(&format!("{ty}/{path}"), |b| {
             b.iter(|| {
                 // lint reports accumulate per launch; keep them bounded
                 dev.take_lint_reports();
@@ -115,8 +129,46 @@ fn bench_bitonic_read(c: &mut Criterion) {
             })
         });
     }
+}
+
+/// One host network step over 2^16 ranks at each distance `j` (in a
+/// phase of run `2j`), on `u32` and `u64` ranks; then a phase's tail
+/// (`j` = 4, 2, 1), which [`apply_steps`] runs as one pass over 8-blocks.
+fn bench_host_network(c: &mut Criterion) {
+    let n = 1usize << 16;
+    let keys: Vec<u32> = Uniform.generate(n, 12);
+    let wide: Vec<u64> = keys.iter().map(|&k| (k as u64) << 32 | k as u64).collect();
+    let mut g = c.benchmark_group("host_network");
+    g.sample_size(20);
+    g.throughput(Throughput::Elements(n as u64));
+    network_steps(&mut g, "u32", &keys);
+    network_steps(&mut g, "u64", &wide);
     g.finish();
 }
 
-criterion_group!(benches, bench_simulator, bench_bitonic_read);
+fn network_steps<R: Copy + Ord>(g: &mut criterion::BenchmarkGroup<'_>, ty: &str, base: &[R]) {
+    let mut data = base.to_vec();
+    for log_j in [0, 1, 2, 3, 4, 6, 10, 15] {
+        let step = Step {
+            j: 1 << log_j,
+            run: 2 << log_j,
+        };
+        g.bench_with_input(
+            BenchmarkId::new(ty, format!("j={}", step.j)),
+            &step,
+            |b, &step| b.iter(|| apply_step(&mut data, step)),
+        );
+    }
+    let tail = [4, 2, 1].map(|j| Step { j, run: 64 });
+    g.bench_with_input(BenchmarkId::new(ty, "tail"), &tail, |b, tail| {
+        b.iter(|| apply_steps(&mut data, tail))
+    });
+}
+
+criterion_group!(
+    benches,
+    bench_simulator,
+    bench_bitonic_read,
+    bench_host_network
+);
 criterion_main!(benches);

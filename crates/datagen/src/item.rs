@@ -6,16 +6,32 @@
 //! move whole items, so payload width affects (simulated) memory traffic
 //! exactly as it does on real hardware.
 
-use crate::keys::{RadixBits, SortKey};
+use crate::keys::{RadixBits, RankBits, SortKey};
 
 /// An item that can participate in a top-k query.
 ///
 /// Items are small `Copy` records ordered by a primary key (possibly a
 /// lexicographic composite). `SIZE_BYTES` is the item's device footprint,
 /// used by the simulator for traffic accounting.
+///
+/// Every item also has a *rank*: an order-preserving, bijective map into
+/// an unsigned integer. Two laws tie it to [`TopKItem::item_lt`]:
+///
+/// * `a.item_lt(&b) == (a.rank() < b.rank())`;
+/// * `Self::from_rank(x.rank())` is `x` bit for bit, NaN payloads and
+///   signed zeros included.
+///
+/// Both hold because every `item_lt` here is a strict total order under
+/// which two unordered items are identical. The host bitonic network
+/// (`sortnet::host`) relies on them: it converts a slice to ranks once,
+/// runs every compare-exchange as an integer min/max, and converts back,
+/// producing exactly the elements the comparator would.
 pub trait TopKItem: Copy + PartialEq + Default + std::fmt::Debug + Send + Sync + 'static {
     /// Bit domain of the (composite) ordering key.
     type KeyBits: RadixBits;
+
+    /// Rank domain: `u32`, `u64` or `u128`.
+    type Rank: RankBits;
 
     /// Device footprint of one item in bytes.
     const SIZE_BYTES: usize;
@@ -41,15 +57,30 @@ pub trait TopKItem: Copy + PartialEq + Default + std::fmt::Debug + Send + Sync +
     fn item_lt(&self, other: &Self) -> bool {
         self.key_bits() < other.key_bits()
     }
+
+    /// The item's rank: `a.item_lt(&b)` iff `a.rank() < b.rank()`.
+    fn rank(&self) -> Self::Rank;
+
+    /// Inverse of [`TopKItem::rank`], bit for bit.
+    fn from_rank(rank: Self::Rank) -> Self;
 }
 
 impl<K: SortKey> TopKItem for K {
     type KeyBits = K::Bits;
+    type Rank = K::Bits;
     const SIZE_BYTES: usize = std::mem::size_of::<K>();
 
     #[inline]
     fn key_bits(&self) -> K::Bits {
         self.sort_bits()
+    }
+    #[inline]
+    fn rank(&self) -> K::Bits {
+        self.sort_bits()
+    }
+    #[inline]
+    fn from_rank(rank: K::Bits) -> Self {
+        K::from_sort_bits(rank)
     }
     #[inline]
     fn key_value(&self) -> f64 {
@@ -89,7 +120,20 @@ impl<K: SortKey> Kv<K> {
 
 impl<K: SortKey> TopKItem for Kv<K> {
     type KeyBits = K::Bits;
+    /// `sort_bits ‖ !value`: the complemented id makes a smaller id rank
+    /// higher on a key tie.
+    type Rank = <K::Bits as RadixBits>::Tagged;
     const SIZE_BYTES: usize = std::mem::size_of::<K>() + 4;
+
+    #[inline]
+    fn rank(&self) -> Self::Rank {
+        self.key.sort_bits().tag(!self.value)
+    }
+    #[inline]
+    fn from_rank(rank: Self::Rank) -> Self {
+        let (bits, id) = K::Bits::untag(rank);
+        Self::new(K::from_sort_bits(bits), !id)
+    }
 
     #[inline]
     fn key_bits(&self) -> K::Bits {
@@ -152,11 +196,23 @@ impl<K: SortKey<Bits = u32>> Kkv<K> {
 
 impl<K: SortKey<Bits = u32>> TopKItem for Kkv<K> {
     type KeyBits = u64;
+    /// `key_bits ‖ !value`.
+    type Rank = u128;
     const SIZE_BYTES: usize = 2 * std::mem::size_of::<K>() + 4;
 
     #[inline]
     fn key_bits(&self) -> u64 {
         ((self.keys[0].sort_bits() as u64) << 32) | self.keys[1].sort_bits() as u64
+    }
+    #[inline]
+    fn rank(&self) -> u128 {
+        self.key_bits().tag(!self.value)
+    }
+    #[inline]
+    fn from_rank(rank: u128) -> Self {
+        let (bits, id) = u64::untag(rank);
+        let (k0, k1) = u32::untag(bits);
+        Self::new(K::from_sort_bits(k0), K::from_sort_bits(k1), !id)
     }
     fn min_sentinel() -> Self {
         Self {
@@ -212,11 +268,25 @@ impl<K: SortKey<Bits = u32>> Kkkv<K> {
 
 impl<K: SortKey<Bits = u32>> TopKItem for Kkkv<K> {
     type KeyBits = u64;
+    /// `key0 ‖ key1 ‖ key2 ‖ !value`: all 128 bits.
+    type Rank = u128;
     const SIZE_BYTES: usize = 3 * std::mem::size_of::<K>() + 4;
 
     #[inline]
     fn key_bits(&self) -> u64 {
         ((self.keys[0].sort_bits() as u64) << 32) | self.keys[1].sort_bits() as u64
+    }
+    #[inline]
+    fn rank(&self) -> u128 {
+        let low = self.keys[2].sort_bits().tag(!self.value);
+        (self.key_bits() as u128) << 64 | low as u128
+    }
+    #[inline]
+    fn from_rank(rank: u128) -> Self {
+        let (k0, k1) = u32::untag((rank >> 64) as u64);
+        let (k2, id) = u32::untag(rank as u64);
+        let key = K::from_sort_bits;
+        Self::new(key(k0), key(k1), key(k2), !id)
     }
     fn min_sentinel() -> Self {
         Self {
@@ -377,12 +447,22 @@ where
     T::KeyBits: RadixBits,
 {
     type KeyBits = T::KeyBits;
+    /// `!T::rank`: the complement reverses the order, tie-break included.
+    type Rank = T::Rank;
     const SIZE_BYTES: usize = T::SIZE_BYTES;
 
     #[inline]
     fn key_bits(&self) -> Self::KeyBits {
         // complementing the bits reverses the unsigned order
         self.0.key_bits() ^ Self::KeyBits::MAX
+    }
+    #[inline]
+    fn rank(&self) -> T::Rank {
+        !self.0.rank()
+    }
+    #[inline]
+    fn from_rank(rank: T::Rank) -> Self {
+        Rev(T::from_rank(!rank))
     }
 
     #[inline]

@@ -8,20 +8,30 @@
 //! Floating-point NaNs are mapped above `+∞` (positive NaNs) or below `-∞`
 //! (negative NaNs) by the transform; ordering is total and deterministic.
 
+/// Unsigned integer rank domains: `u32`, `u64` and `u128`.
+///
+/// An item's rank (see [`crate::TopKItem::rank`]) lives in one of these.
+/// Ranks compare as plain unsigned integers, so the host bitonic network
+/// runs every compare-exchange as an integer min/max, and complementing
+/// a rank (`!`) reverses its order.
+pub trait RankBits:
+    Copy + Ord + std::fmt::Debug + Send + Sync + 'static + std::ops::Not<Output = Self>
+{
+}
+
+impl RankBits for u32 {}
+impl RankBits for u64 {}
+impl RankBits for u128 {}
+
 /// Unsigned integer bit domains usable as radix keys.
 ///
 /// Implemented for `u32` and `u64`. The trait exposes just enough integer
 /// surface for digit extraction and sentinel construction without pulling in
 /// a num-traits style dependency.
 pub trait RadixBits:
-    Copy
-    + Ord
+    RankBits
     + Eq
-    + std::fmt::Debug
     + std::hash::Hash
-    + Send
-    + Sync
-    + 'static
     + std::ops::Shr<u32, Output = Self>
     + std::ops::Shl<u32, Output = Self>
     + std::ops::BitAnd<Output = Self>
@@ -34,6 +44,15 @@ pub trait RadixBits:
     const MAX: Self;
     /// Width of the domain in bits (32 or 64).
     const BITS: u32;
+
+    /// These bits followed by a 32-bit tag: `u64` for 32-bit keys,
+    /// `u128` for 64-bit keys.
+    type Tagged: RankBits;
+
+    /// `self ‖ tag`: orders by `self`, then by `tag`.
+    fn tag(self, tag: u32) -> Self::Tagged;
+    /// Splits [`RadixBits::tag`]'s result back into bits and tag.
+    fn untag(tagged: Self::Tagged) -> (Self, u32);
 
     /// Truncates to the low 8 bits, as a bucket index.
     fn low_u8(self) -> u8;
@@ -55,7 +74,16 @@ impl RadixBits for u32 {
     const ZERO: Self = 0;
     const MAX: Self = u32::MAX;
     const BITS: u32 = 32;
+    type Tagged = u64;
 
+    #[inline]
+    fn tag(self, tag: u32) -> u64 {
+        (self as u64) << 32 | tag as u64
+    }
+    #[inline]
+    fn untag(tagged: u64) -> (u32, u32) {
+        ((tagged >> 32) as u32, tagged as u32)
+    }
     #[inline]
     fn low_u8(self) -> u8 {
         self as u8
@@ -74,7 +102,16 @@ impl RadixBits for u64 {
     const ZERO: Self = 0;
     const MAX: Self = u64::MAX;
     const BITS: u32 = 64;
+    type Tagged = u128;
 
+    #[inline]
+    fn tag(self, tag: u32) -> u128 {
+        (self as u128) << 32 | tag as u128
+    }
+    #[inline]
+    fn untag(tagged: u128) -> (u64, u32) {
+        ((tagged >> 32) as u64, tagged as u32)
+    }
     #[inline]
     fn low_u8(self) -> u8 {
         self as u8

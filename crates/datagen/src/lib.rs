@@ -30,7 +30,7 @@ pub use dist::{
     Uniform, Zipf,
 };
 pub use item::{rev_slice, Kkkv, Kkv, Kv, Rev, RevView, TopKItem};
-pub use keys::{RadixBits, SortKey};
+pub use keys::{RadixBits, RankBits, SortKey};
 
 /// Reads the experiment scale from the `TOPK_REPRO_LOG2N` environment
 /// variable, falling back to `default_log2n`.

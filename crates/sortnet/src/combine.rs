@@ -191,11 +191,11 @@ mod tests {
     use super::*;
     use crate::host::{apply_step, runs_sorted_alternating};
     use crate::network::local_sort_steps;
-    use datagen::{Distribution, TopKItem, Uniform};
+    use datagen::{Distribution, Uniform};
 
     /// Applies a combined plan the way a kernel would: per closed set,
     /// gather, run the group's steps locally, scatter.
-    fn apply_plan<T: TopKItem>(data: &mut [T], plan: &StepGroupPlan) {
+    fn apply_plan<R: Copy + Ord>(data: &mut [R], plan: &StepGroupPlan) {
         for group in &plan.groups {
             let m_count = group.elems_per_set();
             let mut local = vec![data[0]; m_count];
@@ -210,7 +210,7 @@ mod tests {
                         if pm > m {
                             let gi = group.element(set, m);
                             let asc = step.ascending(gi);
-                            if asc == local[pm].item_lt(&local[m]) {
+                            if asc == (local[pm] < local[m]) {
                                 local.swap(m, pm);
                             }
                         }

@@ -1,10 +1,25 @@
-//! Host-side reference implementations of the three bitonic top-k
-//! operators and of full bitonic sort.
+//! Host-side implementations of the three bitonic top-k operators and
+//! of full bitonic sort.
 //!
 //! These run on plain slices and serve three purposes: they are the
 //! oracles the simulated GPU kernels are tested against, the building
-//! blocks of the CPU implementation (Appendix C), and an executable
-//! specification of the network schedules in [`crate::network`].
+//! blocks of the CPU implementation (Appendix C) and of the simulator's
+//! metered reducers, and an executable specification of the network
+//! schedules in [`crate::network`].
+//!
+//! # Rank space
+//!
+//! The network runs on *ranks* (see [`TopKItem::rank`]): unsigned
+//! integers whose order is the items' order, and from which the items
+//! decode bit for bit. [`apply_step`], [`apply_steps`], [`merge_in_place`]
+//! and [`topk_in_place`] take any `R: Copy + Ord`. A compare-exchange
+//! writes `(min, max)` to an ascending pair and `(max, min)` to a
+//! descending one; a merge writes the `max`. On ranks that is exactly
+//! what the item comparator's swap rule produces (swap iff
+//! `ascending == b.item_lt(&a)`), because two items of equal rank are
+//! identical. The item-level operators ([`local_sort`], [`merge_halve`],
+//! [`rebuild`], [`bitonic_sort`], [`bitonic_topk_host`]) convert once,
+//! run every step on ranks, and convert back.
 
 use crate::network::{full_sort_steps, local_sort_steps, rebuild_steps, Step};
 use datagen::TopKItem;
@@ -18,28 +33,152 @@ use datagen::TopKItem;
 /// The step pairs the two halves of every aligned `2j` block, and the
 /// phase's run length is at least `2j`, so one direction serves the
 /// whole block.
-pub fn apply_step<T: TopKItem>(data: &mut [T], step: Step) {
+pub fn apply_step<R: Copy + Ord>(data: &mut [R], step: Step) {
     debug_assert!(
         step.run > step.j,
         "run {} must exceed j {}",
         step.run,
         step.j
     );
+    step_from(data, step, 0);
+}
+
+/// [`apply_step`] on a slice that starts at element `offset` of the
+/// sequence the step's direction rule indexes; `offset` is a multiple
+/// of `2j`.
+fn step_from<R: Copy + Ord>(data: &mut [R], step: Step, offset: usize) {
     for (b, block) in data.chunks_mut(2 * step.j).enumerate() {
         if block.len() <= step.j {
             break;
         }
-        let asc = step.ascending(b * 2 * step.j);
         let (lo, hi) = block.split_at_mut(step.j);
-        for (a, p) in lo.iter_mut().zip(hi) {
-            // ascending: smaller element to the lower index; a select
-            // rather than a branch, since the outcome is data-dependent
-            let swap = asc == p.item_lt(a);
-            let (x, y) = if swap { (*p, *a) } else { (*a, *p) };
-            *a = x;
-            *p = y;
+        if step.ascending(offset + b * 2 * step.j) {
+            min_max(lo, hi);
+        } else {
+            min_max(hi, lo);
         }
     }
+}
+
+/// Writes each pair's minimum to `lo` and its maximum to `hi`.
+#[inline]
+fn min_max<R: Copy + Ord>(lo: &mut [R], hi: &mut [R]) {
+    for (a, b) in lo.iter_mut().zip(hi) {
+        let (x, y) = (*a, *b);
+        *a = x.min(y);
+        *b = x.max(y);
+    }
+}
+
+/// Applies `steps` in order, with the same result as one [`apply_step`]
+/// per step.
+///
+/// Steps at distances 1, 2 and 4 stay inside aligned 8-blocks, so runs
+/// of them execute as register passes, the host analogue of the paper's
+/// combined steps (Section 4.3): each block is loaded once, runs three
+/// steps, and is stored once. Two runs are combined:
+///
+/// * the *tail* of every phase with `run ≥ 8` (steps `j = 4, 2, 1`),
+///   whose direction is constant over each 8-block;
+/// * the *head* of a sort (phases `run = 2` and `run = 4`), whose
+///   directions repeat in every 8-block.
+///
+/// Every other step runs on its own.
+pub fn apply_steps<R: Copy + Ord>(data: &mut [R], steps: &[Step]) {
+    let mut rest = steps;
+    while let Some(&step) = rest.first() {
+        if rest.starts_with(&HEAD) {
+            per_block8(data, &HEAD, |v, _| {
+                for (a, b, asc) in HEAD8 {
+                    cx(v, a, b, asc);
+                }
+            });
+            rest = &rest[HEAD.len()..];
+        } else if step.run >= 8 && rest.starts_with(&tail(step.run)) {
+            let run = step.run;
+            per_block8(data, &tail(run), |v, base| {
+                if base & run == 0 {
+                    TAIL8.iter().for_each(|&(a, b)| cx(v, a, b, true));
+                } else {
+                    TAIL8.iter().for_each(|&(a, b)| cx(v, a, b, false));
+                }
+            });
+            rest = &rest[3..];
+        } else {
+            apply_step(data, step);
+            rest = &rest[1..];
+        }
+    }
+}
+
+/// The first two phases of a sort: `run = 2`, then `run = 4`.
+const HEAD: [Step; 3] = [
+    Step { j: 1, run: 2 },
+    Step { j: 2, run: 4 },
+    Step { j: 1, run: 4 },
+];
+
+/// [`HEAD`]'s compare-exchanges inside one 8-block, in order: lower
+/// index, upper index, and whether the pair sorts ascending (its lower
+/// index has the `run` bit clear).
+const HEAD8: [(usize, usize, bool); 12] = [
+    (0, 1, true),
+    (2, 3, false),
+    (4, 5, true),
+    (6, 7, false),
+    (0, 2, true),
+    (1, 3, true),
+    (4, 6, false),
+    (5, 7, false),
+    (0, 1, true),
+    (2, 3, true),
+    (4, 5, false),
+    (6, 7, false),
+];
+
+/// The last three steps of phase `run`.
+fn tail(run: usize) -> [Step; 3] {
+    [4, 2, 1].map(|j| Step { j, run })
+}
+
+/// A [`tail`]'s compare-exchanges inside one 8-block, in order; all of
+/// them sort in the block's direction.
+const TAIL8: [(usize, usize); 12] = [
+    (0, 4),
+    (1, 5),
+    (2, 6),
+    (3, 7),
+    (0, 2),
+    (1, 3),
+    (4, 6),
+    (5, 7),
+    (0, 1),
+    (2, 3),
+    (4, 5),
+    (6, 7),
+];
+
+/// Runs `block` on every aligned 8-block (with the block's first index)
+/// and `steps`, which stay inside 8-blocks, one by one on the shorter
+/// remainder.
+#[inline]
+fn per_block8<R: Copy + Ord>(data: &mut [R], steps: &[Step], block: impl Fn(&mut [R; 8], usize)) {
+    let whole = data.len() / 8 * 8;
+    let (blocks, rem) = data.split_at_mut(whole);
+    for (b, chunk) in blocks.chunks_exact_mut(8).enumerate() {
+        block(chunk.try_into().expect("an 8-block"), 8 * b);
+    }
+    for &step in steps {
+        step_from(rem, step, whole);
+    }
+}
+
+/// One compare-exchange inside an 8-block held in registers.
+#[inline(always)]
+fn cx<R: Copy + Ord>(v: &mut [R; 8], a: usize, b: usize, asc: bool) {
+    let (x, y) = (v[a], v[b]);
+    let (lo, hi) = (x.min(y), x.max(y));
+    (v[a], v[b]) = if asc { (lo, hi) } else { (hi, lo) };
 }
 
 /// **Local sort** (Section 3.2, operator 1): sorts aligned runs of length
@@ -50,8 +189,34 @@ pub fn apply_step<T: TopKItem>(data: &mut [T], step: Step) {
 pub fn local_sort<T: TopKItem>(data: &mut [T], k: usize) {
     assert!(crate::is_pow2(data.len()), "length must be a power of two");
     assert!(k <= data.len(), "k={k} exceeds data length {}", data.len());
-    for step in local_sort_steps(k) {
-        apply_step(data, step);
+    on_ranks(data, |ranks| apply_steps(ranks, &local_sort_steps(k)));
+}
+
+/// Pairwise maxima on ranks: for each aligned `2k` window, the maxima of
+/// its two `k`-halves land in the first half of the slice, window `w`'s
+/// at `k·w..k·(w + 1)`. Output `j` of window `w` lands at
+/// `k·w + j ≤ 2k·w + j`, below every input still to be read, so a
+/// forward pass needs no second buffer.
+pub fn merge_in_place<R: Copy + Ord>(data: &mut [R], k: usize) {
+    let n = data.len();
+    assert!(
+        n.is_multiple_of(2 * k),
+        "length {n} must be a multiple of 2k={}",
+        2 * k
+    );
+    if n == 0 {
+        return;
+    }
+    let (lo, hi) = data[..2 * k].split_at_mut(k);
+    for (a, b) in lo.iter_mut().zip(&*hi) {
+        *a = (*a).max(*b);
+    }
+    for w in 1..n / (2 * k) {
+        let (out, window) = data.split_at_mut(2 * k * w);
+        let (a, b) = window[..2 * k].split_at(k);
+        for ((o, x), y) in out[k * w..k * (w + 1)].iter_mut().zip(a).zip(b) {
+            *o = (*x).max(*y);
+        }
     }
 }
 
@@ -69,33 +234,10 @@ pub fn merge_halve<T: TopKItem>(data: &[T], k: usize, out: &mut [T]) {
         2 * k
     );
     assert_eq!(out.len(), n / 2);
-    for w in 0..n / (2 * k) {
-        for j in 0..k {
-            let a = data[2 * k * w + j];
-            let b = data[2 * k * w + j + k];
-            out[k * w + j] = if a.item_lt(&b) { b } else { a };
-        }
-    }
-}
-
-/// [`merge_halve`] in place: afterwards `data[..data.len() / 2]` holds the
-/// pairwise maxima, with the same tie rule (an output keeps the lower
-/// half's element unless it is less than its partner). Output `p` of
-/// window `w` lands at `k·w + j ≤ 2k·w + j`, below every input still to
-/// be read, so a forward pass needs no second buffer.
-pub fn merge_in_place<T: TopKItem>(data: &mut [T], k: usize) {
-    let n = data.len();
-    assert!(
-        n.is_multiple_of(2 * k),
-        "length {n} must be a multiple of 2k={}",
-        2 * k
-    );
-    for w in 0..n / (2 * k) {
-        for j in 0..k {
-            let a = data[2 * k * w + j];
-            let b = data[2 * k * w + j + k];
-            data[k * w + j] = if a.item_lt(&b) { b } else { a };
-        }
+    let mut ranks: Vec<T::Rank> = data.iter().map(T::rank).collect();
+    merge_in_place(&mut ranks, k);
+    for (o, &r) in out.iter_mut().zip(&ranks) {
+        *o = T::from_rank(r);
     }
 }
 
@@ -107,19 +249,45 @@ pub fn rebuild<T: TopKItem>(data: &mut [T], k: usize) {
         data.len().is_multiple_of(k),
         "length must be a multiple of k"
     );
-    for step in rebuild_steps(k) {
-        apply_step(data, step);
-    }
+    on_ranks(data, |ranks| apply_steps(ranks, &rebuild_steps(k)));
 }
 
 /// Full bitonic sort (reference; ascending if `ascending`).
 pub fn bitonic_sort<T: TopKItem>(data: &mut [T], ascending: bool) {
     assert!(crate::is_pow2(data.len()), "length must be a power of two");
-    for step in full_sort_steps(data.len()) {
-        apply_step(data, step);
-    }
+    on_ranks(data, |ranks| {
+        apply_steps(ranks, &full_sort_steps(ranks.len()))
+    });
     if !ascending {
         data.reverse();
+    }
+}
+
+/// Converts `data` to ranks, runs `f` on them, and converts back.
+fn on_ranks<T: TopKItem>(data: &mut [T], f: impl FnOnce(&mut [T::Rank])) {
+    let mut ranks: Vec<T::Rank> = data.iter().map(T::rank).collect();
+    f(&mut ranks);
+    for (x, &r) in data.iter_mut().zip(&ranks) {
+        *x = T::from_rank(r);
+    }
+}
+
+/// The bitonic top-k network on ranks (Section 3.2): local sort, then
+/// alternating merge and rebuild until `k` remain. Afterwards
+/// `data[..k]` holds the largest `k` ranks, ascending.
+///
+/// # Panics
+/// If `data.len()` or `k` is not a power of two, or `k > data.len()`.
+pub fn topk_in_place<R: Copy + Ord>(data: &mut [R], k: usize) {
+    assert!(crate::is_pow2(data.len()), "length must be a power of two");
+    assert!(k <= data.len(), "k={k} exceeds data length {}", data.len());
+    apply_steps(data, &local_sort_steps(k));
+    let rebuild = rebuild_steps(k);
+    let mut len = data.len();
+    while len > k {
+        merge_in_place(&mut data[..len], k);
+        len /= 2;
+        apply_steps(&mut data[..len], &rebuild);
     }
 }
 
@@ -134,21 +302,17 @@ pub fn bitonic_topk_host<T: TopKItem>(data: &[T], k: usize) -> Vec<T> {
     assert!(k >= 1, "k must be at least 1");
     let k_eff = crate::next_pow2(k.min(data.len()));
     let padded = crate::next_pow2(data.len()).max(k_eff);
-    let mut buf: Vec<T> = Vec::with_capacity(padded);
-    buf.extend_from_slice(data);
-    buf.resize(padded, T::min_sentinel());
-
-    local_sort(&mut buf, k_eff);
-    while buf.len() > k_eff {
-        let mut half = vec![T::min_sentinel(); buf.len() / 2];
-        merge_halve(&buf, k_eff, &mut half);
-        buf = half;
-        rebuild(&mut buf, k_eff);
-    }
+    let mut ranks: Vec<T::Rank> = Vec::with_capacity(padded);
+    ranks.extend(data.iter().map(T::rank));
+    ranks.resize(padded, T::min_sentinel().rank());
+    topk_in_place(&mut ranks, k_eff);
     // run 0 is ascending; emit descending and trim to the requested k
-    buf.reverse();
-    buf.truncate(k.min(data.len()));
-    buf
+    ranks[..k_eff]
+        .iter()
+        .rev()
+        .take(k.min(data.len()))
+        .map(|&r| T::from_rank(r))
+        .collect()
 }
 
 /// True if `data` is a bitonic sequence (ascending then descending, under
@@ -249,8 +413,9 @@ mod tests {
         }
     }
 
-    /// The per-index form of [`apply_step`]: every `i` with an in-range
-    /// partner above it.
+    /// The item comparator's form of [`apply_step`]: every `i` with an
+    /// in-range partner above it swaps iff
+    /// `ascending(i) == data[p].item_lt(&data[i])`.
     fn apply_step_per_index<T: TopKItem>(data: &mut [T], step: Step) {
         let n = data.len();
         for i in 0..n {
@@ -261,21 +426,60 @@ mod tests {
         }
     }
 
-    #[test]
-    fn apply_step_matches_per_index_form_with_tails() {
-        let base: Vec<Kv<u32>> = Uniform
-            .generate(200, 31)
+    fn ranks<T: TopKItem>(items: &[T]) -> Vec<T::Rank> {
+        items.iter().map(T::rank).collect()
+    }
+
+    fn items<T: TopKItem>(ranks: &[T::Rank]) -> Vec<T> {
+        ranks.iter().map(|&r| T::from_rank(r)).collect()
+    }
+
+    /// Duplicate-heavy keys with ids: every key tie is broken by the id.
+    fn kv_base(n: usize) -> Vec<Kv<u32>> {
+        Uniform
+            .generate(n, 31)
             .into_iter()
             .enumerate()
             .map(|(i, k): (usize, u32)| Kv::new(k % 17, i as u32))
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn apply_step_matches_per_index_form_with_tails() {
+        let base = kv_base(200);
         for n in [1usize, 2, 3, 7, 8, 13, 64, 100, 129, 200] {
             for step in crate::network::full_sort_steps(256) {
-                let mut got = base[..n].to_vec();
-                let mut expect = got.clone();
+                let mut got = ranks(&base[..n]);
+                let mut expect = base[..n].to_vec();
                 apply_step(&mut got, step);
                 apply_step_per_index(&mut expect, step);
-                assert_eq!(got, expect, "n={n} {step:?}");
+                assert_eq!(items::<Kv<u32>>(&got), expect, "n={n} {step:?}");
+            }
+        }
+    }
+
+    /// The combined head and tails against the same steps one at a time,
+    /// for every run ≥ 8 up to 512, on lengths that are and are not whole
+    /// 8-blocks.
+    #[test]
+    fn combined_passes_match_step_by_step() {
+        let base = ranks(&kv_base(700));
+        let mut schedules: Vec<Vec<Step>> = vec![HEAD.to_vec()];
+        for r in 3..10 {
+            schedules.push(tail(1 << r).to_vec());
+        }
+        schedules.push(crate::network::full_sort_steps(512));
+        schedules.push(local_sort_steps(64));
+        schedules.push(rebuild_steps(128));
+        for n in [0usize, 1, 5, 8, 12, 13, 64, 67, 96, 200, 512, 700] {
+            for steps in &schedules {
+                let mut got = base[..n].to_vec();
+                let mut expect = got.clone();
+                apply_steps(&mut got, steps);
+                for &step in steps {
+                    apply_step(&mut expect, step);
+                }
+                assert_eq!(got, expect, "n={n} {steps:?}");
             }
         }
     }
@@ -286,9 +490,15 @@ mod tests {
         for k in [1usize, 2, 8, 32] {
             let mut out = vec![Kv::default(); 32];
             merge_halve(&data, k, &mut out);
-            let mut in_place = data.clone();
+            let mut in_place = ranks(&data);
             merge_in_place(&mut in_place, k);
-            assert_eq!(&in_place[..32], &out[..], "k={k}");
+            assert_eq!(items::<Kv<u32>>(&in_place[..32]), out, "k={k}");
+            // the item comparator's rule: keep `a` unless `a < b`
+            for (j, o) in out.iter().enumerate() {
+                let (w, i) = (j / k, j % k);
+                let (a, b) = (data[2 * k * w + i], data[2 * k * w + i + k]);
+                assert_eq!(*o, if a.item_lt(&b) { b } else { a }, "k={k} j={j}");
+            }
         }
     }
 

@@ -1,6 +1,6 @@
 //! Property-based validation of the network schedules and host operators.
 
-use datagen::{SortKey, TopKItem};
+use datagen::SortKey;
 use proptest::prelude::*;
 use sortnet::network::full_sort_steps;
 use sortnet::{
@@ -173,7 +173,7 @@ fn element_bit_walk(free_bits: &[u32], set_id: usize, m: usize) -> usize {
 
 /// Kernel-style execution of a plan: gather each closed set, apply the
 /// group's steps locally, scatter back.
-fn apply_plan<T: TopKItem>(data: &mut [T], plan: &StepGroupPlan) {
+fn apply_plan<R: Copy + Ord>(data: &mut [R], plan: &StepGroupPlan) {
     for group in &plan.groups {
         let m_count = group.elems_per_set();
         let mut local = vec![data[0]; m_count];
@@ -188,7 +188,7 @@ fn apply_plan<T: TopKItem>(data: &mut [T], plan: &StepGroupPlan) {
                     if pm > m {
                         let gi = group.element(set, m);
                         let asc = step.ascending(gi);
-                        if asc == local[pm].item_lt(&local[m]) {
+                        if asc == (local[pm] < local[m]) {
                             local.swap(m, pm);
                         }
                     }

@@ -206,11 +206,32 @@ fn apply_step_accel<T: TopKItem>(data: &mut [T], step: Step, simd: bool) {
         }
         #[cfg(not(target_arch = "x86_64"))]
         {
-            host::apply_step(f, step);
+            apply_step_scalar(f, step);
             return;
         }
     }
-    host::apply_step(data, step);
+    apply_step_scalar(data, step);
+}
+
+/// The portable compare-exchange step on items: each aligned `2j` block
+/// sorts in one direction (the phase's run is at least `2j`), and a pair
+/// swaps iff `ascending == p.item_lt(a)`. A pair whose upper element lies
+/// past the end of the slice is left alone.
+fn apply_step_scalar<T: TopKItem>(data: &mut [T], step: Step) {
+    for (b, block) in data.chunks_mut(2 * step.j).enumerate() {
+        if block.len() <= step.j {
+            break;
+        }
+        let asc = step.ascending(b * 2 * step.j);
+        let (lo, hi) = block.split_at_mut(step.j);
+        for (a, p) in lo.iter_mut().zip(hi) {
+            // a select rather than a branch: the outcome is data-dependent
+            let swap = asc == p.item_lt(a);
+            let (x, y) = if swap { (*p, *a) } else { (*a, *p) };
+            *a = x;
+            *p = y;
+        }
+    }
 }
 
 /// SSE2 compare-exchange at distance `j ≥ 4`: 4 lanes at a time. The
@@ -317,7 +338,7 @@ mod tests {
             for run in [2 * j, 4 * j, 1 << 12] {
                 let step = Step { j, run };
                 let mut scalar = base.clone();
-                host::apply_step(&mut scalar, step);
+                apply_step_scalar(&mut scalar, step);
                 let mut simd = base.clone();
                 unsafe { apply_step_f32_sse(&mut simd, step) };
                 assert_eq!(scalar, simd, "j={j} run={run}");
@@ -336,7 +357,7 @@ mod tests {
             for run in [2 * j, 4 * j, 1 << 12] {
                 let step = Step { j, run };
                 let mut scalar = base.clone();
-                host::apply_step(&mut scalar, step);
+                apply_step_scalar(&mut scalar, step);
                 let mut simd = base.clone();
                 unsafe { apply_step_f32_avx2(&mut simd, step) };
                 assert_eq!(scalar, simd, "j={j} run={run}");

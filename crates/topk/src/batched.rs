@@ -67,23 +67,23 @@ impl<T: TopKItem> Kernel for BatchedRowKernel<T> {
         let row = blk.block_idx;
         let base = row * self.cols;
 
-        // functional per-row reduction via the host network operators
-        let mut buf: Vec<T> = self.input.read_range(base..base + self.cols);
-        buf.resize(self.row_pad, T::min_sentinel());
-        host::local_sort(&mut buf, self.k_eff);
-        let mut len = buf.len();
-        while len > self.k_eff {
-            let mut half = vec![T::min_sentinel(); len / 2];
-            host::merge_halve(&buf[..len], self.k_eff, &mut half);
-            len /= 2;
-            buf[..len].copy_from_slice(&half);
-            host::rebuild(&mut buf[..len], self.k_eff);
-        }
-        buf.truncate(self.k_eff);
-        buf.reverse();
-        for (j, item) in buf.iter().enumerate() {
-            self.output.set(row * self.k_eff + j, *item);
-        }
+        // functional per-row reduction: the host network on the row's
+        // ranks, converted once
+        let mut ranks: Vec<T::Rank> = Vec::with_capacity(self.row_pad);
+        ranks.extend(
+            self.input
+                .read_range(base..base + self.cols)
+                .iter()
+                .map(T::rank),
+        );
+        ranks.resize(self.row_pad, T::min_sentinel().rank());
+        host::topk_in_place(&mut ranks, self.k_eff);
+        let winners: Vec<T> = ranks[..self.k_eff]
+            .iter()
+            .rev()
+            .map(|&r| T::from_rank(r))
+            .collect();
+        self.output.write_range(row * self.k_eff, &winners);
 
         // traffic: the row in, k out, and the usual shared pipeline factor
         let bytes = (self.cols * T::SIZE_BYTES) as u64;

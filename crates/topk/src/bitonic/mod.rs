@@ -256,8 +256,14 @@ fn reduce_bitonic_runs<T: TopKItem>(
 /// FusedSortReducer kernel elsewhere filters/projects and produces the
 /// first-stage reduction; this drains the rest of the pipeline.
 ///
-/// `runs[0..valid]` must hold bitonic runs of `next_pow2(k)`; anything
-/// beyond is ignored. Returns the largest `k` items, descending.
+/// `runs[0..valid]` must hold bitonic runs of `next_pow2(min(k, valid))`;
+/// anything beyond is ignored, and `runs` is only read. Returns the
+/// largest `k` items, descending.
+///
+/// # Errors
+/// [`TopKError::EmptyInput`] when `valid` is 0, and
+/// [`TopKError::InvalidConfig`] naming `valid` when it is not a whole
+/// number of runs or exceeds the buffer.
 pub fn bitonic_topk_from_runs<T: TopKItem>(
     dev: &Device,
     runs: &GpuBuffer<T>,
@@ -266,13 +272,23 @@ pub fn bitonic_topk_from_runs<T: TopKItem>(
     cfg: BitonicConfig,
 ) -> Result<TopKResult<T>, TopKError> {
     cfg.validate()?;
-    let k_req = validate(runs, k.min(valid.max(1)))?;
-    let cap = LogCapture::begin(dev);
+    let k_req = validate(runs, k)?.min(valid);
+    if valid == 0 {
+        return Err(TopKError::EmptyInput);
+    }
     let k_eff = next_pow2(k_req);
-    assert!(
-        valid.is_multiple_of(k_eff),
-        "runs must be whole multiples of k_eff"
-    );
+    let invalid = |requirement| TopKError::InvalidConfig {
+        field: "valid",
+        value: valid,
+        requirement,
+    };
+    if valid > runs.len() {
+        return Err(invalid("at most the length of the runs buffer"));
+    }
+    if !valid.is_multiple_of(k_eff) {
+        return Err(invalid("a whole number of runs of next_pow2(k)"));
+    }
+    let cap = LogCapture::begin(dev);
     let max_seg = max_seg_elems::<T>(dev);
     if 2 * k_eff > max_seg {
         return Err(TopKError::Launch(LaunchError::SharedMemoryExceeded {
@@ -284,19 +300,15 @@ pub fn bitonic_topk_from_runs<T: TopKItem>(
     let nt_pref = cfg.block_dim.unwrap_or(256);
     let seg = (b * nt_pref).min(max_seg).max(2 * k_eff);
     let cur = next_pow2(valid).max(k_eff);
-    // sentinel-run padding: whole runs of MIN are valid bitonic runs
+    // the valid prefix, staged into a fresh buffer and padded with whole
+    // runs of MIN sentinels (which are valid bitonic runs), so the
+    // pipeline never writes into the caller's buffer
+    let mut host = runs.read_range(0..valid);
+    host.resize(cur, T::min_sentinel());
     let work = [
-        padded_copy(dev, runs, cur.max(runs.len())),
-        dev.alloc_filled::<T>(cur.max(k_eff), T::min_sentinel()),
+        dev.upload(&host),
+        dev.alloc_filled::<T>(cur, T::min_sentinel()),
     ];
-    // blank out any junk between `valid` and `cur`
-    if valid < cur {
-        let mut host = work[0].to_vec();
-        for slot in host.iter_mut().take(cur).skip(valid) {
-            *slot = T::min_sentinel();
-        }
-        work[0].upload(&host);
-    }
     let mut items = reduce_bitonic_runs(dev, work, cur, k_eff, seg, cfg)?;
     items.reverse();
     items.truncate(k_req);
@@ -640,6 +652,67 @@ mod tests {
                     other => panic!("{cfg:?}: {other:?}"),
                 }
             }
+        }
+    }
+
+    /// 2^14 f32 keys laid out as sorted runs of 32, alternately
+    /// ascending and descending, so every run is bitonic.
+    fn bitonic_runs_of_32() -> Vec<f32> {
+        let mut data: Vec<f32> = Uniform.generate(1 << 14, 75);
+        for (r, run) in data.chunks_mut(32).enumerate() {
+            run.sort_by_key(|x| x.key_bits());
+            if r % 2 == 1 {
+                run.reverse();
+            }
+        }
+        data
+    }
+
+    #[test]
+    fn from_runs_rejects_partial_runs_typed() {
+        let dev = Device::titan_x();
+        let runs = dev.upload(&bitonic_runs_of_32());
+        let cfg = BitonicConfig::default();
+        for (valid, k) in [(100, 32), (48, 32), (1 << 15, 32)] {
+            match bitonic_topk_from_runs(&dev, &runs, valid, k, cfg) {
+                Err(TopKError::InvalidConfig { field, value, .. }) => {
+                    assert_eq!((field, value), ("valid", valid))
+                }
+                other => panic!("valid={valid} k={k}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn from_runs_with_nothing_valid_is_empty_input() {
+        let dev = Device::titan_x();
+        let runs = dev.upload(&bitonic_runs_of_32());
+        assert_eq!(
+            bitonic_topk_from_runs(&dev, &runs, 0, 32, BitonicConfig::default()).unwrap_err(),
+            TopKError::EmptyInput
+        );
+    }
+
+    #[test]
+    fn from_runs_only_reads_the_callers_buffer() {
+        let data = bitonic_runs_of_32();
+        for valid in [12288, 4096, 64, data.len()] {
+            let dev = Device::titan_x();
+            let runs = dev.upload(&data);
+            let r =
+                bitonic_topk_from_runs(&dev, &runs, valid, 32, BitonicConfig::default()).unwrap();
+            assert_eq!(
+                keybits(&r.items),
+                keybits(&reference_topk(&data[..valid], 32)),
+                "valid={valid}"
+            );
+            let after = runs.to_vec();
+            let changed = data
+                .iter()
+                .zip(&after)
+                .filter(|(a, b)| a.to_bits() != b.to_bits())
+                .count();
+            assert_eq!(changed, 0, "valid={valid}: the runs buffer was written");
         }
     }
 

@@ -49,9 +49,9 @@ impl<T: TopKItem> Kernel for GlobalStepKernel<T> {
         blk.bulk_global_read(bytes);
         blk.bulk_global_write(bytes);
         blk.bulk_ops(self.n as u64 / 2);
-        let mut v = self.data.read_range(0..self.n);
-        host::apply_step(&mut v, self.step);
-        self.data.write_range(0, &v);
+        on_ranks(&self.data, self.n, self.n, |r| {
+            host::apply_step(r, self.step)
+        });
     }
 }
 
@@ -95,10 +95,24 @@ impl<T: TopKItem> Kernel for GlobalMergeKernel<T> {
         blk.bulk_global_read(bytes);
         blk.bulk_global_write(bytes / 2);
         blk.bulk_ops(self.n as u64 / 2);
-        let mut v = self.data.read_range(0..self.n);
-        host::merge_in_place(&mut v, self.k);
-        self.data.write_range(0, &v[..self.n / 2]);
+        on_ranks(&self.data, self.n, self.n / 2, |r| {
+            host::merge_in_place(r, self.k)
+        });
     }
+}
+
+/// Converts `data[..n]` to ranks once (see [`TopKItem::rank`]), runs `f`
+/// on them, and writes the first `out` back as items.
+fn on_ranks<T: TopKItem>(
+    data: &GpuBuffer<T>,
+    n: usize,
+    out: usize,
+    f: impl FnOnce(&mut [T::Rank]),
+) {
+    let mut ranks: Vec<T::Rank> = data.read_range(0..n).iter().map(T::rank).collect();
+    f(&mut ranks);
+    let items: Vec<T> = ranks[..out].iter().map(|&r| T::from_rank(r)).collect();
+    data.write_range(0, &items);
 }
 
 /// Bitonic top-k with per-step global kernels. `data` must already be

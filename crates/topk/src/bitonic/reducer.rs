@@ -9,12 +9,14 @@
 //! The lane path (`run_block`) stays the reference under a sanitizer or
 //! lint capture.
 
+use std::cell::OnceCell;
+
 use datagen::TopKItem;
 use simt::{
     AccessSpec, BlockCtx, BufferDecl, Device, GlobalStream, GpuBuffer, Kernel, KernelStats,
     Metered, PhaseSpec, SharedEv, SharedHandle, SharedStep,
 };
-use sortnet::host::{apply_step, merge_in_place};
+use sortnet::host::{apply_steps, merge_in_place};
 use sortnet::{
     chunk_rotation, local_sort_steps, rebuild_steps, CombinedStep, PadMap, Step, StepGroupPlan,
 };
@@ -78,7 +80,10 @@ pub(crate) struct ReducerKernel<T: TopKItem> {
     ws: usize,
     /// The operators, in order (part of the meter key).
     ops: Vec<ReduceOp>,
-    sched: Vec<OpSched>,
+    /// The lane schedule, built on first use by `run_block` or the
+    /// contract: a metered launch whose prediction is memoized runs
+    /// `ops` on host slices and never needs it.
+    sched: OnceCell<Vec<OpSched>>,
 }
 
 impl<T: TopKItem> ReducerKernel<T> {
@@ -97,7 +102,13 @@ impl<T: TopKItem> ReducerKernel<T> {
         grid_dim: usize,
         kernel_name: &'static str,
     ) -> Self {
-        let mut kernel = Self {
+        // the host executor relies on every block loading its whole
+        // segment; `BitonicConfig::validate` guarantees the geometry
+        debug_assert!(
+            seg.is_multiple_of(block_dim),
+            "seg {seg} over {block_dim} threads"
+        );
+        Self {
             input: input.clone(),
             output: output.clone(),
             seg,
@@ -108,43 +119,45 @@ impl<T: TopKItem> ReducerKernel<T> {
             kernel_name,
             ws: dev.spec().warp_size,
             ops: ops.to_vec(),
-            sched: Vec::with_capacity(ops.len()),
-        };
-        // the host executor relies on every block loading its whole
-        // segment; `BitonicConfig::validate` guarantees the geometry
-        debug_assert!(
-            seg.is_multiple_of(block_dim),
-            "seg {seg} over {block_dim} threads"
-        );
-        let mut cur_len = seg;
-        for &op in ops {
-            // element budget per thread at the current live length
-            let active = if cfg.reassign() {
-                (cur_len / cfg.elems()).clamp(1, block_dim)
-            } else {
-                block_dim.min(cur_len)
-            };
-            let (label, steps) = match op {
-                ReduceOp::LocalSort => ("local-sort", local_sort_steps(k)),
-                ReduceOp::Rebuild => ("rebuild", rebuild_steps(k)),
-                ReduceOp::Merge => {
-                    kernel.sched.push(OpSched::Merge {
-                        len: cur_len,
-                        workers: active.min(cur_len / 2),
-                    });
-                    cur_len /= 2;
-                    continue;
-                }
-            };
-            let budget = cfg.group_budget().min((cur_len / active).max(2));
-            let groups = StepGroupPlan::plan(&steps, budget)
-                .groups
-                .into_iter()
-                .map(|group| kernel.group_sched(group, cur_len, active))
-                .collect();
-            kernel.sched.push(OpSched::Network { label, groups });
+            sched: OnceCell::new(),
         }
-        kernel
+    }
+
+    /// The launch's lane schedule, worked out on first use.
+    fn sched(&self) -> &[OpSched] {
+        self.sched.get_or_init(|| {
+            let cfg = self.cfg;
+            let mut sched = Vec::with_capacity(self.ops.len());
+            let mut cur_len = self.seg;
+            for &op in &self.ops {
+                // element budget per thread at the current live length
+                let active = if cfg.reassign() {
+                    (cur_len / cfg.elems()).clamp(1, self.block_dim)
+                } else {
+                    self.block_dim.min(cur_len)
+                };
+                let (label, steps) = match op {
+                    ReduceOp::LocalSort => ("local-sort", local_sort_steps(self.k)),
+                    ReduceOp::Rebuild => ("rebuild", rebuild_steps(self.k)),
+                    ReduceOp::Merge => {
+                        sched.push(OpSched::Merge {
+                            len: cur_len,
+                            workers: active.min(cur_len / 2),
+                        });
+                        cur_len /= 2;
+                        continue;
+                    }
+                };
+                let budget = cfg.group_budget().min((cur_len / active).max(2));
+                let groups = StepGroupPlan::plan(&steps, budget)
+                    .groups
+                    .into_iter()
+                    .map(|group| self.group_sched(group, cur_len, active))
+                    .collect();
+                sched.push(OpSched::Network { label, groups });
+            }
+            sched
+        })
     }
 
     fn group_sched(&self, group: CombinedStep, cur_len: usize, active: usize) -> GroupSched {
@@ -177,11 +190,7 @@ impl<T: TopKItem> ReducerKernel<T> {
 
     /// Output elements each block produces.
     pub fn out_seg(&self) -> usize {
-        let merges = self
-            .sched
-            .iter()
-            .filter(|o| matches!(o, OpSched::Merge { .. }))
-            .count();
+        let merges = self.ops.iter().filter(|&&op| op == ReduceOp::Merge).count();
         self.seg >> merges
     }
 
@@ -328,9 +337,12 @@ impl<T: TopKItem> ReducerKernel<T> {
     }
 
     /// The declared shared access of element `idx` under the kernel's
-    /// pad map. The reducer's one shared allocation starts at word 0.
+    /// pad map. The reducer's one shared allocation starts at word 0, and
+    /// the simulator stages each element in the words of its in-memory
+    /// size, which exceeds `SIZE_BYTES` for padded items (`Kv<f64>`: 16
+    /// bytes, 4 words, against a 12-byte footprint).
     fn shared_ev(&self, pad: PadMap, idx: usize, write: bool) -> SharedEv {
-        let wpe = T::SIZE_BYTES.div_ceil(4);
+        let wpe = std::mem::size_of::<T>().div_ceil(4).max(1);
         SharedEv {
             word: (pad.index(idx) * wpe) as u32,
             words: wpe as u32,
@@ -510,7 +522,7 @@ impl<T: TopKItem> Kernel for ReducerKernel<T> {
         });
 
         // ---- operator pipeline
-        for op in &self.sched {
+        for op in self.sched() {
             match op {
                 OpSched::Network { groups, .. } => {
                     for g in groups {
@@ -566,7 +578,7 @@ impl<T: TopKItem> Metered for ReducerKernel<T> {
             shared_steps: vec![step],
             ..PhaseSpec::default()
         };
-        for (oi, op) in self.sched.iter().enumerate() {
+        for (oi, op) in self.sched().iter().enumerate() {
             match op {
                 OpSched::Network { label, groups } => {
                     let name = format!("op{oi}:{label}");
@@ -589,32 +601,38 @@ impl<T: TopKItem> Metered for ReducerKernel<T> {
     }
 
     /// Per block, in grid order: copy the segment into one reused
-    /// scratch, apply every network step to the live prefix and every
-    /// merge in place, and write the reduced segment back in one range
-    /// write. The comparator, tie rule and element order are the lane
-    /// path's; reading a block's segment before writing its output keeps
-    /// an aliased input and output (an in-place rebuild) exact.
+    /// scratch and convert it to ranks once, run every network step on
+    /// the live prefix and every merge in place, and decode only the
+    /// reduced segment, which one range write stores. The network's
+    /// steps and their order are the lane path's, and min/max on ranks
+    /// keeps exactly the elements its comparator keeps (see
+    /// [`TopKItem::rank`]). Reading a block's segment before writing its
+    /// output keeps an aliased input and output (an in-place rebuild)
+    /// exact.
     fn run_host(&self) {
         let out_len = self.out_seg();
-        let mut seg: Vec<T> = Vec::with_capacity(self.seg);
+        let (sorts, rebuilds) = (local_sort_steps(self.k), rebuild_steps(self.k));
+        let mut items: Vec<T> = Vec::with_capacity(self.seg);
+        let mut ranks: Vec<T::Rank> = Vec::with_capacity(self.seg);
         for b in 0..self.grid_dim {
             self.input
-                .read_range_into(b * self.seg..(b + 1) * self.seg, &mut seg);
+                .read_range_into(b * self.seg..(b + 1) * self.seg, &mut items);
+            ranks.clear();
+            ranks.extend(items.iter().map(T::rank));
             let mut live = self.seg;
-            for op in &self.sched {
+            for op in &self.ops {
                 match op {
-                    OpSched::Network { groups, .. } => {
-                        for (step, _) in groups.iter().flat_map(|g| &g.steps) {
-                            apply_step(&mut seg[..live], *step);
-                        }
-                    }
-                    &OpSched::Merge { len, .. } => {
-                        merge_in_place(&mut seg[..len], self.k);
-                        live = len / 2;
+                    ReduceOp::LocalSort => apply_steps(&mut ranks[..live], &sorts),
+                    ReduceOp::Rebuild => apply_steps(&mut ranks[..live], &rebuilds),
+                    ReduceOp::Merge => {
+                        merge_in_place(&mut ranks[..live], self.k);
+                        live /= 2;
                     }
                 }
             }
-            self.output.write_range(b * out_len, &seg[..out_len]);
+            items.clear();
+            items.extend(ranks[..out_len].iter().map(|&r| T::from_rank(r)));
+            self.output.write_range(b * out_len, &items);
         }
     }
 

@@ -4,9 +4,12 @@
 //! Both must agree on every launch's counters and the bits of its
 //! modeled time, on the returned items and on the buffers the caller
 //! hands in — for any n, k, ladder level, element type, order and bank
-//! count, through `TopKRequest` and `bitonic_topk_from_runs`.
+//! count, through `TopKRequest` and `bitonic_topk_from_runs`. The element
+//! types span every rank width the host network runs on (`u32`, `u64`,
+//! `u128`) and the order-reversing `Rev`, and the keys mix in duplicates,
+//! NaNs of both signs and ±0.
 
-use datagen::{Distribution, Kv, RadixBits, TopKItem, Uniform};
+use datagen::{Distribution, Kkkv, Kkv, Kv, RadixBits, Rev, TopKItem, Uniform};
 use proptest::prelude::*;
 use simt::{Device, DeviceSpec, GpuBuffer, KernelStats, LaunchReport};
 use topk::bitonic::{bitonic_topk_from_runs, BitonicConfig, OptLevel};
@@ -72,12 +75,25 @@ fn assert_paths_agree<T: TopKItem>(
     assert_eq!(metered, replayed, "{context}");
 }
 
-/// Uniform keys of each element type the reducers stage.
+/// Keys of each element type the reducers stage, made from uniform f32
+/// keys of which one in four is replaced: by a positive or negative NaN
+/// (each with a payload), by +0 or -0, or by a key rounded to a
+/// duplicate.
 fn keys<T: TopKItem>(n: usize, seed: u64, make: impl Fn(f32, u32) -> T) -> Vec<T> {
     let raw: Vec<f32> = Uniform.generate(n, seed);
     raw.iter()
         .enumerate()
-        .map(|(i, &k)| make(k, i as u32))
+        .map(|(i, &k)| {
+            let k = match (i as u64).wrapping_add(seed) % 24 {
+                0 => f32::from_bits(0x7fc0_0001),
+                1 => f32::from_bits(0xffc0_0002),
+                2 => 0.0,
+                3 => -0.0,
+                4 | 5 => (k * 4.0).floor(),
+                _ => k,
+            };
+            make(k, i as u32)
+        })
         .collect()
 }
 
@@ -137,7 +153,7 @@ proptest! {
         n in 1usize..12_000,
         k in 1usize..700,
         level in 0usize..7,
-        elem in 0usize..4,
+        elem in 0usize..8,
         smallest in any::<bool>(),
         banks in 0usize..3,
         seed in any::<u64>(),
@@ -147,7 +163,11 @@ proptest! {
             0 => request_case(&keys(n, seed, |k, _| k), k, smallest, opt, banks),
             1 => request_case(&keys(n, seed, |k, _| k.to_bits() >> 7), k, smallest, opt, banks),
             2 => request_case(&keys(n, seed, |k, i| k as f64 + i as f64 * 1e-9), k, smallest, opt, banks),
-            _ => request_case(&keys(n, seed, |k, i| Kv::new((k * 64.0).floor(), i)), k, smallest, opt, banks),
+            3 => request_case(&keys(n, seed, |k, i| Kv::new((k * 64.0).floor(), i)), k, smallest, opt, banks),
+            4 => request_case(&keys(n, seed, |k, i| Kv::new(k as f64, i)), k, smallest, opt, banks),
+            5 => request_case(&keys(n, seed, |k, i| Kkv::new((k * 8.0).floor(), k, i)), k, smallest, opt, banks),
+            6 => request_case(&keys(n, seed, |k, i| Kkkv::new((k * 4.0).floor(), (i % 3) as f32, k, i)), k, smallest, opt, banks),
+            _ => request_case(&keys(n, seed, |k, i| Rev(Kv::new((k * 64.0).floor(), i))), k, smallest, opt, banks),
         }
     }
 
@@ -157,7 +177,7 @@ proptest! {
         k in 1usize..300,
         runs in 1usize..64,
         level in 0usize..7,
-        elem in 0usize..4,
+        elem in 0usize..8,
         banks in 0usize..3,
         seed in any::<u64>(),
     ) {
@@ -166,7 +186,11 @@ proptest! {
             0 => runs_case(keys(len, seed, |k, _| k), k, runs, opt, banks),
             1 => runs_case(keys(len, seed, |k, _| k.to_bits() >> 7), k, runs, opt, banks),
             2 => runs_case(keys(len, seed, |k, i| k as f64 - i as f64), k, runs, opt, banks),
-            _ => runs_case(keys(len, seed, |k, i| Kv::new((k * 16.0).floor(), i)), k, runs, opt, banks),
+            3 => runs_case(keys(len, seed, |k, i| Kv::new((k * 16.0).floor(), i)), k, runs, opt, banks),
+            4 => runs_case(keys(len, seed, |k, i| Kv::new(k as f64, i)), k, runs, opt, banks),
+            5 => runs_case(keys(len, seed, |k, i| Kkv::new((k * 8.0).floor(), k, i)), k, runs, opt, banks),
+            6 => runs_case(keys(len, seed, |k, i| Kkkv::new((k * 4.0).floor(), (i % 3) as f32, k, i)), k, runs, opt, banks),
+            _ => runs_case(keys(len, seed, |k, i| Rev(Kv::new((k * 16.0).floor(), i))), k, runs, opt, banks),
         }
     }
 }
