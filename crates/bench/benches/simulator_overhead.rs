@@ -4,12 +4,17 @@
 //! the metered path and on the lane path it replaces outside sanitizer
 //! and lint runs, for f32 keys and `Kv<f32>` pairs; then one host network
 //! step per distance on `u32` and `u64` ranks, the element widths the
-//! metered path runs those two item types on. (Host wall-clock of the
-//! simulation, not simulated time; each line reports host time per
+//! metered path runs those two item types on; last, qdb's serving
+//! shapes end to end and one append, per table row. (Host wall-clock of
+//! the simulation, not simulated time; each line reports host time per
 //! element.)
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use std::cell::RefCell;
+
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
+use datagen::twitter::TweetTable;
 use datagen::{Distribution, Kv, TopKItem, Uniform};
+use qdb::{execute_sql, parse_sql, GpuTweetTable, Strategy};
 use simt::{BlockCtx, Device, DeviceSpec, GpuBuffer, Kernel};
 use sortnet::host::{apply_step, apply_steps};
 use sortnet::Step;
@@ -165,10 +170,85 @@ fn network_steps<R: Copy + Ord>(g: &mut criterion::BenchmarkGroup<'_>, ty: &str,
     });
 }
 
+/// qdb's serving shapes, each timed end to end through `execute_sql`
+/// with the staged bitonic plan, on a 2^17 + 512-row table, which pads
+/// a full-table top-k input to 2^18: Q1 at 1% and 20% selectivity,
+/// the Q2 ranking, `ASC` and the Q4 group-by. Then one 512-row append
+/// onto 2^17 resident rows. Host time per table row (per appended row
+/// for the append).
+fn bench_qdb_operators(c: &mut Criterion) {
+    let (n, batch_rows) = (1usize << 17, 512);
+    let host = TweetTable::generate(n, 13);
+    let batch = TweetTable::generate_at(batch_rows, 14, n as u32);
+    let dev = Device::titan_x();
+    let table = GpuTweetTable::upload_with_capacity(&dev, &host, n + batch_rows);
+    table.append_batch(&dev, &batch).unwrap();
+    let cutoff = |sel| host.time_cutoff_for_selectivity(sel);
+    let shapes = [
+        (
+            "q1_sel_1pct",
+            format!(
+                "SELECT id FROM tweets WHERE tweet_time < {} ORDER BY retweet_count DESC LIMIT 50",
+                cutoff(0.01)
+            ),
+        ),
+        (
+            "q1_sel_20pct",
+            format!(
+                "SELECT id FROM tweets WHERE tweet_time < {} ORDER BY retweet_count DESC LIMIT 50",
+                cutoff(0.2)
+            ),
+        ),
+        (
+            "q2_ranked",
+            "SELECT id FROM tweets ORDER BY retweet_count + 0.5 * likes_count DESC LIMIT 50"
+                .to_string(),
+        ),
+        (
+            "q1_asc",
+            "SELECT id FROM tweets ORDER BY retweet_count ASC LIMIT 50".to_string(),
+        ),
+        (
+            "q4_group_by",
+            "SELECT uid, COUNT(*) FROM tweets GROUP BY uid ORDER BY COUNT(*) DESC LIMIT 50"
+                .to_string(),
+        ),
+    ];
+    let mut g = c.benchmark_group("qdb_operators");
+    g.sample_size(20);
+    g.throughput(Throughput::Elements(table.len() as u64));
+    for (id, sql) in &shapes {
+        let q = parse_sql(sql).unwrap();
+        g.bench_function(id, |b| {
+            b.iter(|| execute_sql(&dev, &table, &q, Strategy::StageBitonic).unwrap())
+        });
+    }
+    // every sample appends to a fresh table; the previous sample's table
+    // is dropped in the untimed set-up, so the timing holds the splice
+    g.throughput(Throughput::Elements(batch_rows as u64));
+    let spent = RefCell::new(None);
+    g.bench_function("append_512", |b| {
+        b.iter_batched(
+            || {
+                spent.borrow_mut().take();
+                GpuTweetTable::upload_with_capacity(&dev, &host, n + batch_rows)
+            },
+            |t| {
+                let receipt = t.append_batch(&dev, &batch).unwrap();
+                *spent.borrow_mut() = Some(t);
+                receipt
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_simulator,
     bench_bitonic_read,
-    bench_host_network
+    bench_host_network,
+    bench_qdb_operators
 );
 criterion_main!(benches);

@@ -9,14 +9,13 @@
 //! `(key, row id)` tie-break (`Kv`'s `item_lt`), the same deterministic
 //! group ordering, the same ASC handling via the zero-copy `Rev` view.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use datagen::twitter::TweetTable;
 use datagen::{rev_slice, Kv};
 use topk_cpu::{CpuBitonic, CpuSort, CpuTopK};
 
-use crate::engine::FilterOp;
+use crate::engine::{FilterOp, GroupCounts};
 use crate::error::QdbError;
 use crate::queries::Strategy;
 use crate::sql::{OrderBy, Query, SqlError};
@@ -92,13 +91,13 @@ pub(crate) fn execute_cpu(
         (OrderBy::Count, true) => {
             let scan = Instant::now();
             let partials = par_chunks(n, threads, |r| {
-                let mut counts: HashMap<u32, u32> = HashMap::new();
+                let mut counts = GroupCounts::default();
                 for row in r {
                     *counts.entry(t.uid[row]).or_insert(0) += 1;
                 }
                 counts
             });
-            let mut counts: HashMap<u32, u32> = HashMap::new();
+            let mut counts = GroupCounts::default();
             for p in partials {
                 for (uid, c) in p {
                     *counts.entry(uid).or_insert(0) += c;
@@ -106,8 +105,8 @@ pub(crate) fn execute_cpu(
             }
             let mut groups: Vec<Kv<u32>> =
                 counts.into_iter().map(|(uid, c)| Kv::new(c, uid)).collect();
-            // HashMap iteration order is not deterministic; fix it so the
-            // id tie-break sees the same candidate order everywhere
+            // the map iterates in hash order; sort by uid so the id
+            // tie-break sees the same candidate order everywhere
             groups.sort_unstable_by_key(|kv| kv.value);
             stages.push(("cpu_group_count".to_string(), ms(scan)));
             let sel = Instant::now();

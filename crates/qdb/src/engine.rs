@@ -1,6 +1,9 @@
 //! Physical operators: filter, project, group-by count, and the two
 //! fused top-k kernels of Section 5.
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use datagen::{Kv, TopKItem};
 use simt::{AccessSpec, BlockCtx, BufferDecl, BulkAccess, Device, GpuBuffer, Kernel};
 use sortnet::{host, next_pow2};
@@ -28,11 +31,6 @@ impl FilterOp {
         }
     }
 
-    /// Evaluates the predicate against one row.
-    pub fn matches(&self, table: &crate::table::GpuTweetTable, row: usize) -> bool {
-        self.matches_row(table.tweet_time.get(row), table.lang.get(row))
-    }
-
     /// Evaluates the predicate against raw column values — the
     /// backend-agnostic primitive both the device filter kernel and the
     /// CPU engine's parallel scan share.
@@ -41,6 +39,62 @@ impl FilterOp {
             FilterOp::TimeLess(cutoff) => tweet_time < *cutoff,
             FilterOp::LangIn(langs) => langs.contains(&lang),
         }
+    }
+
+    /// The `(key_col[row], id[row])` pair of every matching row of
+    /// `table`, in row order, reading each column through one borrow.
+    pub(crate) fn matched_pairs(
+        &self,
+        table: &GpuTweetTable,
+        key_col: &GpuBuffer<u32>,
+    ) -> Vec<Kv<u32>> {
+        let n = table.len();
+        let (times, langs) = (table.tweet_time.host_view(), table.lang.host_view());
+        let (keys, ids) = (key_col.host_view(), table.id.host_view());
+        (0..n)
+            .filter(|&row| self.matches_row(times[row], langs[row]))
+            .map(|row| Kv::new(keys[row], ids[row]))
+            .collect()
+    }
+}
+
+/// Writes the Q2 ranking `retweet_count + likes_weight·likes_count` of
+/// row `r` of `table`, paired with its id, into `out[r]` for every row
+/// `out` covers, reading each column through one borrow.
+pub(crate) fn rank_rows(table: &GpuTweetTable, likes_weight: f32, out: &mut [Kv<f32>]) {
+    let (retweets, likes) = (
+        table.retweet_count.host_view(),
+        table.likes_count.host_view(),
+    );
+    let ids = table.id.host_view();
+    for (((slot, &rt), &lk), &id) in out.iter_mut().zip(&*retweets).zip(&*likes).zip(&*ids) {
+        *slot = Kv::new(rt as f32 + likes_weight * lk as f32, id);
+    }
+}
+
+/// Per-uid row counts of the group-by. The map hashes with a fixed-seed
+/// multiplicative hash instead of SipHash's random per-map keys: faster,
+/// and every run emits the groups in the same order.
+pub(crate) type GroupCounts = HashMap<u32, u32, BuildHasherDefault<MulHasher>>;
+
+/// The multiply-rotate hash behind [`GroupCounts`].
+#[derive(Default)]
+pub(crate) struct MulHasher(u64);
+
+impl Hasher for MulHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b.into());
+        }
+    }
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(x.into());
+    }
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
     }
 }
 
@@ -97,12 +151,7 @@ impl Kernel for FilterKernel<'_> {
     }
     fn run_block(&self, blk: &mut BlockCtx) {
         let n = self.table.len();
-        let mut matched: Vec<Kv<u32>> = Vec::new();
-        for row in 0..n {
-            if self.op.matches(self.table, row) {
-                matched.push(Kv::new(self.key_col.get(row), self.table.id.get(row)));
-            }
-        }
+        let matched = self.op.matched_pairs(self.table, self.key_col);
         blk.bulk_global_read((n * (self.op.pred_bytes() + 4)) as u64);
         blk.bulk_global_write((matched.len() * Kv::<u32>::SIZE_BYTES) as u64);
         blk.bulk_ops(2 * n as u64);
@@ -142,16 +191,11 @@ impl Kernel for ProjectRankKernel<'_> {
     }
     fn run_block(&self, blk: &mut BlockCtx) {
         let n = self.table.len();
-        let mut out = Vec::with_capacity(n);
-        for row in 0..n {
-            let rank = self.table.retweet_count.get(row) as f32
-                + 0.5 * self.table.likes_count.get(row) as f32;
-            out.push(Kv::new(rank, self.table.id.get(row)));
-        }
         blk.bulk_global_read((n * 8) as u64);
         blk.bulk_global_write((n * Kv::<f32>::SIZE_BYTES) as u64);
         blk.bulk_ops(3 * n as u64);
-        self.out.upload(&out);
+        self.out
+            .write_with(|out| rank_rows(self.table, 0.5, &mut out[..n]));
     }
 }
 
@@ -193,19 +237,20 @@ impl Kernel for GroupCountKernel<'_> {
     }
     fn run_block(&self, blk: &mut BlockCtx) {
         let n = self.table.len();
-        let mut counts: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
-        for row in 0..n {
-            *counts.entry(self.table.uid.get(row)).or_insert(0) += 1;
+        let mut counts = GroupCounts::default();
+        for &uid in &self.table.uid.host_view()[..n] {
+            *counts.entry(uid).or_insert(0) += 1;
         }
-        let groups: Vec<Kv<u32>> = counts.iter().map(|(&uid, &c)| Kv::new(c, uid)).collect();
         blk.bulk_global_read((n * 4) as u64);
         blk.bulk_atomics(n as u64);
-        blk.bulk_global_write((groups.len() * 8) as u64);
+        blk.bulk_global_write((counts.len() * 8) as u64);
         blk.bulk_ops(4 * n as u64);
-        self.out_count.set(0, groups.len() as u32);
-        let mut buf = self.out.to_vec();
-        buf[..groups.len()].copy_from_slice(&groups);
-        self.out.upload(&buf);
+        self.out_count.set(0, counts.len() as u32);
+        self.out.write_with(|out| {
+            for (slot, (&uid, &c)) in out.iter_mut().zip(&counts) {
+                *slot = Kv::new(c, uid);
+            }
+        });
     }
 }
 
@@ -296,13 +341,17 @@ impl<T: TopKItem> Kernel for FusedSortReducerKernel<'_, T> {
         blk.bulk_ops((6 * self.n_rows) as u64);
 
         self.out_valid.set(0, len as u32);
-        let mut out = self.out_runs.to_vec();
-        out[..len].copy_from_slice(&buf[..len]);
-        self.out_runs.upload(&out);
+        self.out_runs.write_range(0, &buf[..len]);
     }
 }
 
-/// Runs the order-by/limit stage on materialized candidates.
+/// Runs the order-by/limit stage on the first `valid` candidates,
+/// returning at most `valid` items.
+///
+/// Bitonic staging copies the valid prefix once, straight into the
+/// power-of-two buffer padded with MIN sentinels that the pipeline
+/// reads, so `bitonic_topk` pads nothing itself. Either way the stage
+/// makes one fallible allocation.
 pub(crate) fn run_topk_stage<T: TopKItem>(
     dev: &Device,
     candidates: &GpuBuffer<T>,
@@ -310,12 +359,15 @@ pub(crate) fn run_topk_stage<T: TopKItem>(
     k: usize,
     strategy: TopKStrategy,
 ) -> Result<TopKResult<T>, QdbError> {
-    // slice the valid prefix into its own buffer (device-side view)
-    let view = dev.try_upload(&candidates.read_range(0..valid.max(1)))?;
     let r = match strategy {
-        TopKStrategy::Sort => topk::sort::sort_topk(dev, &view, k),
+        TopKStrategy::Sort => {
+            let view = dev.try_upload(&candidates.host_view()[..valid.max(1)])?;
+            topk::sort::sort_topk(dev, &view, k)
+        }
         TopKStrategy::Bitonic => {
-            topk::bitonic::bitonic_topk(dev, &view, k, BitonicConfig::default())
+            let padded = dev.try_alloc_filled(next_pow2(valid.max(1)), T::min_sentinel())?;
+            padded.write_range(0, &candidates.host_view()[..valid]);
+            topk::bitonic::bitonic_topk(dev, &padded, k.min(valid), BitonicConfig::default())
         }
     };
     r.map_err(QdbError::from)
@@ -440,6 +492,115 @@ mod tests {
         uids.sort_unstable();
         uids.dedup();
         assert_eq!(uids.len(), g, "group uids must be distinct");
+    }
+
+    #[test]
+    fn group_count_order_is_reproducible() {
+        // the same table on two devices: the fixed-seed hash visits the
+        // groups in one order, so the candidate buffers match byte for byte
+        let host = TweetTable::generate(30_000, 7);
+        let run = || {
+            let dev = Device::titan_x();
+            let gpu = GpuTweetTable::upload(&dev, &host);
+            let out = dev.alloc::<Kv<u32>>(30_000);
+            let cnt = dev.alloc::<u32>(1);
+            dev.launch(&GroupCountKernel {
+                table: &gpu,
+                out: out.clone(),
+                out_count: cnt.clone(),
+            })
+            .unwrap();
+            (cnt.get(0), out.to_vec())
+        };
+        let (first, second) = (run(), run());
+        assert!(first.0 > 1000, "groups {}", first.0);
+        assert_eq!(first, second);
+    }
+
+    /// Items, launches, counters and modeled-time bits of one top-k
+    /// stage, items compared by key bits and whole value.
+    type StageOutcome = (Vec<String>, usize, simt::KernelStats, u64, u64);
+
+    /// Runs the bitonic stage over the first `valid` of `data` twice:
+    /// through `run_topk_stage`'s padded staging, and as an unpadded copy
+    /// of the prefix that `bitonic_topk` pads itself.
+    fn staged_both_ways<T: TopKItem>(
+        data: &[T],
+        valid: usize,
+        k: usize,
+    ) -> (StageOutcome, StageOutcome) {
+        let run = |padded: bool| -> StageOutcome {
+            let dev = Device::titan_x();
+            let candidates = dev.upload(data);
+            let log0 = dev.log_len();
+            let r = if padded {
+                run_topk_stage(&dev, &candidates, valid, k, TopKStrategy::Bitonic).unwrap()
+            } else {
+                let copy = dev.upload(&data[..valid]);
+                topk::bitonic::bitonic_topk(&dev, &copy, k, BitonicConfig::default()).unwrap()
+            };
+            let w = dev.window_since(log0);
+            let items = r
+                .items
+                .iter()
+                .map(|x| format!("{:?}/{x:?}", x.key_bits()))
+                .collect();
+            (
+                items,
+                w.launches,
+                w.stats,
+                w.time.0.to_bits(),
+                r.time.0.to_bits(),
+            )
+        };
+        (run(true), run(false))
+    }
+
+    /// `valid` = 2^j − 1, 2^j and 2^j + 1, in one block (j = 10) and
+    /// across blocks (j = 13, where 2^13 + 1 leaves whole blocks of
+    /// padding). One candidate in seven carries the min sentinel's key,
+    /// the best candidate sits last, where a short copy would drop it,
+    /// and the tail past `valid` holds max sentinels, which would win if
+    /// staging read them.
+    fn staging_case<T: TopKItem>(make: impl Fn(u32, bool) -> T) {
+        assert_eq!(
+            make(0, true).key_bits(),
+            T::min_sentinel().key_bits(),
+            "{}",
+            std::any::type_name::<T>()
+        );
+        for j in [10, 13] {
+            for valid in [(1usize << j) - 1, 1 << j, (1 << j) + 1] {
+                let mut data: Vec<T> = (0..valid as u32).map(|i| make(i, i % 7 == 3)).collect();
+                let best = (0..valid).max_by_key(|&i| data[i].rank()).unwrap();
+                data.swap(best, valid - 1);
+                data.resize(valid + 100, T::max_sentinel());
+                for k in [1, 32, 100] {
+                    let (padded, copied) = staged_both_ways(&data, valid, k);
+                    assert_eq!(
+                        padded,
+                        copied,
+                        "{} valid={valid} k={k}",
+                        std::any::type_name::<T>()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn padded_staging_matches_an_unpadded_copy() {
+        let key = |i: u32| i.wrapping_mul(2_654_435_761) >> 18;
+        staging_case(|i, s| Kv::new(if s { 0 } else { key(i) }, i));
+        staging_case(|i, s| {
+            let k = if s {
+                f32::from_bits(u32::MAX)
+            } else {
+                key(i) as f32 * 0.25
+            };
+            Kv::new(k, i)
+        });
+        staging_case(|i, s| datagen::Rev(Kv::new(if s { u32::MAX } else { key(i) }, i)));
     }
 
     #[test]

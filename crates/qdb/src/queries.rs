@@ -1,14 +1,12 @@
 //! The four Twitter queries of Section 6.8, each with the paper's
 //! execution strategies and per-stage kernel-time breakdowns (Figure 16).
 
-use datagen::{Kv, Rev};
-use simt::{Device, SimTime};
-use topk::bitonic::BitonicConfig;
-use topk::{TopKAlgorithm, TopKRequest};
+use datagen::{Kv, Rev, RevView};
+use simt::{Device, GpuBuffer, SimTime};
 
 use crate::engine::{
-    run_fused_topk, run_topk_stage, FilterKernel, FilterOp, GroupCountKernel, ProjectRankKernel,
-    TopKStrategy,
+    rank_rows, run_fused_topk, run_topk_stage, FilterKernel, FilterOp, GroupCountKernel,
+    ProjectRankKernel, TopKStrategy,
 };
 use crate::error::QdbError;
 use crate::table::GpuTweetTable;
@@ -68,6 +66,34 @@ fn collect_result(dev: &Device, log_start: usize, ids: Vec<u32>) -> QueryResult 
     }
 }
 
+/// Launches the filter kernel into a fresh candidate buffer of one row
+/// per table row; returns it with the matched count.
+fn filter_candidates(
+    dev: &Device,
+    table: &GpuTweetTable,
+    op: &FilterOp,
+) -> Result<(GpuBuffer<Kv<u32>>, usize), QdbError> {
+    let out = dev.try_alloc::<Kv<u32>>(table.len())?;
+    let cnt = dev.try_alloc::<u32>(1)?;
+    dev.launch(&FilterKernel {
+        table,
+        op,
+        key_col: &table.retweet_count,
+        out: out.clone(),
+        out_count: cnt.clone(),
+    })?;
+    Ok((out, cnt.get(0) as usize))
+}
+
+/// The top-k stage a staged plan runs.
+fn stage_strategy(strategy: Strategy) -> TopKStrategy {
+    if strategy == Strategy::StageSort {
+        TopKStrategy::Sort
+    } else {
+        TopKStrategy::Bitonic
+    }
+}
+
 /// Q1/Q3: `SELECT id FROM tweets WHERE <filter> ORDER BY retweet_count
 /// DESC LIMIT k`.
 pub fn filtered_topk(
@@ -80,35 +106,18 @@ pub fn filtered_topk(
     let log_start = dev.log_len();
     match strategy {
         Strategy::StageSort | Strategy::StageBitonic => {
-            let out = dev.try_alloc::<Kv<u32>>(table.len())?;
-            let cnt = dev.try_alloc::<u32>(1)?;
-            dev.launch(&FilterKernel {
-                table,
-                op,
-                key_col: &table.retweet_count,
-                out: out.clone(),
-                out_count: cnt.clone(),
-            })?;
-            let m = cnt.get(0) as usize;
+            let (out, m) = filter_candidates(dev, table, op)?;
             if m == 0 {
                 return Ok(collect_result(dev, log_start, Vec::new()));
             }
-            let strat = if strategy == Strategy::StageSort {
-                TopKStrategy::Sort
-            } else {
-                TopKStrategy::Bitonic
-            };
-            let r = run_topk_stage(dev, &out, m, k.min(m), strat)?;
+            let r = run_topk_stage(dev, &out, m, k.min(m), stage_strategy(strategy))?;
             let ids = r.items.iter().map(|kv| kv.value).collect();
             Ok(collect_result(dev, log_start, ids))
         }
         Strategy::CombinedBitonic => {
             // the fused kernel evaluates the predicate itself; the matched
             // set is computed host-side for the functional result
-            let matched: Vec<Kv<u32>> = (0..table.len())
-                .filter(|&r| op.matches(table, r))
-                .map(|r| Kv::new(table.retweet_count.get(r), table.id.get(r)))
-                .collect();
+            let matched = op.matched_pairs(table, &table.retweet_count);
             if matched.is_empty() {
                 return Ok(collect_result(dev, log_start, Vec::new()));
             }
@@ -121,10 +130,10 @@ pub fn filtered_topk(
 }
 
 /// Q1/Q3 reversed: `… ORDER BY retweet_count ASC LIMIT k` — the
-/// smallest-k variant. The staged plans run the candidate buffer through
-/// [`TopKRequest::smallest`] (an on-device reversed view, no extra pass);
-/// the fused plan feeds [`datagen::Rev`]-wrapped pairs to the same
-/// FusedSortReducer kernel.
+/// smallest-k variant. The staged plans run the largest-k stage on the
+/// candidate buffer viewed in place as [`datagen::Rev`] pairs (no extra
+/// pass, as [`topk::TopKRequest::smallest`] does); the fused plan feeds
+/// `Rev`-wrapped pairs to the same FusedSortReducer kernel.
 pub fn filtered_bottomk(
     dev: &Device,
     table: &GpuTweetTable,
@@ -135,35 +144,20 @@ pub fn filtered_bottomk(
     let log_start = dev.log_len();
     match strategy {
         Strategy::StageSort | Strategy::StageBitonic => {
-            let out = dev.try_alloc::<Kv<u32>>(table.len())?;
-            let cnt = dev.try_alloc::<u32>(1)?;
-            dev.launch(&FilterKernel {
-                table,
-                op,
-                key_col: &table.retweet_count,
-                out: out.clone(),
-                out_count: cnt.clone(),
-            })?;
-            let m = cnt.get(0) as usize;
+            let (out, m) = filter_candidates(dev, table, op)?;
             if m == 0 {
                 return Ok(collect_result(dev, log_start, Vec::new()));
             }
-            let view = dev.try_upload(&out.read_range(0..m))?;
-            let alg = if strategy == Strategy::StageSort {
-                TopKAlgorithm::Sort
-            } else {
-                TopKAlgorithm::Bitonic(BitonicConfig::default())
-            };
-            let r = TopKRequest::smallest(k.min(m))
-                .with_alg(alg)
-                .run(dev, &view)?;
-            let ids = r.items.iter().map(|kv| kv.value).collect();
+            let rev = out.as_rev_view();
+            let r = run_topk_stage(dev, rev.view(), m, k.min(m), stage_strategy(strategy))?;
+            let ids = r.items.iter().map(|kv| kv.0.value).collect();
             Ok(collect_result(dev, log_start, ids))
         }
         Strategy::CombinedBitonic => {
-            let matched: Vec<Rev<Kv<u32>>> = (0..table.len())
-                .filter(|&r| op.matches(table, r))
-                .map(|r| Rev(Kv::new(table.retweet_count.get(r), table.id.get(r))))
+            let matched: Vec<Rev<Kv<u32>>> = op
+                .matched_pairs(table, &table.retweet_count)
+                .into_iter()
+                .map(Rev)
                 .collect();
             if matched.is_empty() {
                 return Ok(collect_result(dev, log_start, Vec::new()));
@@ -192,23 +186,14 @@ pub fn ranked_topk(
                 table,
                 out: out.clone(),
             })?;
-            let strat = if strategy == Strategy::StageSort {
-                TopKStrategy::Sort
-            } else {
-                TopKStrategy::Bitonic
-            };
-            let r = run_topk_stage(dev, &out, table.len(), k.min(table.len()), strat)?;
+            let n = table.len();
+            let r = run_topk_stage(dev, &out, n, k.min(n), stage_strategy(strategy))?;
             let ids = r.items.iter().map(|kv| kv.value).collect();
             Ok(collect_result(dev, log_start, ids))
         }
         Strategy::CombinedBitonic => {
-            let matched: Vec<Kv<f32>> = (0..table.len())
-                .map(|r| {
-                    let rank =
-                        table.retweet_count.get(r) as f32 + 0.5 * table.likes_count.get(r) as f32;
-                    Kv::new(rank, table.id.get(r))
-                })
-                .collect();
+            let mut matched = vec![Kv::default(); table.len()];
+            rank_rows(table, 0.5, &mut matched);
             let k = k.min(matched.len());
             // the ranking function reads both count columns (8 B/row); no
             // separate predicate column

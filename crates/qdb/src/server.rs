@@ -65,7 +65,7 @@ use simt::{
 use sortnet::next_pow2;
 use topk::batched::{batched_bitonic_topk, max_single_launch_row};
 
-use crate::engine::{FilterKernel, FilterOp, TopKStrategy};
+use crate::engine::{rank_rows, FilterKernel, FilterOp, GroupCounts, TopKStrategy};
 use crate::error::QdbError;
 use crate::queries::{QueryResult, Strategy};
 use crate::sql::{execute, parse, OrderBy, Query};
@@ -398,9 +398,8 @@ impl Kernel for PackKernel {
     fn run_block(&self, blk: &mut BlockCtx) {
         let row = blk.block_idx;
         let (src, m) = &self.sources[row];
-        for (j, item) in src.read_range(0..*m).into_iter().enumerate() {
-            self.out.set(row * self.cols + j, item);
-        }
+        self.out
+            .write_range(row * self.cols, &src.host_view()[..*m]);
         let bytes = (*m * Kv::<u32>::SIZE_BYTES) as u64;
         blk.bulk_global_read(bytes);
         blk.bulk_global_write(bytes);
@@ -778,13 +777,13 @@ impl<'a> Server<'a> {
         let n = t.len();
         match (&q.order_by, q.group_by_uid) {
             (OrderBy::Count, true) => {
-                let mut counts: HashMap<u32, u32> = HashMap::new();
-                for row in 0..n {
-                    *counts.entry(t.uid.get(row)).or_insert(0) += 1;
+                let mut counts = GroupCounts::default();
+                for &uid in &t.uid.host_view()[..n] {
+                    *counts.entry(uid).or_insert(0) += 1;
                 }
                 let mut groups: Vec<Kv<u32>> =
                     counts.into_iter().map(|(uid, c)| Kv::new(c, uid)).collect();
-                // HashMap iteration order is not deterministic; fix it
+                // the map iterates in hash order; sort by uid
                 groups.sort_unstable_by_key(|kv| kv.value);
                 topk_cpu::heap_topk(&groups, q.limit)
                     .iter()
@@ -792,13 +791,8 @@ impl<'a> Server<'a> {
                     .collect()
             }
             (OrderBy::Rank { likes_weight }, false) => {
-                let items: Vec<Kv<f32>> = (0..n)
-                    .map(|r| {
-                        let rank = t.retweet_count.get(r) as f32
-                            + likes_weight * t.likes_count.get(r) as f32;
-                        Kv::new(rank, t.id.get(r))
-                    })
-                    .collect();
+                let mut items = vec![Kv::default(); n];
+                rank_rows(t, *likes_weight, &mut items);
                 topk_cpu::heap_topk(&items, q.limit)
                     .iter()
                     .map(|kv| kv.value)
@@ -806,10 +800,7 @@ impl<'a> Server<'a> {
             }
             (OrderBy::RetweetCount, false) => {
                 let op = q.filter.clone().unwrap_or(FilterOp::TimeLess(u32::MAX));
-                let items: Vec<Kv<u32>> = (0..n)
-                    .filter(|&r| op.matches(t, r))
-                    .map(|r| Kv::new(t.retweet_count.get(r), t.id.get(r)))
-                    .collect();
+                let items = op.matched_pairs(t, &t.retweet_count);
                 if q.ascending {
                     let rev: Vec<Rev<Kv<u32>>> = items.into_iter().map(Rev).collect();
                     topk_cpu::heap_topk(&rev, q.limit)
@@ -1088,8 +1079,14 @@ impl<'a> Server<'a> {
     ) -> LoadReport {
         let dev = self.dev;
         let schedule = dev.schedule_since(window);
-        let full_log = dev.log_since(0);
-        let trace_json = chrome_trace_streams(&schedule, &full_log);
+        // this drain's launches only: the schedule's indices are absolute
+        // log positions, so they are rebased onto the window
+        let log = dev.log_since(window);
+        let mut windowed = schedule.clone();
+        for l in &mut windowed.launches {
+            l.index -= window;
+        }
+        let trace_json = chrome_trace_streams(&windowed, &log);
         let placed: HashMap<usize, (SimTime, SimTime)> = schedule
             .launches
             .iter()
@@ -1121,7 +1118,7 @@ impl<'a> Server<'a> {
                     .own
                     .iter()
                     .chain(e.shared.iter())
-                    .map(|&i| full_log[i].clone())
+                    .map(|&i| log[i - window].clone())
                     .collect();
                 let mut timing = QueryTiming {
                     queued: first,
@@ -1499,6 +1496,63 @@ mod tests {
         assert!(trace.contains("thread_name"));
         assert!(trace.contains("qdb_filter"));
         assert!(trace.contains("batched_bitonic_row"));
+    }
+
+    /// A drain renders its trace and per-query breakdowns from its own
+    /// window of the launch log: after many drains the trace is
+    /// byte-identical to one rendered from the whole log, every breakdown
+    /// to that of the same batch served first on a fresh device, and a
+    /// query served on its own stream breaks down as its serial plan does.
+    #[test]
+    fn late_drains_render_from_their_own_log_window() {
+        let (_, host) = setup(6_000);
+        let cutoff = host.time_cutoff_for_selectivity(0.3);
+        let sqls = [
+            format!("SELECT id FROM tweets WHERE tweet_time < {cutoff} ORDER BY retweet_count DESC LIMIT 10"),
+            format!("SELECT id FROM tweets WHERE tweet_time < {cutoff} ORDER BY retweet_count DESC LIMIT 3"),
+            "SELECT id FROM tweets ORDER BY retweet_count + 0.5 * likes_count DESC LIMIT 8".to_string(),
+            "SELECT id FROM tweets ORDER BY retweet_count ASC LIMIT 12".to_string(),
+            "SELECT uid, COUNT(*) FROM tweets GROUP BY uid ORDER BY COUNT(*) DESC LIMIT 5".to_string(),
+        ];
+        let serve = |dev: &Device, drains: usize| -> Vec<LoadReport> {
+            let table = GpuTweetTable::upload(dev, &host);
+            let mut server = Server::new(dev, &table, ServerConfig::default());
+            (0..drains)
+                .map(|_| {
+                    for sql in &sqls {
+                        server.submit(sql, SubmitOptions::default()).unwrap();
+                    }
+                    server.drain()
+                })
+                .collect()
+        };
+        let bits = |r: &QueryResult| -> Vec<(String, u64)> {
+            let b = &r.breakdown;
+            b.iter()
+                .map(|(name, t)| (name.clone(), t.0.to_bits()))
+                .collect()
+        };
+        let breakdowns =
+            |r: &LoadReport| -> Vec<_> { r.queries.iter().map(|q| bits(&q.result)).collect() };
+        let dev = Device::titan_x();
+        let reports = serve(&dev, 6);
+        let fresh = serve(&Device::titan_x(), 1);
+        let serial_dev = Device::titan_x();
+        let serial_table = GpuTweetTable::upload(&serial_dev, &host);
+        let full_log = dev.log_since(0);
+        assert!(full_log.len() > 5 * reports[0].schedule.launches.len());
+        for r in &reports {
+            assert_eq!(r.trace_json, chrome_trace_streams(&r.schedule, &full_log));
+            assert_eq!(breakdowns(r), breakdowns(&fresh[0]));
+            let solo: Vec<&ServedQuery> = r.queries.iter().filter(|q| !q.coalesced).collect();
+            assert_eq!(solo.len(), 3, "ranked, ASC and GROUP BY run alone");
+            for q in solo {
+                let plan = parse(&q.sql).unwrap();
+                let serial =
+                    execute(&serial_dev, &serial_table, &plan, Strategy::StageBitonic).unwrap();
+                assert_eq!(bits(&q.result), bits(&serial), "{}", q.sql);
+            }
+        }
     }
 
     #[test]

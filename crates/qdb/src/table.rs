@@ -135,17 +135,12 @@ impl GpuTweetTable {
                 cap: self.cap,
             });
         }
-        fn splice<T: simt::DeviceCopy>(buf: &GpuBuffer<T>, at: usize, tail: &[T]) {
-            let mut col = buf.to_vec();
-            col[at..at + tail.len()].copy_from_slice(tail);
-            buf.upload(&col);
-        }
-        splice(&self.id, old, &batch.id);
-        splice(&self.tweet_time, old, &batch.tweet_time);
-        splice(&self.retweet_count, old, &batch.retweet_count);
-        splice(&self.likes_count, old, &batch.likes_count);
-        splice(&self.lang, old, &batch.lang);
-        splice(&self.uid, old, &batch.uid);
+        self.id.write_range(old, &batch.id);
+        self.tweet_time.write_range(old, &batch.tweet_time);
+        self.retweet_count.write_range(old, &batch.retweet_count);
+        self.likes_count.write_range(old, &batch.likes_count);
+        self.lang.write_range(old, &batch.lang);
+        self.uid.write_range(old, &batch.uid);
         self.len.set(needed);
         self.epoch.set(self.epoch.get() + 1);
         Ok(())
@@ -169,7 +164,7 @@ impl GpuTweetTable {
             hi: usize,
         ) -> GpuBuffer<T> {
             let out = dev.alloc::<T>(hi - lo);
-            out.upload(&buf.read_range(lo..hi));
+            out.upload(&buf.host_view()[lo..hi]);
             out
         }
         GpuTweetTable {

@@ -1,7 +1,7 @@
 //! Device-resident buffers.
 
 use std::any::Any;
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, Ref, RefCell};
 use std::rc::Rc;
 
 use crate::device::DeviceInner;
@@ -96,18 +96,27 @@ impl<T: DeviceCopy> GpuBuffer<T> {
         self.inner.data.borrow()[range].to_vec()
     }
 
-    /// Copies a range into `out`, replacing its contents: a reused host
-    /// scratch instead of a fresh `Vec` per read.
-    pub fn read_range_into(&self, range: std::ops::Range<usize>, out: &mut Vec<T>) {
-        out.clear();
-        out.extend_from_slice(&self.inner.data.borrow()[range]);
+    /// Borrows the device contents for a host read: no copy and no
+    /// [`Self::contents_version`] bump. Any write to this buffer while
+    /// the view is alive panics, so a kernel must not hold a view of a
+    /// buffer it writes.
+    pub fn host_view(&self) -> Ref<'_, [T]> {
+        Ref::map(self.inner.data.borrow(), Vec::as_slice)
     }
 
     /// Overwrites the elements from `start` on with `src` (no traffic
     /// accounting): one mutation, so one [`Self::contents_version`] bump.
     pub fn write_range(&self, start: usize, src: &[T]) {
-        self.inner.data.borrow_mut()[start..start + src.len()].copy_from_slice(src);
+        self.write_with(|d| d[start..start + src.len()].copy_from_slice(src));
+    }
+
+    /// Runs `f` on the device contents in place (no traffic accounting):
+    /// one mutation, so one [`Self::contents_version`] bump, like
+    /// [`Self::write_range`] but without a staging copy.
+    pub fn write_with<R>(&self, f: impl FnOnce(&mut [T]) -> R) -> R {
+        let r = f(&mut self.inner.data.borrow_mut());
         self.inner.bump_version();
+        r
     }
 
     /// Host-side element read (no traffic accounting; use [`crate::Lane`]
@@ -378,13 +387,52 @@ mod tests {
         let _ = buf.to_vec();
         let _ = buf.get(0);
         let _ = buf.read_range(0..2);
-        let mut scratch = vec![7u32; 5];
-        buf.read_range_into(1..3, &mut scratch);
-        assert_eq!(scratch, vec![5, 3]);
+        assert_eq!(&buf.host_view()[1..3], &[5, 3]);
         assert_eq!(buf.contents_version(), v3);
         buf.write_range(1, &[8, 9]);
         assert_eq!(buf.to_vec(), vec![4, 8, 9]);
         assert_eq!(buf.contents_version(), v3 + 1, "a range write bumps once");
+    }
+
+    #[test]
+    fn host_view_borrows_and_write_with_bumps_once() {
+        let dev = Device::titan_x();
+        let buf = dev.upload(&[1u32, 2, 3, 4]);
+        buf.attach_aux(10u32);
+        let v0 = buf.contents_version();
+        {
+            let view = buf.host_view();
+            assert_eq!(&view[1..3], &[2, 3]);
+            // any number of views may be alive at once
+            assert_eq!(buf.host_view().len(), view.len());
+        }
+        assert_eq!(buf.contents_version(), v0, "a view is a read");
+        assert!(buf.aux::<u32>().is_some(), "a view keeps the aux valid");
+        let sum = buf.write_with(|d| {
+            d[0] = 7;
+            d[3] = 8;
+            d.iter().sum::<u32>()
+        });
+        assert_eq!(sum, 20);
+        assert_eq!(buf.to_vec(), vec![7, 2, 3, 8]);
+        assert_eq!(
+            buf.contents_version(),
+            v0 + 1,
+            "one in-place write, one bump"
+        );
+        assert!(
+            buf.aux::<u32>().is_none(),
+            "an in-place write invalidates the aux"
+        );
+    }
+
+    #[test]
+    #[should_panic]
+    fn writing_a_buffer_while_viewing_it_panics() {
+        let dev = Device::titan_x();
+        let buf = dev.upload(&[1u32, 2]);
+        let view = buf.host_view();
+        buf.write_range(0, &view[1..]);
     }
 
     #[test]

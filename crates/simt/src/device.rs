@@ -1641,8 +1641,7 @@ mod tests {
             });
         }
         fn run_host(&self) {
-            let mut v = Vec::new();
-            self.input.read_range_into(0..self.grid * 32, &mut v);
+            let mut v = self.input.read_range(0..self.grid * 32);
             v.iter_mut().for_each(|x| *x += 1);
             self.output.write_range(0, &v);
         }

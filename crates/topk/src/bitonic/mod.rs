@@ -99,9 +99,9 @@ pub fn bitonic_topk<T: TopKItem>(
     // ---- baseline ladder level: per-step global kernels
     if cfg.opt == OptLevel::GlobalSteps {
         let n_pad = next_pow2(n).max(k_eff);
-        let mut host = input.to_vec();
-        host.resize(n_pad, T::min_sentinel());
-        let data = dev.upload(&host);
+        // the kernels sort in place, so even an input that needs no
+        // padding is staged into a fresh buffer
+        let data = padded_fresh(dev, &input.host_view(), n_pad);
         naive::run_global_steps(dev, &data, n_pad, k_eff)?;
         let mut items = data.read_range(0..k_eff);
         items.reverse();
@@ -303,10 +303,8 @@ pub fn bitonic_topk_from_runs<T: TopKItem>(
     // the valid prefix, staged into a fresh buffer and padded with whole
     // runs of MIN sentinels (which are valid bitonic runs), so the
     // pipeline never writes into the caller's buffer
-    let mut host = runs.read_range(0..valid);
-    host.resize(cur, T::min_sentinel());
     let work = [
-        dev.upload(&host),
+        padded_fresh(dev, &runs.host_view()[..valid], cur),
         dev.alloc_filled::<T>(cur, T::min_sentinel()),
     ];
     let mut items = reduce_bitonic_runs(dev, work, cur, k_eff, seg, cfg)?;
@@ -315,16 +313,23 @@ pub fn bitonic_topk_from_runs<T: TopKItem>(
     Ok(cap.finish(dev, items))
 }
 
-/// Copies `input` into a fresh power-of-two buffer padded with min
-/// sentinels (host-side staging; the copy is not traffic-modeled, exactly
-/// as `cudaMemcpy` padding would happen once outside the measured kernels).
+/// `input` as a power-of-two buffer of `len` padded with min sentinels:
+/// the input itself when it needs no padding, else a fresh copy.
 fn padded_copy<T: TopKItem>(dev: &Device, input: &GpuBuffer<T>, len: usize) -> GpuBuffer<T> {
     if input.len() == len {
         return input.clone();
     }
-    let mut host = input.to_vec();
-    host.resize(len, T::min_sentinel());
-    dev.upload(&host)
+    padded_fresh(dev, &input.host_view(), len)
+}
+
+/// A fresh buffer of `len` holding `prefix` followed by min sentinels,
+/// filled once and copied into once (host-side staging; the copy is not
+/// traffic-modeled, exactly as `cudaMemcpy` padding would happen once
+/// outside the measured kernels).
+fn padded_fresh<T: TopKItem>(dev: &Device, prefix: &[T], len: usize) -> GpuBuffer<T> {
+    let padded = dev.alloc_filled::<T>(len, T::min_sentinel());
+    padded.write_range(0, prefix);
+    padded
 }
 
 /// The SharedMem ladder level: local sort / merge / rebuild as separate

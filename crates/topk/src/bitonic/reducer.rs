@@ -600,25 +600,35 @@ impl<T: TopKItem> Metered for ReducerKernel<T> {
         sink(self.store_piece(pad));
     }
 
-    /// Per block, in grid order: copy the segment into one reused
-    /// scratch and convert it to ranks once, run every network step on
-    /// the live prefix and every merge in place, and decode only the
-    /// reduced segment, which one range write stores. The network's
-    /// steps and their order are the lane path's, and min/max on ranks
-    /// keeps exactly the elements its comparator keeps (see
-    /// [`TopKItem::rank`]). Reading a block's segment before writing its
-    /// output keeps an aliased input and output (an in-place rebuild)
-    /// exact.
+    /// Per block, in grid order: convert the segment to ranks once into
+    /// a reused scratch, run every network step on the live prefix and
+    /// every merge in place, and decode only the reduced segment, which
+    /// one range write stores. The network's steps and their order are
+    /// the lane path's, and min/max on ranks keeps exactly the elements
+    /// its comparator keeps (see [`TopKItem::rank`]). A block of pure
+    /// padding skips the network: min/max over equal ranks is the
+    /// identity, so it stores `out_len` min sentinels. Reading a block's
+    /// segment before writing its output keeps an aliased input and
+    /// output (an in-place rebuild) exact.
     fn run_host(&self) {
         let out_len = self.out_seg();
         let (sorts, rebuilds) = (local_sort_steps(self.k), rebuild_steps(self.k));
-        let mut items: Vec<T> = Vec::with_capacity(self.seg);
+        let pad = T::min_sentinel().rank();
+        let mut items: Vec<T> = Vec::with_capacity(out_len);
         let mut ranks: Vec<T::Rank> = Vec::with_capacity(self.seg);
         for b in 0..self.grid_dim {
-            self.input
-                .read_range_into(b * self.seg..(b + 1) * self.seg, &mut items);
             ranks.clear();
-            ranks.extend(items.iter().map(T::rank));
+            ranks.extend(
+                self.input.host_view()[b * self.seg..(b + 1) * self.seg]
+                    .iter()
+                    .map(T::rank),
+            );
+            items.clear();
+            if ranks.iter().all(|&r| r == pad) {
+                items.resize(out_len, T::min_sentinel());
+                self.output.write_range(b * out_len, &items);
+                continue;
+            }
             let mut live = self.seg;
             for op in &self.ops {
                 match op {
@@ -630,7 +640,6 @@ impl<T: TopKItem> Metered for ReducerKernel<T> {
                     }
                 }
             }
-            items.clear();
             items.extend(ranks[..out_len].iter().map(|&r| T::from_rank(r)));
             self.output.write_range(b * out_len, &items);
         }

@@ -145,6 +145,40 @@ fn runs_case<T: TopKItem>(data: Vec<T>, k: usize, runs: usize, opt: OptLevel, ba
 
 const BANKS: [usize; 3] = [32, 48, 128];
 
+/// Inputs just past a power of two pad to nearly twice their length, so
+/// whole blocks of min sentinels reach the sort reducer; at 256-element
+/// segments they reach the later bitonic reducers too. The metered path
+/// skips those blocks' network and must still match the lane replay.
+#[test]
+fn inputs_just_past_a_power_of_two_agree() {
+    let small_seg = BitonicConfig {
+        elems_per_thread: Some(8),
+        block_dim: Some(32),
+        ..BitonicConfig::default()
+    };
+    for n in [(1 << 12) + 1, (1 << 13) + 1] {
+        for k in [1, 4, 64] {
+            for smallest in [false, true] {
+                let kv = keys(n, n as u64 + k as u64, |k, i| {
+                    Kv::new((k * 64.0).floor(), i)
+                });
+                let f32s = keys(n, n as u64 ^ k as u64, |k, _| k);
+                for cfg in [BitonicConfig::default(), small_seg] {
+                    let req = if smallest {
+                        TopKRequest::smallest(k)
+                    } else {
+                        TopKRequest::largest(k)
+                    }
+                    .with_alg(TopKAlgorithm::Bitonic(cfg));
+                    let context = format!("n={n} k={k} smallest={smallest} {cfg:?}");
+                    assert_paths_agree(&kv, 32, &context, |dev, input| req.run(dev, input));
+                    assert_paths_agree(&f32s, 32, &context, |dev, input| req.run(dev, input));
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
