@@ -1,26 +1,39 @@
-//! The unified benchmark harness binary: runs the top-k figure suite,
-//! the qdb serving suite, the multi-device cluster suite and the
-//! real-CPU backend suite, and writes machine-readable
-//! `BENCH_topk.json` / `BENCH_serve.json` / `BENCH_cluster.json` /
-//! `BENCH_cpu.json` / `BENCH_stream.json` reports (see `bench::report`
-//! for the schema).
+//! The unified benchmark harness binary: runs the top-k, serving, CPU
+//! backend, streaming, cluster and figures suites, writes one
+//! `BENCH_<suite>.json` report each (see `bench::report` for the schema)
+//! and prints each report's markdown tables.
 //!
 //! ```text
-//! harness [--out-dir DIR] [--only topk|serve|cluster|cpu|stream]
+//! harness [--out-dir DIR] [--only topk|serve|cpu|stream|cluster|figures]
 //! ```
 //!
-//! Scale comes from `TOPK_REPRO_LOG2N` like every experiment binary:
-//! unset runs the full profile (top-k at 2^22, serving at 2^17);
+//! Scale comes from `TOPK_REPRO_LOG2N`: unset runs the full profile
+//! (top-k, cluster and figures at 2^22, serving at 2^17);
 //! `TOPK_REPRO_LOG2N=16` is the small profile the CI perf gate uses.
 //! Compare the written reports against the committed baseline with
 //! `bench-diff`.
 
+use bench::figures::run_figures_suite;
 use bench::harness::{
     run_cluster_suite, run_cpu_suite, run_serve_suite, run_stream_suite, run_topk_suite,
     HarnessScales,
 };
+use bench::report::BenchReport;
 
 fn main() {
+    let scales = HarnessScales::from_env();
+    type Suite = fn(u32, &str) -> BenchReport;
+    let suites: [(&str, u32, Suite); 6] = [
+        ("topk", scales.topk_log2n, run_topk_suite),
+        ("serve", scales.serve_log2n, run_serve_suite),
+        ("cpu", scales.cpu_log2n, run_cpu_suite),
+        ("stream", scales.stream_log2n, run_stream_suite),
+        ("cluster", scales.topk_log2n, run_cluster_suite),
+        ("figures", scales.topk_log2n, run_figures_suite),
+    ];
+    let names: Vec<&str> = suites.iter().map(|s| s.0).collect();
+    let usage = format!("harness [--out-dir DIR] [--only {}]", names.join("|"));
+
     let mut out_dir = std::path::PathBuf::from(".");
     let mut only: Option<String> = None;
     let mut args = std::env::args().skip(1);
@@ -30,28 +43,19 @@ fn main() {
                 out_dir = args.next().expect("--out-dir needs a directory").into();
             }
             "--only" => {
-                let suite = args
-                    .next()
-                    .expect("--only needs topk|serve|cluster|cpu|stream");
+                let suite = args.next().unwrap_or_default();
                 assert!(
-                    suite == "topk"
-                        || suite == "serve"
-                        || suite == "cluster"
-                        || suite == "cpu"
-                        || suite == "stream",
-                    "--only accepts topk, serve, cluster, cpu or stream, got '{suite}'"
+                    names.contains(&suite.as_str()),
+                    "--only accepts one of {}, got '{suite}'",
+                    names.join(", ")
                 );
                 only = Some(suite);
             }
-            other => panic!(
-                "unknown argument '{other}' \
-                 (usage: harness [--out-dir DIR] [--only topk|serve|cluster|cpu|stream])"
-            ),
+            other => panic!("unknown argument '{other}' (usage: {usage})"),
         }
     }
     std::fs::create_dir_all(&out_dir).expect("create output directory");
 
-    let scales = HarnessScales::from_env();
     println!(
         "== bench harness: profile '{}' (topk n=2^{}, serve n=2^{}, cpu n=2^{}, stream n=2^{}) ==",
         scales.profile,
@@ -60,74 +64,20 @@ fn main() {
         scales.cpu_log2n,
         scales.stream_log2n
     );
-
-    let write = |name: &str, text: String, cells: usize| {
-        let path = out_dir.join(name);
-        std::fs::write(&path, text).expect("write report");
-        println!("wrote {} ({cells} experiments)", path.display());
-    };
-
-    let run = |suite: &str| only.is_none() || only.as_deref() == Some(suite);
-    if run("topk") {
+    for (name, log2n, run) in suites {
+        if only.as_deref().is_some_and(|o| o != name) {
+            continue;
+        }
         let wall = std::time::Instant::now();
-        let report = run_topk_suite(scales.topk_log2n, &scales.profile);
+        let report = run(log2n, &scales.profile);
+        let cells = report.experiments.len();
         println!(
-            "topk suite: {} cells in {:.1}s host wall",
-            report.experiments.len(),
+            "{name} suite: {cells} cells in {:.1}s host wall",
             wall.elapsed().as_secs_f64()
         );
-        write("BENCH_topk.json", report.render(), report.experiments.len());
-    }
-    if run("serve") {
-        let wall = std::time::Instant::now();
-        let report = run_serve_suite(scales.serve_log2n, &scales.profile);
-        println!(
-            "serve suite: {} cells in {:.1}s host wall",
-            report.experiments.len(),
-            wall.elapsed().as_secs_f64()
-        );
-        write(
-            "BENCH_serve.json",
-            report.render(),
-            report.experiments.len(),
-        );
-    }
-    if run("cpu") {
-        let wall = std::time::Instant::now();
-        let report = run_cpu_suite(scales.cpu_log2n, &scales.profile);
-        println!(
-            "cpu suite: {} cells in {:.1}s host wall",
-            report.experiments.len(),
-            wall.elapsed().as_secs_f64()
-        );
-        write("BENCH_cpu.json", report.render(), report.experiments.len());
-    }
-    if run("stream") {
-        let wall = std::time::Instant::now();
-        let report = run_stream_suite(scales.stream_log2n, &scales.profile);
-        println!(
-            "stream suite: {} cells in {:.1}s host wall",
-            report.experiments.len(),
-            wall.elapsed().as_secs_f64()
-        );
-        write(
-            "BENCH_stream.json",
-            report.render(),
-            report.experiments.len(),
-        );
-    }
-    if run("cluster") {
-        let wall = std::time::Instant::now();
-        let report = run_cluster_suite(scales.topk_log2n, &scales.profile);
-        println!(
-            "cluster suite: {} cells in {:.1}s host wall",
-            report.experiments.len(),
-            wall.elapsed().as_secs_f64()
-        );
-        write(
-            "BENCH_cluster.json",
-            report.render(),
-            report.experiments.len(),
-        );
+        let path = out_dir.join(format!("BENCH_{name}.json"));
+        std::fs::write(&path, report.render()).expect("write report");
+        println!("wrote {} ({cells} experiments)\n", path.display());
+        print!("{}", report.render_tables());
     }
 }

@@ -31,11 +31,6 @@ pub struct DiffConfig {
     /// up to 5× slower) before failing. Generous because CI machines and
     /// dev machines differ; the precise gate is the `sim_*` class.
     pub host_tol: f64,
-    /// Noise floor in milliseconds: `host_*_ms` cells whose *baseline*
-    /// value is below this are not gated (sub-floor wall-clock is
-    /// dominated by scheduler noise). `host_*_qps` metrics use the same
-    /// floor via their experiment's `host_wall_ms` sibling.
-    pub host_floor_ms: f64,
     /// Relative epsilon for the `sim_*` exact gate (default 0: exact).
     pub sim_rel_eps: f64,
     /// Also machine-check the paper claims on the current report.
@@ -46,7 +41,6 @@ impl Default for DiffConfig {
     fn default() -> Self {
         DiffConfig {
             host_tol: 4.0,
-            host_floor_ms: 25.0,
             sim_rel_eps: 0.0,
             check_claims: true,
         }
@@ -112,6 +106,12 @@ impl DiffOutcome {
         out
     }
 }
+
+/// Noise floor in milliseconds: `host_*_ms` cells whose *baseline* value
+/// is below this are not gated (sub-floor wall-clock is dominated by
+/// scheduler noise). `host_*_qps` metrics use the same floor via their
+/// experiment's `host_wall_ms` sibling.
+pub const HOST_FLOOR_MS: f64 = 25.0;
 
 /// Whether a `host_*` metric regresses upward or downward.
 fn higher_is_better(metric: &str) -> bool {
@@ -190,7 +190,7 @@ pub fn diff_reports(
                 } else {
                     bexp.metrics.get("host_wall_ms").copied().unwrap_or(0.0)
                 };
-                if floor_val < cfg.host_floor_ms {
+                if floor_val < HOST_FLOOR_MS {
                     continue;
                 }
                 let worse_ratio = if higher_is_better(name) {
@@ -302,6 +302,14 @@ pub fn diff_reports(
 ///    gates (`Fail`) at `log2n ≥ 20` and warns below — at the CI small
 ///    profile the merge's fixed k-sized traffic is a visible share of a
 ///    tiny delta scan.
+///
+/// Figures reports (`kind == "figures"`):
+/// 12. **The planner picks the winner or a near-winner**: at every point
+///    of the planner grid ([`crate::figures::planner_grid`]),
+///    `recommend_full`'s pick must take at most
+///    [`crate::figures::PLANNER_TOLERANCE`] × the time of the fastest
+///    algorithm that launches (`sim_pick_over_best`). It gates at
+///    `log2n ≥ 22`, where the grid spans 2^18–2^22, and warns below.
 ///
 /// CPU backend reports (`kind == "cpu"`):
 /// 7. **The CPU backend's threads pay for themselves** (§3.1): for every
@@ -611,6 +619,53 @@ pub fn check_claims(report: &BenchReport) -> Vec<Finding> {
                         "{msg} — gated only at log2n >= 20; this report is at 2^{}",
                         report.scale.log2n
                     )));
+                }
+            }
+        }
+        "figures" => {
+            // 12. the planner's pick is the winner or within the bound
+            for (x, ks) in crate::figures::planner_grid(report.scale.log2n) {
+                for k in ks {
+                    let id = format!("planner/log2n{x}/pick/k{k}");
+                    let Some(ratio) = need(&id, "sim_pick_over_best", &mut findings) else {
+                        continue;
+                    };
+                    let bound = crate::figures::PLANNER_TOLERANCE;
+                    if ratio <= bound {
+                        continue;
+                    }
+                    // name the pick (cheapest model) and the winner
+                    let cells: Vec<_> = report
+                        .experiments
+                        .iter()
+                        .filter(|e| {
+                            e.id.starts_with(&format!("planner/log2n{x}/"))
+                                && e.id.ends_with(&format!("/k{k}"))
+                        })
+                        .collect();
+                    let argmin = |metric: &str| {
+                        cells
+                            .iter()
+                            .filter_map(|e| {
+                                Some((e.id.split('/').nth(2)?, *e.metrics.get(metric)?))
+                            })
+                            .min_by(|a, b| a.1.total_cmp(&b.1))
+                            .map_or("?", |(alg, _)| alg)
+                    };
+                    let msg = format!(
+                        "planner accuracy at n=2^{x}, k={k}: the {} pick takes {ratio:.2}x the \
+                         time of the fastest algorithm ({}), beyond the {bound}x bound",
+                        argmin("sim_model_ms"),
+                        argmin("sim_time_ms")
+                    );
+                    if report.scale.log2n >= 22 {
+                        findings.push(Finding::fail(format!("claim violated: {msg}")));
+                    } else {
+                        findings.push(Finding::warn(format!(
+                            "{msg} — gated only at log2n >= 22; this report is at 2^{}",
+                            report.scale.log2n
+                        )));
+                    }
                 }
             }
         }

@@ -1,10 +1,11 @@
-//! The unified benchmark harness: drives the paper's figure experiments
-//! and the qdb serving workload, collects per-run metrics from the
-//! simulator's counters plus host wall-clock, and emits versioned
-//! [`BenchReport`]s (`BENCH_topk.json` / `BENCH_serve.json`).
+//! The unified benchmark harness: drives the paper's top-k experiments,
+//! the qdb serving, cluster and streaming workloads and the real-CPU
+//! backend, collects per-run metrics from the simulator's counters plus
+//! host wall-clock, and emits versioned [`BenchReport`]s
+//! (`BENCH_<suite>.json`; the figures suite lives in [`crate::figures`]).
 //!
-//! Three top-k experiment families (the shapes behind Figures 11–13 and
-//! the robustness ablation) and one serving sweep:
+//! The topk suite's three experiment families (the shapes behind Figures
+//! 11a and 13 and the robustness ablation) and the serving sweep:
 //!
 //! * `vary_k/uniform/<alg>/k<k>` — every [`TopKAlgorithm`] across the
 //!   paper's k sweep on uniform f32 keys;
@@ -39,14 +40,15 @@ use topk::delegate::{warm_delegate_index, DelegateConfig};
 use topk::{Backend, CpuBackend, TopKAlgorithm, TopKRequest};
 use topk_costmodel::{cluster_topk_seconds, ClusterModelInput};
 
-use crate::report::{current_commit, BenchReport, Experiment, Scale};
+use crate::report::{BenchReport, Experiment, Scale};
 use crate::K_SWEEP;
 
 /// The scales one harness invocation runs at, resolved from
-/// `TOPK_REPRO_LOG2N` (the same knob every experiment binary uses).
+/// `TOPK_REPRO_LOG2N`.
 #[derive(Debug, Clone)]
 pub struct HarnessScales {
-    /// Element-count exponent for the top-k suite (default 22).
+    /// Element-count exponent for the top-k, cluster and figures suites
+    /// (default 22).
     pub topk_log2n: u32,
     /// Resident-table exponent for the serving suite (default 17,
     /// capped by the top-k scale when overridden).
@@ -59,14 +61,14 @@ pub struct HarnessScales {
     /// 20 — the scale the delta-maintenance traffic claim gates at —
     /// capped by the top-k scale when overridden).
     pub stream_log2n: u32,
-    /// Profile name stamped into both reports.
+    /// Profile name stamped into every report.
     pub profile: String,
 }
 
 impl HarnessScales {
     /// Resolves scales from the environment: unset means the full
-    /// profile (top-k at 2^22, serving at 2^17); `TOPK_REPRO_LOG2N=16`
-    /// is the CI gate's small profile.
+    /// profile (top-k and figures at 2^22, serving at 2^17);
+    /// `TOPK_REPRO_LOG2N=16` is the CI gate's small profile.
     pub fn from_env() -> Self {
         let topk_log2n = datagen::repro_log2n(22);
         HarnessScales {
@@ -127,13 +129,7 @@ fn run_cell(
         metrics.push(("sim_static_sectors_per_access", p.sectors_per_access()));
         metrics.push(("sim_static_conflict_degree", p.avg_conflict_degree()));
     }
-    Some(Experiment {
-        id: String::new(),
-        metrics: metrics
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    })
+    Some(Experiment::new(String::new(), &metrics))
 }
 
 /// Runs the top-k suite at `2^log2n` elements and returns its report.
@@ -193,15 +189,7 @@ pub fn run_topk_suite(log2n: u32, profile: &str) -> BenchReport {
         }
     }
 
-    BenchReport {
-        kind: "topk".to_string(),
-        commit: current_commit(),
-        scale: Scale {
-            log2n,
-            profile: profile.to_string(),
-        },
-        experiments,
-    }
+    BenchReport::new("topk", log2n, profile, experiments)
 }
 
 /// Device counts the cluster suite sweeps.
@@ -297,13 +285,10 @@ pub fn run_cluster_suite(log2n: u32, profile: &str) -> BenchReport {
                 ("sim_model_ms", est.total_seconds() * 1e3),
                 ("host_wall_ms", host_wall_ms),
             ];
-            experiments.push(Experiment {
-                id: format!("cluster/{}/dev{devices}", policy.name()),
-                metrics: metrics
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect(),
-            });
+            experiments.push(Experiment::new(
+                format!("cluster/{}/dev{devices}", policy.name()),
+                &metrics,
+            ));
         }
     }
 
@@ -332,13 +317,10 @@ pub fn run_cluster_suite(log2n: u32, profile: &str) -> BenchReport {
             ("sim_exact", f64::from(r.items == oracle)),
             ("host_wall_ms", host_wall_ms),
         ];
-        experiments.push(Experiment {
-            id: format!("cluster/delegate-{}/dev{devices}", policy.name()),
-            metrics: metrics
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        });
+        experiments.push(Experiment::new(
+            format!("cluster/delegate-{}/dev{devices}", policy.name()),
+            &metrics,
+        ));
     }
 
     // availability under permanent device loss: a replicated sharded
@@ -425,25 +407,14 @@ pub fn run_cluster_suite(log2n: u32, profile: &str) -> BenchReport {
                 ("sim_loss_makespan_ms", b.makespan.millis()),
                 ("host_wall_ms", host_wall_ms),
             ];
-            experiments.push(Experiment {
-                id: format!("cluster/avail/r{r_factor}"),
-                metrics: metrics
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect(),
-            });
+            experiments.push(Experiment::new(
+                format!("cluster/avail/r{r_factor}"),
+                &metrics,
+            ));
         }
     }
 
-    BenchReport {
-        kind: "cluster".to_string(),
-        commit: current_commit(),
-        scale: Scale {
-            log2n,
-            profile: profile.to_string(),
-        },
-        experiments,
-    }
+    BenchReport::new("cluster", log2n, profile, experiments)
 }
 
 /// The worker-thread sweep of the CPU backend suite.
@@ -493,15 +464,7 @@ pub fn run_cpu_suite(log2n: u32, profile: &str) -> BenchReport {
         }
     }
 
-    BenchReport {
-        kind: "cpu".to_string(),
-        commit: current_commit(),
-        scale: Scale {
-            log2n,
-            profile: profile.to_string(),
-        },
-        experiments,
-    }
+    BenchReport::new("cpu", log2n, profile, experiments)
 }
 
 /// The offered-load sweep of the serving suite.
@@ -514,7 +477,7 @@ pub fn run_serve_suite(log2n: u32, profile: &str) -> BenchReport {
     let dev = Device::titan_x();
     let table = GpuTweetTable::upload(&dev, &host);
 
-    // the serve_load workload: Q1 shape, selectivity 5–15%, k in 8..64
+    // the serving workload: Q1 shape, selectivity 5–15%, k in 8..64
     let sql_for = |i: usize| {
         let sel = 0.05 + 0.1 * (i % 16) as f64 / 16.0;
         let cutoff = host.time_cutoff_for_selectivity(sel);
@@ -543,24 +506,10 @@ pub fn run_serve_suite(log2n: u32, profile: &str) -> BenchReport {
             ("host_wall_ms", report.host_wall.as_secs_f64() * 1e3),
             ("host_qps", report.host_queries_per_sec()),
         ];
-        experiments.push(Experiment {
-            id: format!("serve/load{load}"),
-            metrics: metrics
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        });
+        experiments.push(Experiment::new(format!("serve/load{load}"), &metrics));
     }
 
-    BenchReport {
-        kind: "serve".to_string(),
-        commit: current_commit(),
-        scale: Scale {
-            log2n,
-            profile: profile.to_string(),
-        },
-        experiments,
-    }
+    BenchReport::new("serve", log2n, profile, experiments)
 }
 
 /// Delta denominators the streaming view suite sweeps: each cell appends
@@ -637,13 +586,10 @@ pub fn run_stream_suite(log2n: u32, profile: &str) -> BenchReport {
             ("sim_exact", f64::from(r.ids == rescan.ids)),
             ("host_wall_ms", host_wall_ms),
         ];
-        experiments.push(Experiment {
-            id: format!("stream/view/frac{denom}"),
-            metrics: metrics
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        });
+        experiments.push(Experiment::new(
+            format!("stream/view/frac{denom}"),
+            &metrics,
+        ));
     }
 
     for period in STREAM_MIX_PERIODS {
@@ -714,24 +660,13 @@ pub fn run_stream_suite(log2n: u32, profile: &str) -> BenchReport {
             ("sim_cache_refreshes", cache_refreshes as f64),
             ("host_wall_ms", host_wall_ms),
         ];
-        experiments.push(Experiment {
-            id: format!("stream/mix/period{period}"),
-            metrics: metrics
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        });
+        experiments.push(Experiment::new(
+            format!("stream/mix/period{period}"),
+            &metrics,
+        ));
     }
 
-    BenchReport {
-        kind: "stream".to_string(),
-        commit: current_commit(),
-        scale: Scale {
-            log2n,
-            profile: profile.to_string(),
-        },
-        experiments,
-    }
+    BenchReport::new("stream", log2n, profile, experiments)
 }
 
 #[cfg(test)]

@@ -1,93 +1,29 @@
 #![forbid(unsafe_code)]
-//! Shared helpers for the experiment binaries (one binary per paper
-//! figure/table; see DESIGN.md's experiment index), plus the
-//! perf-trajectory subsystem:
+//! The experiment harness and its regression gate:
 //!
-//! * [`harness`] — drives the figure experiments and the qdb serving
-//!   workload, collecting simulator counters + host wall-clock into
-//!   versioned `BENCH_*.json` reports (the `harness` binary);
-//! * [`report`] — the machine-readable report schema;
+//! * [`harness`] — runs the paper's top-k experiments, the qdb serving,
+//!   cluster and streaming workloads and the real-CPU backend, collecting
+//!   simulator counters + host wall-clock into versioned `BENCH_*.json`
+//!   reports (the `harness` binary);
+//! * [`figures`] — the suite behind the remaining paper figures and
+//!   ablations (`BENCH_figures.json`);
+//! * [`report`] — the machine-readable report schema and its markdown
+//!   table rendering (the tables of EXPERIMENTS.md);
 //! * [`diff`] — the regression gate comparing a report against the
 //!   committed baseline in `crates/bench/baseline/` and machine-checking
 //!   paper claims (the `bench-diff` binary);
 //! * [`json`] — the minimal JSON layer both sides share.
 //!
-//! Experiments print fixed-width tables of **simulated milliseconds**.
 //! Dataset size defaults to 2^22 (the paper uses 2^29) and is overridden
-//! with `TOPK_REPRO_LOG2N`; the banner notes the linear factor for
-//! extrapolating magnitudes to the paper's scale (bandwidth-bound kernels
-//! scale linearly in n; launch overheads do not, so the extrapolation
-//! slightly overestimates).
+//! with `TOPK_REPRO_LOG2N`; bandwidth-bound times scale linearly in n, so
+//! multiplying by 2^(29 − log2n) extrapolates them to the paper's scale
+//! (launch overheads do not scale, so this slightly overestimates).
 
 pub mod diff;
+pub mod figures;
 pub mod harness;
 pub mod json;
 pub mod report;
 
-use datagen::TopKItem;
-use simt::{Device, SimTime};
-use topk::{TopKAlgorithm, TopKError, TopKRequest};
-
-/// Standard experiment scale: `TOPK_REPRO_LOG2N` or 2^22.
-pub fn scale() -> u32 {
-    datagen::repro_log2n(22)
-}
-
 /// The k sweep used by Figures 11, 12 and 17.
 pub const K_SWEEP: [usize; 11] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024];
-
-/// Formats a simulated time in ms, extrapolated to the paper's 2^29 scale.
-pub fn at_paper_scale(t: SimTime, log2n: u32) -> f64 {
-    t.millis() * 2f64.powi(29 - log2n as i32)
-}
-
-/// One sweep cell: measured time or a failure marker.
-pub fn run_cell<T: TopKItem>(
-    dev: &Device,
-    alg: &TopKAlgorithm,
-    input: &simt::GpuBuffer<T>,
-    k: usize,
-) -> Result<SimTime, TopKError> {
-    TopKRequest::largest(k)
-        .with_alg(*alg)
-        .run(dev, input)
-        .map(|r| r.time)
-}
-
-/// Prints a table header for an algorithm sweep.
-pub fn print_header(first_col: &str, algs: &[TopKAlgorithm]) {
-    print!("{first_col:>8}");
-    for a in algs {
-        print!("{:>16}", a.name());
-    }
-    println!("{:>16}", "bw-floor");
-}
-
-/// Prints one sweep row (times in simulated ms at the current scale).
-pub fn print_row(
-    label: impl std::fmt::Display,
-    cells: &[Result<SimTime, TopKError>],
-    floor: SimTime,
-) {
-    print!("{label:>8}");
-    for c in cells {
-        match c {
-            Ok(t) => print!("{:>14.3}ms", t.millis()),
-            Err(_) => print!("{:>16}", "FAIL"),
-        }
-    }
-    println!("{:>14.3}ms", floor.millis());
-}
-
-/// Standard experiment banner.
-pub fn banner(id: &str, what: &str, log2n: u32) {
-    println!("== {id}: {what} ==");
-    println!(
-        "n = 2^{log2n} ({}), device: simulated GTX Titan X (Maxwell); times are modeled device ms",
-        1u64 << log2n
-    );
-    println!(
-        "(multiply by {:.0} to extrapolate to the paper's 2^29 scale)\n",
-        2f64.powi(29 - log2n as i32)
-    );
-}

@@ -62,6 +62,16 @@ pub struct Experiment {
     pub metrics: BTreeMap<String, f64>,
 }
 
+impl Experiment {
+    /// A cell with this id and these metrics.
+    pub fn new(id: impl Into<String>, metrics: &[(&str, f64)]) -> Self {
+        Experiment {
+            id: id.into(),
+            metrics: metrics.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
+        }
+    }
+}
+
 /// One harness run, serializable to/from `BENCH_*.json`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
@@ -95,7 +105,158 @@ impl std::fmt::Display for ReportError {
 
 impl std::error::Error for ReportError {}
 
+/// The metrics a figure's tables show, by the first id segment; every
+/// other figure shows `sim_time_ms`.
+const TABLE_METRICS: &[(&str, &[&str])] = &[
+    (
+        "fig08",
+        &[
+            "sim_time_ms",
+            "sim_t_shared_ms",
+            "sim_conflict_cycles",
+            "sim_occupancy_first",
+        ],
+    ),
+    (
+        "ladder",
+        &[
+            "sim_time_ms",
+            "sim_shared_bytes",
+            "sim_conflict_cycles",
+            "sim_launches",
+        ],
+    ),
+    ("fig12a_regime", &["sim_time_ms", "sim_vs_uniform"]),
+    ("fig15", &["sim_time_ms", "host_wall_ms"]),
+    ("fig16", &["sim_time_ms", "sim_group_ms", "sim_topk_ms"]),
+    ("fig17", &["sim_time_ms", "sim_model_ms"]),
+    (
+        "hybrid",
+        &[
+            "sim_time_ms",
+            "sim_gpu_fraction",
+            "sim_gpu_ms",
+            "host_cpu_ms",
+            "host_combined_ms",
+        ],
+    ),
+    ("device_sweep", &["sim_time_ms", "sim_pick_over_best"]),
+    ("planner", &["sim_time_ms", "sim_pick_over_best"]),
+    (
+        "serve",
+        &[
+            "sim_qps",
+            "sim_speedup",
+            "sim_p50_ms",
+            "sim_p95_ms",
+            "sim_p99_ms",
+        ],
+    ),
+    ("cpu", &["host_wall_ms"]),
+];
+
 impl BenchReport {
+    /// A report of `kind` at `2^log2n`, stamped with the current commit.
+    pub fn new(kind: &str, log2n: u32, profile: &str, experiments: Vec<Experiment>) -> Self {
+        BenchReport {
+            kind: kind.to_string(),
+            commit: current_commit(),
+            scale: Scale {
+                log2n,
+                profile: profile.to_string(),
+            },
+            experiments,
+        }
+    }
+
+    /// Renders the report as markdown tables, one per (figure, series).
+    ///
+    /// The cell `<figure>/<series>/<column>/<row>` fills row `<row>`
+    /// under column `<column>` of table `<figure>/<series>`; shorter ids
+    /// drop the series, then the column. A table shows its figure's
+    /// metrics (`TABLE_METRICS`; `sim_time_ms` by default), one column per
+    /// (column, metric) pair that some row carries, labelled by whichever
+    /// of the two varies. Rows and columns keep first-seen order; a cell
+    /// that did not run shows `—`.
+    pub fn render_tables(&self) -> String {
+        type Cell<'a> = (&'a str, &'a str, &'a BTreeMap<String, f64>);
+        let mut tables: Vec<(String, Vec<Cell>)> = Vec::new();
+        for e in &self.experiments {
+            let segs: Vec<&str> = e.id.split('/').collect();
+            let row = segs[segs.len() - 1];
+            let col = if segs.len() > 2 {
+                segs[segs.len() - 2]
+            } else {
+                ""
+            };
+            let name = segs[..segs.len().saturating_sub(2).max(1)].join("/");
+            match tables.iter_mut().find(|(n, _)| *n == name) {
+                Some((_, cells)) => cells.push((col, row, &e.metrics)),
+                None => tables.push((name, vec![(col, row, &e.metrics)])),
+            }
+        }
+        let mut out = String::new();
+        for (name, cells) in &tables {
+            let figure = name.split('/').next().unwrap_or_default();
+            let metrics = TABLE_METRICS
+                .iter()
+                .find(|(f, _)| *f == figure)
+                .map_or(&["sim_time_ms"][..], |(_, m)| m);
+            let mut rows: Vec<&str> = Vec::new();
+            let mut columns: Vec<(&str, &str)> = Vec::new();
+            for &(col, row, m) in cells {
+                if !rows.contains(&row) {
+                    rows.push(row);
+                }
+                for &metric in metrics {
+                    if m.contains_key(metric) && !columns.contains(&(col, metric)) {
+                        columns.push((col, metric));
+                    }
+                }
+            }
+            let value = |col: &str, row: &str, metric: &str| {
+                cells
+                    .iter()
+                    .find(|(c, r, _)| *c == col && *r == row)
+                    .and_then(|(_, _, m)| m.get(metric).copied())
+            };
+            let Some(&(col0, metric0)) = columns.first() else {
+                continue;
+            };
+            let by_col = columns.iter().any(|c| c.0 != col0);
+            let by_metric = columns.iter().any(|c| c.1 != metric0);
+            out.push_str(&format!("| {name} |"));
+            for &(col, metric) in &columns {
+                let label = match (by_col, by_metric) {
+                    _ if col.is_empty() => metric.to_string(),
+                    (true, true) => format!("{col} {metric}"),
+                    (false, true) => metric.to_string(),
+                    _ => col.to_string(),
+                };
+                out.push_str(&format!(" {label} |"));
+            }
+            out.push_str(&format!("\n|{}\n", "---|".repeat(columns.len() + 1)));
+            for &row in &rows {
+                if columns.iter().all(|&(c, m)| value(c, row, m).is_none()) {
+                    continue;
+                }
+                out.push_str(&format!("| {row} |"));
+                for &(col, metric) in &columns {
+                    // `+ 0.0` prints a negative zero as 0
+                    let cell = match value(col, row, metric).map(|v| v + 0.0) {
+                        Some(v) if v.fract() == 0.0 && v.abs() < 1e15 => format!("{v:.0}"),
+                        Some(v) => format!("{v:.3}"),
+                        None => "—".to_string(),
+                    };
+                    out.push_str(&format!(" {cell} |"));
+                }
+                out.push('\n');
+            }
+            out.push('\n');
+        }
+        out
+    }
+
     /// The metric map of the experiment with this id.
     pub fn experiment(&self, id: &str) -> Option<&Experiment> {
         self.experiments.iter().find(|e| e.id == id)
@@ -276,6 +437,24 @@ mod tests {
         assert_eq!(
             back.metric("vary_k/uniform/bitonic/k32", "sim_time_ms"),
             Some(0.125)
+        );
+    }
+
+    #[test]
+    fn tables_pivot_ids_into_rows_and_columns() {
+        let cell = |id: &str, metrics: &[(&str, f64)]| Experiment::new(id, metrics);
+        let r = BenchReport {
+            experiments: vec![
+                cell("fig/s/a/r1", &[("sim_time_ms", 1.0), ("host_wall_ms", 9.0)]),
+                cell("fig/s/b/r1", &[("sim_time_ms", 0.5)]),
+                cell("fig/s/a/r2", &[("sim_time_ms", 0.25)]),
+                cell("fig/s/b/r2", &[("host_wall_ms", 3.0)]),
+            ],
+            ..sample()
+        };
+        assert_eq!(
+            r.render_tables(),
+            "| fig/s | a | b |\n|---|---|---|\n| r1 | 1 | 0.500 |\n| r2 | 0.250 | — |\n\n"
         );
     }
 

@@ -672,3 +672,80 @@ fn cpu_scaling_claim_gates_at_real_scale_only() {
         .iter()
         .any(|f| f.severity == Severity::Fail && f.message.contains("multi-thread")));
 }
+
+/// A claim-satisfying figures report at the given scale: every planner
+/// grid point has algorithm cells and a pick at the winner's time.
+fn claim_clean_figures(log2n: u32) -> BenchReport {
+    let mut exps = Vec::new();
+    for (x, ks) in bench::figures::planner_grid(log2n) {
+        for k in ks {
+            exps.push(exp(
+                &format!("planner/log2n{x}/bitonic/k{k}"),
+                &[("sim_time_ms", 1.0), ("sim_model_ms", 0.8)],
+            ));
+            exps.push(exp(
+                &format!("planner/log2n{x}/delegate-select/k{k}"),
+                &[("sim_time_ms", 1.1), ("sim_model_ms", 0.9)],
+            ));
+            exps.push(exp(
+                &format!("planner/log2n{x}/pick/k{k}"),
+                &[("sim_pick_over_best", 1.0)],
+            ));
+        }
+    }
+    let mut r = report("figures", exps);
+    r.scale = Scale::new(log2n);
+    r
+}
+
+/// Sets the pick ratio of one planner grid point.
+fn with_pick(mut r: BenchReport, id: &str, ratio: f64) -> BenchReport {
+    let e = r
+        .experiments
+        .iter_mut()
+        .find(|e| e.id == id)
+        .expect("grid point");
+    e.metrics.insert("sim_pick_over_best".to_string(), ratio);
+    r
+}
+
+#[test]
+fn planner_claim_gates_at_full_scale_and_warns_below() {
+    let findings = check_claims(&claim_clean_figures(22));
+    assert!(findings.is_empty(), "{findings:?}");
+
+    // one pick 1.26x the winner fails at the full grid, naming both
+    let miss = "planner/log2n18/pick/k256";
+    let findings = check_claims(&with_pick(claim_clean_figures(22), miss, 1.26));
+    let fails: Vec<_> = findings
+        .iter()
+        .filter(|f| f.severity == Severity::Fail)
+        .collect();
+    assert_eq!(fails.len(), 1, "{findings:?}");
+    for part in ["n=2^18, k=256", "1.26x", "bitonic pick", "(bitonic)"] {
+        assert!(fails[0].message.contains(part), "{}", fails[0].message);
+    }
+    // exactly at the bound passes
+    let findings = check_claims(&with_pick(claim_clean_figures(22), miss, 1.25));
+    assert!(findings.is_empty(), "{findings:?}");
+
+    // the same grid point below 2^22 only warns
+    let findings = check_claims(&with_pick(claim_clean_figures(20), miss, 1.26));
+    assert!(
+        findings.iter().all(|f| f.severity == Severity::Warn),
+        "{findings:?}"
+    );
+    assert!(findings
+        .iter()
+        .any(|f| f.message.contains("n=2^18, k=256") && f.message.contains("log2n >= 22")));
+
+    // a missing planner cell is unverifiable: fail, at any scale
+    for log2n in [16, 22] {
+        let mut missing = claim_clean_figures(log2n);
+        let gone = format!("planner/log2n{log2n}/pick/k64");
+        missing.experiments.retain(|e| e.id != gone);
+        assert!(check_claims(&missing)
+            .iter()
+            .any(|f| f.severity == Severity::Fail && f.message.contains(&gone)));
+    }
+}

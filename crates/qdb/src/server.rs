@@ -30,7 +30,7 @@
 //! * **retries** — faults classified transient (injected launch
 //!   failures, allocation pressure) are retried up to
 //!   [`ServerConfig::max_retries`] times with exponential backoff
-//!   ([`ServerConfig::backoff_base`] · 2^attempt, charged as simulated
+//!   ([`BACKOFF_BASE`] · 2^attempt, charged as simulated
 //!   time against the query's deadline);
 //! * **cancels** — a query submitted with a deadline
 //!   ([`SubmitOptions::with_deadline`]) is cancelled with
@@ -71,17 +71,24 @@ use crate::queries::{QueryResult, Strategy};
 use crate::sql::{execute, parse, OrderBy, Query};
 use crate::table::GpuTweetTable;
 
+/// Number of device streams a server's queries round-robin onto.
+pub const STREAMS: usize = 8;
+
+/// Maximum queries folded into one batched launch.
+pub const MAX_BATCH: usize = 64;
+
+/// Strategy for queries submitted without an explicit one.
+pub const DEFAULT_STRATEGY: Strategy = Strategy::StageBitonic;
+
+/// First retry's backoff; doubles every subsequent retry. Charged as
+/// simulated time against the query's deadline.
+pub const BACKOFF_BASE: SimTime = SimTime(50e-6);
+
 /// Serving-layer knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Number of device streams queries round-robin onto.
-    pub streams: usize,
     /// Coalesce compatible small queries into one batched launch.
     pub coalesce: bool,
-    /// Maximum queries folded into one batched launch.
-    pub max_batch: usize,
-    /// Strategy for queries submitted without an explicit one.
-    pub default_strategy: Strategy,
     /// Admission bound: submissions beyond this many pending queries are
     /// shed with [`QdbError::Overloaded`].
     pub max_queue: usize,
@@ -91,9 +98,6 @@ pub struct ServerConfig {
     /// Transient-fault retries per degradation rung before falling to
     /// the next rung.
     pub max_retries: usize,
-    /// First retry's backoff; doubles every subsequent retry. Charged as
-    /// simulated time against the query's deadline.
-    pub backoff_base: SimTime,
     /// Serve repeated identical SQL from an epoch-tagged result cache:
     /// a hit returns the stored ids with zero device work, and any
     /// append invalidates every entry by bumping the table epoch.
@@ -105,14 +109,10 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            streams: 8,
             coalesce: true,
-            max_batch: 64,
-            default_strategy: Strategy::StageBitonic,
             max_queue: 256,
             default_deadline: None,
             max_retries: 2,
-            backoff_base: SimTime(50e-6),
             result_cache: false,
         }
     }
@@ -133,7 +133,7 @@ impl Default for ServerConfig {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SubmitOptions {
-    /// Execution strategy; `None` uses [`ServerConfig::default_strategy`].
+    /// Execution strategy; `None` uses [`DEFAULT_STRATEGY`].
     pub strategy: Option<Strategy>,
     /// Per-query deadline; `None` uses [`ServerConfig::default_deadline`].
     pub deadline: Option<SimTime>,
@@ -562,9 +562,7 @@ pub struct Server<'a> {
 impl<'a> Server<'a> {
     /// Creates a server over a device-resident table.
     pub fn new(dev: &'a Device, table: &'a GpuTweetTable, cfg: ServerConfig) -> Self {
-        let streams = (0..cfg.streams.max(1))
-            .map(|_| dev.create_stream())
-            .collect();
+        let streams = (0..STREAMS).map(|_| dev.create_stream()).collect();
         Server {
             dev,
             table,
@@ -590,7 +588,7 @@ impl<'a> Server<'a> {
     pub fn submit(&mut self, sql: &str, opts: SubmitOptions) -> Result<QueryTicket, QdbError> {
         self.submit_full(
             sql,
-            opts.strategy.unwrap_or(self.cfg.default_strategy),
+            opts.strategy.unwrap_or(DEFAULT_STRATEGY),
             opts.deadline.or(self.cfg.default_deadline),
         )
     }
@@ -682,8 +680,7 @@ impl<'a> Server<'a> {
                 Err(e) if e.is_transient() && attempt < self.cfg.max_retries => {
                     attempt += 1;
                     *retries += 1;
-                    let backoff =
-                        SimTime(self.cfg.backoff_base.0 * (1u64 << (attempt - 1).min(20)) as f64);
+                    let backoff = SimTime(BACKOFF_BASE.0 * (1u64 << (attempt - 1).min(20)) as f64);
                     *penalty += backoff;
                     *spent += backoff;
                 }
@@ -822,7 +819,7 @@ impl<'a> Server<'a> {
     ///
     /// Coalescable queries run their filters concurrently (round-robin
     /// over the server's streams), then share one pack + one batched
-    /// top-k launch per [`ServerConfig::max_batch`] chunk; everything
+    /// top-k launch per [`MAX_BATCH`] chunk; everything
     /// else runs its normal pipeline on its round-robin stream. Faults
     /// are retried/degraded per the module docs; with no fault plan the
     /// drain's launch sequence is identical to a fault-unaware one.
@@ -925,7 +922,7 @@ impl<'a> Server<'a> {
         }
 
         // each chunk shares one pack + one batched top-k launch
-        for chunk in batchable.chunks(self.cfg.max_batch.max(2)) {
+        for chunk in batchable.chunks(MAX_BATCH) {
             if chunk.len() < 2 {
                 // a lone query gains nothing from the batch detour
                 let (out, m, slot) = &chunk[0];

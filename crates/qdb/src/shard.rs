@@ -1388,7 +1388,6 @@ pub struct ShardedServer<'a> {
     /// Simulated clock the breaker runs on; advances by each drain's
     /// makespan.
     sim_now: SimTime,
-    strategy: Strategy,
     max_retries: usize,
     pending: Vec<PendingQuery>,
     next_ticket: usize,
@@ -1404,7 +1403,6 @@ impl<'a> ShardedServer<'a> {
     pub fn new(cluster: &'a Cluster, table: &'a ShardedTable, cfg: ServerConfig) -> Self {
         assert_eq!(cluster.num_devices(), table.num_shards());
         let max_retries = cfg.max_retries;
-        let strategy = cfg.default_strategy;
         let cache = ResultCache::new(cfg.result_cache);
         // caching lives at the sharded layer (whole merged queries);
         // per-shard servers always re-execute their sub-queries
@@ -1438,7 +1436,6 @@ impl<'a> ShardedServer<'a> {
             rebuilt_epoch: table.epoch(),
             health,
             sim_now: SimTime::ZERO,
-            strategy,
             max_retries,
             pending: Vec::new(),
             next_ticket: 0,
@@ -1631,7 +1628,7 @@ impl<'a> ShardedServer<'a> {
             rows,
             None,
             q,
-            self.strategy,
+            crate::server::DEFAULT_STRATEGY,
             self.max_retries,
         )
     }

@@ -501,11 +501,9 @@ impl<'a> Lane<'a> {
     /// Returns `true` when the caller must skip the access.
     fn shared_oob(&self, base_word: u32, len: usize, idx: usize, write: bool) -> bool {
         if let Some(san) = self.san {
-            let mut s = san.borrow_mut();
-            if s.memcheck_enabled() {
-                s.record_shared_oob(self.tid, base_word, len, idx, write);
-                return true;
-            }
+            san.borrow_mut()
+                .record_shared_oob(self.tid, base_word, len, idx, write);
+            return true;
         }
         panic!(
             "memcheck: shared {} out of bounds: index {idx} >= len {len} \
@@ -520,18 +518,15 @@ impl<'a> Lane<'a> {
     /// Global-memory analog of [`Lane::shared_oob`].
     fn global_oob<T: DeviceCopy>(&self, buf: &GpuBuffer<T>, idx: usize, write: bool) -> bool {
         if let Some(san) = self.san {
-            let mut s = san.borrow_mut();
-            if s.memcheck_enabled() {
-                s.record_global_oob(
-                    self.tid,
-                    buf.inner.base_addr,
-                    buf.len(),
-                    idx,
-                    write,
-                    buf.describe(),
-                );
-                return true;
-            }
+            san.borrow_mut().record_global_oob(
+                self.tid,
+                buf.inner.base_addr,
+                buf.len(),
+                idx,
+                write,
+                buf.describe(),
+            );
+            return true;
         }
         panic!(
             "memcheck: global {} out of bounds: index {idx} >= len {} on {} \

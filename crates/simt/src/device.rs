@@ -8,9 +8,9 @@ use std::rc::Rc;
 use crate::block::BlockCtx;
 use crate::buffer::{DeviceCopy, GpuBuffer};
 use crate::fault::{attribute, EccTarget, FaultEvent, FaultKind, FaultPlan, FaultState};
-use crate::lint::{self, AccessSpec, LaunchGeometry, LintConfig, LintReport, PhaseSpec};
+use crate::lint::{self, AccessSpec, LaunchGeometry, LintReport, PhaseSpec};
 use crate::occupancy::Occupancy;
-use crate::sanitize::{LaunchSanitizer, SanitizeConfig, SanitizerReport};
+use crate::sanitize::{LaunchSanitizer, SanitizerReport};
 use crate::spec::DeviceSpec;
 use crate::stats::{KernelStats, SimTime};
 use crate::stream::{self, Stream, StreamId, StreamSchedule, WaitEdge};
@@ -343,13 +343,13 @@ pub(crate) struct DeviceInner {
     pub(crate) next_stream: Cell<usize>,
     /// Cross-stream ordering constraints recorded by events.
     pub(crate) waits: RefCell<Vec<WaitEdge>>,
-    /// When set, every launch runs under the sanitizer with this config.
-    sanitize: RefCell<Option<SanitizeConfig>>,
+    /// When set, every launch runs under the sanitizer.
+    sanitize: Cell<bool>,
     /// One report per sanitized launch, in launch order.
     san_reports: RefCell<Vec<SanitizerReport>>,
-    /// When set, every launch plan is statically linted with this config
-    /// before the kernel runs (see [`crate::lint`]).
-    lint: RefCell<Option<LintConfig>>,
+    /// When set, every launch plan is statically linted before the kernel
+    /// runs (see [`crate::lint`]).
+    lint: Cell<bool>,
     /// One report per linted launch, in launch order.
     lint_reports: RefCell<Vec<LintReport>>,
     /// When set, launches and fallible allocations roll against this
@@ -569,9 +569,9 @@ impl Device {
                 cur_stream: Cell::new(0),
                 next_stream: Cell::new(1),
                 waits: RefCell::new(Vec::new()),
-                sanitize: RefCell::new(None),
+                sanitize: Cell::new(false),
                 san_reports: RefCell::new(Vec::new()),
-                lint: RefCell::new(None),
+                lint: Cell::new(false),
                 lint_reports: RefCell::new(Vec::new()),
                 fault: RefCell::new(None),
                 fault_events: RefCell::new(Vec::new()),
@@ -743,23 +743,17 @@ impl Device {
         // executes; it records findings + the counter prediction but
         // never changes the launch outcome (the planner is the reject
         // point, see crate::lint)
-        let static_pred = {
-            let lint_cfg = self.inner.lint.borrow().clone();
-            lint_cfg.map(|cfg| {
-                let rep = lint::lint_kernel(&spec, kernel, &cfg);
-                let pred = rep.prediction;
-                self.inner.lint_reports.borrow_mut().push(rep);
-                pred
-            })
-        }
-        .flatten();
+        let static_pred = self.lint_enabled().then(|| {
+            let rep = lint::lint_kernel(&spec, kernel);
+            let pred = rep.prediction;
+            self.inner.lint_reports.borrow_mut().push(rep);
+            pred
+        });
+        let static_pred = static_pred.flatten();
 
         let san = self
-            .inner
-            .sanitize
-            .borrow()
-            .clone()
-            .map(|cfg| Rc::new(RefCell::new(LaunchSanitizer::new(cfg, kernel.name()))));
+            .sanitizer_enabled()
+            .then(|| Rc::new(RefCell::new(LaunchSanitizer::new(kernel.name()))));
 
         // sanitizer and lint runs check the lane path itself, so only a
         // plain device meters
@@ -1020,33 +1014,26 @@ impl Device {
         Some(delay)
     }
 
-    /// Enables the sanitizer (default [`SanitizeConfig`]) for every
-    /// subsequent launch on this device — including launches issued
-    /// inside [`Device::stream_scope`], so batched/streamed serving
-    /// traffic is covered. Each launch appends a [`SanitizerReport`]
+    /// Enables the sanitizer for every subsequent launch on this device,
+    /// including launches issued inside [`Device::stream_scope`], so
+    /// batched/streamed serving traffic is covered. Each launch appends a [`SanitizerReport`]
     /// (see [`Device::sanitizer_reports`]).
     pub fn enable_sanitizer(&self) {
-        self.enable_sanitizer_with(SanitizeConfig::default());
-    }
-
-    /// Enables the sanitizer with an explicit config.
-    pub fn enable_sanitizer_with(&self, cfg: SanitizeConfig) {
-        *self.inner.sanitize.borrow_mut() = Some(cfg);
+        self.inner.sanitize.set(true);
     }
 
     /// Disables the sanitizer for subsequent launches. Collected reports
     /// are kept.
     pub fn disable_sanitizer(&self) {
-        *self.inner.sanitize.borrow_mut() = None;
+        self.inner.sanitize.set(false);
     }
 
     /// True when launches currently run under the sanitizer.
     pub fn sanitizer_enabled(&self) -> bool {
-        self.inner.sanitize.borrow().is_some()
+        self.inner.sanitize.get()
     }
 
-    /// Runs one launch under the sanitizer (default config unless the
-    /// device sanitizer is already enabled) and returns its report
+    /// Runs one launch under the sanitizer and returns its report
     /// alongside the launch report — the per-launch enablement path.
     pub fn launch_sanitized<K: Kernel>(
         &self,
@@ -1071,30 +1058,25 @@ impl Device {
         Ok((report, srep))
     }
 
-    /// Enables static lint capture (default [`LintConfig`]) for every
-    /// subsequent launch: each launch plan is analyzed by
-    /// [`lint::lint_kernel`] *before* its blocks run, appending a
+    /// Enables static lint capture for every subsequent launch: each
+    /// launch plan is analyzed by [`lint::lint_kernel`] *before* its
+    /// blocks run, appending a
     /// [`LintReport`] and stamping the [`LaunchReport`] with the
     /// kernel's static counter prediction. Analysis only — the launch
     /// outcome is unchanged.
     pub fn enable_lint(&self) {
-        self.enable_lint_with(LintConfig::default());
-    }
-
-    /// Enables static lint capture with an explicit config.
-    pub fn enable_lint_with(&self, cfg: LintConfig) {
-        *self.inner.lint.borrow_mut() = Some(cfg);
+        self.inner.lint.set(true);
     }
 
     /// Disables static lint capture for subsequent launches. Collected
     /// reports are kept.
     pub fn disable_lint(&self) {
-        *self.inner.lint.borrow_mut() = None;
+        self.inner.lint.set(false);
     }
 
     /// True when launch plans are currently captured by the static lint.
     pub fn lint_enabled(&self) -> bool {
-        self.inner.lint.borrow().is_some()
+        self.inner.lint.get()
     }
 
     /// Snapshot of all lint reports collected so far.

@@ -64,11 +64,11 @@ pub use device::{
 };
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use lint::{
-    AccessSpec, BufferDecl, BulkAccess, GlobalStream, LaunchGeometry, LintConfig, LintFinding,
-    LintKind, LintReport, PhaseSpec, SharedEv, SharedStep,
+    AccessSpec, BufferDecl, BulkAccess, GlobalStream, LaunchGeometry, LintFinding, LintKind,
+    LintReport, PhaseSpec, SharedEv, SharedStep,
 };
 pub use occupancy::Occupancy;
-pub use sanitize::{Finding, FindingKind, SanitizeConfig, SanitizerReport, Severity};
+pub use sanitize::{Finding, FindingKind, SanitizerReport, Severity};
 pub use spec::DeviceSpec;
 pub use stats::{KernelStats, SimTime};
 pub use stream::{Event, ScheduledLaunch, Stream, StreamId, StreamSchedule};

@@ -47,37 +47,11 @@ use crate::buffer::{DeviceCopy, GpuBuffer};
 use crate::device::Kernel;
 use crate::occupancy::Occupancy;
 pub use crate::sanitize::Severity;
+use crate::sanitize::{
+    MAX_SECTORS_PER_ACCESS, MIN_ACCESSES_FOR_COALESCING, MIN_BANK_CONFLICT_DEGREE, MIN_OCCUPANCY,
+};
 use crate::spec::DeviceSpec;
 use crate::stats::KernelStats;
-
-/// Thresholds the advisory lints fire at. The defaults mirror
-/// [`crate::SanitizeConfig`] so the static pass and the dynamic
-/// sanitizer agree on what counts as a finding.
-#[derive(Debug, Clone)]
-pub struct LintConfig {
-    /// Uncoalesced-global lint: fires when one warp/slot group's
-    /// predicted sectors-per-access exceeds this.
-    pub max_sectors_per_access: f64,
-    /// Uncoalesced-global lint: minimum accesses in the group before the
-    /// lint applies (tail groups are exempt).
-    pub min_accesses_for_coalescing: u64,
-    /// Bank-conflict lint: fires at this predicted degree or worse.
-    pub min_bank_conflict_degree: u64,
-    /// Occupancy lint: fires below this fraction of max resident warps
-    /// (unless the kernel declares [`Kernel::low_occupancy_waiver`]).
-    pub min_occupancy: f64,
-}
-
-impl Default for LintConfig {
-    fn default() -> Self {
-        LintConfig {
-            max_sectors_per_access: 0.5,
-            min_accesses_for_coalescing: 8,
-            min_bank_conflict_degree: 8,
-            min_occupancy: 0.25,
-        }
-    }
-}
 
 /// The class of defect a [`LintFinding`] reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -606,8 +580,11 @@ fn json_escape(s: &str) -> String {
 
 /// Lints launch validity and occupancy from geometry alone — the entry
 /// point for planners that have no kernel object yet (the cost model
-/// rejects hard-failing configurations before anything is built).
-pub fn lint_geometry(spec: &DeviceSpec, geom: &LaunchGeometry, cfg: &LintConfig) -> LintReport {
+/// rejects hard-failing configurations before anything is built). The
+/// advisory lints fire at the sanitizer's thresholds
+/// ([`crate::sanitize::MIN_OCCUPANCY`] and its siblings), so the static
+/// pass and the dynamic sanitizer agree on what counts as a finding.
+pub fn lint_geometry(spec: &DeviceSpec, geom: &LaunchGeometry) -> LintReport {
     let mut findings = Vec::new();
     let mut waived = Vec::new();
     let launch_wide = |kind: LintKind, detail: String| LintFinding {
@@ -669,17 +646,17 @@ pub fn lint_geometry(spec: &DeviceSpec, geom: &LaunchGeometry, cfg: &LintConfig)
         geom.shared_bytes_per_block,
         geom.regs_per_thread,
     );
-    if occupancy.occupancy < cfg.min_occupancy {
+    if occupancy.occupancy < MIN_OCCUPANCY {
         match geom.low_occupancy_waiver {
             Some(reason) => waived.push(format!(
                 "occupancy.low ({:.3} < {:.2}): {reason}",
-                occupancy.occupancy, cfg.min_occupancy
+                occupancy.occupancy, MIN_OCCUPANCY
             )),
             None => findings.push(launch_wide(
                 LintKind::LowOccupancy,
                 format!(
                     "static occupancy bound {:.3} below threshold {:.2} ({:?}-limited)",
-                    occupancy.occupancy, cfg.min_occupancy, occupancy.limiter
+                    occupancy.occupancy, MIN_OCCUPANCY, occupancy.limiter
                 ),
             )),
         }
@@ -699,13 +676,9 @@ pub fn lint_geometry(spec: &DeviceSpec, geom: &LaunchGeometry, cfg: &LintConfig)
 /// Runs the full static analysis on a kernel object: geometry checks
 /// plus the [`AccessSpec`]-driven predictions, bounds proofs, and
 /// barrier-divergence checks. Executes no simulated step.
-pub fn lint_kernel<K: Kernel + ?Sized>(
-    spec: &DeviceSpec,
-    kernel: &K,
-    cfg: &LintConfig,
-) -> LintReport {
+pub fn lint_kernel<K: Kernel + ?Sized>(spec: &DeviceSpec, kernel: &K) -> LintReport {
     let geom = LaunchGeometry::of(kernel);
-    let mut report = lint_geometry(spec, &geom, cfg);
+    let mut report = lint_geometry(spec, &geom);
     match kernel.access_spec() {
         None => {
             report.findings.push(LintFinding {
@@ -717,7 +690,7 @@ pub fn lint_kernel<K: Kernel + ?Sized>(
                         .to_string(),
             });
         }
-        Some(access) => analyze_spec(spec, &geom, &access, cfg, &mut report),
+        Some(access) => analyze_spec(spec, &geom, &access, &mut report),
     }
     sort_findings(&mut report.findings);
     report
@@ -736,7 +709,6 @@ fn analyze_spec(
     spec: &DeviceSpec,
     geom: &LaunchGeometry,
     access: &AccessSpec,
-    cfg: &LintConfig,
     report: &mut LintReport,
 ) {
     let shared_words_avail = (geom.shared_bytes_per_block / 4) as u32;
@@ -807,22 +779,22 @@ fn analyze_spec(
         }
         if let Some((sectors, accesses)) = pr.worst_global_group {
             let spa = sectors as f64 / accesses as f64;
-            if spa > cfg.max_sectors_per_access && accesses >= cfg.min_accesses_for_coalescing {
+            if spa > MAX_SECTORS_PER_ACCESS && accesses >= MIN_ACCESSES_FOR_COALESCING {
                 report.findings.push(finding(
                     LintKind::UncoalescedGlobal,
                     format!(
                         "declared strides predict {sectors} sectors over {accesses} accesses in one warp group ({spa:.3} sectors/access > {:.3})",
-                        cfg.max_sectors_per_access
+                        MAX_SECTORS_PER_ACCESS
                     ),
                 ));
             }
         }
-        if pr.max_bank_degree >= cfg.min_bank_conflict_degree {
+        if pr.max_bank_degree >= MIN_BANK_CONFLICT_DEGREE {
             report.findings.push(finding(
                 LintKind::BankConflict,
                 format!(
                     "declared shared strides predict a {}-way bank conflict (threshold {})",
-                    pr.max_bank_degree, cfg.min_bank_conflict_degree
+                    pr.max_bank_degree, MIN_BANK_CONFLICT_DEGREE
                 ),
             ));
         }
@@ -1088,14 +1060,8 @@ mod tests {
     }
 
     fn eval(spec_access: AccessSpec, g: LaunchGeometry) -> LintReport {
-        let mut report = lint_geometry(&titan(), &g, &LintConfig::default());
-        analyze_spec(
-            &titan(),
-            &g,
-            &spec_access,
-            &LintConfig::default(),
-            &mut report,
-        );
+        let mut report = lint_geometry(&titan(), &g);
+        analyze_spec(&titan(), &g, &spec_access, &mut report);
         report
     }
 
@@ -1357,32 +1323,30 @@ mod tests {
 
     #[test]
     fn geometry_hard_errors() {
-        let cfg = LintConfig::default();
         let mut g = geom(2048, 1);
-        let r = lint_geometry(&titan(), &g, &cfg);
+        let r = lint_geometry(&titan(), &g);
         assert!(r.has(LintKind::BlockTooLarge));
         g = geom(0, 1);
-        assert!(lint_geometry(&titan(), &g, &cfg).has(LintKind::EmptyLaunch));
+        assert!(lint_geometry(&titan(), &g).has(LintKind::EmptyLaunch));
         g = geom(256, 1);
         g.shared_bytes_per_block = 64 * 1024;
-        assert!(lint_geometry(&titan(), &g, &cfg).has(LintKind::SharedMemExceeded));
+        assert!(lint_geometry(&titan(), &g).has(LintKind::SharedMemExceeded));
         g = geom(1024, 1);
         g.regs_per_thread = 65; // 65 × 1024 > 64K
-        assert!(lint_geometry(&titan(), &g, &cfg).has(LintKind::RegsExceeded));
+        assert!(lint_geometry(&titan(), &g).has(LintKind::RegsExceeded));
         g = geom(256, 1);
         g.regs_per_thread = 300; // over the 255 per-thread cap
-        assert!(lint_geometry(&titan(), &g, &cfg).has(LintKind::RegsExceeded));
+        assert!(lint_geometry(&titan(), &g).has(LintKind::RegsExceeded));
     }
 
     #[test]
     fn occupancy_waiver_suppresses_warning() {
-        let cfg = LintConfig::default();
         let mut g = geom(128, 1);
         g.shared_bytes_per_block = 40 * 1024; // 2 blocks/SM → 8 warps of 64
-        let r = lint_geometry(&titan(), &g, &cfg);
+        let r = lint_geometry(&titan(), &g);
         assert!(r.has(LintKind::LowOccupancy));
         g.low_occupancy_waiver = Some("heap capacity trade (Section 4.1)");
-        let r = lint_geometry(&titan(), &g, &cfg);
+        let r = lint_geometry(&titan(), &g);
         assert!(!r.has(LintKind::LowOccupancy));
         assert_eq!(r.waived.len(), 1);
     }
@@ -1405,7 +1369,7 @@ mod tests {
 
     #[test]
     fn cross_check_flags_drift() {
-        let mut report = lint_geometry(&titan(), &geom(32, 1), &LintConfig::default());
+        let mut report = lint_geometry(&titan(), &geom(32, 1));
         report.prediction = Some(KernelStats {
             global_sectors: 4,
             global_accesses: 32,

@@ -45,47 +45,19 @@ use std::collections::HashMap;
 use crate::occupancy::Occupancy;
 use crate::spec::DeviceSpec;
 
-/// Which analyses run and the thresholds the perf lints fire at.
-#[derive(Debug, Clone)]
-pub struct SanitizeConfig {
-    /// Detect shared-word and global-word races (see module docs).
-    pub racecheck: bool,
-    /// Report out-of-bounds accesses as findings and skip the faulting
-    /// access. When disabled, OOB accesses panic (always-on bounds checks
-    /// never silently pass).
-    pub memcheck: bool,
-    /// Detect reads of shared words never written since allocation.
-    pub initcheck: bool,
-    /// Emit coalescing / bank-conflict / occupancy warnings.
-    pub perf_lints: bool,
-    /// Uncoalesced-global lint: fires when a warp's accesses in one slot
-    /// touch more than this many 32-byte sectors per access.
-    pub max_sectors_per_access: f64,
-    /// Uncoalesced-global lint: minimum accesses in the warp/slot group
-    /// before the lint applies (tail groups are exempt).
-    pub min_accesses_for_coalescing: u64,
-    /// Bank-conflict lint: fires at this conflict degree or worse.
-    pub min_bank_conflict_degree: u64,
-    /// Occupancy lint: fires when achieved occupancy is below this
-    /// fraction of the SM's maximum resident warps (unless the kernel
-    /// declares a waiver, see [`crate::Kernel::low_occupancy_waiver`]).
-    pub min_occupancy: f64,
-}
-
-impl Default for SanitizeConfig {
-    fn default() -> Self {
-        SanitizeConfig {
-            racecheck: true,
-            memcheck: true,
-            initcheck: true,
-            perf_lints: true,
-            max_sectors_per_access: 0.5,
-            min_accesses_for_coalescing: 8,
-            min_bank_conflict_degree: 8,
-            min_occupancy: 0.25,
-        }
-    }
-}
+/// Uncoalesced-global lint: fires when a warp's accesses in one slot
+/// touch more than this many 32-byte sectors per access. The static lint
+/// ([`crate::lint`]) applies the same four thresholds.
+pub const MAX_SECTORS_PER_ACCESS: f64 = 0.5;
+/// Uncoalesced-global lint: minimum accesses in the warp/slot group
+/// before the lint applies (tail groups are exempt).
+pub const MIN_ACCESSES_FOR_COALESCING: u64 = 8;
+/// Bank-conflict lint: fires at this conflict degree or worse.
+pub const MIN_BANK_CONFLICT_DEGREE: u64 = 8;
+/// Occupancy lint: fires when achieved occupancy is below this fraction
+/// of the SM's maximum resident warps (unless the kernel declares a
+/// waiver, see [`crate::Kernel::low_occupancy_waiver`]).
+pub const MIN_OCCUPANCY: f64 = 0.25;
 
 /// The class of defect (or inefficiency) a [`Finding`] reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -273,7 +245,6 @@ struct StepAccess {
 /// Per-launch sanitizer state, attached to every [`crate::BlockCtx`] of
 /// the launch by `Device::launch` when sanitizing is enabled.
 pub(crate) struct LaunchSanitizer {
-    cfg: SanitizeConfig,
     kernel: &'static str,
     findings: Vec<Finding>,
     index: HashMap<(FindingKind, u64), usize>,
@@ -293,9 +264,8 @@ pub(crate) struct LaunchSanitizer {
 }
 
 impl LaunchSanitizer {
-    pub(crate) fn new(cfg: SanitizeConfig, kernel: &'static str) -> Self {
+    pub(crate) fn new(kernel: &'static str) -> Self {
         LaunchSanitizer {
-            cfg,
             kernel,
             findings: Vec::new(),
             index: HashMap::new(),
@@ -309,10 +279,6 @@ impl LaunchSanitizer {
             step_log: Vec::new(),
             global_writers: HashMap::new(),
         }
-    }
-
-    pub(crate) fn memcheck_enabled(&self) -> bool {
-        self.cfg.memcheck
     }
 
     /// Resets shared-memory state for a new block (shared memory does not
@@ -368,36 +334,32 @@ impl LaunchSanitizer {
         slot: u32,
         tracked: bool,
     ) {
-        if self.cfg.racecheck {
+        for w in word..word + words {
+            self.step_shared
+                .entry(w)
+                .or_default()
+                .touch(lane as u32, write);
+        }
+        if write {
             for w in word..word + words {
-                self.step_shared
-                    .entry(w)
-                    .or_default()
-                    .touch(lane as u32, write);
+                self.shared_written[w as usize] = true;
             }
-        }
-        if self.cfg.initcheck {
-            if write {
-                for w in word..word + words {
-                    self.shared_written[w as usize] = true;
-                }
-            } else {
-                for w in word..word + words {
-                    if !self.shared_written[w as usize] {
-                        let alloc = self.shared_alloc_for(w);
-                        self.emit(
-                            FindingKind::UninitializedRead,
-                            w as u64,
-                            lane,
-                            w as u64,
-                            alloc,
-                            format!("read of shared word {w} never written since alloc_shared"),
-                        );
-                    }
+        } else {
+            for w in word..word + words {
+                if !self.shared_written[w as usize] {
+                    let alloc = self.shared_alloc_for(w);
+                    self.emit(
+                        FindingKind::UninitializedRead,
+                        w as u64,
+                        lane,
+                        w as u64,
+                        alloc,
+                        format!("read of shared word {w} never written since alloc_shared"),
+                    );
                 }
             }
         }
-        if tracked && self.cfg.perf_lints {
+        if tracked {
             self.step_log.push(StepAccess {
                 lane: lane as u32,
                 slot,
@@ -419,46 +381,42 @@ impl LaunchSanitizer {
         slot: u32,
         describe: &dyn Fn() -> String,
     ) {
-        if self.cfg.racecheck {
-            let first = addr / 4;
-            let last = (addr + bytes as u64 - 1) / 4;
-            for w in first..=last {
-                self.step_global
-                    .entry(w)
-                    .or_default()
-                    .touch(lane as u32, write);
-                if write {
-                    match self.global_writers.get(&w) {
-                        Some(&(b, l, s)) if b != self.cur_block => {
-                            let detail = format!(
-                                "global word 0x{:x} written by block {} (lane {l}, step {s}) \
-                                 and block {} (lane {lane}, step {}); inter-block write order \
-                                 is undefined within a launch",
-                                w * 4,
-                                b,
-                                self.cur_block,
-                                self.cur_step
-                            );
-                            self.emit(FindingKind::GlobalRace, w, lane, w * 4, describe(), detail);
-                        }
-                        Some(_) => {}
-                        None => {
-                            self.global_writers
-                                .insert(w, (self.cur_block, lane, self.cur_step));
-                        }
+        let first = addr / 4;
+        let last = (addr + bytes as u64 - 1) / 4;
+        for w in first..=last {
+            self.step_global
+                .entry(w)
+                .or_default()
+                .touch(lane as u32, write);
+            if write {
+                match self.global_writers.get(&w) {
+                    Some(&(b, l, s)) if b != self.cur_block => {
+                        let detail = format!(
+                            "global word 0x{:x} written by block {} (lane {l}, step {s}) \
+                             and block {} (lane {lane}, step {}); inter-block write order \
+                             is undefined within a launch",
+                            w * 4,
+                            b,
+                            self.cur_block,
+                            self.cur_step
+                        );
+                        self.emit(FindingKind::GlobalRace, w, lane, w * 4, describe(), detail);
+                    }
+                    Some(_) => {}
+                    None => {
+                        self.global_writers
+                            .insert(w, (self.cur_block, lane, self.cur_step));
                     }
                 }
             }
         }
-        if self.cfg.perf_lints {
-            self.step_log.push(StepAccess {
-                lane: lane as u32,
-                slot,
-                addr,
-                size: bytes,
-                shared: false,
-            });
-        }
+        self.step_log.push(StepAccess {
+            lane: lane as u32,
+            slot,
+            addr,
+            size: bytes,
+            shared: false,
+        });
     }
 
     /// Records a shared out-of-bounds access (memcheck).
@@ -510,62 +468,60 @@ impl LaunchSanitizer {
     /// Ends the current barrier interval: emits intra-step races and the
     /// coalescing / bank-conflict lints, then clears step state.
     pub(crate) fn end_step(&mut self, spec: &DeviceSpec) {
-        if self.cfg.racecheck {
-            let shared: Vec<(u32, WordAcc)> = self
-                .step_shared
-                .iter()
-                .filter(|(_, acc)| acc.is_race())
-                .map(|(&w, &acc)| (w, acc))
-                .collect();
-            for (w, acc) in shared {
-                let writer = acc.write_lane.unwrap_or(acc.first_lane);
-                let other = if acc.other_lane == Some(writer) {
-                    acc.first_lane
-                } else {
-                    acc.other_lane.unwrap_or(acc.first_lane)
-                };
-                let alloc = self.shared_alloc_for(w);
-                self.emit(
-                    FindingKind::SharedRace,
-                    w as u64,
-                    writer as usize,
-                    w as u64,
-                    alloc,
-                    format!(
-                        "lanes {writer} and {other} touched shared word {w} in the same step \
-                         with ≥1 write; intra-step ordering is undefined"
-                    ),
-                );
-            }
-            let global: Vec<(u64, WordAcc)> = self
-                .step_global
-                .iter()
-                .filter(|(_, acc)| acc.is_race())
-                .map(|(&w, &acc)| (w, acc))
-                .collect();
-            for (w, acc) in global {
-                let writer = acc.write_lane.unwrap_or(acc.first_lane);
-                let other = if acc.other_lane == Some(writer) {
-                    acc.first_lane
-                } else {
-                    acc.other_lane.unwrap_or(acc.first_lane)
-                };
-                self.emit(
-                    FindingKind::GlobalRace,
-                    w,
-                    writer as usize,
-                    w * 4,
-                    String::new(),
-                    format!(
-                        "lanes {writer} and {other} touched global word 0x{:x} in the same \
-                         step with ≥1 write",
-                        w * 4
-                    ),
-                );
-            }
+        let shared: Vec<(u32, WordAcc)> = self
+            .step_shared
+            .iter()
+            .filter(|(_, acc)| acc.is_race())
+            .map(|(&w, &acc)| (w, acc))
+            .collect();
+        for (w, acc) in shared {
+            let writer = acc.write_lane.unwrap_or(acc.first_lane);
+            let other = if acc.other_lane == Some(writer) {
+                acc.first_lane
+            } else {
+                acc.other_lane.unwrap_or(acc.first_lane)
+            };
+            let alloc = self.shared_alloc_for(w);
+            self.emit(
+                FindingKind::SharedRace,
+                w as u64,
+                writer as usize,
+                w as u64,
+                alloc,
+                format!(
+                    "lanes {writer} and {other} touched shared word {w} in the same step \
+                     with ≥1 write; intra-step ordering is undefined"
+                ),
+            );
+        }
+        let global: Vec<(u64, WordAcc)> = self
+            .step_global
+            .iter()
+            .filter(|(_, acc)| acc.is_race())
+            .map(|(&w, &acc)| (w, acc))
+            .collect();
+        for (w, acc) in global {
+            let writer = acc.write_lane.unwrap_or(acc.first_lane);
+            let other = if acc.other_lane == Some(writer) {
+                acc.first_lane
+            } else {
+                acc.other_lane.unwrap_or(acc.first_lane)
+            };
+            self.emit(
+                FindingKind::GlobalRace,
+                w,
+                writer as usize,
+                w * 4,
+                String::new(),
+                format!(
+                    "lanes {writer} and {other} touched global word 0x{:x} in the same \
+                     step with ≥1 write",
+                    w * 4
+                ),
+            );
         }
 
-        if self.cfg.perf_lints && !self.step_log.is_empty() {
+        if !self.step_log.is_empty() {
             self.perf_lint_step(spec);
         }
 
@@ -604,7 +560,7 @@ impl LaunchSanitizer {
                     bank_counts[(w as usize) % banks] += 1;
                 }
                 let degree = bank_counts.iter().copied().max().unwrap_or(0);
-                if degree >= self.cfg.min_bank_conflict_degree {
+                if degree >= MIN_BANK_CONFLICT_DEGREE {
                     self.emit(
                         FindingKind::BankConflict,
                         0,
@@ -631,8 +587,8 @@ impl LaunchSanitizer {
                 scratch.dedup();
                 let sectors = scratch.len() as u64;
                 let n = accs.len() as u64;
-                if n >= self.cfg.min_accesses_for_coalescing
-                    && sectors as f64 / n as f64 > self.cfg.max_sectors_per_access
+                if n >= MIN_ACCESSES_FOR_COALESCING
+                    && sectors as f64 / n as f64 > MAX_SECTORS_PER_ACCESS
                 {
                     self.emit(
                         FindingKind::UncoalescedGlobal,
@@ -654,12 +610,12 @@ impl LaunchSanitizer {
 
     /// Launch-level occupancy lint, applied once after all blocks ran.
     pub(crate) fn check_occupancy(&mut self, occ: &Occupancy, waiver: Option<&'static str>) {
-        if !self.cfg.perf_lints || occ.occupancy >= self.cfg.min_occupancy {
+        if occ.occupancy >= MIN_OCCUPANCY {
             return;
         }
         let detail = format!(
             "occupancy {:.3} ({} warps/SM, limited by {:?}) below threshold {:.2}",
-            occ.occupancy, occ.warps_per_sm, occ.limiter, self.cfg.min_occupancy
+            occ.occupancy, occ.warps_per_sm, occ.limiter, MIN_OCCUPANCY
         );
         if let Some(reason) = waiver {
             self.waived
@@ -868,7 +824,7 @@ mod tests {
     use super::*;
 
     fn san() -> LaunchSanitizer {
-        LaunchSanitizer::new(SanitizeConfig::default(), "unit")
+        LaunchSanitizer::new("unit")
     }
 
     #[test]

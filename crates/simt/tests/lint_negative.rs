@@ -5,8 +5,7 @@
 //! and a statically provable out-of-bounds index.
 
 use simt::lint::{
-    cross_check, lint_kernel, AccessSpec, BufferDecl, GlobalStream, LintConfig, LintKind,
-    PhaseSpec, Severity,
+    cross_check, lint_kernel, AccessSpec, BufferDecl, GlobalStream, LintKind, PhaseSpec, Severity,
 };
 use simt::{BlockCtx, Device, DeviceSpec, GpuBuffer, Kernel, Lane};
 
@@ -78,7 +77,7 @@ fn oversubscribed_shared_memory_is_a_hard_error() {
     let spec = titan();
     let mut probe = Probe::plan_only("shm_hog", 4, 256);
     probe.shared_bytes = spec.shared_mem_per_block + 1;
-    let report = lint_kernel(&spec, &probe, &LintConfig::default());
+    let report = lint_kernel(&spec, &probe);
     let hits = errors_of(&report, LintKind::SharedMemExceeded);
     assert_eq!(hits.len(), 1, "{}", report.render());
     assert_eq!(hits[0].severity(), Severity::Error);
@@ -99,7 +98,7 @@ fn oversubscribed_shared_memory_is_a_hard_error() {
 fn oversized_block_is_a_hard_error() {
     let spec = titan();
     let probe = Probe::plan_only("wide_block", 1, spec.max_threads_per_block * 2);
-    let report = lint_kernel(&spec, &probe, &LintConfig::default());
+    let report = lint_kernel(&spec, &probe);
     let hits = errors_of(&report, LintKind::BlockTooLarge);
     assert_eq!(hits.len(), 1, "{}", report.render());
     assert_eq!(hits[0].kernel, "wide_block");
@@ -225,7 +224,7 @@ fn barrier_in_divergent_branch_is_a_hard_error_with_phase_attribution() {
             },
         ],
     });
-    let report = lint_kernel(&spec, &probe, &LintConfig::default());
+    let report = lint_kernel(&spec, &probe);
     let hits = errors_of(&report, LintKind::BarrierInDivergence);
     assert_eq!(hits.len(), 1, "{}", report.render());
     assert_eq!(hits[0].severity(), Severity::Error);
@@ -259,7 +258,7 @@ fn statically_provable_oob_index_is_a_hard_error() {
             ..PhaseSpec::default()
         }],
     });
-    let report = lint_kernel(&spec, &probe, &LintConfig::default());
+    let report = lint_kernel(&spec, &probe);
     let hits = errors_of(&report, LintKind::GlobalOutOfBounds);
     assert!(!hits.is_empty(), "{}", report.render());
     assert_eq!(hits[0].kernel, "oob_writer");

@@ -11,8 +11,9 @@
 //! `n_t` — and (for radix select) a per-pass reduction profile, since the
 //! pass behaviour depends on the key distribution.
 //!
-//! The `fig17_cost_model` bench compares these predictions against the
-//! simulator's measured times, reproducing Figure 17.
+//! The bench harness's figures suite compares these predictions against
+//! the simulator's measured times (`fig17/*` cells, reproducing Figure
+//! 17; `planner/*` cells for the full ranking, gated by claim 12).
 
 pub mod bitonic;
 pub mod cluster;

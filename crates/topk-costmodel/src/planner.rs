@@ -4,7 +4,7 @@
 use crate::bitonic::{bitonic_topk_seconds, BitonicModelInput};
 use crate::delegate::{delegate_select_seconds, model_subrange};
 use crate::radix::{radix_select_seconds, ReductionProfile};
-use simt::lint::{lint_geometry, LaunchGeometry, LintConfig, LintFinding, Severity};
+use simt::lint::{lint_geometry, LaunchGeometry, LintFinding, Severity};
 use simt::DeviceSpec;
 
 /// The planner's verdict.
@@ -233,7 +233,7 @@ pub fn recommend_checked(
         price_candidates(spec, n, k, item_bytes, profile, cfg.elems_per_thread);
     let choice = choose(t_bitonic, t_radix, t_delegate);
     let geometry = plan_geometry(choice.algorithm, n, item_bytes, cfg);
-    let report = lint_geometry(spec, &geometry, &LintConfig::default());
+    let report = lint_geometry(spec, &geometry);
     if report.error_count() > 0 {
         let errors = report
             .findings

@@ -1,8 +1,8 @@
 //! Hybrid top-k strategies — the paper's stated future work
 //! ("hybrid solutions could either involve multiple devices (CPUs and
 //! GPUs) as well as hybrids of the presented algorithms", Section 8),
-//! implemented here as extensions and evaluated in
-//! `bench --bin ablation_hybrid`.
+//! implemented here as extensions and evaluated by the bench harness's
+//! `hybrid/*` cells (`harness --only figures`).
 //!
 //! Two hybrids:
 //!
