@@ -101,10 +101,11 @@ fn bench_simulator(c: &mut Criterion) {
     g.finish();
 }
 
-/// A k = 64 bitonic read of 2^16 uniform keys, as f32 (`u32` ranks) and
-/// as `Kv<f32>` pairs (`u64` ranks), once on a plain device, which
-/// meters the reducers (charged from their contract, run on host
-/// slices), and once under lint capture, which replays every lane.
+/// A bitonic read of 2^16 uniform keys, as f32 (`u32` ranks) and as
+/// `Kv<f32>` pairs (`u64` ranks): on a plain device, which meters the
+/// reducers (charged from their contract, run on host slices), at k = 8,
+/// 64 and 1024; and at k = 64 under lint capture, which replays every
+/// lane.
 fn bench_bitonic_read(c: &mut Criterion) {
     let n = 1 << 16;
     let keys: Vec<f32> = Uniform.generate(n, 11);
@@ -120,17 +121,23 @@ fn bench_bitonic_read(c: &mut Criterion) {
 }
 
 fn read_both_paths<T: TopKItem>(g: &mut criterion::BenchmarkGroup<'_>, ty: &str, data: &[T]) {
-    for (path, lint) in [("metered", false), ("lane_replay", true)] {
+    let cells = [
+        ("metered", false, 8),
+        ("metered", false, 64),
+        ("metered", false, 1024),
+        ("lane_replay", true, 64),
+    ];
+    for (path, lint, k) in cells {
         let dev = Device::titan_x();
         if lint {
             dev.enable_lint();
         }
         let input = dev.upload(data);
-        g.bench_function(&format!("{ty}/{path}"), |b| {
+        g.bench_function(&format!("{ty}/{path}/k{k}"), |b| {
             b.iter(|| {
                 // lint reports accumulate per launch; keep them bounded
                 dev.take_lint_reports();
-                TopKRequest::largest(64).run(&dev, &input).unwrap()
+                TopKRequest::largest(k).run(&dev, &input).unwrap()
             })
         });
     }

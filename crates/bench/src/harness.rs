@@ -423,9 +423,9 @@ pub const CPU_THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 /// Fixed k for the CPU backend suite.
 pub const CPU_SUITE_K: usize = 64;
 
-/// Repetitions per CPU cell; the fastest is reported (wall-clock cells
-/// gate on the *worse* direction only, so best-of-N just trims
-/// scheduler noise).
+/// Repetitions per CPU cell, interleaved over the thread sweep; the
+/// fastest is reported (wall-clock cells gate on the *worse* direction
+/// only, so best-of-N just trims scheduler noise).
 pub const CPU_SUITE_REPS: usize = 3;
 
 /// Runs the real-CPU backend suite through the [`topk::Backend`] trait:
@@ -441,21 +441,30 @@ pub fn run_cpu_suite(log2n: u32, profile: &str) -> BenchReport {
 
     let mut experiments = Vec::new();
     for alg in TopKAlgorithm::all() {
-        for threads in CPU_THREAD_SWEEP {
-            let be = CpuBackend::with_threads(threads);
-            let input = be.upload(&data);
-            let req = TopKRequest::largest(CPU_SUITE_K).with_alg(alg);
-            let mut best: Option<topk::ExecReport> = None;
-            for _ in 0..CPU_SUITE_REPS {
-                let r = req.run_on(&be, &input).expect("cpu top-k");
+        let req = TopKRequest::largest(CPU_SUITE_K).with_alg(alg);
+        let sweep: Vec<_> = CPU_THREAD_SWEEP
+            .map(|threads| {
+                let be = CpuBackend::with_threads(threads);
+                let input = be.upload(&data);
+                (be, input)
+            })
+            .into();
+        // each rep runs the whole sweep in turn, so a burst of load on
+        // the host lands on every thread count, not on one cell's reps
+        let mut best: Vec<Option<topk::ExecReport>> = vec![None; sweep.len()];
+        for _ in 0..CPU_SUITE_REPS {
+            for ((be, input), best) in sweep.iter().zip(&mut best) {
+                let r = req.run_on(be, input).expect("cpu top-k");
                 assert_eq!(r.items.len(), CPU_SUITE_K.min(n));
                 if best
                     .as_ref()
                     .is_none_or(|b| r.report.host_wall < b.host_wall)
                 {
-                    best = Some(r.report);
+                    *best = Some(r.report);
                 }
             }
+        }
+        for (threads, best) in CPU_THREAD_SWEEP.into_iter().zip(best) {
             let report = best.expect("at least one rep ran");
             experiments.push(Experiment {
                 id: format!("cpu/{}/t{threads}", alg.name()),

@@ -313,23 +313,15 @@ impl<T: TopKItem> Kernel for FusedSortReducerKernel<'_, T> {
         // buffer so sentinels never reach the top-k)
         let seg = Self::SEG.max(2 * k_eff);
         let padded = next_pow2(m.max(seg));
-        let mut buf: Vec<T> = Vec::with_capacity(padded);
-        buf.extend_from_slice(&self.matched);
-        buf.resize(padded, T::min_sentinel());
+        let mut ranks: Vec<T::Rank> = Vec::with_capacity(padded);
+        ranks.extend(self.matched.iter().map(T::rank));
+        ranks.resize(padded, T::min_sentinel().rank());
 
-        // SortReducer phases on the buffer (functional; host network ops)
+        // the SortReducer's output (local sort, then merges with a
+        // rebuild between every two) on the ranks
         let merges = Self::MERGES.min(sortnet::log2(padded / k_eff) as usize);
-        host::local_sort(&mut buf, k_eff);
-        let mut len = buf.len();
-        for mi in 0..merges {
-            let mut half = vec![T::min_sentinel(); len / 2];
-            host::merge_halve(&buf[..len], k_eff, &mut half);
-            len /= 2;
-            buf[..len].copy_from_slice(&half);
-            if mi + 1 < merges {
-                host::rebuild(&mut buf[..len], k_eff);
-            }
-        }
+        host::local_sort_reduce(&mut ranks, k_eff, merges, host::RunOrder::Bitonic);
+        let len = padded >> merges;
 
         // traffic: stream all columns once; write the 1/16 reduction;
         // shared cost = filter staging + the SortReducer pipeline factor
@@ -341,7 +333,11 @@ impl<T: TopKItem> Kernel for FusedSortReducerKernel<'_, T> {
         blk.bulk_ops((6 * self.n_rows) as u64);
 
         self.out_valid.set(0, len as u32);
-        self.out_runs.write_range(0, &buf[..len]);
+        self.out_runs.write_with(|out| {
+            for (o, &r) in out.iter_mut().zip(&ranks[..len]) {
+                *o = T::from_rank(r);
+            }
+        });
     }
 }
 
@@ -601,6 +597,94 @@ mod tests {
             Kv::new(k, i)
         });
         staging_case(|i, s| datagen::Rev(Kv::new(if s { u32::MAX } else { key(i) }, i)));
+    }
+
+    /// The fused reducer's host body before it reduced by selection: the
+    /// item-level local sort, merges and rebuilds over `matched` padded
+    /// to `padded`, with a fresh half buffer per merge. Returns the runs
+    /// it leaves.
+    fn item_level_runs<T: TopKItem>(matched: &[T], k_eff: usize, padded: usize) -> Vec<T> {
+        let mut buf = matched.to_vec();
+        buf.resize(padded, T::min_sentinel());
+        let merges =
+            FusedSortReducerKernel::<T>::MERGES.min(sortnet::log2(padded / k_eff) as usize);
+        host::local_sort(&mut buf, k_eff);
+        let mut len = buf.len();
+        for mi in 0..merges {
+            let mut half = vec![T::min_sentinel(); len / 2];
+            host::merge_halve(&buf[..len], k_eff, &mut half);
+            len /= 2;
+            buf[..len].copy_from_slice(&half);
+            if mi + 1 < merges {
+                host::rebuild(&mut buf[..len], k_eff);
+            }
+        }
+        buf.truncate(len);
+        buf
+    }
+
+    /// Runs the fused reducer on `matched` and checks its `out_runs`
+    /// against [`item_level_runs`], bit for bit (key sort bits and the
+    /// whole item).
+    fn fused_runs_case<T: TopKItem>(
+        gpu: &GpuTweetTable,
+        dev: &Device,
+        matched: Vec<T>,
+        k_eff: usize,
+    ) {
+        use datagen::RadixBits;
+        let seg = FusedSortReducerKernel::<T>::SEG.max(2 * k_eff);
+        let padded = next_pow2(matched.len().max(seg));
+        let expect = item_level_runs(&matched, k_eff, padded);
+        let out_runs = dev.alloc_filled::<T>(padded, T::min_sentinel());
+        let out_valid = dev.alloc::<u32>(1);
+        let m = matched.len();
+        dev.launch(&FusedSortReducerKernel {
+            pred_bytes: 4,
+            key_bytes: 4,
+            n_rows: gpu.len(),
+            matched,
+            k_eff,
+            out_runs: out_runs.clone(),
+            out_valid: out_valid.clone(),
+            _table: gpu,
+        })
+        .unwrap();
+        let exact = |v: &[T]| -> Vec<String> {
+            v.iter()
+                .map(|x| format!("{:x}/{x:?}", x.key_bits().as_u64()))
+                .collect()
+        };
+        let valid = out_valid.get(0) as usize;
+        assert_eq!(valid, expect.len(), "m={m} k={k_eff}");
+        assert_eq!(
+            exact(&out_runs.read_range(0..valid)),
+            exact(&expect),
+            "{} m={m} k={k_eff}",
+            std::any::type_name::<T>()
+        );
+    }
+
+    #[test]
+    fn fused_reducer_runs_match_the_item_level_network() {
+        let (dev, host, gpu) = setup(20_000);
+        for m in [0usize, 1, 100, 4096, 4097, 20_000] {
+            for k_eff in [1usize, 2, 8, 64, 1024, 4096] {
+                // retweet counts: heavy key duplicates, ids break the ties
+                let pairs: Vec<Kv<u32>> = (0..m)
+                    .map(|r| Kv::new(host.retweet_count[r], r as u32))
+                    .collect();
+                let ranked: Vec<Kv<f32>> = pairs
+                    .iter()
+                    .map(|kv| Kv::new(kv.key as f32 * 0.5 - 3.0, kv.value))
+                    .collect();
+                let asc: Vec<datagen::Rev<Kv<u32>>> =
+                    pairs.iter().map(|&kv| datagen::Rev(kv)).collect();
+                fused_runs_case(&gpu, &dev, pairs, k_eff);
+                fused_runs_case(&gpu, &dev, ranked, k_eff);
+                fused_runs_case(&gpu, &dev, asc, k_eff);
+            }
+        }
     }
 
     #[test]

@@ -281,6 +281,23 @@ mod tests {
         }
     }
 
+    /// The fused plan at selectivity 0 launches nothing: its kernel time
+    /// is the empty sum, +0 and not −0.
+    #[test]
+    fn launch_free_query_reports_positive_zero_time() {
+        let (dev, _host, gpu) = setup(10_000);
+        let r = filtered_topk(
+            &dev,
+            &gpu,
+            &FilterOp::TimeLess(0),
+            50,
+            Strategy::CombinedBitonic,
+        )
+        .unwrap();
+        assert!(r.breakdown.is_empty(), "nothing launched");
+        assert_eq!(r.kernel_time.0.to_bits(), 0);
+    }
+
     #[test]
     fn q1_ascending_returns_the_smallest_keys() {
         let (dev, host, gpu) = setup(30_000);

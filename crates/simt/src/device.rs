@@ -334,7 +334,7 @@ pub(crate) struct DeviceInner {
     log: RefCell<Vec<LaunchReport>>,
     /// Sum of `log`'s times, kept as launches are pushed so
     /// [`Device::total_time`] (read on every launch under a fault plan)
-    /// costs O(1). Starts at -0.0, the empty `f64` sum.
+    /// costs O(1). Starts at +0, the empty [`SimTime`] sum.
     total_time: Cell<SimTime>,
     /// Stream subsequent launches are stamped with (set via
     /// [`Device::stream_scope`]).
@@ -565,7 +565,7 @@ impl Device {
                 mem_highwater: Cell::new(0),
                 next_base: Cell::new(0x1000),
                 log: RefCell::new(Vec::new()),
-                total_time: Cell::new(SimTime(-0.0)),
+                total_time: Cell::new(SimTime::ZERO),
                 cur_stream: Cell::new(0),
                 next_stream: Cell::new(1),
                 waits: RefCell::new(Vec::new()),
@@ -1196,7 +1196,7 @@ impl Device {
     /// positions.
     pub fn reset_log(&self) {
         self.inner.log.borrow_mut().clear();
-        self.inner.total_time.set(SimTime(-0.0));
+        self.inner.total_time.set(SimTime::ZERO);
         self.inner.waits.borrow_mut().clear();
     }
 

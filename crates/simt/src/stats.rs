@@ -42,9 +42,12 @@ impl std::ops::AddAssign for SimTime {
     }
 }
 
+/// Folds from [`SimTime::ZERO`], not from `f64`'s empty sum (−0.0), so
+/// a span with nothing in it reports +0; a sum with any term other than
+/// ±0 is bit for bit `f64`'s.
 impl std::iter::Sum for SimTime {
     fn sum<I: Iterator<Item = SimTime>>(iter: I) -> Self {
-        SimTime(iter.map(|t| t.0).sum())
+        iter.fold(SimTime::ZERO, |a, b| a + b)
     }
 }
 

@@ -20,6 +20,14 @@
 //! identical. The item-level operators ([`local_sort`], [`merge_halve`],
 //! [`rebuild`], [`bitonic_sort`], [`bitonic_topk_host`]) convert once,
 //! run every step on ranks, and convert back.
+//!
+//! # Selection
+//!
+//! The output of a reduction that starts with a local sort does not
+//! depend on the step order: [`select_reduce`] computes it on ranks by
+//! selecting each span's top k (its doc gives the exactness argument),
+//! and [`local_sort_reduce`] runs whichever of selection and the network
+//! is cheaper for the run length.
 
 use crate::network::{full_sort_steps, local_sort_steps, rebuild_steps, Step};
 use datagen::TopKItem;
@@ -281,14 +289,129 @@ fn on_ranks<T: TopKItem>(data: &mut [T], f: impl FnOnce(&mut [T::Rank])) {
 pub fn topk_in_place<R: Copy + Ord>(data: &mut [R], k: usize) {
     assert!(crate::is_pow2(data.len()), "length must be a power of two");
     assert!(k <= data.len(), "k={k} exceeds data length {}", data.len());
+    let merges = crate::log2(data.len() / k) as usize;
+    network_reduce(data, k, merges, RunOrder::Sorted);
+}
+
+/// A reduction that starts with a local sort, run as the network: the
+/// local sort of runs of `k`, then `merges` merges with a rebuild
+/// between every two and, for [`RunOrder::Sorted`], after the last.
+fn network_reduce<R: Copy + Ord>(data: &mut [R], k: usize, merges: usize, order: RunOrder) {
     apply_steps(data, &local_sort_steps(k));
     let rebuild = rebuild_steps(k);
     let mut len = data.len();
-    while len > k {
+    for m in 0..merges {
         merge_in_place(&mut data[..len], k);
         len /= 2;
-        apply_steps(&mut data[..len], &rebuild);
+        if m + 1 < merges || order == RunOrder::Sorted {
+            apply_steps(&mut data[..len], &rebuild);
+        }
     }
+}
+
+/// The smallest run length [`local_sort_reduce`] reduces by selection.
+/// Below it the network is cheaper on the host: at k = 8 its local sort
+/// is six steps, two register passes over 8-blocks, which costs less
+/// than a quickselect of every half-span.
+const SELECTION_MIN_K: usize = 16;
+
+/// The output of a reduction that starts with a local sort (the shapes
+/// of [`select_reduce`]), by the cheaper of two exact methods:
+/// [`select_reduce`] from k = 16 up, the network's own steps below.
+pub fn local_sort_reduce<R: Copy + Ord>(data: &mut [R], k: usize, merges: usize, order: RunOrder) {
+    if k < SELECTION_MIN_K {
+        network_reduce(data, k, merges, order);
+    } else {
+        select_reduce(data, k, merges, order);
+    }
+}
+
+/// The order of the runs a [`select_reduce`] leaves: what the reduction's
+/// op list ends on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunOrder {
+    /// The op list is `LocalSort (Merge Rebuild)*`: sorted runs,
+    /// ascending on even run indices, descending on odd ones.
+    Sorted,
+    /// The op list is `LocalSort (Merge Rebuild)* Merge`: bitonic runs,
+    /// each the pairwise maxima of an ascending and a descending run.
+    Bitonic,
+}
+
+/// The output of a reduction that starts with a local sort, computed by
+/// selection instead of by running the network: `data[..len >> merges]`
+/// afterwards holds exactly the ranks that the local sort of runs of
+/// `k`, then `merges` merges with a rebuild between every two (and, in
+/// [`RunOrder::Sorted`], after the last), leave there. The rest of
+/// `data` is scratch.
+///
+/// With spans of `s = k·2^merges` elements:
+///
+/// * [`RunOrder::Sorted`]: run `r` is the top `k` of span `r`, ascending
+///   iff `r` is even;
+/// * [`RunOrder::Bitonic`] (`merges ≥ 1`): run `w` is
+///   `max(A[j], B[j])`, where `A` is the ascending top `k` of the
+///   half-span `2w` and `B` the descending top `k` of the half-span
+///   `2w + 1`.
+///
+/// This is exact because of three facts of the network (Section 3.2)
+/// and two of ranks. The local sort is a full sorting network on every
+/// run of `k`, so it sorts any input. A merge's window output holds the
+/// window's top `k`. A rebuild sorts a bitonic run, which every merge
+/// output is. By induction, the run before each merge holds the top `k`
+/// of its span, sorted in the run's direction. Ranks order items as the
+/// item comparator does, so the top `k` ranks are the top `k` items; and
+/// ranks are a bijection, so equal ranks are equal items: a run's
+/// contents are fixed as a multiset, and its sorted order is unique.
+///
+/// # Panics
+/// If `k` is zero, or `data.len()` is not a multiple of `k·2^merges`,
+/// or `order` is [`RunOrder::Bitonic`] with no merge.
+pub fn select_reduce<R: Copy + Ord>(data: &mut [R], k: usize, merges: usize, order: RunOrder) {
+    let span = k << merges;
+    assert!(
+        k >= 1 && data.len().is_multiple_of(span),
+        "length {} must be a multiple of k·2^merges = {span}",
+        data.len()
+    );
+    match order {
+        RunOrder::Sorted => {
+            for (r, s) in (0..data.len()).step_by(span).enumerate() {
+                let top = top_k(&mut data[s..s + span], k, r % 2 == 0);
+                // run r lands at r·k ≤ s, below every span still to be read
+                data.copy_within(s + top..s + top + k, r * k);
+            }
+        }
+        RunOrder::Bitonic => {
+            assert!(merges >= 1, "a bitonic reduction ends on a merge");
+            let half = span / 2;
+            for (w, s) in (0..data.len()).step_by(span).enumerate() {
+                let a = s + top_k(&mut data[s..s + half], k, true);
+                let b = s + half + top_k(&mut data[s + half..s + span], k, false);
+                // output j lands at w·k + j ≤ a + j < b + j: a forward
+                // pass reads every input before it is overwritten
+                for j in 0..k {
+                    data[w * k + j] = data[a + j].max(data[b + j]);
+                }
+            }
+        }
+    }
+}
+
+/// Moves the largest `k` elements of `span` to its end, sorted
+/// (ascending or descending), and returns where they start.
+fn top_k<R: Copy + Ord>(span: &mut [R], k: usize, ascending: bool) -> usize {
+    let start = span.len() - k;
+    if start > 0 {
+        span.select_nth_unstable(start);
+    }
+    let top = &mut span[start..];
+    if ascending {
+        top.sort_unstable();
+    } else {
+        top.sort_unstable_by(|a, b| b.cmp(a));
+    }
+    start
 }
 
 /// The complete bitonic top-k on the host (Section 3.2): local sort, then

@@ -2,6 +2,9 @@
 
 use datagen::SortKey;
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use sortnet::host::RunOrder;
 use sortnet::network::full_sort_steps;
 use sortnet::{
     host, is_bitonic, local_sort_steps, next_pow2, rebuild_steps, CombinedStep, Step, StepGroupPlan,
@@ -199,4 +202,134 @@ fn apply_plan<R: Copy + Ord>(data: &mut [R], plan: &StepGroupPlan) {
             }
         }
     }
+}
+
+/// The network composition [`host::select_reduce`] stands for: the local
+/// sort of runs of `k`, then `merges` merges with a rebuild between every
+/// two and, for sorted runs, after the last.
+fn network_reduce<R: Copy + Ord>(data: &mut [R], k: usize, merges: usize, order: RunOrder) {
+    host::apply_steps(data, &local_sort_steps(k));
+    let rebuild = rebuild_steps(k);
+    let mut len = data.len();
+    for m in 0..merges {
+        host::merge_in_place(&mut data[..len], k);
+        len /= 2;
+        if m + 1 < merges || order == RunOrder::Sorted {
+            host::apply_steps(&mut data[..len], &rebuild);
+        }
+    }
+}
+
+/// Asserts that selection, and the dispatch between selection and the
+/// network, leave the network's output on `data`, for one shape.
+fn assert_selection_exact<R: Copy + Ord + std::fmt::Debug>(
+    data: &[R],
+    k: usize,
+    merges: usize,
+    order: RunOrder,
+    context: &str,
+) {
+    let out = data.len() >> merges;
+    let mut network = data.to_vec();
+    network_reduce(&mut network, k, merges, order);
+    let mut selected = data.to_vec();
+    host::select_reduce(&mut selected, k, merges, order);
+    let mut dispatched = data.to_vec();
+    host::local_sort_reduce(&mut dispatched, k, merges, order);
+    let shape = format!(
+        "{context} {} k={k} merges={merges} {order:?} len={}",
+        std::any::type_name::<R>(),
+        data.len()
+    );
+    assert_eq!(selected[..out], network[..out], "{shape}");
+    assert_eq!(dispatched[..out], network[..out], "{shape}");
+}
+
+/// Input patterns, by number: uniform draws, all equal, mostly the
+/// minimum (sentinels), ascending, descending, five distinct values.
+const PATTERNS: usize = 6;
+
+fn pattern(p: usize, len: usize, seed: u64) -> Vec<u32> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    (0..len)
+        .map(|i| match p {
+            0 => rng.gen::<u32>(),
+            1 => 7,
+            2 if rng.gen_range(0..16u32) == 0 => rng.gen::<u32>(),
+            2 => 0,
+            3 => i as u32,
+            4 => (len - i) as u32,
+            _ => rng.gen_range(0..5u32),
+        })
+        .collect()
+}
+
+/// Checks `keys` as `u32`, `u64` and `u128` ranks. The wide ranks are
+/// order-preserving, injective maps of the keys that use the high bits.
+fn assert_every_width(keys: &[u32], k: usize, merges: usize, order: RunOrder, context: &str) {
+    assert_selection_exact(keys, k, merges, order, context);
+    let wide: Vec<u64> = keys
+        .iter()
+        .map(|&x| (x as u64) << 32 | (x ^ 0x5555) as u64)
+        .collect();
+    assert_selection_exact(&wide, k, merges, order, context);
+    let widest: Vec<u128> = keys
+        .iter()
+        .map(|&x| (x as u128) << 96 | (x as u128) << 7)
+        .collect();
+    assert_selection_exact(&widest, k, merges, order, context);
+}
+
+/// Every shape the reducers reach: k from 1 to 1024, 0–4 merges, both
+/// run orders, three spans (so runs of both directions and a span whose
+/// output moves past the first), every pattern, every rank width.
+#[test]
+fn selection_matches_the_network_on_every_shape() {
+    for k_log in 0..=10 {
+        let k = 1usize << k_log;
+        for merges in 0..=4 {
+            for order in [RunOrder::Sorted, RunOrder::Bitonic] {
+                if order == RunOrder::Bitonic && merges == 0 {
+                    continue;
+                }
+                let len = 3 * (k << merges);
+                for p in 0..PATTERNS {
+                    let keys = pattern(p, len, (k_log * 5 + merges) as u64);
+                    assert_every_width(&keys, k, merges, order, &format!("pattern {p}"));
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random shapes, span counts and draws against the network.
+    #[test]
+    fn selection_matches_the_network(
+        k_log in 0u32..11,
+        merges in 0usize..5,
+        spans in 1usize..5,
+        bitonic in any::<bool>(),
+        p in 0usize..PATTERNS,
+        seed in any::<u64>(),
+    ) {
+        let k = 1usize << k_log;
+        let order = if bitonic && merges > 0 { RunOrder::Bitonic } else { RunOrder::Sorted };
+        let keys = pattern(p, spans * (k << merges), seed);
+        assert_every_width(&keys, k, merges, order, &format!("pattern {p} seed {seed}"));
+    }
+}
+
+#[test]
+#[should_panic(expected = "ends on a merge")]
+fn bitonic_selection_needs_a_merge() {
+    host::select_reduce(&mut [3u32, 1, 2, 0], 2, 0, RunOrder::Bitonic);
+}
+
+#[test]
+#[should_panic(expected = "multiple of k·2^merges")]
+fn selection_rejects_partial_spans() {
+    host::select_reduce(&mut [3u32, 1, 2, 0, 5, 6], 2, 1, RunOrder::Sorted);
 }

@@ -67,17 +67,17 @@ impl<T: TopKItem> Kernel for BatchedRowKernel<T> {
         let row = blk.block_idx;
         let base = row * self.cols;
 
-        // functional per-row reduction: the host network on the row's
-        // ranks, converted once
+        // functional per-row reduction on the row's ranks, converted
+        // once: the network's output, the row's top k_eff ascending
         let mut ranks: Vec<T::Rank> = Vec::with_capacity(self.row_pad);
         ranks.extend(
-            self.input
-                .read_range(base..base + self.cols)
+            self.input.host_view()[base..base + self.cols]
                 .iter()
                 .map(T::rank),
         );
         ranks.resize(self.row_pad, T::min_sentinel().rank());
-        host::topk_in_place(&mut ranks, self.k_eff);
+        let merges = sortnet::log2(self.row_pad / self.k_eff) as usize;
+        host::local_sort_reduce(&mut ranks, self.k_eff, merges, host::RunOrder::Sorted);
         let winners: Vec<T> = ranks[..self.k_eff]
             .iter()
             .rev()
@@ -89,7 +89,6 @@ impl<T: TopKItem> Kernel for BatchedRowKernel<T> {
         let bytes = (self.cols * T::SIZE_BYTES) as u64;
         blk.bulk_global_read(bytes);
         blk.bulk_global_write((self.k_eff * T::SIZE_BYTES) as u64);
-        let merges = sortnet::log2(self.row_pad / self.k_eff) as usize;
         let factor = shared_traffic_factor(self.k_eff, 16, merges.max(1), true);
         blk.bulk_shared((factor * (self.row_pad * T::SIZE_BYTES) as f64) as u64);
         blk.bulk_ops((self.row_pad * 2 * (merges + 4)) as u64);

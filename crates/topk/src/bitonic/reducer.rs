@@ -5,9 +5,10 @@
 //!
 //! The reducer's network is data-oblivious and its contract exact, so
 //! the kernel is [`Metered`]: a plain device charges it from the contract
-//! and runs the network as compare-exchanges on each block's host slice.
-//! The lane path (`run_block`) stays the reference under a sanitizer or
-//! lint capture.
+//! and computes each block's output on its host slice, by selection when
+//! the op list starts with a local sort and as compare-exchanges
+//! otherwise. The lane path (`run_block`) stays the reference under a
+//! sanitizer or lint capture.
 
 use std::cell::OnceCell;
 
@@ -16,7 +17,7 @@ use simt::{
     AccessSpec, BlockCtx, BufferDecl, Device, GlobalStream, GpuBuffer, Kernel, KernelStats,
     Metered, PhaseSpec, SharedEv, SharedHandle, SharedStep,
 };
-use sortnet::host::{apply_steps, merge_in_place};
+use sortnet::host::{apply_steps, local_sort_reduce, merge_in_place, RunOrder};
 use sortnet::{
     chunk_rotation, local_sort_steps, rebuild_steps, CombinedStep, PadMap, Step, StepGroupPlan,
 };
@@ -601,18 +602,24 @@ impl<T: TopKItem> Metered for ReducerKernel<T> {
     }
 
     /// Per block, in grid order: convert the segment to ranks once into
-    /// a reused scratch, run every network step on the live prefix and
-    /// every merge in place, and decode only the reduced segment, which
-    /// one range write stores. The network's steps and their order are
-    /// the lane path's, and min/max on ranks keeps exactly the elements
-    /// its comparator keeps (see [`TopKItem::rank`]). A block of pure
-    /// padding skips the network: min/max over equal ranks is the
-    /// identity, so it stores `out_len` min sentinels. Reading a block's
-    /// segment before writing its output keeps an aliased input and
-    /// output (an in-place rebuild) exact.
+    /// a reused scratch, reduce it, and decode only the reduced segment,
+    /// which one range write stores. An op list that starts with a local
+    /// sort is reduced by [`local_sort_reduce`], by selection from k = 16:
+    /// its output is fixed by the network's three facts and the ranks'
+    /// bijection, not by the step order. Any other op list (a
+    /// rebuild-led reducer, whose runs may come from a caller of
+    /// `bitonic_topk_from_runs`, so nothing guarantees they are bitonic)
+    /// runs every network step on the live prefix and every merge in
+    /// place, in the lane path's order; min/max on ranks keeps exactly
+    /// the elements its comparator keeps (see [`TopKItem::rank`]). A
+    /// block of pure padding skips the reduction: over equal ranks every
+    /// op is the identity, so it stores `out_len` min sentinels. Reading
+    /// a block's segment before writing its output keeps an aliased
+    /// input and output (an in-place rebuild) exact.
     fn run_host(&self) {
         let out_len = self.out_seg();
         let (sorts, rebuilds) = (local_sort_steps(self.k), rebuild_steps(self.k));
+        let selection = selection_form(&self.ops);
         let pad = T::min_sentinel().rank();
         let mut items: Vec<T> = Vec::with_capacity(out_len);
         let mut ranks: Vec<T::Rank> = Vec::with_capacity(self.seg);
@@ -629,14 +636,18 @@ impl<T: TopKItem> Metered for ReducerKernel<T> {
                 self.output.write_range(b * out_len, &items);
                 continue;
             }
-            let mut live = self.seg;
-            for op in &self.ops {
-                match op {
-                    ReduceOp::LocalSort => apply_steps(&mut ranks[..live], &sorts),
-                    ReduceOp::Rebuild => apply_steps(&mut ranks[..live], &rebuilds),
-                    ReduceOp::Merge => {
-                        merge_in_place(&mut ranks[..live], self.k);
-                        live /= 2;
+            if let Some((merges, order)) = selection {
+                local_sort_reduce(&mut ranks, self.k, merges, order);
+            } else {
+                let mut live = self.seg;
+                for op in &self.ops {
+                    match op {
+                        ReduceOp::LocalSort => apply_steps(&mut ranks[..live], &sorts),
+                        ReduceOp::Rebuild => apply_steps(&mut ranks[..live], &rebuilds),
+                        ReduceOp::Merge => {
+                            merge_in_place(&mut ranks[..live], self.k);
+                            live /= 2;
+                        }
                     }
                 }
             }
@@ -664,6 +675,24 @@ impl<T: TopKItem> Metered for ReducerKernel<T> {
         );
         stats
     }
+}
+
+/// The merge count and run order of an op list of the form
+/// `LocalSort (Merge Rebuild)* Merge?`, whose output [`local_sort_reduce`]
+/// computes; `None` for any other op list.
+fn selection_form(ops: &[ReduceOp]) -> Option<(usize, RunOrder)> {
+    use ReduceOp::{LocalSort, Merge, Rebuild};
+    let (&LocalSort, rest) = ops.split_first()? else {
+        return None;
+    };
+    let order = if rest.len() % 2 == 1 {
+        RunOrder::Bitonic
+    } else {
+        RunOrder::Sorted
+    };
+    rest.chunks(2)
+        .all(|p| matches!(p, [Merge, Rebuild] | [Merge]))
+        .then_some((rest.len().div_ceil(2), order))
 }
 
 /// Builds the op list of a SortReducer: local sort, then merge/rebuild
@@ -705,6 +734,40 @@ pub(crate) fn final_reducer_ops(merges: usize) -> Vec<ReduceOp> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn selection_form_accepts_only_local_sort_led_lists() {
+        use ReduceOp::{LocalSort, Merge, Rebuild};
+        for merges in 0..5 {
+            let sort_reducer = match merges {
+                0 => (0, RunOrder::Sorted),
+                m => (m, RunOrder::Bitonic),
+            };
+            assert_eq!(
+                selection_form(&sort_reducer_ops(merges)),
+                Some(sort_reducer)
+            );
+            let mut monolithic = vec![LocalSort];
+            for _ in 0..merges {
+                monolithic.extend([Merge, Rebuild]);
+            }
+            assert_eq!(
+                selection_form(&monolithic),
+                Some((merges, RunOrder::Sorted))
+            );
+            assert_eq!(selection_form(&bitonic_reducer_ops(merges)), None);
+            assert_eq!(selection_form(&final_reducer_ops(merges)), None);
+        }
+        for ops in [
+            &[][..],
+            &[Merge],
+            &[LocalSort, Rebuild],
+            &[LocalSort, Merge, Merge],
+            &[LocalSort, Merge, Rebuild, LocalSort],
+        ] {
+            assert_eq!(selection_form(ops), None, "{ops:?}");
+        }
+    }
 
     #[test]
     fn op_list_shapes() {

@@ -196,7 +196,7 @@ impl<T: TopKItem> Kernel for PerThreadKernel<T> {
         let n = self.input.len();
         let nt = self.total_threads();
         let ws = blk.spec().warp_size;
-        let input = self.input.to_vec();
+        let input = self.input.host_view();
         let k = self.k;
 
         let block_lo = blk.block_idx * self.block_dim;
@@ -279,14 +279,16 @@ impl<T: TopKItem> Kernel for PerThreadKernel<T> {
             }
         }
 
-        // coalesced output write: O[t + j·nt]
-        for (tid, heap) in heaps.into_iter().enumerate() {
-            let gtid = block_lo + tid;
-            let sorted = heap.into_sorted_desc();
-            for (j, item) in sorted.into_iter().enumerate() {
-                self.output.set(gtid + j * nt, item);
+        // coalesced output write: O[t + j·nt], one host write per block
+        drop(input);
+        self.output.write_with(|out| {
+            for (tid, heap) in heaps.into_iter().enumerate() {
+                let gtid = block_lo + tid;
+                for (j, item) in heap.into_sorted_desc().into_iter().enumerate() {
+                    out[gtid + j * nt] = item;
+                }
             }
-        }
+        });
 
         blk.bulk_global_read(global_read_items * T::SIZE_BYTES as u64);
         blk.bulk_global_read(spill_bytes); // local-memory spills are global traffic

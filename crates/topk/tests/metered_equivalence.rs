@@ -179,6 +179,37 @@ fn inputs_just_past_a_power_of_two_agree() {
     }
 }
 
+/// The LocalSort-led launches the proptest reaches only by chance, which
+/// the metered path reduces through `local_sort_reduce` (by selection
+/// from k = 16, so k = 1 and 4 take the network): the SharedMem level's
+/// local-sort kernel (a local sort and no merge, over several blocks, the
+/// last of them pure padding at n = 4097) and the monolithic reducer
+/// (local sort, then merge and rebuild down to one sorted run, from zero
+/// merges at n = k up), across k, in every rank width (`f32`: `u32`,
+/// `Kv<f32>`: `u64`, `Kv<f64>`: `u128`).
+#[test]
+fn local_sort_led_shapes_agree() {
+    let shared_mem = BitonicConfig::at_level(OptLevel::SharedMem);
+    for k in [1usize, 4, 32, 256, 1024] {
+        let mut cases = vec![(3000, shared_mem), (4097, shared_mem)];
+        for n in [k, k + k / 2 + 1, 4096] {
+            cases.push((n, BitonicConfig::default()));
+            cases.push((n, BitonicConfig::at_level(OptLevel::FusedKernels)));
+        }
+        for (n, cfg) in cases {
+            let seed = (n * k) as u64;
+            let req = TopKRequest::largest(k).with_alg(TopKAlgorithm::Bitonic(cfg));
+            let context = format!("n={n} k={k} {:?}", cfg.opt);
+            let f32s = keys(n, seed, |k, _| k);
+            let kv = keys(n, seed, |k, i| Kv::new((k * 64.0).floor(), i));
+            let kv64 = keys(n, seed, |k, i| Kv::new(k as f64, i));
+            assert_paths_agree(&f32s, 32, &context, |dev, input| req.run(dev, input));
+            assert_paths_agree(&kv, 32, &context, |dev, input| req.run(dev, input));
+            assert_paths_agree(&kv64, 32, &context, |dev, input| req.run(dev, input));
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
