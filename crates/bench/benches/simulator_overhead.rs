@@ -135,8 +135,8 @@ fn read_both_paths<T: TopKItem>(g: &mut criterion::BenchmarkGroup<'_>, ty: &str,
         let input = dev.upload(data);
         g.bench_function(&format!("{ty}/{path}/k{k}"), |b| {
             b.iter(|| {
-                // lint reports accumulate per launch; keep them bounded
-                dev.take_lint_reports();
+                // analysis reports accumulate per launch; keep them bounded
+                dev.take_analysis();
                 TopKRequest::largest(k).run(&dev, &input).unwrap()
             })
         });

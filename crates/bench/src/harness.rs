@@ -105,7 +105,7 @@ fn run_cell(
     input: &GpuBuffer<f32>,
     k: usize,
 ) -> Option<Experiment> {
-    dev.take_lint_reports(); // bound accumulation across the sweep
+    dev.take_analysis(); // bound accumulation across the sweep
     let wall = Instant::now();
     let result = TopKRequest::largest(k)
         .with_alg(*alg)

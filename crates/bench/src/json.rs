@@ -1,14 +1,14 @@
 //! A minimal JSON value type with a parser and writer.
 //!
 //! The workspace is offline (no serde); the benchmark reports and the
-//! `bench-diff` gate need both directions — [`SanitizerReport::to_json`]
+//! `bench-diff` gate need both directions — [`AnalysisReport::to_json`]
 //! style hand-rolled writers are fine for write-only artifacts, but the
 //! diff tool must *read* a committed baseline back. Numbers are kept as
 //! `f64` and written with Rust's shortest-roundtrip formatting, so a
 //! write→parse cycle reproduces the exact same bits — which is what lets
 //! deterministic simulator metrics be gated with an exact match.
 //!
-//! [`SanitizerReport::to_json`]: simt::SanitizerReport::to_json
+//! [`AnalysisReport::to_json`]: simt::AnalysisReport::to_json
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

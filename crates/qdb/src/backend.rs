@@ -6,18 +6,18 @@
 //! routes to the simulated engine (modeled `sim` metrics, bit-exact) or
 //! the multi-threaded CPU engine (wall-clock).
 //! Simulator-only features degrade with typed errors:
-//! [`explain_sanitize_on`] returns [`QdbError::UnsupportedOnBackend`] on
-//! the CPU backend instead of pretending to sanitize anything.
+//! [`explain_analysis_on`] returns [`QdbError::UnsupportedOnBackend`] on
+//! the CPU backend instead of pretending to sanitize or lint anything.
 
 use std::time::{Duration, Instant};
 
-use simt::SimTime;
+use simt::{SimTime, Source};
 use topk::{BackendKind, ExecBackend};
 
 use crate::cpu_engine::execute_cpu;
 use crate::error::QdbError;
 use crate::queries::Strategy;
-use crate::sql::{execute, explain_lint, explain_sanitize, LintedQuery, Query, SanitizedQuery};
+use crate::sql::{execute, explain_analysis, AnalyzedQuery, Query};
 use crate::table::BackendTable;
 
 /// A query outcome from either backend: ranked ids plus the cost in the
@@ -79,43 +79,28 @@ pub fn execute_on(
     }
 }
 
-/// `EXPLAIN SANITIZE` on a backend: runs with the device sanitizer on the
-/// simulator; on the CPU there is no sanitizer to enable, so the request
-/// fails with the typed [`QdbError::UnsupportedOnBackend`] rather than
+/// `EXPLAIN SANITIZE` / `EXPLAIN LINT` on a backend: runs the `source`
+/// analysis pass on the simulator. The CPU backend has no device to
+/// sanitize and launches no kernel plans to lint, so the request fails
+/// with the typed [`QdbError::UnsupportedOnBackend`] rather than
 /// silently returning an empty report.
-pub fn explain_sanitize_on(
+pub fn explain_analysis_on(
     be: &ExecBackend<'_>,
     table: &BackendTable,
     q: &Query,
     strategy: Strategy,
-) -> Result<SanitizedQuery, QdbError> {
+    source: Source,
+) -> Result<AnalyzedQuery, QdbError> {
     match (be, table) {
         (ExecBackend::Simt(b), BackendTable::Simt(t)) => {
-            explain_sanitize(b.device(), t, q, strategy)
+            explain_analysis(b.device(), t, q, strategy, source)
         }
         (ExecBackend::Cpu(_), BackendTable::Cpu { .. }) => Err(QdbError::UnsupportedOnBackend {
             backend: "cpu",
-            feature: "EXPLAIN SANITIZE (the device sanitizer)",
-        }),
-        _ => Err(table.mismatch(be)),
-    }
-}
-
-/// `EXPLAIN LINT` on a backend: statically analyzes every launch plan on
-/// the simulator; the CPU backend launches no kernels, so there is
-/// nothing to lint and the request fails with the typed
-/// [`QdbError::UnsupportedOnBackend`].
-pub fn explain_lint_on(
-    be: &ExecBackend<'_>,
-    table: &BackendTable,
-    q: &Query,
-    strategy: Strategy,
-) -> Result<LintedQuery, QdbError> {
-    match (be, table) {
-        (ExecBackend::Simt(b), BackendTable::Simt(t)) => explain_lint(b.device(), t, q, strategy),
-        (ExecBackend::Cpu(_), BackendTable::Cpu { .. }) => Err(QdbError::UnsupportedOnBackend {
-            backend: "cpu",
-            feature: "EXPLAIN LINT (static launch-plan analysis)",
+            feature: match source {
+                Source::Dynamic => "EXPLAIN SANITIZE (the device sanitizer)",
+                Source::Static => "EXPLAIN LINT (static launch-plan analysis)",
+            },
         }),
         _ => Err(table.mismatch(be)),
     }
@@ -176,12 +161,13 @@ mod tests {
     }
 
     #[test]
-    fn explain_sanitize_is_typed_unsupported_on_cpu() {
+    fn sanitize_explain_is_typed_unsupported_on_cpu() {
         let host = TweetTable::generate(2_000, 9);
         let cpu = ExecBackend::cpu(2);
         let table = BackendTable::load(&cpu, &host);
         let q = parse("SELECT id FROM tweets ORDER BY retweet_count DESC LIMIT 5").unwrap();
-        let err = explain_sanitize_on(&cpu, &table, &q, Strategy::StageBitonic).unwrap_err();
+        let err = explain_analysis_on(&cpu, &table, &q, Strategy::StageBitonic, Source::Dynamic)
+            .unwrap_err();
         assert_eq!(err.kind(), "unsupported-on-backend");
         assert!(!err.is_transient());
         assert!(err.to_string().contains("cpu"));
@@ -189,17 +175,25 @@ mod tests {
         let dev = Device::titan_x();
         let simt = ExecBackend::simt(&dev);
         let sim_table = BackendTable::load(&simt, &host);
-        let out = explain_sanitize_on(&simt, &sim_table, &q, Strategy::StageBitonic).unwrap();
+        let out = explain_analysis_on(
+            &simt,
+            &sim_table,
+            &q,
+            Strategy::StageBitonic,
+            Source::Dynamic,
+        )
+        .unwrap();
         assert!(!out.reports.is_empty());
     }
 
     #[test]
-    fn explain_lint_is_typed_unsupported_on_cpu() {
+    fn lint_explain_is_typed_unsupported_on_cpu() {
         let host = TweetTable::generate(2_000, 9);
         let cpu = ExecBackend::cpu(2);
         let table = BackendTable::load(&cpu, &host);
         let q = parse("SELECT id FROM tweets ORDER BY retweet_count DESC LIMIT 5").unwrap();
-        let err = explain_lint_on(&cpu, &table, &q, Strategy::StageBitonic).unwrap_err();
+        let err = explain_analysis_on(&cpu, &table, &q, Strategy::StageBitonic, Source::Static)
+            .unwrap_err();
         assert_eq!(err.kind(), "unsupported-on-backend");
         assert!(!err.is_transient());
         assert!(err.to_string().contains("cpu"));
@@ -207,7 +201,14 @@ mod tests {
         let dev = Device::titan_x();
         let simt = ExecBackend::simt(&dev);
         let sim_table = BackendTable::load(&simt, &host);
-        let out = explain_lint_on(&simt, &sim_table, &q, Strategy::StageBitonic).unwrap();
+        let out = explain_analysis_on(
+            &simt,
+            &sim_table,
+            &q,
+            Strategy::StageBitonic,
+            Source::Static,
+        )
+        .unwrap();
         assert!(!out.reports.is_empty());
         assert!(out.is_clean(), "{}", out.render());
     }

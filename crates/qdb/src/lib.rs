@@ -33,7 +33,7 @@ pub mod sql;
 pub mod stream;
 pub mod table;
 
-pub use backend::{execute_on, explain_lint_on, explain_sanitize_on, BackendQueryResult};
+pub use backend::{execute_on, explain_analysis_on, BackendQueryResult};
 pub use engine::{FilterOp, TopKStrategy};
 pub use error::QdbError;
 pub use explain::{
@@ -52,8 +52,8 @@ pub use shard::{
     ShardedTicket, ShardedTopK,
 };
 pub use sql::{
-    execute as execute_sql, explain_lint, explain_sanitize, parse as parse_sql, parse_statement,
-    LintedQuery, Query, SanitizedQuery, SqlError, Statement,
+    execute as execute_sql, explain_analysis, parse as parse_sql, parse_statement, AnalyzedQuery,
+    Query, SqlError, Statement,
 };
 pub use stream::{TopKView, ViewConfig, ViewMode, ViewRefresh, ViewStats};
 pub use table::{AppendReceipt, BackendTable, GpuTweetTable, ROW_BYTES};

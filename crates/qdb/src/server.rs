@@ -1396,7 +1396,7 @@ mod tests {
             "batched path must be exercised"
         );
 
-        let reports = dev.take_sanitizer_reports();
+        let reports = dev.take_analysis();
         assert!(!reports.is_empty(), "no serving launches were sanitized");
         assert!(
             reports.iter().any(|r| r.kernel == "batched_bitonic_row"),

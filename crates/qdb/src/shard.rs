@@ -42,7 +42,7 @@
 //! loads charged on the interconnect), every read path serves from the
 //! first *healthy* replica, and the serving layer adds a per-device
 //! circuit breaker ([`BreakerState`]), query-time failover and online
-//! shard rebuild from the pristine host copy — see DESIGN.md §4.5.
+//! shard rebuild from the pristine host copy — see DESIGN.md §4.4.
 //! Because the merged result is a pure function of the delegate sets,
 //! which replica serves never changes a single bit of the answer.
 

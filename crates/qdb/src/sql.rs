@@ -17,7 +17,7 @@
 //! `parse` produces a [`Query`]; [`execute`] runs it through
 //! [`crate::queries`] with any [`Strategy`].
 
-use simt::Device;
+use simt::{AnalysisReport, Device, Source};
 
 use crate::engine::{FilterOp, TopKStrategy};
 use crate::error::QdbError;
@@ -208,19 +208,16 @@ pub enum Statement {
     /// `EXPLAIN SELECT …` — price the strategies with the catalog
     /// statistics and cost models (see [`crate::explain`]); nothing runs.
     Explain(Query),
-    /// `EXPLAIN SANITIZE SELECT …` — actually run the query with the
-    /// device sanitizer enabled and report every kernel launch's
-    /// racecheck/memcheck/initcheck/perf findings (see
-    /// [`explain_sanitize`]). Modeled on `EXPLAIN ANALYZE`: the query
-    /// executes for real.
-    ExplainSanitize(Query),
-    /// `EXPLAIN LINT SELECT …` — statically analyze every kernel launch
-    /// plan the query would make and report the `simt::lint` verdicts:
-    /// launch validity, occupancy bound, predicted coalescing and bank
-    /// behavior, bounds proofs (see [`explain_lint`]). The plans come
-    /// from a real execution (the plan shape is data-dependent), but
-    /// each verdict is computed before its launch runs a single step.
-    ExplainLint(Query),
+    /// `EXPLAIN SANITIZE SELECT …` ([`Source::Dynamic`]) or
+    /// `EXPLAIN LINT SELECT …` ([`Source::Static`]) — run the query with
+    /// that analysis pass on and report every kernel launch's findings
+    /// (see [`explain_analysis`]). `SANITIZE` observes each replayed
+    /// launch (racecheck/memcheck/initcheck/perf findings); `LINT`
+    /// judges each launch plan before it runs a single step (launch
+    /// validity, occupancy bound, predicted coalescing and bank behavior,
+    /// bounds proofs). Modeled on `EXPLAIN ANALYZE`: the query executes
+    /// for real, since the plan shape is data-dependent.
+    ExplainAnalysis(Source, Query),
 }
 
 /// Parses one top-level statement, including the `EXPLAIN`,
@@ -232,9 +229,15 @@ pub fn parse_statement(sql: &str) -> Result<Statement, SqlError> {
     };
     if c.eat("explain") {
         if c.eat("sanitize") {
-            Ok(Statement::ExplainSanitize(parse_query(&mut c)?))
+            Ok(Statement::ExplainAnalysis(
+                Source::Dynamic,
+                parse_query(&mut c)?,
+            ))
         } else if c.eat("lint") {
-            Ok(Statement::ExplainLint(parse_query(&mut c)?))
+            Ok(Statement::ExplainAnalysis(
+                Source::Static,
+                parse_query(&mut c)?,
+            ))
         } else {
             Ok(Statement::Explain(parse_query(&mut c)?))
         }
@@ -449,19 +452,24 @@ pub fn execute(
     }
 }
 
-/// The output of `EXPLAIN SANITIZE`: the query's real result plus one
-/// [`simt::SanitizerReport`] per kernel launch it performed.
+/// The output of `EXPLAIN SANITIZE` and `EXPLAIN LINT`: the query's real
+/// result plus one [`AnalysisReport`] per kernel launch it made, holding
+/// only the findings of the statement's own pass.
 #[derive(Debug, Clone)]
-pub struct SanitizedQuery {
+pub struct AnalyzedQuery {
+    /// The statement's pass: [`Source::Dynamic`] for `SANITIZE`,
+    /// [`Source::Static`] for `LINT`.
+    pub source: Source,
     /// The executed query's result (the query really runs, like
     /// `EXPLAIN ANALYZE`).
     pub result: QueryResult,
-    /// Sanitizer reports for every launch, in launch order.
-    pub reports: Vec<simt::SanitizerReport>,
+    /// One report per launch, in launch order.
+    pub reports: Vec<AnalysisReport>,
 }
 
-impl SanitizedQuery {
-    /// True when no launch produced any finding.
+impl AnalyzedQuery {
+    /// True when no launch produced any finding (waived lints count as
+    /// clean).
     pub fn is_clean(&self) -> bool {
         self.reports.iter().all(|r| r.is_clean())
     }
@@ -471,107 +479,35 @@ impl SanitizedQuery {
         self.reports.iter().map(|r| r.error_count()).sum()
     }
 
-    /// Renders an `EXPLAIN SANITIZE` summary: one line per clean launch,
-    /// the full sanitizer report for any launch with findings.
+    /// Renders the statement's summary: one line per clean launch (under
+    /// `LINT` with its static occupancy and coalescing predictions), the
+    /// full report for any launch with findings.
     pub fn render(&self) -> String {
+        let keyword = match self.source {
+            Source::Dynamic => "SANITIZE",
+            Source::Static => "LINT",
+        };
         let warnings: usize = self.reports.iter().map(|r| r.warning_count()).sum();
         let mut s = format!(
-            "EXPLAIN SANITIZE: {} launch(es), {} error(s), {} warning(s)\n",
+            "EXPLAIN {keyword}: {} launch(es), {} error(s), {} warning(s)\n",
             self.reports.len(),
             self.error_count(),
             warnings
         );
         for rep in &self.reports {
-            if rep.is_clean() {
-                s.push_str(&format!(
-                    "  `{}` (grid {} x block {}): clean\n",
-                    rep.kernel, rep.grid_dim, rep.block_dim
-                ));
-            } else {
+            if !rep.is_clean() {
                 for line in rep.render().lines() {
                     s.push_str("  ");
                     s.push_str(line);
                     s.push('\n');
                 }
+                continue;
             }
-        }
-        s
-    }
-
-    /// The launches' findings as a JSON array (the same schema as
-    /// [`simt::sanitize::reports_to_json`]).
-    pub fn to_json(&self) -> String {
-        simt::sanitize::reports_to_json(&self.reports)
-    }
-}
-
-/// Executes `q` with the device sanitizer enabled for the duration and
-/// returns the result together with per-launch sanitizer reports — the
-/// engine's `EXPLAIN SANITIZE` mode.
-///
-/// The device's prior sanitizer enable/disable state is restored
-/// afterwards. The returned reports also stay in the device's own report
-/// log (`Device::sanitizer_reports`), which is left otherwise untouched.
-pub fn explain_sanitize(
-    dev: &Device,
-    table: &GpuTweetTable,
-    q: &Query,
-    strategy: Strategy,
-) -> Result<SanitizedQuery, QdbError> {
-    let was_enabled = dev.sanitizer_enabled();
-    if !was_enabled {
-        dev.enable_sanitizer();
-    }
-    let before = dev.sanitizer_reports().len();
-    let result = execute(dev, table, q, strategy);
-    let reports = dev.sanitizer_reports().split_off(before);
-    if !was_enabled {
-        dev.disable_sanitizer();
-    }
-    Ok(SanitizedQuery {
-        result: result?,
-        reports,
-    })
-}
-
-/// The output of `EXPLAIN LINT`: the query's real result plus one
-/// static [`simt::LintReport`] per kernel launch its plan made — every
-/// verdict computed from the declared access-spec contract before the
-/// launch executed a single simulated step.
-#[derive(Debug, Clone)]
-pub struct LintedQuery {
-    /// The executed query's result (execution enumerates the
-    /// data-dependent plan; the lint itself never looks at the data).
-    pub result: QueryResult,
-    /// Static lint reports for every launch, in launch order.
-    pub reports: Vec<simt::LintReport>,
-}
-
-impl LintedQuery {
-    /// True when no launch produced any finding (waived warnings count
-    /// as clean).
-    pub fn is_clean(&self) -> bool {
-        self.reports.iter().all(|r| r.is_clean())
-    }
-
-    /// Total error-severity findings across all launches.
-    pub fn error_count(&self) -> usize {
-        self.reports.iter().map(|r| r.error_count()).sum()
-    }
-
-    /// Renders an `EXPLAIN LINT` summary: one line per clean launch
-    /// (with its static occupancy and coalescing predictions), the full
-    /// lint report for any launch with findings.
-    pub fn render(&self) -> String {
-        let warnings: usize = self.reports.iter().map(|r| r.warning_count()).sum();
-        let mut s = format!(
-            "EXPLAIN LINT: {} launch(es), {} error(s), {} warning(s)\n",
-            self.reports.len(),
-            self.error_count(),
-            warnings
-        );
-        for rep in &self.reports {
-            if rep.is_clean() {
+            s.push_str(&format!(
+                "  `{}` (grid {} x block {}): clean",
+                rep.kernel, rep.grid_dim, rep.block_dim
+            ));
+            if self.source == Source::Static {
                 let pred = rep
                     .prediction
                     .as_ref()
@@ -584,51 +520,63 @@ impl LintedQuery {
                     })
                     .unwrap_or_default();
                 s.push_str(&format!(
-                    "  `{}` (grid {} x block {}): clean (occupancy {:.3}{pred})\n",
-                    rep.kernel, rep.grid_dim, rep.block_dim, rep.occupancy.occupancy
+                    " (occupancy {:.3}{pred})",
+                    rep.occupancy.occupancy
                 ));
-            } else {
-                for line in rep.render().lines() {
-                    s.push_str("  ");
-                    s.push_str(line);
-                    s.push('\n');
-                }
             }
+            s.push('\n');
         }
         s
     }
 
-    /// The launches' findings as a JSON array (the same schema as
-    /// [`simt::lint::reports_to_json`]).
+    /// The launches' reports as a JSON array (the same schema as
+    /// [`simt::analysis::reports_to_json`]).
     pub fn to_json(&self) -> String {
-        simt::lint::reports_to_json(&self.reports)
+        simt::analysis::reports_to_json(&self.reports)
     }
 }
 
-/// Executes `q` with static lint capture enabled for the duration and
-/// returns the result together with per-launch lint reports — the
-/// engine's `EXPLAIN LINT` mode.
+/// Executes `q` with the `source` analysis pass enabled for the duration
+/// and returns the result together with one report per launch — the
+/// engine's `EXPLAIN SANITIZE` ([`Source::Dynamic`]) and `EXPLAIN LINT`
+/// ([`Source::Static`]) modes.
 ///
-/// The device's prior lint enable/disable state is restored afterwards.
-/// The returned reports also stay in the device's own report log
-/// (`Device::lint_reports`), which is left otherwise untouched.
-pub fn explain_lint(
+/// The device's prior enable state of that pass is restored afterwards.
+/// The statement reads only the reports its own launches appended, and
+/// keeps only its own pass's findings even when the caller has the other
+/// pass on too. The device's report log is left untouched.
+pub fn explain_analysis(
     dev: &Device,
     table: &GpuTweetTable,
     q: &Query,
     strategy: Strategy,
-) -> Result<LintedQuery, QdbError> {
-    let was_enabled = dev.lint_enabled();
-    if !was_enabled {
-        dev.enable_lint();
-    }
-    let before = dev.lint_reports().len();
+    source: Source,
+) -> Result<AnalyzedQuery, QdbError> {
+    let set = |on: bool| match (source, on) {
+        (Source::Dynamic, true) => dev.enable_sanitizer(),
+        (Source::Dynamic, false) => dev.disable_sanitizer(),
+        (Source::Static, true) => dev.enable_lint(),
+        (Source::Static, false) => dev.disable_lint(),
+    };
+    let was_enabled = match source {
+        Source::Dynamic => dev.sanitizer_enabled(),
+        Source::Static => dev.lint_enabled(),
+    };
+    set(true);
+    let start = dev.analysis_len();
     let result = execute(dev, table, q, strategy);
-    let reports = dev.lint_reports().split_off(before);
-    if !was_enabled {
-        dev.disable_lint();
+    let mut reports = dev.analysis_since(start);
+    set(was_enabled);
+    for rep in &mut reports {
+        rep.findings.retain(|f| f.source == source);
+        if source == Source::Dynamic {
+            // the prediction is the static pass's output
+            rep.prediction = None;
+            rep.phases.clear();
+        }
     }
-    Ok(LintedQuery {
+    Ok(AnalyzedQuery {
+        source,
         result: result?,
         reports,
     })
@@ -802,7 +750,7 @@ mod tests {
     }
 
     #[test]
-    fn parses_explain_and_explain_sanitize_prefixes() {
+    fn parses_explain_and_analysis_prefixes() {
         let sql = "SELECT id FROM tweets ORDER BY retweet_count DESC LIMIT 5";
         assert!(matches!(
             parse_statement(sql).unwrap(),
@@ -813,12 +761,12 @@ mod tests {
             other => panic!("expected Explain, got {other:?}"),
         }
         match parse_statement(&format!("explain sanitize {sql}")).unwrap() {
-            Statement::ExplainSanitize(q) => assert_eq!(q.limit, 5),
-            other => panic!("expected ExplainSanitize, got {other:?}"),
+            Statement::ExplainAnalysis(Source::Dynamic, q) => assert_eq!(q.limit, 5),
+            other => panic!("expected EXPLAIN SANITIZE, got {other:?}"),
         }
         match parse_statement(&format!("EXPLAIN LINT {sql}")).unwrap() {
-            Statement::ExplainLint(q) => assert_eq!(q.limit, 5),
-            other => panic!("expected ExplainLint, got {other:?}"),
+            Statement::ExplainAnalysis(Source::Static, q) => assert_eq!(q.limit, 5),
+            other => panic!("expected EXPLAIN LINT, got {other:?}"),
         }
         // the query inside the prefix is still fully validated
         assert!(parse_statement(
@@ -829,7 +777,7 @@ mod tests {
     }
 
     #[test]
-    fn sanitizer_explain_sanitize_runs_clean_on_paper_queries() {
+    fn sanitizer_explain_runs_clean_on_paper_queries() {
         let host = TweetTable::generate(20_000, 127);
         let dev = Device::titan_x();
         let table = GpuTweetTable::upload(&dev, &host);
@@ -841,11 +789,11 @@ mod tests {
         ];
         for sql in &sqls {
             let q = match parse_statement(sql).unwrap() {
-                Statement::ExplainSanitize(q) => q,
+                Statement::ExplainAnalysis(Source::Dynamic, q) => q,
                 other => panic!("{sql}: parsed as {other:?}"),
             };
             for strat in Strategy::all() {
-                let out = explain_sanitize(&dev, &table, &q, strat).unwrap();
+                let out = explain_analysis(&dev, &table, &q, strat, Source::Dynamic).unwrap();
                 assert!(!out.result.ids.is_empty(), "{sql} via {}", strat.name());
                 assert!(!out.reports.is_empty(), "{sql}: no launches sanitized");
                 assert!(
@@ -862,7 +810,7 @@ mod tests {
     }
 
     #[test]
-    fn explain_lint_runs_clean_on_paper_queries() {
+    fn lint_explain_runs_clean_on_paper_queries() {
         let host = TweetTable::generate(20_000, 127);
         let dev = Device::titan_x();
         let table = GpuTweetTable::upload(&dev, &host);
@@ -874,11 +822,11 @@ mod tests {
         ];
         for sql in &sqls {
             let q = match parse_statement(sql).unwrap() {
-                Statement::ExplainLint(q) => q,
+                Statement::ExplainAnalysis(Source::Static, q) => q,
                 other => panic!("{sql}: parsed as {other:?}"),
             };
             for strat in Strategy::all() {
-                let out = explain_lint(&dev, &table, &q, strat).unwrap();
+                let out = explain_analysis(&dev, &table, &q, strat, Source::Static).unwrap();
                 assert!(!out.result.ids.is_empty(), "{sql} via {}", strat.name());
                 assert!(!out.reports.is_empty(), "{sql}: no launches linted");
                 assert!(
@@ -904,31 +852,72 @@ mod tests {
         assert!(!dev.lint_enabled());
     }
 
-    #[test]
-    fn explain_lint_restores_enabled_state() {
-        let host = TweetTable::generate(2_000, 129);
-        let dev = Device::titan_x();
-        let table = GpuTweetTable::upload(&dev, &host);
-        dev.enable_lint();
+    /// A device with both passes on and at least 100 analyzed launches
+    /// behind it. Its spec has 64× the resident warps of a Titan X, so
+    /// every launch trips the occupancy lint in both passes.
+    fn busy_device(seed: u64) -> (Device, GpuTweetTable, Query) {
+        let dev = Device::new(simt::DeviceSpec {
+            max_warps_per_sm: 64 * 64,
+            ..simt::DeviceSpec::titan_x_maxwell()
+        });
+        let table = GpuTweetTable::upload(&dev, &TweetTable::generate(2_000, seed));
         let q = parse("SELECT id FROM tweets ORDER BY retweet_count DESC LIMIT 5").unwrap();
-        let out = explain_lint(&dev, &table, &q, Strategy::StageBitonic).unwrap();
+        dev.enable_lint();
+        dev.enable_sanitizer();
+        while dev.analysis_len() < 100 {
+            execute(&dev, &table, &q, Strategy::StageBitonic).unwrap();
+        }
+        (dev, table, q)
+    }
+
+    /// Runs `EXPLAIN` with `source` on a busy device and checks that it
+    /// reports exactly its own launches, each with only `source`'s
+    /// occupancy finding, while the device log keeps both passes'.
+    fn explain_on_busy_device(seed: u64, source: Source) -> AnalyzedQuery {
+        let (dev, table, q) = busy_device(seed);
+        let (log_start, reports_start) = (dev.log_len(), dev.analysis_len());
+        let out = explain_analysis(&dev, &table, &q, Strategy::StageBitonic, source).unwrap();
         assert!(dev.lint_enabled(), "caller's enable must survive");
-        // the device log retains the same launches the statement reported
-        assert!(dev.lint_reports().len() >= out.reports.len());
+        assert!(dev.sanitizer_enabled(), "caller's enable must survive");
+        let launches = dev.log_since(log_start);
+        assert!(!launches.is_empty());
+        assert_eq!(
+            out.reports.len(),
+            launches.len(),
+            "exactly its own launches"
+        );
+        for (rep, launch) in out.reports.iter().zip(&launches) {
+            assert_eq!(rep.kernel, launch.name);
+            let low = rep.findings_of(simt::FindingKind::LowOccupancy);
+            assert_eq!(low.len(), 1, "{}", rep.render());
+            assert_eq!(low[0].source, source);
+            assert!(rep.findings.iter().all(|f| f.source == source));
+        }
+        // the device log retains the same launches, with both passes'
+        // findings
+        let log = dev.analysis_since(reports_start);
+        assert_eq!(log.len(), out.reports.len());
+        for rep in &log {
+            assert_eq!(rep.findings_of(simt::FindingKind::LowOccupancy).len(), 2);
+            assert!(rep.prediction.is_some());
+        }
+        assert!(out.to_json().starts_with('['));
+        out
     }
 
     #[test]
-    fn sanitizer_explain_sanitize_restores_enabled_state() {
-        let host = TweetTable::generate(2_000, 128);
-        let dev = Device::titan_x();
-        let table = GpuTweetTable::upload(&dev, &host);
-        dev.enable_sanitizer();
-        let q = parse("SELECT id FROM tweets ORDER BY retweet_count DESC LIMIT 5").unwrap();
-        let out = explain_sanitize(&dev, &table, &q, Strategy::StageBitonic).unwrap();
-        assert!(dev.sanitizer_enabled(), "caller's enable must survive");
-        // the device log retains the same launches the statement reported
-        assert!(dev.sanitizer_reports().len() >= out.reports.len());
-        assert!(out.to_json().starts_with('['));
+    fn lint_explain_restores_enabled_state() {
+        let out = explain_on_busy_device(129, Source::Static);
+        assert!(out.reports.iter().all(|r| r.prediction.is_some()));
+        assert!(out.render().starts_with("EXPLAIN LINT: "));
+    }
+
+    #[test]
+    fn sanitizer_explain_restores_enabled_state() {
+        let out = explain_on_busy_device(128, Source::Dynamic);
+        // the prediction is the static pass's, so SANITIZE drops it
+        assert!(out.reports.iter().all(|r| r.prediction.is_none()));
+        assert!(out.render().starts_with("EXPLAIN SANITIZE: "));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! When the accumulated delta grows past the view's refresh fraction the
 //! incremental path stops winning (the merge is cheap, but delta scans
 //! approach a full scan) and the view falls back to a rescan — the
-//! crossover DESIGN.md §4.6 derives.
+//! crossover DESIGN.md §4.5 derives.
 //!
 //! One maintenance skeleton serves three placements. It owns the mode
 //! decision ([`TopKView::plan_mode`]), the [`ViewStats`] ledger and the

@@ -502,7 +502,7 @@ impl<'a> Lane<'a> {
     fn shared_oob(&self, base_word: u32, len: usize, idx: usize, write: bool) -> bool {
         if let Some(san) = self.san {
             san.borrow_mut()
-                .record_shared_oob(self.tid, base_word, len, idx, write);
+                .record_oob(self.tid, base_word as u64, len, idx, write, None);
             return true;
         }
         panic!(
@@ -518,13 +518,13 @@ impl<'a> Lane<'a> {
     /// Global-memory analog of [`Lane::shared_oob`].
     fn global_oob<T: DeviceCopy>(&self, buf: &GpuBuffer<T>, idx: usize, write: bool) -> bool {
         if let Some(san) = self.san {
-            san.borrow_mut().record_global_oob(
+            san.borrow_mut().record_oob(
                 self.tid,
                 buf.inner.base_addr,
                 buf.len(),
                 idx,
                 write,
-                buf.describe(),
+                Some(buf.describe()),
             );
             return true;
         }

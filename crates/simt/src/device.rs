@@ -5,12 +5,13 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
+use crate::analysis::AnalysisReport;
 use crate::block::BlockCtx;
 use crate::buffer::{DeviceCopy, GpuBuffer};
 use crate::fault::{attribute, EccTarget, FaultEvent, FaultKind, FaultPlan, FaultState};
-use crate::lint::{self, AccessSpec, LaunchGeometry, LintReport, PhaseSpec};
+use crate::lint::{self, AccessSpec, LaunchGeometry, PhaseSpec};
 use crate::occupancy::Occupancy;
-use crate::sanitize::{LaunchSanitizer, SanitizerReport};
+use crate::sanitize::LaunchSanitizer;
 use crate::spec::DeviceSpec;
 use crate::stats::{KernelStats, SimTime};
 use crate::stream::{self, Stream, StreamId, StreamSchedule, WaitEdge};
@@ -42,11 +43,11 @@ pub trait Kernel {
     }
 
     /// Justification for a launch configuration whose occupancy the
-    /// sanitizer's perf lint would otherwise flag (see
-    /// [`crate::sanitize`]). Kernels whose low occupancy is inherent to
-    /// the algorithm — the paper's per-thread top-k trades resident warps
-    /// for shared-memory heap capacity (Section 4.1) — return a reason;
-    /// the lint is then recorded as waived instead of as a finding.
+    /// occupancy lint would otherwise flag (see [`crate::analysis`]).
+    /// Kernels whose low occupancy is inherent to the algorithm — the
+    /// paper's per-thread top-k trades resident warps for shared-memory
+    /// heap capacity (Section 4.1) — return a reason; the lint is then
+    /// recorded as waived instead of as a finding.
     fn low_occupancy_waiver(&self) -> Option<&'static str> {
         None
     }
@@ -345,13 +346,12 @@ pub(crate) struct DeviceInner {
     pub(crate) waits: RefCell<Vec<WaitEdge>>,
     /// When set, every launch runs under the sanitizer.
     sanitize: Cell<bool>,
-    /// One report per sanitized launch, in launch order.
-    san_reports: RefCell<Vec<SanitizerReport>>,
     /// When set, every launch plan is statically linted before the kernel
     /// runs (see [`crate::lint`]).
     lint: Cell<bool>,
-    /// One report per linted launch, in launch order.
-    lint_reports: RefCell<Vec<LintReport>>,
+    /// One report per launch that ran with either pass on, in launch
+    /// order.
+    analysis: RefCell<Vec<AnalysisReport>>,
     /// When set, launches and fallible allocations roll against this
     /// fault plan (see [`crate::fault`]).
     fault: RefCell<Option<FaultState>>,
@@ -409,10 +409,10 @@ impl DeviceInner {
         self.log.borrow().len()
     }
 
-    /// Sanitizer reports for launches stamped with `stream` (the hook
-    /// `Stream::sanitizer_reports` uses).
-    pub(crate) fn stream_san_reports(&self, stream: usize) -> Vec<SanitizerReport> {
-        self.san_reports
+    /// Analysis reports for launches stamped with `stream` (the hook
+    /// `Stream::analysis_reports` uses).
+    pub(crate) fn stream_analysis(&self, stream: usize) -> Vec<AnalysisReport> {
+        self.analysis
             .borrow()
             .iter()
             .filter(|r| r.stream == stream)
@@ -570,9 +570,8 @@ impl Device {
                 next_stream: Cell::new(1),
                 waits: RefCell::new(Vec::new()),
                 sanitize: Cell::new(false),
-                san_reports: RefCell::new(Vec::new()),
                 lint: Cell::new(false),
-                lint_reports: RefCell::new(Vec::new()),
+                analysis: RefCell::new(Vec::new()),
                 fault: RefCell::new(None),
                 fault_events: RefCell::new(Vec::new()),
                 ecc_targets: RefCell::new(Vec::new()),
@@ -743,14 +742,9 @@ impl Device {
         // executes; it records findings + the counter prediction but
         // never changes the launch outcome (the planner is the reject
         // point, see crate::lint)
-        let static_pred = self.lint_enabled().then(|| {
-            let rep = lint::lint_kernel(&spec, kernel);
-            let pred = rep.prediction;
-            self.inner.lint_reports.borrow_mut().push(rep);
-            pred
-        });
-        let static_pred = static_pred.flatten();
-
+        let linted = self
+            .lint_enabled()
+            .then(|| lint::lint_kernel(&spec, kernel));
         let san = self
             .sanitizer_enabled()
             .then(|| Rc::new(RefCell::new(LaunchSanitizer::new(kernel.name()))));
@@ -759,21 +753,28 @@ impl Device {
         // plain device meters
         let metered = kernel
             .metered()
-            .filter(|_| san.is_none() && !self.lint_enabled());
+            .filter(|_| san.is_none() && linted.is_none());
         let stats = match metered {
             Some(m) => self.run_metered(kernel, m),
             None => self.run_lanes(kernel, san.as_ref()),
         };
 
         let occupancy = Occupancy::compute(&spec, block_dim, shared, kernel.regs_per_thread());
-        if let Some(s) = san {
-            let mut s = Rc::try_unwrap(s)
-                .ok()
-                .expect("block contexts dropped; sanitizer uniquely owned")
-                .into_inner();
-            s.check_occupancy(&occupancy, kernel.low_occupancy_waiver());
-            let srep = s.finalize(grid_dim, block_dim, self.inner.cur_stream.get());
-            self.inner.san_reports.borrow_mut().push(srep);
+        let static_pred = linted.as_ref().and_then(|r| r.prediction);
+        if linted.is_some() || san.is_some() {
+            // one report per launch, holding every pass that ran
+            let mut analysis = linted.unwrap_or_else(|| {
+                AnalysisReport::new(kernel.name(), grid_dim, block_dim, occupancy)
+            });
+            analysis.stream = self.inner.cur_stream.get();
+            if let Some(s) = san {
+                Rc::try_unwrap(s)
+                    .ok()
+                    .expect("block contexts dropped; sanitizer uniquely owned")
+                    .into_inner()
+                    .finish(&mut analysis, kernel.low_occupancy_waiver());
+            }
+            self.inner.analysis.borrow_mut().push(analysis);
         }
         let mut report =
             self.report_from_stats(kernel.name(), grid_dim, block_dim, stats, occupancy);
@@ -1014,10 +1015,11 @@ impl Device {
         Some(delay)
     }
 
-    /// Enables the sanitizer for every subsequent launch on this device,
-    /// including launches issued inside [`Device::stream_scope`], so
-    /// batched/streamed serving traffic is covered. Each launch appends a [`SanitizerReport`]
-    /// (see [`Device::sanitizer_reports`]).
+    /// Enables the sanitizer (the dynamic analysis pass) for every
+    /// subsequent launch on this device, including launches issued inside
+    /// [`Device::stream_scope`], so batched/streamed serving traffic is
+    /// covered. Each launch appends an [`AnalysisReport`] (see
+    /// [`Device::analysis_since`]).
     pub fn enable_sanitizer(&self) {
         self.inner.sanitize.set(true);
     }
@@ -1033,12 +1035,13 @@ impl Device {
         self.inner.sanitize.get()
     }
 
-    /// Runs one launch under the sanitizer and returns its report
-    /// alongside the launch report — the per-launch enablement path.
+    /// Runs one launch under the sanitizer and returns its analysis
+    /// report alongside the launch report — the per-launch enablement
+    /// path.
     pub fn launch_sanitized<K: Kernel>(
         &self,
         kernel: &K,
-    ) -> Result<(LaunchReport, SanitizerReport), LaunchError> {
+    ) -> Result<(LaunchReport, AnalysisReport), LaunchError> {
         let was_enabled = self.sanitizer_enabled();
         if !was_enabled {
             self.enable_sanitizer();
@@ -1048,20 +1051,20 @@ impl Device {
             self.disable_sanitizer();
         }
         let report = result?;
-        let srep = self
+        let analysis = self
             .inner
-            .san_reports
+            .analysis
             .borrow()
             .last()
             .cloned()
             .expect("sanitized launch must produce a report");
-        Ok((report, srep))
+        Ok((report, analysis))
     }
 
-    /// Enables static lint capture for every subsequent launch: each
-    /// launch plan is analyzed by [`lint::lint_kernel`] *before* its
-    /// blocks run, appending a
-    /// [`LintReport`] and stamping the [`LaunchReport`] with the
+    /// Enables static lint capture (the static analysis pass) for every
+    /// subsequent launch: each launch plan is analyzed by
+    /// [`lint::lint_kernel`] *before* its blocks run, appending an
+    /// [`AnalysisReport`] and stamping the [`LaunchReport`] with the
     /// kernel's static counter prediction. Analysis only — the launch
     /// outcome is unchanged.
     pub fn enable_lint(&self) {
@@ -1079,24 +1082,22 @@ impl Device {
         self.inner.lint.get()
     }
 
-    /// Snapshot of all lint reports collected so far.
-    pub fn lint_reports(&self) -> Vec<LintReport> {
-        self.inner.lint_reports.borrow().clone()
+    /// Number of analysis reports collected so far (use with
+    /// [`Device::analysis_since`]).
+    pub fn analysis_len(&self) -> usize {
+        self.inner.analysis.borrow().len()
     }
 
-    /// Drains the collected lint reports.
-    pub fn take_lint_reports(&self) -> Vec<LintReport> {
-        std::mem::take(&mut *self.inner.lint_reports.borrow_mut())
+    /// The analysis reports collected after position `start` (0 for all),
+    /// in launch order: one per launch that ran with the sanitizer or the
+    /// lint on, holding the findings of both passes when both were.
+    pub fn analysis_since(&self, start: usize) -> Vec<AnalysisReport> {
+        self.inner.analysis.borrow()[start..].to_vec()
     }
 
-    /// Snapshot of all sanitizer reports collected so far.
-    pub fn sanitizer_reports(&self) -> Vec<SanitizerReport> {
-        self.inner.san_reports.borrow().clone()
-    }
-
-    /// Drains the collected sanitizer reports.
-    pub fn take_sanitizer_reports(&self) -> Vec<SanitizerReport> {
-        std::mem::take(&mut *self.inner.san_reports.borrow_mut())
+    /// Drains the collected analysis reports.
+    pub fn take_analysis(&self) -> Vec<AnalysisReport> {
+        std::mem::take(&mut *self.inner.analysis.borrow_mut())
     }
 
     fn report_from_stats(

@@ -43,6 +43,7 @@
 //! launch shape, and runs them on host memory; the lane path above
 //! stays the reference whenever a sanitizer or lint capture is attached.
 
+pub mod analysis;
 pub mod block;
 pub mod buffer;
 pub mod device;
@@ -56,6 +57,7 @@ pub mod stream;
 pub mod topology;
 pub mod trace;
 
+pub use analysis::{AnalysisReport, Finding, FindingKind, Severity, Source};
 pub use block::{BlockCtx, Lane, SharedHandle};
 pub use buffer::{DeviceCopy, GpuBuffer, MappedBuffer, TransparentWrapper};
 pub use device::{
@@ -64,11 +66,10 @@ pub use device::{
 };
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use lint::{
-    AccessSpec, BufferDecl, BulkAccess, GlobalStream, LaunchGeometry, LintFinding, LintKind,
-    LintReport, PhaseSpec, SharedEv, SharedStep,
+    AccessSpec, BufferDecl, BulkAccess, GlobalStream, LaunchGeometry, PhaseSpec, SharedEv,
+    SharedStep,
 };
 pub use occupancy::Occupancy;
-pub use sanitize::{Finding, FindingKind, SanitizerReport, Severity};
 pub use spec::DeviceSpec;
 pub use stats::{KernelStats, SimTime};
 pub use stream::{Event, ScheduledLaunch, Stream, StreamId, StreamSchedule};

@@ -1,7 +1,7 @@
-//! `simt::lint` — static launch-plan analysis.
+//! `simt::lint` — the static analysis pass over launch plans.
 //!
 //! Where [`crate::sanitize`] *observes* a kernel's behavior by executing
-//! it under instrumentation, this module *predicts* it before a single
+//! it under instrumentation, this pass *predicts* it before a single
 //! simulated step runs. Each kernel declares an [`AccessSpec`] contract —
 //! per-phase global access strides, the shared-memory words each lane
 //! touches per barrier interval, barrier placement relative to divergent
@@ -23,7 +23,9 @@
 //! * flags **barrier-in-divergent-branch** hazards declared by the
 //!   contract.
 //!
-//! Every finding carries kernel/phase attribution and a typed severity.
+//! Every finding is an [`crate::analysis::Finding`] from
+//! [`Source::Static`] with kernel/phase attribution, judged by the same
+//! thresholds as the dynamic pass's.
 //!
 //! # The prediction model
 //!
@@ -43,127 +45,15 @@
 //! When a block's address shift is sector-aligned the evaluator scales
 //! block 0 by `grid_dim`; otherwise it walks every block.
 
+use crate::analysis::{
+    bank_conflicted, uncoalesced, AnalysisReport, Finding, FindingKind, Source,
+    MAX_SECTORS_PER_ACCESS, MIN_BANK_CONFLICT_DEGREE,
+};
 use crate::buffer::{DeviceCopy, GpuBuffer};
 use crate::device::Kernel;
 use crate::occupancy::Occupancy;
-pub use crate::sanitize::Severity;
-use crate::sanitize::{
-    MAX_SECTORS_PER_ACCESS, MIN_ACCESSES_FOR_COALESCING, MIN_BANK_CONFLICT_DEGREE, MIN_OCCUPANCY,
-};
 use crate::spec::DeviceSpec;
 use crate::stats::KernelStats;
-
-/// The class of defect a [`LintFinding`] reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LintKind {
-    /// Zero grid or block dimension.
-    EmptyLaunch,
-    /// Block dimension over the device maximum.
-    BlockTooLarge,
-    /// Declared shared memory over the per-block limit.
-    SharedMemExceeded,
-    /// Declared registers leave no schedulable block on an SM (or exceed
-    /// the per-thread architectural cap).
-    RegsExceeded,
-    /// Static occupancy bound below the threshold, with no waiver.
-    LowOccupancy,
-    /// A warp/slot group's declared strides predict poor coalescing.
-    UncoalescedGlobal,
-    /// Declared shared strides predict a bank-conflict degree at or
-    /// above the threshold.
-    BankConflict,
-    /// A static index expression reaches past the end of its buffer.
-    GlobalOutOfBounds,
-    /// A declared shared word lies past the declared allocation.
-    SharedOutOfBounds,
-    /// The contract declares a barrier inside a divergent branch.
-    BarrierInDivergence,
-    /// Static prediction disagrees with dynamic sanitizer measurement.
-    SpecMismatch,
-    /// The kernel declares no [`AccessSpec`]; only launch validity and
-    /// occupancy were checked.
-    SpecMissing,
-}
-
-impl LintKind {
-    /// Hard (must-not-launch) findings are errors; advisory predictions
-    /// are warnings.
-    pub fn severity(&self) -> Severity {
-        match self {
-            LintKind::EmptyLaunch
-            | LintKind::BlockTooLarge
-            | LintKind::SharedMemExceeded
-            | LintKind::RegsExceeded
-            | LintKind::GlobalOutOfBounds
-            | LintKind::SharedOutOfBounds
-            | LintKind::BarrierInDivergence
-            | LintKind::SpecMismatch => Severity::Error,
-            LintKind::LowOccupancy
-            | LintKind::UncoalescedGlobal
-            | LintKind::BankConflict
-            | LintKind::SpecMissing => Severity::Warning,
-        }
-    }
-
-    /// Stable dotted identifier (`area.check`) used in rendered and JSON
-    /// output.
-    pub fn code(&self) -> &'static str {
-        match self {
-            LintKind::EmptyLaunch => "launch.empty",
-            LintKind::BlockTooLarge => "launch.block-too-large",
-            LintKind::SharedMemExceeded => "launch.shared-mem-exceeded",
-            LintKind::RegsExceeded => "launch.regs-exceeded",
-            LintKind::LowOccupancy => "occupancy.low",
-            LintKind::UncoalescedGlobal => "coalesce.uncoalesced-global",
-            LintKind::BankConflict => "bank.conflict",
-            LintKind::GlobalOutOfBounds => "bounds.global-oob",
-            LintKind::SharedOutOfBounds => "bounds.shared-oob",
-            LintKind::BarrierInDivergence => "barrier.divergent",
-            LintKind::SpecMismatch => "spec.mismatch",
-            LintKind::SpecMissing => "spec.missing",
-        }
-    }
-}
-
-/// One static-analysis diagnostic with kernel/phase attribution.
-#[derive(Debug, Clone)]
-pub struct LintFinding {
-    /// What was detected.
-    pub kind: LintKind,
-    /// Kernel the launch plan belongs to.
-    pub kernel: String,
-    /// Phase of the declared contract the finding is attributed to
-    /// (empty for launch-wide findings like occupancy).
-    pub phase: String,
-    /// Human-readable explanation.
-    pub detail: String,
-}
-
-impl LintFinding {
-    /// Error/warning classification (delegates to the kind).
-    pub fn severity(&self) -> Severity {
-        self.kind.severity()
-    }
-}
-
-impl std::fmt::Display for LintFinding {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "[{}] {} `{}`",
-            self.kind.code(),
-            match self.severity() {
-                Severity::Error => "ERROR",
-                Severity::Warning => "WARN",
-            },
-            self.kernel,
-        )?;
-        if !self.phase.is_empty() {
-            write!(f, " phase `{}`", self.phase)?;
-        }
-        write!(f, ": {}", self.detail)
-    }
-}
 
 /// True when a static prediction's derived metrics bit-match a measured
 /// launch — the cross-check contract with the replay's counters. A
@@ -412,225 +302,61 @@ pub struct PhaseReport {
     pub max_bank_degree: u64,
 }
 
-/// Everything the static analyzer derived from one launch plan.
-#[derive(Debug, Clone)]
-pub struct LintReport {
-    /// Kernel name.
-    pub kernel: String,
-    /// Blocks in the launch plan.
-    pub grid_dim: usize,
-    /// Threads per block.
-    pub block_dim: usize,
-    /// Findings, errors first.
-    pub findings: Vec<LintFinding>,
-    /// Lints suppressed by an explicit kernel waiver, with the reason.
-    pub waived: Vec<String>,
-    /// The static occupancy bound.
-    pub occupancy: Occupancy,
-    /// Predicted counters (None when the kernel declares no spec).
-    pub prediction: Option<KernelStats>,
-    /// Per-phase evaluation summaries (empty without a spec).
-    pub phases: Vec<PhaseReport>,
-}
-
-impl LintReport {
-    /// True when nothing was found (waived lints do not count).
-    pub fn is_clean(&self) -> bool {
-        self.findings.is_empty()
-    }
-
-    /// Number of hard (error) findings.
-    pub fn error_count(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.severity() == Severity::Error)
-            .count()
-    }
-
-    /// Number of advisory (warning) findings.
-    pub fn warning_count(&self) -> usize {
-        self.findings.len() - self.error_count()
-    }
-
-    /// The findings of one kind.
-    pub fn findings_of(&self, kind: LintKind) -> Vec<&LintFinding> {
-        self.findings.iter().filter(|f| f.kind == kind).collect()
-    }
-
-    /// True when a finding of `kind` is present.
-    pub fn has(&self, kind: LintKind) -> bool {
-        self.findings.iter().any(|f| f.kind == kind)
-    }
-
-    /// Human-readable report, one finding per line.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "========= simt-lint: `{}` (grid {} × block {}) =========\n",
-            self.kernel, self.grid_dim, self.block_dim
-        );
-        out.push_str(&format!(
-            "  occupancy bound: {:.3} ({:?}-limited)\n",
-            self.occupancy.occupancy, self.occupancy.limiter
-        ));
-        if let Some(p) = &self.prediction {
-            out.push_str(&format!(
-                "  predicted: sectors/access {:.4}, conflict degree {:.4}\n",
-                p.sectors_per_access(),
-                p.avg_conflict_degree()
-            ));
-        }
-        if self.is_clean() {
-            out.push_str("  clean: no findings\n");
-        } else {
-            out.push_str(&format!(
-                "  {} error(s), {} warning(s)\n",
-                self.error_count(),
-                self.warning_count()
-            ));
-            for f in &self.findings {
-                out.push_str(&format!("  {f}\n"));
-            }
-        }
-        for w in &self.waived {
-            out.push_str(&format!("  waived: {w}\n"));
-        }
-        out
-    }
-
-    /// The report as a JSON object (hand-rolled; the workspace has no
-    /// serde).
-    pub fn to_json(&self) -> String {
-        let findings: Vec<String> = self
-            .findings
-            .iter()
-            .map(|f| {
-                format!(
-                    r#"{{"kind":"{}","severity":"{}","kernel":"{}","phase":"{}","detail":"{}"}}"#,
-                    f.kind.code(),
-                    match f.severity() {
-                        Severity::Error => "error",
-                        Severity::Warning => "warning",
-                    },
-                    json_escape(&f.kernel),
-                    json_escape(&f.phase),
-                    json_escape(&f.detail),
-                )
-            })
-            .collect();
-        let waived: Vec<String> = self
-            .waived
-            .iter()
-            .map(|w| format!(r#""{}""#, json_escape(w)))
-            .collect();
-        let pred = match &self.prediction {
-            Some(p) => format!(
-                r#"{{"sectors_per_access":{},"conflict_degree":{},"global_sectors":{},"global_accesses":{},"shared_eff_bytes":{},"shared_conflict_cycles":{}}}"#,
-                p.sectors_per_access(),
-                p.avg_conflict_degree(),
-                p.global_sectors,
-                p.global_accesses,
-                p.shared_eff_bytes,
-                p.shared_conflict_cycles
-            ),
-            None => "null".to_string(),
-        };
-        format!(
-            r#"{{"kernel":"{}","grid_dim":{},"block_dim":{},"occupancy":{},"errors":{},"warnings":{},"prediction":{},"findings":[{}],"waived":[{}]}}"#,
-            json_escape(&self.kernel),
-            self.grid_dim,
-            self.block_dim,
-            self.occupancy.occupancy,
-            self.error_count(),
-            self.warning_count(),
-            pred,
-            findings.join(","),
-            waived.join(",")
-        )
-    }
-}
-
-impl std::fmt::Display for LintReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.render())
-    }
-}
-
-/// Serializes a batch of lint reports as one JSON array — the artifact
-/// format the CI lint sweep uploads.
-pub fn reports_to_json(reports: &[LintReport]) -> String {
-    let items: Vec<String> = reports.iter().map(|r| r.to_json()).collect();
-    format!("[{}]", items.join(","))
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Lints launch validity and occupancy from geometry alone — the entry
 /// point for planners that have no kernel object yet (the cost model
 /// rejects hard-failing configurations before anything is built). The
-/// advisory lints fire at the sanitizer's thresholds
-/// ([`crate::sanitize::MIN_OCCUPANCY`] and its siblings), so the static
-/// pass and the dynamic sanitizer agree on what counts as a finding.
-pub fn lint_geometry(spec: &DeviceSpec, geom: &LaunchGeometry) -> LintReport {
-    let mut findings = Vec::new();
-    let mut waived = Vec::new();
-    let launch_wide = |kind: LintKind, detail: String| LintFinding {
-        kind,
-        kernel: geom.name.clone(),
-        phase: String::new(),
-        detail,
+/// advisory lints apply the thresholds of [`crate::analysis`], so the
+/// static and the dynamic pass agree on what counts as a finding.
+pub fn lint_geometry(spec: &DeviceSpec, geom: &LaunchGeometry) -> AnalysisReport {
+    let occupancy = Occupancy::compute(
+        spec,
+        geom.block_dim.max(1),
+        geom.shared_bytes_per_block,
+        geom.regs_per_thread,
+    );
+    let mut report = AnalysisReport::new(&geom.name, geom.grid_dim, geom.block_dim, occupancy);
+    let mut launch_wide = |kind: FindingKind, detail: String| {
+        let finding = Finding::new(kind, Source::Static, &geom.name, "", detail);
+        report.findings.push(finding);
     };
     if geom.grid_dim == 0 || geom.block_dim == 0 {
-        findings.push(launch_wide(
-            LintKind::EmptyLaunch,
+        launch_wide(
+            FindingKind::EmptyLaunch,
             format!(
                 "grid {} × block {}: both dimensions must be nonzero",
                 geom.grid_dim, geom.block_dim
             ),
-        ));
+        );
     }
     if geom.block_dim > spec.max_threads_per_block {
-        findings.push(launch_wide(
-            LintKind::BlockTooLarge,
+        launch_wide(
+            FindingKind::BlockTooLarge,
             format!(
                 "block dim {} exceeds device limit {}",
                 geom.block_dim, spec.max_threads_per_block
             ),
-        ));
+        );
     }
     if geom.shared_bytes_per_block > spec.shared_mem_per_block {
-        findings.push(launch_wide(
-            LintKind::SharedMemExceeded,
+        launch_wide(
+            FindingKind::SharedMemExceeded,
             format!(
                 "shared memory {} B exceeds per-block limit {} B",
                 geom.shared_bytes_per_block, spec.shared_mem_per_block
             ),
-        ));
+        );
     }
     if geom.regs_per_thread > spec.max_regs_per_thread {
-        findings.push(launch_wide(
-            LintKind::RegsExceeded,
+        launch_wide(
+            FindingKind::RegsExceeded,
             format!(
                 "{} registers per thread exceeds architectural cap {}",
                 geom.regs_per_thread, spec.max_regs_per_thread
             ),
-        ));
+        );
     } else if geom.block_dim > 0 && geom.regs_per_thread * geom.block_dim > spec.regs_per_sm {
-        findings.push(launch_wide(
-            LintKind::RegsExceeded,
+        launch_wide(
+            FindingKind::RegsExceeded,
             format!(
                 "{} registers × {} threads = {} exceeds the {}-register SM file: no block can be scheduled",
                 geom.regs_per_thread,
@@ -638,69 +364,31 @@ pub fn lint_geometry(spec: &DeviceSpec, geom: &LaunchGeometry) -> LintReport {
                 geom.regs_per_thread * geom.block_dim,
                 spec.regs_per_sm
             ),
-        ));
+        );
     }
-    let occupancy = Occupancy::compute(
-        spec,
-        geom.block_dim.max(1),
-        geom.shared_bytes_per_block,
-        geom.regs_per_thread,
-    );
-    if occupancy.occupancy < MIN_OCCUPANCY {
-        match geom.low_occupancy_waiver {
-            Some(reason) => waived.push(format!(
-                "occupancy.low ({:.3} < {:.2}): {reason}",
-                occupancy.occupancy, MIN_OCCUPANCY
-            )),
-            None => findings.push(launch_wide(
-                LintKind::LowOccupancy,
-                format!(
-                    "static occupancy bound {:.3} below threshold {:.2} ({:?}-limited)",
-                    occupancy.occupancy, MIN_OCCUPANCY, occupancy.limiter
-                ),
-            )),
-        }
-    }
-    LintReport {
-        kernel: geom.name.clone(),
-        grid_dim: geom.grid_dim,
-        block_dim: geom.block_dim,
-        findings,
-        waived,
-        occupancy,
-        prediction: None,
-        phases: Vec::new(),
-    }
+    report.check_occupancy(Source::Static, geom.low_occupancy_waiver);
+    report
 }
 
 /// Runs the full static analysis on a kernel object: geometry checks
 /// plus the [`AccessSpec`]-driven predictions, bounds proofs, and
 /// barrier-divergence checks. Executes no simulated step.
-pub fn lint_kernel<K: Kernel + ?Sized>(spec: &DeviceSpec, kernel: &K) -> LintReport {
+pub fn lint_kernel<K: Kernel + ?Sized>(spec: &DeviceSpec, kernel: &K) -> AnalysisReport {
     let geom = LaunchGeometry::of(kernel);
     let mut report = lint_geometry(spec, &geom);
     match kernel.access_spec() {
-        None => {
-            report.findings.push(LintFinding {
-                kind: LintKind::SpecMissing,
-                kernel: geom.name.clone(),
-                phase: String::new(),
-                detail:
-                    "kernel declares no AccessSpec; only launch validity and occupancy were checked"
-                        .to_string(),
-            });
-        }
+        None => report.findings.push(Finding::new(
+            FindingKind::SpecMissing,
+            Source::Static,
+            &geom.name,
+            "",
+            "kernel declares no AccessSpec; only launch validity and occupancy were checked"
+                .to_string(),
+        )),
         Some(access) => analyze_spec(spec, &geom, &access, &mut report),
     }
-    sort_findings(&mut report.findings);
+    report.sort_findings();
     report
-}
-
-fn sort_findings(findings: &mut [LintFinding]) {
-    findings.sort_by_key(|f| match f.severity() {
-        Severity::Error => 0u8,
-        Severity::Warning => 1,
-    });
 }
 
 /// Evaluates the declared contract against the launch geometry, filling
@@ -709,7 +397,7 @@ fn analyze_spec(
     spec: &DeviceSpec,
     geom: &LaunchGeometry,
     access: &AccessSpec,
-    report: &mut LintReport,
+    report: &mut AnalysisReport,
 ) {
     let shared_words_avail = (geom.shared_bytes_per_block / 4) as u32;
     let mut total = KernelStats::default();
@@ -720,17 +408,15 @@ fn analyze_spec(
             worst_global_group: None,
             max_bank_degree: 1,
         };
-        let finding = |kind: LintKind, detail: String| LintFinding {
-            kind,
-            kernel: geom.name.clone(),
-            phase: phase.name.clone(),
-            detail,
+        let mut finding = |kind: FindingKind, detail: String| {
+            let finding = Finding::new(kind, Source::Static, &geom.name, &phase.name, detail);
+            report.findings.push(finding);
         };
         if let Some(div) = &phase.divergent_barrier {
-            report.findings.push(finding(
-                LintKind::BarrierInDivergence,
+            finding(
+                FindingKind::BarrierInDivergence,
                 format!("barrier placed inside divergent branch: {div}"),
-            ));
+            );
         }
         for gs in &phase.globals {
             let ev = eval_global_stream(spec, geom, gs);
@@ -739,13 +425,13 @@ fn analyze_spec(
                 keep_worse(&mut pr.worst_global_group, group);
             }
             if let Some(m) = ev.max_elem.filter(|&m| m >= gs.buf.len) {
-                report.findings.push(finding(
-                    LintKind::GlobalOutOfBounds,
+                finding(
+                    FindingKind::GlobalOutOfBounds,
                     format!(
                         "static index expression reaches element {} of `{}` (len {})",
                         m, gs.buf.label, gs.buf.len
                     ),
-                ));
+                );
             }
         }
         for step in &phase.shared_steps {
@@ -753,19 +439,19 @@ fn analyze_spec(
             pr.pred.merge(&ev.pred);
             pr.max_bank_degree = pr.max_bank_degree.max(ev.max_degree);
             if ev.max_end > shared_words_avail {
-                report.findings.push(finding(
-                    LintKind::SharedOutOfBounds,
+                finding(
+                    FindingKind::SharedOutOfBounds,
                     format!(
                         "declared shared access reaches word {} but the kernel declares only {} words ({} B)",
                         ev.max_end, shared_words_avail, geom.shared_bytes_per_block
                     ),
-                ));
+                );
             }
         }
         for bulk in &phase.bulk {
             if bulk.elems > bulk.buf.len {
-                report.findings.push(finding(
-                    LintKind::GlobalOutOfBounds,
+                finding(
+                    FindingKind::GlobalOutOfBounds,
                     format!(
                         "bulk {} of {} elements overruns `{}` (len {})",
                         if bulk.write { "write" } else { "read" },
@@ -773,30 +459,30 @@ fn analyze_spec(
                         bulk.buf.label,
                         bulk.buf.len
                     ),
-                ));
+                );
             }
             pr.pred.merge(&eval_bulk(bulk));
         }
         if let Some((sectors, accesses)) = pr.worst_global_group {
-            let spa = sectors as f64 / accesses as f64;
-            if spa > MAX_SECTORS_PER_ACCESS && accesses >= MIN_ACCESSES_FOR_COALESCING {
-                report.findings.push(finding(
-                    LintKind::UncoalescedGlobal,
+            if uncoalesced(sectors, accesses) {
+                finding(
+                    FindingKind::UncoalescedGlobal,
                     format!(
-                        "declared strides predict {sectors} sectors over {accesses} accesses in one warp group ({spa:.3} sectors/access > {:.3})",
+                        "declared strides predict {sectors} sectors over {accesses} accesses in one warp group ({:.3} sectors/access > {:.3})",
+                        sectors as f64 / accesses as f64,
                         MAX_SECTORS_PER_ACCESS
                     ),
-                ));
+                );
             }
         }
-        if pr.max_bank_degree >= MIN_BANK_CONFLICT_DEGREE {
-            report.findings.push(finding(
-                LintKind::BankConflict,
+        if bank_conflicted(pr.max_bank_degree) {
+            finding(
+                FindingKind::BankConflict,
                 format!(
                     "declared shared strides predict a {}-way bank conflict (threshold {})",
                     pr.max_bank_degree, MIN_BANK_CONFLICT_DEGREE
                 ),
-            ));
+            );
         }
         total.merge(&pr.pred);
         report.phases.push(pr);
@@ -1019,30 +705,34 @@ fn eval_shared_step(spec: &DeviceSpec, geom: &LaunchGeometry, step: &SharedStep)
 }
 
 /// Compares a launch's static prediction against its measured dynamic
-/// counters; a drift produces a [`LintKind::SpecMismatch`] finding —
+/// counters; a drift produces a [`FindingKind::SpecMismatch`] finding —
 /// the gate that keeps static analysis honest.
-pub fn cross_check(report: &LintReport, stats: &KernelStats) -> Option<LintFinding> {
+pub fn cross_check(report: &AnalysisReport, stats: &KernelStats) -> Option<Finding> {
     let pred = report.prediction.as_ref()?;
     if matches(pred, stats) {
         return None;
     }
-    Some(LintFinding {
-        kind: LintKind::SpecMismatch,
-        kernel: report.kernel.clone(),
-        phase: String::new(),
-        detail: format!(
-            "static prediction (sectors/access {}, degree {}) disagrees with measurement (sectors/access {}, degree {})",
-            pred.sectors_per_access(),
-            pred.avg_conflict_degree(),
-            stats.sectors_per_access(),
-            stats.avg_conflict_degree()
-        ),
-    })
+    let detail = format!(
+        "static prediction (sectors/access {}, degree {}) disagrees with measurement (sectors/access {}, degree {})",
+        pred.sectors_per_access(),
+        pred.avg_conflict_degree(),
+        stats.sectors_per_access(),
+        stats.avg_conflict_degree()
+    );
+    let kind = FindingKind::SpecMismatch;
+    Some(Finding::new(
+        kind,
+        Source::Static,
+        &report.kernel,
+        "",
+        detail,
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::{reports_to_json, Severity};
 
     fn titan() -> DeviceSpec {
         DeviceSpec::titan_x_maxwell()
@@ -1059,7 +749,7 @@ mod tests {
         }
     }
 
-    fn eval(spec_access: AccessSpec, g: LaunchGeometry) -> LintReport {
+    fn eval(spec_access: AccessSpec, g: LaunchGeometry) -> AnalysisReport {
         let mut report = lint_geometry(&titan(), &g);
         analyze_spec(&titan(), &g, &spec_access, &mut report);
         report
@@ -1127,7 +817,11 @@ mod tests {
             }],
         };
         let r = eval(access, geom(32, 1));
-        assert!(r.has(LintKind::UncoalescedGlobal), "{}", r.render());
+        assert!(
+            !r.findings_of(FindingKind::UncoalescedGlobal).is_empty(),
+            "{}",
+            r.render()
+        );
         let p = r.prediction.unwrap();
         assert_eq!(p.global_sectors, 32);
         assert!((p.sectors_per_access() - 1.0).abs() < 1e-12);
@@ -1160,7 +854,7 @@ mod tests {
         assert_eq!(p.shared_accesses, 32);
         assert!((p.avg_conflict_degree() - 2.0).abs() < 1e-12);
         // degree 2 is below the lint threshold of 8 → no finding
-        assert!(!r.has(LintKind::BankConflict));
+        assert!(r.findings_of(FindingKind::BankConflict).is_empty());
     }
 
     #[test]
@@ -1187,7 +881,7 @@ mod tests {
         let p = r.prediction.unwrap();
         assert_eq!(p.shared_conflict_cycles, 31);
         assert!((p.avg_conflict_degree() - 32.0).abs() < 1e-12);
-        let f = &r.findings_of(LintKind::BankConflict)[0];
+        let f = &r.findings_of(FindingKind::BankConflict)[0];
         assert_eq!(f.phase, "transpose");
     }
 
@@ -1249,8 +943,16 @@ mod tests {
             }],
         };
         let r = eval(access, geom(32, 1)); // 4096 B shared = 1024 words
-        assert!(r.has(LintKind::GlobalOutOfBounds), "{}", r.render());
-        assert!(r.has(LintKind::SharedOutOfBounds), "{}", r.render());
+        assert!(
+            !r.findings_of(FindingKind::GlobalOutOfBounds).is_empty(),
+            "{}",
+            r.render()
+        );
+        assert!(
+            !r.findings_of(FindingKind::SharedOutOfBounds).is_empty(),
+            "{}",
+            r.render()
+        );
         assert_eq!(r.error_count(), 2);
     }
 
@@ -1280,7 +982,11 @@ mod tests {
             }],
         };
         let r = eval(access, geom(32, 1));
-        assert!(!r.has(LintKind::GlobalOutOfBounds), "{}", r.render());
+        assert!(
+            r.findings_of(FindingKind::GlobalOutOfBounds).is_empty(),
+            "{}",
+            r.render()
+        );
         // accesses: 32 + 8 guarded tail
         assert_eq!(r.prediction.unwrap().global_accesses, 40);
     }
@@ -1325,18 +1031,26 @@ mod tests {
     fn geometry_hard_errors() {
         let mut g = geom(2048, 1);
         let r = lint_geometry(&titan(), &g);
-        assert!(r.has(LintKind::BlockTooLarge));
+        assert!(!r.findings_of(FindingKind::BlockTooLarge).is_empty());
         g = geom(0, 1);
-        assert!(lint_geometry(&titan(), &g).has(LintKind::EmptyLaunch));
+        assert!(!lint_geometry(&titan(), &g)
+            .findings_of(FindingKind::EmptyLaunch)
+            .is_empty());
         g = geom(256, 1);
         g.shared_bytes_per_block = 64 * 1024;
-        assert!(lint_geometry(&titan(), &g).has(LintKind::SharedMemExceeded));
+        assert!(!lint_geometry(&titan(), &g)
+            .findings_of(FindingKind::SharedMemExceeded)
+            .is_empty());
         g = geom(1024, 1);
         g.regs_per_thread = 65; // 65 × 1024 > 64K
-        assert!(lint_geometry(&titan(), &g).has(LintKind::RegsExceeded));
+        assert!(!lint_geometry(&titan(), &g)
+            .findings_of(FindingKind::RegsExceeded)
+            .is_empty());
         g = geom(256, 1);
         g.regs_per_thread = 300; // over the 255 per-thread cap
-        assert!(lint_geometry(&titan(), &g).has(LintKind::RegsExceeded));
+        assert!(!lint_geometry(&titan(), &g)
+            .findings_of(FindingKind::RegsExceeded)
+            .is_empty());
     }
 
     #[test]
@@ -1344,10 +1058,10 @@ mod tests {
         let mut g = geom(128, 1);
         g.shared_bytes_per_block = 40 * 1024; // 2 blocks/SM → 8 warps of 64
         let r = lint_geometry(&titan(), &g);
-        assert!(r.has(LintKind::LowOccupancy));
+        assert!(!r.findings_of(FindingKind::LowOccupancy).is_empty());
         g.low_occupancy_waiver = Some("heap capacity trade (Section 4.1)");
         let r = lint_geometry(&titan(), &g);
-        assert!(!r.has(LintKind::LowOccupancy));
+        assert!(r.findings_of(FindingKind::LowOccupancy).is_empty());
         assert_eq!(r.waived.len(), 1);
     }
 
@@ -1361,10 +1075,11 @@ mod tests {
             }],
         };
         let r = eval(access, geom(64, 1));
-        let f = &r.findings_of(LintKind::BarrierInDivergence)[0];
+        let f = &r.findings_of(FindingKind::BarrierInDivergence)[0];
         assert_eq!(f.severity(), Severity::Error);
         assert_eq!(f.phase, "reduce");
         assert_eq!(f.kernel, "unit");
+        assert_eq!(f.source, Source::Static);
     }
 
     #[test]
@@ -1383,7 +1098,7 @@ mod tests {
         assert!(cross_check(&report, &stats).is_none());
         stats.global_sectors = 32;
         let f = cross_check(&report, &stats).unwrap();
-        assert_eq!(f.kind, LintKind::SpecMismatch);
+        assert_eq!(f.kind, FindingKind::SpecMismatch);
         assert_eq!(f.severity(), Severity::Error);
     }
 
@@ -1493,7 +1208,7 @@ mod tests {
         let r = eval(access, geom(256, 4));
         assert!(r.is_clean());
         let text = r.render();
-        assert!(text.contains("simt-lint"));
+        assert!(text.contains("simt-analysis"));
         assert!(text.contains("clean"));
         let json = r.to_json();
         assert!(json.contains(r#""errors":0"#));

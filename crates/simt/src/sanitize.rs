@@ -1,7 +1,7 @@
-//! `simt::sanitize` — a compute-sanitizer–style analysis layer for
+//! `simt::sanitize` — the dynamic analysis pass, a compute-sanitizer for
 //! simulated kernels.
 //!
-//! Real CUDA ships `compute-sanitizer` with three main tools; this module
+//! Real CUDA ships `compute-sanitizer` with three main tools; this pass
 //! mirrors each of them against the simulator's per-step access streams:
 //!
 //! * **racecheck** — two lanes touching the same shared word within one
@@ -20,14 +20,16 @@
 //!   shared arrays, which masks reads-before-write that would observe
 //!   garbage on hardware.
 //!
-//! On top of those, **perf lints** flag uncoalesced global access
-//! patterns (sectors-per-warp-access above a threshold), shared-memory
-//! bank-conflict hotspots, and occupancy-limiting launch configurations.
+//! On top of those, the **perf lints** of [`crate::analysis`] judge the
+//! measured warp groups: uncoalesced global access, shared-memory bank
+//! conflicts, and occupancy-limiting launch configurations.
 //!
 //! Enable per device with [`crate::Device::enable_sanitizer`] (every
-//! launch, including launches issued inside stream scopes, produces a
-//! [`SanitizerReport`]) or per launch with
-//! [`crate::Device::launch_sanitized`].
+//! launch, including launches issued inside stream scopes, then appends
+//! its findings to an [`AnalysisReport`]) or per launch with
+//! [`crate::Device::launch_sanitized`]. Findings are emitted in a fixed
+//! order (word order within a step, then warp and slot order), so a
+//! launch renders the same report on every run.
 //!
 //! # The step-as-barrier-interval race model
 //!
@@ -42,144 +44,8 @@
 
 use std::collections::HashMap;
 
-use crate::occupancy::Occupancy;
+use crate::analysis::{bank_conflicted, uncoalesced, AnalysisReport, Finding, FindingKind, Source};
 use crate::spec::DeviceSpec;
-
-/// Uncoalesced-global lint: fires when a warp's accesses in one slot
-/// touch more than this many 32-byte sectors per access. The static lint
-/// ([`crate::lint`]) applies the same four thresholds.
-pub const MAX_SECTORS_PER_ACCESS: f64 = 0.5;
-/// Uncoalesced-global lint: minimum accesses in the warp/slot group
-/// before the lint applies (tail groups are exempt).
-pub const MIN_ACCESSES_FOR_COALESCING: u64 = 8;
-/// Bank-conflict lint: fires at this conflict degree or worse.
-pub const MIN_BANK_CONFLICT_DEGREE: u64 = 8;
-/// Occupancy lint: fires when achieved occupancy is below this fraction
-/// of the SM's maximum resident warps (unless the kernel declares a
-/// waiver, see [`crate::Kernel::low_occupancy_waiver`]).
-pub const MIN_OCCUPANCY: f64 = 0.25;
-
-/// The class of defect (or inefficiency) a [`Finding`] reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FindingKind {
-    /// Two lanes touched the same shared word in one step, ≥ 1 write.
-    SharedRace,
-    /// Conflicting global accesses to the same 4-byte word: ≥ 1 write
-    /// from ≥ 2 lanes in one step, or writes from different blocks
-    /// within the launch.
-    GlobalRace,
-    /// Shared access past the end of its allocation.
-    SharedOutOfBounds,
-    /// Global access past the end of its buffer.
-    GlobalOutOfBounds,
-    /// Read of a shared word never written since `alloc_shared`.
-    UninitializedRead,
-    /// A warp's global accesses in one slot spread over too many sectors.
-    UncoalescedGlobal,
-    /// Shared-memory bank-conflict degree at or above the threshold.
-    BankConflict,
-    /// Launch configuration limits occupancy below the threshold.
-    LowOccupancy,
-}
-
-/// Error vs. warning classification of a finding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// A correctness defect (racecheck / memcheck / initcheck).
-    Error,
-    /// A performance lint.
-    Warning,
-}
-
-impl FindingKind {
-    /// Correctness findings are errors; perf lints are warnings.
-    pub fn severity(&self) -> Severity {
-        match self {
-            FindingKind::SharedRace
-            | FindingKind::GlobalRace
-            | FindingKind::SharedOutOfBounds
-            | FindingKind::GlobalOutOfBounds
-            | FindingKind::UninitializedRead => Severity::Error,
-            FindingKind::UncoalescedGlobal
-            | FindingKind::BankConflict
-            | FindingKind::LowOccupancy => Severity::Warning,
-        }
-    }
-
-    /// Stable dotted identifier (`tool.check`), used in rendered and JSON
-    /// output.
-    pub fn code(&self) -> &'static str {
-        match self {
-            FindingKind::SharedRace => "racecheck.shared-race",
-            FindingKind::GlobalRace => "racecheck.global-race",
-            FindingKind::SharedOutOfBounds => "memcheck.shared-oob",
-            FindingKind::GlobalOutOfBounds => "memcheck.global-oob",
-            FindingKind::UninitializedRead => "initcheck.uninit-read",
-            FindingKind::UncoalescedGlobal => "perf.uncoalesced-global",
-            FindingKind::BankConflict => "perf.bank-conflict",
-            FindingKind::LowOccupancy => "perf.low-occupancy",
-        }
-    }
-}
-
-/// One deduplicated diagnostic. Attribution fields (`block`, `step`,
-/// `lane`, `address`) describe the **first** occurrence; `occurrences`
-/// counts every repeat that deduplicated onto it.
-#[derive(Debug, Clone)]
-pub struct Finding {
-    /// What was detected.
-    pub kind: FindingKind,
-    /// Kernel the launch ran.
-    pub kernel: &'static str,
-    /// Block index of the first occurrence.
-    pub block: usize,
-    /// Step index (barrier interval) of the first occurrence.
-    pub step: usize,
-    /// Lane (thread index within the block) of the first occurrence.
-    pub lane: usize,
-    /// Shared word index or global byte address of the first occurrence
-    /// (0 when not address-specific, e.g. occupancy lints).
-    pub address: u64,
-    /// Description of the allocation involved, when known.
-    pub allocation: String,
-    /// Human-readable explanation of the first occurrence.
-    pub detail: String,
-    /// Total occurrences folded into this finding.
-    pub occurrences: u64,
-}
-
-impl Finding {
-    /// Error/warning classification (delegates to the kind).
-    pub fn severity(&self) -> Severity {
-        self.kind.severity()
-    }
-}
-
-impl std::fmt::Display for Finding {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "[{}] {} `{}` block {} step {} lane {}: {}",
-            self.kind.code(),
-            match self.severity() {
-                Severity::Error => "ERROR",
-                Severity::Warning => "WARN",
-            },
-            self.kernel,
-            self.block,
-            self.step,
-            self.lane,
-            self.detail
-        )?;
-        if !self.allocation.is_empty() {
-            write!(f, " [{}]", self.allocation)?;
-        }
-        if self.occurrences > 1 {
-            write!(f, " (×{})", self.occurrences)?;
-        }
-        Ok(())
-    }
-}
 
 /// A shared allocation's footprint, for attributing shared findings.
 #[derive(Debug, Clone)]
@@ -227,6 +93,25 @@ impl WordAcc {
     fn is_race(&self) -> bool {
         self.other_lane.is_some() && self.write_lane.is_some()
     }
+
+    /// A race's writing lane and one other lane.
+    fn racing_pair(&self) -> (u32, u32) {
+        let writer = self.write_lane.unwrap_or(self.first_lane);
+        let other = if self.other_lane == Some(writer) {
+            self.first_lane
+        } else {
+            self.other_lane.unwrap_or(self.first_lane)
+        };
+        (writer, other)
+    }
+}
+
+/// The racing words of one step's accumulator map, in word order (a
+/// `HashMap` iterates in a different order per map). Clears the map.
+fn races_in_order<K: Copy + Ord>(step: &mut HashMap<K, WordAcc>) -> Vec<(K, WordAcc)> {
+    let mut races: Vec<(K, WordAcc)> = step.drain().filter(|(_, acc)| acc.is_race()).collect();
+    races.sort_unstable_by_key(|&(w, _)| w);
+    races
 }
 
 /// One tracked access within the current step, kept for the perf lints'
@@ -244,11 +129,11 @@ struct StepAccess {
 
 /// Per-launch sanitizer state, attached to every [`crate::BlockCtx`] of
 /// the launch by `Device::launch` when sanitizing is enabled.
+#[derive(Default)]
 pub(crate) struct LaunchSanitizer {
     kernel: &'static str,
     findings: Vec<Finding>,
     index: HashMap<(FindingKind, u64), usize>,
-    waived: Vec<String>,
     // --- block-scoped state (reset by begin_block) ---
     cur_block: usize,
     shared_written: Vec<bool>,
@@ -267,17 +152,7 @@ impl LaunchSanitizer {
     pub(crate) fn new(kernel: &'static str) -> Self {
         LaunchSanitizer {
             kernel,
-            findings: Vec::new(),
-            index: HashMap::new(),
-            waived: Vec::new(),
-            cur_block: 0,
-            shared_written: Vec::new(),
-            shared_allocs: Vec::new(),
-            cur_step: 0,
-            step_shared: HashMap::new(),
-            step_global: HashMap::new(),
-            step_log: Vec::new(),
-            global_writers: HashMap::new(),
+            ..LaunchSanitizer::default()
         }
     }
 
@@ -419,68 +294,42 @@ impl LaunchSanitizer {
         });
     }
 
-    /// Records a shared out-of-bounds access (memcheck).
-    pub(crate) fn record_shared_oob(
+    /// Records an out-of-bounds access (memcheck) past the `len`
+    /// elements at `base`: a global byte address in the buffer `alloc`
+    /// describes, or a shared word when `alloc` is `None`.
+    pub(crate) fn record_oob(
         &mut self,
         lane: usize,
-        base_word: u32,
+        base: u64,
         len: usize,
         idx: usize,
         write: bool,
+        alloc: Option<String>,
     ) {
-        let alloc = self.shared_alloc_for(base_word);
+        let (kind, space, alloc) = match alloc {
+            Some(alloc) => (FindingKind::GlobalOutOfBounds, "global", alloc),
+            None => {
+                let alloc = self.shared_alloc_for(base as u32);
+                (FindingKind::SharedOutOfBounds, "shared", alloc)
+            }
+        };
+        let op = if write { "write" } else { "read" };
         self.emit(
-            FindingKind::SharedOutOfBounds,
-            base_word as u64 ^ (idx as u64) << 32,
+            kind,
+            base ^ (idx as u64) << 32,
             lane,
-            base_word as u64,
+            base,
             alloc,
-            format!(
-                "shared {} out of bounds: index {idx} >= len {len}; access skipped",
-                if write { "write" } else { "read" }
-            ),
+            format!("{space} {op} out of bounds: index {idx} >= len {len}; access skipped"),
         );
     }
 
-    /// Records a global out-of-bounds access (memcheck).
-    pub(crate) fn record_global_oob(
-        &mut self,
-        lane: usize,
-        base_addr: u64,
-        len: usize,
-        idx: usize,
-        write: bool,
-        alloc: String,
-    ) {
-        self.emit(
-            FindingKind::GlobalOutOfBounds,
-            base_addr ^ (idx as u64) << 32,
-            lane,
-            base_addr,
-            alloc,
-            format!(
-                "global {} out of bounds: index {idx} >= len {len}; access skipped",
-                if write { "write" } else { "read" }
-            ),
-        );
-    }
-
-    /// Ends the current barrier interval: emits intra-step races and the
-    /// coalescing / bank-conflict lints, then clears step state.
+    /// Ends the current barrier interval: emits intra-step races in word
+    /// order and the coalescing / bank-conflict lints, then clears step
+    /// state.
     pub(crate) fn end_step(&mut self, spec: &DeviceSpec) {
-        let shared: Vec<(u32, WordAcc)> = self
-            .step_shared
-            .iter()
-            .filter(|(_, acc)| acc.is_race())
-            .map(|(&w, &acc)| (w, acc))
-            .collect();
-        for (w, acc) in shared {
-            let writer = acc.write_lane.unwrap_or(acc.first_lane);
-            let other = if acc.other_lane == Some(writer) {
-                acc.first_lane
-            } else {
-                acc.other_lane.unwrap_or(acc.first_lane)
-            };
+        for (w, acc) in races_in_order(&mut self.step_shared) {
+            let (writer, other) = acc.racing_pair();
             let alloc = self.shared_alloc_for(w);
             self.emit(
                 FindingKind::SharedRace,
@@ -494,19 +343,8 @@ impl LaunchSanitizer {
                 ),
             );
         }
-        let global: Vec<(u64, WordAcc)> = self
-            .step_global
-            .iter()
-            .filter(|(_, acc)| acc.is_race())
-            .map(|(&w, &acc)| (w, acc))
-            .collect();
-        for (w, acc) in global {
-            let writer = acc.write_lane.unwrap_or(acc.first_lane);
-            let other = if acc.other_lane == Some(writer) {
-                acc.first_lane
-            } else {
-                acc.other_lane.unwrap_or(acc.first_lane)
-            };
+        for (w, acc) in races_in_order(&mut self.step_global) {
+            let (writer, other) = acc.racing_pair();
             self.emit(
                 FindingKind::GlobalRace,
                 w,
@@ -520,38 +358,31 @@ impl LaunchSanitizer {
                 ),
             );
         }
-
         if !self.step_log.is_empty() {
             self.perf_lint_step(spec);
         }
-
-        self.step_shared.clear();
-        self.step_global.clear();
-        self.step_log.clear();
     }
 
     /// Warp/slot grouping of the step's tracked accesses, mirroring the
     /// replay model: global accesses coalesce into 32-byte sectors,
     /// shared accesses pay the per-bank degree over distinct words.
+    /// Groups are judged in (warp, slot) order, so the group a
+    /// deduplicated finding is attributed to is the same on every run.
     fn perf_lint_step(&mut self, spec: &DeviceSpec) {
         let ws = spec.warp_size as u32;
         let banks = spec.shared_banks;
-        let mut groups: HashMap<(u32, u32, bool), Vec<StepAccess>> = HashMap::new();
-        for a in self.step_log.drain(..) {
-            groups
-                .entry((a.lane / ws, a.slot, a.shared))
-                .or_default()
-                .push(a);
-        }
+        let mut log = std::mem::take(&mut self.step_log);
+        let group = |a: &StepAccess| (a.lane / ws, a.slot, a.shared);
+        // stable: each group keeps its accesses in lane order
+        log.sort_by_key(group);
         let mut scratch: Vec<u64> = Vec::new();
-        for ((warp, _slot, shared), accs) in groups {
-            scratch.clear();
+        for accs in log.chunk_by(|a, b| group(a) == group(b)) {
+            let (warp, _, shared) = group(&accs[0]);
             let lane = accs[0].lane as usize;
+            scratch.clear();
             if shared {
-                for a in &accs {
-                    for dw in 0..a.size {
-                        scratch.push(a.addr + dw as u64);
-                    }
+                for a in accs {
+                    scratch.extend((0..a.size as u64).map(|dw| a.addr + dw));
                 }
                 scratch.sort_unstable();
                 scratch.dedup();
@@ -560,7 +391,7 @@ impl LaunchSanitizer {
                     bank_counts[(w as usize) % banks] += 1;
                 }
                 let degree = bank_counts.iter().copied().max().unwrap_or(0);
-                if degree >= MIN_BANK_CONFLICT_DEGREE {
+                if bank_conflicted(degree) {
                     self.emit(
                         FindingKind::BankConflict,
                         0,
@@ -576,20 +407,14 @@ impl LaunchSanitizer {
                     );
                 }
             } else {
-                for a in &accs {
-                    let first = a.addr / 32;
-                    let last = (a.addr + a.size as u64 - 1) / 32;
-                    for s in first..=last {
-                        scratch.push(s);
-                    }
+                for a in accs {
+                    scratch.extend(a.addr / 32..=(a.addr + a.size as u64 - 1) / 32);
                 }
                 scratch.sort_unstable();
                 scratch.dedup();
                 let sectors = scratch.len() as u64;
                 let n = accs.len() as u64;
-                if n >= MIN_ACCESSES_FOR_COALESCING
-                    && sectors as f64 / n as f64 > MAX_SECTORS_PER_ACCESS
-                {
+                if uncoalesced(sectors, n) {
                     self.emit(
                         FindingKind::UncoalescedGlobal,
                         0,
@@ -606,23 +431,8 @@ impl LaunchSanitizer {
                 }
             }
         }
-    }
-
-    /// Launch-level occupancy lint, applied once after all blocks ran.
-    pub(crate) fn check_occupancy(&mut self, occ: &Occupancy, waiver: Option<&'static str>) {
-        if occ.occupancy >= MIN_OCCUPANCY {
-            return;
-        }
-        let detail = format!(
-            "occupancy {:.3} ({} warps/SM, limited by {:?}) below threshold {:.2}",
-            occ.occupancy, occ.warps_per_sm, occ.limiter, MIN_OCCUPANCY
-        );
-        if let Some(reason) = waiver {
-            self.waived
-                .push(format!("perf.low-occupancy: {detail}; waived: {reason}"));
-        } else {
-            self.emit(FindingKind::LowOccupancy, 0, 0, 0, String::new(), detail);
-        }
+        log.clear();
+        self.step_log = log;
     }
 
     fn emit(
@@ -640,191 +450,47 @@ impl LaunchSanitizer {
         }
         self.index.insert((kind, key), self.findings.len());
         self.findings.push(Finding {
-            kind,
-            kernel: self.kernel,
             block: self.cur_block,
             step: self.cur_step,
             lane,
             address,
             allocation,
-            detail,
-            occurrences: 1,
+            ..Finding::new(kind, Source::Dynamic, self.kernel, "", detail)
         });
     }
 
-    /// Consumes the per-launch state into the final report.
-    pub(crate) fn finalize(
-        mut self,
-        grid_dim: usize,
-        block_dim: usize,
-        stream: usize,
-    ) -> SanitizerReport {
-        self.findings.sort_by_key(|f| {
-            (
-                match f.severity() {
-                    Severity::Error => 0u8,
-                    Severity::Warning => 1,
-                },
-                f.block,
-                f.step,
-            )
-        });
-        SanitizerReport {
-            kernel: self.kernel,
-            grid_dim,
-            block_dim,
-            stream,
-            findings: self.findings,
-            waived: self.waived,
-        }
+    /// Ends the launch: adds its findings to `report`, applies the
+    /// occupancy lint (waived by `waiver`) and sorts the findings.
+    pub(crate) fn finish(self, report: &mut AnalysisReport, waiver: Option<&str>) {
+        report.findings.extend(self.findings);
+        report.check_occupancy(Source::Dynamic, waiver);
+        report.sort_findings();
     }
-}
-
-/// Everything the sanitizer found in one kernel launch.
-#[derive(Debug, Clone)]
-pub struct SanitizerReport {
-    /// Kernel name.
-    pub kernel: &'static str,
-    /// Blocks in the launch.
-    pub grid_dim: usize,
-    /// Threads per block.
-    pub block_dim: usize,
-    /// Stream the launch was issued on.
-    pub stream: usize,
-    /// Deduplicated findings, errors first, then by (block, step).
-    pub findings: Vec<Finding>,
-    /// Lints suppressed by an explicit kernel waiver, with the reason.
-    pub waived: Vec<String>,
-}
-
-impl SanitizerReport {
-    /// True when nothing was found (waived lints do not count).
-    pub fn is_clean(&self) -> bool {
-        self.findings.is_empty()
-    }
-
-    /// Number of correctness findings.
-    pub fn error_count(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.severity() == Severity::Error)
-            .count()
-    }
-
-    /// Number of perf-lint findings.
-    pub fn warning_count(&self) -> usize {
-        self.findings.len() - self.error_count()
-    }
-
-    /// The findings of one kind.
-    pub fn findings_of(&self, kind: FindingKind) -> Vec<&Finding> {
-        self.findings.iter().filter(|f| f.kind == kind).collect()
-    }
-
-    /// Human-readable report, one finding per line — the
-    /// compute-sanitizer-style console output.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "========= simt-sanitize: `{}` (grid {} × block {}, stream {}) =========\n",
-            self.kernel, self.grid_dim, self.block_dim, self.stream
-        );
-        if self.is_clean() {
-            out.push_str("  clean: no findings\n");
-        } else {
-            out.push_str(&format!(
-                "  {} error(s), {} warning(s)\n",
-                self.error_count(),
-                self.warning_count()
-            ));
-            for f in &self.findings {
-                out.push_str(&format!("  {f}\n"));
-            }
-        }
-        for w in &self.waived {
-            out.push_str(&format!("  waived: {w}\n"));
-        }
-        out
-    }
-
-    /// The report as a JSON object (hand-rolled; the workspace has no
-    /// serde).
-    pub fn to_json(&self) -> String {
-        let findings: Vec<String> = self
-            .findings
-            .iter()
-            .map(|f| {
-                format!(
-                    r#"{{"kind":"{}","severity":"{}","kernel":"{}","block":{},"step":{},"lane":{},"address":{},"allocation":"{}","detail":"{}","occurrences":{}}}"#,
-                    f.kind.code(),
-                    match f.severity() {
-                        Severity::Error => "error",
-                        Severity::Warning => "warning",
-                    },
-                    json_escape(f.kernel),
-                    f.block,
-                    f.step,
-                    f.lane,
-                    f.address,
-                    json_escape(&f.allocation),
-                    json_escape(&f.detail),
-                    f.occurrences
-                )
-            })
-            .collect();
-        let waived: Vec<String> = self
-            .waived
-            .iter()
-            .map(|w| format!(r#""{}""#, json_escape(w)))
-            .collect();
-        format!(
-            r#"{{"kernel":"{}","grid_dim":{},"block_dim":{},"stream":{},"errors":{},"warnings":{},"findings":[{}],"waived":[{}]}}"#,
-            json_escape(self.kernel),
-            self.grid_dim,
-            self.block_dim,
-            self.stream,
-            self.error_count(),
-            self.warning_count(),
-            findings.join(","),
-            waived.join(",")
-        )
-    }
-}
-
-impl std::fmt::Display for SanitizerReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.render())
-    }
-}
-
-/// Serializes a batch of launch reports as one JSON array — the artifact
-/// format the CI sanitizer sweep uploads.
-pub fn reports_to_json(reports: &[SanitizerReport]) -> String {
-    let items: Vec<String> = reports.iter().map(|r| r.to_json()).collect();
-    format!("[{}]", items.join(","))
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::reports_to_json;
+    use crate::occupancy::Occupancy;
 
     fn san() -> LaunchSanitizer {
         LaunchSanitizer::new("unit")
+    }
+
+    /// The report of a one-block launch of `block_dim` threads with
+    /// `shared` bytes of shared memory, finished by `s`.
+    fn report(
+        s: LaunchSanitizer,
+        block_dim: usize,
+        shared: usize,
+        waiver: Option<&str>,
+    ) -> AnalysisReport {
+        let spec = DeviceSpec::titan_x_maxwell();
+        let occ = Occupancy::compute(&spec, block_dim, shared, 32);
+        let mut rep = AnalysisReport::new("unit", 1, block_dim, occ);
+        s.finish(&mut rep, waiver);
+        rep
     }
 
     #[test]
@@ -839,11 +505,12 @@ mod tests {
             s.shared_access(2, 7, 1, true, 0, true);
             s.end_step(&DeviceSpec::titan_x_maxwell());
         }
-        let rep = s.finalize(1, 32, 0);
+        let rep = report(s, 32, 0, None);
         let races = rep.findings_of(FindingKind::SharedRace);
         assert_eq!(races.len(), 1, "same word dedups to one finding");
         assert_eq!(races[0].occurrences, 3);
         assert_eq!(races[0].step, 0, "attribution keeps the first occurrence");
+        assert_eq!(races[0].source, Source::Dynamic);
         assert_eq!(rep.error_count(), 1);
     }
 
@@ -856,7 +523,7 @@ mod tests {
         s.shared_access(5, 9, 1, true, 0, true);
         s.shared_access(5, 9, 1, false, 1, true);
         s.end_step(&DeviceSpec::titan_x_maxwell());
-        assert!(s.finalize(1, 32, 0).is_clean());
+        assert!(report(s, 32, 0, None).is_clean());
     }
 
     #[test]
@@ -873,7 +540,7 @@ mod tests {
             s.shared_access(lane, 3, 1, false, 0, true);
         }
         s.end_step(&DeviceSpec::titan_x_maxwell());
-        assert!(s.finalize(1, 32, 0).is_clean());
+        assert!(report(s, 32, 0, None).is_clean());
     }
 
     #[test]
@@ -887,7 +554,7 @@ mod tests {
         s.begin_step(0);
         s.global_access(4, 0x1000, 4, true, 0, &|| "buf".into());
         s.end_step(&DeviceSpec::titan_x_maxwell());
-        let rep = s.finalize(2, 32, 0);
+        let rep = report(s, 32, 0, None);
         let races = rep.findings_of(FindingKind::GlobalRace);
         assert_eq!(races.len(), 1);
         assert_eq!(races[0].block, 1, "flagged at the second writer");
@@ -895,34 +562,38 @@ mod tests {
     }
 
     #[test]
-    fn sanitizer_json_escapes_and_renders() {
+    fn sanitizer_report_escapes_json_and_renders() {
         let mut s = san();
         s.begin_block(0);
         s.begin_step(2);
-        s.record_global_oob(9, 0x40, 16, 99, true, "GpuBuffer<\"x\">".into());
-        let rep = s.finalize(1, 32, 7);
+        s.record_oob(9, 0x40, 16, 99, true, Some("GpuBuffer<\"x\">".into()));
+        let mut rep = report(s, 32, 0, None);
+        rep.stream = 7;
         let j = rep.to_json();
-        assert!(j.contains(r#""kind":"memcheck.global-oob""#), "{j}");
+        assert!(j.contains(r#""kind":"bounds.global-oob""#), "{j}");
+        assert!(j.contains(r#""source":"dynamic""#), "{j}");
         assert!(j.contains(r#"GpuBuffer<\"x\">"#), "{j}");
         assert!(j.contains(r#""stream":7"#), "{j}");
         assert!(rep.render().contains("1 error(s)"));
+        assert!(
+            rep.render().contains("block 0 step 2 lane 9"),
+            "{}",
+            rep.render()
+        );
         let arr = reports_to_json(&[rep.clone(), rep]);
         assert!(arr.starts_with('[') && arr.ends_with(']'));
     }
 
     #[test]
     fn sanitizer_occupancy_waiver_suppresses_lint() {
-        let spec = DeviceSpec::titan_x_maxwell();
-        let occ = Occupancy::compute(&spec, 128, 32 * 1024, 32);
+        let occ = Occupancy::compute(&DeviceSpec::titan_x_maxwell(), 128, 32 * 1024, 32);
         assert!(occ.occupancy < 0.25);
-        let mut s = san();
-        s.check_occupancy(&occ, None);
-        let rep = s.finalize(1, 128, 0);
-        assert_eq!(rep.findings_of(FindingKind::LowOccupancy).len(), 1);
+        let rep = report(san(), 128, 32 * 1024, None);
+        let low = rep.findings_of(FindingKind::LowOccupancy);
+        assert_eq!(low.len(), 1);
+        assert_eq!(low[0].source, Source::Dynamic);
 
-        let mut s = san();
-        s.check_occupancy(&occ, Some("inherent to the algorithm"));
-        let rep = s.finalize(1, 128, 0);
+        let rep = report(san(), 128, 32 * 1024, Some("inherent to the algorithm"));
         assert!(rep.is_clean());
         assert_eq!(rep.waived.len(), 1);
     }

@@ -25,8 +25,8 @@
 
 use std::rc::Rc;
 
+use crate::analysis::AnalysisReport;
 use crate::device::{DeviceInner, LaunchReport};
-use crate::sanitize::SanitizerReport;
 use crate::spec::DeviceSpec;
 use crate::stats::SimTime;
 
@@ -67,13 +67,13 @@ impl Stream {
         }
     }
 
-    /// Sanitizer reports for launches issued on this stream, in launch
-    /// order. Empty unless the device sanitizer was enabled while the
-    /// launches ran (see [`crate::Device::enable_sanitizer`]) — this is
-    /// how serving-layer code audits the launches a particular query's
-    /// stream produced.
-    pub fn sanitizer_reports(&self) -> Vec<SanitizerReport> {
-        self.dev.stream_san_reports(self.id.0)
+    /// Analysis reports for launches issued on this stream, in launch
+    /// order, read from the device's one analysis log. Empty unless the
+    /// sanitizer or the lint was enabled while the launches ran (see
+    /// [`crate::Device::enable_sanitizer`]) — this is how serving-layer
+    /// code audits the launches a particular query's stream produced.
+    pub fn analysis_reports(&self) -> Vec<AnalysisReport> {
+        self.dev.stream_analysis(self.id.0)
     }
 
     /// Injected fault events attributed to this stream, in firing order

@@ -20,6 +20,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 
+use crate::analysis::escape_json;
 use crate::device::Device;
 use crate::spec::DeviceSpec;
 use crate::stats::SimTime;
@@ -471,9 +472,6 @@ impl Cluster {
     /// track per directed channel carrying the transfer legs at their
     /// scheduled times.
     pub fn chrome_trace(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
         let mut out = String::from("[");
         let mut first = true;
         let push = |out: &mut String, first: &mut bool, ev: String| {
@@ -523,7 +521,7 @@ impl Cluster {
                             "\"args\":{{\"grid\":{},\"block\":{},",
                             "\"bound_by\":\"{}\",\"global_MB\":{:.3}}}}}"
                         ),
-                        esc(r.name),
+                        escape_json(r.name),
                         t_us,
                         dur,
                         i + 1,
@@ -566,7 +564,7 @@ impl Cluster {
                             "\"ts\":{:.3},\"dur\":{:.3},\"pid\":0,\"tid\":{},",
                             "\"args\":{{\"bytes\":{},\"stall_us\":{:.3}}}}}"
                         ),
-                        esc(&t.label),
+                        escape_json(&t.label),
                         leg.start.micros(),
                         (leg.end.0 - leg.start.0) * 1e6,
                         tid,

@@ -6,13 +6,9 @@
 //! event arguments. Drop the output into a `.json` file and load it in
 //! the browser to see where an algorithm's simulated time goes.
 
+use crate::analysis::escape_json;
 use crate::device::LaunchReport;
 use crate::stream::StreamSchedule;
-
-/// Escapes a string for embedding in a JSON literal.
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
 
 /// Renders a launch log as Chrome tracing JSON (a complete-event array).
 ///
@@ -34,7 +30,7 @@ pub fn chrome_trace(reports: &[LaunchReport]) -> String {
                 "\"global_MB\":{:.3},\"shared_eff_MB\":{:.3},",
                 "\"conflict_cycles\":{},\"occupancy\":{:.3}}}}}"
             ),
-            esc(r.name),
+            escape_json(r.name),
             t_us,
             dur,
             r.grid_dim,
@@ -90,7 +86,7 @@ pub fn chrome_trace_streams(schedule: &StreamSchedule, log: &[LaunchReport]) -> 
                 "\"grid\":{},\"block\":{},\"bound_by\":\"{}\",",
                 "\"global_MB\":{:.3},\"stretch\":{:.3},\"occupancy\":{:.3}}}}}"
             ),
-            esc(r.name),
+            escape_json(r.name),
             l.start.micros(),
             (l.end.0 - l.start.0) * 1e6,
             l.stream,

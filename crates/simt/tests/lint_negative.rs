@@ -4,10 +4,11 @@
 //! sanitizer cross-check, a barrier declared inside a divergent branch,
 //! and a statically provable out-of-bounds index.
 
-use simt::lint::{
-    cross_check, lint_kernel, AccessSpec, BufferDecl, GlobalStream, LintKind, PhaseSpec, Severity,
+use simt::lint::{cross_check, lint_kernel, AccessSpec, BufferDecl, GlobalStream, PhaseSpec};
+use simt::{
+    AnalysisReport, BlockCtx, Device, DeviceSpec, Finding, FindingKind, GpuBuffer, Kernel, Lane,
+    Severity, Source,
 };
-use simt::{BlockCtx, Device, DeviceSpec, GpuBuffer, Kernel, Lane};
 
 type LaneBody = Box<dyn Fn(&mut Lane<'_>)>;
 
@@ -63,7 +64,7 @@ fn titan() -> DeviceSpec {
     DeviceSpec::titan_x_maxwell()
 }
 
-fn errors_of(report: &simt::LintReport, kind: LintKind) -> Vec<simt::lint::LintFinding> {
+fn errors_of(report: &AnalysisReport, kind: FindingKind) -> Vec<Finding> {
     report
         .findings
         .iter()
@@ -78,10 +79,11 @@ fn oversubscribed_shared_memory_is_a_hard_error() {
     let mut probe = Probe::plan_only("shm_hog", 4, 256);
     probe.shared_bytes = spec.shared_mem_per_block + 1;
     let report = lint_kernel(&spec, &probe);
-    let hits = errors_of(&report, LintKind::SharedMemExceeded);
+    let hits = errors_of(&report, FindingKind::SharedMemExceeded);
     assert_eq!(hits.len(), 1, "{}", report.render());
     assert_eq!(hits[0].severity(), Severity::Error);
     assert_eq!(hits[0].kernel, "shm_hog", "kernel attribution");
+    assert_eq!(hits[0].source, Source::Static);
     assert!(hits[0].phase.is_empty(), "launch-wide, not phase-scoped");
     assert!(
         hits[0]
@@ -99,7 +101,7 @@ fn oversized_block_is_a_hard_error() {
     let spec = titan();
     let probe = Probe::plan_only("wide_block", 1, spec.max_threads_per_block * 2);
     let report = lint_kernel(&spec, &probe);
-    let hits = errors_of(&report, LintKind::BlockTooLarge);
+    let hits = errors_of(&report, FindingKind::BlockTooLarge);
     assert_eq!(hits.len(), 1, "{}", report.render());
     assert_eq!(hits[0].kernel, "wide_block");
 }
@@ -147,13 +149,13 @@ fn misdeclared_stride_trips_the_cross_check() {
         body: Some(body),
     };
     let launch = dev.launch(&probe).unwrap();
-    let reports = dev.take_lint_reports();
+    let reports = dev.take_analysis();
     assert_eq!(reports.len(), 1);
     // the plan itself lints clean: the lie is only visible dynamically
     assert_eq!(reports[0].error_count(), 0, "{}", reports[0].render());
     let mismatch = cross_check(&reports[0], &launch.stats)
         .expect("mis-declared stride must produce a spec.mismatch finding");
-    assert_eq!(mismatch.kind, LintKind::SpecMismatch);
+    assert_eq!(mismatch.kind, FindingKind::SpecMismatch);
     assert_eq!(mismatch.severity(), Severity::Error);
     assert_eq!(mismatch.kernel, "stride_liar");
     // strided-by-32 predicts one sector per access; contiguous measures 1/8
@@ -205,7 +207,7 @@ fn truthful_spec_passes_the_same_cross_check() {
         body: Some(body),
     };
     let launch = dev.launch(&probe).unwrap();
-    let reports = dev.take_lint_reports();
+    let reports = dev.take_analysis();
     assert!(reports[0].is_clean(), "{}", reports[0].render());
     assert!(cross_check(&reports[0], &launch.stats).is_none());
 }
@@ -225,7 +227,7 @@ fn barrier_in_divergent_branch_is_a_hard_error_with_phase_attribution() {
         ],
     });
     let report = lint_kernel(&spec, &probe);
-    let hits = errors_of(&report, LintKind::BarrierInDivergence);
+    let hits = errors_of(&report, FindingKind::BarrierInDivergence);
     assert_eq!(hits.len(), 1, "{}", report.render());
     assert_eq!(hits[0].severity(), Severity::Error);
     assert_eq!(hits[0].kernel, "divergent_sync");
@@ -259,7 +261,7 @@ fn statically_provable_oob_index_is_a_hard_error() {
         }],
     });
     let report = lint_kernel(&spec, &probe);
-    let hits = errors_of(&report, LintKind::GlobalOutOfBounds);
+    let hits = errors_of(&report, FindingKind::GlobalOutOfBounds);
     assert!(!hits.is_empty(), "{}", report.render());
     assert_eq!(hits[0].kernel, "oob_writer");
     assert_eq!(hits[0].phase, "store", "attributed to the writing phase");

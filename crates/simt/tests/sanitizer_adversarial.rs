@@ -302,17 +302,18 @@ fn sanitizer_device_mode_covers_streamed_launches() {
     // disabled: no report for this launch
     dev.launch(&OobScatter { out, stride: 1 }).unwrap();
 
-    let reports = dev.sanitizer_reports();
+    let reports = dev.analysis_since(0);
     assert_eq!(reports.len(), 1);
     assert_eq!(reports[0].stream, st.id().0, "stream id stamped");
     assert!(reports[0].error_count() > 0);
     // the per-stream view sees the same report
-    let via_stream = st.sanitizer_reports();
+    let via_stream = st.analysis_reports();
     assert_eq!(via_stream.len(), 1);
     assert_eq!(via_stream[0].kernel, "oob_scatter");
     // draining empties the log
-    assert_eq!(dev.take_sanitizer_reports().len(), 1);
-    assert!(dev.sanitizer_reports().is_empty());
+    assert_eq!(dev.take_analysis().len(), 1);
+    assert!(dev.analysis_since(0).is_empty());
+    assert_eq!(dev.analysis_len(), 0);
 }
 
 /// Unsanitized OOB must panic (bounds checks are always-on now, even in
@@ -474,4 +475,59 @@ fn sanitizer_perf_lints_fire_and_are_warnings() {
     assert!(bank[0].detail.contains("32-way"), "{}", bank[0].detail);
     let json = rep.to_json();
     assert!(json.contains("perf.bank-conflict"), "{json}");
+}
+
+/// Lanes `t` and `t ^ 1` write shared word `(t / 2) · 32`: 64 racing
+/// words over 4 warps, every warp's writes on one bank — many races and
+/// one deduplicated bank-conflict finding per launch.
+struct PairedBankRace;
+
+impl Kernel for PairedBankRace {
+    fn name(&self) -> &'static str {
+        "paired_bank_race"
+    }
+    fn block_dim(&self) -> usize {
+        128
+    }
+    fn grid_dim(&self) -> usize {
+        1
+    }
+    fn shared_bytes_per_block(&self) -> usize {
+        64 * 32 * 4
+    }
+    fn run_block(&self, blk: &mut BlockCtx) {
+        let h = blk.alloc_shared::<u32>(64 * 32);
+        blk.step(|l| {
+            let t = l.tid();
+            l.swrite(h, (t / 2) * 32, t as u32);
+        });
+    }
+}
+
+#[test]
+fn sanitizer_renders_byte_identical_reports_on_fresh_devices() {
+    let runs: Vec<(String, String)> = (0..8)
+        .map(|_| {
+            let (_, rep) = Device::titan_x().launch_sanitized(&PairedBankRace).unwrap();
+            assert_eq!(rep.findings_of(FindingKind::SharedRace).len(), 64);
+            assert_eq!(rep.findings_of(FindingKind::BankConflict).len(), 1);
+            (rep.render(), rep.to_json())
+        })
+        .collect();
+    for (render, json) in &runs[1..] {
+        assert_eq!(render, &runs[0].0, "render differs between fresh devices");
+        assert_eq!(json, &runs[0].1, "JSON differs between fresh devices");
+    }
+    // emitted in word order, and the bank conflict is attributed to the
+    // first warp's first lane
+    let (_, rep) = Device::titan_x().launch_sanitized(&PairedBankRace).unwrap();
+    let words: Vec<u64> = rep
+        .findings_of(FindingKind::SharedRace)
+        .iter()
+        .map(|f| f.address)
+        .collect();
+    assert_eq!(words, (0..64).map(|w| w * 32).collect::<Vec<u64>>());
+    let bank = rep.findings_of(FindingKind::BankConflict);
+    assert_eq!((bank[0].lane, bank[0].address), (0, 0));
+    assert_eq!(bank[0].occurrences, 4, "one per warp");
 }

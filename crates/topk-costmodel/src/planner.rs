@@ -4,8 +4,9 @@
 use crate::bitonic::{bitonic_topk_seconds, BitonicModelInput};
 use crate::delegate::{delegate_select_seconds, model_subrange};
 use crate::radix::{radix_select_seconds, ReductionProfile};
-use simt::lint::{lint_geometry, LaunchGeometry, LintFinding, Severity};
+use simt::lint::{lint_geometry, LaunchGeometry};
 use simt::DeviceSpec;
+use simt::{Finding, Severity};
 
 /// The planner's verdict.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -140,7 +141,7 @@ pub struct PlanRejection {
     /// The geometry that was analyzed.
     pub geometry: LaunchGeometry,
     /// The hard findings (every entry has [`Severity::Error`]).
-    pub errors: Vec<LintFinding>,
+    pub errors: Vec<Finding>,
 }
 
 impl std::fmt::Display for PlanRejection {
@@ -471,14 +472,11 @@ mod tests {
         )
         .expect_err("a 4096-thread block cannot launch");
         assert!(!err.errors.is_empty());
+        assert!(err.errors.iter().all(|f| f.severity() == Severity::Error));
         assert!(err
             .errors
             .iter()
-            .all(|f| f.severity() == simt::lint::Severity::Error));
-        assert!(err
-            .errors
-            .iter()
-            .any(|f| f.kind == simt::lint::LintKind::BlockTooLarge));
+            .any(|f| f.kind == simt::FindingKind::BlockTooLarge));
         assert_eq!(err.geometry.block_dim, 4096);
         let msg = err.to_string();
         assert!(msg.contains("plan rejected"), "{msg}");
@@ -503,7 +501,7 @@ mod tests {
         assert!(err
             .errors
             .iter()
-            .any(|f| f.kind == simt::lint::LintKind::SharedMemExceeded));
+            .any(|f| f.kind == simt::FindingKind::SharedMemExceeded));
         // at 2^24 / k=32 the cheapest plan is delegate select, whose
         // binding reduction kernel has the same segment-in-shared shape
         assert_eq!(err.algorithm, Algorithm::DelegateSelect);

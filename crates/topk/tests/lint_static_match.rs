@@ -47,7 +47,7 @@ fn assert_static_matches(dev: &Device, context: &str, require_clean: bool) {
             r.stats.avg_conflict_degree(),
         );
     }
-    for rep in dev.take_lint_reports() {
+    for rep in dev.take_analysis() {
         if require_clean {
             assert!(
                 rep.is_clean(),

@@ -10,7 +10,7 @@ use topk::batched::batched_bitonic_topk;
 use topk::{TopKAlgorithm, TopKRequest};
 
 fn assert_clean(dev: &Device, context: &str) {
-    let reports = dev.take_sanitizer_reports();
+    let reports = dev.take_analysis();
     assert!(!reports.is_empty(), "{context}: no launches were sanitized");
     for rep in &reports {
         assert!(
@@ -118,7 +118,7 @@ fn sanitizer_clean_streamed_launches() {
     assert_eq!(ra.items.len(), 16);
     assert_eq!(rb.items.len(), 16);
     // every streamed launch produced a report, and all are clean
-    assert!(!st_a.sanitizer_reports().is_empty());
-    assert!(!st_b.sanitizer_reports().is_empty());
+    assert!(!st_a.analysis_reports().is_empty());
+    assert!(!st_b.analysis_reports().is_empty());
     assert_clean(&dev, "streamed largest/smallest");
 }

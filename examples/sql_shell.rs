@@ -16,8 +16,8 @@
 
 use gpu_topk::datagen::twitter::TweetTable;
 use gpu_topk::qdb::{
-    execute_sql, explain_filtered_topk, explain_lint, explain_sanitize, parse_statement,
-    GpuTweetTable, Query, Statement, Strategy, TableStats,
+    execute_sql, explain_analysis, explain_filtered_topk, parse_statement, GpuTweetTable, Query,
+    Statement, Strategy, TableStats,
 };
 use gpu_topk::simt::Device;
 
@@ -55,14 +55,8 @@ fn main() {
             }
         };
         match stmt {
-            Statement::ExplainSanitize(q) => {
-                match explain_sanitize(&dev, &table, &q, Strategy::CombinedBitonic) {
-                    Ok(out) => print!("{}", out.render()),
-                    Err(e) => println!("  {e}"),
-                }
-            }
-            Statement::ExplainLint(q) => {
-                match explain_lint(&dev, &table, &q, Strategy::CombinedBitonic) {
+            Statement::ExplainAnalysis(source, q) => {
+                match explain_analysis(&dev, &table, &q, Strategy::CombinedBitonic, source) {
                     Ok(out) => print!("{}", out.render()),
                     Err(e) => println!("  {e}"),
                 }

@@ -45,7 +45,7 @@ pub const VERSION: &str = env!("CARGO_PKG_VERSION");
 /// Resolves where a report-writing example should put its JSON artifact.
 ///
 /// Every artifact-writing example (`quickstart`, `concurrent_serving`,
-/// `sanitize_sweep`, …) uses the same contract, so CI and humans can
+/// `analysis_sweep`, …) uses the same contract, so CI and humans can
 /// redirect outputs without editing code:
 ///
 /// 1. an explicit path passed as the example's first CLI argument wins;
