@@ -48,8 +48,7 @@ pub use server::{
 pub use shard::{
     execute_sharded, partition_indices, sharded_delegate_topk, sharded_topk, BreakerState,
     DeviceHealth, PartitionPolicy, Replica, ReplicationFactor, Shard, ShardedAppendReceipt,
-    ShardedLoadReport, ShardedQueryResult, ShardedServed, ShardedServer, ShardedTable,
-    ShardedTicket, ShardedTopK,
+    ShardedLoadReport, ShardedQueryResult, ShardedServed, ShardedServer, ShardedTable, ShardedTopK,
 };
 pub use sql::{
     execute as execute_sql, explain_analysis, parse as parse_sql, parse_statement, AnalyzedQuery,

@@ -18,6 +18,22 @@
 //!   replaced by a *single* [`batched_bitonic_topk`] launch, one block
 //!   per query, amortizing launch overhead across the whole batch.
 //!
+//! # One core, two faces
+//!
+//! Both servers are built from the same two crate-private parts:
+//!
+//! * the admission **front**: the queue bound and shedding, parse and
+//!   validation, [`QueryTicket`]s, the epoch-tagged result cache, and the
+//!   shed and cache counts of the ledger;
+//! * the device **lane**: one device-resident table's [`STREAMS`]
+//!   streams, coalescing, retries with backoff, the degradation ladder,
+//!   the ECC audit and the drain's [`LoadReport`].
+//!
+//! [`Server`] is a front plus one lane. [`crate::ShardedServer`] is a
+//! front plus one lane per (shard, replica), with routing, the breaker,
+//! failover, rebuild and the delegate gather on top. Both count their
+//! outcomes into [`ResilienceStats`] through the same tally.
+//!
 //! # Resilience
 //!
 //! The serving path never panics; every failure is a typed
@@ -65,13 +81,13 @@ use simt::{
 use sortnet::next_pow2;
 use topk::batched::{batched_bitonic_topk, max_single_launch_row};
 
-use crate::engine::{rank_rows, FilterKernel, FilterOp, GroupCounts, TopKStrategy};
+use crate::engine::{rank_rows, run_topk_stage, FilterKernel, FilterOp, GroupCounts, TopKStrategy};
 use crate::error::QdbError;
 use crate::queries::{QueryResult, Strategy};
-use crate::sql::{execute, parse, OrderBy, Query};
+use crate::sql::{execute, parse, OrderBy, Query, SqlError};
 use crate::table::GpuTweetTable;
 
-/// Number of device streams a server's queries round-robin onto.
+/// Number of device streams a lane's queries round-robin onto.
 pub const STREAMS: usize = 8;
 
 /// Maximum queries folded into one batched launch.
@@ -155,7 +171,8 @@ impl SubmitOptions {
     }
 }
 
-/// Handle for a submitted query; indexes into the drain's results.
+/// Handle for a submitted query, from either server; indexes into the
+/// drain's results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QueryTicket(pub usize);
 
@@ -198,7 +215,9 @@ impl DegradeLevel {
 /// One query's outcome from a drain.
 #[derive(Debug, Clone)]
 pub struct ServedQuery {
-    /// The ticket [`Server::submit`] returned for it.
+    /// The ticket [`Server::submit`] returned for it (in a sharded
+    /// drain's shard reports, the one [`crate::ShardedServer::submit`]
+    /// returned).
     pub ticket: QueryTicket,
     /// The original SQL text.
     pub sql: String,
@@ -305,9 +324,25 @@ impl ResilienceStats {
         }
         line
     }
+
+    /// Counts one query's outcome: completed, timed out or failed, and
+    /// the rung its answer came from. Both servers tally through here.
+    pub(crate) fn tally(&mut self, error: Option<&QdbError>, degrade: DegradeLevel) {
+        match error {
+            None => self.completed += 1,
+            Some(QdbError::Timeout { .. }) => self.timed_out += 1,
+            Some(_) => self.failed += 1,
+        }
+        match degrade {
+            DegradeLevel::None => {}
+            DegradeLevel::SerialBitonic => self.degraded_serial += 1,
+            DegradeLevel::CpuHeap => self.degraded_cpu += 1,
+        }
+    }
 }
 
-/// Everything one [`Server::drain`] produced.
+/// Everything one lane's drain produced: a [`Server::drain`], or one
+/// of a sharded drain's [`crate::ShardedLoadReport::shard_reports`].
 #[derive(Debug, Clone)]
 pub struct LoadReport {
     /// Per-query outcomes, in submission order.
@@ -407,25 +442,136 @@ impl Kernel for PackKernel {
     }
 }
 
-/// A query admitted but not yet drained.
-struct Pending {
-    ticket: QueryTicket,
-    sql: String,
-    query: Query,
-    strategy: Strategy,
-    deadline: Option<SimTime>,
-    /// Ids resolved from the result cache at submission (same SQL, same
-    /// table epoch); the drain serves them without touching the device.
-    cached: Option<Vec<u32>>,
+/// A query the front admitted and a lane has yet to drain.
+pub(crate) struct Pending {
+    pub(crate) ticket: QueryTicket,
+    pub(crate) sql: String,
+    pub(crate) query: Query,
+    pub(crate) strategy: Strategy,
+    pub(crate) deadline: Option<SimTime>,
+    /// Ids resolved from the result cache at admission (same SQL, same
+    /// table epoch); the lane serves them without touching the device.
+    pub(crate) cached: Option<Vec<u32>>,
+}
+
+/// The admission front both servers share: the queue bound and
+/// shedding, parse and validation, tickets, and the epoch-tagged result
+/// cache, SQL text → (table epoch at insertion, result ids). An entry is
+/// valid exactly while the table is still at its epoch, so one append
+/// invalidates every entry at once. Each lookup is classified at
+/// admission as a hit, a refresh (stale entry) or a miss; a cache that
+/// is off ([`ServerConfig::result_cache`]) classifies and stores nothing.
+#[derive(Default)]
+pub(crate) struct Front {
+    cfg: ServerConfig,
+    /// Queries admitted since the last drain, in ticket order.
+    pub(crate) pending: Vec<Pending>,
+    next_ticket: usize,
+    cache: HashMap<String, (u64, Vec<u32>)>,
+    /// Shed and cache-lookup counts since the last drain.
+    counts: ResilienceStats,
+}
+
+impl Front {
+    pub(crate) fn new(cfg: ServerConfig) -> Self {
+        Front {
+            cfg,
+            ..Front::default()
+        }
+    }
+
+    /// Admits one SQL query against a table of `rows` rows at `epoch`:
+    /// the queue bound first, then parse and validation (`sharded`
+    /// refuses `GROUP BY`, whose per-shard counts do not merge), the
+    /// deadline, and last the cache lookup. Nothing is queued on error.
+    pub(crate) fn admit(
+        &mut self,
+        sql: &str,
+        opts: SubmitOptions,
+        rows: usize,
+        epoch: u64,
+        sharded: bool,
+    ) -> Result<&Pending, QdbError> {
+        let max_queue = self.cfg.max_queue;
+        if self.pending.len() >= max_queue {
+            self.counts.shed += 1;
+            return Err(QdbError::Overloaded {
+                queue_len: self.pending.len(),
+                max_queue,
+            });
+        }
+        let query = parse(sql)?;
+        if sharded && query.group_by_uid {
+            return Err(SqlError::Unsupported("GROUP BY on a sharded table").into());
+        }
+        query.check_rank_shape()?;
+        if rows == 0 {
+            return Err(QdbError::EmptyTable);
+        }
+        if query.limit > rows {
+            return Err(QdbError::InvalidK {
+                k: query.limit,
+                n: rows,
+            });
+        }
+        let deadline = opts.deadline.or(self.cfg.default_deadline);
+        if let Some(d) = deadline.filter(|d| d.0 <= 0.0) {
+            return Err(QdbError::DeadlineExpired { deadline: d });
+        }
+        let cached = match self.cache.get(sql) {
+            _ if !self.cfg.result_cache => None,
+            Some((at, ids)) if *at == epoch => {
+                self.counts.cache_hits += 1;
+                Some(ids.clone())
+            }
+            Some(_) => {
+                self.counts.cache_refreshes += 1;
+                None
+            }
+            None => {
+                self.counts.cache_misses += 1;
+                None
+            }
+        };
+        self.pending.push(Pending {
+            ticket: QueryTicket(self.next_ticket),
+            sql: sql.to_string(),
+            query,
+            strategy: opts.strategy.unwrap_or(DEFAULT_STRATEGY),
+            deadline,
+            cached,
+        });
+        self.next_ticket += 1;
+        Ok(&self.pending[self.pending.len() - 1])
+    }
+
+    /// Closes a drain: caches every fresh `(sql, ids)` answer as valid
+    /// at `epoch` (the next append invalidates them all at once) and
+    /// moves the shed and cache-lookup counts since the last drain into
+    /// `ledger`.
+    pub(crate) fn settle<'q>(
+        &mut self,
+        epoch: u64,
+        fresh: impl Iterator<Item = (&'q str, &'q [u32])>,
+        ledger: &mut ResilienceStats,
+    ) {
+        if self.cfg.result_cache {
+            for (sql, ids) in fresh {
+                self.cache.insert(sql.to_string(), (epoch, ids.to_vec()));
+            }
+        }
+        let counts = std::mem::take(&mut self.counts);
+        ledger.shed = counts.shed;
+        ledger.cache_hits = counts.cache_hits;
+        ledger.cache_misses = counts.cache_misses;
+        ledger.cache_refreshes = counts.cache_refreshes;
+    }
 }
 
 /// What a pending query turned into while draining.
 struct Executed {
-    ticket: QueryTicket,
-    sql: String,
-    query: Query,
-    strategy: Strategy,
-    deadline: Option<SimTime>,
+    p: Pending,
+    /// The answer so far (a cache hit's stored ids from the start).
     ids: Vec<u32>,
     /// Absolute launch-log indices of this query's own kernels.
     own: Vec<usize>,
@@ -446,21 +592,18 @@ struct Executed {
 }
 
 impl Executed {
-    fn new(p: Pending) -> Self {
+    fn new(mut p: Pending) -> Self {
+        let cached = p.cached.take();
         Executed {
-            ticket: p.ticket,
-            sql: p.sql,
-            query: p.query,
-            strategy: p.strategy,
-            deadline: p.deadline,
-            ids: Vec::new(),
+            p,
+            from_cache: cached.is_some(),
+            ids: cached.unwrap_or_default(),
             own: Vec::new(),
             shared: Vec::new(),
             coalesced: false,
             error: None,
             retries: 0,
             degrade: DegradeLevel::None,
-            from_cache: false,
             penalty: SimTime::ZERO,
             spent: SimTime::ZERO,
             labels: Vec::new(),
@@ -468,186 +611,44 @@ impl Executed {
     }
 }
 
-/// The epoch-tagged result cache both serving front-ends share ([`Server`]
-/// and [`crate::ShardedServer`], which caches whole merged queries above
-/// its scatter): SQL text → (table epoch at insertion, result ids). An
-/// entry is valid exactly while the table is still at its epoch, so one
-/// append invalidates every entry at once. Each lookup is classified at
-/// submission as a hit, a refresh (stale entry) or a miss; a cache that
-/// is off ([`ServerConfig::result_cache`]) classifies and stores nothing.
-#[derive(Default)]
-pub(crate) struct ResultCache {
-    on: bool,
-    entries: HashMap<String, (u64, Vec<u32>)>,
-    hits: usize,
-    misses: usize,
-    refreshes: usize,
-}
-
-impl ResultCache {
-    pub(crate) fn new(on: bool) -> Self {
-        ResultCache {
-            on,
-            ..ResultCache::default()
-        }
-    }
-
-    /// The stored ids for `sql` when they were computed at `epoch`.
-    pub(crate) fn lookup(&mut self, sql: &str, epoch: u64) -> Option<Vec<u32>> {
-        if !self.on {
-            return None;
-        }
-        match self.entries.get(sql) {
-            Some((at, ids)) if *at == epoch => {
-                self.hits += 1;
-                Some(ids.clone())
-            }
-            Some(_) => {
-                self.refreshes += 1;
-                None
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Stores a freshly computed result, valid at `epoch`.
-    pub(crate) fn store(&mut self, sql: &str, epoch: u64, ids: &[u32]) {
-        if self.on {
-            self.entries.insert(sql.to_string(), (epoch, ids.to_vec()));
-        }
-    }
-
-    /// A ledger carrying the lookup counts since the last drain (every
-    /// other field zero); the counts restart.
-    pub(crate) fn take_counts(&mut self) -> ResilienceStats {
-        ResilienceStats {
-            cache_hits: std::mem::take(&mut self.hits),
-            cache_misses: std::mem::take(&mut self.misses),
-            cache_refreshes: std::mem::take(&mut self.refreshes),
-            ..ResilienceStats::default()
-        }
-    }
-}
-
-/// A serving front-end over one device and one resident table.
-///
-/// ```
-/// # use simt::Device;
-/// # use datagen::twitter::TweetTable;
-/// # use qdb::{GpuTweetTable, Server, ServerConfig, SubmitOptions};
-/// let dev = Device::titan_x();
-/// let host = TweetTable::generate(10_000, 1);
-/// let table = GpuTweetTable::upload(&dev, &host);
-/// let mut server = Server::new(&dev, &table, ServerConfig::default());
-/// let t = server
-///     .submit("SELECT id FROM tweets ORDER BY retweet_count DESC LIMIT 10", SubmitOptions::default())
-///     .unwrap();
-/// let report = server.drain();
-/// assert_eq!(report.queries[t.0].result.ids.len(), 10);
-/// ```
-pub struct Server<'a> {
+/// One device lane: a device-resident table, its [`STREAMS`] streams,
+/// coalescing, retries with backoff, the degradation ladder and the ECC
+/// audit. A drain serves one list of admitted queries in order — a
+/// query's position in the list picks its stream — and reports it as
+/// one [`LoadReport`].
+pub(crate) struct Lane<'a> {
     dev: &'a Device,
     table: &'a GpuTweetTable,
-    cfg: ServerConfig,
+    coalesce: bool,
+    max_retries: usize,
     streams: Vec<Stream>,
-    pending: Vec<Pending>,
-    next_ticket: usize,
-    shed: usize,
-    cache: ResultCache,
 }
 
-impl<'a> Server<'a> {
-    /// Creates a server over a device-resident table.
-    pub fn new(dev: &'a Device, table: &'a GpuTweetTable, cfg: ServerConfig) -> Self {
-        let streams = (0..STREAMS).map(|_| dev.create_stream()).collect();
-        Server {
+impl<'a> Lane<'a> {
+    pub(crate) fn new(dev: &'a Device, table: &'a GpuTweetTable, cfg: &ServerConfig) -> Self {
+        Lane {
             dev,
             table,
-            cache: ResultCache::new(cfg.result_cache),
-            cfg,
-            streams,
-            pending: Vec::new(),
-            next_ticket: 0,
-            shed: 0,
+            coalesce: cfg.coalesce,
+            max_retries: cfg.max_retries,
+            streams: (0..STREAMS).map(|_| dev.create_stream()).collect(),
         }
     }
 
-    /// Parses, validates and admits one SQL query. Unsupported shapes,
-    /// unusable LIMITs and a full queue are rejected here, not at drain
-    /// time. Per-query knobs travel in [`SubmitOptions`]:
-    /// `SubmitOptions::default()` uses the server's configured strategy
-    /// and deadline; `with_strategy`/`with_deadline` override them.
-    ///
-    /// An explicit deadline cancels the query with [`QdbError::Timeout`]
-    /// once its simulated execution time (kernel time plus retry
-    /// backoff) exceeds it; a deadline that is already non-positive is
-    /// rejected as [`QdbError::DeadlineExpired`].
-    pub fn submit(&mut self, sql: &str, opts: SubmitOptions) -> Result<QueryTicket, QdbError> {
-        self.submit_full(
-            sql,
-            opts.strategy.unwrap_or(DEFAULT_STRATEGY),
-            opts.deadline.or(self.cfg.default_deadline),
-        )
-    }
-
-    fn submit_full(
-        &mut self,
-        sql: &str,
-        strategy: Strategy,
-        deadline: Option<SimTime>,
-    ) -> Result<QueryTicket, QdbError> {
-        if self.pending.len() >= self.cfg.max_queue {
-            self.shed += 1;
-            return Err(QdbError::Overloaded {
-                queue_len: self.pending.len(),
-                max_queue: self.cfg.max_queue,
-            });
-        }
-        let query = parse(sql)?;
-        query.check_rank_shape()?;
-        let n = self.table.len();
-        if n == 0 {
-            return Err(QdbError::EmptyTable);
-        }
-        if query.limit > n {
-            return Err(QdbError::InvalidK { k: query.limit, n });
-        }
-        if let Some(d) = deadline {
-            if d.0 <= 0.0 {
-                return Err(QdbError::DeadlineExpired { deadline: d });
-            }
-        }
-        let cached = self.cache.lookup(sql, self.table.epoch());
-        let ticket = QueryTicket(self.next_ticket);
-        self.next_ticket += 1;
-        self.pending.push(Pending {
-            ticket,
-            sql: sql.to_string(),
-            query,
-            strategy,
-            deadline,
-            cached,
-        });
-        Ok(ticket)
-    }
-
-    /// Number of queries admitted and not yet drained.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
+    /// The stream of the query at drain position `slot`.
+    fn stream(&self, slot: usize) -> &Stream {
+        &self.streams[slot % STREAMS]
     }
 
     /// A query can fold into a shared batched launch when it is a plain
     /// descending `retweet_count` top-k (the batched kernel computes
     /// exactly that shape) and its strategy tolerates a bitonic operator.
-    fn coalescable(&self, p: &Pending) -> bool {
-        self.cfg.coalesce
-            && !p.query.group_by_uid
-            && !p.query.ascending
-            && p.query.order_by == OrderBy::RetweetCount
-            && p.strategy != Strategy::StageSort
+    fn coalescable(&self, e: &Executed) -> bool {
+        self.coalesce
+            && !e.p.query.group_by_uid
+            && !e.p.query.ascending
+            && e.p.query.order_by == OrderBy::RetweetCount
+            && e.p.strategy != Strategy::StageSort
     }
 
     /// Runs `f` with the transient-fault retry policy: up to
@@ -677,7 +678,7 @@ impl<'a> Server<'a> {
             *spent += self.dev.window_since(log0).time;
             match r {
                 Ok(v) => return Ok(v),
-                Err(e) if e.is_transient() && attempt < self.cfg.max_retries => {
+                Err(e) if e.is_transient() && attempt < self.max_retries => {
                     attempt += 1;
                     *retries += 1;
                     let backoff = SimTime(BACKOFF_BASE.0 * (1u64 << (attempt - 1).min(20)) as f64);
@@ -702,69 +703,68 @@ impl<'a> Server<'a> {
         }
     }
 
-    /// Runs one query down the degradation ladder. `start_serial` skips
-    /// the streamed rung (used when the streamed path already failed).
-    /// Only [`QdbError::Timeout`] escapes: the final CPU rung cannot
-    /// fault.
-    fn run_query_ladder(&self, e: &mut Executed, stream: Option<StreamId>, start_serial: bool) {
-        let dev = self.dev;
+    /// One rung for `e`: runs `f` over its query with the retry policy
+    /// and charges the launches to it. `None` when the rung is defeated;
+    /// a timeout is final and lands in `e.error`.
+    fn attempt<T>(
+        &self,
+        e: &mut Executed,
+        mut f: impl FnMut(&Query) -> Result<T, QdbError>,
+    ) -> Option<T> {
+        let before = self.dev.log_len();
         let Executed {
-            ref query,
-            strategy,
-            deadline,
+            p:
+                Pending {
+                    ref query,
+                    deadline,
+                    ..
+                },
             ref mut spent,
             ref mut retries,
             ref mut penalty,
             ..
         } = *e;
-        if !start_serial {
-            let before = dev.log_len();
-            let r = self.with_retries(deadline, spent, retries, penalty, || match stream {
-                Some(id) => dev.stream_scope(id, || execute(dev, self.table, query, strategy)),
-                None => execute(dev, self.table, query, strategy),
-            });
-            e.own.extend(before..dev.log_len());
-            match r {
-                Ok(res) => {
-                    e.ids = res.ids;
-                    return;
-                }
-                Err(err @ QdbError::Timeout { .. }) => {
-                    e.error = Some(err);
-                    return;
-                }
-                Err(_) => {}
-            }
-        }
-        // rung 2: serial StageBitonic on the default stream
-        e.degrade = DegradeLevel::SerialBitonic;
-        let Executed {
-            ref query,
-            deadline,
-            ref mut spent,
-            ref mut retries,
-            ref mut penalty,
-            ..
-        } = *e;
-        let before = dev.log_len();
-        let r = self.with_retries(deadline, spent, retries, penalty, || {
-            execute(dev, self.table, query, Strategy::StageBitonic)
-        });
-        e.own.extend(before..dev.log_len());
+        let r = self.with_retries(deadline, spent, retries, penalty, || f(query));
+        e.own.extend(before..self.dev.log_len());
         match r {
-            Ok(res) => {
+            Ok(v) => Some(v),
+            Err(err @ QdbError::Timeout { .. }) => {
+                e.error = Some(err);
+                None
+            }
+            Err(_) => None,
+        }
+    }
+
+    /// Runs one query down the degradation ladder from rung `from`: its
+    /// own strategy on `stream`, then serial `StageBitonic` on the
+    /// default stream, then the `topk-cpu` heap backend, which cannot
+    /// fault. Only a [`QdbError::Timeout`] ends the descent early.
+    fn run_ladder(&self, e: &mut Executed, stream: Option<StreamId>, from: DegradeLevel) {
+        let (dev, table) = (self.dev, self.table);
+        for rung in [DegradeLevel::None, DegradeLevel::SerialBitonic] {
+            if rung < from {
+                continue;
+            }
+            e.degrade = rung;
+            let (strategy, stream) = match rung {
+                DegradeLevel::None => (e.p.strategy, stream),
+                _ => (Strategy::StageBitonic, None),
+            };
+            let run = |q: &Query| match stream {
+                Some(id) => dev.stream_scope(id, || execute(dev, table, q, strategy)),
+                None => execute(dev, table, q, strategy),
+            };
+            if let Some(res) = self.attempt(e, run) {
                 e.ids = res.ids;
                 return;
             }
-            Err(err @ QdbError::Timeout { .. }) => {
-                e.error = Some(err);
+            if e.error.is_some() {
                 return;
             }
-            Err(_) => {}
         }
-        // rung 3: the CPU heap backend — infallible
         e.degrade = DegradeLevel::CpuHeap;
-        e.ids = self.cpu_execute(&e.query);
+        e.ids = self.cpu_execute(&e.p.query);
     }
 
     /// Host-side execution of a validated query against the resident
@@ -815,95 +815,66 @@ impl<'a> Server<'a> {
         }
     }
 
-    /// Executes every admitted query and returns the load report.
+    /// Executes `list` and returns its load report.
     ///
     /// Coalescable queries run their filters concurrently (round-robin
-    /// over the server's streams), then share one pack + one batched
-    /// top-k launch per [`MAX_BATCH`] chunk; everything
-    /// else runs its normal pipeline on its round-robin stream. Faults
-    /// are retried/degraded per the module docs; with no fault plan the
+    /// over the lane's streams), then share one pack + one batched top-k
+    /// launch per [`MAX_BATCH`] chunk; everything else runs its normal
+    /// pipeline on its round-robin stream. A cache hit keeps its
+    /// position, so it still counts in the round-robin. Faults are
+    /// retried/degraded per the module docs; with no fault plan the
     /// drain's launch sequence is identical to a fault-unaware one.
-    pub fn drain(&mut self) -> LoadReport {
+    pub(crate) fn drain(&self, list: Vec<Pending>) -> LoadReport {
         let wall_start = std::time::Instant::now();
-        let dev = self.dev;
+        let (dev, table) = (self.dev, self.table);
         let window = dev.log_len();
         let fault_start = dev.fault_events_len();
-        let pending = std::mem::take(&mut self.pending);
-        let n = pending.len();
         let mut batch_retries = 0usize;
 
-        let mut executed: Vec<Executed> = Vec::with_capacity(n);
-        // coalescable queries whose filter already ran: (strategy kept in
-        // Executed; candidates, matched-count, executed-slot)
+        let mut executed: Vec<Executed> = Vec::with_capacity(list.len());
+        // coalescable queries whose filter already ran: (candidates,
+        // matched count, executed slot)
         let mut filtered: Vec<(GpuBuffer<Kv<u32>>, usize, usize)> = Vec::new();
 
-        for (i, mut p) in pending.into_iter().enumerate() {
-            if let Some(ids) = p.cached.take() {
-                // resolved at submission from the epoch-tagged cache:
-                // zero launches, zero simulated latency
-                let mut e = Executed::new(p);
-                e.ids = ids;
-                e.from_cache = true;
-                executed.push(e);
-                continue;
-            }
-            let stream_id = self.streams[i % self.streams.len()].id();
-            let coalesce = self.coalescable(&p);
+        for (i, p) in list.into_iter().enumerate() {
             let mut e = Executed::new(p);
-            if coalesce {
-                let op = e
-                    .query
-                    .filter
-                    .clone()
-                    .unwrap_or(FilterOp::TimeLess(u32::MAX));
-                let label = format!("qdb:candidates:t{}", e.ticket.0);
-                let before = dev.log_len();
-                let r = {
-                    let (table, deadline) = (self.table, e.deadline);
-                    let (label, op) = (&label, &op);
-                    self.with_retries(
-                        deadline,
-                        &mut e.spent,
-                        &mut e.retries,
-                        &mut e.penalty,
-                        || {
-                            let out = dev.try_alloc::<Kv<u32>>(table.len())?;
-                            out.tag_ecc(label.clone());
-                            let cnt = dev.try_alloc::<u32>(1)?;
-                            dev.stream_scope(stream_id, || {
-                                dev.launch(&FilterKernel {
-                                    table,
-                                    op,
-                                    key_col: &table.retweet_count,
-                                    out: out.clone(),
-                                    out_count: cnt.clone(),
-                                })
-                            })?;
-                            Ok((out, cnt.get(0) as usize))
-                        },
-                    )
-                };
-                e.own.extend(before..dev.log_len());
+            if e.from_cache {
+                // resolved at admission from the epoch-tagged cache:
+                // zero launches, zero simulated latency
+            } else if self.coalescable(&e) {
+                let stream_id = self.stream(i).id();
+                let label = format!("qdb:candidates:t{}", e.p.ticket.0);
+                let r = self.attempt(&mut e, |q| {
+                    let op = q.filter.clone().unwrap_or(FilterOp::TimeLess(u32::MAX));
+                    let out = dev.try_alloc::<Kv<u32>>(table.len())?;
+                    out.tag_ecc(label.clone());
+                    let cnt = dev.try_alloc::<u32>(1)?;
+                    dev.stream_scope(stream_id, || {
+                        dev.launch(&FilterKernel {
+                            table,
+                            op: &op,
+                            key_col: &table.retweet_count,
+                            out: out.clone(),
+                            out_count: cnt.clone(),
+                        })
+                    })?;
+                    Ok((out, cnt.get(0) as usize))
+                });
                 match r {
-                    Ok((out, m)) => {
+                    Some((out, m)) => {
                         e.labels.push(label);
-                        executed.push(e);
-                        filtered.push((out, m, executed.len() - 1));
+                        filtered.push((out, m, executed.len()));
                     }
-                    Err(err @ QdbError::Timeout { .. }) => {
-                        e.error = Some(err);
-                        executed.push(e);
+                    // streamed filter defeated: straight to the serial rungs
+                    None if e.error.is_none() => {
+                        self.run_ladder(&mut e, None, DegradeLevel::SerialBitonic)
                     }
-                    Err(_) => {
-                        // streamed filter defeated: straight to rung 2
-                        self.run_query_ladder(&mut e, None, true);
-                        executed.push(e);
-                    }
+                    None => {}
                 }
             } else {
-                self.run_query_ladder(&mut e, Some(stream_id), false);
-                executed.push(e);
+                self.run_ladder(&mut e, Some(self.stream(i).id()), DegradeLevel::None);
             }
+            executed.push(e);
         }
 
         // split the filtered queries into batchable and oversized
@@ -937,7 +908,7 @@ impl<'a> Server<'a> {
                 .unwrap_or(1);
             let k_max = chunk
                 .iter()
-                .map(|(_, _, slot)| executed[*slot].query.limit)
+                .map(|(_, _, slot)| executed[*slot].p.query.limit)
                 .max()
                 .unwrap();
             let batch_label = format!("qdb:batch:c{}", chunk[0].2);
@@ -945,7 +916,7 @@ impl<'a> Server<'a> {
             let batch_stream = dev.create_stream();
             // the pack must see every member's filter output
             for (_, _, slot) in chunk {
-                let ev = self.streams[*slot % self.streams.len()].record_event();
+                let ev = self.stream(*slot).record_event();
                 batch_stream.wait_event(&ev);
             }
             let before = dev.log_len();
@@ -953,32 +924,26 @@ impl<'a> Server<'a> {
             // deadlines are enforced on the solo rungs
             let mut batch_spent = SimTime::ZERO;
             let mut batch_penalty = SimTime::ZERO;
-            let batched = {
-                let batch_label = &batch_label;
-                self.with_retries(
-                    None,
-                    &mut batch_spent,
-                    &mut batch_retries,
-                    &mut batch_penalty,
-                    || {
-                        let matrix = dev
-                            .try_alloc_filled::<Kv<u32>>(rows * cols, Kv::<u32>::min_sentinel())?;
-                        matrix.tag_ecc(batch_label.clone());
-                        dev.stream_scope(batch_stream.id(), || {
-                            dev.launch(&PackKernel {
-                                sources: chunk
-                                    .iter()
-                                    .map(|(out, m, _)| (out.clone(), *m))
-                                    .collect(),
-                                out: matrix.clone(),
-                                cols,
-                            })?;
-                            batched_bitonic_topk(dev, &matrix, rows, cols, k_max.min(cols))
-                                .map_err(QdbError::from)
-                        })
-                    },
-                )
-            };
+            let batched = self.with_retries(
+                None,
+                &mut batch_spent,
+                &mut batch_retries,
+                &mut batch_penalty,
+                || {
+                    let matrix =
+                        dev.try_alloc_filled::<Kv<u32>>(rows * cols, Kv::<u32>::min_sentinel())?;
+                    matrix.tag_ecc(batch_label.clone());
+                    dev.stream_scope(batch_stream.id(), || {
+                        dev.launch(&PackKernel {
+                            sources: chunk.iter().map(|(out, m, _)| (out.clone(), *m)).collect(),
+                            out: matrix.clone(),
+                            cols,
+                        })?;
+                        batched_bitonic_topk(dev, &matrix, rows, cols, k_max.min(cols))
+                            .map_err(QdbError::from)
+                    })
+                },
+            );
             match batched {
                 Ok(batched) => {
                     let shared: Vec<usize> = (before..dev.log_len()).collect();
@@ -986,7 +951,7 @@ impl<'a> Server<'a> {
                         let e = &mut executed[*slot];
                         let mut ids: Vec<u32> =
                             batched.rows[row].iter().map(|kv| kv.value).collect();
-                        ids.truncate(e.query.limit.min(*m));
+                        ids.truncate(e.p.query.limit.min(*m));
                         e.ids = ids;
                         e.shared.extend(shared.iter().copied());
                         e.coalesced = true;
@@ -1012,13 +977,9 @@ impl<'a> Server<'a> {
             .filter(|ev| ev.kind == simt::FaultKind::MemoryCorruption)
             .filter_map(|ev| ev.target.clone())
             .collect();
-        if !hit_labels.is_empty() {
-            for e in &mut executed {
-                let tainted = e.error.is_none() && e.labels.iter().any(|l| hit_labels.contains(l));
-                if tainted {
-                    e.degrade = e.degrade.max(DegradeLevel::SerialBitonic);
-                    self.run_query_ladder(e, None, true);
-                }
+        for e in &mut executed {
+            if e.error.is_none() && e.labels.iter().any(|l| hit_labels.contains(l)) {
+                self.run_ladder(e, None, DegradeLevel::SerialBitonic);
             }
         }
 
@@ -1027,48 +988,28 @@ impl<'a> Server<'a> {
         report
     }
 
-    /// Finishes one coalescable query from its candidate buffer with the
-    /// serial rungs of the ladder: bitonic top-k on the query's stream,
-    /// then (on failure) serial re-execution, then the CPU backend.
+    /// Finishes one coalescable query from its candidate buffer: bitonic
+    /// top-k on the query's stream, then (on failure) the ladder's serial
+    /// rungs.
     fn finish_serially(&self, e: &mut Executed, slot: usize, out: &GpuBuffer<Kv<u32>>, m: usize) {
         let dev = self.dev;
-        let stream_id = self.streams[slot % self.streams.len()].id();
-        let before = dev.log_len();
-        let r = {
-            let (deadline, limit) = (e.deadline, e.query.limit);
-            self.with_retries(
-                deadline,
-                &mut e.spent,
-                &mut e.retries,
-                &mut e.penalty,
-                || {
-                    dev.stream_scope(stream_id, || {
-                        crate::engine::run_topk_stage(
-                            dev,
-                            out,
-                            m,
-                            limit.min(m),
-                            TopKStrategy::Bitonic,
-                        )
-                    })
-                },
-            )
-        };
-        e.own.extend(before..dev.log_len());
+        let stream_id = self.stream(slot).id();
+        let r = self.attempt(e, |q| {
+            dev.stream_scope(stream_id, || {
+                run_topk_stage(dev, out, m, q.limit.min(m), TopKStrategy::Bitonic)
+            })
+        });
         match r {
-            Ok(res) => e.ids = res.items.iter().map(|kv| kv.value).collect(),
-            Err(err @ QdbError::Timeout { .. }) => e.error = Some(err),
-            Err(_) => {
-                e.degrade = DegradeLevel::SerialBitonic;
-                self.run_query_ladder(e, None, true);
-            }
+            Some(res) => e.ids = res.items.iter().map(|kv| kv.value).collect(),
+            None if e.error.is_none() => self.run_ladder(e, None, DegradeLevel::SerialBitonic),
+            None => {}
         }
     }
 
     /// Replays the drain's launches onto the shared timeline and builds
     /// the per-query and aggregate report.
     fn finish(
-        &mut self,
+        &self,
         window: usize,
         fault_start: usize,
         batch_retries: usize,
@@ -1127,8 +1068,8 @@ impl<'a> Server<'a> {
                     timing.total += e.penalty;
                 }
                 ServedQuery {
-                    ticket: e.ticket,
-                    sql: e.sql,
+                    ticket: e.p.ticket,
+                    sql: e.p.sql,
                     result: QueryResult {
                         ids: e.ids,
                         kernel_time: reports.iter().map(|r| r.time).sum(),
@@ -1148,13 +1089,6 @@ impl<'a> Server<'a> {
             .collect();
         queries.sort_by_key(|q| q.ticket.0);
 
-        // every freshly computed result is valid exactly at the current
-        // epoch; the next append invalidates all of them at once
-        let epoch = self.table.epoch();
-        for q in queries.iter().filter(|q| q.completed() && !q.cached) {
-            self.cache.store(&q.sql, epoch, &q.result.ids);
-        }
-
         let mut totals: Vec<f64> = queries
             .iter()
             .filter(|q| q.completed())
@@ -1169,34 +1103,16 @@ impl<'a> Server<'a> {
             SimTime(totals[idx])
         };
 
-        let resilience = ResilienceStats {
-            completed: queries.iter().filter(|q| q.completed()).count(),
-            shed: std::mem::take(&mut self.shed),
-            timed_out: queries
-                .iter()
-                .filter(|q| matches!(q.error, Some(QdbError::Timeout { .. })))
-                .count(),
-            failed: queries
-                .iter()
-                .filter(|q| q.error.is_some() && !matches!(q.error, Some(QdbError::Timeout { .. })))
-                .count(),
+        // replication and the cache live above the lane: its ledger has
+        // the device's share (the front adds shed and cache counts)
+        let mut resilience = ResilienceStats {
             retries: batch_retries + queries.iter().map(|q| q.retries).sum::<usize>(),
-            degraded_serial: queries
-                .iter()
-                .filter(|q| q.degrade == DegradeLevel::SerialBitonic)
-                .count(),
-            degraded_cpu: queries
-                .iter()
-                .filter(|q| q.degrade == DegradeLevel::CpuHeap)
-                .count(),
             faults_injected: dev.fault_events_len() - fault_start,
-            // replication machinery lives in the sharded layer; one
-            // server bound to one device can never fail over or rebuild
-            failovers: 0,
-            rebuilds: 0,
-            breaker_trips: 0,
-            ..self.cache.take_counts()
+            ..ResilienceStats::default()
         };
+        for q in &queries {
+            resilience.tally(q.error.as_ref(), q.degrade);
+        }
 
         let makespan = schedule.makespan;
         let queries_per_sec = if makespan.0 > 0.0 {
@@ -1221,9 +1137,75 @@ impl<'a> Server<'a> {
     }
 }
 
-// the tests below name the parser's error type
-#[cfg(test)]
-use crate::sql::SqlError;
+/// A serving front-end over one device and one resident table: an
+/// admission front plus one device lane.
+///
+/// ```
+/// # use simt::Device;
+/// # use datagen::twitter::TweetTable;
+/// # use qdb::{GpuTweetTable, Server, ServerConfig, SubmitOptions};
+/// let dev = Device::titan_x();
+/// let host = TweetTable::generate(10_000, 1);
+/// let table = GpuTweetTable::upload(&dev, &host);
+/// let mut server = Server::new(&dev, &table, ServerConfig::default());
+/// let t = server
+///     .submit("SELECT id FROM tweets ORDER BY retweet_count DESC LIMIT 10", SubmitOptions::default())
+///     .unwrap();
+/// let report = server.drain();
+/// assert_eq!(report.queries[t.0].result.ids.len(), 10);
+/// ```
+pub struct Server<'a> {
+    table: &'a GpuTweetTable,
+    front: Front,
+    lane: Lane<'a>,
+}
+
+impl<'a> Server<'a> {
+    /// Creates a server over a device-resident table.
+    pub fn new(dev: &'a Device, table: &'a GpuTweetTable, cfg: ServerConfig) -> Self {
+        Server {
+            table,
+            lane: Lane::new(dev, table, &cfg),
+            front: Front::new(cfg),
+        }
+    }
+
+    /// Parses, validates and admits one SQL query. Unsupported shapes,
+    /// unusable LIMITs and a full queue are rejected here, not at drain
+    /// time. Per-query knobs travel in [`SubmitOptions`]:
+    /// `SubmitOptions::default()` uses the server's configured strategy
+    /// and deadline; `with_strategy`/`with_deadline` override them.
+    ///
+    /// An explicit deadline cancels the query with [`QdbError::Timeout`]
+    /// once its simulated execution time (kernel time plus retry
+    /// backoff) exceeds it; a deadline that is already non-positive is
+    /// rejected as [`QdbError::DeadlineExpired`].
+    pub fn submit(&mut self, sql: &str, opts: SubmitOptions) -> Result<QueryTicket, QdbError> {
+        let (rows, epoch) = (self.table.len(), self.table.epoch());
+        self.front
+            .admit(sql, opts, rows, epoch, false)
+            .map(|p| p.ticket)
+    }
+
+    /// Number of queries admitted and not yet drained.
+    pub fn pending_len(&self) -> usize {
+        self.front.pending.len()
+    }
+
+    /// Executes every admitted query on the lane (see the module docs)
+    /// and returns the load report; completed answers enter the result
+    /// cache.
+    pub fn drain(&mut self) -> LoadReport {
+        let mut report = self.lane.drain(std::mem::take(&mut self.front.pending));
+        let fresh = report.queries.iter().filter(|q| q.completed() && !q.cached);
+        self.front.settle(
+            self.table.epoch(),
+            fresh.map(|q| (q.sql.as_str(), q.result.ids.as_slice())),
+            &mut report.resilience,
+        );
+        report
+    }
+}
 
 #[cfg(test)]
 mod tests {

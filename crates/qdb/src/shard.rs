@@ -18,9 +18,13 @@
 //!   over pre-partitioned items, one body parameterized by the local
 //!   kernel;
 //! * [`execute_sharded`] — SQL queries against a [`ShardedTable`];
-//! * [`ShardedServer`] — serving: one [`Server`] per (shard, replica),
-//!   each with its own admission queue and degradation ladder, with
-//!   drain-time gather and merge.
+//! * [`ShardedServer`] — serving: the admission front and device lanes
+//!   of [`crate::server`], one lane per (shard, replica), plus what a
+//!   cluster adds: routing, the breaker, failover, rebuild and the
+//!   drain-time gather of each shard's k delegates.
+//!
+//! Every entry point first runs one placement check: a table
+//! partitioned for a cluster of another size is a typed error.
 //!
 //! Underneath, one scan and one gather. Every SQL shard read —
 //! [`execute_sharded`], a view's sharded delta
@@ -47,7 +51,6 @@
 //! which replica serves never changes a single bit of the answer.
 
 use std::cell::{Cell, Ref, RefCell};
-use std::collections::HashMap;
 
 use datagen::twitter::TweetTable;
 use datagen::{Kv, Rev, TopKItem};
@@ -59,14 +62,13 @@ use topk::delegate::{delegate_select_topk, DelegateConfig};
 use topk::{TopKError, TopKResult};
 
 use crate::cpu_engine::strategy_topk;
-use crate::engine::FilterOp;
 use crate::error::QdbError;
 use crate::queries::Strategy;
 use crate::server::{
-    DegradeLevel, LoadReport, QueryTicket, ResilienceStats, ResultCache, Server, ServerConfig,
-    SubmitOptions,
+    DegradeLevel, Front, Lane, LoadReport, Pending, QueryTicket, ResilienceStats, ServerConfig,
+    SubmitOptions, DEFAULT_STRATEGY,
 };
-use crate::sql::{execute, parse, OrderBy, Query, SqlError};
+use crate::sql::{execute, OrderBy, Query, SqlError};
 use crate::table::{host_rows, GpuTweetTable, ROW_BYTES};
 
 /// How rows are distributed across devices.
@@ -342,6 +344,7 @@ impl ShardedTable {
         cluster: &Cluster,
         batch: &TweetTable,
     ) -> Result<ShardedAppendReceipt, QdbError> {
+        check_placement(cluster, self.num_shards())?;
         let old_total = self.len();
         let new_total = old_total + batch.len();
         for (j, &id) in batch.id.iter().enumerate() {
@@ -522,6 +525,18 @@ fn retry_transfer_at(
             }
         }
     }
+}
+
+/// The one placement check of every sharded entry point: `parts` (a
+/// table's shards, or a raw primitive's parts) must be one per cluster
+/// device. Checked before anything runs or splices, so a table
+/// partitioned for a cluster of another size is a typed
+/// [`SqlError::Unsupported`], never an index panic.
+pub(crate) fn check_placement(cluster: &Cluster, parts: usize) -> Result<(), QdbError> {
+    if parts != cluster.num_devices() {
+        return Err(SqlError::Unsupported("a part count other than one per cluster device").into());
+    }
+    Ok(())
 }
 
 /// First device at or after `start` (ring order) that is not permanently
@@ -1055,9 +1070,7 @@ fn sharded_local_topk<T: TopKItem>(
     max_retries: usize,
     local_topk: impl Fn(&Device, &GpuBuffer<T>, usize) -> Result<TopKResult<T>, TopKError>,
 ) -> Result<ShardedTopK<T>, QdbError> {
-    if parts.len() != cluster.num_devices() {
-        return Err(SqlError::Unsupported("a part count other than one per cluster device").into());
-    }
+    check_placement(cluster, parts.len())?;
     let Some(merge_dev) = first_healthy_from(cluster, 0) else {
         return Err(all_devices_down(0));
     };
@@ -1160,6 +1173,7 @@ pub fn execute_sharded(
     strategy: Strategy,
     max_retries: usize,
 ) -> Result<ShardedQueryResult, QdbError> {
+    check_placement(cluster, table.num_shards())?;
     if q.group_by_uid {
         return Err(SqlError::Unsupported("GROUP BY on a sharded table").into());
     }
@@ -1188,55 +1202,11 @@ pub fn execute_sharded(
     })
 }
 
-/// Renders a validated [`Query`] back to canonical SQL with a replaced
-/// LIMIT — how the sharded server forwards a query to a shard whose row
-/// count is below the global k.
-fn render_sql(q: &Query, limit: usize) -> String {
-    let mut s = String::from("SELECT id FROM tweets");
-    match &q.filter {
-        Some(FilterOp::TimeLess(c)) => s.push_str(&format!(" WHERE tweet_time < {c}")),
-        Some(FilterOp::LangIn(codes)) => {
-            let names: Vec<String> = codes
-                .iter()
-                .map(|&c| {
-                    let name = match c {
-                        0 => "en",
-                        1 => "es",
-                        2 => "pt",
-                        3 => "ja",
-                        4 => "ar",
-                        _ => "other",
-                    };
-                    format!("lang = '{name}'")
-                })
-                .collect();
-            s.push_str(&format!(" WHERE {}", names.join(" OR ")));
-        }
-        None => {}
-    }
-    match &q.order_by {
-        OrderBy::RetweetCount => s.push_str(" ORDER BY retweet_count"),
-        OrderBy::Rank { likes_weight } => {
-            s.push_str(&format!(
-                " ORDER BY retweet_count + {likes_weight} * likes_count"
-            ));
-        }
-        OrderBy::Count => unreachable!("group queries are rejected before rendering"),
-    }
-    s.push_str(if q.ascending { " ASC" } else { " DESC" });
-    s.push_str(&format!(" LIMIT {limit}"));
-    s
-}
-
-/// Handle for a query submitted to the sharded server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardedTicket(pub usize);
-
 /// One sharded query's outcome from a drain.
 #[derive(Debug, Clone)]
 pub struct ShardedServed {
     /// The submission ticket.
-    pub ticket: ShardedTicket,
+    pub ticket: QueryTicket,
     /// The original SQL text.
     pub sql: String,
     /// Merged result ids (empty when `error` is set).
@@ -1252,7 +1222,7 @@ pub struct ShardedServed {
     /// Retries across all shards plus transfer/merge retries.
     pub retries: usize,
     /// The transfer/merge share of `retries` (the shard share is already
-    /// in the per-device ledgers).
+    /// in the per-lane ledgers).
     pub transfer_retries: usize,
     /// Per-shard executions this query served from a non-routed replica
     /// after the routed device failed.
@@ -1274,11 +1244,11 @@ impl ShardedServed {
 pub struct ShardedLoadReport {
     /// Per-query outcomes, in submission order.
     pub queries: Vec<ShardedServed>,
-    /// Aggregated resilience ledger: per-shard server ledgers summed,
+    /// Aggregated resilience ledger: per-lane retries and faults summed,
     /// with completion/failure counted at the sharded-query level.
     pub resilience: ResilienceStats,
-    /// Per-replica-server drain reports, shard-major then replica order
-    /// (with `r = 1` this is exactly one report per shard).
+    /// Per-lane drain reports, shard-major then replica order (with
+    /// `r = 1` this is exactly one report per shard).
     pub shard_reports: Vec<LoadReport>,
     /// Completion time of the slowest query (0 when none completed).
     pub makespan: SimTime,
@@ -1296,9 +1266,10 @@ const BREAKER_THRESHOLD: usize = 3;
 const BREAKER_COOLDOWN: SimTime = SimTime(1e-3);
 
 /// Circuit-breaker state of one device on the sharded serving path.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum BreakerState {
     /// Healthy: queries route here normally.
+    #[default]
     Closed,
     /// Tripped: no queries route here until the cooldown elapses.
     Open {
@@ -1322,7 +1293,7 @@ impl BreakerState {
 }
 
 /// Per-device serving health the sharded server tracks across drains.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DeviceHealth {
     /// Consecutive failed sub-queries attributed to this device.
     pub consecutive_failures: usize,
@@ -1336,10 +1307,11 @@ pub struct DeviceHealth {
 
 /// Where one shard's sub-query was routed at submission.
 enum ShardRoute {
-    /// Queued on `servers[shard][replica]`.
-    Queued { replica: usize, ticket: QueryTicket },
-    /// No live replica server was routable; the query runs directly on
-    /// a rebuilt copy at drain.
+    /// Queued on the lane of the shard's `replica`, with the shard's
+    /// LIMIT (the query's, clamped to the shard's rows).
+    Queued { replica: usize, limit: usize },
+    /// No replica lane was routable; the query runs directly on a
+    /// rebuilt copy at drain.
     Direct { device: usize },
     /// The shard is empty: contributes nothing.
     Empty,
@@ -1347,21 +1319,10 @@ enum ShardRoute {
     Dead { device: usize },
 }
 
-/// One admitted sharded query awaiting drain.
-struct PendingQuery {
-    ticket: ShardedTicket,
-    sql: String,
-    q: Query,
-    routes: Vec<ShardRoute>,
-    /// Ids resolved from the result cache at submission (same SQL, same
-    /// table epoch); the drain serves them without routing anything.
-    cached: Option<Vec<u32>>,
-}
-
-/// A serving front-end over a sharded table: one [`Server`] per
-/// (shard, replica), each with its own admission queue, retry budget and
-/// degradation ladder; queries scatter to every shard at submission
-/// (routed to the first healthy replica) and gather-merge at drain.
+/// A serving front-end over a sharded table: one admission front plus
+/// one device lane per (shard, replica), each lane with its own streams,
+/// retry budget and degradation ladder. Queries route to every shard at
+/// submission (the first healthy replica) and gather-merge at drain.
 ///
 /// Permanent device loss is survived, not retried: a per-device
 /// consecutive-failure circuit breaker steers routing away from a
@@ -1374,8 +1335,13 @@ struct PendingQuery {
 pub struct ShardedServer<'a> {
     cluster: &'a Cluster,
     table: &'a ShardedTable,
-    /// `servers[shard][replica]` mirrors `table.shard(shard).replicas()`.
-    servers: Vec<Vec<Server<'a>>>,
+    front: Front,
+    /// One lane per (shard, replica), shard-major: lane `i·r + j` serves
+    /// `table.shard(i).replicas()[j]`; empty for a mismatched placement.
+    lanes: Vec<Lane<'a>>,
+    /// Each admitted query's per-shard routes, parallel to the front's
+    /// queue (a cache hit routes nowhere).
+    routes: Vec<Vec<ShardRoute>>,
     /// Rebuilt copies per shard: `(device, re-materialized table)`.
     /// Owned here (not by the table), served directly at drain.
     rebuilt: Vec<Vec<(usize, GpuTweetTable)>>,
@@ -1389,58 +1355,31 @@ pub struct ShardedServer<'a> {
     /// makespan.
     sim_now: SimTime,
     max_retries: usize,
-    pending: Vec<PendingQuery>,
-    next_ticket: usize,
-    shed: usize,
-    /// Whole-query result cache ([`ServerConfig::result_cache`]) over
-    /// merged ids. Caching happens here, above the scatter, so a hit
-    /// skips every shard.
-    cache: ResultCache,
 }
 
 impl<'a> ShardedServer<'a> {
-    /// Creates one server per (shard, replica) pair.
+    /// Creates one lane per (shard, replica) pair. A table partitioned
+    /// for a cluster of another size gets no lanes, and
+    /// [`ShardedServer::submit`] returns the placement error.
     pub fn new(cluster: &'a Cluster, table: &'a ShardedTable, cfg: ServerConfig) -> Self {
-        assert_eq!(cluster.num_devices(), table.num_shards());
-        let max_retries = cfg.max_retries;
-        let cache = ResultCache::new(cfg.result_cache);
-        // caching lives at the sharded layer (whole merged queries);
-        // per-shard servers always re-execute their sub-queries
-        let cfg = ServerConfig {
-            result_cache: false,
-            ..cfg
+        let lanes = match check_placement(cluster, table.num_shards()) {
+            Ok(()) => (0..table.num_shards())
+                .flat_map(|i| table.shard(i).replicas())
+                .map(|rep| Lane::new(cluster.device(rep.device), &rep.gpu, &cfg))
+                .collect(),
+            Err(_) => Vec::new(),
         };
-        let servers: Vec<Vec<Server<'a>>> = (0..table.num_shards())
-            .map(|i| {
-                table
-                    .shard(i)
-                    .replicas()
-                    .iter()
-                    .map(|rep| Server::new(cluster.device(rep.device), &rep.gpu, cfg.clone()))
-                    .collect()
-            })
-            .collect();
-        let health = (0..cluster.num_devices())
-            .map(|_| DeviceHealth {
-                consecutive_failures: 0,
-                state: BreakerState::Closed,
-                trips: 0,
-                down: false,
-            })
-            .collect();
         ShardedServer {
             cluster,
             table,
-            servers,
+            lanes,
+            routes: Vec::new(),
             rebuilt: (0..table.num_shards()).map(|_| Vec::new()).collect(),
             rebuilt_epoch: table.epoch(),
-            health,
+            health: vec![DeviceHealth::default(); cluster.num_devices()],
             sim_now: SimTime::ZERO,
-            max_retries,
-            pending: Vec::new(),
-            next_ticket: 0,
-            shed: 0,
-            cache,
+            max_retries: cfg.max_retries,
+            front: Front::new(cfg),
         }
     }
 
@@ -1461,6 +1400,17 @@ impl<'a> ShardedServer<'a> {
             }
             self.rebuilt_epoch = epoch;
         }
+    }
+
+    /// Every copy of shard `i` as `(device, copy)`, in serving order:
+    /// the table's replicas, primary first, then the copies rebuilt
+    /// here. Routing, direct execution, failover and rebuild all look
+    /// copies up through this one list.
+    fn copies(&self, i: usize) -> impl Iterator<Item = (usize, &GpuTweetTable)> + '_ {
+        let replicas = self.table.shard(i).replicas().iter();
+        replicas
+            .map(|rep| (rep.device, &rep.gpu))
+            .chain(self.rebuilt[i].iter().map(|(d, gpu)| (*d, gpu)))
     }
 
     /// Whether queries may route to `device` right now: not permanently
@@ -1514,112 +1464,64 @@ impl<'a> ShardedServer<'a> {
         }
     }
 
-    /// Parses, validates and scatters one SQL query to every shard's
-    /// admission queue. A shard that sheds ([`QdbError::Overloaded`])
-    /// sheds the whole query.
-    pub fn submit(&mut self, sql: &str) -> Result<ShardedTicket, QdbError> {
+    /// Admits one SQL query through the front (one queue bound for the
+    /// whole query, checked before any routing) and routes it to every
+    /// shard: the first routable replica's lane, else a routable rebuilt
+    /// copy. A cache hit routes nowhere.
+    pub fn submit(&mut self, sql: &str) -> Result<QueryTicket, QdbError> {
+        check_placement(self.cluster, self.table.num_shards())?;
         self.discard_stale_rebuilds();
-        let q = parse(sql)?;
-        if q.group_by_uid {
-            return Err(SqlError::Unsupported("GROUP BY on a sharded table").into());
-        }
-        q.check_rank_shape()?;
-        let n = self.table.len();
-        if n == 0 {
-            return Err(QdbError::EmptyTable);
-        }
-        if q.limit > n {
-            return Err(QdbError::InvalidK { k: q.limit, n });
-        }
-        if let Some(ids) = self.cache.lookup(sql, self.table.epoch()) {
-            // a hit skips the scatter entirely: no sub-queries, no
-            // breaker traffic, nothing to drain from the shards
-            let ticket = ShardedTicket(self.next_ticket);
-            self.next_ticket += 1;
-            self.pending.push(PendingQuery {
-                ticket,
-                sql: sql.to_string(),
-                q,
-                routes: Vec::new(),
-                cached: Some(ids),
-            });
-            return Ok(ticket);
-        }
-        let mut routes = Vec::with_capacity(self.table.num_shards());
-        for i in 0..self.table.num_shards() {
-            let shard_n = self.table.shard(i).host().len();
-            if shard_n == 0 {
-                routes.push(ShardRoute::Empty);
-                continue;
-            }
-            // first routable replica takes the shard (primary first, so
-            // the all-healthy path is identical to the unreplicated one)
-            let devices: Vec<usize> = self
-                .table
-                .shard(i)
-                .replicas()
-                .iter()
-                .map(|rep| rep.device)
-                .collect();
-            if let Some(j) = devices.iter().position(|&d| self.device_routable(d)) {
-                let shard_sql = render_sql(&q, q.limit.min(shard_n));
-                match self.servers[i][j].submit(&shard_sql, SubmitOptions::default()) {
-                    Ok(t) => routes.push(ShardRoute::Queued {
-                        replica: j,
-                        ticket: t,
-                    }),
-                    Err(e @ QdbError::Overloaded { .. }) => {
-                        // already-admitted siblings will run and be
-                        // discarded — the price of decentralized admission
-                        self.shed += 1;
-                        return Err(e);
-                    }
-                    Err(e) => return Err(e),
-                }
-                continue;
-            }
-            // no live replica server: a rebuilt copy on a routable
-            // device can still serve directly at drain
-            let rebuilt: Vec<usize> = self.rebuilt[i].iter().map(|&(d, _)| d).collect();
-            match rebuilt.into_iter().find(|&d| self.device_routable(d)) {
-                Some(d) => routes.push(ShardRoute::Direct { device: d }),
-                None => routes.push(ShardRoute::Dead {
-                    device: self.table.shard(i).primary_device(),
-                }),
-            }
-        }
-        let ticket = ShardedTicket(self.next_ticket);
-        self.next_ticket += 1;
-        self.pending.push(PendingQuery {
-            ticket,
-            sql: sql.to_string(),
-            q,
-            routes,
-            cached: None,
-        });
+        let (rows, epoch) = (self.table.len(), self.table.epoch());
+        let p = self
+            .front
+            .admit(sql, SubmitOptions::default(), rows, epoch, true)?;
+        let (ticket, limit, hit) = (p.ticket, p.query.limit, p.cached.is_some());
+        let routes = if hit {
+            Vec::new()
+        } else {
+            (0..self.table.num_shards())
+                .map(|i| self.route(i, limit))
+                .collect()
+        };
+        self.routes.push(routes);
         Ok(ticket)
     }
 
-    /// Runs shard `i`'s sub-query directly on `device` (a rebuilt copy,
-    /// or a replica outside its server queue during failover) through
-    /// the one shard scan, with bounded transient retries.
+    /// Routes shard `i`'s sub-query to its first routable copy (primary
+    /// first, so the all-healthy path is identical to the unreplicated
+    /// one).
+    fn route(&mut self, i: usize, limit: usize) -> ShardRoute {
+        let table = self.table;
+        let shard = table.shard(i);
+        let rows = shard.host().len();
+        if rows == 0 {
+            return ShardRoute::Empty;
+        }
+        let devices: Vec<usize> = self.copies(i).map(|(d, _)| d).collect();
+        match devices.iter().position(|&d| self.device_routable(d)) {
+            Some(j) if j < shard.replicas().len() => ShardRoute::Queued {
+                replica: j,
+                limit: limit.min(rows),
+            },
+            Some(j) => ShardRoute::Direct { device: devices[j] },
+            None => ShardRoute::Dead {
+                device: shard.primary_device(),
+            },
+        }
+    }
+
+    /// Runs shard `i`'s sub-query directly on its copy on `device` (a
+    /// rebuilt copy, or a replica outside its lane during failover)
+    /// through the one shard scan, with bounded transient retries.
     fn direct_execute(&self, i: usize, device: usize, q: &Query) -> Result<ShardAnswer, QdbError> {
-        let shard = self.table.shard(i);
-        let gpu = shard
-            .replicas()
-            .iter()
-            .find(|rep| rep.device == device)
-            .map(|rep| &rep.gpu)
-            .or_else(|| {
-                self.rebuilt[i]
-                    .iter()
-                    .find(|&&(d, _)| d == device)
-                    .map(|(_, gpu)| gpu)
-            })
+        let gpu = self
+            .copies(i)
+            .find(|&(d, _)| d == device)
+            .map(|(_, gpu)| gpu)
             .ok_or_else(|| QdbError::Internal {
                 what: format!("shard {i} has no copy on dev{device}"),
             })?;
-        let rows = shard.host().len();
+        let rows = self.table.shard(i).host().len();
         scan_copy(
             self.cluster,
             i,
@@ -1628,54 +1530,9 @@ impl<'a> ShardedServer<'a> {
             rows,
             None,
             q,
-            crate::server::DEFAULT_STRATEGY,
+            DEFAULT_STRATEGY,
             self.max_retries,
         )
-    }
-
-    /// Serves shard `i` from any healthy copy whose device is not in
-    /// `exclude`.
-    fn failover(
-        &mut self,
-        i: usize,
-        q: &Query,
-        exclude: &[usize],
-    ) -> Result<ShardAnswer, QdbError> {
-        let candidates: Vec<usize> = self
-            .table
-            .shard(i)
-            .replicas()
-            .iter()
-            .map(|rep| rep.device)
-            .chain(self.rebuilt[i].iter().map(|&(d, _)| d))
-            .filter(|d| !exclude.contains(d))
-            .collect();
-        let mut last: Option<QdbError> = None;
-        for device in candidates {
-            if self.cluster.device(device).is_down() {
-                self.health[device].down = true;
-                continue;
-            }
-            match self.direct_execute(i, device, q) {
-                Ok(answer) => {
-                    self.note_success(device);
-                    return Ok(ShardAnswer {
-                        failed_over: true,
-                        ..answer
-                    });
-                }
-                Err(e) => {
-                    self.note_failure(device);
-                    last = Some(e);
-                }
-            }
-        }
-        Err(last.unwrap_or_else(|| QdbError::DeviceFault {
-            what: format!("shard {i}: no healthy replica to fail over to"),
-            transient: false,
-            attempts: 1,
-            device: Some(self.table.shard(i).primary_device()),
-        }))
     }
 
     /// Re-serves shard `i` after `device` failed it: notes the failure
@@ -1689,8 +1546,37 @@ impl<'a> ShardedServer<'a> {
         cause: Option<QdbError>,
     ) -> Result<ShardAnswer, QdbError> {
         self.note_failure(device);
-        self.failover(i, q, &[device])
-            .map_err(|e| cause.unwrap_or(e))
+        let candidates: Vec<usize> = self
+            .copies(i)
+            .map(|(d, _)| d)
+            .filter(|&d| d != device)
+            .collect();
+        let mut last: Option<QdbError> = None;
+        for d in candidates {
+            if self.cluster.device(d).is_down() {
+                self.health[d].down = true;
+                continue;
+            }
+            match self.direct_execute(i, d, q) {
+                Ok(answer) => {
+                    self.note_success(d);
+                    return Ok(ShardAnswer {
+                        failed_over: true,
+                        ..answer
+                    });
+                }
+                Err(e) => {
+                    self.note_failure(d);
+                    last = Some(e);
+                }
+            }
+        }
+        Err(cause.or(last).unwrap_or_else(|| QdbError::DeviceFault {
+            what: format!("shard {i}: no healthy replica to fail over to"),
+            transient: false,
+            attempts: 1,
+            device: Some(self.table.shard(i).primary_device()),
+        }))
     }
 
     /// Restores each shard's replication after device loss: a shard with
@@ -1709,11 +1595,9 @@ impl<'a> ShardedServer<'a> {
             if shard.host().is_empty() {
                 continue;
             }
-            let mut live: Vec<usize> = shard
-                .replicas()
-                .iter()
-                .map(|rep| rep.device)
-                .chain(self.rebuilt[i].iter().map(|&(dv, _)| dv))
+            let mut live: Vec<usize> = self
+                .copies(i)
+                .map(|(dv, _)| dv)
                 .filter(|&dv| !self.cluster.device(dv).is_down())
                 .collect();
             while live.len() < self.table.replication() {
@@ -1750,76 +1634,85 @@ impl<'a> ShardedServer<'a> {
 
     /// Number of queries admitted and not yet drained.
     pub fn pending_len(&self) -> usize {
-        self.pending.len()
+        self.front.pending.len()
     }
 
-    /// Drains every replica server, resolves each query's per-shard
-    /// outcome — failing over to a healthy replica where the routed
-    /// device failed or died mid-drain — gathers delegates over the
-    /// interconnect, merges on the first healthy device, updates the
-    /// breaker ledger and rebuilds lost partitions for subsequent
-    /// submissions.
+    /// Drains every lane, resolves each query's per-shard outcome —
+    /// failing over to a healthy replica where the routed device failed
+    /// or died mid-drain — gathers delegates over the interconnect,
+    /// merges on the first healthy device, updates the breaker ledger
+    /// and rebuilds lost partitions for subsequent submissions.
     pub fn drain(&mut self) -> ShardedLoadReport {
+        if check_placement(self.cluster, self.table.num_shards()).is_err() {
+            // a mismatched placement admits nothing (see `submit`)
+            return ShardedLoadReport {
+                queries: Vec::new(),
+                resilience: ResilienceStats::default(),
+                shard_reports: Vec::new(),
+                makespan: SimTime::ZERO,
+                health: self.health.clone(),
+            };
+        }
         self.discard_stale_rebuilds();
-        let replica_reports: Vec<Vec<LoadReport>> = self
-            .servers
-            .iter_mut()
-            .map(|reps| reps.iter_mut().map(|s| s.drain()).collect())
-            .collect();
-        let by_ticket: Vec<Vec<HashMap<usize, usize>>> = replica_reports
+        let pending = std::mem::take(&mut self.front.pending);
+        let routes = std::mem::take(&mut self.routes);
+        let r = self.table.replication();
+        // each lane's list: its sub-queries with the shard's LIMIT, in
+        // submission order; every lane drains, empty ones included,
+        // before any direct execution, failover or gather
+        let mut lists: Vec<Vec<Pending>> = self.lanes.iter().map(|_| Vec::new()).collect();
+        for (p, routes) in pending.iter().zip(&routes) {
+            for (i, route) in routes.iter().enumerate() {
+                if let ShardRoute::Queued { replica, limit } = *route {
+                    lists[i * r + replica].push(Pending {
+                        sql: p.sql.clone(),
+                        query: Query {
+                            limit,
+                            ..p.query.clone()
+                        },
+                        cached: None,
+                        ..*p
+                    });
+                }
+            }
+        }
+        let shard_reports: Vec<LoadReport> = self
+            .lanes
             .iter()
-            .map(|reps| {
-                reps.iter()
-                    .map(|r| {
-                        r.queries
-                            .iter()
-                            .enumerate()
-                            .map(|(idx, sq)| (sq.ticket.0, idx))
-                            .collect()
-                    })
-                    .collect()
-            })
+            .zip(lists)
+            .map(|(lane, list)| lane.drain(list))
             .collect();
+        let mut served: Vec<_> = shard_reports.iter().map(|r| r.queries.iter()).collect();
 
         let trips_before: usize = self.health.iter().map(|h| h.trips).sum();
         let merge_dev = first_healthy_from(self.cluster, 0);
         let fallback_dev = merge_dev.unwrap_or(0);
-        let pending = std::mem::take(&mut self.pending);
         let mut queries = Vec::with_capacity(pending.len());
-        for PendingQuery {
-            ticket,
-            sql,
-            q,
-            routes,
-            cached,
-        } in pending
-        {
-            if let Some(ids) = cached {
-                // resolved from the epoch-tagged cache at submission:
-                // no sub-queries ran, nothing shipped, zero latency
-                queries.push(ShardedServed {
-                    ticket,
-                    sql,
-                    ids,
-                    latency: SimTime::ZERO,
-                    error: None,
-                    degrade: DegradeLevel::None,
-                    retries: 0,
-                    transfer_retries: 0,
-                    failovers: 0,
-                    cached: true,
-                });
+        for (p, routes) in pending.into_iter().zip(routes) {
+            let q = p.query;
+            let mut sq = ShardedServed {
+                ticket: p.ticket,
+                sql: p.sql,
+                // resolved from the epoch-tagged cache at submission: no
+                // sub-queries ran, nothing shipped, zero latency
+                cached: p.cached.is_some(),
+                ids: p.cached.unwrap_or_default(),
+                latency: SimTime::ZERO,
+                error: None,
+                degrade: DegradeLevel::None,
+                retries: 0,
+                transfer_retries: 0,
+                failovers: 0,
+            };
+            if sq.cached {
+                queries.push(sq);
                 continue;
             }
             let mut shards = Scatter::default();
-            let mut error: Option<QdbError> = None;
-            let mut degrade = DegradeLevel::None;
-            let mut retries = 0usize;
-            let mut failovers = 0usize;
             // resolve each shard; every failure path (queued error,
             // stranded result, direct miss) funnels through one rescue
             for (i, route) in routes.iter().enumerate() {
-                let answer = match route {
+                let answer = match *route {
                     ShardRoute::Empty => {
                         shards.push(Vec::new(), SimTime::ZERO, fallback_dev);
                         continue;
@@ -1828,128 +1721,109 @@ impl<'a> ShardedServer<'a> {
                         what: format!("shard {i}: no healthy replica to serve from"),
                         transient: false,
                         attempts: 1,
-                        device: Some(*device),
+                        device: Some(device),
                     }),
-                    ShardRoute::Direct { device } => match self.direct_execute(i, *device, &q) {
+                    ShardRoute::Direct { device } => match self.direct_execute(i, device, &q) {
                         Ok(answer) => {
-                            self.note_success(*device);
+                            self.note_success(device);
                             Ok(answer)
                         }
-                        Err(e) => self.rescue(i, &q, *device, Some(e)),
+                        Err(e) => self.rescue(i, &q, device, Some(e)),
                     },
-                    ShardRoute::Queued { replica, ticket: t } => {
-                        let device = self.table.shard(i).replicas()[*replica].device;
-                        let served =
-                            &replica_reports[i][*replica].queries[by_ticket[i][*replica][&t.0]];
-                        retries += served.retries;
-                        degrade = degrade.max(served.degrade);
-                        match &served.error {
-                            Some(e) => match attribute_device(e.clone(), device) {
-                                e @ QdbError::DeviceFault { .. } => {
-                                    self.rescue(i, &q, device, Some(e))
+                    ShardRoute::Queued { replica, .. } => match served[i * r + replica].next() {
+                        // a lane reports every entry of its list, in order
+                        None => Err(QdbError::Internal {
+                            what: format!("shard {i}: its lane reported no answer"),
+                        }),
+                        Some(served) => {
+                            let device = self.table.shard(i).replicas()[replica].device;
+                            sq.retries += served.retries;
+                            sq.degrade = sq.degrade.max(served.degrade);
+                            match &served.error {
+                                Some(e) => match attribute_device(e.clone(), device) {
+                                    e @ QdbError::DeviceFault { .. } => {
+                                        self.rescue(i, &q, device, Some(e))
+                                    }
+                                    // a deadline miss is final — re-running
+                                    // it elsewhere would answer after the
+                                    // deadline
+                                    e => {
+                                        self.note_failure(device);
+                                        Err(e)
+                                    }
+                                },
+                                // the device answered but died before its
+                                // delegates could ship: the result is lost
+                                // with it — re-serve from a healthy replica
+                                None if self.cluster.device(device).is_down() => {
+                                    self.rescue(i, &q, device, None)
                                 }
-                                // a deadline miss is final — re-running it
-                                // elsewhere would answer after the deadline
-                                e => {
-                                    self.note_failure(device);
-                                    Err(e)
+                                None => {
+                                    self.note_success(device);
+                                    Ok(ShardAnswer {
+                                        ids: served.result.ids.clone(),
+                                        time: served.timing.total,
+                                        device,
+                                        retries: 0,
+                                        failed_over: false,
+                                    })
                                 }
-                            },
-                            // the device answered but died before its
-                            // delegates could ship: the result is lost
-                            // with it — re-serve from a healthy replica
-                            None if self.cluster.device(device).is_down() => {
-                                self.rescue(i, &q, device, None)
-                            }
-                            None => {
-                                self.note_success(device);
-                                Ok(ShardAnswer {
-                                    ids: served.result.ids.clone(),
-                                    time: served.timing.total,
-                                    device,
-                                    retries: 0,
-                                    failed_over: false,
-                                })
                             }
                         }
-                    }
+                    },
                 };
                 match answer {
                     Ok(a) => {
-                        retries += a.retries;
-                        failovers += usize::from(a.failed_over);
+                        sq.retries += a.retries;
+                        sq.failovers += usize::from(a.failed_over);
                         shards.push(a.ids, a.time, a.device);
                     }
                     Err(e) => {
                         // a failed shard with no healthy copy fails the
                         // whole query: no silent truncation to the
                         // surviving shards
-                        error.get_or_insert(e);
+                        sq.error.get_or_insert(e);
                         shards.push(Vec::new(), SimTime::ZERO, fallback_dev);
                     }
                 }
             }
-            let merged = match (error, merge_dev) {
+            let merged = match (sq.error.take(), merge_dev) {
                 (Some(e), _) => Err(e),
                 (None, None) => Err(all_devices_down(0)),
                 (None, Some(md)) => {
                     shards.gather(self.cluster, self.table, &q, md, self.max_retries)
                 }
             };
-            let (ids, latency, transfer_retries, error) = match merged {
-                Ok(m) => (
-                    m.items,
-                    m.transfer_done + m.merge_time,
-                    m.transfer_retries,
-                    None,
-                ),
-                Err(e) => (Vec::new(), SimTime::ZERO, 0, Some(e)),
-            };
-            queries.push(ShardedServed {
-                ticket,
-                sql,
-                ids,
-                latency,
-                error,
-                degrade,
-                retries: retries + transfer_retries,
-                transfer_retries,
-                failovers,
-                cached: false,
-            });
+            match merged {
+                Ok(m) => {
+                    sq.ids = m.items;
+                    sq.latency = m.transfer_done + m.merge_time;
+                    sq.transfer_retries = m.transfer_retries;
+                    sq.retries += m.transfer_retries;
+                }
+                Err(e) => sq.error = Some(e),
+            }
+            queries.push(sq);
         }
 
-        // every freshly merged result is valid exactly at the current
-        // epoch; the next append invalidates all of them at once
-        let epoch = self.table.epoch();
-        for sq in queries.iter().filter(|sq| sq.completed() && !sq.cached) {
-            self.cache.store(&sq.sql, epoch, &sq.ids);
+        // shard-level retries come from the lanes' ledgers; only the
+        // transfer/merge share is new information
+        let mut resilience = ResilienceStats::default();
+        for rep in &shard_reports {
+            resilience.retries += rep.resilience.retries;
+            resilience.faults_injected += rep.resilience.faults_injected;
         }
-
-        let mut resilience = self.cache.take_counts();
-        for r in replica_reports.iter().flatten() {
-            resilience.retries += r.resilience.retries;
-            resilience.faults_injected += r.resilience.faults_injected;
-        }
-        resilience.shed = std::mem::take(&mut self.shed);
-        resilience.failovers = queries.iter().map(|sq| sq.failovers).sum();
         for sq in &queries {
-            if sq.completed() {
-                resilience.completed += 1;
-            } else if matches!(sq.error, Some(QdbError::Timeout { .. })) {
-                resilience.timed_out += 1;
-            } else {
-                resilience.failed += 1;
-            }
-            // shard-level retries are already summed via the per-device
-            // ledgers; only the transfer/merge share is new information
+            resilience.tally(sq.error.as_ref(), sq.degrade);
             resilience.retries += sq.transfer_retries;
-            match sq.degrade {
-                DegradeLevel::SerialBitonic => resilience.degraded_serial += 1,
-                DegradeLevel::CpuHeap => resilience.degraded_cpu += 1,
-                DegradeLevel::None => {}
-            }
+            resilience.failovers += sq.failovers;
         }
+        let fresh = queries.iter().filter(|sq| sq.completed() && !sq.cached);
+        self.front.settle(
+            self.table.epoch(),
+            fresh.map(|sq| (sq.sql.as_str(), sq.ids.as_slice())),
+            &mut resilience,
+        );
         let makespan = queries
             .iter()
             .filter(|q| q.completed())
@@ -1957,11 +1831,11 @@ impl<'a> ShardedServer<'a> {
             .fold(SimTime::ZERO, |a, b| if b.0 > a.0 { b } else { a });
 
         // advance the simulated clock the breaker cooldown runs on: the
-        // slowest of the per-replica drains and this drain's merges
+        // slowest of the lane drains and this drain's merges
         let mut advance = makespan;
-        for r in replica_reports.iter().flatten() {
-            if r.makespan.0 > advance.0 {
-                advance = r.makespan;
+        for rep in &shard_reports {
+            if rep.makespan.0 > advance.0 {
+                advance = rep.makespan;
             }
         }
         self.sim_now += advance;
@@ -1978,7 +1852,6 @@ impl<'a> ShardedServer<'a> {
             }
         }
 
-        let shard_reports: Vec<LoadReport> = replica_reports.into_iter().flatten().collect();
         ShardedLoadReport {
             queries,
             resilience,
@@ -1992,6 +1865,8 @@ impl<'a> ShardedServer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sql::parse;
+    use crate::stream::{TopKView, ViewConfig};
     use datagen::dist::{Distribution, Uniform};
     use simt::topology::ClusterSpec;
     use simt::{Device, FaultPlan};
@@ -2220,7 +2095,7 @@ mod tests {
         let cluster = Cluster::new(ClusterSpec::pcie_node(4));
         let table = ShardedTable::partition(&cluster, &host, PartitionPolicy::Hash).unwrap();
         let mut server = ShardedServer::new(&cluster, &table, ServerConfig::default());
-        let tickets: Vec<ShardedTicket> = sqls.iter().map(|s| server.submit(s).unwrap()).collect();
+        let tickets: Vec<QueryTicket> = sqls.iter().map(|s| server.submit(s).unwrap()).collect();
         let report = server.drain();
         assert_eq!(report.queries.len(), sqls.len());
         for (i, t) in tickets.iter().enumerate() {
@@ -2607,24 +2482,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn render_sql_roundtrips_through_the_parser() {
-        let sqls = [
-            "SELECT id FROM tweets WHERE tweet_time < 120 ORDER BY retweet_count DESC LIMIT 7",
-            "SELECT id FROM tweets WHERE lang = 'en' OR lang = 'ja' ORDER BY retweet_count DESC LIMIT 3",
-            "SELECT id FROM tweets ORDER BY retweet_count + 0.5 * likes_count DESC LIMIT 9",
-            "SELECT id FROM tweets ORDER BY retweet_count ASC LIMIT 4",
-        ];
-        for sql in sqls {
-            let q = parse(sql).unwrap();
-            let rendered = render_sql(&q, q.limit);
-            let q2 = parse(&rendered).unwrap();
-            assert_eq!(q, q2, "{sql} -> {rendered}");
-            let clamped = parse(&render_sql(&q, 2)).unwrap();
-            assert_eq!(clamped.limit, 2);
-        }
-    }
-
     /// The gather waits for every shard, including a remote one whose
     /// list is empty: shard 1 matches nothing but its stalled local pass
     /// still bounds the query's completion.
@@ -2654,6 +2511,83 @@ mod tests {
             "the query finished at {} before its slowest shard ({slowest} s)",
             r.sim_time
         );
+    }
+
+    /// A shed sharded query queues nothing: the front checks its bound
+    /// once, before routing, so no shard runs an orphan sub-query whose
+    /// answer would be thrown away.
+    #[test]
+    fn a_shed_sharded_query_queues_nothing() {
+        let host = TweetTable::generate(8_000, 29);
+        let cluster = Cluster::new(ClusterSpec::pcie_node(4));
+        let table = ShardedTable::partition_replicated(
+            &cluster,
+            &host,
+            PartitionPolicy::Hash,
+            ReplicationFactor(2),
+        )
+        .unwrap();
+        let cfg = ServerConfig {
+            max_queue: 2,
+            ..ServerConfig::default()
+        };
+        let mut server = ShardedServer::new(&cluster, &table, cfg);
+        let sql = "SELECT id FROM tweets ORDER BY retweet_count DESC LIMIT 8";
+        // two queries fill every primary lane
+        server.submit(sql).unwrap();
+        server.submit(sql).unwrap();
+        // shard 0 would now route to its replica on device 1
+        cluster
+            .device(0)
+            .set_fault_plan(FaultPlan::down_at(SimTime::ZERO));
+        assert!(matches!(
+            server.submit(sql),
+            Err(QdbError::Overloaded {
+                queue_len: 2,
+                max_queue: 2
+            })
+        ));
+        let report = server.drain();
+        let subs: usize = report.shard_reports.iter().map(|r| r.queries.len()).sum();
+        assert_eq!(
+            subs, 8,
+            "two queries over four shards, none from the shed one"
+        );
+        assert_eq!(report.queries.len(), 2);
+        assert_eq!(report.resilience.shed, 1);
+    }
+
+    /// A table partitioned for a cluster of another size gets one typed
+    /// placement error from every entry point, before anything runs or
+    /// splices — never an index panic.
+    #[test]
+    fn a_mismatched_placement_is_refused_by_every_entry_point() {
+        let host = TweetTable::generate(4_000, 37);
+        let four = Cluster::new(ClusterSpec::pcie_node(4));
+        let table = ShardedTable::partition_replicated_with_capacity(
+            &four,
+            &host,
+            PartitionPolicy::Range,
+            ReplicationFactor::ONE,
+            5_000,
+        )
+        .unwrap();
+        let two = Cluster::new(ClusterSpec::pcie_node(2));
+        let (len, epoch) = (table.len(), table.epoch());
+        let refused =
+            |r: Result<(), QdbError>| matches!(r, Err(QdbError::Parse(SqlError::Unsupported(_))));
+        let sql = "SELECT id FROM tweets ORDER BY retweet_count DESC LIMIT 8";
+        let q = parse(sql).unwrap();
+        let exec = execute_sharded(&two, &table, &q, Strategy::StageBitonic, 2);
+        assert!(refused(exec.map(|_| ())));
+        let view = TopKView::register(sql, Strategy::StageBitonic, ViewConfig::default()).unwrap();
+        assert!(refused(view.refresh_sharded(&two, &table, 2).map(|_| ())));
+        let batch = TweetTable::generate_at(500, 3, host.len() as u32);
+        assert!(refused(table.append_batch(&two, &batch).map(|_| ())));
+        let mut server = ShardedServer::new(&two, &table, ServerConfig::default());
+        assert!(refused(server.submit(sql).map(|_| ())));
+        assert!(server.drain().queries.is_empty());
+        assert_eq!((table.len(), table.epoch()), (len, epoch));
     }
 
     /// A part count that does not match the cluster is a typed error on

@@ -45,8 +45,8 @@ use crate::cpu_engine::execute_cpu;
 use crate::error::QdbError;
 use crate::queries::Strategy;
 use crate::shard::{
-    all_devices_down, execute_sharded, first_healthy_from, merge_id_runs, scatter, MergeTarget,
-    ShardedTable,
+    all_devices_down, check_placement, execute_sharded, first_healthy_from, merge_id_runs, scatter,
+    MergeTarget, ShardedTable,
 };
 use crate::sql::{execute, parse, Query, SqlError};
 use crate::table::{host_rows, BackendTable, GpuTweetTable};
@@ -402,6 +402,7 @@ impl TopKView {
         table: &ShardedTable,
         max_retries: usize,
     ) -> Result<ViewRefresh, QdbError> {
+        check_placement(cluster, table.num_shards())?;
         // the standing result must have been built against this sharding
         let can_merge = self.shard_done.borrow().len() == table.num_shards();
         let r = self.maintain(

@@ -47,7 +47,7 @@
 
 use crate::analysis::{
     bank_conflicted, uncoalesced, AnalysisReport, Finding, FindingKind, Source,
-    MAX_SECTORS_PER_ACCESS, MIN_BANK_CONFLICT_DEGREE,
+    MAX_SECTORS_PER_ACCESS, MIN_ACCESSES_FOR_COALESCING, MIN_BANK_CONFLICT_DEGREE,
 };
 use crate::buffer::{DeviceCopy, GpuBuffer};
 use crate::device::Kernel;
@@ -295,7 +295,9 @@ pub struct PhaseReport {
     pub name: String,
     /// Predicted counters contributed by this phase (whole grid).
     pub pred: KernelStats,
-    /// Worst predicted coalescing group: (sectors, accesses).
+    /// Worst predicted coalescing group, (sectors, accesses), among the
+    /// groups the coalescing rule judges: those with at least
+    /// [`MIN_ACCESSES_FOR_COALESCING`] accesses, as in the dynamic pass.
     pub worst_global_group: Option<(u64, u64)>,
     /// Worst predicted bank-conflict degree over the phase's groups
     /// (1 when conflict-free or no shared traffic).
@@ -546,7 +548,8 @@ fn keep_worse(worst: &mut Option<(u64, u64)>, group: (u64, u64)) {
 struct GlobalEval {
     /// Predicted counters (whole grid).
     pred: KernelStats,
-    /// Worst coalescing group: (sectors, accesses).
+    /// Worst coalescing group with at least
+    /// [`MIN_ACCESSES_FOR_COALESCING`] accesses: (sectors, accesses).
     worst_group: Option<(u64, u64)>,
     /// Largest element index any block touches (the bounds proof).
     max_elem: Option<usize>,
@@ -623,7 +626,10 @@ fn eval_global_stream(spec: &DeviceSpec, geom: &LaunchGeometry, gs: &GlobalStrea
                 } else {
                     out.pred.global_read_bytes += 32 * sectors * scale;
                 }
-                keep_worse(&mut out.worst_group, (sectors, events));
+                // a tail group is exempt, so it cannot mask a full one
+                if events >= MIN_ACCESSES_FOR_COALESCING {
+                    keep_worse(&mut out.worst_group, (sectors, events));
+                }
             }
         }
     }

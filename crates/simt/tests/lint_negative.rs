@@ -2,7 +2,8 @@
 //! must each trip the *exact* lint kind with kernel/phase attribution —
 //! oversubscribed shared memory, a mis-declared stride caught by the
 //! sanitizer cross-check, a barrier declared inside a divergent branch,
-//! and a statically provable out-of-bounds index.
+//! a statically provable out-of-bounds index, and an uncoalesced full
+//! warp group beside a worse one-access tail group.
 
 use simt::lint::{cross_check, lint_kernel, AccessSpec, BufferDecl, GlobalStream, PhaseSpec};
 use simt::{
@@ -270,4 +271,71 @@ fn statically_provable_oob_index_is_a_hard_error() {
         "detail names the buffer: {}",
         hits[0].detail
     );
+}
+
+#[test]
+fn a_tail_group_does_not_mask_an_uncoalesced_full_group() {
+    // one phase, two honest streams: 32 lanes read `u32` at stride 8 (one
+    // sector per access, uncoalesced), and lane 0 reads one 12-byte
+    // element across two sectors (a one-access tail group that coalesces
+    // worse but is exempt); both passes must judge the full group
+    let dev = Device::titan_x();
+    dev.enable_lint();
+    dev.enable_sanitizer();
+    let wide: GpuBuffer<u32> = dev.upload(&vec![1u32; 256]);
+    let triples: GpuBuffer<[u32; 3]> = dev.upload(&[[2u32; 3]; 4]);
+    // buffers are 4 KiB-aligned: element 2 spans bytes 24..36
+    let straddle = 2;
+    let stream = |buf: BufferDecl, lane_stride: usize, active: usize, base: usize| GlobalStream {
+        buf,
+        write: false,
+        base,
+        lane_stride,
+        slot_stride: 0,
+        slots: 1,
+        block_stride: 0,
+        active,
+        bound: None,
+    };
+    let spec = AccessSpec {
+        phases: vec![PhaseSpec {
+            name: "gather".to_string(),
+            globals: vec![
+                stream(BufferDecl::of("wide", &wide), 8, 32, 0),
+                stream(BufferDecl::of("triples", &triples), 0, 1, straddle),
+            ],
+            ..PhaseSpec::default()
+        }],
+    };
+    let body = {
+        let (wide, triples) = (wide.clone(), triples.clone());
+        Box::new(move |l: &mut Lane<'_>| {
+            let t = l.tid();
+            let _ = l.gread(&wide, 8 * t);
+            if t == 0 {
+                let _ = l.gread(&triples, straddle);
+            }
+        })
+    };
+    let probe = Probe {
+        name: "masked_stride",
+        grid: 1,
+        block: 32,
+        shared_bytes: 0,
+        spec: Some(spec),
+        body: Some(body),
+    };
+    let launch = dev.launch(&probe).unwrap();
+    let reports = dev.take_analysis();
+    assert_eq!(reports.len(), 1);
+    let hits = errors_of(&reports[0], FindingKind::UncoalescedGlobal);
+    for source in [Source::Static, Source::Dynamic] {
+        assert!(
+            hits.iter().any(|f| f.source == source),
+            "{source:?} pass missed the full group\n{}",
+            reports[0].render()
+        );
+    }
+    // the contract is exact, so the prediction still bit-matches
+    assert!(cross_check(&reports[0], &launch.stats).is_none());
 }

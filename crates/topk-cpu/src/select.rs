@@ -157,8 +157,9 @@ impl<T: TopKItem> CpuTopK<T> for CpuDelegateSelect {
         } else {
             data.to_vec()
         };
-        let mut out = gathered;
-        out.sort_unstable_by(|a, b| {
+        // best first in the full item order; select the top k of the
+        // gathered candidates, then sort only those
+        let best_first = |a: &T, b: &T| {
             if a.item_lt(b) {
                 std::cmp::Ordering::Greater
             } else if b.item_lt(a) {
@@ -166,8 +167,13 @@ impl<T: TopKItem> CpuTopK<T> for CpuDelegateSelect {
             } else {
                 std::cmp::Ordering::Equal
             }
-        });
-        out.truncate(k);
+        };
+        let mut out = gathered;
+        if out.len() > k {
+            out.select_nth_unstable_by(k - 1, best_first);
+            out.truncate(k);
+        }
+        out.sort_unstable_by(best_first);
         out
     }
 }
