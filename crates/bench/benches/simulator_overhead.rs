@@ -179,10 +179,10 @@ fn network_steps<R: Copy + Ord>(g: &mut criterion::BenchmarkGroup<'_>, ty: &str,
 
 /// qdb's serving shapes, each timed end to end through `execute_sql`
 /// with the staged bitonic plan, on a 2^17 + 512-row table, which pads
-/// a full-table top-k input to 2^18: Q1 at 1% and 20% selectivity,
-/// the Q2 ranking, `ASC` and the Q4 group-by. Then one 512-row append
-/// onto 2^17 resident rows. Host time per table row (per appended row
-/// for the append).
+/// a full-table top-k input to 2^18: Q1 at 0%, 1%, 20% and 100%
+/// selectivity (at 0% the filter runs alone), the Q2 ranking, `ASC` and
+/// the Q4 group-by. Then one 512-row append onto 2^17 resident rows.
+/// Host time per table row (per appended row for the append).
 fn bench_qdb_operators(c: &mut Criterion) {
     let (n, batch_rows) = (1usize << 17, 512);
     let host = TweetTable::generate(n, 13);
@@ -192,6 +192,13 @@ fn bench_qdb_operators(c: &mut Criterion) {
     table.append_batch(&dev, &batch).unwrap();
     let cutoff = |sel| host.time_cutoff_for_selectivity(sel);
     let shapes = [
+        (
+            "q1_sel_0pct",
+            format!(
+                "SELECT id FROM tweets WHERE tweet_time < {} ORDER BY retweet_count DESC LIMIT 50",
+                cutoff(0.0)
+            ),
+        ),
         (
             "q1_sel_1pct",
             format!(
@@ -204,6 +211,13 @@ fn bench_qdb_operators(c: &mut Criterion) {
             format!(
                 "SELECT id FROM tweets WHERE tweet_time < {} ORDER BY retweet_count DESC LIMIT 50",
                 cutoff(0.2)
+            ),
+        ),
+        (
+            "q1_sel_100pct",
+            format!(
+                "SELECT id FROM tweets WHERE tweet_time < {} ORDER BY retweet_count DESC LIMIT 50",
+                cutoff(1.0)
             ),
         ),
         (

@@ -142,11 +142,14 @@ pub(crate) fn execute_cpu(
             let op = q.filter.clone().unwrap_or(FilterOp::TimeLess(u32::MAX));
             let scan = Instant::now();
             let partials = par_chunks(n, threads, |r| {
-                r.filter(|&row| op.matches_row(t.tweet_time[row], t.lang[row]))
-                    .map(|row| Kv::new(t.retweet_count[row], t.id[row]))
-                    .collect::<Vec<_>>()
+                op.matched_pairs(
+                    &t.tweet_time[r.clone()],
+                    &t.lang[r.clone()],
+                    &t.retweet_count[r.clone()],
+                    &t.id[r],
+                )
             });
-            let items: Vec<Kv<u32>> = partials.into_iter().flatten().collect();
+            let items: Vec<Kv<u32>> = partials.concat();
             stages.push(("cpu_filter".to_string(), ms(scan)));
             let sel = Instant::now();
             let ids: Vec<u32> = if q.ascending {

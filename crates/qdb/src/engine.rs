@@ -31,30 +31,60 @@ impl FilterOp {
         }
     }
 
-    /// Evaluates the predicate against raw column values — the
-    /// backend-agnostic primitive both the device filter kernel and the
-    /// CPU engine's parallel scan share.
-    pub fn matches_row(&self, tweet_time: u32, lang: u8) -> bool {
+    /// The `(keys[row], ids[row])` pair of every row whose
+    /// `times[row]`/`langs[row]` match, in row order — the one scan body
+    /// behind the device filter kernel, the fused plans, the ladder's
+    /// CPU rung and the CPU engine's chunked scan. It dispatches on the
+    /// predicate once per scan, walks the columns zipped, and collects
+    /// into one vector reserved for every row. All four slices cover
+    /// the same rows.
+    pub(crate) fn matched_pairs(
+        &self,
+        times: &[u32],
+        langs: &[u8],
+        keys: &[u32],
+        ids: &[u32],
+    ) -> Vec<Kv<u32>> {
+        fn scan<P: Copy>(
+            preds: &[P],
+            keys: &[u32],
+            ids: &[u32],
+            keep: impl Fn(P) -> bool,
+        ) -> Vec<Kv<u32>> {
+            let mut out = Vec::with_capacity(keys.len());
+            for ((&p, &key), &id) in preds.iter().zip(keys).zip(ids) {
+                if keep(p) {
+                    out.push(Kv::new(key, id));
+                }
+            }
+            out
+        }
         match self {
-            FilterOp::TimeLess(cutoff) => tweet_time < *cutoff,
-            FilterOp::LangIn(langs) => langs.contains(&lang),
+            FilterOp::TimeLess(cutoff) => scan(times, keys, ids, |t| t < *cutoff),
+            FilterOp::LangIn(wanted) => {
+                let mut hit = [false; 256];
+                for &l in wanted {
+                    hit[l as usize] = true;
+                }
+                scan(langs, keys, ids, |l| hit[l as usize])
+            }
         }
     }
 
-    /// The `(key_col[row], id[row])` pair of every matching row of
-    /// `table`, in row order, reading each column through one borrow.
-    pub(crate) fn matched_pairs(
+    /// [`Self::matched_pairs`] over `table`'s rows, keyed by `key_col`,
+    /// reading each column's `[..len]` prefix through one borrow.
+    pub(crate) fn matched_in(
         &self,
         table: &GpuTweetTable,
         key_col: &GpuBuffer<u32>,
     ) -> Vec<Kv<u32>> {
         let n = table.len();
-        let (times, langs) = (table.tweet_time.host_view(), table.lang.host_view());
-        let (keys, ids) = (key_col.host_view(), table.id.host_view());
-        (0..n)
-            .filter(|&row| self.matches_row(times[row], langs[row]))
-            .map(|row| Kv::new(keys[row], ids[row]))
-            .collect()
+        self.matched_pairs(
+            &table.tweet_time.host_view()[..n],
+            &table.lang.host_view()[..n],
+            &key_col.host_view()[..n],
+            &table.id.host_view()[..n],
+        )
     }
 }
 
@@ -108,7 +138,8 @@ pub enum TopKStrategy {
 }
 
 /// Filter kernel: scans the predicate and key columns, writes matching
-/// `(key, id)` pairs to a candidate buffer.
+/// `(key, id)` pairs to a candidate buffer's prefix (the tail past the
+/// matched count keeps its contents).
 pub(crate) struct FilterKernel<'a> {
     pub table: &'a GpuTweetTable,
     pub op: &'a FilterOp,
@@ -151,14 +182,12 @@ impl Kernel for FilterKernel<'_> {
     }
     fn run_block(&self, blk: &mut BlockCtx) {
         let n = self.table.len();
-        let matched = self.op.matched_pairs(self.table, self.key_col);
+        let matched = self.op.matched_in(self.table, self.key_col);
         blk.bulk_global_read((n * (self.op.pred_bytes() + 4)) as u64);
         blk.bulk_global_write((matched.len() * Kv::<u32>::SIZE_BYTES) as u64);
         blk.bulk_ops(2 * n as u64);
         self.out_count.set(0, matched.len() as u32);
-        let mut buf = self.out.to_vec();
-        buf[..matched.len()].copy_from_slice(&matched);
-        self.out.upload(&buf);
+        self.out.write_range(0, &matched);
     }
 }
 
@@ -432,6 +461,78 @@ mod tests {
         for item in out.read_range(0..m) {
             assert!(host.tweet_time[item.value as usize] < cutoff);
             assert_eq!(host.retweet_count[item.value as usize], item.key);
+        }
+    }
+
+    /// The one scan, against an iterator reference over the host rows:
+    /// `matched_in` (over `matched_pairs`) and the filter kernel on a
+    /// table with append headroom, before and after an append. The
+    /// headroom rows are zeros, which every case but selectivity 0 and
+    /// the empty `IN` list would match, so a scan past `len` fails here,
+    /// and so does one that drops the last row (selectivity 1). The
+    /// kernel writes the matches into the candidate buffer's prefix,
+    /// leaves its tail as it was, and bumps its version once.
+    #[test]
+    fn filter_scan_matches_an_iterator_reference() {
+        use datagen::twitter::{LANG_EN, LANG_OTHER};
+        let dev = Device::titan_x();
+        let host = TweetTable::generate(6_000, 23);
+        let batch = TweetTable::generate_at(700, 24, host.len() as u32);
+        let gpu = GpuTweetTable::upload_with_capacity(&dev, &host, 8_000);
+        let cutoff = |sel| host.time_cutoff_for_selectivity(sel);
+        let ops = [
+            FilterOp::TimeLess(cutoff(0.0)),
+            FilterOp::TimeLess(cutoff(0.01)),
+            FilterOp::TimeLess(cutoff(0.5)),
+            FilterOp::TimeLess(u32::MAX),
+            FilterOp::LangIn(Vec::new()),
+            FilterOp::LangIn(vec![LANG_EN]),
+            FilterOp::LangIn((LANG_EN..=LANG_OTHER).collect()),
+        ];
+        let mut rows = host.clone();
+        for appended in [false, true] {
+            if appended {
+                gpu.append_batch(&dev, &batch).unwrap();
+                for (col, tail) in [
+                    (&mut rows.id, &batch.id),
+                    (&mut rows.tweet_time, &batch.tweet_time),
+                    (&mut rows.retweet_count, &batch.retweet_count),
+                ] {
+                    col.extend_from_slice(tail);
+                }
+                rows.lang.extend_from_slice(&batch.lang);
+            }
+            assert!(gpu.len() < gpu.capacity());
+            for op in &ops {
+                let want: Vec<Kv<u32>> = (0..rows.len())
+                    .filter(|&r| match op {
+                        FilterOp::TimeLess(c) => rows.tweet_time[r] < *c,
+                        FilterOp::LangIn(langs) => langs.contains(&rows.lang[r]),
+                    })
+                    .map(|r| Kv::new(rows.retweet_count[r], rows.id[r]))
+                    .collect();
+                let case = format!("{op:?}, appended {appended}");
+                assert_eq!(op.matched_in(&gpu, &gpu.retweet_count), want, "{case}");
+
+                let before: Vec<Kv<u32>> = (0..gpu.len() as u32).map(|i| Kv::new(i, !i)).collect();
+                let out = dev.upload(&before);
+                let cnt = dev.alloc::<u32>(1);
+                let v0 = out.contents_version();
+                dev.launch(&FilterKernel {
+                    table: &gpu,
+                    op,
+                    key_col: &gpu.retweet_count,
+                    out: out.clone(),
+                    out_count: cnt.clone(),
+                })
+                .unwrap();
+                let m = want.len();
+                assert_eq!(cnt.get(0) as usize, m, "{case}");
+                assert_eq!(out.contents_version(), v0 + 1, "{case}");
+                let got = out.to_vec();
+                assert_eq!(got[..m], want[..], "{case}");
+                assert_eq!(got[m..], before[m..], "{case}: the tail is untouched");
+            }
         }
     }
 

@@ -117,7 +117,7 @@ pub fn filtered_topk(
         Strategy::CombinedBitonic => {
             // the fused kernel evaluates the predicate itself; the matched
             // set is computed host-side for the functional result
-            let matched = op.matched_pairs(table, &table.retweet_count);
+            let matched = op.matched_in(table, &table.retweet_count);
             if matched.is_empty() {
                 return Ok(collect_result(dev, log_start, Vec::new()));
             }
@@ -155,7 +155,7 @@ pub fn filtered_bottomk(
         }
         Strategy::CombinedBitonic => {
             let matched: Vec<Rev<Kv<u32>>> = op
-                .matched_pairs(table, &table.retweet_count)
+                .matched_in(table, &table.retweet_count)
                 .into_iter()
                 .map(Rev)
                 .collect();

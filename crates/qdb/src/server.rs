@@ -71,12 +71,13 @@
 //! per query, percentile summaries, achieved queries/sec, resilience
 //! counters, and a multi-stream chrome trace of the whole drain.
 
+use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 
 use datagen::{Kv, Rev, TopKItem};
 use simt::{
     chrome_trace_streams, AccessSpec, BlockCtx, BufferDecl, BulkAccess, Device, GpuBuffer, Kernel,
-    SimTime, Stream, StreamId, StreamSchedule,
+    LaunchReport, SimTime, Stream, StreamId, StreamSchedule,
 };
 use sortnet::next_pow2;
 use topk::batched::{batched_bitonic_topk, max_single_launch_row};
@@ -367,7 +368,12 @@ pub struct LoadReport {
     /// kernels functionally on the host, so this measures harness cost,
     /// not modeled device time (that is [`LoadReport::makespan`]).
     pub host_wall: std::time::Duration,
-    trace_json: String,
+    /// The drain's window of the device launch log; `log[0]` sits at
+    /// absolute log position `window`.
+    log: Vec<LaunchReport>,
+    window: usize,
+    /// [`LoadReport::chrome_trace`], rendered on its first call.
+    trace: OnceCell<String>,
 }
 
 impl LoadReport {
@@ -377,9 +383,18 @@ impl LoadReport {
         self.schedule.speedup()
     }
 
-    /// Chrome `chrome://tracing` JSON of the drain, one track per stream.
+    /// Chrome `chrome://tracing` JSON of the drain, one track per stream,
+    /// rendered from the drain's own log window on the first call.
     pub fn chrome_trace(&self) -> &str {
-        &self.trace_json
+        self.trace.get_or_init(|| {
+            // the schedule's indices are absolute log positions, so they
+            // are rebased onto the window
+            let mut windowed = self.schedule.clone();
+            for l in &mut windowed.launches {
+                l.index -= self.window;
+            }
+            chrome_trace_streams(&windowed, &self.log)
+        })
     }
 
     /// Host-side throughput: queries divided by [`LoadReport::host_wall`]
@@ -797,7 +812,7 @@ impl<'a> Lane<'a> {
             }
             (OrderBy::RetweetCount, false) => {
                 let op = q.filter.clone().unwrap_or(FilterOp::TimeLess(u32::MAX));
-                let items = op.matched_pairs(t, &t.retweet_count);
+                let items = op.matched_in(t, &t.retweet_count);
                 if q.ascending {
                     let rev: Vec<Rev<Kv<u32>>> = items.into_iter().map(Rev).collect();
                     topk_cpu::heap_topk(&rev, q.limit)
@@ -988,6 +1003,22 @@ impl<'a> Lane<'a> {
         report
     }
 
+    /// Reports every query of `list` failed with `err` without running
+    /// any of it: a sharded lane whose device is already down when the
+    /// drain starts, whose sub-queries the sharded face re-serves from a
+    /// healthy replica.
+    pub(crate) fn refuse(&self, list: Vec<Pending>, err: &QdbError) -> LoadReport {
+        let (window, fault_start) = (self.dev.log_len(), self.dev.fault_events_len());
+        let executed = list
+            .into_iter()
+            .map(|p| Executed {
+                error: Some(err.clone()),
+                ..Executed::new(p)
+            })
+            .collect();
+        self.finish(window, fault_start, 0, executed)
+    }
+
     /// Finishes one coalescable query from its candidate buffer: bitonic
     /// top-k on the query's stream, then (on failure) the ladder's serial
     /// rungs.
@@ -1017,14 +1048,8 @@ impl<'a> Lane<'a> {
     ) -> LoadReport {
         let dev = self.dev;
         let schedule = dev.schedule_since(window);
-        // this drain's launches only: the schedule's indices are absolute
-        // log positions, so they are rebased onto the window
+        // this drain's launches only
         let log = dev.log_since(window);
-        let mut windowed = schedule.clone();
-        for l in &mut windowed.launches {
-            l.index -= window;
-        }
-        let trace_json = chrome_trace_streams(&windowed, &log);
         let placed: HashMap<usize, (SimTime, SimTime)> = schedule
             .launches
             .iter()
@@ -1132,7 +1157,9 @@ impl<'a> Lane<'a> {
             queries,
             schedule,
             host_wall: std::time::Duration::ZERO,
-            trace_json,
+            log,
+            window,
+            trace: OnceCell::new(),
         }
     }
 }
@@ -1521,7 +1548,10 @@ mod tests {
         let full_log = dev.log_since(0);
         assert!(full_log.len() > 5 * reports[0].schedule.launches.len());
         for r in &reports {
-            assert_eq!(r.trace_json, chrome_trace_streams(&r.schedule, &full_log));
+            assert_eq!(
+                r.chrome_trace(),
+                chrome_trace_streams(&r.schedule, &full_log)
+            );
             assert_eq!(breakdowns(r), breakdowns(&fresh[0]));
             let solo: Vec<&ServedQuery> = r.queries.iter().filter(|q| !q.coalesced).collect();
             assert_eq!(solo.len(), 3, "ranked, ASC and GROUP BY run alone");

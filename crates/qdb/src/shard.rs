@@ -1676,11 +1676,31 @@ impl<'a> ShardedServer<'a> {
                 }
             }
         }
+        // a lane whose device is already down runs nothing: its list is
+        // refused, and each sub-query fails over below
+        let devices = (0..self.table.num_shards())
+            .flat_map(|i| self.table.shard(i).replicas())
+            .map(|rep| rep.device);
         let shard_reports: Vec<LoadReport> = self
             .lanes
             .iter()
             .zip(lists)
-            .map(|(lane, list)| lane.drain(list))
+            .zip(devices)
+            .map(|((lane, list), device)| {
+                if self.cluster.device(device).is_down() {
+                    lane.refuse(
+                        list,
+                        &QdbError::DeviceFault {
+                            what: format!("dev{device} was down when the drain started"),
+                            transient: false,
+                            attempts: 1,
+                            device: Some(device),
+                        },
+                    )
+                } else {
+                    lane.drain(list)
+                }
+            })
             .collect();
         let mut served: Vec<_> = shard_reports.iter().map(|r| r.queries.iter()).collect();
 
@@ -2555,6 +2575,64 @@ mod tests {
         );
         assert_eq!(report.queries.len(), 2);
         assert_eq!(report.resilience.shed, 1);
+    }
+
+    /// A lane whose device is already down when the drain starts runs
+    /// nothing: its sub-queries fail over to the surviving replica, and
+    /// no query reports the CPU rung the dead lane would have run.
+    #[test]
+    fn a_lane_on_a_dead_device_does_not_run() {
+        let host = TweetTable::generate(8_000, 41);
+        let dev = Device::titan_x();
+        let gpu = GpuTweetTable::upload(&dev, &host);
+        let cutoff = host.time_cutoff_for_selectivity(0.3);
+        let sqls = [
+            format!(
+                "SELECT id FROM tweets WHERE tweet_time < {cutoff} \
+                 ORDER BY retweet_count DESC LIMIT 10"
+            ),
+            "SELECT id FROM tweets ORDER BY retweet_count + 0.5 * likes_count DESC LIMIT 8"
+                .to_string(),
+        ];
+        let cluster = Cluster::new(ClusterSpec::pcie_node(4));
+        let table = ShardedTable::partition_replicated(
+            &cluster,
+            &host,
+            PartitionPolicy::Hash,
+            ReplicationFactor(2),
+        )
+        .unwrap();
+        let mut server = ShardedServer::new(&cluster, &table, ServerConfig::default());
+        for sql in &sqls {
+            server.submit(sql).unwrap();
+        }
+        cluster
+            .device(0)
+            .set_fault_plan(FaultPlan::down_at(SimTime::ZERO));
+        let report = server.drain();
+        for (sq, sql) in report.queries.iter().zip(&sqls) {
+            let oracle = execute(&dev, &gpu, &parse(sql).unwrap(), Strategy::StageBitonic).unwrap();
+            assert!(sq.completed(), "{sql}: {:?}", sq.error);
+            assert_eq!(sq.ids, oracle.ids, "{sql}");
+            assert_eq!(sq.failovers, 1, "{sql}");
+            assert_eq!(sq.degrade, DegradeLevel::None, "{sql}");
+        }
+        assert_eq!(report.resilience.failovers, 2);
+        assert_eq!(report.resilience.degraded_cpu, 0);
+        // the dead lane's list is refused, typed and attributed
+        let dead = &report.shard_reports[0];
+        assert_eq!(dead.queries.len(), 2);
+        assert!(dead.schedule.launches.is_empty());
+        for q in &dead.queries {
+            assert!(matches!(
+                q.error,
+                Some(QdbError::DeviceFault {
+                    transient: false,
+                    device: Some(0),
+                    ..
+                })
+            ));
+        }
     }
 
     /// A table partitioned for a cluster of another size gets one typed

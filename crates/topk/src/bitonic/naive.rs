@@ -1,6 +1,13 @@
 //! The unoptimized baseline: every bitonic network step is its own kernel
 //! reading and writing global memory (the 521 ms starting point of the
 //! Section 4.3 optimization ladder).
+//!
+//! Every launch is charged from its declared traffic, so the host body
+//! needs no item copy of its own: the launches of one read share one
+//! rank image of the data (see [`TopKItem::rank`]), converted once
+//! before the first launch and decoded once after the last.
+
+use std::cell::RefCell;
 
 use datagen::TopKItem;
 use simt::{AccessSpec, BlockCtx, BufferDecl, BulkAccess, Device, GpuBuffer, Kernel};
@@ -10,13 +17,15 @@ use crate::TopKError;
 
 /// Applies one compare-exchange step to the whole live prefix, straight
 /// from global memory. Streaming traffic: read + write of every element.
-struct GlobalStepKernel<T: TopKItem> {
+struct GlobalStepKernel<'a, T: TopKItem> {
     data: GpuBuffer<T>,
+    /// The read's rank image of `data`.
+    ranks: &'a RefCell<Vec<T::Rank>>,
     n: usize,
     step: Step,
 }
 
-impl<T: TopKItem> Kernel for GlobalStepKernel<T> {
+impl<T: TopKItem> Kernel for GlobalStepKernel<'_, T> {
     fn name(&self) -> &'static str {
         "bitonic_global_step"
     }
@@ -49,20 +58,20 @@ impl<T: TopKItem> Kernel for GlobalStepKernel<T> {
         blk.bulk_global_read(bytes);
         blk.bulk_global_write(bytes);
         blk.bulk_ops(self.n as u64 / 2);
-        on_ranks(&self.data, self.n, self.n, |r| {
-            host::apply_step(r, self.step)
-        });
+        host::apply_step(&mut self.ranks.borrow_mut()[..self.n], self.step);
     }
 }
 
 /// Pairwise-max merge over 2k windows, global memory to global memory.
-struct GlobalMergeKernel<T: TopKItem> {
+struct GlobalMergeKernel<'a, T: TopKItem> {
     data: GpuBuffer<T>,
+    /// The read's rank image of `data`.
+    ranks: &'a RefCell<Vec<T::Rank>>,
     n: usize,
     k: usize,
 }
 
-impl<T: TopKItem> Kernel for GlobalMergeKernel<T> {
+impl<T: TopKItem> Kernel for GlobalMergeKernel<'_, T> {
     fn name(&self) -> &'static str {
         "bitonic_global_merge"
     }
@@ -95,24 +104,8 @@ impl<T: TopKItem> Kernel for GlobalMergeKernel<T> {
         blk.bulk_global_read(bytes);
         blk.bulk_global_write(bytes / 2);
         blk.bulk_ops(self.n as u64 / 2);
-        on_ranks(&self.data, self.n, self.n / 2, |r| {
-            host::merge_in_place(r, self.k)
-        });
+        host::merge_in_place(&mut self.ranks.borrow_mut()[..self.n], self.k);
     }
-}
-
-/// Converts `data[..n]` to ranks once (see [`TopKItem::rank`]), runs `f`
-/// on them, and writes the first `out` back as items.
-fn on_ranks<T: TopKItem>(
-    data: &GpuBuffer<T>,
-    n: usize,
-    out: usize,
-    f: impl FnOnce(&mut [T::Rank]),
-) {
-    let mut ranks: Vec<T::Rank> = data.read_range(0..n).iter().map(T::rank).collect();
-    f(&mut ranks);
-    let items: Vec<T> = ranks[..out].iter().map(|&r| T::from_rank(r)).collect();
-    data.write_range(0, &items);
 }
 
 /// Bitonic top-k with per-step global kernels. `data` must already be
@@ -124,28 +117,35 @@ pub(crate) fn run_global_steps<T: TopKItem>(
     n_pad: usize,
     k_eff: usize,
 ) -> Result<(), TopKError> {
-    for step in local_sort_steps(k_eff) {
+    let ranks = RefCell::new(data.host_view()[..n_pad].iter().map(T::rank).collect());
+    let launch_step = |n, step| {
         dev.launch(&GlobalStepKernel {
             data: data.clone(),
-            n: n_pad,
+            ranks: &ranks,
+            n,
             step,
-        })?;
+        })
+    };
+    for step in local_sort_steps(k_eff) {
+        launch_step(n_pad, step)?;
     }
     let mut cur = n_pad;
     while cur > k_eff {
         dev.launch(&GlobalMergeKernel {
             data: data.clone(),
+            ranks: &ranks,
             n: cur,
             k: k_eff,
         })?;
         cur /= 2;
         for step in rebuild_steps(k_eff) {
-            dev.launch(&GlobalStepKernel {
-                data: data.clone(),
-                n: cur,
-                step,
-            })?;
+            launch_step(cur, step)?;
         }
     }
+    data.write_with(|d| {
+        for (o, &r) in d[..k_eff].iter_mut().zip(&ranks.borrow()[..k_eff]) {
+            *o = T::from_rank(r);
+        }
+    });
     Ok(())
 }

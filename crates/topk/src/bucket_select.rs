@@ -10,7 +10,7 @@
 //! `k = 1` short-circuits after the min/max pass, which is why Bucket
 //! Select is the fastest method at `k = 1` in Figure 11.
 
-use crate::util::{sort_desc, validate, LogCapture};
+use crate::util::{cluster, sort_desc, validate, LogCapture};
 use crate::{TopKError, TopKResult};
 use datagen::TopKItem;
 use simt::{AccessSpec, BlockCtx, BufferDecl, BulkAccess, Device, GpuBuffer, Kernel};
@@ -55,10 +55,9 @@ impl<T: TopKItem> Kernel for MinMaxKernel<T> {
     fn run_block(&self, blk: &mut BlockCtx) {
         blk.bulk_global_read((self.n * T::SIZE_BYTES) as u64);
         blk.bulk_ops(2 * self.n as u64);
-        let v = self.input.to_vec();
         let mut lo = f64::MAX;
         let mut hi = -f64::MAX;
-        for item in &v[..self.n] {
+        for item in &self.input.host_view()[..self.n] {
             let x = item.key_value();
             lo = lo.min(x);
             hi = hi.max(x);
@@ -141,9 +140,10 @@ impl<T: TopKItem> Kernel for BucketPassKernel<T> {
         ))
     }
     fn run_block(&self, blk: &mut BlockCtx) {
-        let cand = self.candidates.to_vec();
+        let cand = self.candidates.host_view();
+        let cand = &cand[..self.n];
         let mut hist = [0usize; NUM_BUCKETS];
-        for item in &cand[..self.n] {
+        for item in cand {
             hist[bucket_of(item.key_value(), self.lo, self.hi)] += 1;
         }
 
@@ -158,35 +158,21 @@ impl<T: TopKItem> Kernel for BucketPassKernel<T> {
             }
         }
 
-        let mut winners = Vec::new();
-        let mut next = Vec::new();
-        for item in &cand[..self.n] {
-            let b = bucket_of(item.key_value(), self.lo, self.hi);
-            if b > pick {
-                winners.push(*item);
-            } else if b == pick {
-                next.push(*item);
-            }
-        }
+        let (winners, next) = cluster(cand, &self.result, self.result_fill, &self.next, |item| {
+            bucket_of(item.key_value(), self.lo, self.hi).cmp(&pick)
+        });
 
         // histogram read + atomics; clustering read + write
         let bytes_in = (self.n * T::SIZE_BYTES) as u64;
         blk.bulk_global_read(2 * bytes_in);
         blk.bulk_atomics(self.n as u64);
-        let bytes_out = ((winners.len() + next.len()) * T::SIZE_BYTES) as u64;
+        let bytes_out = ((winners + next) * T::SIZE_BYTES) as u64;
         blk.bulk_global_write((bytes_out as f64 * crate::sort::SCATTER_WRITE_DEGREE) as u64);
         blk.bulk_ops(4 * self.n as u64);
 
-        let mut res = self.result.to_vec();
-        res[self.result_fill..self.result_fill + winners.len()].copy_from_slice(&winners);
-        self.result.upload(&res);
-        let mut next_buf = self.next.to_vec();
-        next_buf[..next.len()].copy_from_slice(&next);
-        self.next.upload(&next_buf);
-
         let (nlo, nhi) = bucket_range(pick, self.lo, self.hi);
-        self.out.set(0, next.len() as f64);
-        self.out.set(1, winners.len() as f64);
+        self.out.set(0, next as f64);
+        self.out.set(1, winners as f64);
         self.out.set(2, nlo);
         self.out.set(3, nhi);
     }
@@ -212,8 +198,8 @@ pub fn bucket_select_topk<T: TopKItem>(
 
     // k = 1: the max is the answer, no bucketing needed (Section 6.2)
     if k == 1 {
-        let v = input.to_vec();
-        let best = *v
+        let best = *input
+            .host_view()
             .iter()
             .max_by_key(|x| x.key_bits())
             .expect("validated non-empty");
@@ -266,10 +252,9 @@ pub fn bucket_select_topk<T: TopKItem>(
 
     let mut items = result.read_range(0..result_fill);
     if k_rem > 0 {
-        let rest = cand_buf.read_range(0..cur_n);
-        let mut cand_sorted = rest;
-        sort_desc(&mut cand_sorted);
-        items.extend_from_slice(&cand_sorted[..k_rem.min(cand_sorted.len())]);
+        let mut rest = cand_buf.read_range(0..cur_n);
+        sort_desc(&mut rest);
+        items.extend_from_slice(&rest[..k_rem.min(rest.len())]);
     }
     sort_desc(&mut items);
     items.truncate(k);

@@ -127,21 +127,24 @@ impl<T: TopKItem> Kernel for DelegateExtractKernel<T> {
         blk.bulk_global_read((self.n * T::SIZE_BYTES) as u64);
         blk.bulk_global_write((self.delegates.len() * T::SIZE_BYTES) as u64);
         blk.bulk_ops(self.n as u64);
-        let v = self.input.to_vec();
-        let dels: Vec<T> = v[..self.n]
-            .chunks(self.subrange)
-            .map(|chunk| {
-                let mut best = chunk[0];
-                for item in &chunk[1..] {
-                    if best.item_lt(item) {
-                        best = *item;
-                    }
-                }
-                best
-            })
-            .collect();
-        self.delegates.upload(&dels);
+        let input = self.input.host_view();
+        self.delegates.write_with(|dels| {
+            for (d, chunk) in dels.iter_mut().zip(input[..self.n].chunks(self.subrange)) {
+                *d = subrange_max(chunk);
+            }
+        });
     }
+}
+
+/// The maximum item of one subrange, in the full item order.
+fn subrange_max<T: TopKItem>(chunk: &[T]) -> T {
+    let mut best = chunk[0];
+    for item in &chunk[1..] {
+        if best.item_lt(item) {
+            best = *item;
+        }
+    }
+    best
 }
 
 /// Incremental extension pass: copies the still-valid full-subrange
@@ -200,17 +203,17 @@ impl<T: TopKItem> Kernel for DelegateExtendKernel<T> {
         blk.bulk_global_read((self.keep * T::SIZE_BYTES) as u64);
         blk.bulk_global_write((self.delegates.len() * T::SIZE_BYTES) as u64);
         blk.bulk_ops(tail as u64);
-        let mut dels = self.old.read_range(0..self.keep);
-        for chunk in self.input.read_range(tail_lo..self.n).chunks(self.subrange) {
-            let mut best = chunk[0];
-            for item in &chunk[1..] {
-                if best.item_lt(item) {
-                    best = *item;
-                }
+        let input = self.input.host_view();
+        self.delegates.write_with(|dels| {
+            let (kept, fresh) = dels.split_at_mut(self.keep);
+            kept.copy_from_slice(&self.old.host_view()[..self.keep]);
+            for (d, chunk) in fresh
+                .iter_mut()
+                .zip(input[tail_lo..self.n].chunks(self.subrange))
+            {
+                *d = subrange_max(chunk);
             }
-            dels.push(best);
-        }
-        self.delegates.upload(&dels);
+        });
     }
 }
 
@@ -264,23 +267,24 @@ impl<T: TopKItem> Kernel for ThresholdScanKernel<T> {
         blk.bulk_global_read((c * T::SIZE_BYTES) as u64);
         blk.bulk_atomics(c as u64);
         blk.bulk_ops(c as u64);
-        let dels = self.delegates.to_vec();
         let tau = self.threshold.key_bits();
-        let winners: Vec<u32> = dels
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.key_bits() >= tau)
-            .map(|(i, _)| i as u32)
-            .collect();
         // the compaction zero-fills its whole scratch buffer, so the
         // charge is exactly the declared `c` elements (the contract that
         // keeps the static sector prediction bit-exact)
         blk.bulk_global_write((c * 4) as u64);
-        let mut ids = vec![0u32; c];
-        ids[..winners.len()].copy_from_slice(&winners);
-        self.ids.upload(&ids);
+        let winners = self.ids.write_with(|ids| {
+            let mut m = 0;
+            for (i, d) in self.delegates.host_view().iter().enumerate() {
+                if d.key_bits() >= tau {
+                    ids[m] = i as u32;
+                    m += 1;
+                }
+            }
+            ids[m..].fill(0);
+            m
+        });
         blk.bulk_global_write(8);
-        self.count.set(0, winners.len() as f64);
+        self.count.set(0, winners as f64);
     }
 }
 
@@ -339,29 +343,31 @@ impl<T: TopKItem> Kernel for RefineKernel<T> {
         blk.bulk_global_read((self.count * 4) as u64);
         blk.bulk_global_write((self.count * self.k_eff * T::SIZE_BYTES) as u64);
         blk.bulk_ops(2 * self.read_elems as u64);
-        let input = self.input.to_vec();
-        let ids = self.ids.read_range(0..self.count);
-        let mut runs = self.runs.to_vec();
-        for (j, &sub) in ids.iter().enumerate() {
-            let lo = sub as usize * self.subrange;
-            let hi = (lo + self.subrange).min(self.n);
-            let mut local: Vec<T> = input[lo..hi].to_vec();
-            // descending by the full item order (key, then id tie-break),
-            // so equal-key winners match every other algorithm exactly
-            local.sort_unstable_by(|a, b| {
-                if a.item_lt(b) {
-                    std::cmp::Ordering::Greater
-                } else if b.item_lt(a) {
-                    std::cmp::Ordering::Less
-                } else {
-                    std::cmp::Ordering::Equal
+        // each contributing subrange is ranked in one reused scratch and
+        // its top k_eff, descending by the full item order (key, then
+        // id, so equal-key winners match every other algorithm
+        // exactly), overwrite the head of its run; the rest of the run
+        // keeps the min sentinels it was allocated with
+        let input = self.input.host_view();
+        let ids = self.ids.host_view();
+        let k_eff = self.k_eff;
+        let mut local: Vec<T::Rank> = Vec::with_capacity(self.subrange);
+        self.runs.write_with(|runs| {
+            for (run, &sub) in runs.chunks_exact_mut(k_eff).zip(&ids[..self.count]) {
+                let lo = sub as usize * self.subrange;
+                let hi = (lo + self.subrange).min(self.n);
+                local.clear();
+                local.extend(input[lo..hi].iter().map(T::rank));
+                let top = k_eff.min(local.len());
+                if top < local.len() {
+                    local.select_nth_unstable_by(top - 1, |a, b| b.cmp(a));
                 }
-            });
-            local.truncate(self.k_eff);
-            local.resize(self.k_eff, T::min_sentinel());
-            runs[j * self.k_eff..(j + 1) * self.k_eff].copy_from_slice(&local);
-        }
-        self.runs.upload(&runs);
+                local[..top].sort_unstable_by(|a, b| b.cmp(a));
+                for (o, &r) in run.iter_mut().zip(&local[..top]) {
+                    *o = T::from_rank(r);
+                }
+            }
+        });
     }
 }
 

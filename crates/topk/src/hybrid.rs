@@ -69,9 +69,10 @@ impl<T: TopKItem> Kernel for NarrowKernel<T> {
         ))
     }
     fn run_block(&self, blk: &mut BlockCtx) {
-        let v = self.input.to_vec();
-        let mut hist = vec![0usize; 256];
-        for item in &v[..self.n] {
+        let v = self.input.host_view();
+        let v = &v[..self.n];
+        let mut hist = [0usize; 256];
+        for item in v {
             hist[item.key_bits().msd_digit(self.digit) as usize] += 1;
         }
         // lowest digit value whose suffix still holds k items
@@ -84,24 +85,25 @@ impl<T: TopKItem> Kernel for NarrowKernel<T> {
                 break;
             }
         }
-        let survivors: Vec<T> = v[..self.n]
-            .iter()
-            .filter(|x| (x.key_bits().msd_digit(self.digit) as usize) >= cutoff)
-            .copied()
-            .collect();
+        let survivors = self.survivors.write_with(|out| {
+            let mut m = 0;
+            for item in v {
+                if item.key_bits().msd_digit(self.digit) as usize >= cutoff {
+                    out[m] = *item;
+                    m += 1;
+                }
+            }
+            m
+        });
 
         let bytes_in = (self.n * T::SIZE_BYTES) as u64;
         blk.bulk_global_read(bytes_in);
         blk.bulk_global_write(
-            (survivors.len() as f64 * T::SIZE_BYTES as f64 * crate::sort::SCATTER_WRITE_DEGREE)
-                as u64,
+            (survivors as f64 * T::SIZE_BYTES as f64 * crate::sort::SCATTER_WRITE_DEGREE) as u64,
         );
         blk.bulk_ops(3 * self.n as u64);
 
-        self.out_count.set(0, survivors.len() as u32);
-        let mut buf = self.survivors.to_vec();
-        buf[..survivors.len()].copy_from_slice(&survivors);
-        self.survivors.upload(&buf);
+        self.out_count.set(0, survivors as u32);
     }
 }
 
@@ -148,7 +150,7 @@ pub fn select_then_bitonic<T: TopKItem>(
     }
 
     // bitonic finish on the survivors
-    let view = dev.upload(&cand.read_range(0..cur_n));
+    let view = dev.upload(&cand.host_view()[..cur_n]);
     let r = bitonic_topk(dev, &view, k, BitonicConfig::default())?;
     Ok(cap.finish(dev, r.items))
 }

@@ -14,7 +14,7 @@
 //! After the last digit all remaining candidates share every digit — i.e.
 //! they are key-equal — and the result is padded from them.
 
-use crate::util::{sort_desc, validate, LogCapture};
+use crate::util::{cluster, sort_desc, validate, LogCapture};
 use crate::{TopKError, TopKResult};
 use datagen::{RadixBits, TopKItem};
 use simt::{AccessSpec, BlockCtx, BufferDecl, BulkAccess, Device, GpuBuffer, Kernel};
@@ -66,12 +66,11 @@ impl<T: TopKItem> Kernel for RsHistKernel<T> {
         blk.bulk_global_write(16 * 4 * threads);
         blk.bulk_ops(2 * self.n as u64);
 
-        let cand = self.candidates.to_vec();
-        let mut hist = vec![0u32; 256];
-        for item in &cand[..self.n] {
+        let mut hist = [0u32; 256];
+        for item in &self.candidates.host_view()[..self.n] {
             hist[item.key_bits().msd_digit(self.digit) as usize] += 1;
         }
-        self.hist_out.upload(&hist);
+        self.hist_out.write_range(0, &hist);
     }
 }
 
@@ -155,32 +154,22 @@ impl<T: TopKItem> Kernel for RsScatterKernel<T> {
         ))
     }
     fn run_block(&self, blk: &mut BlockCtx) {
-        let cand = self.candidates.to_vec();
-        let mut next = Vec::new();
-        let mut winners = Vec::new();
-        for item in &cand[..self.n] {
-            let d = item.key_bits().msd_digit(self.digit);
-            if d > self.bucket {
-                winners.push(*item);
-            } else if d == self.bucket {
-                next.push(*item);
-            }
-        }
+        let (winners, next) = cluster(
+            &self.candidates.host_view()[..self.n],
+            &self.result,
+            self.result_fill,
+            &self.next,
+            |item| item.key_bits().msd_digit(self.digit).cmp(&self.bucket),
+        );
 
         let bytes_in = (self.n * T::SIZE_BYTES) as u64;
-        let bytes_out = ((next.len() + winners.len()) * T::SIZE_BYTES) as u64;
+        let bytes_out = ((next + winners) * T::SIZE_BYTES) as u64;
         blk.bulk_global_read(bytes_in);
         blk.bulk_global_write((bytes_out as f64 * crate::sort::SCATTER_WRITE_DEGREE) as u64);
         blk.bulk_ops(3 * self.n as u64);
 
-        let mut res = self.result.to_vec();
-        res[self.result_fill..self.result_fill + winners.len()].copy_from_slice(&winners);
-        self.result.upload(&res);
-        self.out_counts.set(0, next.len() as u32);
-        self.out_counts.set(1, winners.len() as u32);
-        let mut next_buf = self.next.to_vec();
-        next_buf[..next.len()].copy_from_slice(&next);
-        self.next.upload(&next_buf);
+        self.out_counts.set(0, next as u32);
+        self.out_counts.set(1, winners as u32);
     }
 }
 
@@ -270,8 +259,7 @@ pub fn radix_select_topk<T: TopKItem>(
     // the result from them (ties broken arbitrarily, like the paper)
     let mut items = result.read_range(0..result_fill);
     if k_rem > 0 {
-        let rest = cand.read_range(0..cur_n);
-        items.extend_from_slice(&rest[..k_rem.min(rest.len())]);
+        items.extend_from_slice(&cand.host_view()[..k_rem.min(cur_n)]);
     }
     sort_desc(&mut items);
     items.truncate(k);

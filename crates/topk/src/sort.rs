@@ -102,25 +102,27 @@ impl<T: TopKItem> Kernel for RadixScatterKernel<T> {
         blk.bulk_global_write((bytes as f64 * SCATTER_WRITE_DEGREE) as u64);
         blk.bulk_ops(4 * self.n as u64);
 
-        // functional stable counting sort on this digit
-        let src = self.input.to_vec();
-        let mut counts = [0usize; 256];
-        for item in &src[..self.n] {
-            counts[Self::digit_of(item, self.digit)] += 1;
-        }
+        // functional stable counting sort on this digit, from a borrow
+        // of the input straight into the output
+        let src = self.input.host_view();
+        let src = &src[..self.n];
         let mut offsets = [0usize; 256];
+        for item in src {
+            offsets[Self::digit_of(item, self.digit)] += 1;
+        }
         let mut acc = 0;
-        for d in 0..256 {
-            offsets[d] = acc;
-            acc += counts[d];
+        for slot in &mut offsets {
+            let count = *slot;
+            *slot = acc;
+            acc += count;
         }
-        let mut dst = src.clone();
-        for item in &src[..self.n] {
-            let d = Self::digit_of(item, self.digit);
-            dst[offsets[d]] = *item;
-            offsets[d] += 1;
-        }
-        self.output.upload(&dst);
+        self.output.write_with(|dst| {
+            for item in src {
+                let d = Self::digit_of(item, self.digit);
+                dst[offsets[d]] = *item;
+                offsets[d] += 1;
+            }
+        });
     }
 }
 
@@ -137,7 +139,7 @@ pub fn sort_topk<T: TopKItem>(
 
     // double buffering, as real LSD sorts do (extra buffer of size n —
     // the memory-usage point of Section 4.3's discussion)
-    let mut src = dev.upload(&input.to_vec());
+    let mut src = dev.upload(&input.host_view());
     let mut dst = dev.alloc::<T>(n);
 
     for d in 0..digits {

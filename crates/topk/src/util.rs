@@ -1,5 +1,8 @@
 //! Shared plumbing for the algorithm modules: launch-log capture,
-//! argument validation, and result finishing.
+//! argument validation, the selection passes' clustering write, and
+//! result finishing.
+
+use std::cmp::Ordering;
 
 use crate::{TopKError, TopKResult};
 use datagen::TopKItem;
@@ -38,6 +41,40 @@ pub(crate) fn validate<T: TopKItem>(input: &GpuBuffer<T>, k: usize) -> Result<us
         return Err(TopKError::EmptyInput);
     }
     Ok(k.min(input.len()))
+}
+
+/// The clustering write of the selection passes, from a borrow of the
+/// candidates: every item `side` ranks above the picked bucket
+/// (`Greater`) is written into `result` from `fill` on, every item in
+/// the bucket (`Equal`) into `next` from 0, both in candidate order;
+/// the rest are dropped. Each output is written in place once. Returns
+/// `(winners, kept)`.
+pub(crate) fn cluster<T: TopKItem>(
+    cand: &[T],
+    result: &GpuBuffer<T>,
+    fill: usize,
+    next: &GpuBuffer<T>,
+    side: impl Fn(&T) -> Ordering,
+) -> (usize, usize) {
+    result.write_with(|res| {
+        next.write_with(|next| {
+            let (mut w, mut m) = (fill, 0);
+            for item in cand {
+                match side(item) {
+                    Ordering::Greater => {
+                        res[w] = *item;
+                        w += 1;
+                    }
+                    Ordering::Equal => {
+                        next[m] = *item;
+                        m += 1;
+                    }
+                    Ordering::Less => {}
+                }
+            }
+            (w - fill, m)
+        })
+    })
 }
 
 /// Sorts a small result set descending by key (host-side tie-stable
