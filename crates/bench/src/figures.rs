@@ -51,8 +51,8 @@ use topk::hybrid::{cpu_gpu_topk, select_then_bitonic};
 use topk::{TopKAlgorithm, TopKRequest};
 use topk_costmodel::planner::Algorithm;
 use topk_costmodel::{
-    bitonic_topk_seconds, radix_select_seconds, recommend, recommend_full, BitonicModelInput,
-    FullAlgorithm, ReductionProfile,
+    bitonic_conflict_degree, bitonic_topk_seconds, radix_select_seconds, recommend, recommend_full,
+    BitonicModelInput, FullAlgorithm, ReductionProfile,
 };
 use topk_cpu::{CpuBitonic, CpuTopK, HandPq, StlPq};
 
@@ -358,13 +358,12 @@ fn cost_model(out: &mut Vec<Experiment>, log2n: u32) {
     let input = dev.upload(&uniform(n, 21));
     let radix = radix_select_seconds(dev.spec(), n, 4, &ReductionProfile::UniformFloats);
     for k in K_SWEEP {
-        let conflict_degree = if k <= 256 { 1.0 } else { 1.3 };
         let model = BitonicModelInput {
             n,
             k,
             item_bytes: 4,
             elems_per_thread: 16,
-            conflict_degree,
+            conflict_degree: bitonic_conflict_degree(k),
         };
         let bitonic_model = bitonic_topk_seconds(dev.spec(), model);
         for (alg, model) in [(RADIX, radix), (bitonic(), bitonic_model)] {

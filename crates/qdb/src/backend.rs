@@ -18,7 +18,7 @@ use crate::cpu_engine::execute_cpu;
 use crate::error::QdbError;
 use crate::queries::Strategy;
 use crate::sql::{execute, explain_analysis, AnalyzedQuery, Query};
-use crate::table::BackendTable;
+use crate::table::{BackendTable, Columns};
 
 /// A query outcome from either backend: ranked ids plus the cost in the
 /// executing backend's native currency.
@@ -66,7 +66,7 @@ pub fn execute_on(
             })
         }
         (ExecBackend::Cpu(b), BackendTable::Cpu { rows, .. }) => {
-            let out = execute_cpu(&rows.borrow(), q, strategy, b.threads())?;
+            let out = execute_cpu(Columns::of(&rows.borrow()), q, strategy, b.threads())?;
             Ok(BackendQueryResult {
                 ids: out.ids,
                 backend: BackendKind::Cpu,
@@ -138,7 +138,7 @@ mod tests {
                 let a = execute_on(&simt, &sim_table, &q, strat).unwrap();
                 let b = execute_on(&cpu, &cpu_table, &q, strat).unwrap();
                 assert_eq!(a.ids.len(), b.ids.len(), "{sql} via {}", strat.name());
-                if q.group_by_uid {
+                if q.shape == crate::sql::Shape::GroupCount {
                     // group results: compare the count signature
                     let count = |ids: &[u32]| -> Vec<usize> {
                         ids.iter()

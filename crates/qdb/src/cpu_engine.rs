@@ -7,18 +7,18 @@
 //! cores with `std::thread::scope` chunk parallelism and is priced in
 //! wall-clock. Results match the simulator by key signature: the same
 //! `(key, row id)` tie-break (`Kv`'s `item_lt`), the same deterministic
-//! group ordering, the same ASC handling via the zero-copy `Rev` view.
+//! group ordering, the same `Rev` items for ASC.
 
 use std::time::Instant;
 
-use datagen::twitter::TweetTable;
-use datagen::{rev_slice, Kv};
+use datagen::{Kv, Rev};
 use topk_cpu::{CpuBitonic, CpuSort, CpuTopK};
 
-use crate::engine::{FilterOp, GroupCounts};
+use crate::engine::{group_counts, rank_pairs, FilterOp, GroupCounts, PairOrder, RowItem};
 use crate::error::QdbError;
 use crate::queries::Strategy;
-use crate::sql::{OrderBy, Query, SqlError};
+use crate::sql::{Query, Shape};
+use crate::table::Columns;
 
 /// One CPU query outcome: ranked ids plus the per-stage wall-clock
 /// breakdown in milliseconds.
@@ -62,7 +62,7 @@ pub(crate) fn strategy_topk<T: datagen::TopKItem>(
     k: usize,
     threads: usize,
 ) -> Vec<T> {
-    if items.is_empty() {
+    if items.is_empty() || k == 0 {
         return Vec::new();
     }
     let k = k.min(items.len());
@@ -72,102 +72,88 @@ pub(crate) fn strategy_topk<T: datagen::TopKItem>(
     }
 }
 
-/// Executes a validated query against a host-resident table with real
-/// `threads`-way parallelism. Mirrors the simulated engine's supported
-/// shapes exactly, including its typed rejections (ranking weight other
-/// than 0.5, WHERE combined with ranking).
+/// Executes a parsed query over borrowed host columns with real
+/// `threads`-way parallelism: one body per [`Shape`], the same physical
+/// plan as the simulated engine's.
 pub(crate) fn execute_cpu(
-    t: &TweetTable,
+    t: Columns<'_>,
     q: &Query,
     strategy: Strategy,
     threads: usize,
 ) -> Result<CpuQueryOutput, QdbError> {
-    let n = t.len();
+    let n = t.id.len();
     if n == 0 {
         return Err(QdbError::EmptyTable);
     }
-    let mut stages = Vec::new();
-    match (&q.order_by, q.group_by_uid) {
-        (OrderBy::Count, true) => {
-            let scan = Instant::now();
-            let partials = par_chunks(n, threads, |r| {
-                let mut counts = GroupCounts::default();
-                for row in r {
-                    *counts.entry(t.uid[row]).or_insert(0) += 1;
-                }
-                counts
-            });
-            let mut counts = GroupCounts::default();
-            for p in partials {
-                for (uid, c) in p {
-                    *counts.entry(uid).or_insert(0) += c;
-                }
-            }
-            let mut groups: Vec<Kv<u32>> =
-                counts.into_iter().map(|(uid, c)| Kv::new(c, uid)).collect();
-            // the map iterates in hash order; sort by uid so the id
-            // tie-break sees the same candidate order everywhere
-            groups.sort_unstable_by_key(|kv| kv.value);
-            stages.push(("cpu_group_count".to_string(), ms(scan)));
-            let sel = Instant::now();
-            let top = strategy_topk(strategy, &groups, q.limit, threads);
-            stages.push(("cpu_topk".to_string(), ms(sel)));
-            Ok(CpuQueryOutput {
-                ids: top.iter().map(|kv| kv.value).collect(),
-                stages,
-            })
-        }
-        (OrderBy::Rank { likes_weight }, false) => {
-            q.check_rank_shape()?;
-            let w = *likes_weight;
-            let scan = Instant::now();
-            let partials = par_chunks(n, threads, |r| {
-                r.map(|row| {
-                    let rank = t.retweet_count[row] as f32 + w * t.likes_count[row] as f32;
-                    Kv::new(rank, t.id[row])
+    let k = q.limit;
+    Ok(match &q.shape {
+        Shape::Top(f) => filter_topk::<Kv<u32>>(t, f, k, strategy, threads),
+        Shape::Bottom(f) => filter_topk::<Rev<Kv<u32>>>(t, f, k, strategy, threads),
+        Shape::Ranked => {
+            let scan = || {
+                par_chunks(n, threads, |r| {
+                    let mut items = vec![Kv::default(); r.len()];
+                    rank_pairs(&t.rows(r), &mut items);
+                    items
                 })
-                .collect::<Vec<_>>()
-            });
-            let items: Vec<Kv<f32>> = partials.into_iter().flatten().collect();
-            stages.push(("cpu_project_rank".to_string(), ms(scan)));
-            let sel = Instant::now();
-            let top = strategy_topk(strategy, &items, q.limit, threads);
-            stages.push(("cpu_topk".to_string(), ms(sel)));
-            Ok(CpuQueryOutput {
-                ids: top.iter().map(|kv| kv.value).collect(),
-                stages,
-            })
-        }
-        (OrderBy::RetweetCount, false) => {
-            let op = q.filter.clone().unwrap_or(FilterOp::TimeLess(u32::MAX));
-            let scan = Instant::now();
-            let partials = par_chunks(n, threads, |r| {
-                op.matched_pairs(
-                    &t.tweet_time[r.clone()],
-                    &t.lang[r.clone()],
-                    &t.retweet_count[r.clone()],
-                    &t.id[r],
-                )
-            });
-            let items: Vec<Kv<u32>> = partials.concat();
-            stages.push(("cpu_filter".to_string(), ms(scan)));
-            let sel = Instant::now();
-            let ids: Vec<u32> = if q.ascending {
-                // the order-reversed view, same as the device path
-                strategy_topk(strategy, &rev_slice(&items), q.limit, threads)
-                    .iter()
-                    .map(|kv| kv.0.value)
-                    .collect()
-            } else {
-                strategy_topk(strategy, &items, q.limit, threads)
-                    .iter()
-                    .map(|kv| kv.value)
-                    .collect()
+                .concat()
             };
-            stages.push(("cpu_topk".to_string(), ms(sel)));
-            Ok(CpuQueryOutput { ids, stages })
+            ranked("cpu_project_rank", scan, k, strategy, threads)
         }
-        _ => Err(SqlError::Unsupported("this SELECT/GROUP BY combination").into()),
+        Shape::GroupCount => {
+            let scan = || {
+                let mut counts = GroupCounts::default();
+                for part in par_chunks(n, threads, |r| group_counts(&t.uid[r])) {
+                    for (uid, c) in part {
+                        *counts.entry(uid).or_insert(0) += c;
+                    }
+                }
+                let mut groups: Vec<Kv<u32>> =
+                    counts.into_iter().map(|(uid, c)| Kv::new(c, uid)).collect();
+                // the map iterates in hash order; sort by uid so the id
+                // tie-break sees the same candidate order everywhere
+                groups.sort_unstable_by_key(|kv| kv.value);
+                groups
+            };
+            ranked("cpu_group_count", scan, k, strategy, threads)
+        }
+    })
+}
+
+/// The filter scan of `t` in `P`'s order, chunked over `threads`, and
+/// its top-k.
+fn filter_topk<P: PairOrder>(
+    t: Columns<'_>,
+    filter: &Option<FilterOp>,
+    k: usize,
+    strategy: Strategy,
+    threads: usize,
+) -> CpuQueryOutput {
+    let op = FilterOp::or_every_row(filter);
+    let scan = || par_chunks(t.id.len(), threads, |r| op.matched_pairs::<P>(&t.rows(r)));
+    ranked("cpu_filter", || scan().concat(), k, strategy, threads)
+}
+
+/// Every shape's two stages: the `scan_stage` scan, then the strategy's
+/// top-k of its items, each timed.
+fn ranked<T: RowItem>(
+    scan_stage: &str,
+    scan: impl FnOnce() -> Vec<T>,
+    k: usize,
+    strategy: Strategy,
+    threads: usize,
+) -> CpuQueryOutput {
+    let start = Instant::now();
+    let items = scan();
+    let scanned = ms(start);
+    let start = Instant::now();
+    let top = strategy_topk(strategy, &items, k, threads);
+    CpuQueryOutput {
+        ids: top.iter().map(T::id).collect(),
+        stages: vec![
+            (scan_stage.to_string(), scanned),
+            ("cpu_topk".to_string(), ms(start)),
+        ],
     }
 }
 
@@ -178,7 +164,8 @@ fn ms(since: Instant) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sql::parse;
+    use crate::sql::{parse, SqlError};
+    use datagen::twitter::TweetTable;
 
     #[test]
     fn parallel_scan_matches_single_threaded() {
@@ -191,8 +178,8 @@ mod tests {
         ];
         for sql in &sqls {
             let q = parse(sql).unwrap();
-            let single = execute_cpu(&t, &q, Strategy::StageBitonic, 1).unwrap();
-            let multi = execute_cpu(&t, &q, Strategy::StageBitonic, 8).unwrap();
+            let single = execute_cpu(Columns::of(&t), &q, Strategy::StageBitonic, 1).unwrap();
+            let multi = execute_cpu(Columns::of(&t), &q, Strategy::StageBitonic, 8).unwrap();
             assert_eq!(single.ids, multi.ids, "{sql}");
             assert!(!multi.stages.is_empty());
         }
@@ -200,13 +187,10 @@ mod tests {
 
     #[test]
     fn mirrors_simulated_engine_rejections() {
-        let t = TweetTable::generate(100, 1);
-        let q =
-            parse("SELECT id FROM tweets ORDER BY retweet_count + 0.9 * likes_count DESC LIMIT 5")
-                .unwrap();
-        assert!(matches!(
-            execute_cpu(&t, &q, Strategy::StageBitonic, 2),
-            Err(QdbError::Parse(SqlError::Unsupported(_)))
-        ));
+        // both engines run only what the parser accepts
+        assert_eq!(
+            parse("SELECT id FROM tweets ORDER BY retweet_count + 0.9 * likes_count DESC LIMIT 5"),
+            Err(SqlError::Unsupported("ranking weight other than 0.5"))
+        );
     }
 }

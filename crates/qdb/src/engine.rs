@@ -4,14 +4,14 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use datagen::{Kv, TopKItem};
+use datagen::{Kv, Rev, RevView, SortKey, TopKItem};
 use simt::{AccessSpec, BlockCtx, BufferDecl, BulkAccess, Device, GpuBuffer, Kernel};
 use sortnet::{host, next_pow2};
 use topk::bitonic::{bitonic_topk_from_runs, BitonicConfig};
 use topk::TopKResult;
 
 use crate::error::QdbError;
-use crate::table::GpuTweetTable;
+use crate::table::{Columns, GpuTweetTable};
 
 /// Selection predicates the Figure 16 queries use.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -22,6 +22,9 @@ pub enum FilterOp {
     LangIn(Vec<u8>),
 }
 
+/// The predicate a statement without WHERE scans with.
+static EVERY_ROW: FilterOp = FilterOp::TimeLess(u32::MAX);
+
 impl FilterOp {
     /// Bytes read per row to evaluate the predicate.
     pub fn pred_bytes(&self) -> usize {
@@ -31,75 +34,111 @@ impl FilterOp {
         }
     }
 
-    /// The `(keys[row], ids[row])` pair of every row whose
-    /// `times[row]`/`langs[row]` match, in row order — the one scan body
-    /// behind the device filter kernel, the fused plans, the ladder's
-    /// CPU rung and the CPU engine's chunked scan. It dispatches on the
-    /// predicate once per scan, walks the columns zipped, and collects
-    /// into one vector reserved for every row. All four slices cover
-    /// the same rows.
-    pub(crate) fn matched_pairs(
-        &self,
-        times: &[u32],
-        langs: &[u8],
-        keys: &[u32],
-        ids: &[u32],
-    ) -> Vec<Kv<u32>> {
-        fn scan<P: Copy>(
-            preds: &[P],
-            keys: &[u32],
-            ids: &[u32],
-            keep: impl Fn(P) -> bool,
-        ) -> Vec<Kv<u32>> {
-            let mut out = Vec::with_capacity(keys.len());
-            for ((&p, &key), &id) in preds.iter().zip(keys).zip(ids) {
+    /// A shape's WHERE predicate, or for none `tweet_time < u32::MAX`,
+    /// which every row passes: a plain `ORDER BY retweet_count` scan is
+    /// priced like any time-range scan.
+    pub(crate) fn or_every_row(filter: &Option<FilterOp>) -> &FilterOp {
+        filter.as_ref().unwrap_or(&EVERY_ROW)
+    }
+
+    /// The `(retweet_count, id)` pair of every row of `cols` that
+    /// matches, in row order, as `P` items — the one scan body behind
+    /// the device filter kernel, the fused plans and the CPU engine's
+    /// chunked scan. It dispatches on the predicate once per scan, walks
+    /// the columns zipped, and collects into one vector reserved for
+    /// every row.
+    pub(crate) fn matched_pairs<P: PairOrder>(&self, cols: &Columns) -> Vec<P> {
+        fn scan<P: PairOrder, Q: Copy>(
+            preds: &[Q],
+            cols: &Columns,
+            keep: impl Fn(Q) -> bool,
+        ) -> Vec<P> {
+            let mut out = Vec::with_capacity(preds.len());
+            for ((&p, &key), &id) in preds.iter().zip(cols.retweet_count).zip(cols.id) {
                 if keep(p) {
-                    out.push(Kv::new(key, id));
+                    out.push(P::wrap(Kv::new(key, id)));
                 }
             }
             out
         }
         match self {
-            FilterOp::TimeLess(cutoff) => scan(times, keys, ids, |t| t < *cutoff),
+            FilterOp::TimeLess(cutoff) => scan(cols.tweet_time, cols, |t| t < *cutoff),
             FilterOp::LangIn(wanted) => {
                 let mut hit = [false; 256];
                 for &l in wanted {
                     hit[l as usize] = true;
                 }
-                scan(langs, keys, ids, |l| hit[l as usize])
+                scan(cols.lang, cols, |l| hit[l as usize])
             }
         }
     }
+}
 
-    /// [`Self::matched_pairs`] over `table`'s rows, keyed by `key_col`,
-    /// reading each column's `[..len]` prefix through one borrow.
-    pub(crate) fn matched_in(
-        &self,
-        table: &GpuTweetTable,
-        key_col: &GpuBuffer<u32>,
-    ) -> Vec<Kv<u32>> {
-        let n = table.len();
-        self.matched_pairs(
-            &table.tweet_time.host_view()[..n],
-            &table.lang.host_view()[..n],
-            &key_col.host_view()[..n],
-            &table.id.host_view()[..n],
-        )
+/// A top-k item that carries its row id (a tweet id, or a uid for Q4).
+pub(crate) trait RowItem: TopKItem {
+    /// The row id.
+    fn id(&self) -> u32;
+}
+
+impl<K: SortKey> RowItem for Kv<K> {
+    fn id(&self) -> u32 {
+        self.value
     }
 }
 
-/// Writes the Q2 ranking `retweet_count + likes_weight·likes_count` of
-/// row `r` of `table`, paired with its id, into `out[r]` for every row
-/// `out` covers, reading each column through one borrow.
-pub(crate) fn rank_rows(table: &GpuTweetTable, likes_weight: f32, out: &mut [Kv<f32>]) {
-    let (retweets, likes) = (
-        table.retweet_count.host_view(),
-        table.likes_count.host_view(),
-    );
-    let ids = table.id.host_view();
-    for (((slot, &rt), &lk), &id) in out.iter_mut().zip(&*retweets).zip(&*likes).zip(&*ids) {
-        *slot = Kv::new(rt as f32 + likes_weight * lk as f32, id);
+impl RowItem for Rev<Kv<u32>> {
+    fn id(&self) -> u32 {
+        self.0.value
     }
+}
+
+/// The item order of a filtered `retweet_count` plan: `Kv<u32>` ranks
+/// the largest first (`DESC`), `Rev<Kv<u32>>` the smallest (`ASC`).
+/// Either way the item is the `(retweet_count, id)` pair itself, so one
+/// plan body serves both directions.
+pub(crate) trait PairOrder: RowItem {
+    /// The pair as an item of this order.
+    fn wrap(kv: Kv<u32>) -> Self;
+    /// Runs `f` on `pairs` viewed in place as items of this order.
+    fn view<R>(pairs: &GpuBuffer<Kv<u32>>, f: impl FnOnce(&GpuBuffer<Self>) -> R) -> R;
+}
+
+impl PairOrder for Kv<u32> {
+    fn wrap(kv: Kv<u32>) -> Self {
+        kv
+    }
+    fn view<R>(pairs: &GpuBuffer<Kv<u32>>, f: impl FnOnce(&GpuBuffer<Self>) -> R) -> R {
+        f(pairs)
+    }
+}
+
+impl PairOrder for Rev<Kv<u32>> {
+    fn wrap(kv: Kv<u32>) -> Self {
+        Rev(kv)
+    }
+    fn view<R>(pairs: &GpuBuffer<Kv<u32>>, f: impl FnOnce(&GpuBuffer<Self>) -> R) -> R {
+        f(pairs.as_rev_view().view())
+    }
+}
+
+/// Writes the Q2 ranking `retweet_count + 0.5·likes_count` of every row
+/// of `cols`, paired with its id, into `out` — the one rank scan behind
+/// the projection kernel, the fused Q2 plan and the CPU engine.
+pub(crate) fn rank_pairs(cols: &Columns, out: &mut [Kv<f32>]) {
+    let rows = cols.retweet_count.iter().zip(cols.likes_count).zip(cols.id);
+    for (slot, ((&rt, &lk), &id)) in out.iter_mut().zip(rows) {
+        *slot = Kv::new(rt as f32 + 0.5 * lk as f32, id);
+    }
+}
+
+/// Counts the rows of each uid in `uids` — the one group-count scan
+/// behind the group-by kernel and the CPU engine.
+pub(crate) fn group_counts(uids: &[u32]) -> GroupCounts {
+    let mut counts = GroupCounts::default();
+    for &uid in uids {
+        *counts.entry(uid).or_insert(0) += 1;
+    }
+    counts
 }
 
 /// Per-uid row counts of the group-by. The map hashes with a fixed-seed
@@ -143,7 +182,6 @@ pub enum TopKStrategy {
 pub(crate) struct FilterKernel<'a> {
     pub table: &'a GpuTweetTable,
     pub op: &'a FilterOp,
-    pub key_col: &'a GpuBuffer<u32>,
     pub out: GpuBuffer<Kv<u32>>,
     pub out_count: GpuBuffer<u32>,
 }
@@ -163,7 +201,7 @@ impl Kernel for FilterKernel<'_> {
             "filter",
             vec![
                 BulkAccess {
-                    buf: BufferDecl::of("key_col", self.key_col),
+                    buf: BufferDecl::of("key_col", &self.table.retweet_count),
                     elems: self.table.len(),
                     write: false,
                 },
@@ -182,7 +220,7 @@ impl Kernel for FilterKernel<'_> {
     }
     fn run_block(&self, blk: &mut BlockCtx) {
         let n = self.table.len();
-        let matched = self.op.matched_in(self.table, self.key_col);
+        let matched: Vec<Kv<u32>> = self.table.with_columns(|c| self.op.matched_pairs(&c));
         blk.bulk_global_read((n * (self.op.pred_bytes() + 4)) as u64);
         blk.bulk_global_write((matched.len() * Kv::<u32>::SIZE_BYTES) as u64);
         blk.bulk_ops(2 * n as u64);
@@ -224,7 +262,7 @@ impl Kernel for ProjectRankKernel<'_> {
         blk.bulk_global_write((n * Kv::<f32>::SIZE_BYTES) as u64);
         blk.bulk_ops(3 * n as u64);
         self.out
-            .write_with(|out| rank_rows(self.table, 0.5, &mut out[..n]));
+            .write_with(|out| self.table.with_columns(|c| rank_pairs(&c, &mut out[..n])));
     }
 }
 
@@ -266,10 +304,7 @@ impl Kernel for GroupCountKernel<'_> {
     }
     fn run_block(&self, blk: &mut BlockCtx) {
         let n = self.table.len();
-        let mut counts = GroupCounts::default();
-        for &uid in &self.table.uid.host_view()[..n] {
-            *counts.entry(uid).or_insert(0) += 1;
-        }
+        let counts = group_counts(&self.table.uid.host_view()[..n]);
         blk.bulk_global_read((n * 4) as u64);
         blk.bulk_atomics(n as u64);
         blk.bulk_global_write((counts.len() * 8) as u64);
@@ -449,7 +484,6 @@ mod tests {
         dev.launch(&FilterKernel {
             table: &gpu,
             op: &FilterOp::TimeLess(cutoff),
-            key_col: &gpu.retweet_count,
             out: out.clone(),
             out_count: cnt.clone(),
         })
@@ -465,7 +499,7 @@ mod tests {
     }
 
     /// The one scan, against an iterator reference over the host rows:
-    /// `matched_in` (over `matched_pairs`) and the filter kernel on a
+    /// `matched_pairs` over the resident columns and the filter kernel on a
     /// table with append headroom, before and after an append. The
     /// headroom rows are zeros, which every case but selectivity 0 and
     /// the empty `IN` list would match, so a scan past `len` fails here,
@@ -512,7 +546,8 @@ mod tests {
                     .map(|r| Kv::new(rows.retweet_count[r], rows.id[r]))
                     .collect();
                 let case = format!("{op:?}, appended {appended}");
-                assert_eq!(op.matched_in(&gpu, &gpu.retweet_count), want, "{case}");
+                let got: Vec<Kv<u32>> = gpu.with_columns(|c| op.matched_pairs(&c));
+                assert_eq!(got, want, "{case}");
 
                 let before: Vec<Kv<u32>> = (0..gpu.len() as u32).map(|i| Kv::new(i, !i)).collect();
                 let out = dev.upload(&before);
@@ -521,7 +556,6 @@ mod tests {
                 dev.launch(&FilterKernel {
                     table: &gpu,
                     op,
-                    key_col: &gpu.retweet_count,
                     out: out.clone(),
                     out_count: cnt.clone(),
                 })
@@ -544,7 +578,6 @@ mod tests {
         dev.launch(&FilterKernel {
             table: &gpu,
             op: &FilterOp::LangIn(vec![0, 1]),
-            key_col: &gpu.retweet_count,
             out,
             out_count: cnt.clone(),
         })
@@ -829,7 +862,6 @@ mod tests {
         dev.launch(&FilterKernel {
             table: &gpu,
             op: &FilterOp::TimeLess(cutoff),
-            key_col: &gpu.retweet_count,
             out: out.clone(),
             out_count: cnt.clone(),
         })

@@ -8,6 +8,7 @@
 //! over-budget launch shape), and the shedding/timeout variants record
 //! the limits that were exceeded.
 
+use simt::topology::TransferError;
 use simt::{LaunchError, OutOfMemory, SimTime};
 use topk::TopKError;
 
@@ -120,6 +121,36 @@ impl QdbError {
     }
 }
 
+/// The one transient-fault retry loop of qdb: calls `attempt` until it
+/// succeeds, fails with an error that is not transient, or has been
+/// retried `max_retries` times. `attempt` receives the retries made
+/// before it (0 on the first call), so a caller can charge its own
+/// policy there (the serving lane's backoff and deadline); `retries`
+/// counts every retry, whether or not one succeeds. A device fault that
+/// ends the loop reports `attempts` = retries + 1.
+pub(crate) fn retry<T>(
+    max_retries: usize,
+    retries: &mut usize,
+    mut attempt: impl FnMut(usize) -> Result<T, QdbError>,
+) -> Result<T, QdbError> {
+    let mut n = 0;
+    loop {
+        match attempt(n) {
+            Err(e) if e.is_transient() && n < max_retries => {
+                n += 1;
+                *retries += 1;
+            }
+            Err(mut e) => {
+                if let QdbError::DeviceFault { attempts, .. } = &mut e {
+                    *attempts = n + 1;
+                }
+                return Err(e);
+            }
+            done => return done,
+        }
+    }
+}
+
 impl std::fmt::Display for QdbError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -206,6 +237,21 @@ impl From<OutOfMemory> for QdbError {
             transient: true,
             attempts: 1,
             device: None,
+        }
+    }
+}
+
+impl From<TransferError> for QdbError {
+    /// A dropped transfer is transient (each retry re-rolls the fault
+    /// plan); a permanently down endpoint is not. Either way the device
+    /// is named, so ledgers attribute the fault to hardware, not to the
+    /// query.
+    fn from(e: TransferError) -> Self {
+        QdbError::DeviceFault {
+            what: e.to_string(),
+            transient: !e.permanent,
+            attempts: 1,
+            device: Some(e.device),
         }
     }
 }

@@ -48,11 +48,11 @@ pub use server::{
 pub use shard::{
     execute_sharded, partition_indices, sharded_delegate_topk, sharded_topk, BreakerState,
     DeviceHealth, PartitionPolicy, Replica, ReplicationFactor, Shard, ShardedAppendReceipt,
-    ShardedLoadReport, ShardedQueryResult, ShardedServed, ShardedServer, ShardedTable, ShardedTopK,
+    ShardedLoadReport, ShardedServed, ShardedServer, ShardedTable, ShardedTopK,
 };
 pub use sql::{
     execute as execute_sql, explain_analysis, parse as parse_sql, parse_statement, AnalyzedQuery,
-    Query, SqlError, Statement,
+    Query, Shape, SqlError, Statement,
 };
 pub use stream::{TopKView, ViewConfig, ViewMode, ViewRefresh, ViewStats};
 pub use table::{AppendReceipt, BackendTable, GpuTweetTable, ROW_BYTES};

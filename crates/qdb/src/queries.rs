@@ -1,12 +1,12 @@
 //! The four Twitter queries of Section 6.8, each with the paper's
 //! execution strategies and per-stage kernel-time breakdowns (Figure 16).
 
-use datagen::{Kv, Rev, RevView};
-use simt::{Device, GpuBuffer, SimTime};
+use datagen::Kv;
+use simt::{Device, SimTime};
 
 use crate::engine::{
-    rank_rows, run_fused_topk, run_topk_stage, FilterKernel, FilterOp, GroupCountKernel,
-    ProjectRankKernel, TopKStrategy,
+    rank_pairs, run_fused_topk, run_topk_stage, FilterKernel, FilterOp, GroupCountKernel,
+    PairOrder, ProjectRankKernel, RowItem, TopKStrategy,
 };
 use crate::error::QdbError;
 use crate::table::GpuTweetTable;
@@ -66,27 +66,8 @@ fn collect_result(dev: &Device, log_start: usize, ids: Vec<u32>) -> QueryResult 
     }
 }
 
-/// Launches the filter kernel into a fresh candidate buffer of one row
-/// per table row; returns it with the matched count.
-fn filter_candidates(
-    dev: &Device,
-    table: &GpuTweetTable,
-    op: &FilterOp,
-) -> Result<(GpuBuffer<Kv<u32>>, usize), QdbError> {
-    let out = dev.try_alloc::<Kv<u32>>(table.len())?;
-    let cnt = dev.try_alloc::<u32>(1)?;
-    dev.launch(&FilterKernel {
-        table,
-        op,
-        key_col: &table.retweet_count,
-        out: out.clone(),
-        out_count: cnt.clone(),
-    })?;
-    Ok((out, cnt.get(0) as usize))
-}
-
 /// The top-k stage a staged plan runs.
-fn stage_strategy(strategy: Strategy) -> TopKStrategy {
+pub(crate) fn stage_strategy(strategy: Strategy) -> TopKStrategy {
     if strategy == Strategy::StageSort {
         TopKStrategy::Sort
     } else {
@@ -103,38 +84,16 @@ pub fn filtered_topk(
     k: usize,
     strategy: Strategy,
 ) -> Result<QueryResult, QdbError> {
-    let log_start = dev.log_len();
-    match strategy {
-        Strategy::StageSort | Strategy::StageBitonic => {
-            let (out, m) = filter_candidates(dev, table, op)?;
-            if m == 0 {
-                return Ok(collect_result(dev, log_start, Vec::new()));
-            }
-            let r = run_topk_stage(dev, &out, m, k.min(m), stage_strategy(strategy))?;
-            let ids = r.items.iter().map(|kv| kv.value).collect();
-            Ok(collect_result(dev, log_start, ids))
-        }
-        Strategy::CombinedBitonic => {
-            // the fused kernel evaluates the predicate itself; the matched
-            // set is computed host-side for the functional result
-            let matched = op.matched_in(table, &table.retweet_count);
-            if matched.is_empty() {
-                return Ok(collect_result(dev, log_start, Vec::new()));
-            }
-            let k = k.min(matched.len());
-            let r = run_fused_topk(dev, table, op.pred_bytes(), 4, matched, k)?;
-            let ids = r.items.iter().map(|kv| kv.value).collect();
-            Ok(collect_result(dev, log_start, ids))
-        }
-    }
+    filtered::<Kv<u32>>(dev, table, op, k, strategy)
 }
 
-/// Q1/Q3 reversed: `… ORDER BY retweet_count ASC LIMIT k` — the
-/// smallest-k variant. The staged plans run the largest-k stage on the
-/// candidate buffer viewed in place as [`datagen::Rev`] pairs (no extra
-/// pass, as [`topk::TopKRequest::smallest`] does); the fused plan feeds
-/// `Rev`-wrapped pairs to the same FusedSortReducer kernel.
-pub fn filtered_bottomk(
+/// The filtered plans in either direction: `P = Kv<u32>` ranks the
+/// largest retweet counts first (`DESC`), `P = Rev<Kv<u32>>` the
+/// smallest (`ASC`). The staged plans run the largest-k stage on the
+/// candidate buffer viewed in place as `P` (no extra pass, as
+/// [`topk::TopKRequest::smallest`] does); the fused plan feeds `P` items
+/// to the one FusedSortReducer kernel.
+pub(crate) fn filtered<P: PairOrder>(
     dev: &Device,
     table: &GpuTweetTable,
     op: &FilterOp,
@@ -142,32 +101,42 @@ pub fn filtered_bottomk(
     strategy: Strategy,
 ) -> Result<QueryResult, QdbError> {
     let log_start = dev.log_len();
-    match strategy {
+    let items: Vec<P> = match strategy {
         Strategy::StageSort | Strategy::StageBitonic => {
-            let (out, m) = filter_candidates(dev, table, op)?;
+            let out = dev.try_alloc::<Kv<u32>>(table.len())?;
+            let cnt = dev.try_alloc::<u32>(1)?;
+            dev.launch(&FilterKernel {
+                table,
+                op,
+                out: out.clone(),
+                out_count: cnt.clone(),
+            })?;
+            let m = cnt.get(0) as usize;
             if m == 0 {
-                return Ok(collect_result(dev, log_start, Vec::new()));
+                Vec::new()
+            } else {
+                let stage = stage_strategy(strategy);
+                P::view(&out, |c| run_topk_stage(dev, c, m, k.min(m), stage))?.items
             }
-            let rev = out.as_rev_view();
-            let r = run_topk_stage(dev, rev.view(), m, k.min(m), stage_strategy(strategy))?;
-            let ids = r.items.iter().map(|kv| kv.0.value).collect();
-            Ok(collect_result(dev, log_start, ids))
         }
         Strategy::CombinedBitonic => {
-            let matched: Vec<Rev<Kv<u32>>> = op
-                .matched_in(table, &table.retweet_count)
-                .into_iter()
-                .map(Rev)
-                .collect();
+            // the fused kernel evaluates the predicate itself; the matched
+            // set is computed host-side for the functional result
+            let matched: Vec<P> = table.with_columns(|c| op.matched_pairs(&c));
             if matched.is_empty() {
-                return Ok(collect_result(dev, log_start, Vec::new()));
+                Vec::new()
+            } else {
+                let k = k.min(matched.len());
+                run_fused_topk(dev, table, op.pred_bytes(), 4, matched, k)?.items
             }
-            let k = k.min(matched.len());
-            let r = run_fused_topk(dev, table, op.pred_bytes(), 4, matched, k)?;
-            let ids = r.items.iter().map(|kv| kv.0.value).collect();
-            Ok(collect_result(dev, log_start, ids))
         }
-    }
+    };
+    Ok(collect_result(dev, log_start, ids_of(&items)))
+}
+
+/// The row ids of ranked items, in rank order.
+fn ids_of<T: RowItem>(items: &[T]) -> Vec<u32> {
+    items.iter().map(T::id).collect()
 }
 
 /// Q2: `SELECT id FROM tweets ORDER BY retweet_count + 0.5·likes_count
@@ -188,18 +157,16 @@ pub fn ranked_topk(
             })?;
             let n = table.len();
             let r = run_topk_stage(dev, &out, n, k.min(n), stage_strategy(strategy))?;
-            let ids = r.items.iter().map(|kv| kv.value).collect();
-            Ok(collect_result(dev, log_start, ids))
+            Ok(collect_result(dev, log_start, ids_of(&r.items)))
         }
         Strategy::CombinedBitonic => {
             let mut matched = vec![Kv::default(); table.len()];
-            rank_rows(table, 0.5, &mut matched);
+            table.with_columns(|c| rank_pairs(&c, &mut matched));
             let k = k.min(matched.len());
             // the ranking function reads both count columns (8 B/row); no
             // separate predicate column
             let r = run_fused_topk(dev, table, 4, 4, matched, k)?;
-            let ids = r.items.iter().map(|kv| kv.value).collect();
-            Ok(collect_result(dev, log_start, ids))
+            Ok(collect_result(dev, log_start, ids_of(&r.items)))
         }
     }
 }
@@ -222,8 +189,7 @@ pub fn group_topk(
     })?;
     let g = cnt.get(0) as usize;
     let r = run_topk_stage(dev, &out, g, k.min(g), strategy)?;
-    let ids = r.items.iter().map(|kv| kv.value).collect();
-    Ok(collect_result(dev, log_start, ids))
+    Ok(collect_result(dev, log_start, ids_of(&r.items)))
 }
 
 #[cfg(test)]
@@ -310,7 +276,7 @@ mod tests {
         expect.sort_unstable();
         expect.truncate(25);
         for strat in Strategy::all() {
-            let r = filtered_bottomk(&dev, &gpu, &op, 25, strat).unwrap();
+            let r = filtered::<datagen::Rev<Kv<u32>>>(&dev, &gpu, &op, 25, strat).unwrap();
             let keys: Vec<u32> = r
                 .ids
                 .iter()

@@ -45,17 +45,19 @@
 //!   [`QdbError::Overloaded`] instead of growing without bound;
 //! * **retries** — faults classified transient (injected launch
 //!   failures, allocation pressure) are retried up to
-//!   [`ServerConfig::max_retries`] times with exponential backoff
-//!   ([`BACKOFF_BASE`] · 2^attempt, charged as simulated
-//!   time against the query's deadline);
+//!   [`ServerConfig::max_retries`] times through qdb's one retry helper,
+//!   which every sharded scan, merge and transfer uses too; the lane adds
+//!   only its exponential backoff ([`BACKOFF_BASE`] · 2^attempt, charged
+//!   as simulated time against the query's deadline) and the deadline
+//!   check;
 //! * **cancels** — a query submitted with a deadline
 //!   ([`SubmitOptions::with_deadline`]) is cancelled with
 //!   [`QdbError::Timeout`] once its accumulated simulated time (kernel
 //!   time plus backoff penalties) exceeds it;
 //! * **degrades** — when retries are exhausted a query falls down a
 //!   ladder: the batched/streamed bitonic path first re-runs as serial
-//!   `StageBitonic` on the default stream, and ultimately on the
-//!   `topk-cpu` heap backend, which cannot fault. The rung a query ended
+//!   `StageBitonic` on the default stream, and ultimately on the CPU
+//!   engine on one thread, which cannot fault. The rung a query ended
 //!   on is reported in [`ServedQuery::degrade`] and aggregated in
 //!   [`LoadReport::resilience`];
 //! * **audits** — serving-layer intermediate buffers are tagged for
@@ -74,7 +76,7 @@
 use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 
-use datagen::{Kv, Rev, TopKItem};
+use datagen::{Kv, TopKItem};
 use simt::{
     chrome_trace_streams, AccessSpec, BlockCtx, BufferDecl, BulkAccess, Device, GpuBuffer, Kernel,
     LaunchReport, SimTime, Stream, StreamId, StreamSchedule,
@@ -82,10 +84,11 @@ use simt::{
 use sortnet::next_pow2;
 use topk::batched::{batched_bitonic_topk, max_single_launch_row};
 
-use crate::engine::{rank_rows, run_topk_stage, FilterKernel, FilterOp, GroupCounts, TopKStrategy};
-use crate::error::QdbError;
+use crate::cpu_engine::execute_cpu;
+use crate::engine::{run_topk_stage, FilterKernel, FilterOp, TopKStrategy};
+use crate::error::{retry, QdbError};
 use crate::queries::{QueryResult, Strategy};
-use crate::sql::{execute, parse, OrderBy, Query, SqlError};
+use crate::sql::{execute, parse, Query, Shape};
 use crate::table::GpuTweetTable;
 
 /// Number of device streams a lane's queries round-robin onto.
@@ -198,7 +201,7 @@ pub enum DegradeLevel {
     None,
     /// Fell back to serial `StageBitonic` on the default stream.
     SerialBitonic,
-    /// Fell back to the `topk-cpu` heap backend (cannot fault).
+    /// Fell back to the CPU engine on one thread (cannot fault).
     CpuHeap,
 }
 
@@ -268,7 +271,7 @@ pub struct ResilienceStats {
     pub retries: usize,
     /// Queries that fell back to serial `StageBitonic`.
     pub degraded_serial: usize,
-    /// Queries that fell all the way to the CPU heap backend.
+    /// Queries that fell all the way to the CPU engine.
     pub degraded_cpu: usize,
     /// Faults the device injected during the drain.
     pub faults_injected: usize,
@@ -496,9 +499,9 @@ impl Front {
     }
 
     /// Admits one SQL query against a table of `rows` rows at `epoch`:
-    /// the queue bound first, then parse and validation (`sharded`
-    /// refuses `GROUP BY`, whose per-shard counts do not merge), the
-    /// deadline, and last the cache lookup. Nothing is queued on error.
+    /// the queue bound first, then parse (`sharded` also refuses a shape
+    /// whose per-shard runs do not merge), the LIMIT, the deadline, and
+    /// last the cache lookup. Nothing is queued on error.
     pub(crate) fn admit(
         &mut self,
         sql: &str,
@@ -516,19 +519,10 @@ impl Front {
             });
         }
         let query = parse(sql)?;
-        if sharded && query.group_by_uid {
-            return Err(SqlError::Unsupported("GROUP BY on a sharded table").into());
+        if sharded {
+            query.shape.runs_merge()?;
         }
-        query.check_rank_shape()?;
-        if rows == 0 {
-            return Err(QdbError::EmptyTable);
-        }
-        if query.limit > rows {
-            return Err(QdbError::InvalidK {
-                k: query.limit,
-                n: rows,
-            });
-        }
+        query.check_limit(rows)?;
         let deadline = opts.deadline.or(self.cfg.default_deadline);
         if let Some(d) = deadline.filter(|d| d.0 <= 0.0) {
             return Err(QdbError::DeadlineExpired { deadline: d });
@@ -655,21 +649,24 @@ impl<'a> Lane<'a> {
         &self.streams[slot % STREAMS]
     }
 
-    /// A query can fold into a shared batched launch when it is a plain
-    /// descending `retweet_count` top-k (the batched kernel computes
-    /// exactly that shape) and its strategy tolerates a bitonic operator.
-    fn coalescable(&self, e: &Executed) -> bool {
-        self.coalesce
-            && !e.p.query.group_by_uid
-            && !e.p.query.ascending
-            && e.p.query.order_by == OrderBy::RetweetCount
-            && e.p.strategy != Strategy::StageSort
+    /// The filter of a query that can fold into a shared batched launch:
+    /// a plain descending `retweet_count` top-k (the batched kernel
+    /// computes exactly that shape) whose strategy tolerates a bitonic
+    /// operator. `None` for every other query.
+    fn coalescable(&self, e: &Executed) -> Option<FilterOp> {
+        if !self.coalesce || e.p.strategy == Strategy::StageSort {
+            return None;
+        }
+        match &e.p.query.shape {
+            Shape::Top(f) => Some(FilterOp::or_every_row(f).clone()),
+            Shape::Bottom(_) | Shape::Ranked | Shape::GroupCount => None,
+        }
     }
 
-    /// Runs `f` with the transient-fault retry policy: up to
-    /// [`ServerConfig::max_retries`] retries with exponential backoff,
-    /// charging kernel time and backoff penalties against `spent` and
-    /// cancelling on the deadline.
+    /// Runs `f` under the one retry helper, adding the lane's policy:
+    /// each retry's exponential backoff is charged to `penalty`, kernel
+    /// time and backoff to `spent`, and an attempt that would start past
+    /// the deadline cancels the query.
     fn with_retries<T>(
         &self,
         deadline: Option<SimTime>,
@@ -678,44 +675,23 @@ impl<'a> Lane<'a> {
         penalty: &mut SimTime,
         mut f: impl FnMut() -> Result<T, QdbError>,
     ) -> Result<T, QdbError> {
-        let mut attempt = 0usize;
-        loop {
-            if let Some(d) = deadline {
-                if spent.0 >= d.0 {
-                    return Err(QdbError::Timeout {
-                        deadline: d,
-                        spent: *spent,
-                    });
-                }
+        retry(self.max_retries, retries, |n| {
+            if n > 0 {
+                let backoff = SimTime(BACKOFF_BASE.0 * (1u64 << (n - 1).min(20)) as f64);
+                *penalty += backoff;
+                *spent += backoff;
+            }
+            if let Some(d) = deadline.filter(|d| spent.0 >= d.0) {
+                return Err(QdbError::Timeout {
+                    deadline: d,
+                    spent: *spent,
+                });
             }
             let log0 = self.dev.log_len();
             let r = f();
             *spent += self.dev.window_since(log0).time;
-            match r {
-                Ok(v) => return Ok(v),
-                Err(e) if e.is_transient() && attempt < self.max_retries => {
-                    attempt += 1;
-                    *retries += 1;
-                    let backoff = SimTime(BACKOFF_BASE.0 * (1u64 << (attempt - 1).min(20)) as f64);
-                    *penalty += backoff;
-                    *spent += backoff;
-                }
-                Err(QdbError::DeviceFault {
-                    what,
-                    transient,
-                    device,
-                    ..
-                }) => {
-                    return Err(QdbError::DeviceFault {
-                        what,
-                        transient,
-                        attempts: attempt + 1,
-                        device,
-                    })
-                }
-                Err(e) => return Err(e),
-            }
-        }
+            r
+        })
     }
 
     /// One rung for `e`: runs `f` over its query with the retry policy
@@ -727,19 +703,14 @@ impl<'a> Lane<'a> {
         mut f: impl FnMut(&Query) -> Result<T, QdbError>,
     ) -> Option<T> {
         let before = self.dev.log_len();
-        let Executed {
-            p:
-                Pending {
-                    ref query,
-                    deadline,
-                    ..
-                },
-            ref mut spent,
-            ref mut retries,
-            ref mut penalty,
-            ..
-        } = *e;
-        let r = self.with_retries(deadline, spent, retries, penalty, || f(query));
+        let (q, deadline) = (&e.p.query, e.p.deadline);
+        let r = self.with_retries(
+            deadline,
+            &mut e.spent,
+            &mut e.retries,
+            &mut e.penalty,
+            || f(q),
+        );
         e.own.extend(before..self.dev.log_len());
         match r {
             Ok(v) => Some(v),
@@ -753,8 +724,9 @@ impl<'a> Lane<'a> {
 
     /// Runs one query down the degradation ladder from rung `from`: its
     /// own strategy on `stream`, then serial `StageBitonic` on the
-    /// default stream, then the `topk-cpu` heap backend, which cannot
-    /// fault. Only a [`QdbError::Timeout`] ends the descent early.
+    /// default stream, then the CPU engine on one thread over the
+    /// resident columns in place, which cannot fault. Only a
+    /// [`QdbError::Timeout`] ends the descent early.
     fn run_ladder(&self, e: &mut Executed, stream: Option<StreamId>, from: DegradeLevel) {
         let (dev, table) = (self.dev, self.table);
         for rung in [DegradeLevel::None, DegradeLevel::SerialBitonic] {
@@ -779,54 +751,9 @@ impl<'a> Lane<'a> {
             }
         }
         e.degrade = DegradeLevel::CpuHeap;
-        e.ids = self.cpu_execute(&e.p.query);
-    }
-
-    /// Host-side execution of a validated query against the resident
-    /// table via the `topk-cpu` heap backend — the ladder's final rung.
-    fn cpu_execute(&self, q: &Query) -> Vec<u32> {
-        let t = self.table;
-        let n = t.len();
-        match (&q.order_by, q.group_by_uid) {
-            (OrderBy::Count, true) => {
-                let mut counts = GroupCounts::default();
-                for &uid in &t.uid.host_view()[..n] {
-                    *counts.entry(uid).or_insert(0) += 1;
-                }
-                let mut groups: Vec<Kv<u32>> =
-                    counts.into_iter().map(|(uid, c)| Kv::new(c, uid)).collect();
-                // the map iterates in hash order; sort by uid
-                groups.sort_unstable_by_key(|kv| kv.value);
-                topk_cpu::heap_topk(&groups, q.limit)
-                    .iter()
-                    .map(|kv| kv.value)
-                    .collect()
-            }
-            (OrderBy::Rank { likes_weight }, false) => {
-                let mut items = vec![Kv::default(); n];
-                rank_rows(t, *likes_weight, &mut items);
-                topk_cpu::heap_topk(&items, q.limit)
-                    .iter()
-                    .map(|kv| kv.value)
-                    .collect()
-            }
-            (OrderBy::RetweetCount, false) => {
-                let op = q.filter.clone().unwrap_or(FilterOp::TimeLess(u32::MAX));
-                let items = op.matched_in(t, &t.retweet_count);
-                if q.ascending {
-                    let rev: Vec<Rev<Kv<u32>>> = items.into_iter().map(Rev).collect();
-                    topk_cpu::heap_topk(&rev, q.limit)
-                        .iter()
-                        .map(|kv| kv.0.value)
-                        .collect()
-                } else {
-                    topk_cpu::heap_topk(&items, q.limit)
-                        .iter()
-                        .map(|kv| kv.value)
-                        .collect()
-                }
-            }
-            _ => Vec::new(), // unreachable: shapes validated at submit
+        match table.with_columns(|t| execute_cpu(t, &e.p.query, Strategy::StageBitonic, 1)) {
+            Ok(out) => e.ids = out.ids,
+            Err(err) => e.error = Some(err),
         }
     }
 
@@ -856,11 +783,10 @@ impl<'a> Lane<'a> {
             if e.from_cache {
                 // resolved at admission from the epoch-tagged cache:
                 // zero launches, zero simulated latency
-            } else if self.coalescable(&e) {
+            } else if let Some(op) = self.coalescable(&e) {
                 let stream_id = self.stream(i).id();
                 let label = format!("qdb:candidates:t{}", e.p.ticket.0);
-                let r = self.attempt(&mut e, |q| {
-                    let op = q.filter.clone().unwrap_or(FilterOp::TimeLess(u32::MAX));
+                let r = self.attempt(&mut e, |_| {
                     let out = dev.try_alloc::<Kv<u32>>(table.len())?;
                     out.tag_ecc(label.clone());
                     let cnt = dev.try_alloc::<u32>(1)?;
@@ -868,7 +794,6 @@ impl<'a> Lane<'a> {
                         dev.launch(&FilterKernel {
                             table,
                             op: &op,
-                            key_col: &table.retweet_count,
                             out: out.clone(),
                             out_count: cnt.clone(),
                         })
@@ -1237,6 +1162,7 @@ impl<'a> Server<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sql::SqlError;
     use datagen::twitter::TweetTable;
     use simt::FaultPlan;
 
@@ -1333,7 +1259,7 @@ mod tests {
             assert_eq!(served.degrade, DegradeLevel::None);
             let q = parse(sql).unwrap();
             let serial = execute(&dev, &table, &q, Strategy::StageBitonic).unwrap();
-            if q.group_by_uid {
+            if q.shape == Shape::GroupCount {
                 // uids map to counts; compare count sequences
                 let mut counts = std::collections::HashMap::new();
                 for &u in &host.uid {
@@ -1342,7 +1268,7 @@ mod tests {
                 let got: Vec<u32> = served.result.ids.iter().map(|u| counts[u]).collect();
                 let want: Vec<u32> = serial.ids.iter().map(|u| counts[u]).collect();
                 assert_eq!(got, want, "{sql}");
-            } else if matches!(q.order_by, OrderBy::Rank { .. }) {
+            } else if q.shape == Shape::Ranked {
                 let rank = |id: u32| {
                     host.retweet_count[id as usize] as f32
                         + 0.5 * host.likes_count[id as usize] as f32
@@ -1713,7 +1639,7 @@ mod tests {
             assert!(served.retries > 0, "{}", served.sql);
             // CPU answers must match the fault-free device oracle by key
             let q = parse(&sqls[i]).unwrap();
-            if q.group_by_uid {
+            if q.shape == Shape::GroupCount {
                 let mut counts = std::collections::HashMap::new();
                 for &u in &host.uid {
                     *counts.entry(u).or_insert(0u32) += 1;
@@ -1721,7 +1647,7 @@ mod tests {
                 let got: Vec<u32> = served.result.ids.iter().map(|u| counts[u]).collect();
                 let want: Vec<u32> = oracles[i].iter().map(|u| counts[u]).collect();
                 assert_eq!(got, want, "{}", served.sql);
-            } else if matches!(q.order_by, OrderBy::Rank { .. }) {
+            } else if q.shape == Shape::Ranked {
                 let rank = |id: u32| {
                     host.retweet_count[id as usize] as f32
                         + 0.5 * host.likes_count[id as usize] as f32
@@ -1729,7 +1655,7 @@ mod tests {
                 let got: Vec<f32> = served.result.ids.iter().map(|&x| rank(x)).collect();
                 let want: Vec<f32> = oracles[i].iter().map(|&x| rank(x)).collect();
                 assert_eq!(got, want, "{}", served.sql);
-            } else if q.ascending {
+            } else if matches!(q.shape, Shape::Bottom(_)) {
                 let got = keys(&host, &served.result.ids);
                 let want = keys(&host, &oracles[i]);
                 assert_eq!(got, want, "{}", served.sql);

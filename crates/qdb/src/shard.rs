@@ -32,10 +32,12 @@
 //! failover executions — runs through one shard scan: a healthy copy,
 //! optionally over a delta slice, bounded transient retries, the device
 //! stamped into a final fault. Every answer assembled from id runs ends
-//! in one typed merge, the only place that maps `ORDER BY` to an item
+//! in one typed merge, the only place that maps a [`Shape`] to an item
 //! type; it reduces on one device, over the cluster gather, or with the
 //! CPU engine's top-k. The gather waits for every shard, including a
-//! remote one whose list is empty.
+//! remote one whose list is empty. Scans, uploads, merges and transfers
+//! all retry transient faults through qdb's one retry helper, the one
+//! the serving lane uses, so each reports `attempts` as retries + 1.
 //!
 //! Failures are never silently truncated: a shard whose local pass or
 //! delegate transfer is defeated (after bounded retries) fails the whole
@@ -62,14 +64,15 @@ use topk::delegate::{delegate_select_topk, DelegateConfig};
 use topk::{TopKError, TopKResult};
 
 use crate::cpu_engine::strategy_topk;
-use crate::error::QdbError;
+use crate::engine::RowItem;
+use crate::error::{retry, QdbError};
 use crate::queries::Strategy;
 use crate::server::{
     DegradeLevel, Front, Lane, LoadReport, Pending, QueryTicket, ResilienceStats, ServerConfig,
     SubmitOptions, DEFAULT_STRATEGY,
 };
-use crate::sql::{execute, OrderBy, Query, SqlError};
-use crate::table::{host_rows, GpuTweetTable, ROW_BYTES};
+use crate::sql::{execute, Query, Shape, SqlError, GROUP_COUNTS_DO_NOT_MERGE};
+use crate::table::{host_rows, Columns, GpuTweetTable, ROW_BYTES};
 
 /// How rows are distributed across devices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -292,7 +295,11 @@ impl ShardedTable {
             let dev = cluster.device(i);
             let gpu = GpuTweetTable::upload_with_capacity(dev, &sub, cap_rows);
             let label = format!("load:shard{i}");
-            retry_transfer(cluster, usize::MAX, i, bytes, &label, 3, &mut 0)?;
+            retry(3, &mut 0, |_| {
+                cluster
+                    .host_to_device(i, bytes, &label, SimTime::ZERO)
+                    .map_err(QdbError::from)
+            })?;
             let mut replicas = Vec::with_capacity(r);
             replicas.push(Replica { device: i, gpu });
             for j in 1..r {
@@ -300,7 +307,11 @@ impl ShardedTable {
                 let gpu =
                     GpuTweetTable::upload_with_capacity(cluster.device(target), &sub, cap_rows);
                 let label = format!("replicate:shard{i}->dev{target}");
-                retry_transfer(cluster, i, target, bytes, &label, 3, &mut 0)?;
+                retry(3, &mut 0, |_| {
+                    cluster
+                        .device_to_device(i, target, bytes, &label, SimTime::ZERO)
+                        .map_err(QdbError::from)
+                })?;
                 replicas.push(Replica {
                     device: target,
                     gpu,
@@ -396,15 +407,11 @@ impl ShardedTable {
                 // allocation every replica shares, so this cannot fail
                 rep.gpu.splice_rows(&sub)?;
                 let label = format!("append:shard{i}->dev{}:epoch{epoch}", rep.device);
-                let t = retry_transfer(
-                    cluster,
-                    usize::MAX,
-                    rep.device,
-                    bytes,
-                    &label,
-                    3,
-                    &mut retries,
-                )?;
+                let t = retry(3, &mut retries, |_| {
+                    cluster
+                        .host_to_device(rep.device, bytes, &label, SimTime::ZERO)
+                        .map_err(QdbError::from)
+                })?;
                 bytes_total += bytes;
                 if t.end.0 > transfer_done.0 {
                     transfer_done = t.end;
@@ -465,68 +472,6 @@ impl ShardedTable {
     }
 }
 
-/// Issues one delegate (or load) transfer with bounded retries against
-/// fault-plan drops. `src == usize::MAX` means host → device `dst_or_src`.
-fn retry_transfer(
-    cluster: &Cluster,
-    src: usize,
-    dst: usize,
-    bytes: usize,
-    label: &str,
-    max_retries: usize,
-    retries: &mut usize,
-) -> Result<simt::topology::Transfer, QdbError> {
-    retry_transfer_at(
-        cluster,
-        src,
-        dst,
-        bytes,
-        label,
-        SimTime::ZERO,
-        max_retries,
-        retries,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn retry_transfer_at(
-    cluster: &Cluster,
-    src: usize,
-    dst: usize,
-    bytes: usize,
-    label: &str,
-    ready: SimTime,
-    max_retries: usize,
-    retries: &mut usize,
-) -> Result<simt::topology::Transfer, QdbError> {
-    let mut attempt = 0usize;
-    loop {
-        let r = if src == usize::MAX {
-            cluster.host_to_device(dst, bytes, label, ready)
-        } else {
-            cluster.device_to_device(src, dst, bytes, label, ready)
-        };
-        match r {
-            Ok(t) => return Ok(t),
-            Err(e) if !e.permanent && attempt < max_retries => {
-                attempt += 1;
-                *retries += 1;
-            }
-            Err(e) => {
-                // a permanently down endpoint can never be retried; in
-                // both cases name the device so ledgers attribute the
-                // fault to hardware, not to the query
-                return Err(QdbError::DeviceFault {
-                    what: e.to_string(),
-                    transient: !e.permanent,
-                    attempts: attempt + 1,
-                    device: Some(e.device),
-                });
-            }
-        }
-    }
-}
-
 /// The one placement check of every sharded entry point: `parts` (a
 /// table's shards, or a raw primitive's parts) must be one per cluster
 /// device. Checked before anything runs or splices, so a table
@@ -548,33 +493,31 @@ pub(crate) fn first_healthy_from(cluster: &Cluster, start: usize) -> Option<usiz
         .find(|&i| !cluster.device(i).is_down())
 }
 
-/// The typed error for a cluster with no healthy device left.
-pub(crate) fn all_devices_down(device: usize) -> QdbError {
+/// A permanent fault of `device`: no retry can clear it, only failover.
+fn lost(device: usize, what: impl Into<String>) -> QdbError {
     QdbError::DeviceFault {
-        what: "every device in the cluster is permanently down".to_string(),
+        what: what.into(),
         transient: false,
         attempts: 1,
         device: Some(device),
     }
 }
 
+/// The typed error for a cluster with no healthy device left.
+pub(crate) fn all_devices_down(device: usize) -> QdbError {
+    lost(device, "every device in the cluster is permanently down")
+}
+
 /// Stamps `device` into an unattributed device fault so sharded ledger
 /// entries name the hardware that failed, not just the kernel.
-fn attribute_device(e: QdbError, device: usize) -> QdbError {
-    match e {
-        QdbError::DeviceFault {
-            what,
-            transient,
-            attempts,
-            device: None,
-        } => QdbError::DeviceFault {
-            what,
-            transient,
-            attempts,
-            device: Some(device),
-        },
-        other => other,
+fn attribute_device(mut e: QdbError, device: usize) -> QdbError {
+    if let QdbError::DeviceFault {
+        device: d @ None, ..
+    } = &mut e
+    {
+        *d = Some(device);
     }
+    e
 }
 
 /// Gather-and-merge outcome shared by every sharded path.
@@ -587,6 +530,19 @@ pub(crate) struct Merged<T> {
 }
 
 impl<T> Merged<T> {
+    /// This gather's outcome after local passes of `local` and `retries`.
+    fn outcome(self, local: Vec<SimTime>, retries: usize) -> ShardedTopK<T> {
+        ShardedTopK {
+            sim_time: self.transfer_done + self.merge_time,
+            items: self.items,
+            local,
+            transfer_done: self.transfer_done,
+            merge_time: self.merge_time,
+            candidate_bytes: self.candidate_bytes,
+            retries: retries + self.transfer_retries,
+        }
+    }
+
     /// A reduction that moved nothing over the interconnect.
     fn in_place(items: Vec<T>, merge_time: SimTime) -> Self {
         Merged {
@@ -602,9 +558,10 @@ impl<T> Merged<T> {
 /// The reduce every merge ends in: pads each run (descending, at most
 /// `k_eff` long) into a whole `k_eff` run — a descending run with a
 /// MIN-sentinel tail is a valid bitonic run — and reduces the runs on
-/// `dev` with the bitonic run reducer, retrying transient faults up to
-/// `max_retries` times. Returns the top `min(k, total)` items, the
-/// reduce's kernel time and the retries spent.
+/// `dev` with the bitonic run reducer, retrying transient faults (the
+/// upload's included) up to `max_retries` times. Returns the top
+/// `min(k, total)` items, the reduce's kernel time and the retries
+/// spent.
 fn reduce_runs<T: TopKItem>(
     dev: &Device,
     runs: Vec<Vec<T>>,
@@ -624,21 +581,14 @@ fn reduce_runs<T: TopKItem>(
         run.resize(k_eff, T::min_sentinel());
         flat.extend(run);
     }
-    let mut attempt = 0usize;
-    loop {
+    let mut retries = 0;
+    let (items, time) = retry(max_retries, &mut retries, |_| {
         let buf = dev.try_upload(&flat)?;
         let log0 = dev.log_len();
-        match bitonic_topk_from_runs(dev, &buf, flat.len(), k_req, cfg) {
-            Ok(r) => return Ok((r.items, dev.window_since(log0).time, attempt)),
-            Err(e) => {
-                let e: QdbError = e.into();
-                if !e.is_transient() || attempt >= max_retries {
-                    return Err(e);
-                }
-                attempt += 1;
-            }
-        }
-    }
+        let r = bitonic_topk_from_runs(dev, &buf, flat.len(), k_req, cfg)?;
+        Ok((r.items, dev.window_since(log0).time))
+    })?;
+    Ok((items, time, retries))
 }
 
 /// Ships each shard's delegates (descending-sorted, ≤ k items) from its
@@ -672,16 +622,11 @@ fn ship_and_merge<T: TopKItem>(
             let bytes = d.len() * T::SIZE_BYTES;
             candidate_bytes += bytes;
             let label = format!("delegates:shard{i}");
-            let t = retry_transfer_at(
-                cluster,
-                serving[i],
-                merge_dev,
-                bytes,
-                &label,
-                local[i],
-                max_retries,
-                &mut transfer_retries,
-            )?;
+            let t = retry(max_retries, &mut transfer_retries, |_| {
+                cluster
+                    .device_to_device(serving[i], merge_dev, bytes, &label, local[i])
+                    .map_err(QdbError::from)
+            })?;
             t.end
         };
         if ready.0 > transfer_done.0 {
@@ -720,9 +665,10 @@ pub(crate) enum MergeTarget<'a> {
 
 /// The one typed merge every answer assembled from parts ends in — a
 /// sharded gather, a view's delta folded into its standing run. Turns
-/// ranked id runs into the query's item type (`Kv<u32>` for
-/// `retweet_count DESC`, `Rev<Kv<u32>>` for `ASC`, `Kv<f32>` for the
-/// rank) and reduces them to the query's top-k on `target`.
+/// ranked id runs into the shape's item type (`Kv<u32>` for
+/// [`Shape::Top`], `Rev<Kv<u32>>` for [`Shape::Bottom`], `Kv<f32>` for
+/// [`Shape::Ranked`]) and reduces them to the query's top-k on `target`;
+/// a [`Shape::GroupCount`] does not merge.
 /// `cols(run, id)` returns the id's `(retweet_count, likes_count)`. Every
 /// item carries the full item order (key ties broken by id), so the
 /// result is the top-k of the runs' union wherever it reduces. Returns
@@ -733,11 +679,10 @@ pub(crate) fn merge_id_runs(
     cols: impl Fn(usize, u32) -> Result<(u32, u32), QdbError>,
     target: MergeTarget<'_>,
 ) -> Result<Merged<u32>, QdbError> {
-    fn typed<T: TopKItem>(
+    fn typed<T: RowItem>(
         runs: &[Vec<u32>],
         cols: impl Fn(usize, u32) -> Result<(u32, u32), QdbError>,
         item: impl Fn(u32, u32, u32) -> T,
-        id: impl Fn(&T) -> u32,
         k: usize,
         target: MergeTarget<'_>,
     ) -> Result<Merged<u32>, QdbError> {
@@ -778,7 +723,7 @@ pub(crate) fn merge_id_runs(
             ),
         };
         Ok(Merged {
-            items: m.items.iter().map(id).collect(),
+            items: m.items.iter().map(T::id).collect(),
             transfer_done: m.transfer_done,
             merge_time: m.merge_time,
             candidate_bytes: m.candidate_bytes,
@@ -786,35 +731,17 @@ pub(crate) fn merge_id_runs(
         })
     }
     let k = q.limit;
-    match (&q.order_by, q.ascending) {
-        (OrderBy::RetweetCount, false) => typed(
+    match &q.shape {
+        Shape::Top(_) => typed(runs, cols, |rt, _, v| Kv::new(rt, v), k, target),
+        Shape::Bottom(_) => typed(runs, cols, |rt, _, v| Rev(Kv::new(rt, v)), k, target),
+        Shape::Ranked => typed(
             runs,
             cols,
-            |retweets, _, v| Kv::new(retweets, v),
-            |kv: &Kv<u32>| kv.value,
+            |rt, likes, v| Kv::new(rt as f32 + 0.5 * likes as f32, v),
             k,
             target,
         ),
-        (OrderBy::RetweetCount, true) => typed(
-            runs,
-            cols,
-            |retweets, _, v| Rev(Kv::new(retweets, v)),
-            |kv: &Rev<Kv<u32>>| kv.0.value,
-            k,
-            target,
-        ),
-        (OrderBy::Rank { .. }, _) => typed(
-            runs,
-            cols,
-            |retweets, likes, v| Kv::new(retweets as f32 + 0.5 * likes as f32, v),
-            |kv: &Kv<f32>| kv.value,
-            k,
-            target,
-        ),
-        (OrderBy::Count, _) => Err(SqlError::Unsupported(
-            "GROUP BY in a merged top-k (group counts do not merge)",
-        )
-        .into()),
+        Shape::GroupCount => Err(GROUP_COUNTS_DO_NOT_MERGE.into()),
     }
 }
 
@@ -827,9 +754,8 @@ fn shard_cols(table: &ShardedTable, run: usize, id: u32) -> Result<(u32, u32), Q
     let d = table.num_shards();
     let probe = if run < d { run..run + 1 } else { 0..d };
     for i in probe {
-        let h = table.shard(i).host();
-        if let Ok(row) = h.id.binary_search(&id) {
-            return Ok((h.retweet_count[row], h.likes_count[row]));
+        if let Some(counts) = Columns::of(&table.shard(i).host()).counts_of(id) {
+            return Ok(counts);
         }
     }
     Err(QdbError::Internal {
@@ -909,37 +835,25 @@ fn scan_copy(
 ) -> Result<ShardAnswer, QdbError> {
     let dev = cluster.device(device);
     if dev.is_down() {
-        return Err(QdbError::DeviceFault {
-            what: format!("shard {i}: dev{device} is permanently down"),
-            transient: false,
-            attempts: 1,
-            device: Some(device),
-        });
+        return Err(lost(
+            device,
+            format!("shard {i}: dev{device} is permanently down"),
+        ));
     }
-    let q = Query {
-        limit: q.limit.min(rows - delta_from.unwrap_or(0)),
-        ..q.clone()
-    };
-    let mut attempt = 0usize;
-    loop {
-        let r = match delta_from {
-            None => execute(dev, gpu, &q, strategy),
-            Some(lo) => execute(dev, &gpu.device_slice(dev, lo, rows), &q, strategy),
-        };
-        match r {
-            Ok(r) => {
-                return Ok(ShardAnswer {
-                    ids: r.ids,
-                    time: r.kernel_time,
-                    device,
-                    retries: attempt,
-                    failed_over: false,
-                })
-            }
-            Err(e) if e.is_transient() && attempt < max_retries => attempt += 1,
-            Err(e) => return Err(attribute_device(e, device)),
-        }
-    }
+    let q = q.clamped(rows - delta_from.unwrap_or(0));
+    let mut retries = 0;
+    let r = retry(max_retries, &mut retries, |_| match delta_from {
+        None => execute(dev, gpu, &q, strategy),
+        Some(lo) => execute(dev, &gpu.device_slice(dev, lo, rows), &q, strategy),
+    })
+    .map_err(|e| attribute_device(e, device))?;
+    Ok(ShardAnswer {
+        ids: r.ids,
+        time: r.kernel_time,
+        device,
+        retries,
+        failed_over: false,
+    })
 }
 
 /// Scans every shard on its first healthy replica, primary first (which
@@ -970,12 +884,8 @@ pub(crate) fn scatter(
             .iter()
             .find(|rep| !cluster.device(rep.device).is_down())
         else {
-            return Err(QdbError::DeviceFault {
-                what: format!("shard {i}: every replica device is permanently down"),
-                transient: false,
-                attempts: 1,
-                device: Some(shard.primary_device()),
-            });
+            let what = format!("shard {i}: every replica device is permanently down");
+            return Err(lost(shard.primary_device(), what));
         };
         let a = scan_copy(
             cluster,
@@ -994,7 +904,8 @@ pub(crate) fn scatter(
     Ok(s)
 }
 
-/// Outcome of one raw sharded top-k.
+/// Outcome of one sharded top-k: a raw primitive's items, or a sharded
+/// SQL query's ranked ids ([`execute_sharded`]).
 #[derive(Debug, Clone)]
 pub struct ShardedTopK<T> {
     /// The merged top-k, descending — bit-identical to the single-device
@@ -1011,7 +922,8 @@ pub struct ShardedTopK<T> {
     pub sim_time: SimTime,
     /// Delegate bytes shipped over the interconnect.
     pub candidate_bytes: usize,
-    /// Transfer/merge retries consumed against fault plans.
+    /// Local-pass, transfer and merge retries consumed against fault
+    /// plans.
     pub retries: usize,
 }
 
@@ -1089,25 +1001,13 @@ fn sharded_local_topk<T: TopKItem>(
         let home = first_healthy_from(cluster, i).unwrap_or(merge_dev);
         let dev = cluster.device(home);
         serving.push(home);
-        let mut attempt = 0usize;
-        let (items, time) = loop {
+        let (items, time) = retry(max_retries, &mut retries, |_| {
             let log0 = dev.log_len();
-            let buf = dev
-                .try_upload(part)
-                .map_err(|e| attribute_device(e.into(), home))?;
-            match local_topk(dev, &buf, k.min(part.len())) {
-                Ok(r) => break (r.items, dev.window_since(log0).time),
-                Err(e) => {
-                    let e: QdbError = e.into();
-                    if e.is_transient() && attempt < max_retries {
-                        attempt += 1;
-                        retries += 1;
-                    } else {
-                        return Err(attribute_device(e, home));
-                    }
-                }
-            }
-        };
+            let buf = dev.try_upload(part)?;
+            let r = local_topk(dev, &buf, k.min(part.len()))?;
+            Ok((r.items, dev.window_since(log0).time))
+        })
+        .map_err(|e| attribute_device(e, home))?;
         delegates.push(items);
         local.push(time);
     }
@@ -1121,36 +1021,7 @@ fn sharded_local_topk<T: TopKItem>(
         merge_cfg,
         max_retries,
     )?;
-    Ok(ShardedTopK {
-        items: merged.items,
-        sim_time: merged.transfer_done + merged.merge_time,
-        local,
-        transfer_done: merged.transfer_done,
-        merge_time: merged.merge_time,
-        candidate_bytes: merged.candidate_bytes,
-        retries: retries + merged.transfer_retries,
-    })
-}
-
-/// Outcome of one sharded SQL query.
-#[derive(Debug, Clone)]
-pub struct ShardedQueryResult {
-    /// Result tweet ids, ranked — bit-identical to the single-device
-    /// result for the bitonic strategies.
-    pub ids: Vec<u32>,
-    /// End-to-end modeled time: `max(local, transfers) + merge`.
-    pub sim_time: SimTime,
-    /// Per-shard local kernel time.
-    pub local: Vec<SimTime>,
-    /// When every shard's delegates were on the merge device: the last
-    /// transfer's end, or a shard whose list did not ship finishing later.
-    pub transfer_done: SimTime,
-    /// Kernel time of the delegate merge on device 0.
-    pub merge_time: SimTime,
-    /// Delegate bytes shipped over the interconnect.
-    pub candidate_bytes: usize,
-    /// Local-pass, transfer and merge retries consumed.
-    pub retries: usize,
+    Ok(merged.outcome(local, retries))
 }
 
 /// Executes a parsed query against a sharded table: the per-shard
@@ -1158,9 +1029,9 @@ pub struct ShardedQueryResult {
 /// retries against transient faults), the k delegate candidates per
 /// shard ship to device 0, and the bitonic run reducer merges them.
 ///
-/// `GROUP BY` is rejected ([`SqlError::Unsupported`]): row partitioning
-/// splits a uid's tweets across shards, so per-shard group counts cannot
-/// be merged by taking delegates (that would silently undercount).
+/// A shape whose per-shard runs do not merge ([`Shape::runs_merge`]:
+/// `GROUP BY`, whose per-shard counts would silently undercount) is
+/// rejected with [`SqlError::Unsupported`].
 ///
 /// For the bitonic strategies the result is bit-identical to
 /// single-device execution; `StageSort`'s radix pass orders key ties by
@@ -1172,34 +1043,16 @@ pub fn execute_sharded(
     q: &Query,
     strategy: Strategy,
     max_retries: usize,
-) -> Result<ShardedQueryResult, QdbError> {
+) -> Result<ShardedTopK<u32>, QdbError> {
     check_placement(cluster, table.num_shards())?;
-    if q.group_by_uid {
-        return Err(SqlError::Unsupported("GROUP BY on a sharded table").into());
-    }
-    if table.is_empty() {
-        return Err(QdbError::EmptyTable);
-    }
-    if q.limit > table.len() {
-        return Err(QdbError::InvalidK {
-            k: q.limit,
-            n: table.len(),
-        });
-    }
+    q.shape.runs_merge()?;
+    q.check_limit(table.len())?;
     let Some(merge_dev) = first_healthy_from(cluster, 0) else {
         return Err(all_devices_down(0));
     };
     let s = scatter(cluster, table, q, strategy, None, merge_dev, max_retries)?;
     let m = s.gather(cluster, table, q, merge_dev, max_retries)?;
-    Ok(ShardedQueryResult {
-        ids: m.items,
-        sim_time: m.transfer_done + m.merge_time,
-        local: s.local,
-        transfer_done: m.transfer_done,
-        merge_time: m.merge_time,
-        candidate_bytes: m.candidate_bytes,
-        retries: s.retries + m.transfer_retries,
-    })
+    Ok(m.outcome(s.local, s.retries))
 }
 
 /// One sharded query's outcome from a drain.
@@ -1571,11 +1424,9 @@ impl<'a> ShardedServer<'a> {
                 }
             }
         }
-        Err(cause.or(last).unwrap_or_else(|| QdbError::DeviceFault {
-            what: format!("shard {i}: no healthy replica to fail over to"),
-            transient: false,
-            attempts: 1,
-            device: Some(self.table.shard(i).primary_device()),
+        Err(cause.or(last).unwrap_or_else(|| {
+            let what = format!("shard {i}: no healthy replica to fail over to");
+            lost(self.table.shard(i).primary_device(), what)
         }))
     }
 
@@ -1611,17 +1462,13 @@ impl<'a> ShardedServer<'a> {
                     shard.cap_rows,
                 );
                 let label = format!("rebuild:shard{i}");
-                if retry_transfer(
-                    self.cluster,
-                    usize::MAX,
-                    target,
-                    shard.host().len() * ROW_BYTES,
-                    &label,
-                    self.max_retries,
-                    &mut 0,
-                )
-                .is_err()
-                {
+                let bytes = shard.host().len() * ROW_BYTES;
+                let shipped = retry(self.max_retries, &mut 0, |_| {
+                    self.cluster
+                        .host_to_device(target, bytes, &label, SimTime::ZERO)
+                        .map_err(QdbError::from)
+                });
+                if shipped.is_err() {
                     break;
                 }
                 self.rebuilt[i].push((target, gpu));
@@ -1666,10 +1513,7 @@ impl<'a> ShardedServer<'a> {
                 if let ShardRoute::Queued { replica, limit } = *route {
                     lists[i * r + replica].push(Pending {
                         sql: p.sql.clone(),
-                        query: Query {
-                            limit,
-                            ..p.query.clone()
-                        },
+                        query: p.query.clamped(limit),
                         cached: None,
                         ..*p
                     });
@@ -1690,12 +1534,10 @@ impl<'a> ShardedServer<'a> {
                 if self.cluster.device(device).is_down() {
                     lane.refuse(
                         list,
-                        &QdbError::DeviceFault {
-                            what: format!("dev{device} was down when the drain started"),
-                            transient: false,
-                            attempts: 1,
-                            device: Some(device),
-                        },
+                        &lost(
+                            device,
+                            format!("dev{device} was down when the drain started"),
+                        ),
                     )
                 } else {
                     lane.drain(list)
@@ -1737,12 +1579,10 @@ impl<'a> ShardedServer<'a> {
                         shards.push(Vec::new(), SimTime::ZERO, fallback_dev);
                         continue;
                     }
-                    ShardRoute::Dead { device } => Err(QdbError::DeviceFault {
-                        what: format!("shard {i}: no healthy replica to serve from"),
-                        transient: false,
-                        attempts: 1,
-                        device: Some(device),
-                    }),
+                    ShardRoute::Dead { device } => Err(lost(
+                        device,
+                        format!("shard {i}: no healthy replica to serve from"),
+                    )),
                     ShardRoute::Direct { device } => match self.direct_execute(i, device, &q) {
                         Ok(answer) => {
                             self.note_success(device);
@@ -2061,7 +1901,7 @@ mod tests {
                     let table = ShardedTable::partition(&cluster, &host, policy).unwrap();
                     let r =
                         execute_sharded(&cluster, &table, &q, Strategy::StageBitonic, 2).unwrap();
-                    assert_eq!(r.ids, oracle, "{sql} via {} x {devices}", policy.name());
+                    assert_eq!(r.items, oracle, "{sql} via {} x {devices}", policy.name());
                     assert!(r.sim_time.0 > 0.0);
                 }
             }
@@ -2140,7 +1980,7 @@ mod tests {
             let table = ShardedTable::partition(&cluster, &host, PartitionPolicy::Hash).unwrap();
             execute_sharded(&cluster, &table, &q, Strategy::StageBitonic, 2)
                 .unwrap()
-                .ids
+                .items
         };
         let cluster = Cluster::new(ClusterSpec::pcie_node(4));
         let table = ShardedTable::partition_replicated(
@@ -2167,7 +2007,7 @@ mod tests {
         );
         // the healthy read path serves from primaries: bit-identical to r=1
         let r = execute_sharded(&cluster, &table, &q, Strategy::StageBitonic, 2).unwrap();
-        assert_eq!(r.ids, oracle);
+        assert_eq!(r.items, oracle);
         // the factor clamps to the cluster size and never goes below one
         assert_eq!(ReplicationFactor(9).effective(4), 4);
         assert_eq!(ReplicationFactor(0).effective(4), 1);
@@ -2182,7 +2022,7 @@ mod tests {
             let table = ShardedTable::partition(&cluster, &host, PartitionPolicy::Range).unwrap();
             execute_sharded(&cluster, &table, &q, Strategy::StageBitonic, 2)
                 .unwrap()
-                .ids
+                .items
         };
         // r = 2: losing a device leaves every shard a healthy copy
         let cluster = Cluster::new(ClusterSpec::pcie_node(4));
@@ -2195,7 +2035,7 @@ mod tests {
         .unwrap();
         cluster.device(1).mark_down();
         let r = execute_sharded(&cluster, &table, &q, Strategy::StageBitonic, 2).unwrap();
-        assert_eq!(r.ids, oracle, "failover reads are bit-identical");
+        assert_eq!(r.items, oracle, "failover reads are bit-identical");
         // r = 1: the loss is loud, typed and attributed — never truncated
         let cluster = Cluster::new(ClusterSpec::pcie_node(4));
         let table = ShardedTable::partition(&cluster, &host, PartitionPolicy::Range).unwrap();
@@ -2380,7 +2220,7 @@ mod tests {
             2,
         )
         .unwrap();
-        assert_eq!(c.queries[0].ids, oracle.ids);
+        assert_eq!(c.queries[0].ids, oracle.items);
     }
 
     #[test]
@@ -2468,7 +2308,7 @@ mod tests {
         cluster.device(2).clear_fault_plan();
         // with the plan cleared the same query completes
         let r = execute_sharded(&cluster, &table, &q, Strategy::StageBitonic, 1).unwrap();
-        assert_eq!(r.ids.len(), 8);
+        assert_eq!(r.items.len(), 8);
     }
 
     #[test]
@@ -2493,7 +2333,7 @@ mod tests {
             cluster.device(1).clear_fault_plan();
             r
         };
-        assert_eq!(clean.ids, stalled.ids, "stalls must not change results");
+        assert_eq!(clean.items, stalled.items, "stalls must not change results");
         assert!(
             stalled.sim_time.0 > clean.sim_time.0,
             "stall must show up in modeled time: {} vs {}",
@@ -2523,7 +2363,7 @@ mod tests {
         .unwrap();
         let r = execute_sharded(&cluster, &table, &q, Strategy::StageBitonic, 0).unwrap();
         cluster.device(1).clear_fault_plan();
-        assert_eq!(r.ids.len(), 8);
+        assert_eq!(r.items.len(), 8);
         let slowest = r.local.iter().fold(0.0f64, |a, t| a.max(t.0));
         assert!(slowest >= 1e-3, "shard 1's stalled pass: {:?}", r.local);
         assert!(
@@ -2682,5 +2522,55 @@ mod tests {
                 "expected a typed rejection, got {err:?}"
             );
         }
+    }
+
+    /// A part's upload is retried like its launch: one injected OOM on
+    /// device 1 costs one retry, and the answer is the fault-free one.
+    #[test]
+    fn sharded_topk_retries_a_transient_part_upload_fault() {
+        let parts = partition_items(&keyed(&Uniform, 1 << 12, 8), 2, PartitionPolicy::Hash);
+        let run = |plan: Option<FaultPlan>| {
+            let cluster = Cluster::new(ClusterSpec::pcie_node(2));
+            if let Some(plan) = plan {
+                cluster.device(1).set_fault_plan(plan);
+            }
+            sharded_topk(&cluster, &parts, 32, BitonicConfig::default(), 2)
+        };
+        let clean = run(None).unwrap();
+        let oom = FaultPlan {
+            oom_rate: 1.0,
+            max_faults: 1,
+            ..FaultPlan::none()
+        };
+        let r = run(Some(oom)).expect("one retry clears one OOM");
+        assert_eq!(r.items, clean.items);
+        assert_eq!(r.retries, 1);
+    }
+
+    /// A shard scan that exhausts its retries reports every attempt it
+    /// made: retries + 1, as the lane and the transfers do.
+    #[test]
+    fn exhausted_shard_scan_reports_every_attempt() {
+        let host = TweetTable::generate(4_000, 12);
+        let cluster = Cluster::new(ClusterSpec::pcie_node(2));
+        let table = ShardedTable::partition(&cluster, &host, PartitionPolicy::Hash).unwrap();
+        cluster.device(0).set_fault_plan(FaultPlan {
+            launch_failure_rate: 1.0,
+            ..FaultPlan::none()
+        });
+        let q = parse("SELECT id FROM tweets ORDER BY retweet_count DESC LIMIT 8").unwrap();
+        let err = execute_sharded(&cluster, &table, &q, Strategy::StageBitonic, 2).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                QdbError::DeviceFault {
+                    transient: true,
+                    attempts: 3,
+                    device: Some(0),
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
     }
 }

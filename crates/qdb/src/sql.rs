@@ -14,16 +14,17 @@
 //!   GROUP BY uid ORDER BY COUNT(*) DESC LIMIT <k>;
 //! ```
 //!
-//! `parse` produces a [`Query`]; [`execute`] runs it through
+//! [`parse`] is the one validator: the [`Query`] it returns names one of
+//! the closed set of [`Shape`]s every engine compiles, so execution never
+//! refuses a parsed query. [`execute`] runs it through
 //! [`crate::queries`] with any [`Strategy`].
 
+use datagen::{Kv, Rev};
 use simt::{AnalysisReport, Device, Source};
 
-use crate::engine::{FilterOp, TopKStrategy};
+use crate::engine::FilterOp;
 use crate::error::QdbError;
-use crate::queries::{
-    filtered_bottomk, filtered_topk, group_topk, ranked_topk, QueryResult, Strategy,
-};
+use crate::queries::{filtered, group_topk, ranked_topk, stage_strategy, QueryResult, Strategy};
 use crate::table::GpuTweetTable;
 
 /// Parse/validation errors with byte positions where sensible.
@@ -55,54 +56,70 @@ impl std::fmt::Display for SqlError {
 
 impl std::error::Error for SqlError {}
 
-/// What the query orders by.
-#[derive(Debug, Clone, PartialEq)]
-pub enum OrderBy {
-    /// `ORDER BY retweet_count DESC`.
-    RetweetCount,
-    /// `ORDER BY retweet_count + w * likes_count DESC`.
-    Rank {
-        /// The likes weight `w`.
-        likes_weight: f32,
-    },
-    /// `ORDER BY COUNT(*) DESC` (group-by queries).
-    Count,
+/// The closed set of query shapes the engine compiles — the four plans
+/// of the paper's MapD integration (§5, §6.8). The parser is their only
+/// validator, so every engine runs every shape.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Shape {
+    /// `SELECT id FROM tweets [WHERE …] ORDER BY retweet_count DESC` —
+    /// Q1/Q3.
+    Top(Option<FilterOp>),
+    /// `… ORDER BY retweet_count ASC` — Q1/Q3's smallest-k twin.
+    Bottom(Option<FilterOp>),
+    /// `SELECT id FROM tweets ORDER BY retweet_count + 0.5 * likes_count
+    /// DESC` — Q2, the one ranking function the engine compiles (like the
+    /// paper's fused kernel).
+    Ranked,
+    /// `SELECT uid, COUNT(*) FROM tweets GROUP BY uid ORDER BY COUNT(*)
+    /// DESC` — Q4.
+    GroupCount,
+}
+
+/// Why a group count cannot be answered from parts of its table.
+pub(crate) const GROUP_COUNTS_DO_NOT_MERGE: SqlError =
+    SqlError::Unsupported("GROUP BY over parts of a table (per-part group counts do not merge)");
+
+impl Shape {
+    /// `Ok` when per-part top-k runs of this shape merge into the top-k
+    /// of the whole. Top-k is decomposable (the winners of a union are
+    /// among the winners of its parts), so sharded reads and view delta
+    /// merges may answer from parts; a uid's rows split across parts, so
+    /// per-part group counts do not merge. Every path that answers from
+    /// parts asks here.
+    pub fn runs_merge(&self) -> Result<(), SqlError> {
+        match self {
+            Shape::Top(_) | Shape::Bottom(_) | Shape::Ranked => Ok(()),
+            Shape::GroupCount => Err(GROUP_COUNTS_DO_NOT_MERGE),
+        }
+    }
 }
 
 /// A parsed, validated query.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Query {
-    /// Optional predicate.
-    pub filter: Option<FilterOp>,
-    /// `GROUP BY uid` present?
-    pub group_by_uid: bool,
-    /// Ranking expression.
-    pub order_by: OrderBy,
-    /// `ORDER BY … ASC` — smallest-first. Only supported for the plain
-    /// `retweet_count` ordering (the engine compiles one reversed kernel
-    /// shape, like it compiles one ranking function).
-    pub ascending: bool,
+    /// What the query selects and how it ranks.
+    pub shape: Shape,
     /// LIMIT k.
     pub limit: usize,
 }
 
 impl Query {
-    /// Rejects the ranking shapes the engine does not compile: a likes
-    /// weight other than the built-in `0.5`, and WHERE combined with a
-    /// ranking function. Every entry point (execution, serving, views)
-    /// applies this one rule.
-    pub(crate) fn check_rank_shape(&self) -> Result<(), SqlError> {
-        if let OrderBy::Rank { likes_weight } = self.order_by {
-            if (likes_weight - 0.5).abs() > 1e-9 {
-                return Err(SqlError::Unsupported("ranking weight other than 0.5"));
-            }
-            if self.filter.is_some() {
-                return Err(SqlError::Unsupported(
-                    "WHERE combined with a ranking function",
-                ));
-            }
+    /// Refuses an empty table, and a LIMIT above its `rows` rows.
+    pub(crate) fn check_limit(&self, rows: usize) -> Result<(), QdbError> {
+        match rows {
+            0 => Err(QdbError::EmptyTable),
+            n if self.limit > n => Err(QdbError::InvalidK { k: self.limit, n }),
+            _ => Ok(()),
         }
-        Ok(())
+    }
+
+    /// This query over a part of `rows` rows (a shard, or a view's
+    /// delta): its LIMIT clamped to the part.
+    pub(crate) fn clamped(&self, rows: usize) -> Query {
+        Query {
+            shape: self.shape.clone(),
+            limit: self.limit.min(rows),
+        }
     }
 }
 
@@ -347,7 +364,8 @@ fn parse_query(c: &mut Cursor) -> Result<Query, SqlError> {
     // ORDER BY
     c.expect("order")?;
     c.expect("by")?;
-    let order_by = if group_by_uid {
+    let mut likes_weight = None;
+    if group_by_uid {
         let t = c.next("COUNT(*) or the alias")?.to_string();
         match t.as_str() {
             "count" => {
@@ -358,7 +376,6 @@ fn parse_query(c: &mut Cursor) -> Result<Query, SqlError> {
             _ if t.chars().all(|ch| ch.is_alphanumeric() || ch == '_') => {} // alias
             _ => return Err(SqlError::Unexpected(t, "COUNT(*)")),
         }
-        OrderBy::Count
     } else {
         let col = c.next("retweet_count")?.to_string();
         if col != "retweet_count" {
@@ -372,20 +389,16 @@ fn parse_query(c: &mut Cursor) -> Result<Query, SqlError> {
             if col2 != "likes_count" {
                 return Err(SqlError::Unknown(col2));
             }
-            OrderBy::Rank {
-                likes_weight: weight,
-            }
-        } else {
-            OrderBy::RetweetCount
+            likes_weight = Some(weight);
         }
-    };
+    }
     let dir = c.next("ASC or DESC")?.to_string();
     let ascending = match dir.as_str() {
         "desc" => false,
         "asc" => true,
         other => return Err(SqlError::Unexpected(other.to_string(), "ASC or DESC")),
     };
-    if ascending && order_by != OrderBy::RetweetCount {
+    if ascending && (group_by_uid || likes_weight.is_some()) {
         return Err(SqlError::Unsupported(
             "ASC is only supported for ORDER BY retweet_count",
         ));
@@ -403,52 +416,44 @@ fn parse_query(c: &mut Cursor) -> Result<Query, SqlError> {
         return Err(SqlError::Unexpected(extra.to_string(), "end of statement"));
     }
 
-    Ok(Query {
-        filter,
-        group_by_uid,
-        order_by,
-        ascending,
-        limit,
-    })
+    // the rank rules apply to a statement read to its end, so a
+    // malformed one reports its syntax error first
+    let shape = match (group_by_uid, likes_weight) {
+        (true, _) => Shape::GroupCount,
+        // NaN compares unequal too
+        (false, Some(w)) if w != 0.5 => {
+            return Err(SqlError::Unsupported("ranking weight other than 0.5"))
+        }
+        (false, Some(_)) if filter.is_some() => {
+            return Err(SqlError::Unsupported(
+                "WHERE combined with a ranking function",
+            ))
+        }
+        (false, Some(_)) => Shape::Ranked,
+        (false, None) if ascending => Shape::Bottom(filter),
+        (false, None) => Shape::Top(filter),
+    };
+    Ok(Query { shape, limit })
 }
 
-/// Executes a parsed query with the given strategy.
-///
-/// Rank queries with a non-default weight are evaluated with the generic
-/// ranking pipeline only when the weight matches the engine's built-in
-/// `0.5` (the paper's Q2); other weights return
-/// [`SqlError::Unsupported`] (wrapped in [`QdbError::Parse`]) — the
-/// engine compiles one ranking function, like the paper's fused kernel
-/// does. Device faults surface as [`QdbError::DeviceFault`]; nothing on
-/// this path panics.
+/// Executes a parsed query with the given strategy: one plan per
+/// [`Shape`]. Device faults surface as [`QdbError::DeviceFault`];
+/// nothing on this path panics.
 pub fn execute(
     dev: &Device,
     table: &GpuTweetTable,
     q: &Query,
     strategy: Strategy,
 ) -> Result<QueryResult, QdbError> {
-    match (&q.order_by, q.group_by_uid) {
-        (OrderBy::Count, true) => {
-            let topk = if strategy == Strategy::StageSort {
-                TopKStrategy::Sort
-            } else {
-                TopKStrategy::Bitonic
-            };
-            group_topk(dev, table, q.limit, topk)
+    match &q.shape {
+        Shape::Top(f) => {
+            filtered::<Kv<u32>>(dev, table, FilterOp::or_every_row(f), q.limit, strategy)
         }
-        (OrderBy::RetweetCount, false) => {
-            let op = q.filter.clone().unwrap_or(FilterOp::TimeLess(u32::MAX));
-            if q.ascending {
-                filtered_bottomk(dev, table, &op, q.limit, strategy)
-            } else {
-                filtered_topk(dev, table, &op, q.limit, strategy)
-            }
+        Shape::Bottom(f) => {
+            filtered::<Rev<Kv<u32>>>(dev, table, FilterOp::or_every_row(f), q.limit, strategy)
         }
-        (OrderBy::Rank { .. }, false) => {
-            q.check_rank_shape()?;
-            ranked_topk(dev, table, q.limit, strategy)
-        }
-        _ => Err(SqlError::Unsupported("this SELECT/GROUP BY combination").into()),
+        Shape::Ranked => ranked_topk(dev, table, q.limit, strategy),
+        Shape::GroupCount => group_topk(dev, table, q.limit, stage_strategy(strategy)),
     }
 }
 
@@ -585,6 +590,7 @@ pub fn explain_analysis(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queries::filtered_topk;
     use datagen::twitter::TweetTable;
 
     #[test]
@@ -593,10 +599,8 @@ mod tests {
             "SELECT id FROM tweets WHERE tweet_time < 123456 ORDER BY retweet_count DESC LIMIT 50",
         )
         .unwrap();
-        assert_eq!(q.filter, Some(FilterOp::TimeLess(123456)));
-        assert_eq!(q.order_by, OrderBy::RetweetCount);
+        assert_eq!(q.shape, Shape::Top(Some(FilterOp::TimeLess(123456))));
         assert_eq!(q.limit, 50);
-        assert!(!q.group_by_uid);
     }
 
     #[test]
@@ -605,8 +609,7 @@ mod tests {
             "SELECT id FROM tweets ORDER BY retweet_count + 0.5 * likes_count DESC LIMIT 10;",
         )
         .unwrap();
-        assert_eq!(q.order_by, OrderBy::Rank { likes_weight: 0.5 });
-        assert!(q.filter.is_none());
+        assert_eq!(q.shape, Shape::Ranked);
     }
 
     #[test]
@@ -615,7 +618,7 @@ mod tests {
             "SELECT id FROM tweets WHERE lang='en' OR lang='es' ORDER BY retweet_count DESC LIMIT 7",
         )
         .unwrap();
-        assert_eq!(q.filter, Some(FilterOp::LangIn(vec![0, 1])));
+        assert_eq!(q.shape, Shape::Top(Some(FilterOp::LangIn(vec![0, 1]))));
     }
 
     #[test]
@@ -624,21 +627,20 @@ mod tests {
             "SELECT uid, COUNT(*) AS num_tweets FROM tweets GROUP BY uid ORDER BY num_tweets DESC LIMIT 50",
         )
         .unwrap();
-        assert!(q.group_by_uid);
-        assert_eq!(q.order_by, OrderBy::Count);
+        assert_eq!(q.shape, Shape::GroupCount);
         // and the COUNT(*) spelling in ORDER BY works too
         let q2 =
             parse("SELECT uid, COUNT(*) FROM tweets GROUP BY uid ORDER BY COUNT(*) DESC LIMIT 50")
                 .unwrap();
-        assert_eq!(q2.order_by, OrderBy::Count);
+        assert_eq!(q2.shape, Shape::GroupCount);
     }
 
     #[test]
     fn parses_asc_and_rejects_it_off_retweet_count() {
         let q = parse("SELECT id FROM tweets ORDER BY retweet_count ASC LIMIT 5").unwrap();
-        assert!(q.ascending);
+        assert_eq!(q.shape, Shape::Bottom(None));
         let q = parse("SELECT id FROM tweets ORDER BY retweet_count DESC LIMIT 5").unwrap();
-        assert!(!q.ascending);
+        assert_eq!(q.shape, Shape::Top(None));
         assert!(matches!(
             parse("SELECT uid, COUNT(*) FROM tweets GROUP BY uid ORDER BY COUNT(*) ASC LIMIT 5"),
             Err(SqlError::Unsupported(_))
@@ -922,15 +924,33 @@ mod tests {
 
     #[test]
     fn unsupported_shapes_error_cleanly() {
-        let host = TweetTable::generate(1_000, 125);
-        let dev = Device::titan_x();
-        let table = GpuTweetTable::upload(&dev, &host);
-        let q =
-            parse("SELECT id FROM tweets ORDER BY retweet_count + 0.9 * likes_count DESC LIMIT 5")
-                .unwrap();
+        assert_eq!(
+            parse("SELECT id FROM tweets ORDER BY retweet_count + 0.9 * likes_count DESC LIMIT 5"),
+            Err(SqlError::Unsupported("ranking weight other than 0.5"))
+        );
+        assert_eq!(
+            parse(
+                "SELECT id FROM tweets WHERE lang = 'en' \
+                 ORDER BY retweet_count + 0.5 * likes_count DESC LIMIT 5"
+            ),
+            Err(SqlError::Unsupported(
+                "WHERE combined with a ranking function"
+            ))
+        );
+    }
+
+    /// A NaN weight compares false against any tolerance, so it fails the
+    /// rank rule like every other weight but 0.5; and the rule applies
+    /// only to a statement read to its end, so a syntax error wins.
+    #[test]
+    fn nan_ranking_weight_fails_in_the_parser() {
+        let sql = "SELECT id FROM tweets ORDER BY retweet_count + nan * likes_count DESC LIMIT 8";
+        let err = crate::parse_sql(sql).unwrap_err();
+        assert_eq!(err, SqlError::Unsupported("ranking weight other than 0.5"));
+        assert!(err.to_string().contains("ranking weight other than 0.5"));
         assert!(matches!(
-            execute(&dev, &table, &q, Strategy::StageBitonic),
-            Err(QdbError::Parse(SqlError::Unsupported(_)))
+            parse("SELECT id FROM tweets ORDER BY retweet_count + nan * likes_count DESC LIMIT 0"),
+            Err(SqlError::BadLimit(_))
         ));
     }
 

@@ -28,7 +28,8 @@
 //! * [`TopKView::refresh`] — one device: the delta scans a device slice
 //!   and merges on the device;
 //! * [`TopKView::refresh_on`] — either engine; on the CPU the delta scans
-//!   the appended host rows and merges with the engine's top-k operator;
+//!   the appended host rows in place and merges with the engine's top-k
+//!   operator;
 //! * [`TopKView::refresh_sharded`] — a cluster: per-shard delta scans run
 //!   on any healthy replica and the standing run rides the gather as one
 //!   more run, so a standing view survives permanent device loss
@@ -36,7 +37,6 @@
 
 use std::cell::{Cell, RefCell};
 
-use datagen::twitter::TweetTable;
 use simt::topology::Cluster;
 use simt::{Device, SimTime};
 use topk::ExecBackend;
@@ -48,8 +48,8 @@ use crate::shard::{
     all_devices_down, check_placement, execute_sharded, first_healthy_from, merge_id_runs, scatter,
     MergeTarget, ShardedTable,
 };
-use crate::sql::{execute, parse, Query, SqlError};
-use crate::table::{host_rows, BackendTable, GpuTweetTable};
+use crate::sql::{execute, parse, Query};
+use crate::table::{BackendTable, Columns, GpuTweetTable};
 
 /// How a view refresh will (or did) bring the standing result current.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,21 +144,14 @@ pub struct TopKView {
 }
 
 impl TopKView {
-    /// Registers a view for one SQL query. The query is parsed and
-    /// validated up front: `GROUP BY` is rejected (a delta cannot
-    /// maintain group counts — appended rows change existing groups),
-    /// and the ranking-function restrictions mirror
-    /// [`crate::sql::execute`] so a registered view can never fail
-    /// validation at refresh time.
+    /// Registers a view for one SQL query. The query is parsed up front,
+    /// and a shape whose runs do not merge is rejected
+    /// ([`crate::Shape::runs_merge`]: appended rows change existing group
+    /// counts), so a registered view never fails validation at refresh
+    /// time.
     pub fn register(sql: &str, strategy: Strategy, cfg: ViewConfig) -> Result<Self, QdbError> {
         let query = parse(sql)?;
-        if query.group_by_uid {
-            return Err(SqlError::Unsupported(
-                "GROUP BY in a materialized top-k view (appends change existing group counts)",
-            )
-            .into());
-        }
-        query.check_rank_shape()?;
+        query.shape.runs_merge()?;
         Ok(TopKView {
             sql: sql.to_string(),
             query,
@@ -296,15 +289,6 @@ impl TopKView {
         })
     }
 
-    /// The registered query with its LIMIT clamped to a delta of `rows`
-    /// rows.
-    fn delta_query(&self, rows: usize) -> Query {
-        Query {
-            limit: self.query.limit.min(rows),
-            ..self.query.clone()
-        }
-    }
-
     /// Brings the standing result current against a device-resident
     /// table and returns it. `Current` launches nothing; `DeltaMerge`
     /// scans only `[rows_done, len)` and run-merges its top-k into the
@@ -327,18 +311,17 @@ impl TopKView {
                 let delta = execute(
                     dev,
                     &delta_tab,
-                    &self.delta_query(rows - done),
+                    &self.query.clamped(rows - done),
                     self.strategy,
                 )?;
-                let m = merge_id_runs(
-                    &self.query,
-                    &[standing, delta.ids],
-                    |_, id| {
-                        let row = table.find_row(id).ok_or_else(|| not_resident(id))?;
-                        Ok((table.retweet_count.get(row), table.likes_count.get(row)))
-                    },
-                    MergeTarget::Device(dev),
-                )?;
+                let m = table.with_columns(|c| {
+                    merge_id_runs(
+                        &self.query,
+                        &[standing, delta.ids],
+                        |_, id| c.counts_of(id).ok_or_else(|| not_resident(id)),
+                        MergeTarget::Device(dev),
+                    )
+                })?;
                 Ok((m.items, dev.window_since(log0).time))
             },
         )
@@ -360,26 +343,22 @@ impl TopKView {
             _ => return Err(table.mismatch(be)),
         };
         let t = rows.borrow();
-        let n = t.len();
+        let (cols, n) = (Columns::of(&t), t.len());
         self.maintain(
             n,
             epoch.get(),
             true,
             || {
-                let out = execute_cpu(&t, &self.query, self.strategy, b.threads())?;
+                let out = execute_cpu(cols, &self.query, self.strategy, b.threads())?;
                 Ok((out.ids, SimTime::ZERO))
             },
             |standing, done| {
-                let delta_rows: TweetTable = host_rows(&t, done..n);
-                let dq = self.delta_query(n - done);
-                let delta = execute_cpu(&delta_rows, &dq, self.strategy, b.threads())?;
+                let dq = self.query.clamped(n - done);
+                let delta = execute_cpu(cols.rows(done..n), &dq, self.strategy, b.threads())?;
                 let m = merge_id_runs(
                     &self.query,
                     &[standing, delta.ids],
-                    |_, id| {
-                        let row = t.id.binary_search(&id).map_err(|_| not_resident(id))?;
-                        Ok((t.retweet_count[row], t.likes_count[row]))
-                    },
+                    |_, id| cols.counts_of(id).ok_or_else(|| not_resident(id)),
                     MergeTarget::Cpu {
                         strategy: self.strategy,
                         threads: b.threads(),
@@ -411,7 +390,7 @@ impl TopKView {
             can_merge,
             || {
                 let r = execute_sharded(cluster, table, &self.query, self.strategy, max_retries)?;
-                Ok((r.ids, r.sim_time))
+                Ok((r.items, r.sim_time))
             },
             |standing, _| {
                 let Some(merge_dev) = first_healthy_from(cluster, 0) else {
@@ -451,6 +430,8 @@ fn not_resident(id: u32) -> QdbError {
 mod tests {
     use super::*;
     use crate::shard::{PartitionPolicy, ReplicationFactor};
+    use crate::sql::SqlError;
+    use datagen::twitter::TweetTable;
     use simt::topology::ClusterSpec;
 
     const SHAPES: [&str; 3] = [
@@ -664,7 +645,10 @@ mod tests {
         assert_eq!(r.mode, ViewMode::DeltaMerge);
         let oracle =
             execute_sharded(&cluster, &table, view.query(), Strategy::StageBitonic, 2).unwrap();
-        assert_eq!(r.ids, oracle.ids, "healthy delta merge matches the oracle");
+        assert_eq!(
+            r.ids, oracle.items,
+            "healthy delta merge matches the oracle"
+        );
 
         // device 0 dies for good; the next append skips its replicas and
         // the view's delta scans route to survivors
@@ -677,7 +661,7 @@ mod tests {
         assert_eq!(r.mode, ViewMode::DeltaMerge);
         let oracle =
             execute_sharded(&cluster, &table, view.query(), Strategy::StageBitonic, 2).unwrap();
-        assert_eq!(r.ids, oracle.ids, "view survives permanent loss at r=2");
+        assert_eq!(r.ids, oracle.items, "view survives permanent loss at r=2");
         assert_eq!(view.stats().delta_merges, 2);
         let hit = view.refresh_sharded(&cluster, &table, 2).unwrap();
         assert_eq!(hit.mode, ViewMode::Current);

@@ -203,25 +203,78 @@ impl GpuTweetTable {
         self.epoch.get()
     }
 
-    /// The row holding tweet `id`, found by a binary search over the
-    /// resident id column in place (ids are strictly increasing), with
-    /// no host copy of the column.
-    pub(crate) fn find_row(&self, id: u32) -> Option<usize> {
-        let (mut lo, mut hi) = (0, self.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            match self.id.get(mid).cmp(&id) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Some(mid),
-            }
+    /// Runs `f` over the resident columns' `[..len]` prefixes, borrowed
+    /// in place (no copy, no version bump).
+    pub(crate) fn with_columns<R>(&self, f: impl FnOnce(Columns<'_>) -> R) -> R {
+        let n = self.len();
+        let cols = [
+            &self.id,
+            &self.tweet_time,
+            &self.retweet_count,
+            &self.likes_count,
+            &self.uid,
+        ];
+        let [id, time, retweets, likes, uid] = cols.map(GpuBuffer::host_view);
+        let lang = self.lang.host_view();
+        f(Columns {
+            id: &id[..n],
+            tweet_time: &time[..n],
+            retweet_count: &retweets[..n],
+            likes_count: &likes[..n],
+            lang: &lang[..n],
+            uid: &uid[..n],
+        })
+    }
+}
+
+/// Borrowed host columns over the same rows: a [`TweetTable`]'s vectors,
+/// or a [`GpuTweetTable`]'s resident prefixes. The CPU engine and the
+/// one scan bodies (filter, rank, group count) read rows through it.
+#[derive(Clone, Copy)]
+pub(crate) struct Columns<'a> {
+    pub id: &'a [u32],
+    pub tweet_time: &'a [u32],
+    pub retweet_count: &'a [u32],
+    pub likes_count: &'a [u32],
+    pub lang: &'a [u8],
+    pub uid: &'a [u32],
+}
+
+impl<'a> Columns<'a> {
+    /// Every row of `t`.
+    pub(crate) fn of(t: &'a TweetTable) -> Self {
+        Columns {
+            id: &t.id,
+            tweet_time: &t.tweet_time,
+            retweet_count: &t.retweet_count,
+            likes_count: &t.likes_count,
+            lang: &t.lang,
+            uid: &t.uid,
         }
-        None
+    }
+
+    /// The `(retweet_count, likes_count)` of tweet `id`, found by binary
+    /// search (ids are strictly increasing); `None` when no row holds it.
+    pub(crate) fn counts_of(&self, id: u32) -> Option<(u32, u32)> {
+        let row = self.id.binary_search(&id).ok()?;
+        Some((self.retweet_count[row], self.likes_count[row]))
+    }
+
+    /// Rows `r` only.
+    pub(crate) fn rows(&self, r: std::ops::Range<usize>) -> Self {
+        Columns {
+            id: &self.id[r.clone()],
+            tweet_time: &self.tweet_time[r.clone()],
+            retweet_count: &self.retweet_count[r.clone()],
+            likes_count: &self.likes_count[r.clone()],
+            lang: &self.lang[r.clone()],
+            uid: &self.uid[r],
+        }
     }
 }
 
 /// Rows `rows` of `t`, in that order, as a standalone host table — how
-/// partitions, routed append batches and host-side delta scans are cut.
+/// partitions and routed append batches are cut.
 pub(crate) fn host_rows(t: &TweetTable, rows: impl Iterator<Item = usize> + Clone) -> TweetTable {
     TweetTable {
         id: rows.clone().map(|r| t.id[r]).collect(),

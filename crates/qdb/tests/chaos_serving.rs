@@ -17,8 +17,8 @@
 use datagen::twitter::TweetTable;
 use proptest::prelude::*;
 use qdb::{
-    execute_sql, parse_sql, DegradeLevel, GpuTweetTable, QdbError, Server, ServerConfig, Strategy,
-    SubmitOptions,
+    execute_sql, parse_sql, DegradeLevel, GpuTweetTable, QdbError, Server, ServerConfig, Shape,
+    Strategy, SubmitOptions,
 };
 use simt::{Device, FaultPlan, SimTime};
 
@@ -58,13 +58,13 @@ fn workload(host: &TweetTable, count: usize) -> Vec<String> {
 /// on the signature even when exact-tie ids permute.
 fn signature(host: &TweetTable, sql: &str, ids: &[u32]) -> Vec<u64> {
     let q = parse_sql(sql).expect("workload sql parses");
-    if q.group_by_uid {
+    if q.shape == Shape::GroupCount {
         let mut counts = std::collections::HashMap::new();
         for &u in &host.uid {
             *counts.entry(u).or_insert(0u64) += 1;
         }
         ids.iter().map(|u| counts[u]).collect()
-    } else if matches!(q.order_by, qdb::sql::OrderBy::Rank { .. }) {
+    } else if q.shape == Shape::Ranked {
         ids.iter()
             .map(|&id| {
                 let rank = host.retweet_count[id as usize] as f32

@@ -17,7 +17,7 @@
 use datagen::twitter::TweetTable;
 use proptest::prelude::*;
 use qdb::shard::{execute_sharded, PartitionPolicy, ShardedServer, ShardedTable};
-use qdb::{execute_sql, parse_sql, GpuTweetTable, QdbError, ServerConfig, Strategy};
+use qdb::{execute_sql, parse_sql, GpuTweetTable, QdbError, ServerConfig, Shape, Strategy};
 use simt::topology::{Cluster, ClusterSpec};
 use simt::{Device, FaultPlan, SimTime};
 
@@ -50,7 +50,7 @@ fn workload(host: &TweetTable, count: usize) -> Vec<String> {
 /// invariant even when a CPU-degraded shard permutes exact-tie ids.
 fn signature(host: &TweetTable, sql: &str, ids: &[u32]) -> Vec<u64> {
     let q = parse_sql(sql).expect("workload sql parses");
-    if matches!(q.order_by, qdb::sql::OrderBy::Rank { .. }) {
+    if q.shape == Shape::Ranked {
         ids.iter()
             .map(|&id| {
                 let rank = host.retweet_count[id as usize] as f32
@@ -119,7 +119,7 @@ proptest! {
                 Ok(r) => {
                     // (b) bit-exact: no corruption plans and no CPU rung
                     // on this path, so ids must match the oracle exactly
-                    prop_assert_eq!(&r.ids, &oracle[i], "{}", sql);
+                    prop_assert_eq!(&r.items, &oracle[i], "{}", sql);
                 }
                 Err(e) => {
                     // (c) typed, transient-classed failure — never a
@@ -139,7 +139,7 @@ proptest! {
             let q = parse_sql(sql).unwrap();
             let r = execute_sharded(&cluster, &table, &q, Strategy::StageBitonic, 2)
                 .expect("clean rerun");
-            prop_assert_eq!(&r.ids, &oracle[i], "post-chaos {}", sql);
+            prop_assert_eq!(&r.items, &oracle[i], "post-chaos {}", sql);
         }
     }
 
@@ -374,7 +374,7 @@ fn zero_rate_plans_on_every_device_change_nothing() {
     let clean = run(false);
     let armed = run(true);
     for ((r, c), s) in armed.iter().zip(&clean).zip(&sqls) {
-        assert_eq!(r.ids, c.ids, "{s}");
+        assert_eq!(r.items, c.items, "{s}");
         // all-zero plans must not perturb modeled time either (the fault
         // machinery draws no RNG words for zero rates)
         assert_eq!(r.sim_time, c.sim_time, "{s}");

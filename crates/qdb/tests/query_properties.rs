@@ -120,8 +120,8 @@ proptest! {
             let bk: Vec<u32> = b.result.ids.iter().map(|&id| host.retweet_count[id as usize]).collect();
             prop_assert_eq!(&ak, &bk, "{}", sql);
             let q = qdb::parse_sql(sql).unwrap();
-            let cutoff = match q.filter {
-                Some(FilterOp::TimeLess(c)) => c,
+            let cutoff = match q.shape {
+                qdb::Shape::Top(Some(FilterOp::TimeLess(c))) => c,
                 _ => unreachable!(),
             };
             let expect = host_q1(&host, |r| host.tweet_time[r] < cutoff, q.limit);

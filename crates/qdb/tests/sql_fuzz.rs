@@ -3,11 +3,19 @@
 //! queries with one token inserted, replaced or deleted, must each parse
 //! to a statement or fail with a typed `SqlError` — never panic. Every
 //! `EXPLAIN [SANITIZE | LINT]` prefix of a valid query, in any letter
-//! case, parses to the matching statement.
+//! case, parses to the matching statement. The parser is the only
+//! validator: every single-token mutation it accepts as a `SELECT` runs
+//! on both engines and returns the same ids.
 
+use datagen::twitter::TweetTable;
 use proptest::prelude::*;
-use qdb::{parse_sql, parse_statement, Statement};
-use simt::Source;
+use qdb::table::BackendTable;
+use qdb::{
+    execute_on, execute_sql, parse_sql, parse_statement, GpuTweetTable, QdbError, Statement,
+    Strategy,
+};
+use simt::{Device, Source};
+use topk::ExecBackend;
 
 /// The token pool: the grammar's keywords and identifiers, numbers the
 /// parser must reject or bound, quoted and unterminated strings,
@@ -101,6 +109,22 @@ fn valid_query(shape: usize, cutoff: u32, k: usize, asc: bool, langs: usize) -> 
     }
 }
 
+/// `sql` with the word at `at` (modulo one past the last) replaced by
+/// `tok` (op 1) or deleted (op 2), or `tok` inserted there (op 0).
+fn mutated(sql: &str, at: usize, op: usize, tok: &str) -> String {
+    let mut words: Vec<&str> = sql.split(' ').collect();
+    let at = at % (words.len() + 1);
+    match op {
+        0 => words.insert(at, tok),
+        _ if at == words.len() => {}
+        1 => words[at] = tok,
+        _ => {
+            words.remove(at);
+        }
+    }
+    words.join(" ")
+}
+
 /// `sql` with the case of each unquoted letter drawn from `bits`.
 fn mixed_case(sql: &str, bits: u64) -> String {
     let mut quoted = false;
@@ -157,19 +181,61 @@ proptest! {
             ["", "EXPLAIN ", "EXPLAIN SANITIZE ", "EXPLAIN LINT "][prefix],
             valid_query(shape, 500_000, k, false, 1)
         );
-        let mut words: Vec<&str> = sql.split(' ').collect();
-        let at = at % (words.len() + 1);
-        match op {
-            0 => words.insert(at, TOKENS[tok]),
-            _ if at == words.len() => {}
-            1 => words[at] = TOKENS[tok],
-            _ => {
-                words.remove(at);
-            }
-        }
-        if let Err(e) = parse_statement(&words.join(" ")) {
+        if let Err(e) = parse_statement(&mutated(&sql, at, op, TOKENS[tok])) {
             prop_assert!(!e.to_string().is_empty());
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Every single-token mutation of every valid shape that the parser
+    /// accepts as a `SELECT` runs on the simulator and on the CPU engine
+    /// over the same 4,096-row table: neither refuses it, and both return
+    /// the same ids (`StageBitonic` breaks key ties by row id on both).
+    #[test]
+    fn accepted_selects_run_identically_on_both_engines(
+        k in 1usize..100,
+        asc in any::<bool>(),
+        langs in 0usize..36,
+    ) {
+        let host = TweetTable::generate(4_096, 7);
+        let dev = Device::titan_x();
+        let gpu = GpuTweetTable::upload(&dev, &host);
+        let cpu = ExecBackend::cpu(1);
+        let cpu_table = BackendTable::load(&cpu, &host);
+        let mut accepted = 0;
+        for shape in 0..4 {
+            let sql = valid_query(shape, 500_000, k, asc, langs);
+            let words = sql.split(' ').count();
+            for (at, op, tok) in (0..=words).flat_map(|at| {
+                (0..3).flat_map(move |op| TOKENS.iter().map(move |&tok| (at, op, tok)))
+            }) {
+                let sql = mutated(&sql, at, op, tok);
+                let Ok(Statement::Select(q)) = parse_statement(&sql) else {
+                    continue;
+                };
+                accepted += 1;
+                let on_device = execute_sql(&dev, &gpu, &q, Strategy::StageBitonic);
+                let on_cpu = execute_on(&cpu, &cpu_table, &q, Strategy::StageBitonic);
+                match (on_device, on_cpu) {
+                    (Ok(a), Ok(b)) => prop_assert_eq!(a.ids, b.ids, "{}", sql),
+                    // the device's bitonic stage holds at most 2048
+                    // candidates per block: a larger LIMIT over more rows
+                    // is a typed launch-limit fault, not a refused shape
+                    (Err(QdbError::DeviceFault { transient: false, .. }), Ok(_))
+                        if q.limit > 2048 => {}
+                    (a, b) => prop_assert!(
+                        false,
+                        "{sql}: parsed but refused: {:?} / {:?}",
+                        a.err(),
+                        b.err()
+                    ),
+                }
+            }
+        }
+        prop_assert!(accepted > 40, "only {accepted} mutations parsed");
     }
 }
 

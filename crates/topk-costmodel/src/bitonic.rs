@@ -43,6 +43,18 @@ impl BitonicModelInput {
     }
 }
 
+/// The shared-memory bank-conflict degree `δ` the bitonic model charges
+/// for a top-k of `k`: 1.0 while padding and chunk permutation keep the
+/// reducers conflict-free (`k ≤ 256`, rounded up to a power of two), 1.3
+/// beyond. The planner and Figure 17 price bitonic through this one rule.
+pub fn bitonic_conflict_degree(k: usize) -> f64 {
+    if k.next_power_of_two() <= 256 {
+        1.0
+    } else {
+        1.3
+    }
+}
+
 /// Shared-memory words moved per element by one kernel, relative to the
 /// kernel's input size, derived from the step-group plans.
 ///

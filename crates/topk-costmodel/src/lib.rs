@@ -22,7 +22,9 @@ pub mod extended;
 pub mod planner;
 pub mod radix;
 
-pub use bitonic::{bitonic_topk_seconds, shared_traffic_factor, BitonicModelInput};
+pub use bitonic::{
+    bitonic_conflict_degree, bitonic_topk_seconds, shared_traffic_factor, BitonicModelInput,
+};
 pub use cluster::{cluster_topk_seconds, ClusterEstimate, ClusterModelInput};
 pub use delegate::{delegate_select_phases, delegate_select_seconds, DelegatePhases};
 pub use extended::{bucket_select_seconds, per_thread_seconds, HeapProfile};

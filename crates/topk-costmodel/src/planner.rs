@@ -1,7 +1,7 @@
 //! The planner use case of Section 7: given `(n, k, key width)`, predict
 //! which top-k implementation a query optimizer should pick.
 
-use crate::bitonic::{bitonic_topk_seconds, BitonicModelInput};
+use crate::bitonic::{bitonic_conflict_degree, bitonic_topk_seconds, BitonicModelInput};
 use crate::delegate::{delegate_select_seconds, model_subrange};
 use crate::radix::{radix_select_seconds, ReductionProfile};
 use simt::lint::{lint_geometry, LaunchGeometry};
@@ -43,12 +43,7 @@ fn price_candidates(
     profile: &ReductionProfile,
     elems_per_thread: usize,
 ) -> (f64, f64, f64) {
-    // conflict degree rises past the k range chunk permutation covers
-    let conflict_degree = if k.next_power_of_two() <= 256 {
-        1.0
-    } else {
-        1.3
-    };
+    let conflict_degree = bitonic_conflict_degree(k);
     let t_bitonic = bitonic_topk_seconds(
         spec,
         BitonicModelInput {
@@ -289,11 +284,7 @@ pub fn recommend_full(
     profile: &ReductionProfile,
 ) -> Vec<RankedAlgorithm> {
     use crate::extended::{bucket_select_seconds, per_thread_seconds, HeapProfile};
-    let conflict_degree = if k.next_power_of_two() <= 256 {
-        1.0
-    } else {
-        1.3
-    };
+    let (t_bitonic, t_radix, t_delegate) = price_candidates(spec, n, k, item_bytes, profile, 16);
     let mut out = vec![
         RankedAlgorithm {
             algorithm: FullAlgorithm::Sort,
@@ -305,7 +296,7 @@ pub fn recommend_full(
         },
         RankedAlgorithm {
             algorithm: FullAlgorithm::RadixSelect,
-            predicted_seconds: Some(radix_select_seconds(spec, n, item_bytes, profile)),
+            predicted_seconds: Some(t_radix),
         },
         RankedAlgorithm {
             algorithm: FullAlgorithm::BucketSelect,
@@ -313,28 +304,11 @@ pub fn recommend_full(
         },
         RankedAlgorithm {
             algorithm: FullAlgorithm::BitonicTopK,
-            predicted_seconds: Some(bitonic_topk_seconds(
-                spec,
-                BitonicModelInput {
-                    n,
-                    k,
-                    item_bytes,
-                    elems_per_thread: 16,
-                    conflict_degree,
-                },
-            )),
+            predicted_seconds: Some(t_bitonic),
         },
         RankedAlgorithm {
             algorithm: FullAlgorithm::DelegateSelect,
-            predicted_seconds: Some(delegate_select_seconds(
-                spec,
-                n,
-                k,
-                item_bytes,
-                profile,
-                16,
-                conflict_degree,
-            )),
+            predicted_seconds: Some(t_delegate),
         },
     ];
     out.sort_by(|a, b| match (a.predicted_seconds, b.predicted_seconds) {

@@ -82,18 +82,6 @@ pub trait CpuTopK<T: TopKItem>: Send + Sync {
     }
 }
 
-/// Infallible single-threaded heap top-k — the final rung of the qdb
-/// serving layer's degradation ladder. Unlike [`CpuTopK::topk`] it
-/// accepts k = 0 and empty input (returning an empty result) so a
-/// degraded query can never panic, and it needs no thread-count tuning.
-pub fn heap_topk<T: TopKItem>(data: &[T], k: usize) -> Vec<T> {
-    let k = k.min(data.len());
-    if k == 0 {
-        return Vec::new();
-    }
-    HandPq.partition_topk(data, k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

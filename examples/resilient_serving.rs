@@ -15,7 +15,8 @@
 
 use gpu_topk::datagen::twitter::TweetTable;
 use gpu_topk::qdb::{
-    execute_sql, parse_sql, GpuTweetTable, QdbError, Server, ServerConfig, Strategy, SubmitOptions,
+    execute_sql, parse_sql, GpuTweetTable, QdbError, Server, ServerConfig, Shape, Strategy,
+    SubmitOptions,
 };
 use gpu_topk::simt::{Device, FaultPlan, SimTime};
 
@@ -46,25 +47,26 @@ fn workload(host: &TweetTable, count: usize) -> Vec<String> {
 /// Order keys of a result (retweet counts / group counts / rank bits):
 /// the tie-insensitive equality used against the oracle.
 fn signature(host: &TweetTable, sql: &str, ids: &[u32]) -> Vec<u64> {
-    let q = parse_sql(sql).expect("workload sql");
-    if q.group_by_uid {
-        let mut counts = std::collections::HashMap::new();
-        for &u in &host.uid {
-            *counts.entry(u).or_insert(0u64) += 1;
+    match parse_sql(sql).expect("workload sql").shape {
+        Shape::GroupCount => {
+            let mut counts = std::collections::HashMap::new();
+            for &u in &host.uid {
+                *counts.entry(u).or_insert(0u64) += 1;
+            }
+            ids.iter().map(|u| counts[u]).collect()
         }
-        ids.iter().map(|u| counts[u]).collect()
-    } else if matches!(q.order_by, gpu_topk::qdb::sql::OrderBy::Rank { .. }) {
-        ids.iter()
+        Shape::Ranked => ids
+            .iter()
             .map(|&id| {
                 let rank = host.retweet_count[id as usize] as f32
                     + 0.5 * host.likes_count[id as usize] as f32;
                 rank.to_bits() as u64
             })
-            .collect()
-    } else {
-        ids.iter()
+            .collect(),
+        Shape::Top(_) | Shape::Bottom(_) => ids
+            .iter()
             .map(|&id| host.retweet_count[id as usize] as u64)
-            .collect()
+            .collect(),
     }
 }
 

@@ -17,7 +17,7 @@
 use gpu_topk::datagen::twitter::TweetTable;
 use gpu_topk::qdb::{
     execute_sql, explain_analysis, explain_filtered_topk, parse_statement, GpuTweetTable, Query,
-    Statement, Strategy, TableStats,
+    Shape, Statement, Strategy, TableStats,
 };
 use gpu_topk::simt::Device;
 
@@ -83,7 +83,7 @@ fn main() {
 }
 
 fn print_plan(dev: &Device, table: &GpuTweetTable, stats: &TableStats, q: &Query) {
-    if let Some(op) = &q.filter {
+    if let Shape::Top(Some(op)) | Shape::Bottom(Some(op)) = &q.shape {
         let plan = explain_filtered_topk(dev.spec(), table, stats, op, q.limit);
         print!("{}", plan.render());
     }

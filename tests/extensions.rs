@@ -101,7 +101,9 @@ fn sql_front_end_composes_with_explain() {
         "SELECT id FROM tweets WHERE tweet_time < {cutoff} ORDER BY retweet_count DESC LIMIT 40"
     ))
     .unwrap();
-    let op = q.filter.clone().unwrap();
+    let qdb::Shape::Top(Some(op)) = q.shape.clone() else {
+        panic!("a filtered top-k parses to Shape::Top");
+    };
     let plan = qdb::explain_filtered_topk(dev.spec(), &table, &stats, &op, q.limit);
 
     // run the plan's choice and the runner-up: the choice must not lose
