@@ -400,64 +400,37 @@ pub fn check_claims(report: &BenchReport) -> Vec<Finding> {
                     )));
                 }
             }
-            // 9. delegate select's warm traffic bound vs bitonic
-            {
-                let mut worst: Option<(String, f64)> = None;
-                let track = |id: String, d: f64, b: f64, worst: &mut Option<(String, f64)>| {
-                    let ratio = d / b.max(f64::MIN_POSITIVE);
-                    if worst.as_ref().is_none_or(|(_, w)| ratio > *w) {
-                        *worst = Some((id, ratio));
-                    }
-                };
-                for k in crate::K_SWEEP.into_iter().filter(|&k| k <= 64) {
-                    let id = format!("vary_k/uniform/delegate-select/k{k}");
-                    let d = need(&id, "sim_global_bytes", &mut findings);
-                    let b = need(
-                        &format!("vary_k/uniform/bitonic/k{k}"),
-                        "sim_global_bytes",
-                        &mut findings,
-                    );
-                    if let (Some(d), Some(b)) = (d, b) {
-                        // the vary-k sweep runs at the report's scale
-                        if report.scale.log2n >= 20 {
-                            track(id, d, b, &mut worst);
-                        } else if d > 0.25 * b {
-                            findings.push(Finding::warn(format!(
-                                "delegate traffic claim ('{id}': {d:.0} B vs bitonic {b:.0} B) \
-                                 gated only at log2n >= 20; this report is at 2^{}",
-                                report.scale.log2n
-                            )));
-                        }
-                    }
-                }
-                // the vary-n sweep pins the same bound per size (k = 64)
-                for e in &report.experiments {
-                    let Some(x) =
-                        e.id.strip_prefix("vary_n/uniform/delegate-select/log2n")
-                            .and_then(|x| x.parse::<u32>().ok())
-                    else {
-                        continue;
-                    };
-                    if x < 20 {
-                        continue;
-                    }
-                    let d = need(&e.id, "sim_global_bytes", &mut findings);
-                    let b = need(
-                        &format!("vary_n/uniform/bitonic/log2n{x}"),
-                        "sim_global_bytes",
-                        &mut findings,
-                    );
-                    if let (Some(d), Some(b)) = (d, b) {
-                        track(e.id.clone(), d, b, &mut worst);
-                    }
-                }
-                if let Some((id, ratio)) = worst {
-                    if ratio > 0.25 {
-                        findings.push(Finding::fail(format!(
-                            "claim violated: warm delegate select must use <= 0.25x bitonic's \
-                             global traffic at k <= 64, n >= 2^20; worst cell '{id}' is at \
-                             {ratio:.3}x"
-                        )));
+            // 9. delegate select's warm traffic bound vs bitonic, on the
+            // vary-k sweep (at the report's scale) and on every vary-n
+            // size from 2^20 (k = 64)
+            let vary_k = crate::K_SWEEP
+                .into_iter()
+                .filter(|&k| k <= 64)
+                .map(|k| ("vary_k", format!("k{k}")));
+            let vary_n = report.experiments.iter().filter_map(|e| {
+                let x = e.id.strip_prefix("vary_n/uniform/delegate-select/log2n")?;
+                (x.parse::<u32>().ok()? >= 20).then(|| ("vary_n", format!("log2n{x}")))
+            });
+            for (sweep, point) in vary_k.chain(vary_n) {
+                let id = format!("{sweep}/uniform/delegate-select/{point}");
+                let d = need(&id, "sim_global_bytes", &mut findings);
+                let b = need(
+                    &format!("{sweep}/uniform/bitonic/{point}"),
+                    "sim_global_bytes",
+                    &mut findings,
+                );
+                if let (Some(d), Some(b)) = (d, b) {
+                    if d > 0.25 * b {
+                        findings.push(at_scale(
+                            report,
+                            20,
+                            format!(
+                                "delegate traffic claim: warm delegate select must use <= 0.25x \
+                                 bitonic's global traffic at k <= 64, but '{id}' moves {d:.0} B \
+                                 vs bitonic {b:.0} B ({:.3}x)",
+                                d / b.max(f64::MIN_POSITIVE)
+                            ),
+                        ));
                     }
                 }
             }
@@ -499,20 +472,7 @@ pub fn check_claims(report: &BenchReport) -> Vec<Finding> {
         }
         "cluster" => {
             // 5. every cell must be oracle-exact
-            for exp in &report.experiments {
-                match exp.metrics.get("sim_exact") {
-                    Some(&1.0) => {}
-                    Some(&v) => findings.push(Finding::fail(format!(
-                        "claim violated: '{}' must be bit-identical to the single-device \
-                         oracle (sim_exact {v}, expected 1)",
-                        exp.id
-                    ))),
-                    None => findings.push(Finding::fail(format!(
-                        "claim check needs '{}/sim_exact' but the cell lacks it",
-                        exp.id
-                    ))),
-                }
-            }
+            every_cell_exact(report, "the single-device oracle", &mut findings);
             // 6. 8 devices halve the single-device time at full scale
             for policy in ["range", "hash", "round-robin"] {
                 let one = need(
@@ -528,22 +488,19 @@ pub fn check_claims(report: &BenchReport) -> Vec<Finding> {
                 let (Some(one), Some(eight)) = (one, eight) else {
                     continue;
                 };
-                if report.scale.log2n >= 22 {
-                    if eight > 0.5 * one {
-                        findings.push(Finding::fail(format!(
-                            "claim violated: 8-device sharded top-k ({policy}) must run in \
-                             <= 0.5x the single-device time at n=2^{}, got {eight:.4} ms vs \
+                // below full scale every policy warns, met or not
+                if report.scale.log2n < 22 || eight > 0.5 * one {
+                    findings.push(at_scale(
+                        report,
+                        22,
+                        format!(
+                            "cluster scaling claim: 8-device sharded top-k ({policy}) must run \
+                             in <= 0.5x the single-device time at n=2^{}, got {eight:.4} ms vs \
                              {one:.4} ms ({:.2}x)",
                             report.scale.log2n,
                             eight / one
-                        )));
-                    }
-                } else {
-                    findings.push(Finding::warn(format!(
-                        "cluster scaling claim ({policy}: 8-dev {eight:.4} ms vs 1-dev \
-                         {one:.4} ms) gated only at log2n >= 22; this report is at 2^{}",
-                        report.scale.log2n
-                    )));
+                        ),
+                    ));
                 }
             }
             // 10. replication serves through permanent device loss
@@ -580,20 +537,7 @@ pub fn check_claims(report: &BenchReport) -> Vec<Finding> {
         "stream" => {
             // 11a. exactness everywhere: maintained views and cached
             // reads are bit-identical to from-scratch execution
-            for exp in &report.experiments {
-                match exp.metrics.get("sim_exact") {
-                    Some(&1.0) => {}
-                    Some(&v) => findings.push(Finding::fail(format!(
-                        "claim violated: '{}' must be bit-identical to from-scratch \
-                         execution (sim_exact {v}, expected 1)",
-                        exp.id
-                    ))),
-                    None => findings.push(Finding::fail(format!(
-                        "claim check needs '{}/sim_exact' but the cell lacks it",
-                        exp.id
-                    ))),
-                }
-            }
+            every_cell_exact(report, "from-scratch execution", &mut findings);
             // 11b. small deltas must be cheap: maintenance traffic at
             // delta fraction <= 1/64 stays under 0.25x a rescan
             for denom in crate::harness::STREAM_FRACS {
@@ -608,18 +552,14 @@ pub fn check_claims(report: &BenchReport) -> Vec<Finding> {
                 if ratio <= 0.25 {
                     continue;
                 }
-                let msg = format!(
-                    "delta maintenance traffic ('{id}': {d:.0} B vs rescan {r:.0} B, \
-                     {ratio:.3}x) exceeds the 0.25x bound"
-                );
-                if report.scale.log2n >= 20 {
-                    findings.push(Finding::fail(format!("claim violated: {msg}")));
-                } else {
-                    findings.push(Finding::warn(format!(
-                        "{msg} — gated only at log2n >= 20; this report is at 2^{}",
-                        report.scale.log2n
-                    )));
-                }
+                findings.push(at_scale(
+                    report,
+                    20,
+                    format!(
+                        "delta maintenance traffic ('{id}': {d:.0} B vs rescan {r:.0} B, \
+                         {ratio:.3}x) exceeds the 0.25x bound"
+                    ),
+                ));
             }
         }
         "figures" => {
@@ -658,14 +598,7 @@ pub fn check_claims(report: &BenchReport) -> Vec<Finding> {
                         argmin("sim_model_ms"),
                         argmin("sim_time_ms")
                     );
-                    if report.scale.log2n >= 22 {
-                        findings.push(Finding::fail(format!("claim violated: {msg}")));
-                    } else {
-                        findings.push(Finding::warn(format!(
-                            "{msg} — gated only at log2n >= 22; this report is at 2^{}",
-                            report.scale.log2n
-                        )));
-                    }
+                    findings.push(at_scale(report, 22, msg));
                 }
             }
         }
@@ -700,18 +633,13 @@ pub fn check_claims(report: &BenchReport) -> Vec<Finding> {
                      beat single-thread {t1:.3} ms",
                     alg.name()
                 );
-                if report.scale.log2n < 20 {
-                    findings.push(Finding::warn(format!(
-                        "{msg} — gated only at log2n >= 20; this report is at 2^{}",
-                        report.scale.log2n
-                    )));
-                } else if t1 < CPU_CLAIM_FLOOR_MS {
+                if report.scale.log2n >= 20 && t1 < CPU_CLAIM_FLOOR_MS {
                     findings.push(Finding::warn(format!(
                         "{msg} — below the {CPU_CLAIM_FLOOR_MS:.0} ms floor where thread-spawn \
                          cost can be amortized, not gated"
                     )));
                 } else {
-                    findings.push(Finding::fail(format!("claim violated: {msg}")));
+                    findings.push(at_scale(report, 20, msg));
                 }
             }
         }
@@ -720,4 +648,38 @@ pub fn check_claims(report: &BenchReport) -> Vec<Finding> {
         ))),
     }
     findings
+}
+
+/// The one scale gate: a claim broken as `msg` describes fails in a
+/// report at `2^min_log2n` or larger and only warns in a smaller one,
+/// where the effect the claim measures is too small to gate.
+fn at_scale(report: &BenchReport, min_log2n: u32, msg: String) -> Finding {
+    if report.scale.log2n >= min_log2n {
+        Finding::fail(format!("claim violated: {msg}"))
+    } else {
+        Finding::warn(format!(
+            "{msg} — gated only at log2n >= {min_log2n}; this report is at 2^{}",
+            report.scale.log2n
+        ))
+    }
+}
+
+/// The one exactness check: every cell of `report` must be
+/// bit-identical to `oracle` (`sim_exact == 1`).
+fn every_cell_exact(report: &BenchReport, oracle: &str, findings: &mut Vec<Finding>) {
+    for exp in &report.experiments {
+        let message = match exp.metrics.get("sim_exact") {
+            Some(&1.0) => continue,
+            Some(&v) => format!(
+                "claim violated: '{}' must be bit-identical to {oracle} (sim_exact {v}, \
+                 expected 1)",
+                exp.id
+            ),
+            None => format!(
+                "claim check needs '{}/sim_exact' but the cell lacks it",
+                exp.id
+            ),
+        };
+        findings.push(Finding::fail(message));
+    }
 }

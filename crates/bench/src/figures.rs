@@ -51,8 +51,8 @@ use topk::hybrid::{cpu_gpu_topk, select_then_bitonic};
 use topk::{TopKAlgorithm, TopKRequest};
 use topk_costmodel::planner::Algorithm;
 use topk_costmodel::{
-    bitonic_conflict_degree, bitonic_topk_seconds, radix_select_seconds, recommend, recommend_full,
-    BitonicModelInput, FullAlgorithm, ReductionProfile,
+    bitonic_topk_seconds, radix_select_seconds, recommend, recommend_full, BitonicModelInput,
+    FullAlgorithm, ReductionProfile,
 };
 use topk_cpu::{CpuBitonic, CpuTopK, HandPq, StlPq};
 
@@ -358,14 +358,8 @@ fn cost_model(out: &mut Vec<Experiment>, log2n: u32) {
     let input = dev.upload(&uniform(n, 21));
     let radix = radix_select_seconds(dev.spec(), n, 4, &ReductionProfile::UniformFloats);
     for k in K_SWEEP {
-        let model = BitonicModelInput {
-            n,
-            k,
-            item_bytes: 4,
-            elems_per_thread: 16,
-            conflict_degree: bitonic_conflict_degree(k),
-        };
-        let bitonic_model = bitonic_topk_seconds(dev.spec(), model);
+        let bitonic_model =
+            bitonic_topk_seconds(dev.spec(), BitonicModelInput::with_defaults(n, k, 4));
         for (alg, model) in [(RADIX, radix), (bitonic(), bitonic_model)] {
             let t = sim_ms(&dev, alg, &input, k).expect("figure 17 cell");
             out.push(Experiment::new(

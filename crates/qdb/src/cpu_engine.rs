@@ -1,31 +1,29 @@
 //! The CPU query engine: the real multi-threaded execution path behind
-//! `qdb::backend::execute_on` for [`CpuBackend`](topk::CpuBackend).
+//! `qdb::backend::execute_on` for [`CpuBackend`](topk::CpuBackend), and
+//! the serving ladder's last rung.
 //!
 //! Same physical plan as the simulated engine — columnar scan + filter
 //! producing `(key, id)` pairs, ranking-function projection, hash
 //! group-by count, then a top-k operator — but every stage runs on real
 //! cores with `std::thread::scope` chunk parallelism and is priced in
-//! wall-clock. Results match the simulator by key signature: the same
-//! `(key, row id)` tie-break (`Kv`'s `item_lt`), the same deterministic
-//! group ordering, the same `Rev` items for ASC.
+//! wall-clock. It reads borrowed columns, in practice a
+//! `GpuTweetTable`'s resident prefixes in place, so it never sees the
+//! table's append headroom. Results match the simulator by key
+//! signature: the same `(key, row id)` tie-break (`Kv`'s `item_lt`), the
+//! same deterministic group ordering, the same `Rev` items for ASC.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use datagen::{Kv, Rev};
+use topk::BackendKind;
 use topk_cpu::{CpuBitonic, CpuSort, CpuTopK};
 
+use crate::backend::BackendQueryResult;
 use crate::engine::{group_counts, rank_pairs, FilterOp, GroupCounts, PairOrder, RowItem};
 use crate::error::QdbError;
 use crate::queries::Strategy;
 use crate::sql::{Query, Shape};
 use crate::table::Columns;
-
-/// One CPU query outcome: ranked ids plus the per-stage wall-clock
-/// breakdown in milliseconds.
-pub(crate) struct CpuQueryOutput {
-    pub ids: Vec<u32>,
-    pub stages: Vec<(String, f64)>,
-}
 
 /// Splits `0..n` into at most `threads` contiguous chunks and maps each
 /// on its own scoped thread, returning per-chunk outputs in row order —
@@ -80,7 +78,7 @@ pub(crate) fn execute_cpu(
     q: &Query,
     strategy: Strategy,
     threads: usize,
-) -> Result<CpuQueryOutput, QdbError> {
+) -> Result<BackendQueryResult, QdbError> {
     let n = t.id.len();
     if n == 0 {
         return Err(QdbError::EmptyTable);
@@ -128,7 +126,7 @@ fn filter_topk<P: PairOrder>(
     k: usize,
     strategy: Strategy,
     threads: usize,
-) -> CpuQueryOutput {
+) -> BackendQueryResult {
     let op = FilterOp::or_every_row(filter);
     let scan = || par_chunks(t.id.len(), threads, |r| op.matched_pairs::<P>(&t.rows(r)));
     ranked("cpu_filter", || scan().concat(), k, strategy, threads)
@@ -142,23 +140,26 @@ fn ranked<T: RowItem>(
     k: usize,
     strategy: Strategy,
     threads: usize,
-) -> CpuQueryOutput {
+) -> BackendQueryResult {
     let start = Instant::now();
     let items = scan();
-    let scanned = ms(start);
-    let start = Instant::now();
+    let scanned = start.elapsed();
     let top = strategy_topk(strategy, &items, k, threads);
-    CpuQueryOutput {
+    let host_wall = start.elapsed();
+    BackendQueryResult {
         ids: top.iter().map(T::id).collect(),
+        backend: BackendKind::Cpu,
+        host_wall,
+        sim_time: None,
         stages: vec![
-            (scan_stage.to_string(), scanned),
-            ("cpu_topk".to_string(), ms(start)),
+            (scan_stage.to_string(), ms(scanned)),
+            ("cpu_topk".to_string(), ms(host_wall - scanned)),
         ],
     }
 }
 
-fn ms(since: Instant) -> f64 {
-    since.elapsed().as_secs_f64() * 1e3
+fn ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e3
 }
 
 #[cfg(test)]

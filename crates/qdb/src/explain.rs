@@ -11,8 +11,8 @@
 use simt::topology::ClusterSpec;
 use simt::DeviceSpec;
 use topk_costmodel::{
-    bitonic_topk_seconds, cluster_topk_seconds, delegate_select_phases, sort_seconds,
-    BitonicModelInput, ClusterModelInput, DelegatePhases, ReductionProfile,
+    bitonic_conflict_degree, bitonic_topk_seconds, cluster_topk_seconds, delegate_select_phases,
+    sort_seconds, BitonicModelInput, ClusterModelInput, DelegatePhases, ReductionProfile,
 };
 
 use crate::engine::FilterOp;
@@ -234,7 +234,15 @@ pub fn explain_delegate_topk(
     DelegatePlan {
         n,
         k,
-        phases: delegate_select_phases(spec, n, k, item_bytes, profile, 16, 1.0),
+        phases: delegate_select_phases(
+            spec,
+            n,
+            k,
+            item_bytes,
+            profile,
+            16,
+            bitonic_conflict_degree(k),
+        ),
     }
 }
 

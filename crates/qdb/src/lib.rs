@@ -55,4 +55,4 @@ pub use sql::{
     Query, Shape, SqlError, Statement,
 };
 pub use stream::{TopKView, ViewConfig, ViewMode, ViewRefresh, ViewStats};
-pub use table::{AppendReceipt, BackendTable, GpuTweetTable, ROW_BYTES};
+pub use table::{AppendReceipt, GpuTweetTable, ROW_BYTES};

@@ -34,6 +34,11 @@
 //! failover, rebuild and the delegate gather on top. Both count their
 //! outcomes into [`ResilienceStats`] through the same tally.
 //!
+//! Every lane serves every query with [`DEFAULT_STRATEGY`]; a submission
+//! chooses only its deadline ([`SubmitOptions`]). A statement therefore
+//! has one answer per table epoch, which is what the result cache, keyed
+//! by SQL text, stores.
+//!
 //! # Resilience
 //!
 //! The serving path never panics; every failure is a typed
@@ -97,7 +102,7 @@ pub const STREAMS: usize = 8;
 /// Maximum queries folded into one batched launch.
 pub const MAX_BATCH: usize = 64;
 
-/// Strategy for queries submitted without an explicit one.
+/// The strategy every lane serves queries with.
 pub const DEFAULT_STRATEGY: Strategy = Strategy::StageBitonic;
 
 /// First retry's backoff; doubles every subsequent retry. Charged as
@@ -140,32 +145,22 @@ impl Default for ServerConfig {
 
 /// Per-query submission options for [`Server::submit`], builder-style.
 ///
-/// The default value inherits the server's configured strategy and
-/// deadline; each knob can be overridden independently:
+/// The default value takes [`ServerConfig::default_deadline`]; a query
+/// can set its own:
 ///
 /// ```
-/// # use qdb::{Strategy, SubmitOptions};
+/// # use qdb::SubmitOptions;
 /// # use simt::SimTime;
-/// let opts = SubmitOptions::default()
-///     .with_strategy(Strategy::StageSort)
-///     .with_deadline(SimTime(5e-3));
-/// assert_eq!(opts.strategy, Some(Strategy::StageSort));
+/// let opts = SubmitOptions::default().with_deadline(SimTime(5e-3));
+/// assert_eq!(opts.deadline, Some(SimTime(5e-3)));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SubmitOptions {
-    /// Execution strategy; `None` uses [`DEFAULT_STRATEGY`].
-    pub strategy: Option<Strategy>,
     /// Per-query deadline; `None` uses [`ServerConfig::default_deadline`].
     pub deadline: Option<SimTime>,
 }
 
 impl SubmitOptions {
-    /// Overrides the execution strategy for this query.
-    pub fn with_strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = Some(strategy);
-        self
-    }
-
     /// Sets a per-query deadline: the query is cancelled with
     /// [`QdbError::Timeout`] once its simulated execution time exceeds
     /// it.
@@ -465,7 +460,6 @@ pub(crate) struct Pending {
     pub(crate) ticket: QueryTicket,
     pub(crate) sql: String,
     pub(crate) query: Query,
-    pub(crate) strategy: Strategy,
     pub(crate) deadline: Option<SimTime>,
     /// Ids resolved from the result cache at admission (same SQL, same
     /// table epoch); the lane serves them without touching the device.
@@ -546,7 +540,6 @@ impl Front {
             ticket: QueryTicket(self.next_ticket),
             sql: sql.to_string(),
             query,
-            strategy: opts.strategy.unwrap_or(DEFAULT_STRATEGY),
             deadline,
             cached,
         });
@@ -651,10 +644,9 @@ impl<'a> Lane<'a> {
 
     /// The filter of a query that can fold into a shared batched launch:
     /// a plain descending `retweet_count` top-k (the batched kernel
-    /// computes exactly that shape) whose strategy tolerates a bitonic
-    /// operator. `None` for every other query.
+    /// computes exactly that shape). `None` for every other query.
     fn coalescable(&self, e: &Executed) -> Option<FilterOp> {
-        if !self.coalesce || e.p.strategy == Strategy::StageSort {
+        if !self.coalesce {
             return None;
         }
         match &e.p.query.shape {
@@ -722,9 +714,9 @@ impl<'a> Lane<'a> {
         }
     }
 
-    /// Runs one query down the degradation ladder from rung `from`: its
-    /// own strategy on `stream`, then serial `StageBitonic` on the
-    /// default stream, then the CPU engine on one thread over the
+    /// Runs one query down the degradation ladder from rung `from`:
+    /// [`DEFAULT_STRATEGY`] on `stream`, then serial `StageBitonic` on
+    /// the default stream, then the CPU engine on one thread over the
     /// resident columns in place, which cannot fault. Only a
     /// [`QdbError::Timeout`] ends the descent early.
     fn run_ladder(&self, e: &mut Executed, stream: Option<StreamId>, from: DegradeLevel) {
@@ -735,7 +727,7 @@ impl<'a> Lane<'a> {
             }
             e.degrade = rung;
             let (strategy, stream) = match rung {
-                DegradeLevel::None => (e.p.strategy, stream),
+                DegradeLevel::None => (DEFAULT_STRATEGY, stream),
                 _ => (Strategy::StageBitonic, None),
             };
             let run = |q: &Query| match stream {
@@ -990,13 +982,11 @@ impl<'a> Lane<'a> {
                     .chain(e.shared.iter())
                     .filter_map(|i| placed.get(i).copied())
                     .collect();
-                let first = spans.iter().map(|s| s.0).fold(SimTime::ZERO, |a, b| {
-                    if a.0 == 0.0 || b.0 < a.0 {
-                        b
-                    } else {
-                        a
-                    }
-                });
+                let first = spans
+                    .iter()
+                    .map(|s| s.0)
+                    .reduce(|a, b| if b.0 < a.0 { b } else { a })
+                    .unwrap_or(SimTime::ZERO);
                 let last =
                     spans
                         .iter()
@@ -1124,9 +1114,9 @@ impl<'a> Server<'a> {
 
     /// Parses, validates and admits one SQL query. Unsupported shapes,
     /// unusable LIMITs and a full queue are rejected here, not at drain
-    /// time. Per-query knobs travel in [`SubmitOptions`]:
-    /// `SubmitOptions::default()` uses the server's configured strategy
-    /// and deadline; `with_strategy`/`with_deadline` override them.
+    /// time. Every query runs [`DEFAULT_STRATEGY`]; its deadline travels
+    /// in [`SubmitOptions`] (`SubmitOptions::default()` takes
+    /// [`ServerConfig::default_deadline`]).
     ///
     /// An explicit deadline cancels the query with [`QdbError::Timeout`]
     /// once its simulated execution time (kernel time plus retry
@@ -1302,6 +1292,31 @@ mod tests {
         // the drain ran on the host, so wall-clock capture must be live
         assert!(report.host_wall > std::time::Duration::ZERO);
         assert!(report.host_queries_per_sec() > 0.0);
+    }
+
+    /// A lone query's first kernel starts at the drain's t = 0: it waited
+    /// for nothing, and its execution spans every kernel it ran.
+    #[test]
+    fn a_query_whose_first_kernel_starts_at_zero_reports_no_queue_wait() {
+        let (dev, host) = setup(8_000);
+        let table = GpuTweetTable::upload(&dev, &host);
+        let cfg = ServerConfig {
+            coalesce: false,
+            ..ServerConfig::default()
+        };
+        let mut server = Server::new(&dev, &table, cfg);
+        let sql = "SELECT id FROM tweets WHERE tweet_time < 1500000 \
+                   ORDER BY retweet_count DESC LIMIT 10";
+        server.submit(sql, SubmitOptions::default()).unwrap();
+        let report = server.drain();
+        let launches = &report.schedule.launches;
+        assert!(launches.len() >= 2, "filter plus top-k: {launches:?}");
+        assert_eq!(launches[0].start, SimTime::ZERO);
+        assert!(launches[1].start > SimTime::ZERO);
+        let timing = report.queries[0].timing;
+        assert_eq!(timing.queued, SimTime::ZERO);
+        assert_eq!(timing.exec, timing.total);
+        assert_eq!(timing.total, report.makespan);
     }
 
     #[test]

@@ -27,9 +27,9 @@
 //!
 //! * [`TopKView::refresh`] — one device: the delta scans a device slice
 //!   and merges on the device;
-//! * [`TopKView::refresh_on`] — either engine; on the CPU the delta scans
-//!   the appended host rows in place and merges with the engine's top-k
-//!   operator;
+//! * [`TopKView::refresh_on`] — either engine over the same device
+//!   table; on the CPU the delta scans the appended rows of the resident
+//!   columns in place and merges with the engine's top-k operator;
 //! * [`TopKView::refresh_sharded`] — a cluster: per-shard delta scans run
 //!   on any healthy replica and the standing run rides the gather as one
 //!   more run, so a standing view survives permanent device loss
@@ -49,7 +49,7 @@ use crate::shard::{
     MergeTarget, ShardedTable,
 };
 use crate::sql::{execute, parse, Query};
-use crate::table::{BackendTable, Columns, GpuTweetTable};
+use crate::table::GpuTweetTable;
 
 /// How a view refresh will (or did) bring the standing result current.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -327,46 +327,47 @@ impl TopKView {
         )
     }
 
-    /// Backend-generic refresh: the simulator path through
-    /// [`TopKView::refresh`], the CPU engine otherwise — same modes, same
-    /// winners, wall-clock instead of modeled time (reported as
-    /// `SimTime::ZERO`). The conformance contract of
+    /// Either engine over one device table: the simulator path through
+    /// [`TopKView::refresh`], the CPU engine otherwise, which scans the
+    /// table's resident prefix in place (the appended rows alone on a
+    /// delta) — same modes, same winners, wall-clock instead of modeled
+    /// time (reported as `SimTime::ZERO`). The conformance contract of
     /// [`crate::backend::execute_on`] extends to view maintenance.
     pub fn refresh_on(
         &self,
         be: &ExecBackend<'_>,
-        table: &BackendTable,
+        table: &GpuTweetTable,
     ) -> Result<ViewRefresh, QdbError> {
-        let (b, rows, epoch) = match (be, table) {
-            (ExecBackend::Simt(b), BackendTable::Simt(t)) => return self.refresh(b.device(), t),
-            (ExecBackend::Cpu(b), BackendTable::Cpu { rows, epoch }) => (b, rows, epoch),
-            _ => return Err(table.mismatch(be)),
+        let b = match be {
+            ExecBackend::Simt(b) => return self.refresh(b.device(), table),
+            ExecBackend::Cpu(b) => b,
         };
-        let t = rows.borrow();
-        let (cols, n) = (Columns::of(&t), t.len());
-        self.maintain(
-            n,
-            epoch.get(),
-            true,
-            || {
-                let out = execute_cpu(cols, &self.query, self.strategy, b.threads())?;
-                Ok((out.ids, SimTime::ZERO))
-            },
-            |standing, done| {
-                let dq = self.query.clamped(n - done);
-                let delta = execute_cpu(cols.rows(done..n), &dq, self.strategy, b.threads())?;
-                let m = merge_id_runs(
-                    &self.query,
-                    &[standing, delta.ids],
-                    |_, id| cols.counts_of(id).ok_or_else(|| not_resident(id)),
-                    MergeTarget::Cpu {
-                        strategy: self.strategy,
-                        threads: b.threads(),
-                    },
-                )?;
-                Ok((m.items, SimTime::ZERO))
-            },
-        )
+        table.with_columns(|cols| {
+            let n = cols.id.len();
+            self.maintain(
+                n,
+                table.epoch(),
+                true,
+                || {
+                    let out = execute_cpu(cols, &self.query, self.strategy, b.threads())?;
+                    Ok((out.ids, SimTime::ZERO))
+                },
+                |standing, done| {
+                    let dq = self.query.clamped(n - done);
+                    let delta = execute_cpu(cols.rows(done..n), &dq, self.strategy, b.threads())?;
+                    let m = merge_id_runs(
+                        &self.query,
+                        &[standing, delta.ids],
+                        |_, id| cols.counts_of(id).ok_or_else(|| not_resident(id)),
+                        MergeTarget::Cpu {
+                            strategy: self.strategy,
+                            threads: b.threads(),
+                        },
+                    )?;
+                    Ok((m.items, SimTime::ZERO))
+                },
+            )
+        })
     }
 
     /// Sharded refresh: per-shard delta scans run on any healthy replica
@@ -545,46 +546,42 @@ mod tests {
         assert_eq!(view.refresh(&dev, &gpu).unwrap().mode, ViewMode::DeltaMerge);
     }
 
-    /// The Backend conformance contract extends to views: both engines
-    /// walk the same modes and return the same winners after appends.
+    /// The Backend conformance contract extends to views: over one
+    /// device table, both engines walk the same modes and return the
+    /// same winners after appends.
     #[test]
     fn view_maintenance_conforms_across_backends() {
         let host = TweetTable::generate(12_000, 17);
         let dev = Device::titan_x();
         let sim_be = ExecBackend::simt(&dev);
         let cpu_be = ExecBackend::cpu(4);
-        let sim = BackendTable::load_with_capacity(&sim_be, &host, 16_000);
-        let cpu = BackendTable::load(&cpu_be, &host);
+        let table = GpuTweetTable::upload_with_capacity(&dev, &host, 16_000);
         for sql in SHAPES {
             let vs =
                 TopKView::register(sql, Strategy::StageBitonic, ViewConfig::default()).unwrap();
             let vc =
                 TopKView::register(sql, Strategy::StageBitonic, ViewConfig::default()).unwrap();
             assert_eq!(
-                vs.refresh_on(&sim_be, &sim).unwrap().ids,
-                vc.refresh_on(&cpu_be, &cpu).unwrap().ids,
+                vs.refresh_on(&sim_be, &table).unwrap().ids,
+                vc.refresh_on(&cpu_be, &table).unwrap().ids,
                 "{sql} (build)"
             );
-            assert!(matches!(
-                vs.refresh_on(&cpu_be, &sim),
-                Err(QdbError::DeviceFault { .. })
-            ));
         }
-        // appends land on both backends; maintained results stay equal
+        // appends land once, for both engines; maintained results stay
+        // equal
         let vs =
             TopKView::register(SHAPES[0], Strategy::StageBitonic, ViewConfig::default()).unwrap();
         let vc =
             TopKView::register(SHAPES[0], Strategy::StageBitonic, ViewConfig::default()).unwrap();
-        vs.refresh_on(&sim_be, &sim).unwrap();
-        vc.refresh_on(&cpu_be, &cpu).unwrap();
+        vs.refresh_on(&sim_be, &table).unwrap();
+        vc.refresh_on(&cpu_be, &table).unwrap();
         let mut next_id = host.len() as u32;
         for rows in [900usize, 1300] {
             let batch = TweetTable::generate_at(rows, u64::from(next_id), next_id);
-            sim.append_batch(&sim_be, &batch).unwrap();
-            cpu.append_batch(&cpu_be, &batch).unwrap();
+            table.append_batch(&dev, &batch).unwrap();
             next_id += rows as u32;
-            let rs = vs.refresh_on(&sim_be, &sim).unwrap();
-            let rc = vc.refresh_on(&cpu_be, &cpu).unwrap();
+            let rs = vs.refresh_on(&sim_be, &table).unwrap();
+            let rc = vc.refresh_on(&cpu_be, &table).unwrap();
             assert_eq!(rs.mode, ViewMode::DeltaMerge);
             assert_eq!(rc.mode, ViewMode::DeltaMerge);
             assert_eq!(rs.ids, rc.ids, "after +{rows}");
@@ -668,11 +665,12 @@ mod tests {
     }
 
     /// One view, every placement: the same random append sequence is
-    /// refreshed on a device, on the CPU engine and on 4-device clusters
-    /// (r = 1 and r = 2, range and hash partitioning — range leaves most
-    /// shards with empty deltas). Every placement returns the rescan
-    /// oracle's ids and walks the same modes with the same ledger: one
-    /// maintenance skeleton decides for all of them.
+    /// refreshed on a device, on the CPU engine over that same device
+    /// table and on 4-device clusters (r = 1 and r = 2, range and hash
+    /// partitioning — range leaves most shards with empty deltas).
+    /// Every placement returns the rescan oracle's ids and walks the same
+    /// modes with the same ledger: one maintenance skeleton decides for
+    /// all of them.
     #[test]
     fn one_view_every_placement() {
         use crate::shard::PartitionPolicy::{Hash, Range};
@@ -686,7 +684,6 @@ mod tests {
         let dev = Device::titan_x();
         let gpu = GpuTweetTable::upload_with_capacity(&dev, &host, cap);
         let cpu_be = ExecBackend::cpu(2);
-        let cpu = BackendTable::load(&cpu_be, &host);
         let clusters: Vec<(Cluster, ShardedTable)> = [(1, Range), (1, Hash), (2, Range), (2, Hash)]
             .into_iter()
             .map(|(r, policy)| {
@@ -721,7 +718,6 @@ mod tests {
             if let Some(&b) = step.checked_sub(1).and_then(|i| batches.get(i)) {
                 let batch = TweetTable::generate_at(b, 500 + step as u64, rows as u32);
                 gpu.append_batch(&dev, &batch).unwrap();
-                cpu.append_batch(&cpu_be, &batch).unwrap();
                 for (cluster, table) in &clusters {
                     table.append_batch(cluster, &batch).unwrap();
                 }
@@ -733,7 +729,7 @@ mod tests {
                     .ids;
                 let mut refreshed = vec![
                     vs[0].refresh(&dev, &gpu).unwrap(),
-                    vs[1].refresh_on(&cpu_be, &cpu).unwrap(),
+                    vs[1].refresh_on(&cpu_be, &gpu).unwrap(),
                 ];
                 for ((cluster, table), v) in clusters.iter().zip(&vs[2..]) {
                     refreshed.push(v.refresh_sharded(cluster, table, 1).unwrap());

@@ -9,11 +9,10 @@
 //! keys its validity on that epoch (or on the buffers' contents
 //! version, which every append also bumps).
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 
 use datagen::twitter::TweetTable;
 use simt::{Device, GpuBuffer, SimTime};
-use topk::Backend as _;
 
 use crate::error::QdbError;
 
@@ -286,128 +285,9 @@ pub(crate) fn host_rows(t: &TweetTable, rows: impl Iterator<Item = usize> + Clon
     }
 }
 
-/// A resident table on either execution backend — the table-level twin
-/// of `topk::BackendBuffer`.
-pub enum BackendTable {
-    /// Columns in simulated device memory.
-    Simt(GpuTweetTable),
-    /// Columns in host memory, executed on by the CPU engine.
-    Cpu {
-        /// The host columns (appends extend them in place).
-        rows: RefCell<TweetTable>,
-        /// Monotonic data epoch (see [`GpuTweetTable::epoch`]).
-        epoch: Cell<u64>,
-    },
-}
-
-impl BackendTable {
-    /// Loads a host table onto the given backend.
-    pub fn load(backend: &topk::ExecBackend<'_>, t: &TweetTable) -> Self {
-        Self::load_with_capacity(backend, t, t.len())
-    }
-
-    /// Loads a host table with append headroom on the simulator backend
-    /// (the CPU backend's host vectors grow freely, so `cap_rows` only
-    /// matters for device columns).
-    pub fn load_with_capacity(
-        backend: &topk::ExecBackend<'_>,
-        t: &TweetTable,
-        cap_rows: usize,
-    ) -> Self {
-        match backend {
-            topk::ExecBackend::Simt(b) => {
-                BackendTable::Simt(GpuTweetTable::upload_with_capacity(b.device(), t, cap_rows))
-            }
-            topk::ExecBackend::Cpu(_) => BackendTable::Cpu {
-                rows: RefCell::new(t.clone()),
-                epoch: Cell::new(0),
-            },
-        }
-    }
-
-    /// Appends an arrival batch on whichever backend holds the columns.
-    /// The backend must match the one the table was loaded on. Host
-    /// memory has no modeled wire, so a CPU append's transfer time is
-    /// zero; its epoch semantics are the device table's.
-    pub fn append_batch(
-        &self,
-        backend: &topk::ExecBackend<'_>,
-        batch: &TweetTable,
-    ) -> Result<AppendReceipt, QdbError> {
-        match (self, backend) {
-            (BackendTable::Simt(t), topk::ExecBackend::Simt(b)) => {
-                t.append_batch(b.device(), batch)
-            }
-            (BackendTable::Cpu { rows, epoch }, topk::ExecBackend::Cpu(_)) => {
-                rows.borrow_mut().extend_from(batch);
-                epoch.set(epoch.get() + 1);
-                Ok(AppendReceipt {
-                    rows: batch.len(),
-                    bytes: batch.len() * ROW_BYTES,
-                    transfer_time: SimTime::ZERO,
-                    epoch: epoch.get(),
-                })
-            }
-            _ => Err(self.mismatch(backend)),
-        }
-    }
-
-    /// The typed error for a table handed to the other backend.
-    pub(crate) fn mismatch(&self, backend: &topk::ExecBackend<'_>) -> QdbError {
-        topk::TopKError::BackendMismatch {
-            backend: backend.kind().name(),
-            buffer: self.kind().name(),
-        }
-        .into()
-    }
-
-    /// Monotonic data epoch (see [`GpuTweetTable::epoch`]).
-    pub fn epoch(&self) -> u64 {
-        match self {
-            BackendTable::Simt(t) => t.epoch(),
-            BackendTable::Cpu { epoch, .. } => epoch.get(),
-        }
-    }
-
-    /// Which backend holds the columns.
-    pub fn kind(&self) -> topk::BackendKind {
-        match self {
-            BackendTable::Simt(_) => topk::BackendKind::Simt,
-            BackendTable::Cpu { .. } => topk::BackendKind::Cpu,
-        }
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        match self {
-            BackendTable::Simt(t) => t.len(),
-            BackendTable::Cpu { rows, .. } => rows.borrow().len(),
-        }
-    }
-
-    /// True when the table has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn backend_table_loads_on_both_engines() {
-        let host = TweetTable::generate(500, 2);
-        let dev = Device::titan_x();
-        let sim = BackendTable::load(&topk::ExecBackend::simt(&dev), &host);
-        let cpu = BackendTable::load(&topk::ExecBackend::cpu(2), &host);
-        assert_eq!(sim.len(), 500);
-        assert_eq!(cpu.len(), 500);
-        assert!(matches!(&sim, BackendTable::Simt(t) if t.uid.to_vec() == host.uid));
-        assert!(matches!(&cpu, BackendTable::Cpu { rows, .. } if rows.borrow().uid == host.uid));
-        assert_eq!(sim.kind(), topk::BackendKind::Simt);
-        assert!(!cpu.is_empty());
-    }
 
     #[test]
     fn upload_roundtrips() {
@@ -455,25 +335,5 @@ mod tests {
         }
         assert_eq!(gpu.len(), 1300);
         assert_eq!(gpu.epoch(), 1);
-    }
-
-    #[test]
-    fn appends_work_on_both_backends_and_track_epochs() {
-        let host = TweetTable::generate(400, 3);
-        let batch = TweetTable::generate_at(100, 4, 400);
-        let dev = Device::titan_x();
-        let sim_be = topk::ExecBackend::simt(&dev);
-        let cpu_be = topk::ExecBackend::cpu(2);
-        let sim = BackendTable::load_with_capacity(&sim_be, &host, 600);
-        let cpu = BackendTable::load(&cpu_be, &host);
-        assert_eq!((sim.epoch(), cpu.epoch()), (0, 0));
-        sim.append_batch(&sim_be, &batch).expect("simt append");
-        cpu.append_batch(&cpu_be, &batch).expect("cpu append");
-        assert_eq!((sim.epoch(), cpu.epoch()), (1, 1));
-        assert_eq!(sim.len(), 500);
-        assert_eq!(cpu.len(), 500);
-        assert!(matches!(&cpu, BackendTable::Cpu { rows, .. } if rows.borrow().id[499] == 499));
-        // a backend mismatch is typed, not a panic
-        assert!(sim.append_batch(&cpu_be, &batch).is_err());
     }
 }

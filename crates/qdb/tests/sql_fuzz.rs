@@ -5,11 +5,10 @@
 //! `EXPLAIN [SANITIZE | LINT]` prefix of a valid query, in any letter
 //! case, parses to the matching statement. The parser is the only
 //! validator: every single-token mutation it accepts as a `SELECT` runs
-//! on both engines and returns the same ids.
+//! on both engines over one resident table and returns the same ids.
 
 use datagen::twitter::TweetTable;
 use proptest::prelude::*;
-use qdb::table::BackendTable;
 use qdb::{
     execute_on, execute_sql, parse_sql, parse_statement, GpuTweetTable, QdbError, Statement,
     Strategy,
@@ -192,8 +191,9 @@ proptest! {
 
     /// Every single-token mutation of every valid shape that the parser
     /// accepts as a `SELECT` runs on the simulator and on the CPU engine
-    /// over the same 4,096-row table: neither refuses it, and both return
-    /// the same ids (`StageBitonic` breaks key ties by row id on both).
+    /// over the same resident 4,096-row table: neither refuses it, and
+    /// both return the same ids (`StageBitonic` breaks key ties by row id
+    /// on both).
     #[test]
     fn accepted_selects_run_identically_on_both_engines(
         k in 1usize..100,
@@ -204,7 +204,6 @@ proptest! {
         let dev = Device::titan_x();
         let gpu = GpuTweetTable::upload(&dev, &host);
         let cpu = ExecBackend::cpu(1);
-        let cpu_table = BackendTable::load(&cpu, &host);
         let mut accepted = 0;
         for shape in 0..4 {
             let sql = valid_query(shape, 500_000, k, asc, langs);
@@ -218,7 +217,7 @@ proptest! {
                 };
                 accepted += 1;
                 let on_device = execute_sql(&dev, &gpu, &q, Strategy::StageBitonic);
-                let on_cpu = execute_on(&cpu, &cpu_table, &q, Strategy::StageBitonic);
+                let on_cpu = execute_on(&cpu, &gpu, &q, Strategy::StageBitonic);
                 match (on_device, on_cpu) {
                     (Ok(a), Ok(b)) => prop_assert_eq!(a.ids, b.ids, "{}", sql),
                     // the device's bitonic stage holds at most 2048

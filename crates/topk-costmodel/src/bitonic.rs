@@ -30,15 +30,15 @@ pub struct BitonicModelInput {
 }
 
 impl BitonicModelInput {
-    /// Model inputs with the all-optimizations defaults (B = 16,
-    /// conflict-free).
+    /// Model inputs with the all-optimizations defaults: B = 16 and the
+    /// conflict degree of [`bitonic_conflict_degree`].
     pub fn with_defaults(n: usize, k: usize, item_bytes: usize) -> Self {
         Self {
             n,
             k,
             item_bytes,
             elems_per_thread: 16,
-            conflict_degree: 1.0,
+            conflict_degree: bitonic_conflict_degree(k),
         }
     }
 }
@@ -46,7 +46,9 @@ impl BitonicModelInput {
 /// The shared-memory bank-conflict degree `δ` the bitonic model charges
 /// for a top-k of `k`: 1.0 while padding and chunk permutation keep the
 /// reducers conflict-free (`k ≤ 256`, rounded up to a power of two), 1.3
-/// beyond. The planner and Figure 17 price bitonic through this one rule.
+/// beyond. Every bitonic price takes δ from this one rule: the planner,
+/// [`BitonicModelInput::with_defaults`] (EXPLAIN, the cluster model,
+/// Figure 17) and qdb's delegate EXPLAIN.
 pub fn bitonic_conflict_degree(k: usize) -> f64 {
     if k.next_power_of_two() <= 256 {
         1.0
@@ -168,6 +170,10 @@ mod tests {
             },
         );
         assert!(conflicted > 1.5 * clean);
+        // past k = 256 the defaults charge the one δ rule's degree
+        let past = BitonicModelInput::with_defaults(1 << 26, 1024, 4).conflict_degree;
+        assert_eq!(past, bitonic_conflict_degree(1024));
+        assert!(past > 1.0);
     }
 
     #[test]
