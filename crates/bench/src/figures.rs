@@ -49,7 +49,6 @@ use topk::bitonic::{bitonic_topk, BitonicConfig, OptLevel};
 use topk::delegate::{warm_delegate_index, DelegateConfig};
 use topk::hybrid::{cpu_gpu_topk, select_then_bitonic};
 use topk::{TopKAlgorithm, TopKRequest};
-use topk_costmodel::planner::Algorithm;
 use topk_costmodel::{
     bitonic_topk_seconds, radix_select_seconds, recommend, recommend_full, BitonicModelInput,
     FullAlgorithm, ReductionProfile,
@@ -85,17 +84,6 @@ const FULL: [FullAlgorithm; 6] = [
     FullAlgorithm::BitonicTopK,
     FullAlgorithm::DelegateSelect,
 ];
-
-fn algorithm(f: FullAlgorithm) -> TopKAlgorithm {
-    match f {
-        FullAlgorithm::Sort => TopKAlgorithm::Sort,
-        FullAlgorithm::PerThread => TopKAlgorithm::PerThread,
-        FullAlgorithm::RadixSelect => TopKAlgorithm::RadixSelect,
-        FullAlgorithm::BucketSelect => TopKAlgorithm::BucketSelect,
-        FullAlgorithm::BitonicTopK => TopKAlgorithm::Bitonic(BitonicConfig::default()),
-        FullAlgorithm::DelegateSelect => TopKAlgorithm::DelegateSelect(DelegateConfig::default()),
-    }
-}
 
 /// Modeled milliseconds of one top-k request, `None` if it cannot launch.
 fn sim_ms<T: TopKItem>(
@@ -198,7 +186,7 @@ fn uniform(n: usize, seed: u64) -> Vec<f32> {
 }
 
 fn bitonic() -> TopKAlgorithm {
-    algorithm(FullAlgorithm::BitonicTopK)
+    FullAlgorithm::BitonicTopK.into()
 }
 
 const RADIX: TopKAlgorithm = TopKAlgorithm::RadixSelect;
@@ -425,7 +413,7 @@ fn device_sweep(out: &mut Vec<Experiment>, log2n: u32) {
     ] {
         let dev = Device::new(spec);
         let input = upload(&dev, &data);
-        let algs = [bitonic(), RADIX, algorithm(FullAlgorithm::DelegateSelect)];
+        let algs = [bitonic(), RADIX, FullAlgorithm::DelegateSelect.into()];
         for k in K_SWEEP {
             let times = algs.map(|a| sim_ms(&dev, a, &input, k).expect("device sweep cell"));
             for (alg, t) in algs.iter().zip(times) {
@@ -433,11 +421,8 @@ fn device_sweep(out: &mut Vec<Experiment>, log2n: u32) {
                 out.push(Experiment::new(id, &[("sim_time_ms", t)]));
             }
             let plan = recommend(dev.spec(), n, k, 4, &ReductionProfile::UniformFloats);
-            let pick = match plan.algorithm {
-                Algorithm::BitonicTopK => times[0],
-                Algorithm::RadixSelect => times[1],
-                Algorithm::DelegateSelect => times[2],
-            };
+            let picked = algs.iter().position(|&a| a == plan.algorithm.into());
+            let pick = times[picked.expect("the planner picks a swept algorithm")];
             let best = times.into_iter().fold(f64::INFINITY, f64::min);
             let id = format!("device_sweep/{name}/pick/k{k}");
             out.push(Experiment::new(id, &[("sim_pick_over_best", pick / best)]));
@@ -456,7 +441,7 @@ fn planner(out: &mut Vec<Experiment>, log2n: u32) {
             let ranked = recommend_full(dev.spec(), n, k, 4, &ReductionProfile::UniformFloats);
             let mut times = Vec::new();
             for full in FULL {
-                let alg = algorithm(full);
+                let alg = TopKAlgorithm::from(full);
                 let Some(t) = sim_ms(&dev, alg, &input, k) else {
                     continue;
                 };

@@ -1,6 +1,6 @@
 //! The unified benchmark harness: drives the paper's top-k experiments,
 //! the qdb serving, cluster and streaming workloads and the real-CPU
-//! backend, collects per-run metrics from the simulator's counters plus
+//! engine, collects per-run metrics from the simulator's counters plus
 //! host wall-clock, and emits versioned [`BenchReport`]s
 //! (`BENCH_<suite>.json`; the figures suite lives in [`crate::figures`]).
 //!
@@ -20,7 +20,7 @@
 //! diff gate treats a *disappearing* cell as a regression, so an
 //! algorithm that starts failing where it used to run cannot slip by.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use datagen::twitter::TweetTable;
 use datagen::{
@@ -37,7 +37,7 @@ use simt::topology::{Cluster, ClusterSpec};
 use simt::{Device, FaultPlan, GpuBuffer, LaunchWindow, SimTime};
 use topk::bitonic::{bitonic_topk, BitonicConfig};
 use topk::delegate::{warm_delegate_index, DelegateConfig};
-use topk::{Backend, CpuBackend, TopKAlgorithm, TopKRequest};
+use topk::{TopKAlgorithm, TopKRequest};
 use topk_costmodel::{cluster_topk_seconds, ClusterModelInput};
 
 use crate::report::{BenchReport, Experiment, Scale};
@@ -53,7 +53,7 @@ pub struct HarnessScales {
     /// Resident-table exponent for the serving suite (default 17,
     /// capped by the top-k scale when overridden).
     pub serve_log2n: u32,
-    /// Element-count exponent for the real-CPU backend suite (default
+    /// Element-count exponent for the real-CPU suite (default
     /// 20 — the scale the thread-scaling claim gates at — capped by the
     /// top-k scale when overridden).
     pub cpu_log2n: u32,
@@ -417,10 +417,10 @@ pub fn run_cluster_suite(log2n: u32, profile: &str) -> BenchReport {
     BenchReport::new("cluster", log2n, profile, experiments)
 }
 
-/// The worker-thread sweep of the CPU backend suite.
+/// The worker-thread sweep of the CPU suite.
 pub const CPU_THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
-/// Fixed k for the CPU backend suite.
+/// Fixed k for the CPU suite.
 pub const CPU_SUITE_K: usize = 64;
 
 /// Repetitions per CPU cell, interleaved over the thread sweep; the
@@ -428,11 +428,11 @@ pub const CPU_SUITE_K: usize = 64;
 /// only, so best-of-N just trims scheduler noise).
 pub const CPU_SUITE_REPS: usize = 3;
 
-/// Runs the real-CPU backend suite through the [`topk::Backend`] trait:
-/// every algorithm across the thread sweep on `2^log2n` uniform f32
-/// keys. Cells are `cpu/<alg>/t<threads>` and carry only `host_*`
-/// metrics — there is nothing modeled here, every number is wall-clock
-/// from [`topk::ExecReport`]. The scaling claim (multi-thread beats
+/// Runs the real-CPU suite through [`TopKRequest::run_cpu`]: every
+/// algorithm across the thread sweep on `2^log2n` uniform f32 keys.
+/// Cells are `cpu/<alg>/t<threads>` and carry only `host_*` metrics —
+/// there is nothing modeled here, `host_wall_ms` is the wall-clock of
+/// the fastest `run_cpu` call. The scaling claim (multi-thread beats
 /// single-thread, checked by `bench-diff`) reads the `t1` cell against
 /// the rest of the sweep.
 pub fn run_cpu_suite(log2n: u32, profile: &str) -> BenchReport {
@@ -442,33 +442,25 @@ pub fn run_cpu_suite(log2n: u32, profile: &str) -> BenchReport {
     let mut experiments = Vec::new();
     for alg in TopKAlgorithm::all() {
         let req = TopKRequest::largest(CPU_SUITE_K).with_alg(alg);
-        let sweep: Vec<_> = CPU_THREAD_SWEEP
-            .map(|threads| {
-                let be = CpuBackend::with_threads(threads);
-                let input = be.upload(&data);
-                (be, input)
-            })
-            .into();
         // each rep runs the whole sweep in turn, so a burst of load on
         // the host lands on every thread count, not on one cell's reps
-        let mut best: Vec<Option<topk::ExecReport>> = vec![None; sweep.len()];
+        let mut best = CPU_THREAD_SWEEP.map(|_| Duration::MAX);
         for _ in 0..CPU_SUITE_REPS {
-            for ((be, input), best) in sweep.iter().zip(&mut best) {
-                let r = req.run_on(be, input).expect("cpu top-k");
-                assert_eq!(r.items.len(), CPU_SUITE_K.min(n));
-                if best
-                    .as_ref()
-                    .is_none_or(|b| r.report.host_wall < b.host_wall)
-                {
-                    *best = Some(r.report);
-                }
+            for (threads, best) in CPU_THREAD_SWEEP.into_iter().zip(&mut best) {
+                let start = Instant::now();
+                let items = req.run_cpu(&data, threads).expect("cpu top-k");
+                *best = (*best).min(start.elapsed());
+                assert_eq!(items.len(), CPU_SUITE_K.min(n));
             }
         }
         for (threads, best) in CPU_THREAD_SWEEP.into_iter().zip(best) {
-            let report = best.expect("at least one rep ran");
             experiments.push(Experiment {
                 id: format!("cpu/{}/t{threads}", alg.name()),
-                metrics: report.metric_cells().into_iter().collect(),
+                metrics: [
+                    ("host_wall_ms".to_string(), best.as_secs_f64() * 1e3),
+                    ("host_threads".to_string(), threads as f64),
+                ]
+                .into(),
             });
         }
     }

@@ -1,29 +1,39 @@
-//! The CPU query engine: the real multi-threaded execution path behind
-//! `qdb::backend::execute_on` for [`CpuBackend`](topk::CpuBackend), and
-//! the serving ladder's last rung.
+//! The CPU query engine: [`execute_cpu`], the host twin of
+//! [`crate::sql::execute`], which is also the serving ladder's last rung
+//! and the engine behind [`crate::TopKView::refresh_cpu`].
 //!
 //! Same physical plan as the simulated engine — columnar scan + filter
 //! producing `(key, id)` pairs, ranking-function projection, hash
 //! group-by count, then a top-k operator — but every stage runs on real
 //! cores with `std::thread::scope` chunk parallelism and is priced in
-//! wall-clock. It reads borrowed columns, in practice a
-//! `GpuTweetTable`'s resident prefixes in place, so it never sees the
-//! table's append headroom. Results match the simulator by key
-//! signature: the same `(key, row id)` tie-break (`Kv`'s `item_lt`), the
-//! same deterministic group ordering, the same `Rev` items for ASC.
+//! wall-clock. It reads a `GpuTweetTable`'s resident prefixes in place,
+//! so it never sees the table's append headroom. Results match the
+//! simulator by key signature: the same `(key, row id)` tie-break
+//! (`Kv`'s `item_lt`), the same deterministic group ordering, the same
+//! `Rev` items for ASC.
 
 use std::time::{Duration, Instant};
 
 use datagen::{Kv, Rev};
-use topk::BackendKind;
 use topk_cpu::{CpuBitonic, CpuSort, CpuTopK};
 
-use crate::backend::BackendQueryResult;
 use crate::engine::{group_counts, rank_pairs, FilterOp, GroupCounts, PairOrder, RowItem};
 use crate::error::QdbError;
 use crate::queries::Strategy;
 use crate::sql::{Query, Shape};
-use crate::table::Columns;
+use crate::table::{Columns, GpuTweetTable};
+
+/// A query outcome from the CPU engine: ranked ids plus the wall-clock
+/// cost.
+#[derive(Debug, Clone)]
+pub struct CpuQueryResult {
+    /// Result tweet ids (or uids for group queries), ranked.
+    pub ids: Vec<u32>,
+    /// Real elapsed host time of the scan and the top-k.
+    pub host_wall: Duration,
+    /// Per-stage wall-clock breakdown in milliseconds.
+    pub stages: Vec<(String, f64)>,
+}
 
 /// Splits `0..n` into at most `threads` contiguous chunks and maps each
 /// on its own scoped thread, returning per-chunk outputs in row order —
@@ -70,15 +80,27 @@ pub(crate) fn strategy_topk<T: datagen::TopKItem>(
     }
 }
 
-/// Executes a parsed query over borrowed host columns with real
-/// `threads`-way parallelism: one body per [`Shape`], the same physical
-/// plan as the simulated engine's.
-pub(crate) fn execute_cpu(
+/// Executes a parsed query on real CPU cores with `threads`-way
+/// parallelism over `table`'s resident columns, read in place. Returns
+/// the simulator's winners ([`crate::execute_sql`]: key-signature
+/// identical, ties broken by row id), priced in wall-clock.
+pub fn execute_cpu(
+    table: &GpuTweetTable,
+    q: &Query,
+    strategy: Strategy,
+    threads: usize,
+) -> Result<CpuQueryResult, QdbError> {
+    table.with_columns(|t| execute_columns(t, q, strategy, threads))
+}
+
+/// [`execute_cpu`] over borrowed host columns: one body per [`Shape`],
+/// the same physical plan as the simulated engine's.
+pub(crate) fn execute_columns(
     t: Columns<'_>,
     q: &Query,
     strategy: Strategy,
     threads: usize,
-) -> Result<BackendQueryResult, QdbError> {
+) -> Result<CpuQueryResult, QdbError> {
     let n = t.id.len();
     if n == 0 {
         return Err(QdbError::EmptyTable);
@@ -126,7 +148,7 @@ fn filter_topk<P: PairOrder>(
     k: usize,
     strategy: Strategy,
     threads: usize,
-) -> BackendQueryResult {
+) -> CpuQueryResult {
     let op = FilterOp::or_every_row(filter);
     let scan = || par_chunks(t.id.len(), threads, |r| op.matched_pairs::<P>(&t.rows(r)));
     ranked("cpu_filter", || scan().concat(), k, strategy, threads)
@@ -140,17 +162,15 @@ fn ranked<T: RowItem>(
     k: usize,
     strategy: Strategy,
     threads: usize,
-) -> BackendQueryResult {
+) -> CpuQueryResult {
     let start = Instant::now();
     let items = scan();
     let scanned = start.elapsed();
     let top = strategy_topk(strategy, &items, k, threads);
     let host_wall = start.elapsed();
-    BackendQueryResult {
+    CpuQueryResult {
         ids: top.iter().map(T::id).collect(),
-        backend: BackendKind::Cpu,
         host_wall,
-        sim_time: None,
         stages: vec![
             (scan_stage.to_string(), ms(scanned)),
             ("cpu_topk".to_string(), ms(host_wall - scanned)),
@@ -165,8 +185,121 @@ fn ms(d: Duration) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sql::{parse, SqlError};
+    use crate::sql::{execute, parse, SqlError};
+    use crate::stream::{TopKView, ViewConfig, ViewMode};
     use datagen::twitter::TweetTable;
+    use simt::Device;
+
+    fn keys_of(t: &TweetTable, ids: &[u32]) -> Vec<u32> {
+        ids.iter().map(|&id| t.retweet_count[id as usize]).collect()
+    }
+
+    #[test]
+    fn same_query_same_winners_on_both_backends() {
+        let host = TweetTable::generate(20_000, 321);
+        let dev = Device::titan_x();
+        let table = GpuTweetTable::upload(&dev, &host);
+        let cutoff = host.time_cutoff_for_selectivity(0.5);
+        let sqls = [
+            format!("SELECT id FROM tweets WHERE tweet_time < {cutoff} ORDER BY retweet_count DESC LIMIT 50"),
+            "SELECT id FROM tweets ORDER BY retweet_count + 0.5 * likes_count DESC LIMIT 20".into(),
+            "SELECT id FROM tweets WHERE lang='en' OR lang='es' ORDER BY retweet_count ASC LIMIT 30".into(),
+            "SELECT uid, COUNT(*) FROM tweets GROUP BY uid ORDER BY COUNT(*) DESC LIMIT 50".into(),
+        ];
+        for sql in &sqls {
+            let q = parse(sql).unwrap();
+            for strat in Strategy::all() {
+                let a = execute(&dev, &table, &q, strat).unwrap();
+                let b = execute_cpu(&table, &q, strat, 4).unwrap();
+                assert_eq!(a.ids.len(), b.ids.len(), "{sql} via {}", strat.name());
+                if q.shape == Shape::GroupCount {
+                    // group results: compare the count signature
+                    let count = |ids: &[u32]| -> Vec<usize> {
+                        ids.iter()
+                            .map(|uid| host.uid.iter().filter(|&&u| u == *uid).count())
+                            .collect()
+                    };
+                    assert_eq!(count(&a.ids), count(&b.ids), "{sql} via {}", strat.name());
+                } else {
+                    assert_eq!(
+                        keys_of(&host, &a.ids),
+                        keys_of(&host, &b.ids),
+                        "{sql} via {}",
+                        strat.name()
+                    );
+                }
+                assert!(!a.breakdown.is_empty() && !b.stages.is_empty());
+            }
+        }
+    }
+
+    /// One table, either engine, through appends: the table is uploaded
+    /// with headroom and grows twice through `append_batch`. After each
+    /// append both engines return the same ids and both views
+    /// delta-merge to the same ids. The slack past the logical prefix
+    /// holds rows that would rank first, so an engine that read the
+    /// capacity slack would return one of their ids.
+    #[test]
+    fn one_table_serves_both_backends_through_appends() {
+        let host = TweetTable::generate(6_000, 12);
+        let dev = Device::titan_x();
+        let (cap, slack_id) = (9_000, u32::MAX);
+        let table = GpuTweetTable::upload_with_capacity(&dev, &host, cap);
+        let poison = |from: usize| {
+            let rows = cap - from;
+            table.id.write_range(from, &vec![slack_id; rows]);
+            table.tweet_time.write_range(from, &vec![0; rows]);
+            table
+                .retweet_count
+                .write_range(from, &vec![u32::MAX / 2; rows]);
+            table
+                .likes_count
+                .write_range(from, &vec![u32::MAX / 2; rows]);
+        };
+        poison(host.len());
+        let sqls = [
+            "SELECT id FROM tweets WHERE tweet_time < 1500000 ORDER BY retweet_count DESC LIMIT 16",
+            "SELECT id FROM tweets ORDER BY retweet_count + 0.5 * likes_count DESC LIMIT 9",
+            "SELECT id FROM tweets ORDER BY retweet_count ASC LIMIT 11",
+        ];
+        let views: Vec<[TopKView; 2]> = sqls
+            .iter()
+            .map(|sql| {
+                [(); 2].map(|_| {
+                    TopKView::register(sql, Strategy::StageBitonic, ViewConfig::default()).unwrap()
+                })
+            })
+            .collect();
+        for (sql, [vs, vc]) in sqls.iter().zip(&views) {
+            vs.refresh(&dev, &table).unwrap();
+            vc.refresh_cpu(&table, 3).unwrap();
+            assert_eq!(vs.ids(), vc.ids(), "{sql} (build)");
+        }
+        let mut rows = host.len();
+        for (epoch, add) in [(1, 1_200usize), (2, 800)] {
+            let batch = TweetTable::generate_at(add, 70 + epoch, rows as u32);
+            let receipt = table.append_batch(&dev, &batch).unwrap();
+            assert_eq!((receipt.epoch, table.epoch()), (epoch, epoch));
+            rows += add;
+            poison(rows);
+            for (sql, [vs, vc]) in sqls.iter().zip(&views) {
+                let q = parse(sql).unwrap();
+                let a = execute(&dev, &table, &q, Strategy::StageBitonic).unwrap();
+                let b = execute_cpu(&table, &q, Strategy::StageBitonic, 3).unwrap();
+                assert_eq!(a.ids, b.ids, "{sql} at epoch {epoch}");
+                assert!(a.ids.iter().all(|&id| (id as usize) < rows), "{sql}: {a:?}");
+                let rs = vs.refresh(&dev, &table).unwrap();
+                let rc = vc.refresh_cpu(&table, 3).unwrap();
+                assert_eq!(
+                    (rs.mode, rc.mode),
+                    (ViewMode::DeltaMerge, ViewMode::DeltaMerge)
+                );
+                assert_eq!((rs.epoch, rc.epoch), (epoch, epoch));
+                assert_eq!(rs.ids, rc.ids, "{sql} at epoch {epoch}");
+                assert_eq!(rs.ids, a.ids, "{sql}: the view equals a rescan");
+            }
+        }
+    }
 
     #[test]
     fn parallel_scan_matches_single_threaded() {
@@ -179,8 +312,8 @@ mod tests {
         ];
         for sql in &sqls {
             let q = parse(sql).unwrap();
-            let single = execute_cpu(Columns::of(&t), &q, Strategy::StageBitonic, 1).unwrap();
-            let multi = execute_cpu(Columns::of(&t), &q, Strategy::StageBitonic, 8).unwrap();
+            let single = execute_columns(Columns::of(&t), &q, Strategy::StageBitonic, 1).unwrap();
+            let multi = execute_columns(Columns::of(&t), &q, Strategy::StageBitonic, 8).unwrap();
             assert_eq!(single.ids, multi.ids, "{sql}");
             assert!(!multi.stages.is_empty());
         }

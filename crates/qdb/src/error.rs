@@ -79,15 +79,6 @@ pub enum QdbError {
         /// Rows the device columns were allocated for.
         cap: usize,
     },
-    /// The query asks for a simulator-only feature on a backend that
-    /// lacks it (e.g. `EXPLAIN SANITIZE` on the CPU backend). Typed so
-    /// callers can route around it; never a silent degradation.
-    UnsupportedOnBackend {
-        /// The backend that rejected the request.
-        backend: &'static str,
-        /// The unavailable feature.
-        feature: &'static str,
-    },
 }
 
 impl QdbError {
@@ -116,7 +107,6 @@ impl QdbError {
             QdbError::DeviceFault { .. } => "device-fault",
             QdbError::Internal { .. } => "internal",
             QdbError::CapacityExceeded { .. } => "capacity-exceeded",
-            QdbError::UnsupportedOnBackend { .. } => "unsupported-on-backend",
         }
     }
 }
@@ -195,9 +185,6 @@ impl std::fmt::Display for QdbError {
                      allocated for {cap}"
                 )
             }
-            QdbError::UnsupportedOnBackend { backend, feature } => {
-                write!(f, "the {backend} backend does not support {feature}")
-            }
         }
     }
 }
@@ -262,21 +249,12 @@ impl From<TopKError> for QdbError {
             TopKError::ZeroK => QdbError::InvalidK { k: 0, n: 0 },
             TopKError::EmptyInput => QdbError::EmptyTable,
             TopKError::Launch(l) => l.into(),
-            TopKError::UnsupportedOnBackend { backend, feature } => {
-                QdbError::UnsupportedOnBackend { backend, feature }
+            // qdb builds its algorithm configs and requests itself
+            e @ (TopKError::InvalidConfig { .. } | TopKError::UnsupportedOnBackend { .. }) => {
+                QdbError::Internal {
+                    what: e.to_string(),
+                }
             }
-            // a buffer routed to the wrong engine is a permanent plan
-            // defect, not something a retry can clear
-            TopKError::BackendMismatch { backend, buffer } => QdbError::DeviceFault {
-                what: format!("the {backend} backend was handed a {buffer} buffer"),
-                transient: false,
-                attempts: 1,
-                device: None,
-            },
-            // qdb builds its algorithm configs itself
-            e @ TopKError::InvalidConfig { .. } => QdbError::Internal {
-                what: e.to_string(),
-            },
         }
     }
 }

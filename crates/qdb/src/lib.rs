@@ -20,8 +20,13 @@
 //! turns the engine into a concurrent serving layer: a [`Server`] admits
 //! a queue of SQL queries, overlaps them on simt streams, and coalesces
 //! compatible small queries into one batched top-k launch.
+//!
+//! Two engines run the same plans over one resident [`GpuTweetTable`],
+//! chosen by the function a caller invokes: [`execute_sql`] on the
+//! simulated device (modeled, bit-exact time) and [`execute_cpu`] on real
+//! CPU cores (wall-clock), with the same winners; a view refreshes
+//! through [`TopKView::refresh`] or [`TopKView::refresh_cpu`] likewise.
 
-pub mod backend;
 pub(crate) mod cpu_engine;
 pub mod engine;
 pub mod error;
@@ -33,7 +38,7 @@ pub mod sql;
 pub mod stream;
 pub mod table;
 
-pub use backend::{execute_on, explain_analysis_on, BackendQueryResult};
+pub use cpu_engine::{execute_cpu, CpuQueryResult};
 pub use engine::{FilterOp, TopKStrategy};
 pub use error::QdbError;
 pub use explain::{

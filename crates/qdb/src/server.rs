@@ -743,7 +743,7 @@ impl<'a> Lane<'a> {
             }
         }
         e.degrade = DegradeLevel::CpuHeap;
-        match table.with_columns(|t| execute_cpu(t, &e.p.query, Strategy::StageBitonic, 1)) {
+        match execute_cpu(table, &e.p.query, Strategy::StageBitonic, 1) {
             Ok(out) => e.ids = out.ids,
             Err(err) => e.error = Some(err),
         }

@@ -844,7 +844,7 @@ fn scan_copy(
     let mut retries = 0;
     let r = retry(max_retries, &mut retries, |_| match delta_from {
         None => execute(dev, gpu, &q, strategy),
-        Some(lo) => execute(dev, &gpu.device_slice(dev, lo, rows), &q, strategy),
+        Some(lo) => execute(dev, &gpu.device_slice(dev, lo, rows)?, &q, strategy),
     })
     .map_err(|e| attribute_device(e, device))?;
     Ok(ShardAnswer {
@@ -1437,7 +1437,8 @@ impl<'a> ShardedServer<'a> {
     /// host→device bulk transfer. Rebuilt copies serve *subsequent*
     /// submissions and failovers — queries already resolved this drain
     /// are not retroactively saved, which is what keeps an `r = 1` loss
-    /// loud instead of silently absorbed.
+    /// loud instead of silently absorbed. A shard's rebuild stops when
+    /// its target device has no room for the copy or the transfer fails.
     fn rebuild_lost_shards(&mut self) -> usize {
         let d = self.cluster.num_devices();
         let mut rebuilds = 0usize;
@@ -1456,11 +1457,12 @@ impl<'a> ShardedServer<'a> {
                     .map(|o| (i + o) % d)
                     .find(|&dv| !self.cluster.device(dv).is_down() && !live.contains(&dv));
                 let Some(target) = target else { break };
-                let gpu = GpuTweetTable::upload_with_capacity(
-                    self.cluster.device(target),
-                    &shard.host(),
-                    shard.cap_rows,
-                );
+                let dev = self.cluster.device(target);
+                let Ok(gpu) =
+                    GpuTweetTable::try_upload_with_capacity(dev, &shard.host(), shard.cap_rows)
+                else {
+                    break;
+                };
                 let label = format!("rebuild:shard{i}");
                 let bytes = shard.host().len() * ROW_BYTES;
                 let shipped = retry(self.max_retries, &mut 0, |_| {
@@ -2221,6 +2223,54 @@ mod tests {
         )
         .unwrap();
         assert_eq!(c.queries[0].ids, oracle.items);
+    }
+
+    /// A rebuild whose target device has no room for the copy stops, as
+    /// a failed rebuild transfer does, instead of panicking the drain:
+    /// on a 3-device r = 2 node, dev1 dies while dev2 is full, so shard
+    /// 0's copy (due on dev2) waits while shard 1's lands on dev0. Once
+    /// dev2 frees up, the next drain rebuilds shard 0 and serves
+    /// bit-exact.
+    #[test]
+    fn rebuild_onto_a_full_device_stops_and_resumes_later() {
+        let cluster = Cluster::new(ClusterSpec {
+            device: simt::DeviceSpec {
+                global_mem_bytes: 8 << 20,
+                ..simt::DeviceSpec::titan_x_maxwell()
+            },
+            ..ClusterSpec::pcie_node(3)
+        });
+        let host = TweetTable::generate(9_000, 37);
+        let table = ShardedTable::partition_replicated(
+            &cluster,
+            &host,
+            PartitionPolicy::Range,
+            ReplicationFactor(2),
+        )
+        .unwrap();
+        let sql = "SELECT id FROM tweets ORDER BY retweet_count DESC LIMIT 8";
+        let q = parse(sql).unwrap();
+        let oracle = execute_sharded(&cluster, &table, &q, Strategy::StageBitonic, 0)
+            .unwrap()
+            .items;
+        let mut server = ShardedServer::new(&cluster, &table, ServerConfig::default());
+        let dev2 = cluster.device(2);
+        let fill = dev2.alloc::<u8>(dev2.spec().global_mem_bytes - dev2.memory_allocated());
+        cluster.device(1).mark_down();
+        server.submit(sql).unwrap();
+        let b = server.drain();
+        assert_eq!(b.resilience.rebuilds, 1, "only shard 1's copy fits");
+        let sq = &b.queries[0];
+        assert!(
+            sq.ids == oracle || (sq.ids.is_empty() && sq.error.is_some()),
+            "exact or loud: {sq:?}"
+        );
+        drop(fill);
+        server.submit(sql).unwrap();
+        let c = server.drain();
+        assert_eq!(c.resilience.rebuilds, 1, "shard 0's copy lands on dev2");
+        assert_eq!(c.resilience.completed, 1);
+        assert_eq!(c.queries[0].ids, oracle);
     }
 
     #[test]

@@ -27,9 +27,9 @@
 //!
 //! * [`TopKView::refresh`] — one device: the delta scans a device slice
 //!   and merges on the device;
-//! * [`TopKView::refresh_on`] — either engine over the same device
-//!   table; on the CPU the delta scans the appended rows of the resident
-//!   columns in place and merges with the engine's top-k operator;
+//! * [`TopKView::refresh_cpu`] — the CPU engine over the same device
+//!   table: the delta scans the appended rows of the resident columns in
+//!   place and merges with the engine's top-k operator;
 //! * [`TopKView::refresh_sharded`] — a cluster: per-shard delta scans run
 //!   on any healthy replica and the standing run rides the gather as one
 //!   more run, so a standing view survives permanent device loss
@@ -39,9 +39,8 @@ use std::cell::{Cell, RefCell};
 
 use simt::topology::Cluster;
 use simt::{Device, SimTime};
-use topk::ExecBackend;
 
-use crate::cpu_engine::execute_cpu;
+use crate::cpu_engine::execute_columns;
 use crate::error::QdbError;
 use crate::queries::Strategy;
 use crate::shard::{
@@ -118,8 +117,8 @@ pub struct ViewRefresh {
     pub epoch: u64,
     /// Rows newly folded in by this refresh (0 for `Current`).
     pub delta_rows: usize,
-    /// Modeled device time of the refresh (`ZERO` on the CPU backend
-    /// and for `Current`).
+    /// Modeled device time of the refresh (`ZERO` on the CPU engine and
+    /// for `Current`).
     pub kernel_time: SimTime,
     /// The standing result after the refresh, ranked.
     pub ids: Vec<u32>,
@@ -307,7 +306,7 @@ impl TopKView {
             },
             |standing, done| {
                 let log0 = dev.log_len();
-                let delta_tab = table.device_slice(dev, done, rows);
+                let delta_tab = table.device_slice(dev, done, rows)?;
                 let delta = execute(
                     dev,
                     &delta_tab,
@@ -327,21 +326,16 @@ impl TopKView {
         )
     }
 
-    /// Either engine over one device table: the simulator path through
-    /// [`TopKView::refresh`], the CPU engine otherwise, which scans the
-    /// table's resident prefix in place (the appended rows alone on a
-    /// delta) — same modes, same winners, wall-clock instead of modeled
-    /// time (reported as `SimTime::ZERO`). The conformance contract of
-    /// [`crate::backend::execute_on`] extends to view maintenance.
-    pub fn refresh_on(
+    /// [`TopKView::refresh`] on the CPU engine ([`crate::execute_cpu`]
+    /// with `threads` workers): scans the table's resident prefix in
+    /// place (the appended rows alone on a delta) — same modes, same
+    /// winners, wall-clock instead of modeled time (reported as
+    /// `SimTime::ZERO`).
+    pub fn refresh_cpu(
         &self,
-        be: &ExecBackend<'_>,
         table: &GpuTweetTable,
+        threads: usize,
     ) -> Result<ViewRefresh, QdbError> {
-        let b = match be {
-            ExecBackend::Simt(b) => return self.refresh(b.device(), table),
-            ExecBackend::Cpu(b) => b,
-        };
         table.with_columns(|cols| {
             let n = cols.id.len();
             self.maintain(
@@ -349,19 +343,19 @@ impl TopKView {
                 table.epoch(),
                 true,
                 || {
-                    let out = execute_cpu(cols, &self.query, self.strategy, b.threads())?;
+                    let out = execute_columns(cols, &self.query, self.strategy, threads)?;
                     Ok((out.ids, SimTime::ZERO))
                 },
                 |standing, done| {
                     let dq = self.query.clamped(n - done);
-                    let delta = execute_cpu(cols.rows(done..n), &dq, self.strategy, b.threads())?;
+                    let delta = execute_columns(cols.rows(done..n), &dq, self.strategy, threads)?;
                     let m = merge_id_runs(
                         &self.query,
                         &[standing, delta.ids],
                         |_, id| cols.counts_of(id).ok_or_else(|| not_resident(id)),
                         MergeTarget::Cpu {
                             strategy: self.strategy,
-                            threads: b.threads(),
+                            threads,
                         },
                     )?;
                     Ok((m.items, SimTime::ZERO))
@@ -546,15 +540,41 @@ mod tests {
         assert_eq!(view.refresh(&dev, &gpu).unwrap().mode, ViewMode::DeltaMerge);
     }
 
-    /// The Backend conformance contract extends to views: over one
-    /// device table, both engines walk the same modes and return the
-    /// same winners after appends.
+    /// A delta refresh on a device with no room for the delta's slice is
+    /// a typed, transient device fault that keeps the standing result;
+    /// once memory frees up the view delta-merges to the rescan oracle.
+    #[test]
+    fn delta_refresh_on_a_full_device_is_a_typed_error() {
+        let dev = Device::new(simt::DeviceSpec {
+            global_mem_bytes: 8 << 20,
+            ..simt::DeviceSpec::titan_x_maxwell()
+        });
+        let host = TweetTable::generate(4_000, 8);
+        let gpu = GpuTweetTable::upload_with_capacity(&dev, &host, 5_000);
+        let view =
+            TopKView::register(SHAPES[0], Strategy::StageBitonic, ViewConfig::default()).unwrap();
+        let built = view.refresh(&dev, &gpu).unwrap();
+        gpu.append_batch(&dev, &TweetTable::generate_at(500, 9, 4_000))
+            .unwrap();
+        let fill = dev.alloc::<u8>(dev.spec().global_mem_bytes - dev.memory_allocated());
+        let err = view.refresh(&dev, &gpu).unwrap_err();
+        assert!(err.is_transient(), "{err}");
+        assert!(err.to_string().contains("out of memory"), "{err}");
+        assert_eq!((view.ids(), view.rows_done()), (built.ids, 4_000));
+        drop(fill);
+        let r = view.refresh(&dev, &gpu).unwrap();
+        assert_eq!(r.mode, ViewMode::DeltaMerge);
+        let oracle = execute(&dev, &gpu, view.query(), Strategy::StageBitonic).unwrap();
+        assert_eq!(r.ids, oracle.ids);
+    }
+
+    /// Engine conformance extends to views: over one device table, both
+    /// engines walk the same modes and return the same winners after
+    /// appends.
     #[test]
     fn view_maintenance_conforms_across_backends() {
         let host = TweetTable::generate(12_000, 17);
         let dev = Device::titan_x();
-        let sim_be = ExecBackend::simt(&dev);
-        let cpu_be = ExecBackend::cpu(4);
         let table = GpuTweetTable::upload_with_capacity(&dev, &host, 16_000);
         for sql in SHAPES {
             let vs =
@@ -562,8 +582,8 @@ mod tests {
             let vc =
                 TopKView::register(sql, Strategy::StageBitonic, ViewConfig::default()).unwrap();
             assert_eq!(
-                vs.refresh_on(&sim_be, &table).unwrap().ids,
-                vc.refresh_on(&cpu_be, &table).unwrap().ids,
+                vs.refresh(&dev, &table).unwrap().ids,
+                vc.refresh_cpu(&table, 4).unwrap().ids,
                 "{sql} (build)"
             );
         }
@@ -573,15 +593,15 @@ mod tests {
             TopKView::register(SHAPES[0], Strategy::StageBitonic, ViewConfig::default()).unwrap();
         let vc =
             TopKView::register(SHAPES[0], Strategy::StageBitonic, ViewConfig::default()).unwrap();
-        vs.refresh_on(&sim_be, &table).unwrap();
-        vc.refresh_on(&cpu_be, &table).unwrap();
+        vs.refresh(&dev, &table).unwrap();
+        vc.refresh_cpu(&table, 4).unwrap();
         let mut next_id = host.len() as u32;
         for rows in [900usize, 1300] {
             let batch = TweetTable::generate_at(rows, u64::from(next_id), next_id);
             table.append_batch(&dev, &batch).unwrap();
             next_id += rows as u32;
-            let rs = vs.refresh_on(&sim_be, &table).unwrap();
-            let rc = vc.refresh_on(&cpu_be, &table).unwrap();
+            let rs = vs.refresh(&dev, &table).unwrap();
+            let rc = vc.refresh_cpu(&table, 4).unwrap();
             assert_eq!(rs.mode, ViewMode::DeltaMerge);
             assert_eq!(rc.mode, ViewMode::DeltaMerge);
             assert_eq!(rs.ids, rc.ids, "after +{rows}");
@@ -683,7 +703,6 @@ mod tests {
         let host = TweetTable::generate(n0, 47);
         let dev = Device::titan_x();
         let gpu = GpuTweetTable::upload_with_capacity(&dev, &host, cap);
-        let cpu_be = ExecBackend::cpu(2);
         let clusters: Vec<(Cluster, ShardedTable)> = [(1, Range), (1, Hash), (2, Range), (2, Hash)]
             .into_iter()
             .map(|(r, policy)| {
@@ -729,7 +748,7 @@ mod tests {
                     .ids;
                 let mut refreshed = vec![
                     vs[0].refresh(&dev, &gpu).unwrap(),
-                    vs[1].refresh_on(&cpu_be, &gpu).unwrap(),
+                    vs[1].refresh_cpu(&gpu, 2).unwrap(),
                 ];
                 for ((cluster, table), v) in clusters.iter().zip(&vs[2..]) {
                     refreshed.push(v.refresh_sharded(cluster, table, 1).unwrap());

@@ -12,7 +12,7 @@
 use std::cell::Cell;
 
 use datagen::twitter::TweetTable;
-use simt::{Device, GpuBuffer, SimTime};
+use simt::{Device, GpuBuffer, OutOfMemory, SimTime};
 
 use crate::error::QdbError;
 
@@ -66,24 +66,60 @@ impl GpuTweetTable {
     /// rows, leaving `cap_rows - t.len()` rows of headroom for
     /// [`GpuTweetTable::append_batch`]. Kernels scan only the logical
     /// prefix, so the slack is invisible until an append claims it.
+    ///
+    /// # Panics
+    /// If device memory cannot hold the columns (`Device::alloc`).
     pub fn upload_with_capacity(dev: &Device, t: &TweetTable, cap_rows: usize) -> Self {
-        let cap = cap_rows.max(t.len());
-        fn padded<T: simt::DeviceCopy>(dev: &Device, col: &[T], cap: usize) -> GpuBuffer<T> {
-            let buf = dev.alloc::<T>(cap);
-            buf.upload(col);
-            buf
+        Self::load(dev, Columns::of(t), cap_rows, false).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`GpuTweetTable::upload_with_capacity`] on a serving path: a
+    /// device without room is a transient [`QdbError::DeviceFault`], and
+    /// each column allocation is a `FaultPlan::oom_rate` injection point.
+    pub(crate) fn try_upload_with_capacity(
+        dev: &Device,
+        t: &TweetTable,
+        cap_rows: usize,
+    ) -> Result<Self, QdbError> {
+        Ok(Self::load(dev, Columns::of(t), cap_rows, true)?)
+    }
+
+    /// Allocates columns for `cap_rows` rows (at least `cols`' rows) on
+    /// `dev` and uploads `cols` into their prefixes, at epoch 0. With
+    /// `fallible` each allocation goes through `Device::try_alloc`,
+    /// otherwise through the panicking `Device::alloc`.
+    fn load(
+        dev: &Device,
+        cols: Columns<'_>,
+        cap_rows: usize,
+        fallible: bool,
+    ) -> Result<Self, OutOfMemory> {
+        fn col<T: simt::DeviceCopy>(
+            dev: &Device,
+            src: &[T],
+            cap: usize,
+            fallible: bool,
+        ) -> Result<GpuBuffer<T>, OutOfMemory> {
+            let buf = if fallible {
+                dev.try_alloc(cap)?
+            } else {
+                dev.alloc(cap)
+            };
+            buf.upload(src);
+            Ok(buf)
         }
-        Self {
-            id: padded(dev, &t.id, cap),
-            tweet_time: padded(dev, &t.tweet_time, cap),
-            retweet_count: padded(dev, &t.retweet_count, cap),
-            likes_count: padded(dev, &t.likes_count, cap),
-            lang: padded(dev, &t.lang, cap),
-            uid: padded(dev, &t.uid, cap),
-            len: Cell::new(t.len()),
+        let (rows, cap) = (cols.id.len(), cap_rows.max(cols.id.len()));
+        Ok(Self {
+            id: col(dev, cols.id, cap, fallible)?,
+            tweet_time: col(dev, cols.tweet_time, cap, fallible)?,
+            retweet_count: col(dev, cols.retweet_count, cap, fallible)?,
+            likes_count: col(dev, cols.likes_count, cap, fallible)?,
+            lang: col(dev, cols.lang, cap, fallible)?,
+            uid: col(dev, cols.uid, cap, fallible)?,
+            len: Cell::new(rows),
             cap,
             epoch: Cell::new(0),
-        }
+        })
     }
 
     /// Splices an arrival batch into the column tails, charges the
@@ -150,33 +186,20 @@ impl GpuTweetTable {
     /// scans. The rows are already resident, so the copy itself is
     /// functional-only (no wire charge); kernels over the slice then
     /// charge exactly the slice's rows, which is what makes delta
-    /// maintenance `O(delta)` instead of `O(n)`.
-    pub fn device_slice(&self, dev: &Device, lo: usize, hi: usize) -> GpuTweetTable {
+    /// maintenance `O(delta)` instead of `O(n)`. A device without room
+    /// for the copy is a transient [`QdbError::DeviceFault`], and each
+    /// column allocation is a `FaultPlan::oom_rate` injection point.
+    pub(crate) fn device_slice(
+        &self,
+        dev: &Device,
+        lo: usize,
+        hi: usize,
+    ) -> Result<GpuTweetTable, QdbError> {
         assert!(
             lo <= hi && hi <= self.len(),
             "slice out of the logical prefix"
         );
-        fn col<T: simt::DeviceCopy>(
-            dev: &Device,
-            buf: &GpuBuffer<T>,
-            lo: usize,
-            hi: usize,
-        ) -> GpuBuffer<T> {
-            let out = dev.alloc::<T>(hi - lo);
-            out.upload(&buf.host_view()[lo..hi]);
-            out
-        }
-        GpuTweetTable {
-            id: col(dev, &self.id, lo, hi),
-            tweet_time: col(dev, &self.tweet_time, lo, hi),
-            retweet_count: col(dev, &self.retweet_count, lo, hi),
-            likes_count: col(dev, &self.likes_count, lo, hi),
-            lang: col(dev, &self.lang, lo, hi),
-            uid: col(dev, &self.uid, lo, hi),
-            len: Cell::new(hi - lo),
-            cap: hi - lo,
-            epoch: Cell::new(0),
-        }
+        Ok(self.with_columns(|c| Self::load(dev, c.rows(lo..hi), 0, true))?)
     }
 
     /// Number of rows (the logical prefix kernels scan).

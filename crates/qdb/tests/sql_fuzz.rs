@@ -10,11 +10,10 @@
 use datagen::twitter::TweetTable;
 use proptest::prelude::*;
 use qdb::{
-    execute_on, execute_sql, parse_sql, parse_statement, GpuTweetTable, QdbError, Statement,
+    execute_cpu, execute_sql, parse_sql, parse_statement, GpuTweetTable, QdbError, Statement,
     Strategy,
 };
 use simt::{Device, Source};
-use topk::ExecBackend;
 
 /// The token pool: the grammar's keywords and identifiers, numbers the
 /// parser must reject or bound, quoted and unterminated strings,
@@ -203,7 +202,6 @@ proptest! {
         let host = TweetTable::generate(4_096, 7);
         let dev = Device::titan_x();
         let gpu = GpuTweetTable::upload(&dev, &host);
-        let cpu = ExecBackend::cpu(1);
         let mut accepted = 0;
         for shape in 0..4 {
             let sql = valid_query(shape, 500_000, k, asc, langs);
@@ -217,7 +215,7 @@ proptest! {
                 };
                 accepted += 1;
                 let on_device = execute_sql(&dev, &gpu, &q, Strategy::StageBitonic);
-                let on_cpu = execute_on(&cpu, &gpu, &q, Strategy::StageBitonic);
+                let on_cpu = execute_cpu(&gpu, &q, Strategy::StageBitonic, 1);
                 match (on_device, on_cpu) {
                     (Ok(a), Ok(b)) => prop_assert_eq!(a.ids, b.ids, "{}", sql),
                     // the device's bitonic stage holds at most 2048

@@ -43,8 +43,15 @@
 //! let low = TopKRequest::smallest(3).run(&dev, &input).unwrap();
 //! assert_eq!(low.items[0], 0.0);
 //! ```
+//!
+//! # Two engines
+//!
+//! The engine is the method a caller invokes. [`TopKRequest::run`]
+//! executes on the simulator: modeled time and launch reports, bit-exact
+//! across runs. [`TopKRequest::run_cpu`] executes the request's
+//! `topk-cpu` counterpart on real host threads, priced by the caller's
+//! wall clock. Both return the same winners by key signature.
 
-pub mod backend;
 pub mod batched;
 pub mod bitonic;
 pub mod bucket_select;
@@ -56,13 +63,10 @@ pub mod radix_select;
 pub mod sort;
 pub(crate) mod util;
 
-use datagen::TopKItem;
+use datagen::{rev_slice, TopKItem};
 use simt::{Device, GpuBuffer, LaunchError, LaunchReport, SimTime, StreamId};
-
-pub use backend::{
-    Backend, BackendBuffer, BackendKind, BackendTopK, CpuBackend, ExecBackend, ExecReport, SimExec,
-    SimtBackend,
-};
+use topk_costmodel::{planner::Algorithm, FullAlgorithm};
+use topk_cpu::{CpuBitonic, CpuDelegateSelect, CpuRadixSelect, CpuSort, CpuTopK, HandPq, StlPq};
 
 /// Errors top-k execution can fail with.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,22 +78,14 @@ pub enum TopKError {
     /// A kernel could not launch — e.g. per-thread top-k's shared-memory
     /// footprint exceeds the device limit for large `k` (Section 6.2).
     Launch(LaunchError),
-    /// The request asks for a feature the executing backend does not
-    /// have (e.g. simt streams or the sanitizer on the CPU backend).
+    /// The request asks for a feature the executing engine does not
+    /// have (a simt stream on [`TopKRequest::run_cpu`]).
     /// Simulator-only machinery degrades loudly, never silently.
     UnsupportedOnBackend {
-        /// The backend that rejected the request.
+        /// The engine that rejected the request.
         backend: &'static str,
         /// The unavailable feature.
         feature: &'static str,
-    },
-    /// A [`backend::BackendBuffer`] belonging to one backend was handed
-    /// to the other (e.g. a simulated device buffer to [`CpuBackend`]).
-    BackendMismatch {
-        /// The backend that was asked to execute.
-        backend: &'static str,
-        /// The backend the buffer belongs to.
-        buffer: &'static str,
     },
     /// A configuration field set through its public fields is outside
     /// what the algorithm supports — e.g. a [`bitonic::BitonicConfig`]
@@ -118,9 +114,6 @@ impl std::fmt::Display for TopKError {
             TopKError::Launch(e) => write!(f, "kernel launch failed: {e}"),
             TopKError::UnsupportedOnBackend { backend, feature } => {
                 write!(f, "the {backend} backend does not support {feature}")
-            }
-            TopKError::BackendMismatch { backend, buffer } => {
-                write!(f, "the {backend} backend was handed a {buffer} buffer")
             }
             TopKError::InvalidConfig {
                 field,
@@ -217,6 +210,35 @@ impl TopKAlgorithm {
     }
 }
 
+/// The cost-model planner's pick ([`topk_costmodel::recommend`]), at its
+/// default configuration.
+impl From<Algorithm> for TopKAlgorithm {
+    fn from(a: Algorithm) -> Self {
+        match a {
+            Algorithm::BitonicTopK => FullAlgorithm::BitonicTopK.into(),
+            Algorithm::RadixSelect => FullAlgorithm::RadixSelect.into(),
+            Algorithm::DelegateSelect => FullAlgorithm::DelegateSelect.into(),
+        }
+    }
+}
+
+/// One entry of the planner's full price list
+/// ([`topk_costmodel::recommend_full`]), at its default configuration.
+impl From<FullAlgorithm> for TopKAlgorithm {
+    fn from(a: FullAlgorithm) -> Self {
+        match a {
+            FullAlgorithm::Sort => TopKAlgorithm::Sort,
+            FullAlgorithm::PerThread => TopKAlgorithm::PerThread,
+            FullAlgorithm::RadixSelect => TopKAlgorithm::RadixSelect,
+            FullAlgorithm::BucketSelect => TopKAlgorithm::BucketSelect,
+            FullAlgorithm::BitonicTopK => TopKAlgorithm::Bitonic(bitonic::BitonicConfig::default()),
+            FullAlgorithm::DelegateSelect => {
+                TopKAlgorithm::DelegateSelect(delegate::DelegateConfig::default())
+            }
+        }
+    }
+}
+
 /// Which end of the key order a request asks for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KeyOrder {
@@ -304,10 +326,8 @@ impl TopKRequest {
         self
     }
 
-    /// Executes the request on the simulator — shorthand for running on a
-    /// [`SimtBackend`] over `dev` (see [`TopKRequest::run_on`] for the
-    /// backend-generic entry point). The kernel sequence is identical
-    /// either way.
+    /// Executes the request on the simulator: order handling, stream
+    /// scoping and algorithm dispatch.
     ///
     /// Smallest-k reinterprets the input buffer **in place** as the
     /// order-reversing [`datagen::item::Rev`] wrapper (via the safe
@@ -318,32 +338,71 @@ impl TopKRequest {
         dev: &Device,
         input: &GpuBuffer<T>,
     ) -> Result<TopKResult<T>, TopKError> {
-        backend::run_simt(self, dev, input)
+        use datagen::RevView;
+        let exec = || match self.order {
+            KeyOrder::Largest => dispatch(self.alg, dev, input, self.k),
+            KeyOrder::Smallest => {
+                let mapped = input.as_rev_view();
+                let r = dispatch(self.alg, dev, mapped.view(), self.k)?;
+                Ok(TopKResult {
+                    items: r.items.into_iter().map(|x| x.0).collect(),
+                    time: r.time,
+                    reports: r.reports,
+                })
+            }
+        };
+        match self.stream {
+            Some(id) => dev.stream_scope(id, exec),
+            None => exec(),
+        }
     }
 
-    /// Executes the request on any [`Backend`]: the simulator, the real
-    /// multi-threaded CPU engine, or the runtime-selected
-    /// [`ExecBackend`].
+    /// Executes the request on real CPU cores: the algorithm's `topk-cpu`
+    /// counterpart over `data` with `threads` scoped worker threads (at
+    /// least one) — parallel chunked local top-k, then a sequential
+    /// merge. Nothing is modeled; time the call to price it. Winners
+    /// match [`TopKRequest::run`]'s by key signature, and equal keys are
+    /// ordered by the whole item (a `Kv`'s smaller id wins, under
+    /// smallest-k's `Rev` the larger). `k` and empty input are validated
+    /// with the same errors, and a request pinned to a simt stream fails
+    /// with [`TopKError::UnsupportedOnBackend`].
+    ///
+    /// Smallest-k wraps `data` in the order-reversing
+    /// [`datagen::item::Rev`] (the host twin of `run`'s in-place view)
+    /// and returns items in ascending key order.
     ///
     /// ```
-    /// use topk::{Backend, CpuBackend, TopKRequest};
+    /// use topk::TopKRequest;
     ///
-    /// let cpu = CpuBackend::with_threads(4);
-    /// let input = cpu.upload(&[5.0f32, 1.0, 9.0, 3.0]);
-    /// let top = TopKRequest::largest(2).run_on(&cpu, &input).unwrap();
-    /// assert_eq!(top.items, vec![9.0, 5.0]);
-    /// assert!(top.report.sim.is_none(), "CPU runs are wall-clock only");
+    /// let data = [5.0f32, 1.0, 9.0, 3.0];
+    /// assert_eq!(TopKRequest::largest(2).run_cpu(&data, 4).unwrap(), vec![9.0, 5.0]);
+    /// assert_eq!(TopKRequest::smallest(2).run_cpu(&data, 1).unwrap(), vec![1.0, 3.0]);
     /// ```
-    pub fn run_on<T: TopKItem, B: Backend>(
-        &self,
-        backend: &B,
-        input: &BackendBuffer<T>,
-    ) -> Result<BackendTopK<T>, TopKError> {
-        backend.topk(self, input)
+    pub fn run_cpu<T: TopKItem>(&self, data: &[T], threads: usize) -> Result<Vec<T>, TopKError> {
+        if self.stream.is_some() {
+            return Err(TopKError::UnsupportedOnBackend {
+                backend: "cpu",
+                feature: "simt streams",
+            });
+        }
+        if self.k == 0 {
+            return Err(TopKError::ZeroK);
+        }
+        if data.is_empty() {
+            return Err(TopKError::EmptyInput);
+        }
+        let threads = threads.max(1);
+        Ok(match self.order {
+            KeyOrder::Largest => cpu_dispatch(self.alg, data, self.k, threads),
+            KeyOrder::Smallest => cpu_dispatch(self.alg, &rev_slice(data), self.k, threads)
+                .into_iter()
+                .map(|r| r.0)
+                .collect(),
+        })
     }
 }
 
-/// Single dispatch point every entry path funnels through.
+/// Single dispatch point every simulated entry path funnels through.
 pub(crate) fn dispatch<T: TopKItem>(
     alg: TopKAlgorithm,
     dev: &Device,
@@ -363,6 +422,36 @@ pub(crate) fn dispatch<T: TopKItem>(
         TopKAlgorithm::Bitonic(cfg) => bitonic::bitonic_topk(dev, input, k, cfg),
         TopKAlgorithm::DelegateSelect(cfg) => delegate::delegate_select_topk(dev, input, k, cfg),
     }
+}
+
+/// The CPU counterpart of each algorithm — every [`TopKAlgorithm`] has
+/// one, so request values are portable across the two engines:
+///
+/// | request | CPU kernel |
+/// |---|---|
+/// | `Sort` | [`CpuSort`] (full sort-and-choose) |
+/// | `PerThread` | [`StlPq`] (library priority queue) |
+/// | `PerThreadRegisters` | [`HandPq`] (hand-rolled flat heap) |
+/// | `RadixSelect` | [`CpuRadixSelect`] (MSD digit histograms) |
+/// | `BucketSelect` | [`CpuRadixSelect`] — the host analog of both §2.3 selection schemes; there is no meaningful CPU min/max bucketing distinct from digit selection |
+/// | `Bitonic(_)` | [`CpuBitonic`] (Appendix C SIMD port; the GPU-side `BitonicConfig` does not apply) |
+/// | `DelegateSelect(cfg)` | [`CpuDelegateSelect`] (chunk delegates + threshold gather at the same subrange granularity) |
+fn cpu_dispatch<T: TopKItem>(alg: TopKAlgorithm, data: &[T], k: usize, threads: usize) -> Vec<T> {
+    let bitonic = CpuBitonic::default();
+    let kernel: &dyn CpuTopK<T> = match alg {
+        TopKAlgorithm::Sort => &CpuSort,
+        TopKAlgorithm::PerThread => &StlPq,
+        TopKAlgorithm::PerThreadRegisters => &HandPq,
+        TopKAlgorithm::RadixSelect | TopKAlgorithm::BucketSelect => &CpuRadixSelect,
+        TopKAlgorithm::Bitonic(_) => &bitonic,
+        TopKAlgorithm::DelegateSelect(cfg) => {
+            let delegate = CpuDelegateSelect {
+                subrange: cfg.subrange,
+            };
+            return delegate.topk(data, k, threads);
+        }
+    };
+    kernel.topk(data, k, threads)
 }
 
 #[cfg(test)]
@@ -465,5 +554,29 @@ mod tests {
             .unwrap();
         assert!(r.reports.iter().all(|rep| rep.stream == st.id().0));
         assert_eq!(dev.stream_log(st.id()).len(), r.reports.len());
+    }
+
+    #[test]
+    fn planner_picks_convert_to_default_configurations() {
+        let all = TopKAlgorithm::all();
+        let full = [
+            (FullAlgorithm::Sort, 0),
+            (FullAlgorithm::PerThread, 1),
+            (FullAlgorithm::RadixSelect, 3),
+            (FullAlgorithm::BucketSelect, 4),
+            (FullAlgorithm::BitonicTopK, 5),
+            (FullAlgorithm::DelegateSelect, 6),
+        ];
+        for (a, i) in full {
+            assert_eq!(TopKAlgorithm::from(a), all[i], "{a:?}");
+        }
+        let picks = [
+            (Algorithm::BitonicTopK, 5),
+            (Algorithm::RadixSelect, 3),
+            (Algorithm::DelegateSelect, 6),
+        ];
+        for (a, i) in picks {
+            assert_eq!(TopKAlgorithm::from(a), all[i], "{a:?}");
+        }
     }
 }

@@ -1,22 +1,19 @@
-//! Backend conformance: the [`Backend`] trait's contract, checked on
-//! both engines.
+//! Engine conformance: [`TopKRequest::run`] (the simulated GPU) and
+//! [`TopKRequest::run_cpu`] (real CPU threads) must agree on *what* the
+//! top-k is for every algorithm, size, `k`, and input distribution,
+//! including the adversarial ones. Agreement is by key signature (the
+//! keys in returned order): engines may break ties between equal keys
+//! differently when items carry no id, but the keys they return must be
+//! identical and correctly ordered.
 //!
-//! One request surface, two executors — the simulated GPU
-//! ([`SimtBackend`]) and real CPU threads ([`CpuBackend`]) — must agree
-//! on *what* the top-k is for every algorithm, size, `k`, and input
-//! distribution, including the adversarial ones. Agreement is by key
-//! signature (the multiset of selected keys): engines may break ties
-//! between equal keys differently when items carry no id, but the keys
-//! they return must be identical and correctly ordered.
-//!
-//! The suite also pins down the failure contract: simulator-only
-//! features degrade with typed [`TopKError`] values on the CPU, and a
-//! buffer from one backend handed to the other is a typed mismatch, not
-//! a panic.
+//! The suite also pins down the failure contract: both engines validate
+//! `k` and empty input with the same typed [`TopKError`] values, and a
+//! simulator-only feature (a simt stream) is a typed error on the CPU,
+//! not a panic.
 
 use datagen::{BucketKiller, Decreasing, Distribution, Increasing, Kv, Uniform};
 use simt::Device;
-use topk::{Backend, CpuBackend, ExecBackend, SimtBackend, TopKAlgorithm, TopKError, TopKRequest};
+use topk::{TopKAlgorithm, TopKError, TopKRequest};
 
 /// The key signature of a result: the keys in returned order.
 fn keys(items: &[f32]) -> Vec<u32> {
@@ -26,8 +23,6 @@ fn keys(items: &[f32]) -> Vec<u32> {
 #[test]
 fn all_algorithms_agree_across_backends_and_distributions() {
     let dev = Device::titan_x();
-    let simt = SimtBackend::new(&dev);
-    let cpu = CpuBackend::with_threads(4);
     let dists: [(&str, &dyn Distribution<f32>); 4] = [
         ("uniform", &Uniform),
         ("increasing", &Increasing),
@@ -41,20 +36,15 @@ fn all_algorithms_agree_across_backends_and_distributions() {
                 let req = TopKRequest::largest(k).with_alg(alg);
                 let ctx = format!("{} n={n} k={k} {dname}", alg.name());
 
-                let dbuf = simt.upload(&data);
                 let a = req
-                    .run_on(&simt, &dbuf)
+                    .run(&dev, &dev.upload(&data))
                     .unwrap_or_else(|e| panic!("{ctx}: {e}"));
-                let hbuf = cpu.upload(&data);
                 let b = req
-                    .run_on(&cpu, &hbuf)
+                    .run_cpu(&data, 4)
                     .unwrap_or_else(|e| panic!("{ctx}: {e}"));
 
                 assert_eq!(a.items.len(), k.min(n), "{ctx}");
-                assert_eq!(keys(&a.items), keys(&b.items), "{ctx}");
-                // reports speak each backend's native currency
-                assert!(a.report.sim.is_some() && b.report.sim.is_none(), "{ctx}");
-                assert_eq!(b.report.threads, Some(4), "{ctx}");
+                assert_eq!(keys(&a.items), keys(&b), "{ctx}");
             }
         }
     }
@@ -63,14 +53,12 @@ fn all_algorithms_agree_across_backends_and_distributions() {
 #[test]
 fn smallest_k_agrees_across_backends() {
     let dev = Device::titan_x();
-    let simt = SimtBackend::new(&dev);
-    let cpu = CpuBackend::with_threads(2);
     for alg in TopKAlgorithm::all() {
         let data: Vec<f32> = Uniform.generate(1 << 13, 99);
         let req = TopKRequest::smallest(32).with_alg(alg);
-        let a = req.run_on(&simt, &simt.upload(&data)).unwrap();
-        let b = req.run_on(&cpu, &cpu.upload(&data)).unwrap();
-        assert_eq!(keys(&a.items), keys(&b.items), "{}", alg.name());
+        let a = req.run(&dev, &dev.upload(&data)).unwrap();
+        let b = req.run_cpu(&data, 2).unwrap();
+        assert_eq!(keys(&a.items), keys(&b), "{}", alg.name());
     }
 }
 
@@ -79,74 +67,67 @@ fn tie_breaks_agree_when_items_carry_ids() {
     // duplicate-heavy keys: winners must match exactly (smaller row id
     // wins on key ties), not just by key signature
     let dev = Device::titan_x();
-    let simt = SimtBackend::new(&dev);
-    let cpu = CpuBackend::with_threads(8);
     let data: Vec<Kv<u32>> = (0..20_000u32).map(|i| Kv::new(i % 37, i)).collect();
+    let input = dev.upload(&data);
+    let sig = |v: &[Kv<u32>]| v.iter().map(|kv| (kv.key, kv.value)).collect::<Vec<_>>();
     for alg in TopKAlgorithm::all() {
         let req = TopKRequest::largest(100).with_alg(alg);
-        let a = req.run_on(&simt, &simt.upload(&data)).unwrap();
-        let b = req.run_on(&cpu, &cpu.upload(&data)).unwrap();
-        let sig = |v: &[Kv<u32>]| v.iter().map(|kv| (kv.key, kv.value)).collect::<Vec<_>>();
-        assert_eq!(sig(&a.items), sig(&b.items), "{}", alg.name());
-    }
-}
+        let a = req.run(&dev, &input).unwrap();
+        let b = req.run_cpu(&data, 8).unwrap();
+        assert_eq!(sig(&a.items), sig(&b), "{}", alg.name());
 
-#[test]
-fn upload_download_roundtrips_on_both_backends() {
-    let dev = Device::titan_x();
-    for be in [ExecBackend::simt(&dev), ExecBackend::cpu(2)] {
-        let data: Vec<u32> = Uniform.generate(4_096, 5);
-        let buf = be.upload(&data);
-        assert_eq!(buf.len(), data.len());
-        assert_eq!(be.download(&buf).unwrap(), data, "{}", be.name());
+        // smallest-k: the CPU engine and the device's bitonic and
+        // delegate kernels order ties by the whole `Rev<Kv>` item, so
+        // the larger id wins; the device's sort, per-thread, radix- and
+        // bucket-select kernels keep input order among equal keys, so
+        // there the engines agree on the key signature only
+        let req = TopKRequest::smallest(100).with_alg(alg);
+        let a = req.run(&dev, &input).unwrap();
+        let b = req.run_cpu(&data, 8).unwrap();
+        assert!(b.windows(2).all(|w| w[0].value > w[1].value));
+        match alg {
+            TopKAlgorithm::Bitonic(_) | TopKAlgorithm::DelegateSelect(_) => {
+                assert_eq!(sig(&a.items), sig(&b), "{} smallest", alg.name());
+            }
+            _ => {
+                let key_sig = |v: &[Kv<u32>]| v.iter().map(|kv| kv.key).collect::<Vec<_>>();
+                assert_eq!(key_sig(&a.items), key_sig(&b), "{} smallest", alg.name());
+                assert!(a.items.windows(2).all(|w| w[0].value < w[1].value));
+            }
+        }
     }
 }
 
 #[test]
 fn typed_errors_not_panics() {
     let dev = Device::titan_x();
-    let simt = SimtBackend::new(&dev);
-    let cpu = CpuBackend::with_threads(2);
     let data: Vec<f32> = Uniform.generate(1024, 1);
+    let input = dev.upload(&data);
 
-    // a simt buffer handed to the cpu backend (and vice versa)
-    let dbuf = simt.upload(&data);
-    let hbuf = cpu.upload(&data);
-    let req = TopKRequest::largest(8);
-    assert!(matches!(
-        req.run_on(&cpu, &dbuf),
-        Err(TopKError::BackendMismatch {
-            backend: "cpu",
-            buffer: "simt"
-        })
-    ));
-    assert!(matches!(
-        req.run_on(&simt, &hbuf),
-        Err(TopKError::BackendMismatch {
-            backend: "simt",
-            buffer: "cpu"
-        })
-    ));
-
-    // simt streams are a simulator feature; the cpu backend says so
+    // simt streams are a simulator feature; the cpu engine says so
     let streamed = TopKRequest::largest(8).on_stream(dev.create_stream().id());
-    assert!(matches!(
-        streamed.run_on(&cpu, &hbuf),
-        Err(TopKError::UnsupportedOnBackend {
+    assert!(streamed.run(&dev, &input).is_ok());
+    let err = streamed.run_cpu(&data, 2).unwrap_err();
+    assert_eq!(
+        err,
+        TopKError::UnsupportedOnBackend {
             backend: "cpu",
-            feature: _
-        })
-    ));
+            feature: "simt streams",
+        }
+    );
+    assert!(err.to_string().contains("cpu"));
 
-    // shared validation still fires on both
-    assert!(matches!(
-        TopKRequest::largest(0).run_on(&cpu, &hbuf),
-        Err(TopKError::ZeroK)
-    ));
-    assert!(matches!(
-        TopKRequest::largest(0).run_on(&simt, &dbuf),
-        Err(TopKError::ZeroK)
-    ));
+    // shared validation fires on both
+    let zero = TopKRequest::largest(0);
+    assert_eq!(zero.run(&dev, &input).unwrap_err(), TopKError::ZeroK);
+    assert_eq!(zero.run_cpu(&data, 2).unwrap_err(), TopKError::ZeroK);
+    let empty: [f32; 0] = [];
+    let req = TopKRequest::largest(8);
+    assert_eq!(
+        req.run(&dev, &dev.upload(&empty)).unwrap_err(),
+        TopKError::EmptyInput
+    );
+    assert_eq!(req.run_cpu(&empty, 2).unwrap_err(), TopKError::EmptyInput);
 }
 
 #[test]
@@ -154,15 +135,9 @@ fn cpu_thread_counts_are_consistent() {
     // any thread count returns the same selection
     let data: Vec<f32> = Uniform.generate(1 << 15, 123);
     let req = TopKRequest::largest(64).with_alg(TopKAlgorithm::RadixSelect);
-    let base = req
-        .run_on(
-            &CpuBackend::with_threads(1),
-            &CpuBackend::with_threads(1).upload(&data),
-        )
-        .unwrap();
+    let base = req.run_cpu(&data, 1).unwrap();
     for t in [2usize, 3, 8, 16] {
-        let be = CpuBackend::with_threads(t);
-        let got = req.run_on(&be, &be.upload(&data)).unwrap();
-        assert_eq!(keys(&base.items), keys(&got.items), "threads={t}");
+        let got = req.run_cpu(&data, t).unwrap();
+        assert_eq!(keys(&base), keys(&got), "threads={t}");
     }
 }

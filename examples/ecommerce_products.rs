@@ -13,8 +13,8 @@
 
 use gpu_topk::datagen::{Kv, TopKItem};
 use gpu_topk::simt::Device;
-use gpu_topk::topk::{bitonic, delegate, radix_select};
-use gpu_topk::topk_costmodel::{self as costmodel, planner::Algorithm, ReductionProfile};
+use gpu_topk::topk::TopKRequest;
+use gpu_topk::topk_costmodel::{self as costmodel, ReductionProfile};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -50,16 +50,10 @@ fn main() {
         choice.alternative_seconds * 1e6
     );
 
-    let result = match choice.algorithm {
-        Algorithm::BitonicTopK => {
-            bitonic::bitonic_topk(&dev, &input, k, bitonic::BitonicConfig::default()).unwrap()
-        }
-        Algorithm::RadixSelect => radix_select::radix_select_topk(&dev, &input, k).unwrap(),
-        Algorithm::DelegateSelect => {
-            delegate::delegate_select_topk(&dev, &input, k, delegate::DelegateConfig::default())
-                .unwrap()
-        }
-    };
+    let result = TopKRequest::largest(k)
+        .with_alg(choice.algorithm.into())
+        .run(&dev, &input)
+        .unwrap();
 
     println!(
         "\n{} most expensive products ({} simulated):",

@@ -2,9 +2,10 @@
 //! with transfers overlapped against compute (the Section 4.3 discussion
 //! on the PCI-E bottleneck, made concrete).
 //!
-//! The streaming loop is written once against the [`Backend`] trait, so
-//! the same code drives both engines: the simulator (with its modeled
-//! transfer/compute overlap) and the real CPU.
+//! The streaming loop is written once and takes an engine's top-k as a
+//! closure, so the same code drives both engines: the simulator
+//! ([`TopKRequest::run`], with its modeled transfer/compute overlap) and
+//! the real CPU ([`TopKRequest::run_cpu`]).
 //!
 //! ```sh
 //! cargo run --release --example out_of_core
@@ -12,30 +13,26 @@
 
 use gpu_topk::datagen::{reference_topk, Distribution, TopKItem, Uniform};
 use gpu_topk::simt::{Device, DeviceSpec};
-use gpu_topk::topk::backend::{Backend, ExecBackend};
 use gpu_topk::topk::chunked::{chunked_bitonic_topk, ChunkedConfig};
 use gpu_topk::topk::{TopKError, TopKRequest};
 
-/// Streams `data` through `backend` in `chunk` -sized pieces: each chunk
-/// is uploaded, reduced to its local top-k, and the per-chunk candidates
-/// are merged with one final top-k — the reductive property that makes
-/// out-of-core top-k a bandwidth problem, not a memory problem.
+/// Streams `data` through an engine's `topk` in `chunk`-sized pieces:
+/// each chunk is reduced to its local top-k, and the per-chunk
+/// candidates are merged with one final top-k — the reductive property
+/// that makes out-of-core top-k a bandwidth problem, not a memory
+/// problem.
 fn streamed_topk<T: TopKItem>(
-    backend: &ExecBackend,
+    topk: impl Fn(&[T]) -> Result<Vec<T>, TopKError>,
     data: &[T],
-    k: usize,
     chunk: usize,
 ) -> Result<(Vec<T>, usize), TopKError> {
-    let req = TopKRequest::largest(k);
-    let mut candidates = Vec::with_capacity(data.len().div_ceil(chunk) * k);
+    let mut candidates = Vec::new();
     let mut chunks = 0usize;
     for piece in data.chunks(chunk) {
-        let buf = backend.upload(piece);
-        candidates.extend(backend.topk(&req, &buf)?.items);
+        candidates.extend(topk(piece)?);
         chunks += 1;
     }
-    let buf = backend.upload(&candidates);
-    Ok((backend.topk(&req, &buf)?.items, chunks))
+    Ok((topk(&candidates)?, chunks))
 }
 
 fn main() {
@@ -57,15 +54,23 @@ fn main() {
         spec.global_mem_bytes as f64 / (1 << 20) as f64
     );
 
-    // the same streaming loop, one backend surface, two engines
-    for backend in [ExecBackend::simt(&dev), ExecBackend::cpu(4)] {
-        let (items, chunks) = streamed_topk(&backend, &data, k, chunk).expect("streamed top-k");
-        println!(
-            "backend {:>4}: {} chunks of {} elements, top-{k} verified ✓",
-            backend.name(),
-            chunks,
-            chunk
-        );
+    // the same streaming loop, one closure per engine: each chunk is
+    // uploaded to the device, or read in place by CPU threads
+    let req = TopKRequest::largest(k);
+    let engines = [
+        (
+            "simt",
+            streamed_topk(
+                |p| req.run(&dev, &dev.upload(p)).map(|r| r.items),
+                &data,
+                chunk,
+            ),
+        ),
+        ("cpu", streamed_topk(|p| req.run_cpu(p, 4), &data, chunk)),
+    ];
+    for (name, streamed) in engines {
+        let (items, chunks) = streamed.expect("streamed top-k");
+        println!("backend {name:>4}: {chunks} chunks of {chunk} elements, top-{k} verified ✓");
         assert_eq!(items, expect);
     }
 

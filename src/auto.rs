@@ -8,10 +8,7 @@
 
 use datagen::TopKItem;
 use simt::{Device, GpuBuffer};
-use topk::bitonic::BitonicConfig;
-use topk::delegate::DelegateConfig;
 use topk::{TopKAlgorithm, TopKError, TopKRequest, TopKResult};
-use topk_costmodel::planner::Algorithm;
 use topk_costmodel::{recommend, recommend_full, RankedAlgorithm, ReductionProfile};
 
 /// The auto-planned result: what ran, what the model predicted, what the
@@ -41,11 +38,7 @@ pub fn auto_topk<T: TopKItem>(
     profile: &ReductionProfile,
 ) -> Result<AutoResult<T>, TopKError> {
     let choice = recommend(dev.spec(), input.len(), k, T::SIZE_BYTES, profile);
-    let chosen = match choice.algorithm {
-        Algorithm::BitonicTopK => TopKAlgorithm::Bitonic(BitonicConfig::default()),
-        Algorithm::RadixSelect => TopKAlgorithm::RadixSelect,
-        Algorithm::DelegateSelect => TopKAlgorithm::DelegateSelect(DelegateConfig::default()),
-    };
+    let chosen = TopKAlgorithm::from(choice.algorithm);
     let result = TopKRequest::largest(k).with_alg(chosen).run(dev, input)?;
     Ok(AutoResult {
         result,
