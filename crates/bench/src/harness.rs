@@ -539,9 +539,13 @@ pub const STREAM_MIX_ROUNDS: usize = 5;
 /// * `stream/mix/period{p}` — the serving layer under a read/write mix
 ///   with the epoch-tagged result cache on: each round submits `p`
 ///   distinct queries, re-submits them (all must come back as cache
-///   hits), then appends a batch (invalidating every entry). Every
-///   completed read, cached or computed, must match a same-epoch serial
-///   execution bit for bit.
+///   hits), then appends a batch (making every entry stale, which the
+///   next round's first drain brings current with the delta step).
+///   Every completed read, cached or computed, must match a same-epoch
+///   serial execution bit for bit. The cell records the global bytes of
+///   the drains that refresh stale entries (`sim_refresh_bytes`) next
+///   to the same queries' serial executions at that epoch
+///   (`sim_rescan_bytes`).
 pub fn run_stream_suite(log2n: u32, profile: &str) -> BenchReport {
     use qdb::{TopKView, ViewConfig, ViewMode};
 
@@ -617,6 +621,8 @@ pub fn run_stream_suite(log2n: u32, profile: &str) -> BenchReport {
         let mut cache_hits = 0usize;
         let mut cache_refreshes = 0usize;
         let mut completed = 0usize;
+        let mut refresh_bytes = 0u64;
+        let mut rescan_bytes = 0u64;
         let mut next_id = n as u32;
         for round in 0..STREAM_MIX_ROUNDS {
             // two drains at the same epoch: the first computes (or
@@ -626,7 +632,12 @@ pub fn run_stream_suite(log2n: u32, profile: &str) -> BenchReport {
                 for s in &sqls {
                     server.submit(s, SubmitOptions::default()).expect("submit");
                 }
+                let log0 = dev.log_len();
                 let rep = server.drain();
+                let refreshing = rep.resilience.cache_refreshes > 0;
+                if refreshing {
+                    refresh_bytes += dev.window_since(log0).stats.global_bytes();
+                }
                 makespan += rep.makespan;
                 cache_hits += rep.resilience.cache_hits;
                 cache_refreshes += rep.resilience.cache_refreshes;
@@ -635,6 +646,7 @@ pub fn run_stream_suite(log2n: u32, profile: &str) -> BenchReport {
                     exact = false;
                 }
                 for q in &rep.queries {
+                    let log1 = dev.log_len();
                     let oracle = execute_sql(
                         &dev,
                         &gpu,
@@ -642,6 +654,9 @@ pub fn run_stream_suite(log2n: u32, profile: &str) -> BenchReport {
                         Strategy::StageBitonic,
                     )
                     .expect("mix oracle");
+                    if refreshing {
+                        rescan_bytes += dev.window_since(log1).stats.global_bytes();
+                    }
                     if q.result.ids != oracle.ids {
                         exact = false;
                     }
@@ -659,6 +674,8 @@ pub fn run_stream_suite(log2n: u32, profile: &str) -> BenchReport {
             ("sim_makespan_ms", makespan.millis()),
             ("sim_cache_hits", cache_hits as f64),
             ("sim_cache_refreshes", cache_refreshes as f64),
+            ("sim_refresh_bytes", refresh_bytes as f64),
+            ("sim_rescan_bytes", rescan_bytes as f64),
             ("host_wall_ms", host_wall_ms),
         ];
         experiments.push(Experiment::new(
@@ -828,6 +845,11 @@ mod tests {
                 e.metrics["sim_cache_refreshes"],
                 (period * (STREAM_MIX_ROUNDS - 1)) as f64,
                 "{id}"
+            );
+            // the refreshes fold in deltas instead of re-executing
+            assert!(
+                e.metrics["sim_refresh_bytes"] < e.metrics["sim_rescan_bytes"],
+                "{id}: delta-merged refreshes must move less than a rescan"
             );
             assert!(e.metrics["sim_qps"] > 0.0);
         }

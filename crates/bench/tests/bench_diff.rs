@@ -749,3 +749,67 @@ fn planner_claim_gates_at_full_scale_and_warns_below() {
             .any(|f| f.severity == Severity::Fail && f.message.contains(&gone)));
     }
 }
+
+/// A claim-satisfying stream report at the given scale: exact cells, and
+/// maintenance traffic well under a rescan's for views and cache
+/// refreshes alike.
+fn claim_clean_stream(log2n: u32) -> BenchReport {
+    let mut exps = Vec::new();
+    for denom in bench::harness::STREAM_FRACS {
+        exps.push(exp(
+            &format!("stream/view/frac{denom}"),
+            &[
+                ("sim_exact", 1.0),
+                ("sim_global_bytes", 1e5 / denom as f64),
+                ("sim_rescan_bytes", 1e6),
+            ],
+        ));
+    }
+    for p in bench::harness::STREAM_MIX_PERIODS {
+        exps.push(exp(
+            &format!("stream/mix/period{p}"),
+            &[
+                ("sim_exact", 1.0),
+                ("sim_refresh_bytes", 1e4),
+                ("sim_rescan_bytes", 1e6),
+            ],
+        ));
+    }
+    let mut r = report("stream", exps);
+    r.scale = Scale::new(log2n);
+    r
+}
+
+#[test]
+fn stream_traffic_claim_covers_cache_refreshes() {
+    let findings = check_claims(&claim_clean_stream(20));
+    assert!(findings.is_empty(), "{findings:?}");
+
+    // cache refreshes that move half a rescan: fail at 2^20...
+    let mut bad = claim_clean_stream(20);
+    let id = "stream/mix/period8";
+    let e = bad.experiments.iter_mut().find(|e| e.id == id).unwrap();
+    e.metrics.insert("sim_refresh_bytes".to_string(), 5e5);
+    let findings = check_claims(&bad);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].severity, Severity::Fail);
+    assert!(findings[0].message.contains(id), "{findings:?}");
+    // ...and only warn at the CI small scale
+    bad.scale = Scale::new(16);
+    let findings = check_claims(&bad);
+    assert!(
+        findings
+            .iter()
+            .all(|f| f.severity == Severity::Warn && f.message.contains("log2n >= 20")),
+        "{findings:?}"
+    );
+
+    // a mix cell without its traffic pair is unverifiable: fail
+    let mut missing = claim_clean_stream(16);
+    let last = missing.experiments.last_mut().unwrap();
+    assert!(last.id.starts_with("stream/mix/"));
+    last.metrics.remove("sim_rescan_bytes");
+    assert!(check_claims(&missing)
+        .iter()
+        .any(|f| f.severity == Severity::Fail && f.message.contains("sim_rescan_bytes")));
+}

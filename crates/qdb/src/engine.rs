@@ -7,7 +7,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use datagen::{Kv, Rev, RevView, SortKey, TopKItem};
 use simt::{AccessSpec, BlockCtx, BufferDecl, BulkAccess, Device, GpuBuffer, Kernel};
 use sortnet::{host, next_pow2};
-use topk::bitonic::{bitonic_topk_from_runs, BitonicConfig};
+use topk::bitonic::{bitonic_topk_from_runs, config_for, BitonicConfig};
 use topk::TopKResult;
 
 use crate::error::QdbError;
@@ -410,8 +410,10 @@ impl<T: TopKItem> Kernel for FusedSortReducerKernel<'_, T> {
 ///
 /// Bitonic staging copies the valid prefix once, straight into the
 /// power-of-two buffer padded with MIN sentinels that the pipeline
-/// reads, so `bitonic_topk` pads nothing itself. Either way the stage
-/// makes one fallible allocation.
+/// reads, so `bitonic_topk` pads nothing itself. A k whose 2k window
+/// does not fit one block runs the exact global-steps network
+/// ([`config_for`]). Either way the stage makes one fallible
+/// allocation.
 pub(crate) fn run_topk_stage<T: TopKItem>(
     dev: &Device,
     candidates: &GpuBuffer<T>,
@@ -427,7 +429,8 @@ pub(crate) fn run_topk_stage<T: TopKItem>(
         TopKStrategy::Bitonic => {
             let padded = dev.try_alloc_filled(next_pow2(valid.max(1)), T::min_sentinel())?;
             padded.write_range(0, &candidates.host_view()[..valid]);
-            topk::bitonic::bitonic_topk(dev, &padded, k.min(valid), BitonicConfig::default())
+            let k = k.min(valid);
+            topk::bitonic::bitonic_topk(dev, &padded, k, config_for::<T>(dev, k))
         }
     };
     r.map_err(QdbError::from)

@@ -39,6 +39,19 @@
 //! has one answer per table epoch, which is what the result cache, keyed
 //! by SQL text, stores.
 //!
+//! # Result cache
+//!
+//! A cached answer is a standing result, like a [`crate::TopKView`]'s.
+//! An append makes every entry stale. On the single-device [`Server`] a
+//! stale entry whose runs merge ([`Shape::runs_merge`]) is brought
+//! current the way a view refresh does it, by the same crossover rule
+//! and the same device delta step (`qdb::stream`): the lane scans only
+//! the rows appended since the entry was computed and run-merges their
+//! top-k into the stored ids, on the query's stream, under the retries,
+//! the deadline, the ladder and the audit below. GROUP BY entries,
+//! deltas past the crossover and every stale entry of a
+//! [`crate::ShardedServer`] re-execute.
+//!
 //! # Resilience
 //!
 //! The serving path never panics; every failure is a typed
@@ -94,6 +107,7 @@ use crate::engine::{run_topk_stage, FilterKernel, FilterOp, TopKStrategy};
 use crate::error::{retry, QdbError};
 use crate::queries::{QueryResult, Strategy};
 use crate::sql::{execute, parse, Query, Shape};
+use crate::stream::{delta_merge, maintenance_mode, ViewConfig, ViewMode};
 use crate::table::GpuTweetTable;
 
 /// Number of device streams a lane's queries round-robin onto.
@@ -124,10 +138,13 @@ pub struct ServerConfig {
     /// the next rung.
     pub max_retries: usize,
     /// Serve repeated identical SQL from an epoch-tagged result cache:
-    /// a hit returns the stored ids with zero device work, and any
-    /// append invalidates every entry by bumping the table epoch.
-    /// Off by default so existing replay workloads keep their exact
-    /// launch sequences.
+    /// a hit returns the stored ids with zero device work. Any append
+    /// bumps the table epoch and makes every entry stale; a
+    /// single-device [`Server`] brings a stale entry current with the
+    /// views' delta step (only the appended rows are scanned) while the
+    /// query's runs merge and the delta is within the views' crossover,
+    /// and re-executes it otherwise. Off by default so existing replay
+    /// workloads keep their exact launch sequences.
     pub result_cache: bool,
 }
 
@@ -285,9 +302,11 @@ pub struct ResilienceStats {
     pub cache_hits: usize,
     /// Cache lookups that found no entry for the SQL text.
     pub cache_misses: usize,
-    /// Cache lookups that found an entry invalidated by an append (the
-    /// stored epoch no longer matches the table's) — the query
-    /// re-executes and refreshes the entry.
+    /// Cache lookups that found an entry made stale by an append (the
+    /// stored epoch no longer matches the table's). The query comes back
+    /// current and replaces the entry: on a single-device [`Server`] by
+    /// folding the appended rows into the stored ids when the views'
+    /// crossover allows it, otherwise by re-executing.
     pub cache_refreshes: usize,
 }
 
@@ -455,31 +474,51 @@ impl Kernel for PackKernel {
     }
 }
 
+/// What the result cache handed a pending query at admission.
+pub(crate) enum Cached {
+    /// The stored ids, computed at the table's current epoch: the lane
+    /// serves them without touching the device.
+    Hit(Vec<u32>),
+    /// A stale entry the delta step brings current: `ids` is the
+    /// query's answer over the table's first `rows` rows.
+    Stale { ids: Vec<u32>, rows: usize },
+}
+
 /// A query the front admitted and a lane has yet to drain.
 pub(crate) struct Pending {
     pub(crate) ticket: QueryTicket,
     pub(crate) sql: String,
     pub(crate) query: Query,
     pub(crate) deadline: Option<SimTime>,
-    /// Ids resolved from the result cache at admission (same SQL, same
-    /// table epoch); the lane serves them without touching the device.
-    pub(crate) cached: Option<Vec<u32>>,
+    pub(crate) cached: Option<Cached>,
+}
+
+/// One result-cache entry: a query's ids over the table's first `rows`
+/// rows, computed at table epoch `epoch`.
+struct Entry {
+    epoch: u64,
+    rows: usize,
+    ids: Vec<u32>,
 }
 
 /// The admission front both servers share: the queue bound and
 /// shedding, parse and validation, tickets, and the epoch-tagged result
-/// cache, SQL text → (table epoch at insertion, result ids). An entry is
-/// valid exactly while the table is still at its epoch, so one append
-/// invalidates every entry at once. Each lookup is classified at
-/// admission as a hit, a refresh (stale entry) or a miss; a cache that
-/// is off ([`ServerConfig::result_cache`]) classifies and stores nothing.
+/// cache, SQL text → [`Entry`]. An entry is current exactly while the
+/// table is still at its epoch, so one append makes every entry stale.
+/// Each lookup is classified at admission as a hit, a refresh (stale
+/// entry) or a miss; a cache that is off ([`ServerConfig::result_cache`])
+/// classifies and stores nothing. A stale entry rides to a
+/// single-device lane as [`Cached::Stale`] when the query's runs merge
+/// and the views' crossover rule ([`maintenance_mode`], at
+/// [`ViewConfig::default`]'s fraction) picks a delta merge; every other
+/// refresh re-executes.
 #[derive(Default)]
 pub(crate) struct Front {
     cfg: ServerConfig,
     /// Queries admitted since the last drain, in ticket order.
     pub(crate) pending: Vec<Pending>,
     next_ticket: usize,
-    cache: HashMap<String, (u64, Vec<u32>)>,
+    cache: HashMap<String, Entry>,
     /// Shed and cache-lookup counts since the last drain.
     counts: ResilienceStats,
 }
@@ -495,7 +534,8 @@ impl Front {
     /// Admits one SQL query against a table of `rows` rows at `epoch`:
     /// the queue bound first, then parse (`sharded` also refuses a shape
     /// whose per-shard runs do not merge), the LIMIT, the deadline, and
-    /// last the cache lookup. Nothing is queued on error.
+    /// last the cache lookup. A sharded stale entry always re-executes.
+    /// Nothing is queued on error.
     pub(crate) fn admit(
         &mut self,
         sql: &str,
@@ -523,13 +563,21 @@ impl Front {
         }
         let cached = match self.cache.get(sql) {
             _ if !self.cfg.result_cache => None,
-            Some((at, ids)) if *at == epoch => {
+            Some(e) if e.epoch == epoch => {
                 self.counts.cache_hits += 1;
-                Some(ids.clone())
+                Some(Cached::Hit(e.ids.clone()))
             }
-            Some(_) => {
+            Some(e) => {
                 self.counts.cache_refreshes += 1;
-                None
+                let fraction = ViewConfig::default().refresh_fraction;
+                let merges = !sharded
+                    && query.shape.runs_merge().is_ok()
+                    && maintenance_mode((e.rows, e.epoch), (rows, epoch), fraction)
+                        == ViewMode::DeltaMerge;
+                merges.then(|| Cached::Stale {
+                    ids: e.ids.clone(),
+                    rows: e.rows,
+                })
             }
             None => {
                 self.counts.cache_misses += 1;
@@ -547,19 +595,22 @@ impl Front {
         Ok(&self.pending[self.pending.len() - 1])
     }
 
-    /// Closes a drain: caches every fresh `(sql, ids)` answer as valid
-    /// at `epoch` (the next append invalidates them all at once) and
-    /// moves the shed and cache-lookup counts since the last drain into
-    /// `ledger`.
+    /// Closes a drain: caches every fresh `(sql, ids)` answer as the
+    /// query's answer over a table of `rows` rows at `epoch` (the next
+    /// append makes them all stale at once) and moves the shed and
+    /// cache-lookup counts since the last drain into `ledger`.
     pub(crate) fn settle<'q>(
         &mut self,
         epoch: u64,
+        rows: usize,
         fresh: impl Iterator<Item = (&'q str, &'q [u32])>,
         ledger: &mut ResilienceStats,
     ) {
         if self.cfg.result_cache {
             for (sql, ids) in fresh {
-                self.cache.insert(sql.to_string(), (epoch, ids.to_vec()));
+                let ids = ids.to_vec();
+                self.cache
+                    .insert(sql.to_string(), Entry { epoch, rows, ids });
             }
         }
         let counts = std::mem::take(&mut self.counts);
@@ -594,12 +645,11 @@ struct Executed {
 }
 
 impl Executed {
-    fn new(mut p: Pending) -> Self {
-        let cached = p.cached.take();
+    fn new(p: Pending) -> Self {
         Executed {
             p,
-            from_cache: cached.is_some(),
-            ids: cached.unwrap_or_default(),
+            from_cache: false,
+            ids: Vec::new(),
             own: Vec::new(),
             shared: Vec::new(),
             coalesced: false,
@@ -751,13 +801,15 @@ impl<'a> Lane<'a> {
 
     /// Executes `list` and returns its load report.
     ///
-    /// Coalescable queries run their filters concurrently (round-robin
-    /// over the lane's streams), then share one pack + one batched top-k
-    /// launch per [`MAX_BATCH`] chunk; everything else runs its normal
-    /// pipeline on its round-robin stream. A cache hit keeps its
-    /// position, so it still counts in the round-robin. Faults are
-    /// retried/degraded per the module docs; with no fault plan the
-    /// drain's launch sequence is identical to a fault-unaware one.
+    /// A stale cache entry runs the delta step ([`delta_merge`]) on its
+    /// round-robin stream. Coalescable queries run their filters
+    /// concurrently (round-robin over the lane's streams), then share one
+    /// pack + one batched top-k launch per [`MAX_BATCH`] chunk; everything
+    /// else runs its normal pipeline on its round-robin stream. A cache
+    /// hit keeps its position, so it still counts in the round-robin.
+    /// Faults are retried/degraded per the module docs; with no fault
+    /// plan the drain's launch sequence is identical to a fault-unaware
+    /// one.
     pub(crate) fn drain(&self, list: Vec<Pending>) -> LoadReport {
         let wall_start = std::time::Instant::now();
         let (dev, table) = (self.dev, self.table);
@@ -772,11 +824,16 @@ impl<'a> Lane<'a> {
 
         for (i, p) in list.into_iter().enumerate() {
             let mut e = Executed::new(p);
-            if e.from_cache {
+            let stream_id = self.stream(i).id();
+            let cached = e.p.cached.take();
+            if let Some(Cached::Hit(ids)) = cached {
                 // resolved at admission from the epoch-tagged cache:
                 // zero launches, zero simulated latency
+                e.ids = ids;
+                e.from_cache = true;
+            } else if let Some(Cached::Stale { ids, rows }) = cached {
+                self.fold_delta(&mut e, stream_id, ids, rows);
             } else if let Some(op) = self.coalescable(&e) {
-                let stream_id = self.stream(i).id();
                 let label = format!("qdb:candidates:t{}", e.p.ticket.0);
                 let r = self.attempt(&mut e, |_| {
                     let out = dev.try_alloc::<Kv<u32>>(table.len())?;
@@ -804,7 +861,7 @@ impl<'a> Lane<'a> {
                     None => {}
                 }
             } else {
-                self.run_ladder(&mut e, Some(self.stream(i).id()), DegradeLevel::None);
+                self.run_ladder(&mut e, Some(stream_id), DegradeLevel::None);
             }
             executed.push(e);
         }
@@ -934,6 +991,38 @@ impl<'a> Lane<'a> {
             })
             .collect();
         self.finish(window, fault_start, 0, executed)
+    }
+
+    /// Brings a stale cache entry current: `ids` is the query's answer
+    /// over the table's first `rows` rows, and the delta step
+    /// ([`delta_merge`]) folds in the rows appended since, on the
+    /// query's stream, with its slice tagged for the audit. A defeated
+    /// step descends the whole ladder from the top, so the answer never
+    /// depends on the delta path.
+    fn fold_delta(&self, e: &mut Executed, stream_id: StreamId, ids: Vec<u32>, rows: usize) {
+        let (dev, table) = (self.dev, self.table);
+        let label = format!("qdb:delta:t{}", e.p.ticket.0);
+        let r = self.attempt(e, |q| {
+            dev.stream_scope(stream_id, || {
+                delta_merge(
+                    dev,
+                    table,
+                    q,
+                    DEFAULT_STRATEGY,
+                    ids.clone(),
+                    rows,
+                    Some(&label),
+                )
+            })
+        });
+        match r {
+            Some(merged) => {
+                e.ids = merged;
+                e.labels.push(label);
+            }
+            None if e.error.is_none() => self.run_ladder(e, Some(stream_id), DegradeLevel::None),
+            None => {}
+        }
     }
 
     /// Finishes one coalescable query from its candidate buffer: bitonic
@@ -1142,6 +1231,7 @@ impl<'a> Server<'a> {
         let fresh = report.queries.iter().filter(|q| q.completed() && !q.cached);
         self.front.settle(
             self.table.epoch(),
+            self.table.len(),
             fresh.map(|q| (q.sql.as_str(), q.result.ids.as_slice())),
             &mut report.resilience,
         );

@@ -59,7 +59,7 @@ use datagen::{Kv, Rev, TopKItem};
 use simt::topology::Cluster;
 use simt::{Device, GpuBuffer, SimTime};
 use sortnet::next_pow2;
-use topk::bitonic::{bitonic_topk, bitonic_topk_from_runs, BitonicConfig};
+use topk::bitonic::{bitonic_topk, bitonic_topk_from_runs, config_for, BitonicConfig, OptLevel};
 use topk::delegate::{delegate_select_topk, DelegateConfig};
 use topk::{TopKError, TopKResult};
 
@@ -68,8 +68,8 @@ use crate::engine::RowItem;
 use crate::error::{retry, QdbError};
 use crate::queries::Strategy;
 use crate::server::{
-    DegradeLevel, Front, Lane, LoadReport, Pending, QueryTicket, ResilienceStats, ServerConfig,
-    SubmitOptions, DEFAULT_STRATEGY,
+    Cached, DegradeLevel, Front, Lane, LoadReport, Pending, QueryTicket, ResilienceStats,
+    ServerConfig, SubmitOptions, DEFAULT_STRATEGY,
 };
 use crate::sql::{execute, Query, Shape, SqlError, GROUP_COUNTS_DO_NOT_MERGE};
 use crate::table::{host_rows, Columns, GpuTweetTable, ROW_BYTES};
@@ -275,7 +275,8 @@ impl ShardedTable {
     /// shard), so each shard's capacity is its initial rows plus the
     /// full table-level headroom. Kernels scan only the logical prefix,
     /// so the no-headroom path (`cap_total == host.len()`) is
-    /// bit-identical to the frozen-table loader.
+    /// bit-identical to the frozen-table loader. A device without room
+    /// for a copy is a fatal [`QdbError::DeviceFault`] naming it.
     pub fn partition_replicated_with_capacity(
         cluster: &Cluster,
         host: &TweetTable,
@@ -292,8 +293,7 @@ impl ShardedTable {
             let sub = host_rows(host, rows.iter().copied());
             let cap_rows = sub.len() + headroom;
             let bytes = rows.len() * ROW_BYTES;
-            let dev = cluster.device(i);
-            let gpu = GpuTweetTable::upload_with_capacity(dev, &sub, cap_rows);
+            let gpu = load_copy(cluster, i, &sub, cap_rows)?;
             let label = format!("load:shard{i}");
             retry(3, &mut 0, |_| {
                 cluster
@@ -304,8 +304,7 @@ impl ShardedTable {
             replicas.push(Replica { device: i, gpu });
             for j in 1..r {
                 let target = (i + j) % d;
-                let gpu =
-                    GpuTweetTable::upload_with_capacity(cluster.device(target), &sub, cap_rows);
+                let gpu = load_copy(cluster, target, &sub, cap_rows)?;
                 let label = format!("replicate:shard{i}->dev{target}");
                 retry(3, &mut 0, |_| {
                     cluster
@@ -472,6 +471,32 @@ impl ShardedTable {
     }
 }
 
+/// Loads one copy of a partition, with room for `cap_rows` rows, onto
+/// cluster device `device`. A device without room for the copy's
+/// columns is a typed fault attributed to it. The check compares the
+/// copy's bytes with the device's free memory instead of allocating
+/// fallibly, so loading draws nothing from a `FaultPlan::oom_rate`.
+fn load_copy(
+    cluster: &Cluster,
+    device: usize,
+    sub: &TweetTable,
+    cap_rows: usize,
+) -> Result<GpuTweetTable, QdbError> {
+    let dev = cluster.device(device);
+    let bytes = cap_rows.max(sub.len()) * ROW_BYTES;
+    let free = dev
+        .spec()
+        .global_mem_bytes
+        .saturating_sub(dev.memory_allocated());
+    if bytes > free {
+        return Err(lost(
+            device,
+            format!("a {bytes} B table copy does not fit dev{device}'s {free} B free"),
+        ));
+    }
+    Ok(GpuTweetTable::upload_with_capacity(dev, sub, cap_rows))
+}
+
 /// The one placement check of every sharded entry point: `parts` (a
 /// table's shards, or a raw primitive's parts) must be one per cluster
 /// device. Checked before anything runs or splices, so a table
@@ -559,7 +584,9 @@ impl<T> Merged<T> {
 /// `k_eff` long) into a whole `k_eff` run — a descending run with a
 /// MIN-sentinel tail is a valid bitonic run — and reduces the runs on
 /// `dev` with the bitonic run reducer, retrying transient faults (the
-/// upload's included) up to `max_retries` times. Returns the top
+/// upload's included) up to `max_retries` times. A k whose 2k window
+/// does not fit one block reduces the runs' union with the exact
+/// global-steps network instead ([`config_for`]). Returns the top
 /// `min(k, total)` items, the reduce's kernel time and the retries
 /// spent.
 fn reduce_runs<T: TopKItem>(
@@ -585,7 +612,12 @@ fn reduce_runs<T: TopKItem>(
     let (items, time) = retry(max_retries, &mut retries, |_| {
         let buf = dev.try_upload(&flat)?;
         let log0 = dev.log_len();
-        let r = bitonic_topk_from_runs(dev, &buf, flat.len(), k_req, cfg)?;
+        let wide = config_for::<T>(dev, k_req);
+        let r = if wide.opt == OptLevel::GlobalSteps {
+            bitonic_topk(dev, &buf, k_req, wide)?
+        } else {
+            bitonic_topk_from_runs(dev, &buf, flat.len(), k_req, cfg)?
+        };
         Ok((r.items, dev.window_since(log0).time))
     })?;
     Ok((items, time, retries))
@@ -1328,7 +1360,8 @@ impl<'a> ShardedServer<'a> {
         let p = self
             .front
             .admit(sql, SubmitOptions::default(), rows, epoch, true)?;
-        let (ticket, limit, hit) = (p.ticket, p.query.limit, p.cached.is_some());
+        let hit = matches!(p.cached, Some(Cached::Hit(_)));
+        let (ticket, limit) = (p.ticket, p.query.limit);
         let routes = if hit {
             Vec::new()
         } else {
@@ -1554,13 +1587,17 @@ impl<'a> ShardedServer<'a> {
         let mut queries = Vec::with_capacity(pending.len());
         for (p, routes) in pending.into_iter().zip(routes) {
             let q = p.query;
+            let hit = match p.cached {
+                Some(Cached::Hit(ids)) => Some(ids),
+                _ => None,
+            };
             let mut sq = ShardedServed {
                 ticket: p.ticket,
                 sql: p.sql,
                 // resolved from the epoch-tagged cache at submission: no
                 // sub-queries ran, nothing shipped, zero latency
-                cached: p.cached.is_some(),
-                ids: p.cached.unwrap_or_default(),
+                cached: hit.is_some(),
+                ids: hit.unwrap_or_default(),
                 latency: SimTime::ZERO,
                 error: None,
                 degrade: DegradeLevel::None,
@@ -1683,6 +1720,7 @@ impl<'a> ShardedServer<'a> {
         let fresh = queries.iter().filter(|sq| sq.completed() && !sq.cached);
         self.front.settle(
             self.table.epoch(),
+            self.table.len(),
             fresh.map(|sq| (sq.sql.as_str(), sq.ids.as_slice())),
             &mut resilience,
         );
@@ -2271,6 +2309,38 @@ mod tests {
         assert_eq!(c.resilience.rebuilds, 1, "shard 0's copy lands on dev2");
         assert_eq!(c.resilience.completed, 1);
         assert_eq!(c.queries[0].ids, oracle);
+    }
+
+    /// Partitioning onto devices too small for their copies is a typed
+    /// fault naming the first device that cannot hold its copy, never
+    /// an allocation panic: 200,000 rows are 4.2 MB of columns, and two
+    /// 1 MiB devices hold about a quarter of a 2.1 MB half each.
+    #[test]
+    fn partition_onto_too_small_devices_is_a_typed_error() {
+        let cluster = Cluster::new(ClusterSpec {
+            device: simt::DeviceSpec {
+                global_mem_bytes: 1 << 20,
+                ..simt::DeviceSpec::titan_x_maxwell()
+            },
+            ..ClusterSpec::pcie_node(2)
+        });
+        let host = TweetTable::generate(200_000, 3);
+        let err = ShardedTable::partition(&cluster, &host, PartitionPolicy::Range)
+            .err()
+            .expect("the copies cannot fit");
+        assert!(
+            matches!(
+                err,
+                QdbError::DeviceFault {
+                    transient: false,
+                    device: Some(0),
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert!(err.to_string().contains("does not fit"), "{err}");
+        assert_eq!(cluster.device(0).memory_allocated(), 0, "nothing loaded");
     }
 
     #[test]

@@ -26,7 +26,10 @@
 //! uses:
 //!
 //! * [`TopKView::refresh`] — one device: the delta scans a device slice
-//!   and merges on the device;
+//!   and merges on the device. The crossover rule and this delta step
+//!   are one function each, which the single-device server's result
+//!   cache also calls to bring a stale entry current
+//!   ([`crate::ServerConfig::result_cache`]);
 //! * [`TopKView::refresh_cpu`] — the CPU engine over the same device
 //!   table: the delta scans the appended rows of the resident columns in
 //!   place and merges with the engine's top-k operator;
@@ -214,22 +217,14 @@ impl TopKView {
 
     /// The maintenance mode a refresh against a table with `table_rows`
     /// rows at `table_epoch` would take — the pure decision EXPLAIN
-    /// renders without running anything.
+    /// renders without running anything, and the one a server's result
+    /// cache applies to a stale entry.
     pub fn plan_mode(&self, table_rows: usize, table_epoch: u64) -> ViewMode {
-        let done = self.rows_done.get();
-        if table_epoch == self.epoch_done.get() && table_rows == done {
-            return ViewMode::Current;
-        }
-        let delta = table_rows.saturating_sub(done);
-        if done == 0
-            || table_rows < done
-            || delta == 0
-            || (delta as f64) > self.refresh_fraction * done as f64
-        {
-            ViewMode::Rescan
-        } else {
-            ViewMode::DeltaMerge
-        }
+        maintenance_mode(
+            (self.rows_done.get(), self.epoch_done.get()),
+            (table_rows, table_epoch),
+            self.refresh_fraction,
+        )
     }
 
     /// The maintenance skeleton every placement shares: decides the
@@ -306,22 +301,9 @@ impl TopKView {
             },
             |standing, done| {
                 let log0 = dev.log_len();
-                let delta_tab = table.device_slice(dev, done, rows)?;
-                let delta = execute(
-                    dev,
-                    &delta_tab,
-                    &self.query.clamped(rows - done),
-                    self.strategy,
-                )?;
-                let m = table.with_columns(|c| {
-                    merge_id_runs(
-                        &self.query,
-                        &[standing, delta.ids],
-                        |_, id| c.counts_of(id).ok_or_else(|| not_resident(id)),
-                        MergeTarget::Device(dev),
-                    )
-                })?;
-                Ok((m.items, dev.window_since(log0).time))
+                let ids =
+                    delta_merge(dev, table, &self.query, self.strategy, standing, done, None)?;
+                Ok((ids, dev.window_since(log0).time))
             },
         )
     }
@@ -413,11 +395,67 @@ impl TopKView {
     }
 }
 
+/// The one crossover rule of every standing result — a view's, and a
+/// stale result-cache entry's: how a result covering `done = (rows,
+/// epoch)` comes current against a table at `table = (rows, epoch)`.
+/// `Current` when nothing arrived; `DeltaMerge` while the appended rows
+/// are at most `refresh_fraction` of the rows already covered; `Rescan`
+/// past that, on a first build, and whenever the table did not grow.
+pub(crate) fn maintenance_mode(
+    (done, done_epoch): (usize, u64),
+    (rows, epoch): (usize, u64),
+    refresh_fraction: f64,
+) -> ViewMode {
+    if epoch == done_epoch && rows == done {
+        return ViewMode::Current;
+    }
+    let delta = rows.saturating_sub(done);
+    if done == 0 || rows < done || delta == 0 || (delta as f64) > refresh_fraction * done as f64 {
+        ViewMode::Rescan
+    } else {
+        ViewMode::DeltaMerge
+    }
+}
+
+/// The one device delta step: `standing` is `q`'s answer over the first
+/// `done` rows of `table`; the rows appended since are copied into a
+/// device slice, `q` runs over the slice, and the slice's top-k
+/// run-merges into `standing` on `dev`. Returns `q`'s answer over the
+/// whole table, bit-identical to re-executing it. With `ecc`, the
+/// slice's columns are tagged for ECC-corruption injection under that
+/// label, so a serving lane's audit covers the step. `q`'s runs must
+/// merge ([`crate::Shape::runs_merge`]).
+pub(crate) fn delta_merge(
+    dev: &Device,
+    table: &GpuTweetTable,
+    q: &Query,
+    strategy: Strategy,
+    standing: Vec<u32>,
+    done: usize,
+    ecc: Option<&str>,
+) -> Result<Vec<u32>, QdbError> {
+    let rows = table.len();
+    let slice = table.device_slice(dev, done, rows)?;
+    if let Some(label) = ecc {
+        slice.tag_ecc(label);
+    }
+    let delta = execute(dev, &slice, &q.clamped(rows - done), strategy)?;
+    let m = table.with_columns(|c| {
+        merge_id_runs(
+            q,
+            &[standing, delta.ids],
+            |_, id| c.counts_of(id).ok_or_else(|| not_resident(id)),
+            MergeTarget::Device(dev),
+        )
+    })?;
+    Ok(m.items)
+}
+
 /// The typed error for a standing id missing from the table it was
 /// computed over — a bug, never a panic.
 fn not_resident(id: u32) -> QdbError {
     QdbError::Internal {
-        what: format!("view id {id} is not in the table's id column"),
+        what: format!("standing id {id} is not in the table's id column"),
     }
 }
 

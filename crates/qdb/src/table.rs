@@ -202,6 +202,18 @@ impl GpuTweetTable {
         Ok(self.with_columns(|c| Self::load(dev, c.rows(lo..hi), 0, true))?)
     }
 
+    /// Tags every column for ECC-corruption injection under `label`
+    /// ([`GpuBuffer::tag_ecc`]) — how a serving lane puts a temporary
+    /// table it scans under its integrity audit.
+    pub(crate) fn tag_ecc(&self, label: &str) {
+        self.id.tag_ecc(label);
+        self.tweet_time.tag_ecc(label);
+        self.retweet_count.tag_ecc(label);
+        self.likes_count.tag_ecc(label);
+        self.lang.tag_ecc(label);
+        self.uid.tag_ecc(label);
+    }
+
     /// Number of rows (the logical prefix kernels scan).
     pub fn len(&self) -> usize {
         self.len.get()

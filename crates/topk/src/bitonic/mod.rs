@@ -50,6 +50,18 @@ fn max_seg_elems<T: TopKItem>(dev: &Device) -> usize {
     seg
 }
 
+/// The configuration that answers a top-`k` of `T` on `dev` for any
+/// `k`: the full ladder ([`BitonicConfig::default`]) while a 2k window
+/// fits one block's shared memory, else the exact global-steps network
+/// ([`OptLevel::GlobalSteps`]), which keeps no window in shared memory.
+pub fn config_for<T: TopKItem>(dev: &Device, k: usize) -> BitonicConfig {
+    if 2 * next_pow2(k.max(1)) > max_seg_elems::<T>(dev) {
+        BitonicConfig::at_level(OptLevel::GlobalSteps)
+    } else {
+        BitonicConfig::default()
+    }
+}
+
 /// Launches one reducer over `cur` elements of `input`, writing
 /// `cur >> merges(ops)` to `output`.
 #[allow(clippy::too_many_arguments)]
